@@ -27,7 +27,8 @@ evaluators are provided, mirroring the per-object functions of
   timestamp;
 * :func:`batch_qb_exists` -- the Section V-B backward pass run *once*
   (one pass serves every start time via :func:`backward_vectors`),
-  then a single GEMV ``X @ v`` answers all objects of a start group;
+  then one sparse product ``P @ v`` answers all objects of a start
+  group;
 * :func:`batch_exists_multi` -- the Section VI doubled-space forward
   pass with per-row Lemma 1 evidence fusion at each object's later
   observations.
@@ -36,6 +37,13 @@ All three accept an optional :class:`~repro.core.plan_cache.PlanCache`
 so repeated windows skip matrix construction entirely, and an optional
 :class:`~repro.exec.operators.ExecutionContext` collecting per-operator
 timings for EXPLAIN ANALYZE output.
+
+Single-observation kernels take their ``initials`` either as a
+sequence of :class:`~repro.core.distribution.StateDistribution` or --
+what the pipeline and the shard workers pass, gathered straight from
+columnar storage -- as one
+:class:`~repro.core.distribution.SupportBlock`; the sequence form is
+stacked into a block on entry, so there is one staging path.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.distribution import StateDistribution
+from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
@@ -55,6 +63,7 @@ from repro.exec.operators import (
     BUILD_ABSORBING,
     BUILD_DOUBLED,
     FORWARD_SWEEP,
+    KTIMES_CORE,
     KTIMES_SWEEP,
     MC_SAMPLE,
     ExecutionContext,
@@ -69,58 +78,77 @@ __all__ = [
     "batch_exists_multi",
     "batch_mc_exists",
     "batch_ktimes_distribution",
+    "ktimes_sweep",
 ]
 
 StartTimes = Union[int, Sequence[int]]
+Initials = Union[Sequence[StateDistribution], SupportBlock]
 
 
 def _normalize_starts(
     start_times: StartTimes, n_objects: int
-) -> List[int]:
+) -> np.ndarray:
     if isinstance(start_times, (int, np.integer)):
-        starts = [int(start_times)] * n_objects
+        starts = np.full(n_objects, int(start_times), dtype=np.int64)
     else:
-        starts = [int(t) for t in start_times]
+        starts = np.fromiter(
+            map(int, start_times), dtype=np.int64
+        )
         if len(starts) != n_objects:
             raise ValidationError(
                 f"{len(starts)} start times for {n_objects} objects"
             )
-    for start in starts:
-        if start < 0:
-            raise QueryError(
-                f"start_time must be non-negative, got {start}"
-            )
+    if n_objects and starts.min() < 0:
+        raise QueryError(
+            f"start_time must be non-negative, got {int(starts.min())}"
+        )
     return starts
 
 
 def _check_starts(
-    window: SpatioTemporalWindow, starts: Sequence[int]
+    window: SpatioTemporalWindow, starts: np.ndarray
 ) -> None:
-    for start in starts:
-        if window.t_start < start:
-            raise QueryError(
-                f"query time {window.t_start} precedes the observation "
-                f"at t={start}; extrapolation queries need all query "
-                f"times >= the observation time"
-            )
+    late = starts[starts > window.t_start]
+    if late.size:
+        raise QueryError(
+            f"query time {window.t_start} precedes the observation "
+            f"at t={int(late[0])}; extrapolation queries need all query "
+            f"times >= the observation time"
+        )
 
 
-def _check_initials(
-    chain: MarkovChain, initials: Sequence[StateDistribution]
-) -> None:
-    for initial in initials:
+def _as_block(chain: MarkovChain, initials: Initials) -> SupportBlock:
+    """The initials as one block over the chain's states."""
+    stacked = isinstance(initials, SupportBlock)
+    for initial in [initials] if stacked else initials:
         if initial.n_states != chain.n_states:
             raise ValidationError(
                 f"initial distribution over {initial.n_states} states, "
                 f"chain over {chain.n_states}"
             )
+    if stacked:
+        return initials
+    return SupportBlock.from_distributions(initials, chain.n_states)
 
 
-def _rows_by_start(starts: Sequence[int]) -> Dict[int, List[int]]:
-    groups: Dict[int, List[int]] = {}
-    for row, start in enumerate(starts):
-        groups.setdefault(start, []).append(row)
-    return groups
+def _rows_by_start(starts: np.ndarray) -> Dict[int, np.ndarray]:
+    """``{start time: rows observed then}``, ascending by time."""
+    order = np.argsort(starts, kind="stable")
+    times, first = np.unique(starts[order], return_index=True)
+    return dict(zip(times.tolist(), np.split(order, first[1:])))
+
+
+def _activations(
+    block: SupportBlock, starts: np.ndarray
+) -> Dict[int, tuple]:
+    """Sweep activations: per start time, the rows entering then and
+    their sub-block."""
+    groups = _rows_by_start(starts)
+    if len(groups) == 1:  # the common shared-clock case: no re-gather
+        return {time: (rows, block) for time, rows in groups.items()}
+    return {
+        time: (rows, block.take(rows)) for time, rows in groups.items()
+    }
 
 
 def backward_vectors(
@@ -147,7 +175,7 @@ def backward_vectors(
 
 def batch_ob_exists(
     chain: MarkovChain,
-    initials: Sequence[StateDistribution],
+    initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
     matrices: Optional[AbsorbingMatrices] = None,
@@ -159,7 +187,8 @@ def batch_ob_exists(
 
     Args:
         chain: the Markov model shared by the objects.
-        initials: one observation distribution per object.
+        initials: one observation distribution per object (a sequence,
+            or one :class:`~repro.core.distribution.SupportBlock`).
         window: the query window ``S_q x T_q``.
         start_times: one observation timestamp per object (or a single
             shared one).  Objects observed later join the sweep when it
@@ -178,7 +207,7 @@ def batch_ob_exists(
     window.validate_for(chain.n_states)
     if n_objects == 0:
         return np.zeros(0, dtype=float)
-    _check_initials(chain, initials)
+    block = _as_block(chain, initials)
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
     matrices = BUILD_ABSORBING(
@@ -186,19 +215,13 @@ def batch_ob_exists(
         context=context, plan_cache=plan_cache,
     )
 
-    activations: Dict[int, List] = {}
-    for row, start in enumerate(starts):
-        activations.setdefault(start, []).append(
-            (row, initials[row].vector)
-        )
-    first = min(starts)
     schedule = SweepSchedule(
         n_rows=n_objects,
-        first=first,
+        first=int(starts.min()),
         last=window.t_end,
         times=window.times,
-        activations=activations,
-        harvests={window.t_end: list(range(n_objects))},
+        activations=_activations(block, starts),
+        harvests={window.t_end: range(n_objects)},
         read="top",
         read_offset=matrices.top_index,
     )
@@ -210,7 +233,7 @@ def batch_ob_exists(
 
 def batch_qb_exists(
     chain: MarkovChain,
-    initials: Sequence[StateDistribution],
+    initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
     matrices: Optional[AbsorbingMatrices] = None,
@@ -219,7 +242,7 @@ def batch_qb_exists(
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Query-based PST-exists for many objects: one backward pass,
-    one GEMV per start-time group.
+    one sparse product per start-time group.
 
     Arguments mirror :func:`batch_ob_exists`.  With a ``plan_cache``
     the backward vectors themselves are reused across queries, so a
@@ -229,10 +252,10 @@ def batch_qb_exists(
     window.validate_for(chain.n_states)
     if n_objects == 0:
         return np.zeros(0, dtype=float)
-    _check_initials(chain, initials)
+    block = _as_block(chain, initials)
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
-    unique_starts = sorted(set(starts))
+    unique_starts = np.unique(starts).tolist()
     if plan_cache is not None and matrices is None:
         # cache the backward vectors themselves, not just the matrices
         vectors = plan_cache.backward_vectors(
@@ -248,16 +271,17 @@ def batch_qb_exists(
         )
 
     result = np.zeros(n_objects, dtype=float)
-    for start, rows in _rows_by_start(starts).items():
-        stack = np.stack([
-            matrices.extend_initial(
-                np.asarray(initials[row].vector, dtype=float),
-                start,
-                window.times,
-            )
-            for row in rows
-        ])
-        result[rows] = stack @ vectors[start]
+    for start, (rows, group) in _activations(block, starts).items():
+        # the extended initials (mass already inside the region at a
+        # query-time start sits on TOP) against v(start), row by row
+        entry_rows, states, mass = matrices.extend_block(
+            group, start, window.times
+        )
+        result[rows] = np.bincount(
+            entry_rows,
+            weights=mass * vectors[start][states],
+            minlength=len(rows),
+        )
     return result
 
 
@@ -293,22 +317,26 @@ def batch_exists_multi(
                 f"observations over {observations.n_states} states, "
                 f"chain over {chain.n_states}"
             )
-    starts = [observations.first.time for observations in observation_sets]
-    _normalize_starts(starts, n_objects)
+    starts = _normalize_starts(
+        [observations.first.time for observations in observation_sets],
+        n_objects,
+    )
     _check_starts(window, starts)
     matrices = BUILD_DOUBLED(
         matrices, chain, window.region, backend,
         context=context, plan_cache=plan_cache,
     )
 
-    activations: Dict[int, List] = {}
-    for row, observations in enumerate(observation_sets):
-        activations.setdefault(starts[row], []).append(
-            (row, observations.first.distribution.vector)
-        )
+    block = SupportBlock.from_distributions(
+        [
+            observations.first.distribution
+            for observations in observation_sets
+        ],
+        chain.n_states,
+    )
     fusions: Dict[int, List] = {}
     for row, observations in enumerate(observation_sets):
-        for observation in observations.after(starts[row]):
+        for observation in observations.after(int(starts[row])):
             fusions.setdefault(observation.time, []).append((
                 row,
                 matrices.tile_observation(
@@ -327,10 +355,10 @@ def batch_exists_multi(
 
     schedule = SweepSchedule(
         n_rows=n_objects,
-        first=min(starts),
+        first=int(starts.min()),
         last=max(finals),
         times=window.times,
-        activations=activations,
+        activations=_activations(block, starts),
         fusions=fusions,
         harvests=harvests,
         read="tail",
@@ -344,7 +372,7 @@ def batch_exists_multi(
 
 def batch_ktimes_distribution(
     chain: MarkovChain,
-    initials: Sequence[StateDistribution],
+    initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
     backend: Optional[str] = None,
@@ -359,8 +387,8 @@ def batch_ktimes_distribution(
       decomposition (:data:`~repro.exec.operators.KTIMES_CORE`): one
       shared backward recursion from ``t_end`` down to the earliest
       start yields a ``(|S|, |T_q|+1)`` block ``D(start)`` per start
-      time, and a whole start group answers with a single dense GEMM
-      ``X @ D(start)`` -- the k-times analogue of
+      time, and a whole start group answers with a single sparse
+      product ``P @ D(start)`` -- the k-times analogue of
       :func:`batch_qb_exists`, amortising one pass over arbitrarily
       many objects.  With a ``plan_cache`` the blocks themselves are
       reused across queries.
@@ -375,7 +403,8 @@ def batch_ktimes_distribution(
 
     Args:
         chain: the Markov model shared by the objects.
-        initials: one observation distribution per object.
+        initials: one observation distribution per object (a sequence,
+            or one :class:`~repro.core.distribution.SupportBlock`).
         window: the query window ``S_q x T_q``.
         start_times: one observation timestamp per object (or a single
             shared one); each must be ``<= min(T_q)``.
@@ -394,70 +423,66 @@ def batch_ktimes_distribution(
     n_rows = window.duration + 1
     if n_objects == 0:
         return np.zeros((0, n_rows), dtype=float)
-    _check_initials(chain, initials)
+    block = _as_block(chain, initials)
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
     result = np.zeros((n_objects, n_rows), dtype=float)
 
-    before = [
-        row for row in range(n_objects)
-        if starts[row] < window.t_start
-    ]
-    at_start = [
-        row for row in range(n_objects)
-        if starts[row] == window.t_start
-    ]
-    if before:
+    before = np.flatnonzero(starts < window.t_start)
+    at_start = np.flatnonzero(starts == window.t_start)
+    if before.size:
+        groups = _rows_by_start(starts[before])
         if plan_cache is not None:
             blocks = plan_cache.ktimes_blocks(
-                chain,
-                window,
-                [starts[row] for row in before],
-                backend,
-                context=context,
+                chain, window, list(groups), backend, context=context
             )
         else:
-            from repro.exec.operators import KTIMES_CORE
-
             blocks = KTIMES_CORE(
-                (window, [starts[row] for row in before]),
+                (window, list(groups)),
                 chain,
                 window.region,
                 backend,
                 context=context,
             )
-        for start, rows in _rows_by_start(
-            [starts[row] for row in before]
-        ).items():
-            group = [before[row] for row in rows]
-            stack = np.stack([
-                np.asarray(initials[row].vector, dtype=float)
-                for row in group
-            ])
-            result[group] = stack @ blocks[start]
-    if at_start:
-        region_columns = np.fromiter(
-            window.region, dtype=int, count=len(window.region)
-        )
-        region_columns.sort()
-        activations: Dict[int, List] = {}
-        for index, row in enumerate(at_start):
-            activations.setdefault(starts[row], []).append(
-                (index, initials[row].vector)
-            )
-        schedule = KTimesSchedule(
-            n_objects=len(at_start),
-            n_rows=n_rows,
-            first=window.t_start,
-            last=window.t_end,
-            times=window.times,
-            region_columns=region_columns,
-            activations=activations,
-        )
-        result[at_start] = KTIMES_SWEEP(
-            schedule, chain, window.region, backend, context=context
+        for start, rows in groups.items():
+            rows = before[rows]
+            result[rows] = block.take(rows).dot(blocks[start])
+    if at_start.size:
+        result[at_start] = ktimes_sweep(
+            chain,
+            block.take(at_start),
+            starts[at_start],
+            window,
+            backend=backend,
+            context=context,
         )
     return result
+
+
+def ktimes_sweep(
+    chain: MarkovChain,
+    block: SupportBlock,
+    starts: np.ndarray,
+    window: SpatioTemporalWindow,
+    backend: Optional[str] = None,
+    context: Optional[ExecutionContext] = None,
+) -> np.ndarray:
+    """The stacked :data:`~repro.exec.operators.KTIMES_SWEEP` cohort
+    over ``block``: every object joins at its own start time and the
+    whole cohort advances with one sparse product per timestep.
+    Returns the ``(len(block), |T_q| + 1)`` count distributions."""
+    schedule = KTimesSchedule(
+        n_objects=len(block),
+        n_rows=window.duration + 1,
+        first=int(starts.min()),
+        last=window.t_end,
+        times=window.times,
+        region_columns=window.region.array,
+        activations=_activations(block, starts),
+    )
+    return KTIMES_SWEEP(
+        schedule, chain, window.region, backend, context=context
+    )
 
 
 def batch_mc_exists(

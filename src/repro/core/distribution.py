@@ -13,6 +13,7 @@ and provides the operations the query processors need:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core.errors import (
     ValidationError,
 )
 
-__all__ = ["StateDistribution"]
+__all__ = ["StateDistribution", "SupportBlock"]
 
 _TOLERANCE = 1e-9
 
@@ -186,6 +187,13 @@ class StateDistribution:
         """Number of states with non-zero probability."""
         return int(np.count_nonzero(self._vector > 0.0))
 
+    def sparse(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(states, probabilities)`` of the support as arrays -- one
+        row of a :class:`SupportBlock`."""
+        vector = self.vector
+        states = np.flatnonzero(vector > 0.0)
+        return states, vector[states]
+
     def mode(self) -> int:
         """The most probable state (lowest index on ties)."""
         return int(np.argmax(self._vector))
@@ -291,4 +299,125 @@ class StateDistribution:
         suffix = ", ..." if self.support_size() > 6 else ""
         return (
             f"StateDistribution(n={self.n_states}, {{{entries}{suffix}}})"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SupportBlock:
+    """Many distributions over the same states as one CSR.
+
+    Row ``i`` has support ``states[indptr[i]:indptr[i + 1]]`` with
+    weights ``probs[...]`` -- the columnar form of a stack of
+    :class:`StateDistribution` vectors, so the batched kernels and the
+    filter stages touch every object's observation through a handful
+    of array operations.  Every reduction is per row and independent
+    of which other rows share the block: an object's answer does not
+    depend on what a filter stage pruned around it.
+
+    Attributes:
+        n_states: length of the dense vectors the rows stand for.
+        indptr: ``(n_rows + 1,)`` row boundaries, ``indptr[0] == 0``.
+        states: concatenated support states.
+        probs: concatenated support probabilities.
+    """
+
+    n_states: int
+    indptr: np.ndarray
+    states: np.ndarray
+    probs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @classmethod
+    def from_distributions(
+        cls, distributions: Sequence[StateDistribution], n_states: int
+    ) -> "SupportBlock":
+        """Stack per-object distributions (bulk callers
+        :meth:`gather` from columnar storage instead)."""
+        parts = [distribution.sparse() for distribution in distributions]
+        indptr = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([len(states) for states, _ in parts], out=indptr[1:])
+        return cls(
+            n_states,
+            indptr,
+            np.concatenate(
+                [np.zeros(0, np.int64)] + [states for states, _ in parts]
+            ),
+            np.concatenate([np.zeros(0)] + [probs for _, probs in parts]),
+        )
+
+    @classmethod
+    def gather(
+        cls,
+        n_states: int,
+        states: np.ndarray,
+        probs: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+    ) -> "SupportBlock":
+        """Copy the slices ``[lo[i], hi[i])`` of two parallel backing
+        columns (a cohort, a memory-mapped slab) into one block."""
+        lengths = hi - lo
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # entry j of row i sits at lo[i] + j in the backing columns
+        index = np.arange(indptr[-1], dtype=np.int64) + np.repeat(
+            lo - indptr[:-1], lengths
+        )
+        return cls(
+            n_states,
+            indptr,
+            np.asarray(states[index], dtype=np.int64),
+            np.asarray(probs[index], dtype=float),
+        )
+
+    def take(self, rows: np.ndarray) -> "SupportBlock":
+        """The sub-block of ``rows`` (in that order)."""
+        return SupportBlock.gather(
+            self.n_states,
+            self.states,
+            self.probs,
+            self.indptr[:-1][rows],
+            self.indptr[1:][rows],
+        )
+
+    def entry_rows(self) -> np.ndarray:
+        """The row index of every stored entry."""
+        return np.repeat(
+            np.arange(len(self), dtype=np.int64), np.diff(self.indptr)
+        )
+
+    def _reduce(self, ufunc, values: np.ndarray, empty) -> np.ndarray:
+        """``ufunc``-reduce per-entry ``values`` within each row; rows
+        without entries get ``empty`` (``reduceat`` cannot express an
+        empty segment)."""
+        starts = self.indptr[:-1]
+        filled = np.diff(self.indptr) > 0
+        if filled.all():
+            return ufunc.reduceat(values, starts, axis=0)
+        out = np.full(
+            (len(self),) + values.shape[1:], empty, dtype=values.dtype
+        )
+        if filled.any():
+            out[filled] = ufunc.reduceat(values, starts[filled], axis=0)
+        return out
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-row sums of per-entry ``values``."""
+        return self._reduce(np.add, values, 0)
+
+    def dot(self, dense: np.ndarray) -> np.ndarray:
+        """Every row times ``dense`` -- an ``(n_states,)`` vector or an
+        ``(n_states, k)`` matrix -- touching only the supports."""
+        weights = self.probs if dense.ndim == 1 else self.probs[:, None]
+        return self.row_sums(weights * dense[self.states])
+
+    def min_over_support(self, per_state: np.ndarray) -> np.ndarray:
+        """Per-row minimum of an integer per-state labelling over the
+        row's support (the dtype's maximum for an empty row)."""
+        return self._reduce(
+            np.minimum,
+            per_state[self.states],
+            np.iinfo(per_state.dtype).max,
         )

@@ -472,9 +472,7 @@ class QueryEngine:
     def _evaluate_forall(
         self, query: PSTForAllQuery, options: PlanOptions
     ) -> Tuple[Dict[str, ResultValue], Optional[QueryPlan]]:
-        complement = (
-            frozenset(range(self.database.n_states)) - query.region
-        )
+        complement = query.region.complement(self.database.n_states)
         if not complement:
             return (
                 {obj.object_id: 1.0 for obj in self.database},

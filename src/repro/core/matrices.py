@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
+from repro.core.query import Region
 from repro.linalg.ops import Backend, get_backend
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
 
 
 def _coo_arrays(
-    chain: MarkovChain, region: FrozenSet[int]
+    chain: MarkovChain, region: Region
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The chain's transitions as ``(rows, cols, values, target_inside)``.
 
@@ -66,21 +67,27 @@ def _coo_arrays(
     rows = np.asarray(coo.row, dtype=np.int64)
     cols = np.asarray(coo.col, dtype=np.int64)
     values = np.asarray(coo.data, dtype=float)
-    region_states = np.fromiter(region, dtype=np.int64, count=len(region))
-    inside = np.isin(cols, region_states)
+    inside = _region_mask(region, chain.n_states)[cols]
     return rows, cols, values, inside
 
 
-def _check_region(chain: MarkovChain, region: Iterable[int]) -> FrozenSet[int]:
-    frozen = frozenset(int(s) for s in region)
+def _check_region(chain: MarkovChain, region: Iterable[int]) -> Region:
+    frozen = Region(region)
     if not frozen:
         raise QueryError("query region is empty")
-    if min(frozen) < 0 or max(frozen) >= chain.n_states:
+    if frozen.array[0] < 0 or frozen.array[-1] >= chain.n_states:
         raise QueryError(
             f"region state outside [0, {chain.n_states}): "
-            f"{sorted(frozen)[:4]}..."
+            f"{frozen.array[:4].tolist()}..."
         )
     return frozen
+
+
+def _region_mask(region: Iterable[int], n_states: int) -> np.ndarray:
+    """Boolean membership mask of ``region`` over the real states."""
+    mask = np.zeros(n_states, dtype=bool)
+    mask[Region(region).array] = True
+    return mask
 
 
 @dataclass
@@ -151,6 +158,32 @@ class AbsorbingMatrices:
             extended[region_indices] = 0.0
         return extended
 
+    def extend_block(
+        self, block, start_time: int, times: FrozenSet[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`extend_initial` for a whole
+        :class:`~repro.core.distribution.SupportBlock` at once.
+
+        Returns the extended initial vectors of the block's rows as
+        COO triples ``(row, augmented state, mass)`` -- at most one
+        entry per ``(row, state)`` -- ready to be scattered into a
+        sweep stack or reduced against a backward vector.
+        """
+        rows = block.entry_rows()
+        if start_time not in times:
+            return rows, block.states, block.probs
+        inside = _region_mask(self.region, self.n_states)[block.states]
+        hit = block.row_sums(np.where(inside, block.probs, 0.0))
+        outside = ~inside
+        return (
+            np.concatenate([rows[outside], np.arange(len(block))]),
+            np.concatenate([
+                block.states[outside],
+                np.full(len(block), self.top_index, dtype=np.int64),
+            ]),
+            np.concatenate([block.probs[outside], hit]),
+        )
+
 
 @dataclass
 class DoubledMatrices:
@@ -201,6 +234,18 @@ class DoubledMatrices:
                 extended[self.n_states + state] = extended[state]
                 extended[state] = 0.0
         return extended
+
+    def extend_block(
+        self, block, start_time: int, times: FrozenSet[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`extend_initial` for a whole
+        :class:`~repro.core.distribution.SupportBlock`, as COO triples
+        ``(row, doubled state, mass)``."""
+        states = block.states
+        if start_time in times:
+            inside = _region_mask(self.region, self.n_states)[states]
+            states = np.where(inside, states + self.n_states, states)
+        return block.entry_rows(), states, block.probs
 
     def tile_observation(self, observation: np.ndarray) -> np.ndarray:
         """Replicate an observation pdf over both blocks.

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.distribution import StateDistribution
+from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
@@ -116,7 +116,14 @@ def ob_exists_probability(
         first=start_time,
         last=window.t_end,
         times=window.times,
-        activations={start_time: [(0, initial.vector)]},
+        activations={
+            start_time: (
+                np.zeros(1, dtype=np.int64),
+                SupportBlock.from_distributions(
+                    [initial], chain.n_states
+                ),
+            )
+        },
         harvests={window.t_end: [0]},
         read="top",
         read_offset=matrices.top_index,

@@ -11,8 +11,9 @@ monotonically non-increasing by construction):
    and are answered with the query's zero element immediately.
 2. **bfs** -- the exact Section V-C reachability filter
    (:class:`~repro.database.pruning.ReachabilityPruner`): one reverse
-   BFS per ``(chain, region, horizon)``, cached across queries, then an
-   ``O(|support|)`` check per candidate.
+   BFS labelling per ``(chain, region)``, resumed across queries, then
+   one segmented minimum of the labels over the candidates' supports
+   against their per-object horizons.
 3. **evaluate** -- the surviving objects of each chain group run
    through the shared operator layer (:mod:`repro.exec.operators`)
    with the group's planned method, dispatched per the plan:
@@ -21,6 +22,14 @@ monotonically non-increasing by construction):
    engine's thread-safe plan cache) or ``process`` (chain groups *and*
    within-chain object shards across the shared-memory worker pool of
    :mod:`repro.exec.dispatch`).
+
+Candidates travel between the stages as *row-index arrays* over each
+chain group's columnar :class:`~repro.database.cohort.Cohort` (synced
+once, when the plan was made): semantic checks, both filters, kernel
+staging and result assembly are array operations per chain group, and
+no stage runs Python per object.  Only Section VI multi-observation
+objects and Monte-Carlo sampling -- per-object algorithms by nature --
+fetch object records, and only for the survivors.
 
 Every stage and kernel call runs through the operators' timing hooks;
 the per-operator totals land on ``plan.operator_seconds`` (worker
@@ -44,10 +53,13 @@ warned as :class:`~repro.core.errors.DegradedExecutionWarning`.
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time as _time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Union
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -66,7 +78,6 @@ from repro.core.errors import (
 )
 from repro.core.planner import CostModel, GroupPlan, QueryPlan, StageStats
 from repro.core.query import PSTKTimesQuery
-from repro.database.objects import UncertainObject
 from repro.database.pruning import ReachabilityPruner
 from repro.exec.operators import (
     BFS_PRUNE,
@@ -104,6 +115,21 @@ class QueryPipeline:
         self.plan_cache = plan_cache
         self.backend = backend
         self.pruner = pruner or ReachabilityPruner(database)
+        # thread-dispatch workers: one executor for the pipeline's
+        # lifetime, started on the first plan that fans chain groups
+        # out.  It is never resized or shut down, so concurrent
+        # execute() calls can share it; its idle threads exit when the
+        # pipeline (with its engine) is collected.
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+
+    def _thread_pool(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    thread_name_prefix="repro-pipeline"
+                )
+            return self._pool
 
     # ------------------------------------------------------------------
     # entry point
@@ -122,44 +148,44 @@ class QueryPipeline:
         """
         # semantic validation must not depend on what gets pruned: the
         # kernels reject these inputs, so a filtered run must too
+        t_start = plan.window.t_start
         for group in plan.groups:
-            for obj in group.objects:
-                start = obj.initial.time
-                if plan.window.t_start < start:
-                    raise QueryError(
-                        f"query time {plan.window.t_start} precedes "
-                        f"the observation at t={start}; extrapolation "
-                        f"queries need all query times >= the "
-                        f"observation time"
-                    )
+            starts = group.cohort.start_time[group.rows]
+            if starts.size and starts.max() > t_start:
+                raise QueryError(
+                    f"query time {t_start} precedes "
+                    f"the observation at "
+                    f"t={int(starts[starts > t_start][0])}; "
+                    f"extrapolation queries need all query times >= "
+                    f"the observation time"
+                )
         if plan.kind == "ktimes":
             if not isinstance(query, PSTKTimesQuery):
                 raise QueryError(
                     "k-times plans need the originating PSTKTimesQuery"
                 )
             for group in plan.groups:
-                for obj in group.objects:
-                    if obj.has_multiple_observations():
-                        raise QueryError(
-                            "PSTkQ with multiple observations is not "
-                            "part of the paper's framework; query the "
-                            "first observation only"
-                        )
+                if group.cohort.is_multi[group.rows].any():
+                    raise QueryError(
+                        "PSTkQ with multiple observations is not "
+                        "part of the paper's framework; query the "
+                        "first observation only"
+                    )
 
         context = ExecutionContext(
             self.plan_cache, self.backend,
             faults=plan.options.faults,
         )
         values: Dict[str, ResultValue] = {}
-        survivors: Dict[str, List[UncertainObject]] = {
-            group.chain_id: list(group.objects) for group in plan.groups
+        survivors: Dict[str, np.ndarray] = {
+            group.chain_id: group.rows for group in plan.groups
         }
-        zero = self._zero_factory(plan, query)
+        zeros = self._zero_factory(plan, query)
         plan.stages = []
         plan.degradations = []
 
-        self._stage_prefilter(plan, survivors, values, zero, context)
-        self._stage_bfs(plan, survivors, values, zero, context)
+        self._stage_prefilter(plan, survivors, values, zeros, context)
+        self._stage_bfs(plan, survivors, values, zeros, context)
         self._stage_evaluate(plan, survivors, values, query, context)
         plan.operator_seconds = context.timings
         # recovery events (pool rebuilds, retries, tier falls) land on
@@ -167,25 +193,42 @@ class QueryPipeline:
         plan.degradations.extend(context.events)
         return values
 
+    @staticmethod
+    def _narrow(
+        group: GroupPlan,
+        survivors: Dict[str, np.ndarray],
+        keep: np.ndarray,
+        values: Dict[str, ResultValue],
+        zeros: Callable[[int], Iterable[ResultValue]],
+    ) -> None:
+        """Apply one filter's keep-mask to a group's candidate rows;
+        the dropped ones are answered with the zero element."""
+        rows = survivors[group.chain_id]
+        dropped = rows[~keep]
+        values.update(
+            zip(group.cohort.ids(dropped), zeros(len(dropped)))
+        )
+        survivors[group.chain_id] = rows[keep]
+
     # ------------------------------------------------------------------
     # stage 1: R-tree geometric prefilter
     # ------------------------------------------------------------------
     def _stage_prefilter(
         self,
         plan: QueryPlan,
-        survivors: Dict[str, List[UncertainObject]],
+        survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
-        zero: Callable[[], ResultValue],
+        zeros: Callable[[int], Iterable[ResultValue]],
         context: ExecutionContext,
     ) -> None:
-        entering = sum(len(objs) for objs in survivors.values())
+        entering = sum(len(rows) for rows in survivors.values())
         started = _time.perf_counter()
         nodes_visited = 0
         available = False
         if plan.use_prefilter:
             for group in plan.groups:
-                objects = survivors[group.chain_id]
-                if not objects:
+                rows = survivors[group.chain_id]
+                if not rows.size:
                     continue
                 prefilter = self.database.geometric_prefilter(
                     group.chain_id
@@ -193,22 +236,23 @@ class QueryPipeline:
                 if prefilter is None:
                     continue
                 available = True
-                min_start = min(obj.initial.time for obj in objects)
+                cohort = group.cohort
                 ids, visited = PREFILTER(
-                    (prefilter, plan.window, min_start),
+                    (
+                        prefilter,
+                        plan.window,
+                        int(cohort.start_time[rows].min()),
+                    ),
                     region=plan.window.region,
                     context=context,
                 )
                 nodes_visited += visited
-                keep = set(ids)
-                kept: List[UncertainObject] = []
-                for obj in objects:
-                    if obj.object_id in keep:
-                        kept.append(obj)
-                    else:
-                        values[obj.object_id] = zero()
-                survivors[group.chain_id] = kept
-        remaining = sum(len(objs) for objs in survivors.values())
+                probed = np.zeros(cohort.n_rows, dtype=bool)
+                probed[cohort.rows_of(ids)] = True
+                self._narrow(
+                    group, survivors, probed[rows], values, zeros
+                )
+        remaining = sum(len(rows) for rows in survivors.values())
         if not plan.use_prefilter:
             detail = "off"
         elif available:
@@ -231,24 +275,34 @@ class QueryPipeline:
     def _stage_bfs(
         self,
         plan: QueryPlan,
-        survivors: Dict[str, List[UncertainObject]],
+        survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
-        zero: Callable[[], ResultValue],
+        zeros: Callable[[int], Iterable[ResultValue]],
         context: ExecutionContext,
     ) -> None:
-        entering = sum(len(objs) for objs in survivors.values())
+        entering = sum(len(rows) for rows in survivors.values())
         started = _time.perf_counter()
         if plan.use_bfs:
+            region = plan.window.region
             for group in plan.groups:
-                kept, removed = BFS_PRUNE(
-                    (self.pruner, survivors[group.chain_id], plan.window),
-                    region=plan.window.region,
+                rows = survivors[group.chain_id]
+                if not rows.size:
+                    continue
+                cohort = group.cohort
+                keep = BFS_PRUNE(
+                    (
+                        partial(
+                            self.pruner.levels, group.chain_id, region
+                        ),
+                        cohort.block(rows),
+                        cohort.start_time[rows],
+                        plan.window.t_end,
+                    ),
+                    region=region,
                     context=context,
                 )
-                for obj in removed:
-                    values[obj.object_id] = zero()
-                survivors[group.chain_id] = kept
-        remaining = sum(len(objs) for objs in survivors.values())
+                self._narrow(group, survivors, keep, values, zeros)
+        remaining = sum(len(rows) for rows in survivors.values())
         plan.stages.append(
             StageStats(
                 "bfs",
@@ -265,12 +319,12 @@ class QueryPipeline:
     def _stage_evaluate(
         self,
         plan: QueryPlan,
-        survivors: Dict[str, List[UncertainObject]],
+        survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
         query,
         context: ExecutionContext,
     ) -> None:
-        entering = sum(len(objs) for objs in survivors.values())
+        entering = sum(len(rows) for rows in survivors.values())
         started = _time.perf_counter()
         seed_index = self._seed_index(plan)
 
@@ -305,23 +359,14 @@ class QueryPipeline:
 
         if mode != "process":
             def run_group(group: GroupPlan) -> Dict[str, ResultValue]:
-                objects = survivors[group.chain_id]
+                rows = survivors[group.chain_id]
                 group_started = _time.perf_counter()
                 out: Dict[str, ResultValue] = {}
-                if objects:
-                    chain = self.database.chain(group.chain_id)
-
-                    def kernel() -> Dict[str, ResultValue]:
-                        if plan.kind == "ktimes":
-                            return self._ktimes_kernel(
-                                chain, group, objects, plan, query,
-                                seed_index, context,
-                            )
-                        return self._exists_kernel(
-                            chain, group, objects, plan, seed_index,
-                            context,
-                        )
-
+                if rows.size:
+                    kernel = partial(
+                        self._kernel, group, rows, plan, query,
+                        seed_index, context,
+                    )
                     try:
                         out = kernel()
                     except BackendError as error:
@@ -333,23 +378,39 @@ class QueryPipeline:
                         self._degrade(context, "native", "scipy", error)
                         group.backend = "scipy"
                         out = kernel()
-                group.survivors = len(objects)
+                group.survivors = len(rows)
                 group.elapsed_seconds = (
                     _time.perf_counter() - group_started
                 )
                 return out
 
-            busy = [
-                group
-                for group in plan.groups
-                if survivors[group.chain_id]
-            ]
-            if mode == "thread" and len(busy) > 1:
+            # busy groups first, so striding deals them out evenly
+            ordered = sorted(
+                plan.groups,
+                key=lambda group: not survivors[group.chain_id].size,
+            )
+            busy = sum(
+                1 for group in plan.groups
+                if survivors[group.chain_id].size
+            )
+            if mode == "thread" and busy > 1:
+                # plan.max_workers bounds *this* query's share of the
+                # shared executor: that many tasks, each running every
+                # width-th group
+                width = min(plan.max_workers, busy)
                 try:
-                    with ThreadPoolExecutor(
-                        max_workers=plan.max_workers
-                    ) as pool:
-                        for out in pool.map(run_group, plan.groups):
+                    futures = [
+                        self._thread_pool().submit(
+                            lambda lane: [
+                                run_group(group) for group in lane
+                            ],
+                            ordered[index::width],
+                        )
+                        for index in range(width)
+                    ]
+                    wait(futures)
+                    for future in futures:
+                        for out in future.result():
                             values.update(out)
                 except ExecutionError as error:
                     self._degrade(context, "thread", "serial", error)
@@ -389,7 +450,7 @@ class QueryPipeline:
             sorted({
                 group.method
                 for group in plan.groups
-                if survivors[group.chain_id] or group.survivors
+                if survivors[group.chain_id].size or group.survivors
             })
         ) or "-"
         plan.stages.append(
@@ -402,10 +463,30 @@ class QueryPipeline:
             )
         )
 
+    def _kernel(
+        self,
+        group: GroupPlan,
+        rows: np.ndarray,
+        plan: QueryPlan,
+        query,
+        seed_index: Optional[Dict[str, int]],
+        context: ExecutionContext,
+    ) -> Dict[str, ResultValue]:
+        """The group's planned kernels over its surviving ``rows``."""
+        chain = self.database.chain(group.chain_id)
+        kernel = (
+            self._ktimes_kernel
+            if plan.kind == "ktimes"
+            else self._exists_kernel
+        )
+        return kernel(
+            chain, group, rows, plan, query, seed_index, context
+        )
+
     def _evaluate_processes(
         self,
         plan: QueryPlan,
-        survivors: Dict[str, List[UncertainObject]],
+        survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
         query,
         context: ExecutionContext,
@@ -420,14 +501,15 @@ class QueryPipeline:
         the whole prefilter -> BFS -> kernel pipeline shard-local
         (:meth:`_evaluate_store_scatter`).  Otherwise single-
         observation qb/ob objects and whole k-times chain groups ship
-        to the shared-memory workers (within-chain shards for the
-        stacked OB and CT sweeps), multi-observation groups ship as
-        stacked observation rows, and exists-MC groups ship with
-        their published CDF tables and per-object seeds; only
-        k-times-MC -- per-object resampling with no batched kernel --
-        stays in the parent.  Parity is unconditional either way.
-        Each group's ``elapsed_seconds`` becomes the summed
-        worker-side shard seconds plus any parent-side kernel time.
+        to the shared-memory workers as their cohort block (within-
+        chain shards for the stacked OB and CT sweeps),
+        multi-observation groups ship as stacked observation rows, and
+        exists-MC groups ship with their published CDF tables and
+        per-object seeds; only k-times-MC -- per-object resampling
+        with no batched kernel -- stays in the parent.  Parity is
+        unconditional either way.  Each group's ``elapsed_seconds``
+        becomes the summed worker-side shard seconds plus any
+        parent-side kernel time.
         """
         from repro.exec import dispatch as _dispatch
 
@@ -449,82 +531,77 @@ class QueryPipeline:
         tasks = []
         task_groups: List[GroupPlan] = []
         elapsed: Dict[str, float] = {}
-        parent_only: List[GroupPlan] = []
         for group in plan.groups:
-            objects = survivors[group.chain_id]
-            group.survivors = len(objects)
+            rows = survivors[group.chain_id]
+            group.survivors = len(rows)
             elapsed[group.chain_id] = 0.0
-            if not objects:
+            if not rows.size:
                 continue
             chain = self.database.chain(group.chain_id)
+            cohort = group.cohort
             group_backend = group.backend or self.backend
             if group.method == "mc":
                 if plan.kind == "ktimes":
                     # per-object resampling, no batched kernel to
                     # shard: the parent's sampler serves the group
-                    parent_only.append(group)
+                    started = _time.perf_counter()
+                    values.update(
+                        self._ktimes_kernel(
+                            chain, group, rows, plan, query,
+                            seed_index, context,
+                        )
+                    )
+                    elapsed[group.chain_id] += (
+                        _time.perf_counter() - started
+                    )
                     continue
+                ids = cohort.ids(rows)
                 tasks.append((
-                    chain, None, objects, "mc", group_backend,
+                    chain, None, self._objects(ids), "mc",
+                    group_backend,
                     {
                         "n_samples": plan.options.n_samples,
-                        "seeds": self._seeds(
-                            objects, plan, seed_index
-                        ),
+                        "seeds": self._seeds(ids, plan, seed_index),
                     },
                 ))
                 task_groups.append(group)
                 continue
+
+            def members(subset: np.ndarray):
+                return (
+                    cohort.ids(subset),
+                    cohort.start_time[subset],
+                    cohort.block(subset),
+                )
+
             if plan.kind == "ktimes":
                 # the stacked CT sweep needs only the chain CSR (the
                 # count dimension lives in the stack, not a matrix)
-                tasks.append((chain, None, objects, "ct", group_backend))
+                tasks.append(
+                    (chain, None, members(rows), "ct", group_backend)
+                )
                 task_groups.append(group)
                 continue
-            singles = [
-                obj for obj in objects
-                if not obj.has_multiple_observations()
-            ]
-            multis = [
-                obj for obj in objects
-                if obj.has_multiple_observations()
-            ]
-            if singles:
+            multi = cohort.is_multi[rows]
+            if not multi.all():
                 matrices = BUILD_ABSORBING(
                     None, chain, plan.window.region, group_backend,
                     context=context, plan_cache=self.plan_cache,
                 )
                 tasks.append(
-                    (chain, matrices, singles, group.method,
-                     group_backend)
+                    (chain, matrices, members(rows[~multi]),
+                     group.method, group_backend)
                 )
                 task_groups.append(group)
-            if multis:
+            if multi.any():
                 # Section VI groups ship as stacked observation rows
                 # and run the doubled-space sweep worker-side
-                tasks.append(
-                    (chain, None, multis, "multi", group_backend)
-                )
+                tasks.append((
+                    chain, None,
+                    self._objects(cohort.ids(rows[multi])),
+                    "multi", group_backend,
+                ))
                 task_groups.append(group)
-        for group in parent_only:
-            chain = self.database.chain(group.chain_id)
-            objects = survivors[group.chain_id]
-            started = _time.perf_counter()
-            if plan.kind == "ktimes":
-                values.update(
-                    self._ktimes_kernel(
-                        chain, group, objects, plan, query,
-                        seed_index, context,
-                    )
-                )
-            else:
-                values.update(
-                    self._exists_kernel(
-                        chain, group, objects, plan, seed_index,
-                        context,
-                    )
-                )
-            elapsed[group.chain_id] += _time.perf_counter() - started
         if tasks:
             # price the supervisor deadline from the same cost model
             # the planner chose methods with: the model's estimate for
@@ -564,7 +641,7 @@ class QueryPipeline:
     def _evaluate_store_scatter(
         self,
         plan: QueryPlan,
-        survivors: Dict[str, List[UncertainObject]],
+        survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
         query,
         context: ExecutionContext,
@@ -588,12 +665,11 @@ class QueryPipeline:
 
         store = self.database
         model = plan.cost_model or plan.options.cost_model or CostModel()
-        overlay = set(store.overlay_object_ids())
+        overlay = store.overlay_object_ids()
         scatter_groups = []
         elapsed: Dict[str, float] = {}
         for group in plan.groups:
-            objects = survivors[group.chain_id]
-            group.survivors = len(objects)
+            group.survivors = len(survivors[group.chain_id])
             elapsed[group.chain_id] = 0.0
             method = group.method
             if plan.kind == "ktimes" and method != "mc":
@@ -629,29 +705,18 @@ class QueryPipeline:
             }
         values.update(shard_values)
         for group in plan.groups:
-            subset = [
-                obj
-                for obj in survivors[group.chain_id]
-                if obj.object_id in overlay
-            ]
-            if not subset:
+            rows = survivors[group.chain_id]
+            in_overlay = np.zeros(group.cohort.n_rows, dtype=bool)
+            in_overlay[group.cohort.rows_of(overlay)] = True
+            subset = rows[in_overlay[rows]]
+            if not subset.size:
                 continue
-            chain = self.database.chain(group.chain_id)
             started = _time.perf_counter()
-            if plan.kind == "ktimes":
-                values.update(
-                    self._ktimes_kernel(
-                        chain, group, subset, plan, query,
-                        seed_index, context,
-                    )
+            values.update(
+                self._kernel(
+                    group, subset, plan, query, seed_index, context
                 )
-            else:
-                values.update(
-                    self._exists_kernel(
-                        chain, group, subset, plan, seed_index,
-                        context,
-                    )
-                )
+            )
             elapsed[group.chain_id] += _time.perf_counter() - started
         for group in plan.groups:
             group.elapsed_seconds = (
@@ -661,37 +726,38 @@ class QueryPipeline:
         plan.store_stats = dict(stats)
         return int(stats["shards"])
 
+    def _objects(self, object_ids: List[str]) -> list:
+        """The object records behind ``object_ids`` -- for the kernels
+        that are per-object by nature (Section VI fusion, sampling)."""
+        return [self.database.get(object_id) for object_id in object_ids]
+
     def _exists_kernel(
         self,
         chain,
         group: GroupPlan,
-        objects: List[UncertainObject],
+        rows: np.ndarray,
         plan: QueryPlan,
+        query,
         seed_index: Optional[Dict[str, int]],
         context: Optional[ExecutionContext] = None,
     ) -> Dict[str, ResultValue]:
-        out: Dict[str, ResultValue] = {}
+        cohort = group.cohort
         if group.method == "mc":
+            ids = cohort.ids(rows)
             probabilities = batch_mc_exists(
                 chain,
-                [obj.observations for obj in objects],
+                [obj.observations for obj in self._objects(ids)],
                 plan.window,
                 n_samples=plan.options.n_samples,
-                seeds=self._seeds(objects, plan, seed_index),
+                seeds=self._seeds(ids, plan, seed_index),
                 context=context,
             )
-            for obj, probability in zip(objects, probabilities):
-                out[obj.object_id] = float(probability)
-            return out
+            return dict(zip(ids, probabilities.tolist()))
 
-        singles = [
-            obj for obj in objects
-            if not obj.has_multiple_observations()
-        ]
-        multis = [
-            obj for obj in objects if obj.has_multiple_observations()
-        ]
-        if singles:
+        out: Dict[str, ResultValue] = {}
+        multi = cohort.is_multi[rows]
+        singles, multis = rows[~multi], rows[multi]
+        if singles.size:
             evaluate = (
                 batch_qb_exists
                 if group.method == "qb"
@@ -699,45 +765,46 @@ class QueryPipeline:
             )
             probabilities = evaluate(
                 chain,
-                [obj.initial.distribution for obj in singles],
+                cohort.block(singles),
                 plan.window,
-                start_times=[obj.initial.time for obj in singles],
+                start_times=cohort.start_time[singles],
                 backend=group.backend or self.backend,
                 plan_cache=self.plan_cache,
                 context=context,
             )
-            for obj, probability in zip(singles, probabilities):
-                out[obj.object_id] = float(probability)
-        if multis:  # Section VI path regardless of qb/ob
+            out.update(zip(cohort.ids(singles), probabilities.tolist()))
+        if multis.size:  # Section VI path regardless of qb/ob
+            ids = cohort.ids(multis)
             probabilities = batch_exists_multi(
                 chain,
-                [obj.observations for obj in multis],
+                [obj.observations for obj in self._objects(ids)],
                 plan.window,
                 backend=group.backend or self.backend,
                 plan_cache=self.plan_cache,
                 context=context,
             )
-            for obj, probability in zip(multis, probabilities):
-                out[obj.object_id] = float(probability)
+            out.update(zip(ids, probabilities.tolist()))
         return out
 
     def _ktimes_kernel(
         self,
         chain,
         group: GroupPlan,
-        objects: List[UncertainObject],
+        rows: np.ndarray,
         plan: QueryPlan,
         query: PSTKTimesQuery,
         seed_index: Optional[Dict[str, int]],
         context: Optional[ExecutionContext] = None,
     ) -> Dict[str, ResultValue]:
-        out: Dict[str, ResultValue] = {}
+        cohort = group.cohort
+        ids = cohort.ids(rows)
         if group.method == "mc":
             from repro.core.montecarlo import MonteCarloSampler
 
+            out: Dict[str, ResultValue] = {}
             sampler = MonteCarloSampler(chain)
-            seeds = self._seeds(objects, plan, seed_index)
-            for obj, seed in zip(objects, seeds):
+            seeds = self._seeds(ids, plan, seed_index)
+            for obj, seed in zip(self._objects(ids), seeds):
                 sampler.reseed(seed)
                 distribution = sampler.ktimes_distribution(
                     obj.initial.distribution,
@@ -753,18 +820,17 @@ class QueryPipeline:
         # pre-window object, the stacked cohort sweep the rest
         distributions = batch_ktimes_distribution(
             chain,
-            [obj.initial.distribution for obj in objects],
+            cohort.block(rows),
             plan.window,
-            start_times=[obj.initial.time for obj in objects],
+            start_times=cohort.start_time[rows],
             backend=group.backend or self.backend,
             plan_cache=self.plan_cache,
             context=context,
         )
-        for obj, distribution in zip(objects, distributions):
-            out[obj.object_id] = self._ktimes_value(
-                distribution, query
-            )
-        return out
+        if query.k is None:
+            # rows of the kernel's own result block: no copy needed
+            return dict(zip(ids, distributions))
+        return dict(zip(ids, distributions[:, query.k].tolist()))
 
     @staticmethod
     def _ktimes_value(
@@ -803,28 +869,27 @@ class QueryPipeline:
     @staticmethod
     def _zero_factory(
         plan: QueryPlan, query
-    ) -> Callable[[], ResultValue]:
-        """The exact answer of an object no filter stage can keep.
+    ) -> Callable[[int], Iterable[ResultValue]]:
+        """The exact answers of objects no filter stage can keep, as
+        a function ``count -> that many zero elements``.
 
         A pruned object provably never intersects the window, so its
         exists probability is 0, its for-all answer follows from the
         engine's ``1 - p`` complement step, and its visit-count
         distribution is the point mass at zero visits.
         """
-        if plan.kind == "ktimes":
-            if query.k is not None:
-                hit = 1.0 if query.k == 0 else 0.0
-                return lambda: hit
-
-            def point_mass() -> np.ndarray:
-                distribution = np.zeros(
-                    plan.window.duration + 1, dtype=float
+        if plan.kind == "ktimes" and query.k is None:
+            def point_masses(count: int) -> np.ndarray:
+                # one row per object: answers must not alias
+                block = np.zeros(
+                    (count, plan.window.duration + 1), dtype=float
                 )
-                distribution[0] = 1.0
-                return distribution
+                block[:, 0] = 1.0
+                return block
 
-            return point_mass
-        return lambda: 0.0
+            return point_masses
+        hit = 1.0 if plan.kind == "ktimes" and query.k == 0 else 0.0
+        return partial(itertools.repeat, hit)
 
     def _seed_index(
         self, plan: QueryPlan
@@ -849,7 +914,7 @@ class QueryPipeline:
 
     def _seeds(
         self,
-        objects: List[UncertainObject],
+        object_ids: List[str],
         plan: QueryPlan,
         seed_index: Optional[Dict[str, int]],
     ) -> List[Optional[int]]:
@@ -861,7 +926,5 @@ class QueryPipeline:
         """
         base = plan.options.seed
         if base is None or seed_index is None:
-            return [None] * len(objects)
-        return [
-            base + seed_index[obj.object_id] for obj in objects
-        ]
+            return [None] * len(object_ids)
+        return [base + seed_index[object_id] for object_id in object_ids]

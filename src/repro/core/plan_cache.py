@@ -10,11 +10,15 @@ once the products themselves are batched (see :mod:`repro.core.batch`).
 
 :class:`PlanCache` is a bounded LRU cache over those artefacts, keyed by
 
-    ``(construction kind, chain fingerprint, region, extras, backend)``
+    ``(construction kind, chain fingerprint, region key, extras, backend)``
 
 where the chain fingerprint is a content hash
 (:meth:`repro.core.markov.MarkovChain.fingerprint`), so equal-by-value
-chains -- e.g. a database reloaded from disk -- hit the same entries.
+chains -- e.g. a database reloaded from disk -- hit the same entries,
+and the region key is the digest a canonical
+:class:`~repro.core.query.Region` computed once when its window was
+built -- probing with a window's own region never re-freezes or
+re-compares the state set.
 Cached values are treated as immutable by all consumers.
 
 The cache records hit/miss/construction counters
@@ -46,7 +50,7 @@ from repro.core.matrices import (
     build_absorbing_matrices,
     build_doubled_matrices,
 )
-from repro.core.query import SpatioTemporalWindow
+from repro.core.query import Region, SpatioTemporalWindow
 
 __all__ = [
     "PlanCache",
@@ -195,16 +199,15 @@ class PlanCache:
         planning a query does not perturb the statistics the executed
         plan is judged by.
         """
-        frozen = frozenset(int(s) for s in region)
-        key = self._key(kind, chain, frozen, backend, extra)
+        key = self._key(kind, chain.fingerprint(), region, backend, extra)
         with self._lock:
             return key in self._entries
 
     @staticmethod
     def _key(
         kind: str,
-        chain: MarkovChain,
-        region: FrozenSet[int],
+        fingerprint: str,
+        region: Iterable[int],
         backend: Optional[str],
         extra: Hashable = None,
     ) -> Tuple[Hashable, ...]:
@@ -212,18 +215,9 @@ class PlanCache:
         # spellings must alias or a planner probing with None never
         # sees artefacts an engine stored under an explicit "scipy".
         return (
-            kind, chain.fingerprint(), region, backend or "scipy", extra
+            kind, fingerprint, Region(region).key, backend or "scipy",
+            extra,
         )
-
-    @staticmethod
-    def _fingerprint_key(
-        kind: str,
-        fingerprint: str,
-        region: FrozenSet[int],
-        backend: Optional[str],
-        extra: Hashable = None,
-    ) -> Tuple[Hashable, ...]:
-        return (kind, fingerprint, region, backend or "scipy", extra)
 
     # ------------------------------------------------------------------
     # cross-process rehydration
@@ -243,10 +237,7 @@ class PlanCache:
         counts as nothing (adoption is not construction, so the miss
         counters stay meaningful).
         """
-        frozen = frozenset(int(s) for s in region)
-        key = self._fingerprint_key(
-            kind, fingerprint, frozen, backend, extra
-        )
+        key = self._key(kind, fingerprint, region, backend, extra)
         with self._lock:
             return self._lookup(key)
 
@@ -269,10 +260,7 @@ class PlanCache:
         value was built elsewhere); the racing-store rule of
         :meth:`_store` applies.
         """
-        frozen = frozenset(int(s) for s in region)
-        key = self._fingerprint_key(
-            kind, fingerprint, frozen, backend, extra
-        )
+        key = self._key(kind, fingerprint, region, backend, extra)
         with self._lock:
             return self._store(key, value)
 
@@ -286,15 +274,15 @@ class PlanCache:
         backend: Optional[str] = None,
     ) -> AbsorbingMatrices:
         """The Section V-A matrices for ``(chain, region)``, cached."""
-        frozen = frozenset(int(s) for s in region)
-        key = self._key("absorbing", chain, frozen, backend)
+        region = Region(region)
+        key = self._key("absorbing", chain.fingerprint(), region, backend)
         with self._lock:
             cached = self._lookup(key)
             if cached is not None:
                 return cached
             self.stats.misses += 1
             self.stats._count("absorbing")
-        value = build_absorbing_matrices(chain, frozen, backend)
+        value = build_absorbing_matrices(chain, region, backend)
         with self._lock:
             return self._store(key, value)
 
@@ -305,15 +293,15 @@ class PlanCache:
         backend: Optional[str] = None,
     ) -> DoubledMatrices:
         """The Section VI doubled matrices, cached."""
-        frozen = frozenset(int(s) for s in region)
-        key = self._key("doubled", chain, frozen, backend)
+        region = Region(region)
+        key = self._key("doubled", chain.fingerprint(), region, backend)
         with self._lock:
             cached = self._lookup(key)
             if cached is not None:
                 return cached
             self.stats.misses += 1
             self.stats._count("doubled")
-        value = build_doubled_matrices(chain, frozen, backend)
+        value = build_doubled_matrices(chain, region, backend)
         with self._lock:
             return self._store(key, value)
 
@@ -336,12 +324,13 @@ class PlanCache:
         from repro.core.batch import backward_vectors as _run_backward
 
         wanted = sorted({int(t) for t in start_times})
+        fingerprint = chain.fingerprint()
         result: Dict[int, np.ndarray] = {}
         missing = []
         with self._lock:
             for start in wanted:
                 key = self._key(
-                    "backward", chain, window.region, backend,
+                    "backward", fingerprint, window.region, backend,
                     (window.times, start),
                 )
                 cached = self._lookup(key)
@@ -361,7 +350,7 @@ class PlanCache:
                 for start, vector in computed.items():
                     vector.setflags(write=False)
                     key = self._key(
-                        "backward", chain, window.region, backend,
+                        "backward", fingerprint, window.region, backend,
                         (window.times, start),
                     )
                     result[start] = self._store(key, vector)
@@ -387,12 +376,13 @@ class PlanCache:
         from repro.exec.operators import KTIMES_CORE
 
         wanted = sorted({int(t) for t in start_times})
+        fingerprint = chain.fingerprint()
         result: Dict[int, np.ndarray] = {}
         missing = []
         with self._lock:
             for start in wanted:
                 key = self._key(
-                    "ktimes_core", chain, window.region, backend,
+                    "ktimes_core", fingerprint, window.region, backend,
                     (window.times, start),
                 )
                 cached = self._lookup(key)
@@ -415,7 +405,7 @@ class PlanCache:
                 for start, block in computed.items():
                     block.setflags(write=False)
                     key = self._key(
-                        "ktimes_core", chain, window.region, backend,
+                        "ktimes_core", fingerprint, window.region, backend,
                         (window.times, start),
                     )
                     result[start] = self._store(key, block)

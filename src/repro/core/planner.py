@@ -36,6 +36,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import QueryError, ValidationError
 from repro.core.query import (
     PSTExistsQuery,
@@ -44,7 +46,7 @@ from repro.core.query import (
     PSTQuery,
     SpatioTemporalWindow,
 )
-from repro.database.objects import UncertainObject
+from repro.database.cohort import Cohort
 
 __all__ = [
     "CostModel",
@@ -651,8 +653,11 @@ class GroupPlan:
         method: chosen processing method for single-observation objects
             (``"qb"``/``"ob"``/``"mc"``; k-times queries use the exact
             ``C(t)`` algorithm and record ``"ct"``).
-        objects: the group's objects (filter stages narrow this set at
-            execution time without mutating the plan).
+        cohort: the chain group's columnar
+            :class:`~repro.database.cohort.Cohort`.
+        rows: the cohort rows of the group's objects as planned
+            (filter stages narrow this array at execution time without
+            mutating the plan).
         features: the cost-model inputs.
         costs: estimated cost per candidate method.
         backend: linear-algebra backend the group's kernels execute
@@ -675,7 +680,14 @@ class GroupPlan:
 
     chain_id: str
     method: str
-    objects: List[UncertainObject] = field(repr=False, default_factory=list)
+    cohort: Optional[Cohort] = field(
+        repr=False, compare=False, default=None
+    )
+    rows: np.ndarray = field(
+        repr=False,
+        compare=False,
+        default_factory=lambda: np.zeros(0, dtype=np.int64),
+    )
     features: Optional[GroupFeatures] = None
     costs: Dict[str, float] = field(default_factory=dict)
     backend: Optional[str] = None
@@ -687,7 +699,7 @@ class GroupPlan:
     @property
     def object_ids(self) -> List[str]:
         """Ids of the group's objects."""
-        return [obj.object_id for obj in self.objects]
+        return self.cohort.ids(self.rows) if len(self.rows) else []
 
 
 @dataclass
@@ -802,7 +814,7 @@ class QueryPlan:
     @property
     def n_objects(self) -> int:
         """Total candidate objects entering the pipeline."""
-        return sum(len(group.objects) for group in self.groups)
+        return sum(len(group.rows) for group in self.groups)
 
     @property
     def estimated_cost(self) -> float:
@@ -968,9 +980,7 @@ class QueryPlanner:
         """
         options = options or PlanOptions()
         if isinstance(query, PSTForAllQuery):
-            complement = (
-                frozenset(range(self.database.n_states)) - query.region
-            )
+            complement = query.region.complement(self.database.n_states)
             if not complement:
                 raise QueryError(
                     "for-all region covers the whole space; the "
@@ -1012,7 +1022,7 @@ class QueryPlanner:
         budgeting need.
         """
         if isinstance(query, PSTForAllQuery) and not (
-            frozenset(range(self.database.n_states)) - query.region
+            query.region.complement(self.database.n_states)
         ):
             # trivially 1.0 for every object; evaluate() never plans it
             return 0.0
@@ -1035,14 +1045,14 @@ class QueryPlanner:
         model = options.cost_model or self.cost_model
         groups: List[GroupPlan] = []
         total_objects = 0
-        for chain_id, objects in sorted(
-            self.database.objects_by_chain().items()
-        ):
-            total_objects += len(objects)
+        # the one cohort sync of this query: every later stage works
+        # on the row arrays taken here
+        for chain_id, cohort in sorted(self.database.cohorts().items()):
+            if not len(cohort):
+                continue
+            total_objects += len(cohort)
             groups.append(
-                self._plan_group(
-                    chain_id, objects, window, kind, options, model
-                )
+                self._plan_group(cohort, window, kind, options, model)
             )
 
         use_prefilter = self._decide_prefilter(
@@ -1075,26 +1085,21 @@ class QueryPlanner:
 
     def _plan_group(
         self,
-        chain_id: str,
-        objects: Sequence[UncertainObject],
+        cohort: Cohort,
         window: SpatioTemporalWindow,
         kind: str,
         options: PlanOptions,
         model: CostModel,
     ) -> GroupPlan:
+        chain_id = cohort.chain_id
         chain = self.database.chain(chain_id)
-        singles = [
-            obj for obj in objects
-            if not obj.has_multiple_observations()
-        ]
-        multis = [
-            obj for obj in objects if obj.has_multiple_observations()
-        ]
-        starts = sorted({obj.initial.time for obj in objects})
-        horizon = max(0, window.t_end - (starts[0] if starts else 0))
+        rows = cohort.rows
+        n_multi = int(np.count_nonzero(cohort.is_multi[rows]))
+        starts = np.unique(cohort.start_time[rows]).tolist()
+        horizon = max(0, window.t_end - starts[0])
         features = GroupFeatures(
-            n_single=len(singles),
-            n_multi=len(multis),
+            n_single=len(rows) - n_multi,
+            n_multi=n_multi,
             n_states=chain.n_states + 1,
             nnz=chain.nnz,
             horizon=horizon,
@@ -1157,7 +1162,8 @@ class QueryPlanner:
         return GroupPlan(
             chain_id=chain_id,
             method=method,
-            objects=list(objects),
+            cohort=cohort,
+            rows=rows,
             features=features,
             costs=costs,
             backend=backend,

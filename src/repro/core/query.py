@@ -18,12 +18,16 @@ Three query semantics are defined over the window:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional
+
+import numpy as np
 
 from repro.core.errors import QueryError
 
 __all__ = [
+    "Region",
     "SpatioTemporalWindow",
     "PSTQuery",
     "PSTExistsQuery",
@@ -32,12 +36,70 @@ __all__ = [
 ]
 
 
+class Region(frozenset):
+    """A spatial query region ``S_q`` in canonical form.
+
+    A plain ``frozenset`` of state indices that also carries, computed
+    once at construction:
+
+    Attributes:
+        array: the states as a sorted, read-only ``int64`` array --
+            what the vectorised filter stages and matrix constructions
+            index with.
+        key: a 16-byte digest of ``array``.  Caches
+            (:class:`~repro.core.plan_cache.PlanCache`,
+            :class:`~repro.database.pruning.ReachabilityPruner`) key on
+            it, so a probe costs one short ``bytes`` comparison instead
+            of re-freezing the region and comparing two equal sets
+            element by element.
+
+    ``Region(x)`` returns ``x`` itself when it already is a region, so
+    every layer can normalise its argument for free.  Equality and
+    hashing are the inherited set semantics: a region equals the plain
+    frozenset of the same states.
+    """
+
+    __slots__ = ("array", "key")
+
+    def __new__(cls, states: Iterable[int] = ()) -> "Region":
+        if type(states) is cls:
+            return states
+        try:
+            array = np.unique(
+                np.fromiter(map(int, states), dtype=np.int64)
+            )
+        except OverflowError:
+            raise QueryError(
+                "query region holds a state index beyond int64"
+            ) from None
+        return cls._of_sorted(array)
+
+    @classmethod
+    def _of_sorted(cls, array: np.ndarray) -> "Region":
+        """The region of a sorted, duplicate-free ``int64`` array."""
+        self = super().__new__(cls, array.tolist())
+        array.setflags(write=False)
+        self.array = array
+        self.key = hashlib.blake2b(
+            array.tobytes(), digest_size=16
+        ).digest()
+        return self
+
+    def complement(self, n_states: int) -> "Region":
+        """Every state of an ``n_states`` space outside this region
+        (the for-all reduction of Section VII)."""
+        outside = np.ones(int(n_states), dtype=bool)
+        outside[self.array[self.array < n_states]] = False
+        return Region._of_sorted(np.flatnonzero(outside))
+
+
 @dataclass(frozen=True)
 class SpatioTemporalWindow:
     """The query window ``Q = S_q x T_q``.
 
     Attributes:
-        region: the spatial query region ``S_q`` (state indices).
+        region: the spatial query region ``S_q`` (state indices), held
+            as a canonical :class:`Region`.
         times: the temporal query region ``T_q`` (timestamps).
     """
 
@@ -45,14 +107,16 @@ class SpatioTemporalWindow:
     times: FrozenSet[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "region", frozenset(int(s) for s in self.region))
+        object.__setattr__(self, "region", Region(self.region))
         object.__setattr__(self, "times", frozenset(int(t) for t in self.times))
         if not self.region:
             raise QueryError("query region is empty")
         if not self.times:
             raise QueryError("query time set is empty")
-        if min(self.region) < 0:
-            raise QueryError(f"negative state index {min(self.region)}")
+        if self.region.array[0] < 0:
+            raise QueryError(
+                f"negative state index {int(self.region.array[0])}"
+            )
         if min(self.times) < 0:
             raise QueryError(f"negative query time {min(self.times)}")
 
@@ -97,11 +161,11 @@ class SpatioTemporalWindow:
 
     def with_region(self, region: Iterable[int]) -> "SpatioTemporalWindow":
         """Same times, different spatial region (the for-all reduction)."""
-        return SpatioTemporalWindow(frozenset(region), self.times)
+        return SpatioTemporalWindow(Region(region), self.times)
 
     def validate_for(self, n_states: int) -> None:
         """Check every region state exists in an ``n_states`` space."""
-        worst = max(self.region)
+        worst = int(self.region.array[-1])
         if worst >= n_states:
             raise QueryError(
                 f"query region state {worst} out of range [0, {n_states})"
@@ -162,11 +226,11 @@ class PSTForAllQuery(PSTQuery):
 
     def complement_exists(self, n_states: int) -> PSTExistsQuery:
         """The equivalent exists-query over the complement region."""
-        if max(self.region) >= n_states:
+        if self.region.array[-1] >= n_states:
             raise QueryError(
                 f"query region exceeds state space of size {n_states}"
             )
-        complement = frozenset(range(n_states)) - self.region
+        complement = self.region.complement(n_states)
         if not complement:
             raise QueryError(
                 "for-all region covers the whole space; probability is "

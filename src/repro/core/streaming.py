@@ -719,9 +719,9 @@ class StandingQuery:
         self.kind = "exists"
         self.k: Optional[int] = None
         if isinstance(query, PSTForAllQuery):
-            complement = frozenset(
-                range(engine.database.n_states)
-            ) - query.region
+            complement = query.region.complement(
+                engine.database.n_states
+            )
             if not complement:
                 raise QueryError(
                     "for-all region covers the whole space; the "

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.distribution import SupportBlock
 from repro.core.errors import ValidationError
-from repro.core.query import SpatioTemporalWindow
+from repro.core.query import Region, SpatioTemporalWindow
 from repro.database.objects import UncertainObject
 from repro.database.rtree import Rect, RTree
 from repro.database.uncertain_db import TrajectoryDatabase
@@ -36,34 +37,37 @@ __all__ = [
     "ReachabilityPruner",
     "GeometricPrefilter",
     "reachability_levels",
+    "reachable_rows",
 ]
+
+_UNREACHABLE = np.iinfo(np.int64).max
 
 
 def reachability_levels(
     chain,
-    region: FrozenSet[int],
+    region: Iterable[int],
     depth_needed: int,
-    cache: Dict[Tuple[str, FrozenSet[int]], list],
+    cache: Dict[Tuple[str, bytes], list],
 ) -> np.ndarray:
     """Database-free resumable reverse-BFS labelling of one chain.
 
     Labels every state with the minimum number of transitions needed
     to enter ``region``, extended at least to ``depth_needed`` levels.
-    ``cache`` is a mutable mapping keyed by ``(fingerprint, region)``
-    holding ``[levels, reached depth, frontier]`` -- callers that hold
-    a cache across queries (the pruner, shard workers) resume the
-    labelling instead of re-running it.  Unreachable states are
-    labelled ``np.iinfo(np.int64).max``.  Not thread-safe by itself;
-    callers serialise access to ``cache`` (the pruner holds a lock,
-    shard workers are single-threaded).
+    ``cache`` is a mutable mapping keyed by ``(chain fingerprint,
+    region key)`` holding ``[levels, reached depth, frontier]`` --
+    callers that hold a cache across queries (the pruner, shard
+    workers) resume the labelling instead of re-running it.
+    Unreachable states are labelled ``np.iinfo(np.int64).max``.  Not
+    thread-safe by itself; callers serialise access to ``cache`` (the
+    pruner holds a lock, shard workers are single-threaded).
     """
-    key = (chain.fingerprint(), region)
-    unreachable = np.iinfo(np.int64).max
+    region = Region(region)
+    key = (chain.fingerprint(), region.key)
     state = cache.get(key)
     if state is None:
-        levels = np.full(chain.n_states, unreachable, dtype=np.int64)
+        levels = np.full(chain.n_states, _UNREACHABLE, dtype=np.int64)
         frontier = np.zeros(chain.n_states, dtype=bool)
-        frontier[sorted(region)] = True
+        frontier[region.array] = True
         levels[frontier] = 0
         state = cache[key] = [levels, 0, frontier]
     levels, depth, frontier = state
@@ -71,10 +75,34 @@ def reachability_levels(
     while depth < depth_needed and frontier.any():
         depth += 1
         reached = matrix @ frontier.astype(np.float64)
-        frontier = (reached > 0.0) & (levels == unreachable)
+        frontier = (reached > 0.0) & (levels == _UNREACHABLE)
         levels[frontier] = depth
     state[1], state[2] = depth, frontier
     return levels
+
+
+def reachable_rows(
+    fetch_levels,
+    block: SupportBlock,
+    start_times: np.ndarray,
+    t_end: int,
+) -> np.ndarray:
+    """The Section V-C filter over a whole block of objects at once.
+
+    Row ``i`` (observed at ``start_times[i]`` over the block's ``i``-th
+    support) survives iff some state of its support is labelled
+    ``<= t_end - start_times[i]`` -- the same test
+    :meth:`ReachabilityPruner.can_satisfy` applies to one object.
+    ``fetch_levels(depth)`` supplies the labelling to at least
+    ``depth`` levels; it is asked once, for the largest horizon in the
+    block.  Returns the boolean keep-mask.
+    """
+    horizons = int(t_end) - np.asarray(start_times, dtype=np.int64)
+    if horizons.size == 0:
+        return np.zeros(0, dtype=bool)
+    levels = fetch_levels(max(0, int(horizons.max())))
+    # a negative horizon never admits (labels are >= 0)
+    return block.min_over_support(levels) <= horizons
 
 
 class ReachabilityPruner:
@@ -99,11 +127,11 @@ class ReachabilityPruner:
         # label <= d is final once the reached depth is >= d, and
         # deeper labels only ever *replace* the unreachable sentinel
         # (both of which a depth-d reader rejects equally).
-        self._bfs_state: Dict[Tuple[str, FrozenSet[int]], list] = {}
+        self._bfs_state: Dict[Tuple[str, bytes], list] = {}
         self._lock = threading.Lock()
 
-    def _levels_to_depth(
-        self, chain_id: str, region: FrozenSet[int], depth_needed: int
+    def levels(
+        self, chain_id: str, region: Iterable[int], depth_needed: int
     ) -> np.ndarray:
         """Per-state minimum steps into the region, labelled at least
         to ``depth_needed`` (reverse BFS, *resumable*).
@@ -120,7 +148,8 @@ class ReachabilityPruner:
         chain id is re-registered with a new model.
         """
         chain = self.database.chain(chain_id)
-        key = (chain.fingerprint(), region)
+        region = Region(region)
+        key = (chain.fingerprint(), region.key)
         state = self._bfs_state.get(key)
         if state is not None and (
             state[1] >= depth_needed or not state[2].any()
@@ -146,8 +175,7 @@ class ReachabilityPruner:
         labelled ``np.iinfo(np.int64).max``.
         """
         chain = self.database.chain(chain_id)
-        frozen = frozenset(int(s) for s in region)
-        return self._levels_to_depth(chain_id, frozen, chain.n_states)
+        return self.levels(chain_id, region, chain.n_states)
 
     def min_steps(
         self, obj: UncertainObject, region: Iterable[int]
@@ -160,10 +188,8 @@ class ReachabilityPruner:
         tracking activates it at exactly that tick.
         """
         levels = self.min_levels(obj.chain_id, region)
-        support = list(obj.initial.distribution.support())
-        return int(levels[support].min()) if support else int(
-            np.iinfo(np.int64).max
-        )
+        states, _probs = obj.initial.distribution.sparse()
+        return int(levels[states].min()) if len(states) else _UNREACHABLE
 
     def can_satisfy(
         self, obj: UncertainObject, window: SpatioTemporalWindow
@@ -183,9 +209,7 @@ class ReachabilityPruner:
         # the resumable labelling is shared per (chain, region): this
         # query only pays BFS levels beyond what previous (possibly
         # shorter-horizon) queries already explored
-        levels = self._levels_to_depth(
-            obj.chain_id, window.region, horizon
-        )
+        levels = self.levels(obj.chain_id, window.region, horizon)
         return any(
             levels[state] <= horizon
             for state in start.distribution.support()
@@ -272,9 +296,9 @@ class GeometricPrefilter:
         return RTree(entries)
 
     def _object_rect(self, obj: UncertainObject) -> Rect:
+        states, _probs = obj.initial.distribution.sparse()
         rects = [
-            Rect.point(*self._location(state))
-            for state in obj.initial.distribution.support()
+            Rect.point(*self._location(int(state))) for state in states
         ]
         return Rect.union_all(rects)
 

@@ -14,6 +14,7 @@ well-formed database.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.errors import StateSpaceError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.observation import Observation, ObservationSet
 from repro.core.state_space import StateSpace
+from repro.database.cohort import Cohort
 from repro.database.objects import DEFAULT_CHAIN, UncertainObject
 
 if TYPE_CHECKING:  # avoid a circular import with database.pruning
@@ -52,6 +54,13 @@ class DatabaseChange:
     version: int
     op: str
     object_id: str
+
+
+def _by_chain(objects) -> Dict[str, List[UncertainObject]]:
+    groups: Dict[str, List[UncertainObject]] = {}
+    for obj in objects:
+        groups.setdefault(obj.chain_id, []).append(obj)
+    return groups
 
 
 class TrajectoryDatabase:
@@ -92,6 +101,11 @@ class TrajectoryDatabase:
         self._version = 0
         self._journal: List[DatabaseChange] = []
         self._journal_dropped = 0
+        # columnar chain cohorts: built on the first query, then
+        # patched from the journal like any other streaming consumer
+        self._cohorts: Optional[Dict[str, Cohort]] = None
+        self._cohort_version = 0
+        self._cohort_lock = threading.Lock()
 
     @classmethod
     def with_chain(
@@ -282,6 +296,102 @@ class TrajectoryDatabase:
             del self._journal[:excess]
             self._journal_dropped += excess
 
+    # ------------------------------------------------------------------
+    # columnar chain cohorts (one-shot query path)
+    # ------------------------------------------------------------------
+    def cohorts(self) -> Dict[str, Cohort]:
+        """The per-chain :class:`~repro.database.cohort.Cohort` arrays,
+        in sync with :attr:`version`.
+
+        Built on first use (one pass over the objects); every later
+        call replays only the journal entries since the previous one.
+        Writers therefore pay nothing beyond their journal entry, and
+        a query pays Python per *changed* object, not per object.  The
+        planner calls this once per query, before any group fans out
+        to a worker thread; the row arrays it takes from
+        :attr:`Cohort.rows` stay valid for that query whatever is
+        written afterwards.
+        """
+        if self._cohorts is None or self._cohort_version != self._version:
+            with self._cohort_lock:
+                self._sync_cohorts()
+        return self._cohorts
+
+    def _sync_cohorts(self) -> None:
+        # version first: a write landing after this line is replayed
+        # by the next sync (replaying an entry twice is harmless, each
+        # id is reconciled against the current record)
+        version = self._version
+        changes = (
+            None
+            if self._cohorts is None
+            else self.changes_since(self._cohort_version)
+        )
+        if changes is None:
+            # first use, or the bounded journal no longer reaches back
+            self._cohorts = {}
+            self._load_cohorts()
+        else:
+            self._patch_cohorts(changes)
+        self._cohort_version = version
+
+    def _load_cohorts(self) -> None:
+        """Fill the (empty) cohorts from the current object set."""
+        self._extend_cohorts(self._objects.values())
+
+    def _extend_cohorts(self, objects) -> None:
+        """Append ``objects`` to their chains' cohorts, one batch each."""
+        for chain_id, members in _by_chain(objects).items():
+            if chain_id not in self._cohorts:
+                self._cohorts[chain_id] = Cohort(chain_id, self.n_states)
+            self._cohorts[chain_id].add_objects(members)
+
+    def _patch_cohorts(self, changes: List[DatabaseChange]) -> None:
+        """Replay journal entries onto the cohorts.
+
+        ``add`` appends a row, ``remove`` tombstones it, ``observe``
+        flips ``is_multi`` in place -- unless the sighting was
+        backfilled before the first one, which moves the anchoring
+        observation and so replaces the row.  Each touched id is
+        reconciled once against the database's *current* record, so
+        the order of its journal entries does not matter.
+        """
+        # id -> every journalled op on it was an "observe"
+        touched: Dict[str, bool] = {}
+        for change in changes:
+            if change.op != "chain":
+                touched[change.object_id] = (
+                    touched.get(change.object_id, True)
+                    and change.op == "observe"
+                )
+        fresh: List[UncertainObject] = []
+        for object_id, observed_only in touched.items():
+            obj = self._objects.get(object_id)
+            holder = next(
+                (
+                    cohort
+                    for cohort in self._cohorts.values()
+                    if object_id in cohort.row_of
+                ),
+                None,
+            )
+            if holder is not None:
+                row = holder.row_of[object_id]
+                if (
+                    obj is not None
+                    and observed_only
+                    and holder.start_time[row] == obj.initial.time
+                ):
+                    holder.is_multi[row] = True
+                    continue
+                holder.discard(object_id)
+            if obj is not None:
+                fresh.append(obj)
+        self._extend_cohorts(fresh)
+        for chain_id, cohort in self._cohorts.items():
+            if cohort.n_rows - len(cohort) > max(len(cohort), 64):
+                self._cohorts[chain_id] = cohort.compacted()
+
     def __contains__(self, object_id: str) -> bool:
         return object_id in self._objects
 
@@ -298,10 +408,7 @@ class TrajectoryDatabase:
 
     def objects_by_chain(self) -> Dict[str, List[UncertainObject]]:
         """Group objects by the chain they follow (for QB batching)."""
-        groups: Dict[str, List[UncertainObject]] = {}
-        for obj in self._objects.values():
-            groups.setdefault(obj.chain_id, []).append(obj)
-        return groups
+        return _by_chain(self._objects.values())
 
     def initial_distributions(
         self, chain_id: Optional[str] = None

@@ -60,6 +60,7 @@ from uuid import uuid4
 
 import numpy as np
 
+from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import (
     BackendError,
     ExecutionError,
@@ -867,10 +868,9 @@ def _rehydrate(task: _ShardTask):
     return chain, matrices, cache
 
 
-def _read_shard_rows(
-    handle: SharedCSR, lo: int, hi: int, verify: bool = False
-) -> np.ndarray:
-    """Densify rows ``[lo, hi)`` of a per-query stacked CSR; release.
+def _read_shard_rows(handle: SharedCSR, lo: int, hi: int, verify: bool = False):
+    """Copy rows ``[lo, hi)`` of a per-query stacked CSR out as a
+    :class:`~repro.core.distribution.SupportBlock`; release.
 
     Unlike the cached chain/matrix segments, the initials stack is
     published fresh per query and unlinked by the parent as soon as
@@ -903,12 +903,16 @@ def _read_shard_rows(
                     f"stacked-initials segment {handle.data[0]} "
                     f"failed checksum verification"
                 )
-        matrix = _sp.csr_matrix(
-            tuple(arrays), shape=handle.shape, copy=False
+        data, indices, indptr = arrays
+        bounds = indptr[lo:hi + 1].astype(np.int64)
+        block = SupportBlock(
+            handle.shape[1],
+            bounds - bounds[0],
+            indices[bounds[0]:bounds[-1]].astype(np.int64),
+            np.array(data[bounds[0]:bounds[-1]], dtype=float),
         )
-        dense = matrix[lo:hi].toarray()
-        del matrix, arrays  # drop the views before unmapping
-        return dense
+        del data, indices, indptr, arrays  # drop views before unmapping
+        return block
     finally:
         for segment in segments:
             try:
@@ -960,7 +964,6 @@ def _evaluate_observation_rows(
     parent priced, so estimates match the serial path bit-for-bit.
     """
     from repro.core.batch import batch_exists_multi, batch_mc_exists
-    from repro.core.distribution import StateDistribution
     from repro.core.observation import Observation, ObservationSet
 
     obj_indptr = _read_plain_array(task.obj_indptr)
@@ -970,18 +973,24 @@ def _evaluate_observation_rows(
     rows = _read_shard_rows(
         task.initials, obs_lo, obs_hi, verify=task.verify
     )
-    observation_sets = []
-    for row in range(task.row_lo, task.row_hi):
-        observations = tuple(
-            Observation(
-                int(obs_times[index]),
-                StateDistribution(rows[index - obs_lo]),
-            )
+    def observation(index: int) -> Observation:
+        a, b = rows.indptr[index - obs_lo:index - obs_lo + 2]
+        return Observation(
+            int(obs_times[index]),
+            StateDistribution.from_support(
+                rows.n_states, rows.states[a:b], rows.probs[a:b]
+            ),
+        )
+
+    observation_sets = [
+        ObservationSet(tuple(
+            observation(index)
             for index in range(
                 int(obj_indptr[row]), int(obj_indptr[row + 1])
             )
-        )
-        observation_sets.append(ObservationSet(observations))
+        ))
+        for row in range(task.row_lo, task.row_hi)
+    ]
     if task.method == "multi":
         values = batch_exists_multi(
             chain,
@@ -1017,15 +1026,14 @@ def _evaluate_observation_rows(
 
 
 def _evaluate_shard(task: _ShardTask):
-    """Run one shard through the shared operators; return its slice."""
-    from repro.core.query import SpatioTemporalWindow
-    from repro.exec.operators import (
-        FORWARD_SWEEP,
-        KTIMES_SWEEP,
-        ExecutionContext,
-        KTimesSchedule,
-        SweepSchedule,
+    """Run one shard through the shared kernels; return its slice."""
+    from repro.core.batch import (
+        batch_ob_exists,
+        batch_qb_exists,
+        ktimes_sweep,
     )
+    from repro.core.query import SpatioTemporalWindow
+    from repro.exec.operators import ExecutionContext
 
     shard_started = _time.perf_counter()
     if task.faults is not None:
@@ -1047,83 +1055,33 @@ def _evaluate_shard(task: _ShardTask):
         values = _evaluate_observation_rows(
             task, chain, cache, context, window
         )
-        return (
-            task.row_lo,
-            task.row_hi,
-            values,
-            context.serializable_timings(),
-            _time.perf_counter() - shard_started,
+    else:
+        block = _read_shard_rows(
+            task.initials, task.row_lo, task.row_hi, verify=task.verify
         )
-    rows = _read_shard_rows(
-        task.initials, task.row_lo, task.row_hi, verify=task.verify
-    )
-    starts = task.starts[task.row_lo:task.row_hi]
-
-    if task.method == "ct":
-        # stacked Section VII C(t) sweep: one (n_rows,) count
-        # distribution per shard row instead of a scalar
-        activations: Dict[int, list] = {}
-        for row in range(rows.shape[0]):
-            activations.setdefault(starts[row], []).append(
-                (row, rows[row])
+        starts = np.asarray(
+            task.starts[task.row_lo:task.row_hi], dtype=np.int64
+        )
+        if task.method == "ct":
+            # stacked Section VII C(t) sweep: one (n_rows,) count
+            # distribution per shard row instead of a scalar
+            values = ktimes_sweep(
+                chain, block, starts, window,
+                backend=task.backend, context=context,
             )
-        region_columns = np.asarray(task.region, dtype=int)
-        region_columns.sort()
-        schedule = KTimesSchedule(
-            n_objects=rows.shape[0],
-            n_rows=len(task.times) + 1,
-            first=min(starts),
-            last=window.t_end,
-            times=window.times,
-            region_columns=region_columns,
-            activations=activations,
-        )
-        values = KTIMES_SWEEP(
-            schedule,
-            chain,
-            window.region,
-            task.backend,
-            context=context,
-        )
-    elif task.method == "ob":
-        activations: Dict[int, list] = {}
-        for row in range(rows.shape[0]):
-            activations.setdefault(starts[row], []).append(
-                (row, rows[row])
+        elif task.method == "ob":
+            values = batch_ob_exists(
+                chain, block, window, start_times=starts,
+                matrices=matrices, backend=task.backend,
+                context=context,
             )
-        schedule = SweepSchedule(
-            n_rows=rows.shape[0],
-            first=min(starts),
-            last=window.t_end,
-            times=window.times,
-            activations=activations,
-            harvests={window.t_end: list(range(rows.shape[0]))},
-            read="top",
-            read_offset=matrices.top_index,
-        )
-        values = FORWARD_SWEEP(
-            (matrices, schedule),
-            chain,
-            window.region,
-            task.backend,
-            context=context,
-        )
-    else:  # qb: the backward pass amortises inside the worker cache
-        vectors = cache.backward_vectors(
-            chain,
-            window,
-            sorted(set(starts)),
-            task.backend,
-            context=context,
-        )
-        values = np.zeros(rows.shape[0], dtype=float)
-        for row in range(rows.shape[0]):
-            extended = matrices.extend_initial(
-                np.ascontiguousarray(rows[row], dtype=float),
-                starts[row],
-                window.times,
+        else:  # qb: the backward pass amortises inside the worker
+            # cache, which already holds the rehydrated matrices
+            values = batch_qb_exists(
+                chain, block, window, start_times=starts,
+                backend=task.backend, plan_cache=cache,
+                context=context,
             )
-            values[row] = float(extended @ vectors[starts[row]])
     return (
         task.row_lo,
         task.row_hi,
@@ -1181,7 +1139,18 @@ def _evaluate_store_shard(task: _StoreShardTask):
     whether this call had to map the slabs (False on every warm call
     -- the zero-copy assertion the dispatch tests check), and
     ``stats`` carries the shard-local filter-stage counts.
+
+    Candidates are an index array over the shard's objects from start
+    to end: the filters are the array implementations the in-process
+    pipeline runs over a cohort (slab MBR columns instead of the
+    R-tree for stage 1, the shared
+    :data:`~repro.exec.operators.BFS_PRUNE` for stage 2), and the
+    single-observation kernels take their initials gathered straight
+    from the slabs -- object records are rebuilt only for Section VI
+    and Monte-Carlo survivors.
     """
+    from functools import partial
+
     from repro.core.batch import (
         batch_exists_multi,
         batch_ktimes_distribution,
@@ -1191,7 +1160,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
     )
     from repro.core.query import SpatioTemporalWindow
     from repro.database.pruning import reachability_levels
-    from repro.exec.operators import ExecutionContext
+    from repro.exec.operators import BFS_PRUNE, ExecutionContext
     from repro.store.sharded import (
         attach_shard,
         open_store_chain,
@@ -1218,29 +1187,35 @@ def _evaluate_store_shard(task: _StoreShardTask):
         cache, task.backend, faults=task.faults
     )
 
-    exclude = frozenset(task.exclude)
-    candidates = [
-        index
-        for index in range(view.n_objects())
-        if view.object_ids[index] not in exclude
-    ]
+    object_ids = np.asarray(view.object_ids, dtype=object)
+    candidates = np.arange(view.n_objects(), dtype=np.int64)
+    if task.exclude:
+        candidates = candidates[
+            ~np.isin(object_ids, list(task.exclude))
+        ]
     stats = {
         "entering": len(candidates),
         "prefilter_pruned": 0,
         "bfs_pruned": 0,
     }
-    first_times = view.obs_times[view.obj_indptr[:-1]]
-
-    if task.kind == "ktimes":
-        def zero():
-            point = np.zeros(window.duration + 1, dtype=float)
-            point[0] = 1.0
-            return point
-    else:
-        def zero():
-            return 0.0
-
+    first_times = view.first_times()
     values: Dict[str, object] = {}
+
+    def drop(keep: np.ndarray) -> int:
+        """Answer the candidates a filter rejects with the zero
+        element; returns how many."""
+        nonlocal candidates
+        dropped = candidates[~keep]
+        if task.kind == "ktimes":
+            zeros = np.zeros(
+                (len(dropped), window.duration + 1), dtype=float
+            )
+            zeros[:, 0] = 1.0
+        else:
+            zeros = itertools.repeat(0.0)
+        values.update(zip(object_ids[dropped].tolist(), zeros))
+        candidates = candidates[keep]
+        return len(dropped)
 
     # stage 1: geometric prefilter against the per-object slab MBRs
     # (same safety argument as the parent R-tree: an object whose
@@ -1248,15 +1223,13 @@ def _evaluate_store_shard(task: _StoreShardTask):
     # region MBR provably never intersects the window)
     if (
         task.use_prefilter
-        and candidates
+        and candidates.size
         and view.has_mbr
         and view.displacement_bound is not None
     ):
         positions = store_positions(task.store_dir)
         if positions is not None:
-            region_states = np.fromiter(
-                task.region, dtype=np.int64
-            )
+            region_states = window.region.array
             rx = np.asarray(positions[region_states, 0], dtype=float)
             ry = (
                 np.asarray(positions[region_states, 1], dtype=float)
@@ -1267,150 +1240,100 @@ def _evaluate_store_shard(task: _StoreShardTask):
                 float(rx.min()), float(ry.min()),
                 float(rx.max()), float(ry.max()),
             )
-            mbrs = view.mbrs()
-            index_array = np.asarray(candidates, dtype=np.int64)
+            mbrs = view.mbrs()[candidates]
             horizons = np.maximum(
-                window.t_end - first_times[index_array], 0
+                window.t_end - first_times[candidates], 0
             ).astype(float)
             margin = horizons * float(view.displacement_bound)
-            keep = ~(
-                (mbrs[index_array, 2] + margin < rect[0])
-                | (mbrs[index_array, 0] - margin > rect[2])
-                | (mbrs[index_array, 3] + margin < rect[1])
-                | (mbrs[index_array, 1] - margin > rect[3])
-            )
-            for index in index_array[~keep]:
-                values[view.object_ids[int(index)]] = zero()
-            stats["prefilter_pruned"] = int((~keep).sum())
-            candidates = [int(i) for i in index_array[keep]]
+            stats["prefilter_pruned"] = drop(~(
+                (mbrs[:, 2] + margin < rect[0])
+                | (mbrs[:, 0] - margin > rect[2])
+                | (mbrs[:, 3] + margin < rect[1])
+                | (mbrs[:, 1] - margin > rect[3])
+            ))
 
     # stage 2: exact reverse-BFS reachability, resumable per
     # (chain, region) across queries exactly like the parent pruner
-    if task.use_bfs and candidates:
-        region = frozenset(task.region)
-        depth_needed = max(
-            0,
-            int(window.t_end)
-            - int(first_times[np.asarray(candidates)].min()),
-        )
-        levels = reachability_levels(
-            chain, region, depth_needed, _STORE_BFS
-        )
-        states_slab = view.states()
-        kept: List[int] = []
-        for index in candidates:
-            row = int(view.obj_indptr[index])  # first observation
-            horizon = int(window.t_end) - int(view.obs_times[row])
-            a = int(view.obs_indptr[row])
-            b = int(view.obs_indptr[row + 1])
-            support = np.asarray(states_slab[a:b], dtype=np.int64)
-            if (
-                horizon >= 0
-                and support.size
-                and bool((levels[support] <= horizon).any())
-            ):
-                kept.append(index)
-            else:
-                values[view.object_ids[index]] = zero()
-        stats["bfs_pruned"] = len(candidates) - len(kept)
-        candidates = kept
+    if task.use_bfs and candidates.size:
+        stats["bfs_pruned"] = drop(BFS_PRUNE(
+            (
+                partial(
+                    reachability_levels, chain, window.region,
+                    cache=_STORE_BFS,
+                ),
+                view.first_block(candidates),
+                first_times[candidates],
+                window.t_end,
+            ),
+            region=window.region,
+            context=context,
+        ))
 
     # stage 3: the exact same kernels the serial pipeline runs
-    if candidates:
-        sets = {
-            index: view.observations_of(index)
-            for index in candidates
-        }
+    if candidates.size:
+        # by_object: kernels that need every observation (sampling,
+        # Section VI fusion); by_block: first observations only
+        multi = view.is_multi()[candidates]
+        if task.method == "mc":
+            by_object, by_block = candidates, candidates[:0]
+        elif task.kind == "ktimes":
+            by_object, by_block = candidates[:0], candidates
+        else:
+            by_object, by_block = candidates[multi], candidates[~multi]
+        sets = [view.observations_of(int(i)) for i in by_object]
+        seeds = [
+            None if task.seed_base is None
+            else int(task.seed_base) + int(view.obj_dbindex[i])
+            for i in by_object
+        ]
+        answers = None
+        if task.kind == "ktimes" and task.method == "mc":
+            from repro.core.montecarlo import MonteCarloSampler
 
-        def seed_for(index: int) -> Optional[int]:
-            if task.seed_base is None:
-                return None
-            return int(task.seed_base) + int(view.obj_dbindex[index])
-
-        if task.kind == "ktimes":
-            if task.method == "mc":
-                from repro.core.montecarlo import MonteCarloSampler
-
-                sampler = MonteCarloSampler(chain)
-                for index in candidates:
-                    first = sets[index].first
-                    sampler.reseed(seed_for(index))
-                    values[view.object_ids[index]] = (
-                        sampler.ktimes_distribution(
-                            first.distribution,
-                            window,
-                            task.n_samples,
-                            start_time=first.time,
-                        )
-                    )
-            else:
-                distributions = batch_ktimes_distribution(
-                    chain,
-                    [sets[i].first.distribution for i in candidates],
+            sampler = MonteCarloSampler(chain)
+            answers = []
+            for observations, seed in zip(sets, seeds):
+                sampler.reseed(seed)
+                answers.append(sampler.ktimes_distribution(
+                    observations.first.distribution,
                     window,
-                    start_times=[
-                        sets[i].first.time for i in candidates
-                    ],
-                    backend=task.backend,
-                    plan_cache=cache,
-                    context=context,
-                )
-                for index, distribution in zip(
-                    candidates, distributions
-                ):
-                    values[view.object_ids[index]] = np.array(
-                        distribution, dtype=float
-                    )
+                    task.n_samples,
+                    start_time=observations.first.time,
+                ))
         elif task.method == "mc":
-            probabilities = batch_mc_exists(
+            answers = batch_mc_exists(
+                chain, sets, window,
+                n_samples=task.n_samples, seeds=seeds,
+                context=context,
+            ).tolist()
+        elif sets:
+            answers = batch_exists_multi(
+                chain, sets, window,
+                backend=task.backend, plan_cache=cache,
+                context=context,
+            ).tolist()
+        if answers is not None:
+            values.update(zip(object_ids[by_object].tolist(), answers))
+        if by_block.size:
+            if task.kind == "ktimes":
+                evaluate = batch_ktimes_distribution
+            elif task.method == "qb":
+                evaluate = batch_qb_exists
+            else:
+                evaluate = batch_ob_exists
+            answers = evaluate(
                 chain,
-                [sets[i] for i in candidates],
+                view.first_block(by_block),
                 window,
-                n_samples=task.n_samples,
-                seeds=[seed_for(i) for i in candidates],
+                start_times=first_times[by_block],
+                backend=task.backend,
+                plan_cache=cache,
                 context=context,
             )
-            for index, probability in zip(candidates, probabilities):
-                values[view.object_ids[index]] = float(probability)
-        else:
-            singles = [i for i in candidates if len(sets[i]) == 1]
-            multis = [i for i in candidates if len(sets[i]) > 1]
-            if singles:
-                evaluate = (
-                    batch_qb_exists
-                    if task.method == "qb"
-                    else batch_ob_exists
-                )
-                probabilities = evaluate(
-                    chain,
-                    [sets[i].first.distribution for i in singles],
-                    window,
-                    start_times=[sets[i].first.time for i in singles],
-                    backend=task.backend,
-                    plan_cache=cache,
-                    context=context,
-                )
-                for index, probability in zip(
-                    singles, probabilities
-                ):
-                    values[view.object_ids[index]] = float(
-                        probability
-                    )
-            if multis:  # Section VI fusion path, shard-local
-                probabilities = batch_exists_multi(
-                    chain,
-                    [sets[i] for i in multis],
-                    window,
-                    backend=task.backend,
-                    plan_cache=cache,
-                    context=context,
-                )
-                for index, probability in zip(
-                    multis, probabilities
-                ):
-                    values[view.object_ids[index]] = float(
-                        probability
-                    )
+            values.update(zip(
+                object_ids[by_block].tolist(),
+                answers if task.kind == "ktimes" else answers.tolist(),
+            ))
     return (
         task.shard_id,
         values,
@@ -1453,13 +1376,16 @@ def run_groups_in_processes(
     degrade tiers and the *next* dispatch republishes cleanly.
 
     Args:
-        tasks: ``(chain, matrices, objects, method)`` per chain group,
+        tasks: ``(chain, matrices, members, method)`` per chain group,
             with ``matrices`` the group's absorbing matrices (resolved
             in the parent so the publication is the same artefact the
             serial path would use; ``None`` for ``method="ct"``
             k-times groups, whose stacked sweep needs only the chain
-            CSR) and ``objects`` single-observation
-            :class:`~repro.database.objects.UncertainObject` lists.
+            CSR).  ``members`` is the ``(object ids, start times,
+            SupportBlock)`` triple of the group's cohort rows for the
+            single-observation methods (``qb``/``ob``/``ct``) and a
+            list of :class:`~repro.database.objects.UncertainObject`
+            for ``multi``/``mc``, which ship every observation.
             An optional fifth element overrides ``backend`` per group
             (the planner's per-group backend decision) -- workers
             rehydrating the shard adopt that backend's kernels on
@@ -1517,10 +1443,33 @@ def run_groups_in_processes(
             )
 
     def _submit(index: int) -> None:
+        nonlocal executor, owned
         task = shards[index]
         if task.attempt != attempts[index]:
             task = _dc_replace(task, attempt=attempts[index])
-        future = executor.submit(_evaluate_shard, task)
+        for _try in range(policy.max_retries + 2):
+            try:
+                future = executor.submit(_evaluate_shard, task)
+                break
+            except BrokenProcessPool:
+                # a worker died while we were still scattering: the
+                # pool is unusable for *new* submissions too.  Only
+                # the handle is swapped; futures in flight on the dead
+                # pool surface the crash at result() and take the
+                # normal recovery path
+                _invalidate_executor(executor)
+                _release_executor(executor, owned)
+                executor, owned = _acquire_executor(max_workers)
+                _record(
+                    "worker pool replaced mid-submit "
+                    "(worker crash during scatter)"
+                )
+        else:  # pools keep dying under the scatter: degrade the tier
+            raise WorkerCrashError(
+                f"shard rows [{task.row_lo}, {task.row_hi}) "
+                f"({task.method}) could not be submitted: worker pool "
+                f"broke {policy.max_retries + 2} times during scatter"
+            )
         inflight[future] = index
         submitted_at[future] = _time.monotonic()
 
@@ -1579,12 +1528,13 @@ def run_groups_in_processes(
 
     try:
         for task_index, task_tuple in enumerate(tasks):
-            chain, matrices, objects, method = task_tuple[:4]
+            chain, matrices, members, method = task_tuple[:4]
             task_backend = (
                 task_tuple[4] if len(task_tuple) > 4 else backend
             )
             group_seconds.append(0.0)
-            if not objects:
+            by_observation = method in ("multi", "mc")
+            if not len(members if by_observation else members[0]):
                 continue
             fingerprint, chain_handle = publisher.chain(chain, lease)
             _fire_published(chain_handle, "chain")
@@ -1601,25 +1551,22 @@ def run_groups_in_processes(
             mc_cdf_meta = mc_targets_meta = None
             seeds: Optional[Tuple[Optional[int], ...]] = None
             n_samples = 100
-            if method in ("multi", "mc"):
+            if by_observation:
                 # one stacked row per *observation*, plus the small
                 # times/indptr maps that slice them back per object
-                vectors = []
+                distributions = []
                 times_flat: List[int] = []
                 indptr = [0]
-                for obj in objects:
+                for obj in members:
                     for observation in obj.observations:
-                        vectors.append(
-                            _sp.csr_matrix(
-                                np.asarray(
-                                    observation.distribution.vector,
-                                    dtype=float,
-                                ).reshape(1, -1)
-                            )
-                        )
+                        distributions.append(observation.distribution)
                         times_flat.append(int(observation.time))
                     indptr.append(len(times_flat))
-                stacked = _sp.vstack(vectors, format="csr")
+                block = SupportBlock.from_distributions(
+                    distributions, chain.n_states
+                )
+                starts = tuple(obj.initial.time for obj in members)
+                ids = [obj.object_id for obj in members]
                 obs_times_meta = _publish_array(
                     np.asarray(times_flat, dtype=np.int64),
                     stack_segments,
@@ -1640,25 +1587,18 @@ def run_groups_in_processes(
                     if tables is not None:
                         mc_cdf_meta, mc_targets_meta = tables
             else:
-                stacked = _sp.vstack(
-                    [
-                        _sp.csr_matrix(
-                            np.asarray(
-                                obj.initial.distribution.vector,
-                                dtype=float,
-                            ).reshape(1, -1)
-                        )
-                        for obj in objects
-                    ],
-                    format="csr",
+                ids, start_times, block = members
+                starts = tuple(int(t) for t in start_times)
+            stack_handle, segments = publisher.stack(
+                _sp.csr_matrix(
+                    (block.probs, block.states, block.indptr),
+                    shape=(len(block), chain.n_states),
                 )
-            stack_handle, segments = publisher.stack(stacked)
+            )
             stack_segments.extend(segments)
             _fire_published(stack_handle, "stack")
-            starts = tuple(obj.initial.time for obj in objects)
-            ids = [obj.object_id for obj in objects]
 
-            n_rows = len(objects)
+            n_rows = len(ids)
             if method in ("ob", "ct", "multi", "mc"):
                 n_shards = max(
                     1,

@@ -263,17 +263,19 @@ class SweepSchedule:
         first: timestamp of the earliest activation.
         last: timestamp after which every row has been harvested.
         times: the query timestamps ``T_q`` (selects ``M_plus``).
-        activations: per timestamp, ``(row, initial vector)`` pairs
-            entering the sweep when it reaches that timestamp.  The
-            *raw* ``n_states`` vectors are stored (usually references
-            to the objects' own distributions, no copies);
-            ``extend_initial`` runs lazily at activation time, so the
-            schedule never materialises a second stack-sized buffer.
+        activations: per timestamp, the ``(rows, block)`` pair
+            entering the sweep when it reaches that timestamp: stack
+            row ``rows[i]`` starts from row ``i`` of the
+            :class:`~repro.core.distribution.SupportBlock`.  The *raw*
+            sparse supports are stored; ``extend_block`` scatters them
+            into the stack at activation time, so the schedule never
+            materialises a second stack-sized buffer.
         fusions: per timestamp, ``(row, tiled observation pdf)`` pairs
             applied as Lemma 1 evidence fusion (elementwise product,
             renormalise; zero mass raises
             :class:`~repro.core.errors.InfeasibleEvidenceError`).
-        harvests: per timestamp, rows whose result is read there.
+        harvests: per timestamp, the rows (any integer sequence)
+            whose result is read there.
         read: ``"top"`` reads the TOP component, ``"tail"`` sums the
             shadow block from ``read_offset`` (Section VI).
         read_offset: first index of the shadow block for ``"tail"``.
@@ -287,7 +289,7 @@ class SweepSchedule:
     first: int
     last: int
     times: FrozenSet[int]
-    activations: Dict[int, List[Tuple[int, np.ndarray]]]
+    activations: Dict[int, Tuple[np.ndarray, Any]]
     fusions: Dict[int, List[Tuple[int, np.ndarray]]] = field(
         default_factory=dict
     )
@@ -331,6 +333,15 @@ class _ForwardStack:
             self.stack[:, row] = vector
         else:
             self.stack[row] = vector
+
+    def scatter(
+        self, rows: np.ndarray, states: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Write sparse entries ``(rows[i], states[i]) = values[i]``."""
+        if self._transposed:
+            self.stack[states, rows] = values
+        else:
+            self.stack[rows, states] = values
 
     def row(self, row: int) -> np.ndarray:
         return (
@@ -384,18 +395,23 @@ class ForwardSweep(Operator):
         stack = _ForwardStack(matrices, schedule.n_rows)
         result = np.zeros(schedule.n_rows, dtype=float)
 
-        def read_value(row: int) -> float:
+        def read(rows) -> np.ndarray:
             if schedule.read == "tail":
-                return stack.tail_sums(row, schedule.read_offset)
-            return float(stack.row(row)[schedule.read_offset])
+                return np.array([
+                    stack.tail_sums(row, schedule.read_offset)
+                    for row in rows
+                ])
+            return stack.column(schedule.read_offset)[rows]
+
+        every_row = np.arange(schedule.n_rows)
 
         def visit(time: int) -> bool:
-            for row, initial in schedule.activations.get(time, ()):
-                stack.set_row(row, matrices.extend_initial(
-                    np.asarray(initial, dtype=float),
-                    time,
-                    schedule.times,
-                ))
+            if time in schedule.activations:
+                rows, block = schedule.activations[time]
+                entry_rows, states, values = matrices.extend_block(
+                    block, time, schedule.times
+                )
+                stack.scatter(rows[entry_rows], states, values)
             for row, tiled in schedule.fusions.get(time, ()):
                 fused = stack.row(row) * tiled
                 total = float(fused.sum())
@@ -405,27 +421,23 @@ class ForwardSweep(Operator):
                         f"trajectory model: posterior mass is zero"
                     )
                 stack.set_row(row, fused / total)
-            for row in schedule.harvests.get(time, ()):
-                result[row] = read_value(row)
+            if time in schedule.harvests:
+                rows = np.asarray(schedule.harvests[time])
+                result[rows] = read(rows)
             if schedule.stop_threshold is not None:
                 # Section V-C early termination: a lower bound at the
                 # threshold already answers the query
-                return all(
-                    read_value(row) >= schedule.stop_threshold
-                    for row in range(schedule.n_rows)
+                return bool(
+                    (read(every_row) >= schedule.stop_threshold).all()
                 )
             return False
 
         if visit(schedule.first):
-            for row in range(schedule.n_rows):
-                result[row] = read_value(row)
-            return result
+            return read(every_row)
         for time in range(schedule.first + 1, schedule.last + 1):
             stack.step(time, schedule.times)
             if visit(time):
-                for row in range(schedule.n_rows):
-                    result[row] = read_value(row)
-                return result
+                return read(every_row)
         return result
 
 
@@ -498,9 +510,10 @@ class KTimesSchedule:
         last: ``t_end`` -- every block is harvested there.
         times: the query timestamps ``T_q`` (selects the column shift).
         region_columns: the query region as a sorted index array.
-        activations: per timestamp, ``(object, initial vector)`` pairs
-            entering the sweep when it reaches that timestamp (raw
-            ``n_states`` vectors, no copies).
+        activations: per timestamp, the ``(objects, block)`` pair
+            entering the sweep when it reaches that timestamp: cohort
+            column ``objects[i]`` starts from row ``i`` of the
+            :class:`~repro.core.distribution.SupportBlock`.
     """
 
     n_objects: int
@@ -509,7 +522,7 @@ class KTimesSchedule:
     last: int
     times: FrozenSet[int]
     region_columns: np.ndarray
-    activations: Dict[int, List[Tuple[int, np.ndarray]]]
+    activations: Dict[int, Tuple[np.ndarray, Any]]
 
 
 class KTimesSweep(Operator):
@@ -549,8 +562,11 @@ class KTimesSweep(Operator):
 
         def visit(time: int) -> None:
             nonlocal stack, live
-            for obj, initial in schedule.activations.get(time, ()):
-                stack[:, 0, obj] = np.asarray(initial, dtype=float)
+            if time in schedule.activations:
+                objects, block = schedule.activations[time]
+                stack[block.states, 0, objects[block.entry_rows()]] = (
+                    block.probs
+                )
             if time in schedule.times:
                 # footnote 3 for just-activated objects, the regular
                 # count increment for everyone already in flight
@@ -800,23 +816,23 @@ class Prefilter(Operator):
 
 
 class BfsPrune(Operator):
-    """Exact Section V-C reachability filter over a candidate list.
+    """Exact Section V-C reachability filter over a block of objects.
 
-    ``inputs`` is ``(pruner, objects, window)``; returns
-    ``(kept, removed)`` object lists.  Safe by construction: a removed
-    object provably has probability zero in the window.
+    ``inputs`` is ``(fetch_levels, block, start_times, t_end)`` -- see
+    :func:`repro.database.pruning.reachable_rows`, which this times;
+    returns the boolean keep-mask over the block's rows.  The pipeline
+    feeds it a cohort's candidate rows and the pruner's labelling,
+    store shard workers their slab rows and the worker-local one.
+    Safe by construction: a dropped row provably has probability zero
+    in the window.
     """
 
     name = "bfs_prune"
 
     def run(self, inputs, chain, region, backend, context=None, **_):
-        pruner, objects, window = inputs
-        kept, removed = [], []
-        for obj in objects:
-            (kept if pruner.can_satisfy(obj, window) else removed).append(
-                obj
-            )
-        return kept, removed
+        from repro.database.pruning import reachable_rows
+
+        return reachable_rows(*inputs)
 
 
 # Shared singleton instances -- operators are stateless, so one of each

@@ -51,11 +51,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.distribution import StateDistribution
+from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import SerializationError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.observation import Observation, ObservationSet
 from repro.core.state_space import PointStateSpace, StateSpace
+from repro.database.cohort import Cohort
 from repro.database.objects import UncertainObject
 from repro.database.uncertain_db import TrajectoryDatabase
 from repro.store.journal import StoreJournal
@@ -171,6 +172,16 @@ class SlabDistribution(StateDistribution):
         states = global_pool().map(self._states_path)[self._lo:self._hi]
         return tuple(int(s) for s in states)
 
+    def sparse(self) -> Tuple[np.ndarray, np.ndarray]:
+        pool = global_pool()
+        return (
+            np.array(
+                pool.map(self._states_path)[self._lo:self._hi],
+                dtype=np.int64,
+            ),
+            np.array(pool.map(self._weights_path)[self._lo:self._hi]),
+        )
+
     def support_size(self) -> int:
         return self._hi - self._lo
 
@@ -222,6 +233,28 @@ class ShardView:
 
     def n_objects(self) -> int:
         return len(self.object_ids)
+
+    def first_times(self) -> np.ndarray:
+        """Per object: timestamp of its first observation."""
+        return self.obs_times[self.obj_indptr[:-1]]
+
+    def is_multi(self) -> np.ndarray:
+        """Per object: later observations exist (Section VI)."""
+        return np.diff(self.obj_indptr) > 1
+
+    def first_block(self, indices: np.ndarray) -> SupportBlock:
+        """The first-observation distributions of the objects at
+        ``indices``, gathered from the slabs in one pass -- the
+        shard-local counterpart of
+        :meth:`repro.database.cohort.Cohort.block`."""
+        first = self.obj_indptr[:-1][indices]
+        return SupportBlock.gather(
+            self.n_states,
+            self.states(),
+            self.weights(),
+            self.obs_indptr[first],
+            self.obs_indptr[first + 1],
+        )
 
     def observations_of(self, index: int) -> ObservationSet:
         """Materialise object ``index``'s observation set from the slab."""
@@ -536,6 +569,31 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
                 seed = int(view.obj_dbindex[index])
                 self._seed_positions[object_id] = seed
                 self._next_seed = max(self._next_seed, seed + 1)
+
+    def _load_cohorts(self) -> None:
+        """The snapshot population comes straight from the slabs -- a
+        shard's columns already are first-observation supports in CSR
+        form -- so only overlay objects (added or re-observed since
+        the snapshot) go through their records."""
+        for entry in self._manifest["shards"]:
+            view, _fresh = attach_shard(
+                str(self.path), self.generation, entry["shard_id"]
+            )
+            cohort = self._cohorts.setdefault(
+                view.chain_id, Cohort(view.chain_id, self.n_states)
+            )
+            cohort.extend(
+                view.object_ids,
+                view.first_block(np.arange(view.n_objects())),
+                view.first_times(),
+                view.is_multi(),
+            )
+        for object_id in self._stale:
+            for cohort in self._cohorts.values():
+                cohort.discard(object_id)
+        self._extend_cohorts(
+            [self._objects[i] for i in self.overlay_object_ids()]
+        )
 
     def _apply(self, record: Dict) -> None:
         """Replay one journal record (disk journaling suppressed)."""

@@ -17,6 +17,7 @@ from repro import (
     SpatioTemporalWindow,
     StateDistribution,
 )
+from repro.core.distribution import SupportBlock
 from repro.core.errors import InfeasibleEvidenceError, QueryError
 from repro.core.matrices import (
     build_absorbing_matrices,
@@ -37,6 +38,14 @@ from repro.workloads.synthetic import make_line_chain
 
 N_STATES = 60
 WINDOW = SpatioTemporalWindow.from_ranges(20, 30, 6, 9)
+
+
+def one_row(initial: StateDistribution):
+    """A one-object activation: stack row 0 starts from ``initial``."""
+    return (
+        np.zeros(1, dtype=np.int64),
+        SupportBlock.from_distributions([initial], N_STATES),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +125,7 @@ class TestForwardSweep:
             first=0,
             last=WINDOW.t_end,
             times=WINDOW.times,
-            activations={0: [(0, initial.vector)]},
+            activations={0: one_row(initial)},
             harvests={WINDOW.t_end: [0]},
             read="top",
             read_offset=matrices.top_index,
@@ -141,7 +150,7 @@ class TestForwardSweep:
             first=0,
             last=WINDOW.t_end,
             times=WINDOW.times,
-            activations={0: [(0, initial.vector)]},
+            activations={0: one_row(initial)},
             harvests={WINDOW.t_end: [0]},
             read="top",
             read_offset=matrices.top_index,
@@ -164,8 +173,7 @@ class TestForwardSweep:
 
     def test_infeasible_fusion_raises(self, chain):
         doubled = build_doubled_matrices(chain, WINDOW.region)
-        start = np.zeros(N_STATES, dtype=float)
-        start[0] = 1.0
+        start = StateDistribution.point(N_STATES, 0)
         contradiction = np.zeros(N_STATES, dtype=float)
         contradiction[N_STATES - 1] = 1.0  # unreachable in 1 step
         schedule = SweepSchedule(
@@ -173,7 +181,7 @@ class TestForwardSweep:
             first=0,
             last=2,
             times=WINDOW.times,
-            activations={0: [(0, start)]},
+            activations={0: one_row(start)},
             fusions={1: [(
                 0, doubled.tile_observation(contradiction)
             )]},

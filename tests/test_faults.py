@@ -178,6 +178,47 @@ class TestSupervisedDispatch:
         # explain() surfaces the same events
         assert "degraded" in result.plan.describe()
 
+    def test_pool_that_keeps_breaking_at_submit_degrades(self, monkeypatch):
+        # every pool the supervisor acquires is already dead: the
+        # mid-scatter swap must give up after its bounded budget and
+        # fall to a lower tier, not spin
+        from concurrent.futures.process import BrokenProcessPool
+
+        class DeadPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("dead on arrival")
+
+        swaps = []
+
+        def acquire(max_workers):
+            swaps.append(max_workers)
+            return DeadPool(), True
+
+        monkeypatch.setattr(dispatch, "_acquire_executor", acquire)
+        monkeypatch.setattr(
+            dispatch, "_invalidate_executor", lambda executor: None
+        )
+        monkeypatch.setattr(
+            dispatch, "_release_executor", lambda executor, owned: None
+        )
+        database = build_database(seed=12)
+        query = PSTExistsQuery(WINDOW)
+        reference = serial_reference(database, query)
+        with pytest.warns(DegradedExecutionWarning):
+            result = QueryEngine(database).evaluate(
+                query,
+                options=process_options(
+                    policy=fast_policy(max_retries=1)
+                ),
+            )
+        assert_parity(result, reference)
+        assert len(swaps) == 1 + 3  # first pool + (max_retries + 2) swaps
+        assert any(
+            event.startswith("degraded process ->")
+            and "WorkerCrashError" in event
+            for event in result.plan.degradations
+        )
+
     def test_next_query_after_kill_gets_a_fresh_pool(self):
         database = build_database(seed=13)
         query = PSTExistsQuery(WINDOW)
