@@ -56,6 +56,7 @@ from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
+from repro.core.montecarlo import MonteCarloSampler
 from repro.core.observation import ObservationSet
 from repro.core.query import SpatioTemporalWindow
 from repro.exec.operators import (
@@ -79,6 +80,7 @@ __all__ = [
     "batch_mc_exists",
     "batch_ktimes_distribution",
     "ktimes_sweep",
+    "evaluate_rows",
 ]
 
 StartTimes = Union[int, Sequence[int]]
@@ -532,3 +534,93 @@ def batch_mc_exists(
         chain, window.region, None,
         context=context,
     )
+
+
+def evaluate_rows(
+    chain: MarkovChain,
+    window: SpatioTemporalWindow,
+    kind: str,
+    method: str,
+    rows: np.ndarray,
+    *,
+    block,
+    start_time: np.ndarray,
+    is_multi: np.ndarray,
+    observation_sets,
+    n_samples: Optional[int] = None,
+    seeds: Optional[Sequence[Optional[int]]] = None,
+    backend: Optional[str] = None,
+    plan_cache=None,
+    context: Optional[ExecutionContext] = None,
+) -> np.ndarray:
+    """The planned kernel over ``rows`` of one chain group's columns.
+
+    The one place ``(kind, method, is_multi) -> kernel`` is decided
+    (tabulated in ``docs/ARCHITECTURE.md``); the one-shot pipeline,
+    the shared-memory shard worker and the store shard worker build
+    their columns and call it.  ``method="mc"`` samples every row
+    (:func:`batch_mc_exists`; for k-times one reseeded sampler per
+    object, there being no batched k-times sampler).  Exact k-times is
+    :func:`batch_ktimes_distribution` whatever the method.  Exact
+    exists runs single-observation rows through
+    :func:`batch_qb_exists` or :func:`batch_ob_exists` as planned and
+    multi-observation rows through :func:`batch_exists_multi`.
+
+    Args:
+        kind: ``"exists"`` (for-all plans run their complement as
+            exists) or ``"ktimes"``.
+        method: the group's planned method.
+        rows: indices into the columns below.
+        block: ``rows -> SupportBlock`` of first observations
+            (:meth:`Cohort.block <repro.database.cohort.Cohort.block>`).
+        start_time / is_multi: per-row columns, indexed by ``rows``.
+        observation_sets: ``rows -> [ObservationSet]``, called only for
+            the rows whose kernel needs every observation (Section VI
+            fusion, sampling).
+        n_samples / seeds: Monte-Carlo parameters; ``seeds`` is
+            aligned with ``rows``.
+
+    Returns:
+        Answers aligned with ``rows``: ``(len(rows),)`` probabilities
+        for exists, ``(len(rows), |T_q| + 1)`` count distributions for
+        k-times.
+    """
+    shared = dict(backend=backend, plan_cache=plan_cache, context=context)
+    if method == "mc":
+        sets = observation_sets(rows)
+        if kind != "ktimes":
+            return batch_mc_exists(
+                chain, sets, window,
+                n_samples=n_samples, seeds=seeds, context=context,
+            )
+        # per-object resampling: there is no batched k-times sampler
+        sampler = MonteCarloSampler(chain)
+        answers = np.zeros((len(rows), window.duration + 1), dtype=float)
+        for row, observations in enumerate(sets):
+            sampler.reseed(None if seeds is None else seeds[row])
+            answers[row] = sampler.ktimes_distribution(
+                observations.first.distribution,
+                window,
+                n_samples,
+                start_time=observations.first.time,
+            )
+        return answers
+    if kind == "ktimes":
+        return batch_ktimes_distribution(
+            chain, block(rows), window,
+            start_times=start_time[rows], **shared,
+        )
+    multi = is_multi[rows]
+    answers = np.zeros(len(rows), dtype=float)
+    if not multi.all():
+        singles = rows[~multi]
+        evaluate = batch_qb_exists if method == "qb" else batch_ob_exists
+        answers[~multi] = evaluate(
+            chain, block(singles), window,
+            start_times=start_time[singles], **shared,
+        )
+    if multi.any():  # Section VI path regardless of qb/ob
+        answers[multi] = batch_exists_multi(
+            chain, observation_sets(rows[multi]), window, **shared
+        )
+    return answers

@@ -65,27 +65,6 @@ class Observation:
             StateDistribution.from_dict(n_states, weights, normalize=True),
         )
 
-    @classmethod
-    def from_support(
-        cls,
-        time: int,
-        n_states: int,
-        states: Iterable[int],
-        weights: Iterable[float],
-    ) -> "Observation":
-        """An observation from parallel support/weight columns.
-
-        Used by the sharded store and shard workers, which keep
-        observation distributions as columnar ``(states, weights)``
-        slices rather than dicts.
-        """
-        return cls(
-            time,
-            StateDistribution.from_support(
-                n_states, list(states), list(weights), normalize=True
-            ),
-        )
-
     @property
     def n_states(self) -> int:
         """Number of states of the underlying distribution."""
@@ -135,6 +114,31 @@ class ObservationSet:
     def of(cls, *observations: Observation) -> "ObservationSet":
         """Variadic convenience constructor."""
         return cls(tuple(observations))
+
+    @classmethod
+    def from_columns(
+        cls, n_states: int, times, indptr, states, weights
+    ) -> "ObservationSet":
+        """One object's observations from columnar storage.
+
+        Observation ``i`` is at ``times[i]`` with support
+        ``states[indptr[i]:indptr[i + 1]]`` and the parallel
+        ``weights`` -- how the sharded store's slabs and the
+        shared-memory observation stacks hold them.  The weights must
+        not be renormalised: they are exact copies of the source
+        vectors' entries, so the rebuilt rows pass validation
+        unchanged, whereas normalising would perturb bits the parity
+        suite compares at 1e-12.
+        """
+        return cls(tuple(
+            Observation(
+                int(time),
+                StateDistribution.from_support(
+                    n_states, states[lo:hi], weights[lo:hi]
+                ),
+            )
+            for time, lo, hi in zip(times, indptr[:-1], indptr[1:])
+        ))
 
     @property
     def n_states(self) -> int:

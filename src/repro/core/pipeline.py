@@ -63,13 +63,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.core.batch import (
-    batch_exists_multi,
-    batch_ktimes_distribution,
-    batch_mc_exists,
-    batch_ob_exists,
-    batch_qb_exists,
-)
+from repro.core.batch import evaluate_rows
 from repro.core.errors import (
     BackendError,
     DegradedExecutionWarning,
@@ -473,15 +467,37 @@ class QueryPipeline:
         context: ExecutionContext,
     ) -> Dict[str, ResultValue]:
         """The group's planned kernels over its surviving ``rows``."""
-        chain = self.database.chain(group.chain_id)
-        kernel = (
-            self._ktimes_kernel
-            if plan.kind == "ktimes"
-            else self._exists_kernel
+        cohort = group.cohort
+        ids = cohort.ids(rows)
+        answers = evaluate_rows(
+            self.database.chain(group.chain_id),
+            plan.window,
+            plan.kind,
+            group.method,
+            rows,
+            block=cohort.block,
+            start_time=cohort.start_time,
+            is_multi=cohort.is_multi,
+            observation_sets=lambda subset: [
+                obj.observations
+                for obj in self._objects(cohort.ids(subset))
+            ],
+            n_samples=plan.options.n_samples,
+            seeds=(
+                self._seeds(ids, plan, seed_index)
+                if group.method == "mc"
+                else None
+            ),
+            backend=group.backend or self.backend,
+            plan_cache=self.plan_cache,
+            context=context,
         )
-        return kernel(
-            chain, group, rows, plan, query, seed_index, context
-        )
+        if plan.kind != "ktimes":
+            return dict(zip(ids, answers.tolist()))
+        if query.k is None:
+            # rows of the kernel's own result block: no copy needed
+            return dict(zip(ids, answers))
+        return dict(zip(ids, answers[:, query.k].tolist()))
 
     def _evaluate_processes(
         self,
@@ -540,32 +556,12 @@ class QueryPipeline:
             chain = self.database.chain(group.chain_id)
             cohort = group.cohort
             group_backend = group.backend or self.backend
-            if group.method == "mc":
-                if plan.kind == "ktimes":
-                    # per-object resampling, no batched kernel to
-                    # shard: the parent's sampler serves the group
-                    started = _time.perf_counter()
-                    values.update(
-                        self._ktimes_kernel(
-                            chain, group, rows, plan, query,
-                            seed_index, context,
-                        )
-                    )
-                    elapsed[group.chain_id] += (
-                        _time.perf_counter() - started
-                    )
-                    continue
-                ids = cohort.ids(rows)
-                tasks.append((
-                    chain, None, self._objects(ids), "mc",
-                    group_backend,
-                    {
-                        "n_samples": plan.options.n_samples,
-                        "seeds": self._seeds(ids, plan, seed_index),
-                    },
+
+            def ship(method: str, members, **extras) -> None:
+                tasks.append(_dispatch.GroupTask(
+                    chain, method, members, group_backend, **extras
                 ))
                 task_groups.append(group)
-                continue
 
             def members(subset: np.ndarray):
                 return (
@@ -574,34 +570,51 @@ class QueryPipeline:
                     cohort.block(subset),
                 )
 
-            if plan.kind == "ktimes":
+            if group.method == "mc":
+                if plan.kind == "ktimes":
+                    # per-object resampling, no batched kernel to
+                    # shard: the parent's sampler serves the group
+                    started = _time.perf_counter()
+                    values.update(
+                        self._kernel(
+                            group, rows, plan, query, seed_index,
+                            context,
+                        )
+                    )
+                    elapsed[group.chain_id] += (
+                        _time.perf_counter() - started
+                    )
+                    continue
+                ids = cohort.ids(rows)
+                ship(
+                    "mc",
+                    self._objects(ids),
+                    n_samples=plan.options.n_samples,
+                    seeds=self._seeds(ids, plan, seed_index),
+                )
+            elif plan.kind == "ktimes":
                 # the stacked CT sweep needs only the chain CSR (the
                 # count dimension lives in the stack, not a matrix)
-                tasks.append(
-                    (chain, None, members(rows), "ct", group_backend)
-                )
-                task_groups.append(group)
-                continue
-            multi = cohort.is_multi[rows]
-            if not multi.all():
-                matrices = BUILD_ABSORBING(
-                    None, chain, plan.window.region, group_backend,
-                    context=context, plan_cache=self.plan_cache,
-                )
-                tasks.append(
-                    (chain, matrices, members(rows[~multi]),
-                     group.method, group_backend)
-                )
-                task_groups.append(group)
-            if multi.any():
-                # Section VI groups ship as stacked observation rows
-                # and run the doubled-space sweep worker-side
-                tasks.append((
-                    chain, None,
-                    self._objects(cohort.ids(rows[multi])),
-                    "multi", group_backend,
-                ))
-                task_groups.append(group)
+                ship("ct", members(rows))
+            else:
+                multi = cohort.is_multi[rows]
+                if not multi.all():
+                    ship(
+                        group.method,
+                        members(rows[~multi]),
+                        matrices=BUILD_ABSORBING(
+                            None, chain, plan.window.region,
+                            group_backend, context=context,
+                            plan_cache=self.plan_cache,
+                        ),
+                    )
+                if multi.any():
+                    # Section VI groups ship as stacked observation
+                    # rows and run the doubled-space sweep worker-side
+                    ship(
+                        "multi",
+                        self._objects(cohort.ids(rows[multi])),
+                    )
         if tasks:
             # price the supervisor deadline from the same cost model
             # the planner chose methods with: the model's estimate for
@@ -618,20 +631,13 @@ class QueryPipeline:
                     plan.window,
                     max_workers=plan.max_workers,
                     shard_min_objects=model.shard_min_objects,
-                    backend=self.backend,
-                    plan_cache=self.plan_cache,
                     context=context,
                     policy=plan.options.supervisor,
                     predicted_seconds=predicted,
                     faults=plan.options.faults,
                 )
             )
-            if plan.kind == "ktimes":
-                shard_values = {
-                    object_id: self._ktimes_value(distribution, query)
-                    for object_id, distribution in shard_values.items()
-                }
-            values.update(shard_values)
+            values.update(self._from_shards(shard_values, plan, query))
             for group, seconds in zip(task_groups, group_seconds):
                 elapsed[group.chain_id] += seconds
         for group in plan.groups:
@@ -698,12 +704,7 @@ class QueryPipeline:
         )
         if not stats["shards"]:
             return None  # empty store: all state lives in the overlay
-        if plan.kind == "ktimes":
-            shard_values = {
-                object_id: self._ktimes_value(distribution, query)
-                for object_id, distribution in shard_values.items()
-            }
-        values.update(shard_values)
+        values.update(self._from_shards(shard_values, plan, query))
         for group in plan.groups:
             rows = survivors[group.chain_id]
             in_overlay = np.zeros(group.cohort.n_rows, dtype=bool)
@@ -731,115 +732,18 @@ class QueryPipeline:
         that are per-object by nature (Section VI fusion, sampling)."""
         return [self.database.get(object_id) for object_id in object_ids]
 
-    def _exists_kernel(
-        self,
-        chain,
-        group: GroupPlan,
-        rows: np.ndarray,
-        plan: QueryPlan,
-        query,
-        seed_index: Optional[Dict[str, int]],
-        context: Optional[ExecutionContext] = None,
-    ) -> Dict[str, ResultValue]:
-        cohort = group.cohort
-        if group.method == "mc":
-            ids = cohort.ids(rows)
-            probabilities = batch_mc_exists(
-                chain,
-                [obj.observations for obj in self._objects(ids)],
-                plan.window,
-                n_samples=plan.options.n_samples,
-                seeds=self._seeds(ids, plan, seed_index),
-                context=context,
-            )
-            return dict(zip(ids, probabilities.tolist()))
-
-        out: Dict[str, ResultValue] = {}
-        multi = cohort.is_multi[rows]
-        singles, multis = rows[~multi], rows[multi]
-        if singles.size:
-            evaluate = (
-                batch_qb_exists
-                if group.method == "qb"
-                else batch_ob_exists
-            )
-            probabilities = evaluate(
-                chain,
-                cohort.block(singles),
-                plan.window,
-                start_times=cohort.start_time[singles],
-                backend=group.backend or self.backend,
-                plan_cache=self.plan_cache,
-                context=context,
-            )
-            out.update(zip(cohort.ids(singles), probabilities.tolist()))
-        if multis.size:  # Section VI path regardless of qb/ob
-            ids = cohort.ids(multis)
-            probabilities = batch_exists_multi(
-                chain,
-                [obj.observations for obj in self._objects(ids)],
-                plan.window,
-                backend=group.backend or self.backend,
-                plan_cache=self.plan_cache,
-                context=context,
-            )
-            out.update(zip(ids, probabilities.tolist()))
-        return out
-
-    def _ktimes_kernel(
-        self,
-        chain,
-        group: GroupPlan,
-        rows: np.ndarray,
-        plan: QueryPlan,
-        query: PSTKTimesQuery,
-        seed_index: Optional[Dict[str, int]],
-        context: Optional[ExecutionContext] = None,
-    ) -> Dict[str, ResultValue]:
-        cohort = group.cohort
-        ids = cohort.ids(rows)
-        if group.method == "mc":
-            from repro.core.montecarlo import MonteCarloSampler
-
-            out: Dict[str, ResultValue] = {}
-            sampler = MonteCarloSampler(chain)
-            seeds = self._seeds(ids, plan, seed_index)
-            for obj, seed in zip(self._objects(ids), seeds):
-                sampler.reseed(seed)
-                distribution = sampler.ktimes_distribution(
-                    obj.initial.distribution,
-                    plan.window,
-                    plan.options.n_samples,
-                    start_time=obj.initial.time,
-                )
-                out[obj.object_id] = self._ktimes_value(
-                    distribution, query
-                )
-            return out
-        # exact path: one shared suffix-count pass answers every
-        # pre-window object, the stacked cohort sweep the rest
-        distributions = batch_ktimes_distribution(
-            chain,
-            cohort.block(rows),
-            plan.window,
-            start_times=cohort.start_time[rows],
-            backend=group.backend or self.backend,
-            plan_cache=self.plan_cache,
-            context=context,
-        )
-        if query.k is None:
-            # rows of the kernel's own result block: no copy needed
-            return dict(zip(ids, distributions))
-        return dict(zip(ids, distributions[:, query.k].tolist()))
-
     @staticmethod
-    def _ktimes_value(
-        distribution: np.ndarray, query: PSTKTimesQuery
-    ) -> ResultValue:
-        if query.k is None:
-            # copy: the row must outlive the batch result it views
-            return np.array(distribution, dtype=float)
-        return float(distribution[query.k])
+    def _from_shards(
+        shard_values: Dict[str, ResultValue], plan: QueryPlan, query
+    ) -> Dict[str, ResultValue]:
+        """Worker answers as result values: of a k-times count
+        distribution the query may want only ``P(k visits)``."""
+        if plan.kind != "ktimes" or query.k is None:
+            return shard_values
+        return {
+            object_id: float(distribution[query.k])
+            for object_id, distribution in shard_values.items()
+        }
 
     # ------------------------------------------------------------------
     # helpers

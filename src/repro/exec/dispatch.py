@@ -25,20 +25,18 @@ The public surface is :func:`run_groups_in_processes`, called by
 :func:`shutdown`, which drains the pool and unlinks every published
 segment (also registered via :mod:`atexit`).
 
-**Fault tolerance.**  Task submission runs under a supervisor: every
-shard gets a deadline priced from the calibrated cost model, a worker
-crash (``BrokenProcessPool``) rebuilds the pool and resubmits only the
-unfinished shards with exponential backoff, and a hung task tears the
-poisoned pool down instead of stalling the query.  Exhausted retries
-raise :class:`~repro.core.errors.WorkerCrashError` /
-:class:`~repro.core.errors.TaskTimeoutError` /
-:class:`~repro.core.errors.SegmentLostError`, which the pipeline
-catches to degrade process -> thread -> serial -- the query still
-returns the exact answer.  Every published segment is named
-``repro-<session>-<pid>-<seq>`` so the startup *janitor*
-(:func:`sweep_orphans`, run on every pool build and by ``repro-bench
-doctor``) can identify and unlink segments leaked by crashed sessions,
-and :func:`memory_stats` accounts for this session's live bytes.
+**Fault tolerance.**  Both scatter paths run their tasks under the
+one :func:`supervise` loop (cost-priced deadlines, pool rebuild and
+resubmission with backoff after a worker crash or a hang, bounded
+retries); what a task that exhausts them becomes is the caller's
+``exhausted`` hook -- typed errors here, which the pipeline catches to
+degrade process -> thread -> serial, in-parent evaluation for store
+shards.  Either way the query still returns the exact answer.  Every
+published segment is named ``repro-<session>-<pid>-<seq>`` so the
+startup *janitor* (:func:`sweep_orphans`, run on every pool build and
+by ``repro-bench doctor``) can identify and unlink segments leaked by
+crashed sessions, and :func:`memory_stats` accounts for this session's
+live bytes.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from uuid import uuid4
 
 import numpy as np
 
-from repro.core.distribution import StateDistribution, SupportBlock
+from repro.core.distribution import SupportBlock
 from repro.core.errors import (
     BackendError,
     ExecutionError,
@@ -305,42 +303,31 @@ def _unlink_segments(
 class _Publisher:
     """Owns every published segment; publishes each artefact once.
 
-    Matrices are keyed by ``(fingerprint, region, backend)`` so a
-    monitoring workload re-issuing windows over the same chains
-    publishes once per artefact, not once per query.  The cache is
-    LRU-bounded (unlike an address-space cache, stale entries hold
-    real ``/dev/shm`` pages): every in-flight dispatch call *pins*
-    the entries its task handles name (a lease of keys), and
-    :meth:`release` unlinks unpinned LRU overflow -- so eviction
+    Three caches -- chains by fingerprint, absorbing-matrix quadruples
+    by ``(fingerprint, region, backend)``, per-chain Monte-Carlo CDF
+    tables -- so a monitoring workload re-issuing windows over the
+    same chains publishes once per artefact, not once per query.  The
+    caches are LRU-bounded (unlike an address-space cache, stale
+    entries hold real ``/dev/shm`` pages): every in-flight dispatch
+    call *pins* the entries its task handles name (a lease of keys),
+    and :meth:`release` unlinks unpinned LRU overflow -- so eviction
     keeps up even under sustained query overlap, and a worker can
-    never be handed a name whose segment vanished.  ``close``
-    unlinks everything (also run at interpreter exit).
+    never be handed a name whose segment vanished.
     """
 
     def __init__(self, maxsize: int = _PUBLISH_CACHE_SIZE) -> None:
         self.maxsize = maxsize
-        self._chains: "OrderedDict[str, Tuple[SharedCSR, list]]" = (
-            OrderedDict()
-        )
-        self._absorbing: "OrderedDict[tuple, Tuple[tuple, list]]" = (
-            OrderedDict()
-        )
-        # per-chain Monte-Carlo CDF tables: (cdf, targets) ArrayMeta
-        # pair, or None for chains too dense to tabulate
-        self._tables: "OrderedDict[str, Tuple[object, list]]" = (
-            OrderedDict()
-        )
+        # kind -> {key: (handles, segments)}
+        self._caches: Dict[str, OrderedDict] = {
+            kind: OrderedDict()
+            for kind in ("chain", "absorbing", "tables")
+        }
         self._pins: Dict[tuple, int] = {}
         self._lock = threading.Lock()
 
     def acquire(self) -> list:
         """A fresh lease; every key handed out against it is pinned."""
         return []
-
-    def _pin(self, key: tuple, lease: Optional[list]) -> None:
-        if lease is not None:
-            self._pins[key] = self._pins.get(key, 0) + 1
-            lease.append(key)
 
     def release(self, lease: list) -> None:
         """Unpin a lease's keys and drop unpinned LRU overflow."""
@@ -352,66 +339,69 @@ class _Publisher:
                 else:
                     self._pins.pop(key, None)
             lease.clear()
-            self._evict_overflow()
+            for kind, cache in self._caches.items():
+                while len(cache) > self.maxsize:
+                    victim = next(
+                        (
+                            key for key in cache
+                            if self._pins.get((kind, key), 0) == 0
+                        ),
+                        None,
+                    )
+                    if victim is None:  # everything live is in flight
+                        break
+                    _handles, segments = cache.pop(victim)
+                    _unlink_segments(segments)
 
-    def _evict_overflow(self) -> None:
-        """Unlink oldest unpinned entries beyond the bound (lock held)."""
-        for kind, cache in (
-            ("chain", self._chains),
-            ("absorbing", self._absorbing),
-            ("tables", self._tables),
-        ):
-            while len(cache) > self.maxsize:
-                victim = next(
-                    (
-                        key for key in cache
-                        if self._pins.get((kind, key), 0) == 0
-                    ),
-                    None,
-                )
-                if victim is None:  # everything live is in flight
-                    break
-                _handles, segments = cache.pop(victim)
-                _unlink_segments(segments)
+    def _entry(self, kind: str, key, publish, lease: Optional[list]):
+        """The handles cached under ``key``, publishing on a miss:
+        ``publish(segments)`` returns them and appends what it
+        created.  Pinned against ``lease``."""
+        cache = self._caches[kind]
+        with self._lock:
+            entry = cache.get(key)
+            if entry is None:
+                segments: list = []
+                entry = cache[key] = (publish(segments), segments)
+            cache.move_to_end(key)
+            if lease is not None:
+                self._pins[kind, key] = self._pins.get((kind, key), 0) + 1
+                lease.append((kind, key))
+        return entry[0]
 
     def chain(
         self, chain, lease: Optional[list] = None
     ) -> Tuple[str, SharedCSR]:
         fingerprint = chain.fingerprint()
-        with self._lock:
-            entry = self._chains.get(fingerprint)
-            if entry is None:
-                segments: list = []
-                entry = (
-                    publish_csr(chain.matrix, segments), segments
-                )
-                self._chains[fingerprint] = entry
-            self._chains.move_to_end(fingerprint)
-            self._pin(("chain", fingerprint), lease)
-        return fingerprint, entry[0]
+        return fingerprint, self._entry(
+            "chain",
+            fingerprint,
+            lambda segments: publish_csr(chain.matrix, segments),
+            lease,
+        )
 
     def absorbing(
         self, chain, matrices, backend: Optional[str],
         lease: Optional[list] = None,
     ) -> Tuple[SharedCSR, SharedCSR, SharedCSR, SharedCSR]:
         """Publish ``(M_minus, M_plus, M_minus^T, M_plus^T)`` once."""
-        key = (chain.fingerprint(), matrices.region, backend)
-        with self._lock:
-            entry = self._absorbing.get(key)
-            if entry is None:
-                minus_t, plus_t = matrices.transposed()
-                segments = []
-                handles = (
-                    publish_csr(matrices.m_minus, segments),
-                    publish_csr(matrices.m_plus, segments),
-                    publish_csr(minus_t, segments),
-                    publish_csr(plus_t, segments),
+
+        def publish(segments: list) -> tuple:
+            return tuple(
+                publish_csr(matrix, segments)
+                for matrix in (
+                    matrices.m_minus,
+                    matrices.m_plus,
+                    *matrices.transposed(),
                 )
-                entry = (handles, segments)
-                self._absorbing[key] = entry
-            self._absorbing.move_to_end(key)
-            self._pin(("absorbing", key), lease)
-        return entry[0]
+            )
+
+        return self._entry(
+            "absorbing",
+            (chain.fingerprint(), matrices.region, backend),
+            publish,
+            lease,
+        )
 
     def stack(self, csr) -> Tuple[SharedCSR, List[shared_memory.SharedMemory]]:
         """Publish a per-query stacked-vector CSR (caller unlinks)."""
@@ -429,36 +419,24 @@ class _Publisher:
         """
         from repro.core.montecarlo import MonteCarloSampler
 
-        fingerprint = chain.fingerprint()
-        with self._lock:
-            entry = self._tables.get(fingerprint)
-            if entry is None:
-                tables = MonteCarloSampler.shared_cdf_tables(chain)
-                segments: list = []
-                if tables is None:
-                    entry = (None, segments)
-                else:
-                    cdf, targets = tables
-                    entry = (
-                        (
-                            _publish_array(cdf, segments),
-                            _publish_array(targets, segments),
-                        ),
-                        segments,
-                    )
-                self._tables[fingerprint] = entry
-            self._tables.move_to_end(fingerprint)
-            self._pin(("tables", fingerprint), lease)
-        return entry[0]
+        def publish(segments: list):
+            tables = MonteCarloSampler.shared_cdf_tables(chain)
+            if tables is None:
+                return None
+            return tuple(
+                _publish_array(table, segments) for table in tables
+            )
+
+        return self._entry(
+            "tables", chain.fingerprint(), publish, lease
+        )
 
     def live_bytes(self) -> int:
         """Total ``/dev/shm`` bytes held by cached publications."""
         with self._lock:
             return sum(
                 segment.size
-                for cache in (
-                    self._chains, self._absorbing, self._tables
-                )
+                for cache in self._caches.values()
                 for _handles, segments in cache.values()
                 for segment in segments
             )
@@ -473,21 +451,10 @@ class _Publisher:
         any other in-flight dispatch whose worker loses the segment
         mid-attach fails with the same supervised
         :class:`~repro.core.errors.SegmentLostError` and degrades to
-        an exact lower tier.
+        an exact lower tier.  Also how the publisher shuts down.
         """
         with self._lock:
-            for cache in (
-                self._chains, self._absorbing, self._tables
-            ):
-                for _handles, segments in cache.values():
-                    _unlink_segments(segments)
-                cache.clear()
-
-    def close(self) -> None:
-        with self._lock:
-            for cache in (
-                self._chains, self._absorbing, self._tables
-            ):
+            for cache in self._caches.values():
                 for _handles, segments in cache.values():
                     _unlink_segments(segments)
                 cache.clear()
@@ -647,7 +614,7 @@ def shutdown() -> None:
         except Exception:  # pragma: no cover - interpreter teardown
             pass
     if publisher is not None:
-        publisher.close()
+        publisher.forget()
 
 
 atexit.register(shutdown)
@@ -790,18 +757,25 @@ class _ShardTask:
     m_plus_t: Optional[SharedCSR] = None
     # multi-observation ("multi") and Monte-Carlo ("mc") shards: the
     # `initials` stack holds one row per *observation* instead of per
-    # object; `obs_times`/`obj_indptr` map rows back to objects, MC
-    # shards additionally carry per-object seeds and (when the chain
-    # tabulates) the published CDF table segments
-    obs_times: Optional[ArrayMeta] = None
-    obj_indptr: Optional[ArrayMeta] = None
-    n_samples: int = 100
+    # object; the small `obs_times`/`obj_indptr` arrays map rows back
+    # to objects, MC shards additionally carry per-object seeds and
+    # (when the chain tabulates) the published CDF table segments
+    obs_times: Optional[np.ndarray] = None
+    obj_indptr: Optional[np.ndarray] = None
+    n_samples: Optional[int] = None
     seeds: Optional[Tuple[Optional[int], ...]] = None
     mc_cdf: Optional[ArrayMeta] = None
     mc_targets: Optional[ArrayMeta] = None
     attempt: int = 0
     verify: bool = False
     faults: Optional[object] = None
+
+    @property
+    def label(self) -> str:
+        """How supervisor events and errors name this shard."""
+        return (
+            f"shard rows [{self.row_lo}, {self.row_hi}) ({self.method})"
+        )
 
 
 # worker-local caches, populated lazily after the fork
@@ -822,9 +796,11 @@ def _rehydrate(task: _ShardTask):
 
     The worker cache is keyed by the *fingerprint* shipped with the
     task -- never by object identity -- so the first task of a chain
-    rehydrates and every later task (and every later query) hits.
-    k-times tasks carry no absorbing handles; ``matrices`` is None.
-    With ``task.verify`` every fresh attach is re-checksummed.
+    rehydrates and every later task (and every later query) hits;
+    the kernels then find the adopted matrices through the returned
+    cache.  k-times, multi-observation and Monte-Carlo tasks carry no
+    absorbing handles.  With ``task.verify`` every fresh attach is
+    re-checksummed.
     """
     from repro.core.markov import MarkovChain
     from repro.core.matrices import AbsorbingMatrices
@@ -845,12 +821,9 @@ def _rehydrate(task: _ShardTask):
             "chain", task.fingerprint, frozenset(), task.backend, chain
         )
     chain = adopted
-    if task.m_minus is None:
-        return chain, None, cache
-    matrices = cache.lookup_fingerprint(
+    if task.m_minus is not None and cache.lookup_fingerprint(
         "absorbing", task.fingerprint, region, task.backend
-    )
-    if matrices is None:
+    ) is None:
         rebuilt = AbsorbingMatrices(
             n_states=chain.n_states,
             region=region,
@@ -862,10 +835,10 @@ def _rehydrate(task: _ShardTask):
             attach_csr(task.m_minus_t, verify=task.verify),
             attach_csr(task.m_plus_t, verify=task.verify),
         )
-        matrices = cache.adopt(
+        cache.adopt(
             "absorbing", task.fingerprint, region, task.backend, rebuilt
         )
-    return chain, matrices, cache
+    return chain, cache
 
 
 def _read_shard_rows(handle: SharedCSR, lo: int, hi: int, verify: bool = False):
@@ -921,117 +894,51 @@ def _read_shard_rows(handle: SharedCSR, lo: int, hi: int, verify: bool = False):
                 pass  # views still alive (exception mid-attach)
 
 
-def _read_plain_array(meta: ArrayMeta) -> np.ndarray:
-    """Copy a small per-query array out of shared memory; release.
-
-    Like :func:`_read_shard_rows` these segments are published fresh
-    per query and unlinked by the parent afterwards, so the worker
-    must not cache them in ``_SEGMENTS``.
-    """
-    name, shape, dtype = meta
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError as exc:
-        raise SegmentLostError(
-            f"per-query segment {name!r} vanished before attach"
-        ) from exc
-    try:
-        view = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=segment.buf
-        )
-        copied = np.array(view)
-        del view  # drop the view before unmapping
-        return copied
-    finally:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - error paths only
-            pass
-
-
-def _evaluate_observation_rows(
-    task: _ShardTask, chain, cache, context, window
-) -> np.ndarray:
-    """Evaluate a multi-observation or Monte-Carlo object shard.
+def _shard_observation_sets(task: _ShardTask):
+    """``rows -> [ObservationSet]`` over a multi-observation or
+    Monte-Carlo shard.
 
     The stacked segment holds one row per *observation*;
     ``obj_indptr`` maps the shard's object rows ``[row_lo, row_hi)``
-    to their observation rows.  Multi shards run the exact Section VI
-    fusion sweep (doubled matrices built once per worker via the
-    fingerprint-keyed cache); MC shards adopt the published CDF
-    tables -- zero-copy views, no per-worker re-tabulation -- and run
-    the paper's sampling baseline with the per-object seeds the
-    parent priced, so estimates match the serial path bit-for-bit.
+    to their observation rows, which are copied out once.
     """
-    from repro.core.batch import batch_exists_multi, batch_mc_exists
-    from repro.core.observation import Observation, ObservationSet
+    from repro.core.observation import ObservationSet
 
-    obj_indptr = _read_plain_array(task.obj_indptr)
-    obs_times = _read_plain_array(task.obs_times)
-    obs_lo = int(obj_indptr[task.row_lo])
-    obs_hi = int(obj_indptr[task.row_hi])
-    rows = _read_shard_rows(
+    spans = task.obj_indptr[task.row_lo:task.row_hi + 1]
+    obs_lo, obs_hi = int(spans[0]), int(spans[-1])
+    obs_times = task.obs_times[obs_lo:obs_hi]
+    stack = _read_shard_rows(
         task.initials, obs_lo, obs_hi, verify=task.verify
     )
-    def observation(index: int) -> Observation:
-        a, b = rows.indptr[index - obs_lo:index - obs_lo + 2]
-        return Observation(
-            int(obs_times[index]),
-            StateDistribution.from_support(
-                rows.n_states, rows.states[a:b], rows.probs[a:b]
-            ),
-        )
+    spans = spans - obs_lo
 
-    observation_sets = [
-        ObservationSet(tuple(
-            observation(index)
-            for index in range(
-                int(obj_indptr[row]), int(obj_indptr[row + 1])
+    def observation_sets(rows: np.ndarray) -> list:
+        return [
+            ObservationSet.from_columns(
+                stack.n_states,
+                obs_times[lo:hi],
+                stack.indptr[lo:hi + 1],
+                stack.states,
+                stack.probs,
             )
-        ))
-        for row in range(task.row_lo, task.row_hi)
-    ]
-    if task.method == "multi":
-        values = batch_exists_multi(
-            chain,
-            observation_sets,
-            window,
-            backend=task.backend,
-            plan_cache=cache,
-            context=context,
-        )
-    else:
-        if task.mc_cdf is not None:
-            from repro.core.montecarlo import MonteCarloSampler
+            for lo, hi in zip(spans[rows], spans[rows + 1])
+        ]
 
-            MonteCarloSampler.adopt_cdf_tables(
-                task.fingerprint,
-                _attach_array(task.mc_cdf),
-                _attach_array(task.mc_targets),
-            )
-        seeds = (
-            list(task.seeds[task.row_lo:task.row_hi])
-            if task.seeds is not None
-            else None
-        )
-        values = batch_mc_exists(
-            chain,
-            observation_sets,
-            window,
-            n_samples=task.n_samples,
-            seeds=seeds,
-            context=context,
-        )
-    return np.asarray(values, dtype=float)
+    return observation_sets
 
 
 def _evaluate_shard(task: _ShardTask):
-    """Run one shard through the shared kernels; return its slice."""
-    from repro.core.batch import (
-        batch_ob_exists,
-        batch_qb_exists,
-        ktimes_sweep,
-    )
+    """Run one shard through the shared kernels; return its slice.
+
+    Single-observation shards (``qb``/``ob``/``ct``) stage their rows
+    of the stacked initials; ``multi`` shards run the exact Section VI
+    fusion sweep (doubled matrices built once per worker via the
+    fingerprint-keyed cache) and ``mc`` shards adopt the published CDF
+    tables -- zero-copy views, no per-worker re-tabulation -- and
+    sample with the per-object seeds the parent priced, so estimates
+    match the serial path bit-for-bit.
+    """
+    from repro.core.batch import evaluate_rows
     from repro.core.query import SpatioTemporalWindow
     from repro.exec.operators import ExecutionContext
 
@@ -1044,44 +951,51 @@ def _evaluate_shard(task: _ShardTask):
             attempt=task.attempt,
             pid=os.getpid(),
         )
-    chain, matrices, cache = _rehydrate(task)
+    chain, cache = _rehydrate(task)
     window = SpatioTemporalWindow(
         frozenset(task.region), frozenset(task.times)
     )
     context = ExecutionContext(
         cache, task.backend, faults=task.faults
     )
+    block = observation_sets = None
     if task.method in ("multi", "mc"):
-        values = _evaluate_observation_rows(
-            task, chain, cache, context, window
-        )
+        observation_sets = _shard_observation_sets(task)
+        if task.mc_cdf is not None:
+            from repro.core.montecarlo import MonteCarloSampler
+
+            MonteCarloSampler.adopt_cdf_tables(
+                task.fingerprint,
+                _attach_array(task.mc_cdf),
+                _attach_array(task.mc_targets),
+            )
     else:
         block = _read_shard_rows(
             task.initials, task.row_lo, task.row_hi, verify=task.verify
-        )
-        starts = np.asarray(
+        ).take
+    n_rows = task.row_hi - task.row_lo
+    values = evaluate_rows(
+        chain,
+        window,
+        "ktimes" if task.method == "ct" else "exists",
+        task.method,
+        np.arange(n_rows),
+        block=block,
+        start_time=np.asarray(
             task.starts[task.row_lo:task.row_hi], dtype=np.int64
-        )
-        if task.method == "ct":
-            # stacked Section VII C(t) sweep: one (n_rows,) count
-            # distribution per shard row instead of a scalar
-            values = ktimes_sweep(
-                chain, block, starts, window,
-                backend=task.backend, context=context,
-            )
-        elif task.method == "ob":
-            values = batch_ob_exists(
-                chain, block, window, start_times=starts,
-                matrices=matrices, backend=task.backend,
-                context=context,
-            )
-        else:  # qb: the backward pass amortises inside the worker
-            # cache, which already holds the rehydrated matrices
-            values = batch_qb_exists(
-                chain, block, window, start_times=starts,
-                backend=task.backend, plan_cache=cache,
-                context=context,
-            )
+        ),
+        is_multi=np.full(n_rows, task.method == "multi"),
+        observation_sets=observation_sets,
+        n_samples=task.n_samples,
+        seeds=(
+            task.seeds[task.row_lo:task.row_hi]
+            if task.seeds is not None
+            else None
+        ),
+        backend=task.backend,
+        plan_cache=cache,
+        context=context,
+    )
     return (
         task.row_lo,
         task.row_hi,
@@ -1118,10 +1032,15 @@ class _StoreShardTask:
     exclude: Tuple[str, ...] = ()
     use_prefilter: bool = True
     use_bfs: bool = True
-    n_samples: int = 100
+    n_samples: Optional[int] = None
     seed_base: Optional[int] = None
     attempt: int = 0
     faults: Optional[object] = None
+
+    @property
+    def label(self) -> str:
+        """How supervisor events name this shard."""
+        return f"store shard {self.shard_id}"
 
 
 # worker-local resumable reverse-BFS labellings, keyed by
@@ -1151,13 +1070,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
     """
     from functools import partial
 
-    from repro.core.batch import (
-        batch_exists_multi,
-        batch_ktimes_distribution,
-        batch_mc_exists,
-        batch_ob_exists,
-        batch_qb_exists,
-    )
+    from repro.core.batch import evaluate_rows
     from repro.core.query import SpatioTemporalWindow
     from repro.database.pruning import reachability_levels
     from repro.exec.operators import BFS_PRUNE, ExecutionContext
@@ -1198,7 +1111,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
         "prefilter_pruned": 0,
         "bfs_pruned": 0,
     }
-    first_times = view.first_times()
+    start_time = view.start_time
     values: Dict[str, object] = {}
 
     def drop(keep: np.ndarray) -> int:
@@ -1242,7 +1155,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
             )
             mbrs = view.mbrs()[candidates]
             horizons = np.maximum(
-                window.t_end - first_times[candidates], 0
+                window.t_end - start_time[candidates], 0
             ).astype(float)
             margin = horizons * float(view.displacement_bound)
             stats["prefilter_pruned"] = drop(~(
@@ -1261,8 +1174,8 @@ def _evaluate_store_shard(task: _StoreShardTask):
                     reachability_levels, chain, window.region,
                     cache=_STORE_BFS,
                 ),
-                view.first_block(candidates),
-                first_times[candidates],
+                view.block(candidates),
+                start_time[candidates],
                 window.t_end,
             ),
             region=window.region,
@@ -1271,69 +1184,31 @@ def _evaluate_store_shard(task: _StoreShardTask):
 
     # stage 3: the exact same kernels the serial pipeline runs
     if candidates.size:
-        # by_object: kernels that need every observation (sampling,
-        # Section VI fusion); by_block: first observations only
-        multi = view.is_multi()[candidates]
-        if task.method == "mc":
-            by_object, by_block = candidates, candidates[:0]
-        elif task.kind == "ktimes":
-            by_object, by_block = candidates[:0], candidates
-        else:
-            by_object, by_block = candidates[multi], candidates[~multi]
-        sets = [view.observations_of(int(i)) for i in by_object]
-        seeds = [
-            None if task.seed_base is None
-            else int(task.seed_base) + int(view.obj_dbindex[i])
-            for i in by_object
-        ]
-        answers = None
-        if task.kind == "ktimes" and task.method == "mc":
-            from repro.core.montecarlo import MonteCarloSampler
-
-            sampler = MonteCarloSampler(chain)
-            answers = []
-            for observations, seed in zip(sets, seeds):
-                sampler.reseed(seed)
-                answers.append(sampler.ktimes_distribution(
-                    observations.first.distribution,
-                    window,
-                    task.n_samples,
-                    start_time=observations.first.time,
-                ))
-        elif task.method == "mc":
-            answers = batch_mc_exists(
-                chain, sets, window,
-                n_samples=task.n_samples, seeds=seeds,
-                context=context,
+        seeds = None
+        if task.method == "mc" and task.seed_base is not None:
+            seeds = (
+                int(task.seed_base) + view.obj_dbindex[candidates]
             ).tolist()
-        elif sets:
-            answers = batch_exists_multi(
-                chain, sets, window,
-                backend=task.backend, plan_cache=cache,
-                context=context,
-            ).tolist()
-        if answers is not None:
-            values.update(zip(object_ids[by_object].tolist(), answers))
-        if by_block.size:
-            if task.kind == "ktimes":
-                evaluate = batch_ktimes_distribution
-            elif task.method == "qb":
-                evaluate = batch_qb_exists
-            else:
-                evaluate = batch_ob_exists
-            answers = evaluate(
-                chain,
-                view.first_block(by_block),
-                window,
-                start_times=first_times[by_block],
-                backend=task.backend,
-                plan_cache=cache,
-                context=context,
-            )
-            values.update(zip(
-                object_ids[by_block].tolist(),
-                answers if task.kind == "ktimes" else answers.tolist(),
-            ))
+        answers = evaluate_rows(
+            chain,
+            window,
+            task.kind,
+            task.method,
+            candidates,
+            block=view.block,
+            start_time=start_time,
+            is_multi=view.is_multi,
+            observation_sets=view.observation_sets,
+            n_samples=task.n_samples,
+            seeds=seeds,
+            backend=task.backend,
+            plan_cache=cache,
+            context=context,
+        )
+        values.update(zip(
+            object_ids[candidates].tolist(),
+            answers if task.kind == "ktimes" else answers.tolist(),
+        ))
     return (
         task.shard_id,
         values,
@@ -1345,58 +1220,278 @@ def _evaluate_store_shard(task: _StoreShardTask):
 
 
 # ----------------------------------------------------------------------
-# parent-side entry point
+# the supervisor
 # ----------------------------------------------------------------------
+def supervise(
+    tasks: Sequence,
+    worker_fn,
+    *,
+    max_workers: int,
+    policy,
+    deadline: float,
+    context=None,
+    faults=None,
+    exhausted,
+) -> list:
+    """Run ``worker_fn(task)`` for every task on the worker pool and
+    survive what the pool does meanwhile; results in task order.
+
+    The one recovery loop of process dispatch -- both scatter paths
+    run under it.  Every attempt has ``deadline`` seconds.  A worker
+    crash (``BrokenProcessPool``) or an overrun tears the poisoned
+    pool down, rebuilds it and resubmits every unfinished task with
+    exponential backoff; only the culprits' attempt counters advance,
+    so a fault rule matching ``attempt`` stays deterministic per task.
+    An :class:`~repro.core.errors.ExecutionError` from a worker on a
+    healthy pool retries that task alone; any other exception, and
+    :class:`~repro.core.errors.SegmentLostError` (a retry would name
+    the same vanished segment), passes through.  A pool that breaks
+    while the parent is still scattering is replaced, with the tasks
+    already on it, at most ``policy.max_retries + 2`` times per call.
+
+    ``exhausted(index, task, error_type, reason)`` is the one thing
+    callers differ in: what becomes of a task that used up
+    ``policy.max_retries`` (or of every unfinished task, once the
+    scatter used up its pool replacements).  It raises -- typically
+    ``error_type`` -- or returns the result to use in the worker's
+    place.
+
+    Tasks are frozen dataclasses with ``attempt`` and ``label``;
+    ``faults`` fires ``dispatch:submit`` (info ``index``, ``attempt``,
+    ``label``) in the parent before each submission.
+    """
+    attempts = [0] * len(tasks)
+    results: Dict[int, object] = {}
+    # future -> (task index, submission time)
+    inflight: Dict[object, Tuple[int, float]] = {}
+    replacements = policy.max_retries + 2
+    executor, owned = _acquire_executor(max_workers)
+
+    def _record(message: str) -> None:
+        if context is not None:
+            context.record_event(message)
+
+    def _unfinished() -> set:
+        return {index for index, _since in inflight.values()}
+
+    def _give_up(indices, error_type, reason: str) -> None:
+        # `inflight` is left alone while `exhausted` runs: if it
+        # raises, the drain below still waits for those futures
+        for index in indices:
+            task = _dc_replace(tasks[index], attempt=attempts[index])
+            results[index] = exhausted(index, task, error_type, reason)
+
+    def _abandon_inflight() -> None:
+        for future in inflight:
+            future.cancel()
+        inflight.clear()
+
+    def _replace_pool() -> None:
+        nonlocal executor, owned
+        _abandon_inflight()  # the caller resubmits their tasks
+        _release_executor(executor, owned)
+        executor, owned = _acquire_executor(max_workers)
+
+    def _backoff(attempt: int) -> None:
+        if policy.backoff_seconds > 0 and attempt > 0:
+            _time.sleep(
+                policy.backoff_seconds * (2 ** (attempt - 1))
+            )
+
+    def _submit(indices) -> None:
+        nonlocal replacements
+        queue = sorted(indices)
+        while queue:
+            index = queue[0]
+            task = _dc_replace(tasks[index], attempt=attempts[index])
+            try:
+                if faults is not None:
+                    faults.fire(
+                        "dispatch:submit",
+                        index=index,
+                        attempt=task.attempt,
+                        label=task.label,
+                    )
+                future = executor.submit(worker_fn, task)
+            except BrokenProcessPool:
+                # a worker died while we were still scattering: the
+                # pool takes no new submissions and every future
+                # already on it is doomed, so they move with the rest
+                _invalidate_executor(executor)
+                queue = sorted(set(queue) | _unfinished())
+                if not replacements:
+                    _give_up(
+                        queue,
+                        WorkerCrashError,
+                        f"worker pool broke {policy.max_retries + 2} "
+                        f"times during scatter",
+                    )
+                    _abandon_inflight()
+                    return
+                replacements -= 1
+                _replace_pool()
+                _record(
+                    "worker pool replaced mid-submit "
+                    "(worker crash during scatter)"
+                )
+                continue
+            inflight[future] = (queue.pop(0), _time.monotonic())
+
+    def _rebuild_pool(culprits: List[int], error_type, reason: str) -> None:
+        """Replace the poisoned pool; resubmit every unfinished task."""
+        # culprits reported through a completed future (worker crash)
+        # are already popped from `inflight`; expired ones are still
+        # in it -- the union covers both paths
+        pending = _unfinished() | set(culprits)
+        _invalidate_executor(executor)
+        for index in culprits:
+            attempts[index] += 1
+        _give_up(
+            [i for i in culprits if attempts[i] > policy.max_retries],
+            error_type,
+            reason,
+        )
+        pending -= set(results)
+        _replace_pool()
+        _record(
+            f"worker pool rebuilt ({reason}); resubmitted "
+            f"{len(pending)} shard(s)"
+        )
+        _backoff(max(attempts[index] for index in culprits))
+        _submit(pending)
+
+    try:
+        _submit(range(len(tasks)))
+        while inflight:
+            expiry = deadline + min(
+                since for _index, since in inflight.values()
+            )
+            done, _running = _wait_futures(
+                list(inflight),
+                timeout=max(0.0, expiry - _time.monotonic()),
+                return_when=FIRST_COMPLETED,
+            )
+            crashed: List[int] = []
+            retried: List[int] = []
+            for future in done:
+                index, _since = inflight.pop(future)
+                try:
+                    results[index] = future.result()
+                except BrokenProcessPool:
+                    crashed.append(index)
+                except SegmentLostError:
+                    raise
+                except ExecutionError as error:
+                    # injected / transient worker-side failure with a
+                    # healthy pool: retry just this task
+                    attempts[index] += 1
+                    if attempts[index] > policy.max_retries:
+                        _give_up([index], WorkerCrashError, str(error))
+                        continue
+                    _record(
+                        f"{tasks[index].label} retried after worker "
+                        f"fault (attempt {attempts[index]}): {error}"
+                    )
+                    retried.append(index)
+            if crashed:
+                # the pool is poisoned: every unfinished future is
+                # doomed, so rebuild once and resubmit them all; the
+                # crashed tasks are the culprits
+                _rebuild_pool(crashed, WorkerCrashError, "worker crash")
+            for index in retried:
+                # after any rebuild, so the retry lands on a live pool
+                _backoff(attempts[index])
+                _submit([index])
+            if crashed:
+                continue
+            now = _time.monotonic()
+            expired = sorted(
+                index
+                for index, since in inflight.values()
+                if now - since >= deadline
+            )
+            if expired:
+                _rebuild_pool(
+                    expired,
+                    TaskTimeoutError,
+                    f"deadline of {deadline:.3g}s exceeded",
+                )
+        return [results[index] for index in range(len(tasks))]
+    finally:
+        # on an early exception, queued tasks are cancelled and running
+        # ones drained *before* the caller releases what they read (a
+        # worker must never observe a mid-query unlink).  The drain is
+        # bounded: a hung worker's future is abandoned rather than
+        # stalling the caller forever (unlink-while-mapped is safe;
+        # the straggler fails on attach and reports to a dead pipe)
+        leftovers = list(inflight)
+        for future in leftovers:
+            future.cancel()
+        _wait_futures(leftovers, timeout=5.0)
+        _release_executor(executor, owned)
+
+
+# ----------------------------------------------------------------------
+# parent-side entry points
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class GroupTask:
+    """One chain group's pool-bound rows, as
+    :func:`run_groups_in_processes` takes them.
+
+    ``qb`` / ``ob`` / ``ct`` groups ship first observations:
+    ``members`` is the ``(object ids, start times, SupportBlock)``
+    triple of their cohort rows, and ``qb`` / ``ob`` carry the
+    ``matrices`` the parent resolved (so the publication is the same
+    artefact the serial path would use; the C(t) sweep needs only the
+    chain CSR).  ``multi`` / ``mc`` groups ship every observation:
+    ``members`` is a list of
+    :class:`~repro.database.objects.UncertainObject`, ``mc`` with
+    ``n_samples`` and one seed per member.  ``backend`` is the
+    planner's per-group decision, adopted by the workers' kernels.
+    """
+
+    chain: object
+    method: str
+    members: object
+    backend: Optional[str] = None
+    matrices: Optional[object] = None
+    n_samples: Optional[int] = None
+    seeds: Optional[Sequence[Optional[int]]] = None
+
+
 def run_groups_in_processes(
-    tasks: Sequence[Tuple[object, object, list, str]],
+    tasks: Sequence[GroupTask],
     window,
     *,
     max_workers: int,
     shard_min_objects: int,
-    backend: Optional[str] = None,
-    plan_cache=None,
     context=None,
     policy=None,
     predicted_seconds: Optional[float] = None,
     faults=None,
 ) -> Tuple[Dict[str, object], List[float]]:
-    """Evaluate single-observation chain groups across worker processes.
+    """Evaluate chain groups across worker processes.
 
-    Submission runs under a supervisor: every shard attempt gets the
-    deadline priced by ``policy`` from ``predicted_seconds`` (the cost
-    model's estimate for the whole dispatch call), a worker crash or a
-    deadline overrun tears down the poisoned pool, rebuilds it and
-    resubmits only the unfinished shards (with exponential backoff),
-    and exhausted retries raise
+    Every group's arrays are published to shared memory, its rows cut
+    into shards, and the shards run under :func:`supervise` with the
+    deadline ``policy`` prices from ``predicted_seconds`` (the cost
+    model's estimate for the whole dispatch call).  A shard that
+    exhausts its retries raises
     :class:`~repro.core.errors.WorkerCrashError` /
     :class:`~repro.core.errors.TaskTimeoutError`.  A lost or corrupt
     segment raises :class:`~repro.core.errors.SegmentLostError`
-    immediately (a resubmitted task would name the same vanished
-    segment) after dropping the publication cache, so the caller can
-    degrade tiers and the *next* dispatch republishes cleanly.
+    immediately after dropping the publication cache, so the caller
+    can degrade tiers and the *next* dispatch republishes cleanly.
 
     Args:
-        tasks: ``(chain, matrices, members, method)`` per chain group,
-            with ``matrices`` the group's absorbing matrices (resolved
-            in the parent so the publication is the same artefact the
-            serial path would use; ``None`` for ``method="ct"``
-            k-times groups, whose stacked sweep needs only the chain
-            CSR).  ``members`` is the ``(object ids, start times,
-            SupportBlock)`` triple of the group's cohort rows for the
-            single-observation methods (``qb``/``ob``/``ct``) and a
-            list of :class:`~repro.database.objects.UncertainObject`
-            for ``multi``/``mc``, which ship every observation.
-            An optional fifth element overrides ``backend`` per group
-            (the planner's per-group backend decision) -- workers
-            rehydrating the shard adopt that backend's kernels on
-            their shared-memory CSR views.
+        tasks: one :class:`GroupTask` per chain group.
         window: the evaluated window.
         max_workers: pool size.
-        shard_min_objects: smallest within-chain shard; stacked-sweep
-            groups (``"ob"`` exists, ``"ct"`` k-times) are split into
-            up to ``max_workers`` shards of at least this many rows.
-        backend: linear-algebra backend name.
-        plan_cache: parent cache (only used to keep artefacts shared).
+        shard_min_objects: smallest within-chain shard; every method
+            but ``qb`` (whose one backward pass serves the group) is
+            split into up to ``max_workers`` shards of at least this
+            many rows.
         context: parent :class:`~repro.exec.operators.ExecutionContext`
             receiving the merged worker timings and the supervisor's
             recovery events.
@@ -1406,7 +1501,8 @@ def run_groups_in_processes(
             the per-attempt deadline.
         faults: optional
             :class:`~repro.exec.faults.FaultInjector`, threaded into
-            worker tasks and fired at ``dispatch:published``.
+            worker tasks and fired at ``dispatch:published`` and
+            ``dispatch:submit``.
 
     Returns:
         ``(values, group_seconds)``: per-object answers across all
@@ -1421,20 +1517,12 @@ def run_groups_in_processes(
         from repro.core.planner import SupervisorPolicy
 
         policy = SupervisorPolicy()
-    deadline = policy.deadline(predicted_seconds or 0.0)
-
     publisher = _publisher()
-    executor, owned = _acquire_executor(max_workers)
     stack_segments: List[shared_memory.SharedMemory] = []
-    group_seconds: List[float] = []
+    group_seconds = [0.0] * len(tasks)
     lease = publisher.acquire()
-
     shards: List[_ShardTask] = []
     shard_meta: List[Tuple[List[str], int]] = []  # (ids, task_index)
-    attempts: List[int] = []
-    results: Dict[int, tuple] = {}
-    inflight: Dict[object, int] = {}  # future -> shard index
-    submitted_at: Dict[object, float] = {}
 
     def _fire_published(handle: Optional[SharedCSR], kind: str) -> None:
         if faults is not None and handle is not None:
@@ -1442,115 +1530,33 @@ def run_groups_in_processes(
                 "dispatch:published", name=handle.data[0], kind=kind
             )
 
-    def _submit(index: int) -> None:
-        nonlocal executor, owned
-        task = shards[index]
-        if task.attempt != attempts[index]:
-            task = _dc_replace(task, attempt=attempts[index])
-        for _try in range(policy.max_retries + 2):
-            try:
-                future = executor.submit(_evaluate_shard, task)
-                break
-            except BrokenProcessPool:
-                # a worker died while we were still scattering: the
-                # pool is unusable for *new* submissions too.  Only
-                # the handle is swapped; futures in flight on the dead
-                # pool surface the crash at result() and take the
-                # normal recovery path
-                _invalidate_executor(executor)
-                _release_executor(executor, owned)
-                executor, owned = _acquire_executor(max_workers)
-                _record(
-                    "worker pool replaced mid-submit "
-                    "(worker crash during scatter)"
-                )
-        else:  # pools keep dying under the scatter: degrade the tier
-            raise WorkerCrashError(
-                f"shard rows [{task.row_lo}, {task.row_hi}) "
-                f"({task.method}) could not be submitted: worker pool "
-                f"broke {policy.max_retries + 2} times during scatter"
-            )
-        inflight[future] = index
-        submitted_at[future] = _time.monotonic()
-
-    def _check_exhausted(index: int, error_type, reason: str) -> None:
-        if attempts[index] <= policy.max_retries:
-            return
-        task = shards[index]
+    def _exhausted(index, task, error_type, reason):
         raise error_type(
-            f"shard rows [{task.row_lo}, {task.row_hi}) "
-            f"({task.method}) failed after "
-            f"{attempts[index]} retr"
-            f"{'y' if attempts[index] == 1 else 'ies'}: {reason}"
+            f"{task.label} failed after {task.attempt} retr"
+            f"{'y' if task.attempt == 1 else 'ies'}: {reason}"
         )
-
-    def _record(message: str) -> None:
-        if context is not None:
-            context.record_event(message)
-
-    def _backoff(attempt: int) -> None:
-        if policy.backoff_seconds > 0 and attempt > 0:
-            _time.sleep(
-                policy.backoff_seconds * (2 ** (attempt - 1))
-            )
-
-    def _rebuild_pool(culprits: List[int], error_type, reason: str) -> None:
-        """Replace the poisoned pool; resubmit every unfinished shard.
-
-        Only the culprit shards' attempt counters advance -- innocent
-        shards torn down with the pool are resubmitted at their
-        current attempt, so a fault rule matching ``attempt`` stays
-        deterministic per shard.
-        """
-        nonlocal executor, owned
-        # culprits reported through a completed future (worker crash)
-        # are already popped from `inflight`; expired ones are still
-        # in it -- the union covers both paths
-        pending = sorted(set(inflight.values()) | set(culprits))
-        _invalidate_executor(executor)
-        for index in culprits:
-            attempts[index] += 1
-        for index in culprits:
-            _check_exhausted(index, error_type, reason)
-        for future in list(inflight):
-            future.cancel()
-        inflight.clear()
-        submitted_at.clear()
-        _release_executor(executor, owned)
-        executor, owned = _acquire_executor(max_workers)
-        _record(
-            f"worker pool rebuilt ({reason}); resubmitted "
-            f"{len(pending)} shard(s)"
-        )
-        _backoff(max(attempts[index] for index in culprits))
-        for index in pending:
-            _submit(index)
 
     try:
-        for task_index, task_tuple in enumerate(tasks):
-            chain, matrices, members, method = task_tuple[:4]
-            task_backend = (
-                task_tuple[4] if len(task_tuple) > 4 else backend
+        for task_index, group in enumerate(tasks):
+            chain, method, members = (
+                group.chain, group.method, group.members
             )
-            group_seconds.append(0.0)
             by_observation = method in ("multi", "mc")
             if not len(members if by_observation else members[0]):
                 continue
             fingerprint, chain_handle = publisher.chain(chain, lease)
             _fire_published(chain_handle, "chain")
-            if matrices is not None:
+            if group.matrices is not None:
                 minus_h, plus_h, minus_t_h, plus_t_h = (
                     publisher.absorbing(
-                        chain, matrices, task_backend, lease
+                        chain, group.matrices, group.backend, lease
                     )
                 )
                 _fire_published(minus_h, "absorbing")
-            else:  # ct: the chain CSR is the whole matrix payload
+            else:  # the chain CSR is the whole matrix payload
                 minus_h = plus_h = minus_t_h = plus_t_h = None
-            obs_times_meta = obj_indptr_meta = None
+            obs_times = obj_indptr = None
             mc_cdf_meta = mc_targets_meta = None
-            seeds: Optional[Tuple[Optional[int], ...]] = None
-            n_samples = 100
             if by_observation:
                 # one stacked row per *observation*, plus the small
                 # times/indptr maps that slice them back per object
@@ -1567,21 +1573,8 @@ def run_groups_in_processes(
                 )
                 starts = tuple(obj.initial.time for obj in members)
                 ids = [obj.object_id for obj in members]
-                obs_times_meta = _publish_array(
-                    np.asarray(times_flat, dtype=np.int64),
-                    stack_segments,
-                )
-                obj_indptr_meta = _publish_array(
-                    np.asarray(indptr, dtype=np.int64),
-                    stack_segments,
-                )
-                extras = (
-                    task_tuple[5] if len(task_tuple) > 5 else {}
-                ) or {}
-                n_samples = int(extras.get("n_samples", 100))
-                raw_seeds = extras.get("seeds")
-                if raw_seeds is not None:
-                    seeds = tuple(raw_seeds)
+                obs_times = np.asarray(times_flat, dtype=np.int64)
+                obj_indptr = np.asarray(indptr, dtype=np.int64)
                 if method == "mc":
                     tables = publisher.mc_tables(chain, lease)
                     if tables is not None:
@@ -1599,7 +1592,9 @@ def run_groups_in_processes(
             _fire_published(stack_handle, "stack")
 
             n_rows = len(ids)
-            if method in ("ob", "ct", "multi", "mc"):
+            if method == "qb":
+                n_shards = 1  # one backward pass serves the group
+            else:
                 n_shards = max(
                     1,
                     min(
@@ -1607,8 +1602,6 @@ def run_groups_in_processes(
                         n_rows // max(1, shard_min_objects) or 1,
                     ),
                 )
-            else:
-                n_shards = 1  # qb: one backward pass serves the group
             bounds = np.linspace(
                 0, n_rows, n_shards + 1, dtype=int
             )
@@ -1630,11 +1623,14 @@ def run_groups_in_processes(
                         region=tuple(sorted(window.region)),
                         times=tuple(sorted(window.times)),
                         method=method,
-                        backend=task_backend,
-                        obs_times=obs_times_meta,
-                        obj_indptr=obj_indptr_meta,
-                        n_samples=n_samples,
-                        seeds=seeds,
+                        backend=group.backend,
+                        obs_times=obs_times,
+                        obj_indptr=obj_indptr,
+                        n_samples=group.n_samples,
+                        seeds=(
+                            None if group.seeds is None
+                            else tuple(group.seeds)
+                        ),
                         mc_cdf=mc_cdf_meta,
                         mc_targets=mc_targets_meta,
                         verify=policy.verify_segments,
@@ -1642,111 +1638,43 @@ def run_groups_in_processes(
                     )
                 )
                 shard_meta.append((ids, task_index))
-                attempts.append(0)
 
-        for index in range(len(shards)):
-            _submit(index)
-
-        # -- supervised collection -----------------------------------
-        while inflight:
-            now = _time.monotonic()
-            expiry = min(
-                submitted_at[future] for future in inflight
-            ) + deadline
-            done, _running = _wait_futures(
-                list(inflight),
-                timeout=max(0.0, expiry - now),
-                return_when=FIRST_COMPLETED,
+        try:
+            results = supervise(
+                shards,
+                _evaluate_shard,
+                max_workers=max_workers,
+                policy=policy,
+                deadline=policy.deadline(predicted_seconds or 0.0),
+                context=context,
+                faults=faults,
+                exhausted=_exhausted,
             )
-            crashed: List[int] = []
-            retried: List[int] = []
-            for future in done:
-                index = inflight.pop(future)
-                submitted_at.pop(future, None)
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool:
-                    crashed.append(index)
-                except SegmentLostError:
-                    # a retry would name the same vanished segment;
-                    # drop the publication cache so the next dispatch
-                    # republishes, and let the caller degrade tiers
-                    publisher.forget()
-                    raise
-                except ExecutionError as error:
-                    # injected / transient worker-side failure with a
-                    # healthy pool: retry just this shard
-                    attempts[index] += 1
-                    _check_exhausted(
-                        index, WorkerCrashError, str(error)
-                    )
-                    _record(
-                        f"shard rows [{shards[index].row_lo}, "
-                        f"{shards[index].row_hi}) retried after "
-                        f"worker fault (attempt {attempts[index]}): "
-                        f"{error}"
-                    )
-                    retried.append(index)
-            if crashed:
-                # the pool is poisoned: every unfinished future is
-                # doomed, so rebuild once and resubmit them all; the
-                # crashed shards are the culprits
-                _rebuild_pool(
-                    crashed, WorkerCrashError, "worker crash"
-                )
-            for index in retried:
-                # after any rebuild, so the retry lands on a live pool
-                _backoff(attempts[index])
-                _submit(index)
-            if crashed:
-                continue
-            now = _time.monotonic()
-            expired = sorted(
-                {
-                    inflight[future]
-                    for future in inflight
-                    if now - submitted_at[future] >= deadline
-                }
-            )
-            if expired:
-                _rebuild_pool(
-                    expired,
-                    TaskTimeoutError,
-                    f"deadline of {deadline:.3g}s exceeded",
-                )
+        except SegmentLostError:
+            # drop the publication cache so the next dispatch
+            # republishes, and let the caller degrade tiers
+            publisher.forget()
+            raise
 
         values: Dict[str, object] = {}
-        for index in sorted(results):
-            ids, task_index = shard_meta[index]
-            row_lo, _row_hi, shard_values, timings, elapsed = (
-                results[index]
-            )
-            shard_values = np.asarray(shard_values)
-            for offset, answer in enumerate(shard_values):
-                values[ids[row_lo + offset]] = (
-                    # ct shards return one count distribution per row
-                    np.asarray(answer, dtype=float)
-                    if shard_values.ndim == 2
-                    else float(answer)
-                )
+        for (ids, task_index), result in zip(shard_meta, results):
+            row_lo, row_hi, shard_values, timings, elapsed = result
+            values.update(zip(
+                ids[row_lo:row_hi],
+                # ct shards return one count distribution per row
+                shard_values
+                if shard_values.ndim == 2
+                else shard_values.tolist(),
+            ))
             group_seconds[task_index] += elapsed
             if context is not None:
                 context.merge(timings)
         return values, group_seconds
     finally:
-        # on an early exception, queued shards are cancelled and
-        # running ones drained *before* their segments vanish -- a
-        # worker must never observe a mid-query unlink.  The drain is
-        # bounded: a hung worker's future is abandoned rather than
-        # stalling the caller forever (unlink-while-mapped is safe;
-        # the straggler fails on attach and reports to a dead pipe)
-        leftovers = list(inflight)
-        for future in leftovers:
-            future.cancel()
-        _wait_futures(leftovers, timeout=5.0)
+        # supervise() has drained its futures by now: no worker
+        # observes these unlinks mid-shard
         _unlink_segments(stack_segments)
         publisher.release(lease)
-        _release_executor(executor, owned)
 
 
 def run_store_shards(
@@ -1758,7 +1686,7 @@ def run_store_shards(
     max_workers: int,
     use_prefilter: bool = True,
     use_bfs: bool = True,
-    n_samples: int = 100,
+    n_samples: Optional[int] = None,
     seed_base: Optional[int] = None,
     context=None,
     policy=None,
@@ -1771,11 +1699,10 @@ def run_store_shards(
     workers memory-map the store's columnar slabs directly (shared
     through the OS page cache, attached once per process and reused
     across queries) and run prefilter -> BFS-prune -> kernel entirely
-    shard-local.  The same supervisor covers worker loss -- crashes
-    and deadline overruns rebuild the pool and resubmit with backoff
-    -- but exhausted retries *degrade shard -> parent* instead of
-    raising: the parent evaluates the shard in-process from the same
-    slabs, so the query always completes exactly.
+    shard-local.  The shards run under the same :func:`supervise`
+    loop, but a shard that exhausts its retries *degrades shard ->
+    parent* instead of raising: the parent evaluates it in-process
+    from the same slabs, so the query always completes exactly.
 
     Args:
         store: a :class:`~repro.store.sharded.ShardedTrajectoryStore`
@@ -1807,13 +1734,10 @@ def run_store_shards(
         from repro.core.planner import SupervisorPolicy
 
         policy = SupervisorPolicy()
-    deadline = policy.deadline(predicted_seconds or 0.0)
-
     exclusions = store.shard_exclusions()
     region = tuple(sorted(window.region))
     times = tuple(sorted(window.times))
     shards: List[_StoreShardTask] = []
-    shard_chain: List[str] = []
     for chain_id, method, task_backend in groups:
         for entry in store.store_shards(chain_id):
             if not entry.get("n_objects"):
@@ -1841,7 +1765,6 @@ def run_store_shards(
                     faults=faults,
                 )
             )
-            shard_chain.append(str(chain_id))
 
     values: Dict[str, object] = {}
     chain_seconds: Dict[str, float] = {
@@ -1858,169 +1781,40 @@ def run_store_shards(
     if not shards:
         return values, chain_seconds, stats
 
-    executor, owned = _acquire_executor(max_workers)
-    attempts = [0] * len(shards)
-    results: Dict[int, tuple] = {}
-    inflight: Dict[object, int] = {}  # future -> shard index
-    submitted_at: Dict[object, float] = {}
-
-    def _record(message: str) -> None:
-        if context is not None:
-            context.record_event(message)
-
-    def _swap_pool(reason: str) -> None:
-        """Replace a pool that died under us without resubmitting.
-
-        In-flight futures on the dead pool surface
-        :class:`BrokenProcessPool` at ``result()`` and take the normal
-        crash-recovery path; only the executor handle is swapped here.
-        """
-        nonlocal executor, owned
-        _invalidate_executor(executor)
-        _release_executor(executor, owned)
-        executor, owned = _acquire_executor(max_workers)
-        _record(f"worker pool replaced mid-submit ({reason})")
-
-    def _submit(index: int) -> None:
-        task = shards[index]
-        if task.attempt != attempts[index]:
-            task = _dc_replace(task, attempt=attempts[index])
-        while True:
-            try:
-                future = executor.submit(_evaluate_store_shard, task)
-                break
-            except BrokenProcessPool:
-                # a worker died while we were still scattering: the
-                # pool is unusable for *new* submissions too
-                _swap_pool("worker crash during scatter")
-        inflight[future] = index
-        submitted_at[future] = _time.monotonic()
-
-    def _backoff(attempt: int) -> None:
-        if policy.backoff_seconds > 0 and attempt > 0:
-            _time.sleep(
-                policy.backoff_seconds * (2 ** (attempt - 1))
-            )
-
-    def _fallback(index: int, reason: str) -> None:
+    def _exhausted(index, task, error_type, reason):
         """Degrade an exhausted shard to in-parent evaluation.
 
         The parent maps the same slabs the worker would have, so the
         answers are identical -- availability degrades (one shard runs
         serially) but exactness never does.
         """
-        task = _dc_replace(
-            shards[index], attempt=attempts[index], faults=None
-        )
-        results[index] = _evaluate_store_shard(task)
+        result = _evaluate_store_shard(_dc_replace(task, faults=None))
         stats["parent_fallbacks"] += 1
-        _record(
-            f"store shard {task.shard_id} degraded to parent "
-            f"after {reason}"
-        )
-
-    def _rebuild_pool(culprits: List[int], reason: str) -> None:
-        nonlocal executor, owned
-        pending = sorted(set(inflight.values()) | set(culprits))
-        _invalidate_executor(executor)
-        for index in culprits:
-            attempts[index] += 1
-        for future in list(inflight):
-            future.cancel()
-        inflight.clear()
-        submitted_at.clear()
-        _release_executor(executor, owned)
-        executor, owned = _acquire_executor(max_workers)
-        _record(
-            f"worker pool rebuilt ({reason}); resubmitted "
-            f"{len(pending)} store shard(s)"
-        )
-        _backoff(max(attempts[index] for index in culprits))
-        for index in culprits:
-            if attempts[index] > policy.max_retries:
-                _fallback(index, reason)
-        for index in pending:
-            if index in results:  # answered by the parent fallback
-                continue
-            _submit(index)
-
-    try:
-        for index in range(len(shards)):
-            _submit(index)
-
-        while inflight:
-            now = _time.monotonic()
-            expiry = min(
-                submitted_at[future] for future in inflight
-            ) + deadline
-            done, _running = _wait_futures(
-                list(inflight),
-                timeout=max(0.0, expiry - now),
-                return_when=FIRST_COMPLETED,
+        if context is not None:
+            context.record_event(
+                f"{task.label} degraded to parent after {reason}"
             )
-            crashed: List[int] = []
-            retried: List[int] = []
-            for future in done:
-                index = inflight.pop(future)
-                submitted_at.pop(future, None)
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool:
-                    crashed.append(index)
-                except ExecutionError as error:
-                    attempts[index] += 1
-                    if attempts[index] > policy.max_retries:
-                        _fallback(index, str(error))
-                        continue
-                    _record(
-                        f"store shard {shards[index].shard_id} "
-                        f"retried after worker fault "
-                        f"(attempt {attempts[index]}): {error}"
-                    )
-                    retried.append(index)
-            if crashed:
-                _rebuild_pool(crashed, "worker crash")
-            for index in retried:
-                _backoff(attempts[index])
-                _submit(index)
-            if crashed:
-                continue
-            now = _time.monotonic()
-            expired = sorted(
-                {
-                    inflight[future]
-                    for future in inflight
-                    if now - submitted_at[future] >= deadline
-                }
-            )
-            if expired:
-                _rebuild_pool(
-                    expired,
-                    f"deadline of {deadline:.3g}s exceeded",
-                )
+        return result
 
-        for index in sorted(results):
-            (
-                _shard_id,
-                shard_values,
-                timings,
-                elapsed,
-                fresh,
-                shard_stats,
-            ) = results[index]
-            values.update(shard_values)
-            chain_seconds[shard_chain[index]] += elapsed
-            stats["fresh_attaches"] += 1 if fresh else 0
-            for key in (
-                "entering", "prefilter_pruned", "bfs_pruned"
-            ):
-                stats[key] += int(shard_stats.get(key, 0))
-            if context is not None:
-                context.merge(timings)
-        return values, chain_seconds, stats
-    finally:
-        leftovers = list(inflight)
-        for future in leftovers:
-            future.cancel()
-        _wait_futures(leftovers, timeout=5.0)
-        _release_executor(executor, owned)
+    results = supervise(
+        shards,
+        _evaluate_store_shard,
+        max_workers=max_workers,
+        policy=policy,
+        deadline=policy.deadline(predicted_seconds or 0.0),
+        context=context,
+        faults=faults,
+        exhausted=_exhausted,
+    )
+    for task, result in zip(shards, results):
+        _shard_id, shard_values, timings, elapsed, fresh, shard_stats = (
+            result
+        )
+        values.update(shard_values)
+        chain_seconds[task.chain_id] += elapsed
+        stats["fresh_attaches"] += 1 if fresh else 0
+        for key in ("entering", "prefilter_pruned", "bfs_pruned"):
+            stats[key] += int(shard_stats.get(key, 0))
+        if context is not None:
+            context.merge(timings)
+    return values, chain_seconds, stats

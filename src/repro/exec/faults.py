@@ -32,6 +32,13 @@ Sites currently wired through the engine:
     dispatch call; info carries ``name`` (segment) and ``kind``
     (``"chain"``/``"absorbing"``/``"stack"``) -- the site ``unlink``
     and ``corrupt`` actions target.
+``dispatch:submit``
+    parent side, inside :func:`repro.exec.dispatch.supervise`
+    immediately before each ``executor.submit`` of either scatter
+    path; info carries ``index`` (position in the scatter),
+    ``attempt`` and ``label``.  Raising ``BrokenProcessPool`` here
+    drives the kill-during-scatter window deterministically: the
+    supervisor replaces the pool and moves every unfinished task over.
 ``streaming:tick`` / ``streaming:commit``
     inside :meth:`~repro.core.streaming.StandingQuery.tick`, after the
     journal sync and after evaluation (before the commit point); info

@@ -234,20 +234,23 @@ class ShardView:
     def n_objects(self) -> int:
         return len(self.object_ids)
 
-    def first_times(self) -> np.ndarray:
+    # the columns below carry the names of
+    # :class:`~repro.database.cohort.Cohort`, so the kernels take
+    # either through :func:`repro.core.batch.evaluate_rows`
+    @property
+    def start_time(self) -> np.ndarray:
         """Per object: timestamp of its first observation."""
         return self.obs_times[self.obj_indptr[:-1]]
 
+    @property
     def is_multi(self) -> np.ndarray:
         """Per object: later observations exist (Section VI)."""
         return np.diff(self.obj_indptr) > 1
 
-    def first_block(self, indices: np.ndarray) -> SupportBlock:
+    def block(self, rows: np.ndarray) -> SupportBlock:
         """The first-observation distributions of the objects at
-        ``indices``, gathered from the slabs in one pass -- the
-        shard-local counterpart of
-        :meth:`repro.database.cohort.Cohort.block`."""
-        first = self.obj_indptr[:-1][indices]
+        ``rows``, gathered from the slabs in one pass."""
+        first = self.obj_indptr[:-1][rows]
         return SupportBlock.gather(
             self.n_states,
             self.states(),
@@ -256,27 +259,23 @@ class ShardView:
             self.obs_indptr[first + 1],
         )
 
-    def observations_of(self, index: int) -> ObservationSet:
-        """Materialise object ``index``'s observation set from the slab."""
-        lo, hi = int(self.obj_indptr[index]), int(self.obj_indptr[index + 1])
-        states = self.states()
-        weights = self.weights()
-        observations = []
-        for row in range(lo, hi):
-            a, b = int(self.obs_indptr[row]), int(self.obs_indptr[row + 1])
-            # weights are exact copies of the source vector entries,
-            # so the rebuilt dense row passes validation unchanged --
-            # normalising here would perturb bits the parity suite
-            # compares at 1e-12
-            observations.append(Observation(
-                int(self.obs_times[row]),
-                StateDistribution.from_support(
-                    self.n_states,
-                    np.asarray(states[a:b]),
-                    np.asarray(weights[a:b]),
-                ),
-            ))
-        return ObservationSet(tuple(observations))
+    def observation_sets(
+        self, rows: np.ndarray
+    ) -> List[ObservationSet]:
+        """Every observation of the objects at ``rows``."""
+        states, weights = self.states(), self.weights()
+        return [
+            ObservationSet.from_columns(
+                self.n_states,
+                self.obs_times[lo:hi],
+                self.obs_indptr[lo:hi + 1],
+                states,
+                weights,
+            )
+            for lo, hi in zip(
+                self.obj_indptr[rows], self.obj_indptr[rows + 1]
+            )
+        ]
 
 
 _ATTACH_LOCK = threading.Lock()
@@ -584,9 +583,9 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
             )
             cohort.extend(
                 view.object_ids,
-                view.first_block(np.arange(view.n_objects())),
-                view.first_times(),
-                view.is_multi(),
+                view.block(np.arange(view.n_objects())),
+                view.start_time,
+                view.is_multi,
             )
         for object_id in self._stale:
             for cohort in self._cohorts.values():

@@ -219,6 +219,35 @@ class TestSupervisedDispatch:
             for event in result.plan.degradations
         )
 
+    @pytest.mark.parametrize("index", [0, 1], ids=["first", "middle"])
+    def test_pool_break_during_scatter_is_replaced_once(self, index):
+        # dispatch:submit drives the kill-during-scatter window without
+        # touching the pool: the submission of shard `index` finds the
+        # pool broken, the supervisor swaps it and moves the shards
+        # already scattered over
+        from concurrent.futures.process import BrokenProcessPool
+
+        database = build_database(seed=14)
+        query = PSTExistsQuery(WINDOW)
+        reference = serial_reference(database, query)
+        faults = FaultInjector(
+            FaultSpec(
+                site="dispatch:submit",
+                action="raise",
+                exception=BrokenProcessPool,
+                match={"index": index, "attempt": 0},
+            )
+        )
+        result = QueryEngine(database).evaluate(
+            query, options=process_options(faults=faults)
+        )
+        assert_parity(result, reference)
+        assert faults.fired("dispatch:submit") == 1
+        assert [
+            "replaced mid-submit" in event
+            for event in result.plan.degradations
+        ] == [True]
+
     def test_next_query_after_kill_gets_a_fresh_pool(self):
         database = build_database(seed=13)
         query = PSTExistsQuery(WINDOW)

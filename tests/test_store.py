@@ -36,7 +36,9 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
+from repro.core import batch, pipeline
 from repro.core.planner import PlanOptions
+from repro.core.planner import SupervisorPolicy
 from repro.core.state_space import LineStateSpace
 from repro.core.streaming import StreamingQueryEngine
 from repro.exec import dispatch
@@ -369,6 +371,235 @@ class TestShardWorkers:
             "degraded to parent" in event
             for event in result.plan.degradations
         )
+
+
+    def test_pool_dead_at_every_submit_degrades_to_parent(
+        self, monkeypatch, database, store
+    ):
+        # every pool the supervisor acquires is already dead: the
+        # mid-scatter swap gives up after its bounded budget and the
+        # parent answers every shard itself, exactly
+        from concurrent.futures.process import BrokenProcessPool
+
+        class DeadPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("dead on arrival")
+
+        swaps = []
+
+        def acquire(max_workers):
+            swaps.append(max_workers)
+            return DeadPool(), True
+
+        monkeypatch.setattr(dispatch, "_acquire_executor", acquire)
+        monkeypatch.setattr(
+            dispatch, "_invalidate_executor", lambda executor: None
+        )
+        monkeypatch.setattr(
+            dispatch, "_release_executor", lambda executor, owned: None
+        )
+        expect = QueryEngine(database).evaluate(
+            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+        ).values
+        result = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW),
+            options=PlanOptions(
+                dispatch="process",
+                max_workers=2,
+                supervisor=SupervisorPolicy(
+                    max_retries=1, backoff_seconds=0.01
+                ),
+            ),
+        )
+        assert_parity(expect, result.values)
+        stats = result.plan.store_stats
+        assert stats["parent_fallbacks"] == stats["shards"] == 8
+        assert len(swaps) == 1 + 3  # first pool + (max_retries + 2) swaps
+
+    @pytest.mark.parametrize("index", [0, 3], ids=["first", "middle"])
+    def test_pool_break_during_scatter_is_replaced_once(
+        self, database, store, index
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+
+        faults = FaultInjector(
+            FaultSpec(
+                site="dispatch:submit",
+                action="raise",
+                exception=BrokenProcessPool,
+                match={"index": index, "attempt": 0},
+            )
+        )
+        expect = QueryEngine(database).evaluate(
+            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+        ).values
+        result = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW),
+            options=PlanOptions(
+                dispatch="process", max_workers=2, faults=faults
+            ),
+        )
+        assert_parity(expect, result.values)
+        assert result.plan.store_stats["parent_fallbacks"] == 0
+        assert [
+            "replaced mid-submit" in event
+            for event in result.plan.degradations
+        ] == [True]
+
+
+# ----------------------------------------------------------------------
+# one kernel table: every path picks the same kernel for the same rows
+# ----------------------------------------------------------------------
+def _kernel_database(with_multi: bool) -> TrajectoryDatabase:
+    """Rows observed before the window and at ``t_start``; with
+    ``with_multi`` every fourth early one also gets a later sighting
+    (k-times rejects those, so its database has none)."""
+    database = build_database(21, n_objects=32)
+    rng = np.random.default_rng(22)
+    for index in range(8):
+        database.add(
+            UncertainObject.with_distribution(
+                f"at-start-{index}",
+                make_object_distribution(N_STATES, 5, rng),
+                time=WINDOW.t_start,
+                chain_id=f"chain-{index % 2}",
+            )
+        )
+    if with_multi:
+        for object_id in [f"obj-{index}" for index in range(0, 32, 4)]:
+            # a sighting somewhere in the likelier half of where the
+            # object can be by then: informative, yet most sampled
+            # paths agree with it (MC needs one that does)
+            obj = database.get(object_id)
+            vector = np.asarray(obj.initial.distribution.vector, float)
+            for _ in range(WINDOW.t_start - obj.initial.time):
+                vector = vector @ database.chain(obj.chain_id).matrix
+            likely = np.flatnonzero(vector >= np.median(vector[vector > 0]))
+            database.append_observation(
+                object_id,
+                Observation.uniform(
+                    WINDOW.t_start, N_STATES, likely.tolist()
+                ),
+            )
+    return database
+
+
+@pytest.fixture(scope="module")
+def kernel_pairs(tmp_path_factory):
+    """``{with_multi: (database, store of it)}``."""
+    pairs = {}
+    for with_multi in (True, False):
+        database = _kernel_database(with_multi)
+        pairs[with_multi] = database, ShardedTrajectoryStore.create(
+            tmp_path_factory.mktemp("kernels") / "store",
+            database,
+            shards_per_chain=2,
+        )
+    return pairs
+
+
+_NO_RETRIES = SupervisorPolicy(
+    max_retries=0, backoff_seconds=0.0
+)
+
+
+class TestOneKernelTable:
+    @pytest.mark.parametrize(
+        "path", ["thread", "process", "store-serial", "store-scatter",
+                 "store-parent-fallback"],
+    )
+    @pytest.mark.parametrize("method", ["qb", "ob", "mc"])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            PSTExistsQuery(WINDOW),
+            PSTForAllQuery(WINDOW),
+            PSTKTimesQuery(WINDOW),
+            PSTKTimesQuery(WINDOW, k=2),
+        ],
+        ids=["exists", "forall", "ktimes-dist", "ktimes-k"],
+    )
+    def test_paths_agree_with_serial(
+        self, kernel_pairs, query, method, path
+    ):
+        database, store = kernel_pairs[
+            not isinstance(query, PSTKTimesQuery)
+        ]
+        kwargs = dict(method=method)
+        if method == "mc":
+            kwargs.update(allow_approximate=True, n_samples=30, seed=5)
+        expect = QueryEngine(database).evaluate(
+            query, options=PlanOptions(dispatch="serial", **kwargs)
+        ).values
+        if path == "store-serial":
+            kwargs.update(dispatch="serial")
+        elif path == "thread":
+            kwargs.update(dispatch="thread", max_workers=2)
+        else:
+            kwargs.update(dispatch="process", max_workers=2)
+        if path == "store-parent-fallback":
+            kwargs.update(
+                supervisor=_NO_RETRIES,
+                faults=FaultInjector(FaultSpec(
+                    site="worker:store-shard", action="raise", times=None
+                )),
+            )
+        target = database if path in ("thread", "process") else store
+        result = QueryEngine(target).evaluate(
+            query, options=PlanOptions(**kwargs)
+        )
+        # seeded MC is draw-for-draw; the exact kernels are the same
+        # kernels on the same rows
+        assert_parity(
+            expect, result.values, bound=0.0 if method == "mc" else 1e-12
+        )
+        if path == "store-parent-fallback":
+            stats = result.plan.store_stats
+            assert stats["parent_fallbacks"] == stats["shards"] == 4
+
+    def test_every_caller_goes_through_evaluate_rows(
+        self, monkeypatch, database, store
+    ):
+        import inspect
+        import sys
+
+        callers = []
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        real = batch.evaluate_rows
+        monkeypatch.setattr(batch, "evaluate_rows", counting)
+        monkeypatch.setattr(pipeline, "evaluate_rows", counting)
+        # run the worker entry points in this process, where the
+        # patched function can see them
+        monkeypatch.setattr(
+            dispatch,
+            "supervise",
+            lambda tasks, worker_fn, **_: [worker_fn(t) for t in tasks],
+        )
+        for target, options in [
+            (database, PlanOptions(dispatch="serial")),
+            (database, PlanOptions(dispatch="process", max_workers=2)),
+            (store, PlanOptions(dispatch="process", max_workers=2)),
+        ]:
+            QueryEngine(target).evaluate(
+                PSTExistsQuery(WINDOW), options=options
+            )
+        assert set(callers) == {
+            "_kernel", "_evaluate_shard", "_evaluate_store_shard"
+        }
+        # ...and nothing else picks a kernel behind its back
+        for module in (pipeline, dispatch):
+            source = inspect.getsource(module)
+            for kernel in (
+                "batch_exists_multi", "batch_mc_exists",
+                "batch_qb_exists", "batch_ob_exists",
+                "batch_ktimes_distribution", "ktimes_sweep",
+                ".ktimes_distribution(",
+            ):
+                assert kernel not in source, (module.__name__, kernel)
 
 
 class TestSlabResidency:
