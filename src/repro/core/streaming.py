@@ -26,18 +26,28 @@ the incremental values are bit-identical to re-evaluation from scratch
 :meth:`repro.core.engine.QueryEngine.watch`) and returns
 :class:`StandingQuery` handles whose :meth:`~StandingQuery.tick`
 
-* pulls the database's mutation journal
+* catches up with the database: objects live in the chain's
+  :class:`~repro.database.cohort.Cohort` -- the rows one-shot queries
+  plan over, patched from the mutation journal
   (:meth:`~repro.database.uncertain_db.TrajectoryDatabase.changes_since`)
-  and patches its state for objects entering, leaving, or being
-  re-sighted mid-stream;
-* advances all tracked backward columns by ``stride`` sparse products;
-* answers every single-observation object with one sparse GEMV per
-  start-time group (the object's support pdf against the column);
+  -- so entering objects are new rows (one batched BFS-threshold
+  gather per sync), leaving ones tombstones, re-sightings column
+  flips; the Python spent is per *changed* object;
+* advances the chain's backward columns by ``stride`` sparse products
+  (the ladder is one 2-D array, rungs x states);
+* answers every object whose evidence precedes the window -- single
+  observations and re-sighted objects collapsed to their Lemma 1
+  posterior alike -- with one gather over the supports against each
+  row's rung and one per-row reduction, per chain, however many
+  distinct start times there are.  The posterior of a re-sighting does
+  not depend on the query region: one table per chain, owned by the
+  engine, serves every standing query, so a re-sighting is filtered
+  once;
 * falls back to the exact PR-1 batched kernels
   (:func:`~repro.core.batch.batch_qb_exists` /
   :func:`~repro.core.batch.batch_exists_multi`) for objects the
   incremental identity does not cover: observations at or after the
-  current window start, and Section VI multi-observation objects;
+  current window start, single or Section VI;
 * reports a ``streaming`` stage on the executed
   :class:`~repro.core.planner.QueryPlan` with the per-tick candidate
   delta (objects whose BFS reachability threshold the sliding horizon
@@ -64,12 +74,18 @@ rejected, matching the batch pipeline's Definition 4 semantics.
 **Transactional ticks.**  A :meth:`StandingQuery.tick` either fully
 commits -- ladder rungs extended, journal cursor advanced, tick
 counter and window offset moved -- or rolls back to the pre-tick state
-and re-raises: a snapshot of every mutable field (cheap pointer
-copies; ladder vectors are never mutated in place) is restored on any
-exception, so a failed tick can simply be retried and resyncs from
-the database journal.  A standing query that keeps failing
-(``quarantine_after`` consecutive tick failures, default 3) is
-*quarantined* with the error recorded on :attr:`StandingQuery.error`;
+and re-raises: a snapshot of every mutable field (references only:
+threshold array, ladder slice, journal cursor, counters -- a tick
+replaces the threshold array and writes rungs only outside the
+snapshot's slice, and the shared posteriors are a pure function of
+the database) is restored on any exception, so a failed tick can
+simply be retried and resyncs from the database journal.  The cohort
+itself is shared with every other query and keeps being patched, so a
+tick works on the :class:`~repro.database.cohort.CohortView` it took
+at sync: rows and evidence times as of then, whatever lands later.  A
+standing query that
+keeps failing (``quarantine_after`` consecutive tick failures, default
+3) is *quarantined* with the error recorded on :attr:`StandingQuery.error`;
 ticking it raises
 :class:`~repro.core.errors.QuarantinedQueryError` until
 :meth:`StandingQuery.reset` rebuilds it from the database, and
@@ -79,8 +95,8 @@ poisoned query take down the whole engine.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
+import threading
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
@@ -91,10 +107,13 @@ from repro.core.batch import (
     batch_ktimes_distribution,
     batch_qb_exists,
 )
+from repro.core.distribution import SupportBlock
+from repro.core.observation import ObservationSet
 from repro.core.errors import (
     BackendError,
     QuarantinedQueryError,
     QueryError,
+    ValidationError,
 )
 from repro.core.plan_cache import PlanCache
 from repro.core.planner import (
@@ -112,7 +131,6 @@ from repro.core.query import (
     PSTQuery,
     SpatioTemporalWindow,
 )
-from repro.database.objects import UncertainObject
 from repro.database.pruning import ReachabilityPruner
 from repro.database.uncertain_db import TrajectoryDatabase
 from repro.exec.operators import (
@@ -120,11 +138,6 @@ from repro.exec.operators import (
     POSTERIOR_COLLAPSE,
     ExecutionContext,
 )
-
-try:  # scipy is the production backend; pure-python installs fall back
-    import scipy.sparse as _sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
 
 __all__ = ["StreamingQueryEngine", "StandingQuery"]
 
@@ -142,100 +155,170 @@ def _shift_window(
     )
 
 
-class _StartGroup:
-    """All single-observation objects of one chain sharing a start time.
+def _record(database: TrajectoryDatabase, cohort, row: int):
+    """The observations of cohort row ``row`` -- ``None`` once a write
+    racing the tick has removed or re-anchored the object (the row is
+    dead by then; the tick leaves it out of its answer)."""
+    try:
+        observations = database.get(cohort.object_id[row]).observations
+    except ValidationError:
+        return None
+    if observations.first.time != cohort.start_time[row]:
+        return None
+    return observations
 
-    The group's support pdfs are stacked into one sparse ``(k, n)``
-    matrix so a tick answers the whole group with a single sparse GEMV
-    against the group's backward column.
+
+class _Posteriors:
+    """Lemma 1 filtered posteriors of one chain's re-sighted objects.
+
+    ``P(X_t_last | observations)`` of a multi-observation object does
+    not depend on the query region, so the engine keeps one table per
+    ``(chain, backend)`` and every standing query reads it: a
+    re-sighting is collapsed once, whoever ticks first.  The table is
+    aligned with the chain's :class:`~repro.database.cohort.Cohort`
+    rows -- ``slot[row]`` names the row's entry in an append-only CSR
+    (``-1``: none), ``time[row]`` the observation time it is filtered
+    up to and ``folded[row]`` how many observations it folded in -- so
+    a removed or re-anchored object, which always gets a fresh row,
+    can never inherit an entry.  Every entry is a pure function of the
+    object's observations; nothing here is part of a tick's rollback
+    snapshot.
     """
 
-    def __init__(self, start: int) -> None:
-        self.start = start
-        self.ids: List[str] = []
-        self.distributions: List["StateDistribution"] = []
-        self.initials: List[np.ndarray] = []
-        self._supports: List[np.ndarray] = []  # nonzero states/object
-        self._weights: List[np.ndarray] = []
-        self._stacked = None  # rebuilt lazily after mutations
+    def __init__(self, cohort) -> None:
+        self.cohort = cohort
+        self.slot = np.zeros(0, dtype=np.int64)
+        self.time = np.zeros(0, dtype=np.int64)
+        self.folded = np.zeros(0, dtype=np.int64)
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.states = np.zeros(0, dtype=np.int64)
+        self.weights = np.zeros(0, dtype=float)
 
-    def add(
-        self, object_id: str, distribution: "StateDistribution"
-    ) -> None:
-        vector = np.asarray(distribution.vector, dtype=float)
-        support = np.nonzero(vector)[0]
-        self.ids.append(object_id)
-        self.distributions.append(distribution)
-        self.initials.append(vector)
-        self._supports.append(support)
-        self._weights.append(vector[support])
-        self._stacked = None
+    def _grow(self) -> None:
+        """One (empty) entry per cohort row appended since."""
+        fresh = np.full(
+            self.cohort.n_rows - len(self.slot), -1, dtype=np.int64
+        )
+        if fresh.size:
+            self.slot = np.concatenate([self.slot, fresh])
+            self.time = np.concatenate([self.time, fresh])
+            self.folded = np.concatenate([self.folded, fresh])
 
-    def discard(self, object_id: str) -> bool:
-        if object_id not in self.ids:
-            return False
-        index = self.ids.index(object_id)
-        del self.ids[index]
-        del self.distributions[index]
-        del self.initials[index]
-        del self._supports[index]
-        del self._weights[index]
-        self._stacked = None
-        return True
+    def sync(self, changes, database: TrajectoryDatabase) -> None:
+        """Replay journal entries: a sighting backfilled below an
+        entry's time was never folded into it -- drop the entry, the
+        next tick refilters from the first observation.  (A later
+        sighting leaves the entry in place as the point to resume
+        from.)"""
+        self._grow()
+        for change in changes:
+            row = self.cohort.row_of.get(change.object_id)
+            if (
+                change.op != "observe"
+                or row is None
+                or row >= len(self.slot)  # appended after _grow()
+                or self.slot[row] < 0
+            ):
+                continue
+            observations = _record(database, self.cohort, row) or ()
+            upto = sum(o.time <= self.time[row] for o in observations)
+            if upto != self.folded[row]:
+                self.slot[row] = self.time[row] = -1
 
-    def clone(self) -> "_StartGroup":
-        """A rollback copy: fresh lists, shared immutable elements."""
-        twin = _StartGroup(self.start)
-        twin.ids = list(self.ids)
-        twin.distributions = list(self.distributions)
-        twin.initials = list(self.initials)
-        twin._supports = list(self._supports)
-        twin._weights = list(self._weights)
-        twin._stacked = self._stacked
-        return twin
-
-    def answers(self, column: np.ndarray) -> np.ndarray:
-        """Per-object answers: the stacked pdfs times the column.
-
-        ``column`` is the exists backward vector (``(n,)`` -> one
-        ``P_exists`` per object) or a k-times C-block
-        (``(n, |T_q|+1)`` -> one count distribution per object).
-        """
-        if self._stacked is None:
-            if _sp is not None:
-                counts = [s.size for s in self._supports]
-                rows = np.repeat(np.arange(len(counts)), counts)
-                self._stacked = _sp.csr_matrix(
-                    (
-                        np.concatenate(self._weights),
-                        (rows, np.concatenate(self._supports)),
-                    ),
-                    shape=(len(self.initials), self.initials[0].size),
+    def fill(self, rows, last, chain, backend, database, context) -> None:
+        """Collapse the objects of ``rows`` whose entry is missing or
+        not at ``last``, the latest observation time in the caller's
+        view of each (the Python loop is over those -- objects
+        re-sighted since the last tick -- only)."""
+        self._grow()
+        cohort = self.cohort
+        pick = self.time[rows] != last
+        if not pick.any():
+            return
+        stale = rows[pick]
+        supports, weights, folded = [], [], []
+        for row, slot, upto in zip(
+            stale.tolist(), self.slot[stale].tolist(), last[pick].tolist()
+        ):
+            observations = _record(database, cohort, row)
+            if observations is None:
+                # an empty entry: evaluate() drops the row
+                supports.append(self.states[:0])
+                weights.append(self.weights[:0])
+                folded.append(0)
+                continue
+            if observations.last.time != upto:
+                # sighted again since the caller took its view: its
+                # tick answers from the evidence it saw
+                observations = ObservationSet(tuple(
+                    o for o in observations if o.time <= upto
+                ))
+            resume = None
+            if slot >= 0 and self.time[row] < upto:
+                entry = slice(self.indptr[slot], self.indptr[slot + 1])
+                resume = (
+                    int(self.time[row]),
+                    self.states[entry],
+                    self.weights[entry],
                 )
-            else:
-                self._stacked = np.vstack(self.initials)
-        result = np.asarray(self._stacked @ column, dtype=float)
-        return result.reshape(-1) if column.ndim == 1 else result
+            _t_last, support, weight = POSTERIOR_COLLAPSE(
+                (observations, resume), chain, None, backend,
+                context=context,
+            )
+            supports.append(support)
+            weights.append(weight)
+            folded.append(len(observations))
+        n_slots = len(self.indptr) - 1
+        self.indptr = np.concatenate([
+            self.indptr,
+            self.indptr[-1] + np.cumsum([len(s) for s in supports]),
+        ])
+        self.states = np.concatenate([self.states] + supports)
+        self.weights = np.concatenate([self.weights] + weights)
+        self.slot[stale] = np.arange(n_slots, n_slots + len(stale))
+        self.time[stale] = last[pick]
+        self.folded[stale] = folded
+        live = np.zeros(len(self.slot), dtype=bool)
+        live[cohort.rows[cohort.rows < len(live)]] = live[rows] = True
+        live = np.flatnonzero(live & (self.slot >= 0))
+        if len(self.indptr) - 1 > 2 * len(live) + 64:
+            # superseded and departed entries outnumber the live ones
+            block = self.block(live)
+            self.indptr, self.states = block.indptr, block.states
+            self.weights = block.probs
+            self.slot[:] = -1
+            self.slot[live] = np.arange(len(live))
+            self.time[self.slot < 0] = -1
+
+    def block(self, rows: np.ndarray) -> SupportBlock:
+        """The posteriors of ``rows`` (all filled) as one CSR."""
+        slots = self.slot[rows]
+        return SupportBlock.gather(
+            self.cohort.n_states, self.states, self.weights,
+            self.indptr[slots], self.indptr[slots + 1],
+        )
 
 
 class _ChainStream:
     """Incremental per-chain state of one standing query.
 
-    Holds the chain's absorbing matrices (shared with the batch engine
-    through the plan cache), the tracked backward columns -- one per
-    distinct start time strictly before the current window -- and the
-    shift-invariant *anchor* vector ``v(min(T)-1)`` from which columns
-    for newly arriving start times are derived in ``O(gap)`` sparse
-    products instead of a full backward sweep.
+    Reads the objects from the database's
+    :class:`~repro.database.cohort.Cohort` of the chain -- the same
+    rows one-shot queries plan over, through the
+    :class:`~repro.database.cohort.CohortView` taken at each sync --
+    and keeps beside it only what depends on the query: one BFS
+    threshold per row, the chain's absorbing matrices (shared with the
+    batch engine through the plan cache) and the backward-column
+    ladder.
     """
 
     def __init__(
-        self,
-        chain_id: str,
-        owner: "StandingQuery",
+        self, chain_id: str, owner: "StandingQuery", cohort
     ) -> None:
         self.chain_id = chain_id
         self.owner = owner
+        self.cohort = cohort
+        self.view = None  # the current tick's, set by register()
         self.chain = owner.engine.database.chain(chain_id)
         # the stream's backend is a per-chain plan decision, fixed at
         # construction (ticks must stay O(stride)); a runtime
@@ -250,172 +333,118 @@ class _ChainStream:
             self.matrices = owner.engine.plan_cache.absorbing(
                 self.chain, owner.region, self.backend
             )
-        self.groups: Dict[int, _StartGroup] = {}
-        self.multis: Dict[str, UncertainObject] = {}
-        self.singles: Dict[str, int] = {}  # object_id -> start time
-        # filtered posterior per multi object, as (time, pdf, number of
-        # observations incorporated): once every observation precedes
-        # the window, the object is Markov from this pdf and rides the
-        # same backward columns as the singles (computed once per
-        # re-sighting, not per tick).  The count detects backfilled
-        # sightings below the cached time, which invalidate the pdf.
-        self.posteriors: Dict[str, Tuple[int, np.ndarray, int]] = {}
-        # the backward-vector ladder: rel[d] = M_minus^d . anchor,
-        # where anchor = v(min(T)-1).  Shift invariance makes both
-        # independent of the tick -- the column of start time t_0 under
-        # the window at any tick is rel[min(T)-1-t_0] -- so one ladder
-        # rung per slid timestamp serves every start time ever tracked.
-        # Kept as a gap->vector dict so rungs no live start time can
-        # reference are *evicted* after every tick: the footprint is
-        # bounded by the live gap spread, not by how long the query
-        # has been standing.
-        self.rel: Dict[int, np.ndarray] = {}
-        self._touched: set = set()  # gaps referenced this tick
+        # per cohort row (registered rows only): the earliest t_end at
+        # which the object can be non-zero -- first observation time
+        # plus BFS distance into the region.  Exact-safe: below it the
+        # probability is provably 0, the same reachability bound the
+        # batch pipeline's filter stage applies.
+        self.threshold = np.zeros(0, dtype=np.int64)
+        # the backward-vector ladder: rel[g - gap_lo] = M_minus^g .
+        # anchor, where anchor = v(min(T)-1) (a C-block for k-times).
+        # Shift invariance makes both independent of the tick -- the
+        # column of start time t_0 under the window at any tick is the
+        # rung of gap min(T)-1-t_0 -- so one rung per slid timestamp
+        # serves every start time ever tracked.  ``rel`` is the live
+        # slice of ``_buffer`` (ending at ``_end``): extension writes
+        # into the spare tail, eviction only moves the slice, so the
+        # footprint is bounded by eight times the live gap spread (see
+        # _extend), not by how long the query has been standing.  A
+        # tick writes only outside the slice it started from, so
+        # rolling back is restoring that slice.
+        self._buffer = self.rel = np.zeros((0, 0), dtype=float)
+        self._end = 0
+        self.gap_lo = 0
         self.matvecs = 0  # sparse products spent, for EXPLAIN output
 
     # ------------------------------------------------------------------
     # transactional snapshot
     # ------------------------------------------------------------------
-    def _snapshot(self) -> dict:
-        """Every mutable field, copied one level deep.
+    def _snapshot(self) -> tuple:
+        """References only: a tick replaces the threshold array and
+        writes rungs only outside this ladder slice."""
+        return (
+            self.threshold, self._buffer, self.rel, self._end,
+            self.gap_lo, self.matvecs,
+        )
 
-        Shallow copies suffice: ladder rungs, posteriors and support
-        arrays are replaced wholesale, never mutated in place, so a
-        restored dict points at the untouched pre-tick values.
-        """
-        return {
-            "groups": {
-                start: group.clone()
-                for start, group in self.groups.items()
-            },
-            "multis": dict(self.multis),
-            "singles": dict(self.singles),
-            "posteriors": dict(self.posteriors),
-            "rel": dict(self.rel),
-            "touched": set(self._touched),
-            "matvecs": self.matvecs,
-        }
-
-    def _restore(self, state: dict) -> None:
-        self.groups = state["groups"]
-        self.multis = state["multis"]
-        self.singles = state["singles"]
-        self.posteriors = state["posteriors"]
-        self.rel = state["rel"]
-        self._touched = state["touched"]
-        self.matvecs = state["matvecs"]
+    def _restore(self, state: tuple) -> None:
+        (
+            self.threshold, self._buffer, self.rel, self._end,
+            self.gap_lo, self.matvecs,
+        ) = state
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def add_object(self, obj: UncertainObject) -> None:
-        if obj.has_multiple_observations():
-            if self.owner.kind == "ktimes":
-                raise QueryError(
-                    "PSTkQ with multiple observations is not part of "
-                    "the paper's framework; query the first "
-                    "observation only"
-                )
-            self.multis[obj.object_id] = obj
-            return
-        start = obj.initial.time
-        self.singles[obj.object_id] = start
-        group = self.groups.get(start)
-        if group is None:
-            group = self.groups[start] = _StartGroup(start)
-        group.add(obj.object_id, obj.initial.distribution)
-
-    def remove_object(self, object_id: str) -> None:
-        if object_id in self.multis:
-            del self.multis[object_id]
-            self.posteriors.pop(object_id, None)
-            return
-        start = self.singles.pop(object_id, None)
-        if start is None:
-            return
-        group = self.groups.get(start)
-        if group is not None:
-            group.discard(object_id)
-            if not group.ids:
-                del self.groups[start]
-
-    # ------------------------------------------------------------------
-    # multi-observation posteriors (Lemma 1 forward filtering)
-    # ------------------------------------------------------------------
-    def _posterior(self, obj: UncertainObject) -> Tuple[int, np.ndarray]:
-        """``(t_last, P(X_t_last | all observations))`` for a multi.
-
-        Lemma 1 forward filtering through the shared
-        :data:`~repro.exec.operators.POSTERIOR_COLLAPSE` operator.
-        Because every observation precedes the query window when this
-        is used, no query time interleaves the evidence and the object
-        is exactly Markov from the returned pdf -- its window
-        probability is the same backward-column dot a
-        single-observation object pays.  Cached per re-sighting; a
-        backfilled sighting below the cached time invalidates the
-        cache and refilters from scratch.
-        """
-        observations = obj.observations
-        t_last = observations.last.time
-        cached = self.posteriors.get(obj.object_id)
-        if cached is not None:
-            cached_time, _, incorporated = cached
-            upto = sum(
-                1 for o in observations if o.time <= cached_time
+    def register(self, view) -> None:
+        """Adopt ``view`` for the coming tick; thresholds for the
+        cohort rows appended since the last sync (all of them at
+        ``watch()`` time): one BFS labelling gathered over the new
+        rows' supports."""
+        cohort = self.cohort
+        self.view = view
+        if self.owner.kind == "ktimes" and view.is_multi.any():
+            raise QueryError(
+                "PSTkQ with multiple observations is not part of "
+                "the paper's framework; query the first "
+                "observation only"
             )
-            if cached_time > t_last or upto != incorporated:
-                # a sighting was backfilled below the cached time; the
-                # cached pdf never folded it in -- refilter from scratch
-                cached = None
-        if cached is not None and cached[0] == t_last:
-            return cached[0], cached[1]
-        resume = (
-            (cached[0], cached[1]) if cached is not None else None
+        fresh = np.arange(len(self.threshold), view.n_rows)
+        if not fresh.size:
+            return
+        steps = cohort.block(fresh).min_over_support(
+            self.owner.engine.pruner.min_levels(
+                self.chain_id, self.owner.region
+            )
         )
-        t_last, vector = POSTERIOR_COLLAPSE(
-            (observations, resume),
-            self.chain,
-            self.owner.region,
-            self.backend,
-            context=self.owner.context,
-        )
-        self.posteriors[obj.object_id] = (
-            t_last, vector, len(observations)
-        )
-        return t_last, vector
+        reachable = steps < _UNREACHABLE
+        steps[reachable] += cohort.start_time[fresh][reachable]
+        self.threshold = np.concatenate([self.threshold, steps])
 
     # ------------------------------------------------------------------
     # backward columns
     # ------------------------------------------------------------------
-    def _ladder_matrix(self):
-        """The matrix one rung extension multiplies by.
-
-        ``M_minus`` for exists ladders (the absorbing prefix); the
-        plain chain matrix for k-times C-block ladders (no absorption
-        -- the count dimension rides in the block's columns).
-        """
-        if self.matrices is None:
-            return self.chain.matrix
-        return self.matrices.m_minus
-
-    def _extend(self, base_gap: int, steps: int) -> None:
-        """Fill rungs ``base_gap+1 .. base_gap+steps`` from ``base_gap``.
+    def _extend(self, steps: int) -> None:
+        """Append ``steps`` rungs above the deepest one.
 
         Runs as the shared :data:`~repro.exec.operators.LADDER_EXTEND`
-        operator; the dense fill keeps a tick's amortised cost at
-        ``stride`` sparse products per chain, exactly like the
-        unbounded ladder did.
+        operator, writing into the buffer's spare tail; a tick's
+        amortised cost stays at ``stride`` sparse products per chain.
+        The live slice slides through the whole buffer, so all of it
+        ends up resident: when the tail runs out the slice moves back
+        to the front (dead slots, already paged in, clear of the slice
+        a rollback restores).  Only a slice grown past half the buffer
+        or shrunk below an eighth of it gets a new one, four times its
+        size (a young query's live part grows as it slides, and a new
+        buffer is a ladder's worth of fresh pages): resident ladder
+        memory is at most eight times the live part.
         """
-        rungs = LADDER_EXTEND(
-            (self._ladder_matrix(), self.rel[base_gap], steps),
-            self.chain,
-            self.owner.region,
-            self.backend,
+        if steps <= 0:
+            return
+        count = len(self.rel)
+        if self._end + steps > len(self._buffer):
+            buffer, need = self._buffer, count + steps
+            if self._end - count < need or len(buffer) > 8 * need:
+                buffer = np.empty(
+                    (4 * need,) + self.rel.shape[1:], dtype=float
+                )
+            buffer[:count] = self.rel
+            self._buffer, self._end = buffer, count
+        # M_minus (the absorbing prefix) for exists ladders, the plain
+        # chain matrix for k-times C-blocks (the count dimension rides
+        # in the block's columns)
+        matrix = self.chain.matrix
+        if self.matrices is not None:
+            matrix = self.matrices.m_minus
+        LADDER_EXTEND(
+            (matrix, self._buffer[self._end - 1], steps),
+            self.chain, self.owner.region, self.backend,
             context=self.owner.context,
+            out=self._buffer[self._end:self._end + steps],
         )
+        self._end += steps
+        self.rel = self._buffer[self._end - count - steps:self._end]
         self.matvecs += steps
-        for offset, rung in enumerate(rungs, start=1):
-            self.rel[base_gap + offset] = rung
 
     def _seed_anchor(self, window: SpatioTemporalWindow) -> np.ndarray:
         """The shift-invariant rung-0 anchor for the current mode.
@@ -424,263 +453,190 @@ class _ChainStream:
         shared).  K-times: the suffix-count core ``W = D(min(T)-1)``
         of :data:`~repro.exec.operators.KTIMES_CORE`.  Both are
         numerically identical for every slid window, so seeding
-        happens once per standing query (plus after a full eviction).
+        happens once per standing query (plus after eviction dropped
+        the shallow end).
         """
-        if self.owner.kind == "ktimes":
-            blocks = self.owner.engine.plan_cache.ktimes_blocks(
-                self.chain,
-                window,
-                [window.t_start - 1],
-                self.backend,
-                context=self.owner.context,
-            )
-            return np.asarray(blocks[window.t_start - 1], dtype=float)
         anchor_start = window.t_start - 1
-        vectors = self.owner.engine.plan_cache.backward_vectors(
-            self.chain,
-            window,
-            [anchor_start],
-            self.backend,
-            context=self.owner.context,
+        cache = self.owner.engine.plan_cache
+        build = (
+            cache.ktimes_blocks
+            if self.owner.kind == "ktimes"
+            else cache.backward_vectors
         )
-        return np.asarray(vectors[anchor_start], dtype=float)
-
-    def ensure_column(
-        self, start: int, window: SpatioTemporalWindow
-    ) -> np.ndarray:
-        """The backward column (or C-block) of ``start`` for the window.
-
-        The column is ``rel[gap]`` with ``gap = min(T) - 1 - start``;
-        the anchor ``rel[0]`` (``v(min(T)-1)`` for exists, the k-times
-        core ``W`` -- see :meth:`_seed_anchor`) is numerically
-        identical for every slid window (the whole backward pass
-        shifts with the times), so the ladder is computed once and
-        only *extended*: a tick of stride ``s`` deepens the largest
-        live gap by ``s``, which costs ``s`` sparse products per chain
-        -- independent of how many start times, arrivals, or
-        re-sightings it serves.  A gap below every retained rung
-        (possible only after eviction dropped the shallow end) is
-        re-derived -- one shared backward pass for exists, an anchor
-        reseed + extension for k-times -- exact either way, since
-        every rung is a pure function of its gap.
-        """
-        gap = (window.t_start - 1) - start
-        self._touched.add(gap)
-        column = self.rel.get(gap)
-        if column is not None:
-            return column
-        if not self.rel:
-            # first use: seed the shift-invariant rung-0 anchor
-            self.rel[0] = self._seed_anchor(window)
-            if gap == 0:
-                return self.rel[0]
-        below = [g for g in self.rel if g < gap]
-        if below:
-            base_gap = max(below)
-            self._extend(base_gap, gap - base_gap)
-            return self.rel[gap]
-        # eviction dropped every shallower rung
-        if self.owner.kind == "ktimes":
-            # reseed the core and extend down to this gap (bounded by
-            # the window span plus the shallowest live gap)
-            self.rel[0] = self._seed_anchor(window)
-            if gap > 0:
-                self._extend(0, gap)
-            return self.rel[gap]
-        # exists: one backward pass rebuilds this start's column
-        vectors = self.owner.engine.plan_cache.backward_vectors(
-            self.chain,
-            window,
-            [start],
-            self.backend,
-            context=self.owner.context,
+        return np.asarray(
+            build(
+                self.chain, window, [anchor_start], self.backend,
+                context=self.owner.context,
+            )[anchor_start],
+            dtype=float,
         )
-        column = np.asarray(vectors[start], dtype=float)
-        self.rel[gap] = column
-        return column
 
-    def evict_ladder(self) -> int:
-        """Drop rungs no live start time can reference; return count.
+    def _cover(
+        self, lo: int, hi: int, window: SpatioTemporalWindow
+    ) -> int:
+        """Make ``rel`` hold exactly the rungs of gaps ``lo..hi``;
+        returns how many rungs that evicted.
 
-        Called after every tick with ``self._touched`` holding exactly
-        the gaps the tick's live start times (and collapsed multi
-        posteriors) referenced.  Live gaps only ever grow as the
-        window slides, so rungs *below* the shallowest live gap are
-        dead, and rungs above the deepest are leftovers of departed
-        objects; the dense range in between is kept so per-tick
-        extension stays ``O(stride)``.
+        The column of start time ``t_0`` is the rung of gap
+        ``min(T) - 1 - t_0``, and the ladder is only ever *extended*:
+        a tick of stride ``s`` deepens the largest live gap by ``s``,
+        which costs ``s`` sparse products per chain -- independent of
+        how many start times, arrivals, or re-sightings it serves.  A
+        gap below every retained rung (possible only after eviction
+        dropped the shallow end) reseeds the anchor and refills the
+        range in between; exact either way, since every rung is a pure
+        function of its gap.  Live gaps only ever grow as the window
+        slides, so rungs below ``lo`` are dead and rungs above ``hi``
+        are leftovers of departed objects.
         """
-        if not self._touched:
-            evicted = len(self.rel)
-            self.rel.clear()
-            return evicted
-        low, high = min(self._touched), max(self._touched)
-        dead = [g for g in self.rel if g < low or g > high]
-        for gap in dead:
-            del self.rel[gap]
-        self._touched = set()
-        return len(dead)
+        count = len(self.rel)
+        if not count or lo < self.gap_lo:
+            anchor = self._seed_anchor(window)
+            kept, kept_lo = self.rel, self.gap_lo if count else 1
+            self._buffer = np.empty(
+                (max(hi + 1, kept_lo + count),) + anchor.shape,
+                dtype=float,
+            )
+            self._buffer[0] = anchor
+            self.rel, self._end, self.gap_lo = self._buffer[:1], 1, 0
+            self._extend(kept_lo - 1)
+            if count:
+                self._buffer[kept_lo:kept_lo + count] = kept
+                self._end += count
+                self.rel = self._buffer[:self._end]
+        self._extend(hi - (self.gap_lo + len(self.rel) - 1))
+        evicted = len(self.rel) - (hi - lo + 1)
+        self._end -= self.gap_lo + len(self.rel) - 1 - hi
+        self.rel = self._buffer[self._end - (hi - lo + 1):self._end]
+        self.gap_lo = lo
+        return evicted
+
+    def _ride(self, block: SupportBlock, gaps: np.ndarray) -> np.ndarray:
+        """Every row of ``block`` against the rung of its gap: one
+        gather over the supports, one per-row reduction."""
+        entries = self.rel[
+            np.repeat(gaps - self.gap_lo, np.diff(block.indptr)),
+            block.states,
+        ]
+        weights = block.probs if entries.ndim == 1 else block.probs[:, None]
+        return block.row_sums(weights * entries)
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     def evaluate(
         self, window: SpatioTemporalWindow
-    ) -> Tuple[Dict[str, float], Dict[str, int]]:
-        """Per-object answers for the current window."""
-        if self.owner.kind == "ktimes":
-            return self._evaluate_ktimes(window)
-        values: Dict[str, float] = {}
-        counters = {"stream": 0, "fallback": 0, "multi": 0}
-        n = self.matrices.n_states
-        # the standing query's BFS thresholds (observation time + BFS
-        # distance into the region) are exact-safe: an object below
-        # its threshold provably has probability 0, so the fallback
-        # kernels only ever run on true candidates -- the same
-        # reachability bound the batch pipeline's filter stage applies
-        thresholds = self.owner._threshold_by_id
-        t_end = window.t_end
+    ) -> Tuple[Dict[str, object], Dict[str, int]]:
+        """Per-object answers for the current window, plus the tick's
+        row counts for the plan.
 
-        def reachable(object_id: str) -> bool:
-            return thresholds.get(object_id, _UNREACHABLE) <= t_end
-
-        fallback: List[Tuple[str, int, np.ndarray]] = []
-        for start, group in sorted(self.groups.items()):
-            if not group.ids:
-                continue
-            if start < window.t_start:
-                column = self.ensure_column(start, window)
-                answers = group.answers(column[:n])
-                for object_id, answer in zip(group.ids, answers):
-                    values[object_id] = float(answer)
-                counters["stream"] += len(group.ids)
-            else:
-                for object_id, distribution in zip(
-                    group.ids, group.distributions
-                ):
-                    if reachable(object_id):
-                        fallback.append(
-                            (object_id, start, distribution)
-                        )
-                    else:
-                        values[object_id] = 0.0
-        if fallback:
-            # observations at/inside the window have no M_minus prefix
-            # to extend; they take the exact batched backward kernel
-            # until the window slides past them
-            answers = batch_qb_exists(
-                self.chain,
-                [distribution for _, _, distribution in fallback],
-                window,
-                start_times=[start for _, start, _ in fallback],
-                backend=self.backend,
-                plan_cache=self.owner.engine.plan_cache,
-                context=self.owner.context,
-            )
-            for (object_id, _, _), answer in zip(fallback, answers):
-                values[object_id] = float(answer)
-            counters["fallback"] = len(fallback)
-        if self.multis:
-            candidates = sorted(filter(reachable, self.multis))
-            surviving = set(candidates)
-            for object_id in self.multis:
-                if object_id not in surviving:
-                    values[object_id] = 0.0
-            doubled: List[str] = []
-            for object_id in candidates:
-                obj = self.multis[object_id]
-                if obj.observations.last.time < window.t_start:
-                    # all evidence precedes the window: the object is
-                    # Markov from its filtered posterior and pays one
-                    # sparse dot, like any single-observation object
-                    t_last, posterior = self._posterior(obj)
-                    column = self.ensure_column(t_last, window)
-                    support = np.nonzero(posterior)[0]
-                    values[object_id] = float(
-                        posterior[support] @ column[support]
-                    )
-                else:
-                    doubled.append(object_id)
-            if doubled:
-                # evidence at/inside the window needs the full Section
-                # VI doubled sweep (transient: the window slides past)
-                answers = batch_exists_multi(
-                    self.chain,
-                    [self.multis[object_id].observations
-                     for object_id in doubled],
-                    window,
-                    backend=self.backend,
-                    plan_cache=self.owner.engine.plan_cache,
-                    context=self.owner.context,
-                )
-                for object_id, answer in zip(doubled, answers):
-                    values[object_id] = float(answer)
-            counters["multi"] = len(candidates)
-        return values, counters
-
-    def _evaluate_ktimes(
-        self, window: SpatioTemporalWindow
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
-        """Per-object visit-count distributions for the current window.
-
-        Start groups strictly before the window ride the C-block
-        ladder: one stacked-pdf GEMM against ``rel[gap]`` answers the
-        whole group.  Observations at or inside the window have no
-        ``M`` prefix to extend and take the exact batched
-        :func:`~repro.core.batch.batch_ktimes_distribution` kernel
-        until the window slides past them; objects below their BFS
-        reachability threshold are answered with the point mass at
-        zero visits (the same exact-safe bound the batch pipeline's
-        filter stage applies).
+        Rows whose evidence all precedes the window -- single
+        observations and collapsed Section VI objects alike -- ride
+        the ladder: a row's answer is its pdf against the rung of its
+        gap (exists: ``P_exists``; k-times: the C-block, giving the
+        visit-count distribution).  Observations at or inside the
+        window have no ``M_minus`` prefix to extend and take the exact
+        batched kernels until the window slides past them.  Rows below
+        their BFS threshold get the query's zero element.
         """
-        values: Dict[str, np.ndarray] = {}
-        counters = {"stream": 0, "fallback": 0, "multi": 0}
-        n_rows = window.duration + 1
-        thresholds = self.owner._threshold_by_id
-        t_end = window.t_end
+        owner = self.owner
+        engine = owner.engine
+        ktimes = owner.kind == "ktimes"
+        cohort = self.cohort
+        # the sync's view, not the live columns: other queries keep
+        # patching the cohort while this tick runs
+        view = self.view
+        rows, multi, last = view.rows, view.is_multi, view.last_time
+        reach = self.threshold[rows] <= window.t_end
+        before = last < window.t_start
+        if ktimes:
+            out = np.zeros((len(rows), window.duration + 1), dtype=float)
+            out[:, 0] = 1.0  # zero visits
+        else:
+            out = np.zeros(len(rows), dtype=float)
+        kernel_args = dict(
+            backend=self.backend,
+            plan_cache=engine.plan_cache,
+            context=owner.context,
+        )
 
-        def reachable(object_id: str) -> bool:
-            return thresholds.get(object_id, _UNREACHABLE) <= t_end
-
-        def zero_visits() -> np.ndarray:
-            distribution = np.zeros(n_rows, dtype=float)
-            distribution[0] = 1.0
-            return distribution
-
-        fallback: List[Tuple[str, int, "StateDistribution"]] = []
-        for start, group in sorted(self.groups.items()):
-            if not group.ids:
-                continue
-            if start < window.t_start:
-                block = self.ensure_column(start, window)
-                answers = group.answers(block)
-                for object_id, answer in zip(group.ids, answers):
-                    values[object_id] = np.asarray(answer, dtype=float)
-                counters["stream"] += len(group.ids)
-            else:
-                for object_id, distribution in zip(
-                    group.ids, group.distributions
-                ):
-                    if reachable(object_id):
-                        fallback.append(
-                            (object_id, start, distribution)
-                        )
-                    else:
-                        values[object_id] = zero_visits()
-        if fallback:
-            answers = batch_ktimes_distribution(
-                self.chain,
-                [distribution for _, _, distribution in fallback],
-                window,
-                start_times=[start for _, start, _ in fallback],
-                backend=self.backend,
-                plan_cache=self.owner.engine.plan_cache,
-                context=self.owner.context,
+        # re-sighted rows whose record a racing write took away
+        gone = np.zeros(len(rows), dtype=bool)
+        riding = before & (reach | ~multi)
+        evicted = len(self.rel)
+        if riding.any():
+            gaps = (window.t_start - 1) - last
+            evicted = self._cover(
+                int(gaps[riding].min()), int(gaps[riding].max()), window
             )
-            for (object_id, _, _), answer in zip(fallback, answers):
-                values[object_id] = np.array(answer, dtype=float)
-            counters["fallback"] = len(fallback)
-        return values, counters
+            picked = np.flatnonzero(riding & ~multi)
+            out[picked] = self._ride(
+                cohort.block(rows[picked]), gaps[picked]
+            )
+            picked = np.flatnonzero(riding & multi)
+            if picked.size:
+                # all evidence precedes the window: the object is
+                # Markov from its filtered posterior
+                block = engine._posteriors_of(
+                    cohort, rows[picked], last[picked], self.chain,
+                    self.backend, owner.context,
+                )
+                out[picked] = self._ride(block, gaps[picked])
+                gone[picked[np.diff(block.indptr) == 0]] = True
+        else:
+            self.rel = self.rel[:0]
+
+        late = np.flatnonzero(reach & ~before & ~multi)
+        if late.size:
+            kernel = (
+                batch_ktimes_distribution if ktimes else batch_qb_exists
+            )
+            out[late] = kernel(
+                self.chain,
+                cohort.block(rows[late]),
+                window,
+                start_times=cohort.start_time[rows[late]],
+                **kernel_args,
+            )
+        doubled = np.flatnonzero(reach & ~before & multi)
+        if doubled.size:
+            # evidence at/inside the window needs the full Section VI
+            # doubled sweep (transient: the window slides past)
+            records = [
+                _record(engine.database, cohort, row)
+                for row in rows[doubled].tolist()
+            ]
+            gone[doubled] = [record is None for record in records]
+            records = [r for r in records if r is not None]
+            if records:
+                out[doubled[~gone[doubled]]] = batch_exists_multi(
+                    self.chain, records, window, **kernel_args
+                )
+
+        if owner.complemented:
+            out = 1.0 - out
+        if ktimes and owner.k is not None:
+            out = out[:, owner.k]  # a fixed k asks for one scalar
+        if gone.any():
+            rows, out = rows[~gone], out[~gone]
+        n_multi = int(np.count_nonzero(multi))
+        return (
+            dict(zip(
+                cohort.ids(rows), out.tolist() if out.ndim == 1 else out
+            )),
+            {
+                "stream": int(np.count_nonzero(before & ~multi)),
+                "fallback": int(late.size),
+                "multi": int(np.count_nonzero(reach & multi)),
+                "active": int(np.count_nonzero(reach)),
+                "evicted": evicted,
+                "n_single": len(rows) - n_multi,
+                "n_multi": n_multi,
+                "first_start": int(
+                    cohort.start_time[rows].min(initial=window.t_end)
+                ),
+            },
+        )
 
 
 class StandingQuery:
@@ -765,11 +721,7 @@ class StandingQuery:
         self._offset = 0
         self._base = SpatioTemporalWindow(self.region, query.times)
         self._chains: Dict[str, _ChainStream] = {}
-        # per object: the earliest t_end at which it can be non-zero
-        # (observation time + BFS distance into the region); the sorted
-        # copy turns per-tick candidate counting into one bisect
-        self._threshold_by_id: Dict[str, int] = {}
-        self._thresholds: List[int] = []
+        # objects at or above their BFS threshold at the last tick
         self._active = 0
         self._synced_version = 0
         self._last_plan: Optional[QueryPlan] = None
@@ -802,8 +754,8 @@ class StandingQuery:
         candidate delta, and the sparse products spent.
 
         The tick is transactional: on any exception every mutable
-        field (ladder rungs, journal cursor, membership, tick counter,
-        window offset) is restored to its pre-tick state and the
+        field (ladder rungs, journal cursor, row watermark, tick
+        counter, window offset) is restored to its pre-tick state and the
         exception re-raised -- the query is never left half-patched,
         and the next tick resyncs from the database journal.  After
         ``quarantine_after`` consecutive failures the query is
@@ -834,53 +786,35 @@ class StandingQuery:
             matvecs_before = sum(
                 stream.matvecs for stream in self._chains.values()
             )
-            values: Dict[str, float] = {}
-            counters = {"stream": 0, "fallback": 0, "multi": 0}
+            values: Dict[str, object] = {}
+            counters: Dict[str, Dict[str, int]] = {}
             stage_started = _time.perf_counter()
-            for stream in self._chains.values():
-                chain_values, chain_counters = stream.evaluate(window)
+            for chain_id, stream in self._chains.items():
+                chain_values, counters[chain_id] = stream.evaluate(
+                    window
+                )
                 values.update(chain_values)
-                for key, count in chain_counters.items():
-                    counters[key] += count
-            if self.complemented:
-                values = {
-                    object_id: 1.0 - value
-                    for object_id, value in values.items()
-                }
-            if self.kind == "ktimes" and self.k is not None:
-                # a fixed k asks for one scalar, like evaluate()
-                values = {
-                    object_id: float(distribution[self.k])
-                    for object_id, distribution in values.items()
-                }
             evaluate_seconds = _time.perf_counter() - stage_started
 
-            # drop ladder rungs no live start time can reference --
-            # the memory bound the eviction regression test asserts
-            rungs_evicted = sum(
-                stream.evict_ladder()
-                for stream in self._chains.values()
-            )
             previously_active = self._active
-            self._active = bisect.bisect_right(
-                self._thresholds, window.t_end
+            self._active = sum(
+                chain["active"] for chain in counters.values()
             )
             matvecs = sum(
                 stream.matvecs for stream in self._chains.values()
             ) - matvecs_before
             plan = self._build_plan(
                 window,
-                n_total=len(values),
                 entered=self._active - previously_active,
                 matvecs=matvecs,
                 counters=counters,
                 evaluate_seconds=evaluate_seconds,
-                rungs_evicted=rungs_evicted,
             )
             if self.faults is not None:
                 self.faults.fire("streaming:commit", tick=self.ticks)
             # ---- commit point: everything below is rollback-free ----
             self._last_plan = plan
+            self._pending_degradations = []  # reported by ``plan``
             evaluated = _shift_window(self.query.window, self._offset)
             self.ticks += 1
             self._offset += self.stride
@@ -961,124 +895,86 @@ class StandingQuery:
     # ------------------------------------------------------------------
     # transactional snapshot
     # ------------------------------------------------------------------
-    def _snapshot(self) -> dict:
-        """Pre-tick copy of all mutable state, one level deep."""
-        return {
-            "ticks": self.ticks,
-            "offset": self._offset,
-            "synced": self._synced_version,
-            "active": self._active,
-            "resyncs": self.resyncs,
-            "thresholds": list(self._thresholds),
-            "threshold_by_id": dict(self._threshold_by_id),
-            "last_plan": self._last_plan,
-            "chains": dict(self._chains),
-            "chain_states": {
-                chain_id: stream._snapshot()
-                for chain_id, stream in self._chains.items()
-            },
-        }
+    def _snapshot(self) -> tuple:
+        """Pre-tick references to all mutable state (the shared
+        posterior tables are a pure function of the database and stay
+        out)."""
+        return (
+            self.ticks, self._offset, self._synced_version,
+            self._active, self.resyncs, self._last_plan,
+            dict(self._chains),
+            [stream._snapshot() for stream in self._chains.values()],
+        )
 
-    def _restore(self, state: dict) -> None:
-        self.ticks = state["ticks"]
-        self._offset = state["offset"]
-        self._synced_version = state["synced"]
-        self._active = state["active"]
-        self.resyncs = state["resyncs"]
-        self._thresholds = state["thresholds"]
-        self._threshold_by_id = state["threshold_by_id"]
-        self._last_plan = state["last_plan"]
-        self._chains = state["chains"]
-        for chain_id, stream in self._chains.items():
-            stream._restore(state["chain_states"][chain_id])
+    def _restore(self, state: tuple) -> None:
+        (
+            self.ticks, self._offset, self._synced_version,
+            self._active, self.resyncs, self._last_plan,
+            self._chains, chain_states,
+        ) = state
+        for stream, chain_state in zip(
+            self._chains.values(), chain_states
+        ):
+            stream._restore(chain_state)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
-        database = self.engine.database
-        self._synced_version = database.version
-        for chain_id, objects in sorted(
-            database.objects_by_chain().items()
-        ):
-            stream = self._chains[chain_id] = _ChainStream(
-                chain_id, self
-            )
-            for obj in objects:
-                stream.add_object(obj)
-                self._track(obj)
+        self._synced_version = self.engine.database.version
+        self._register(self.engine.database.cohort_views())
 
-    def _track(self, obj: UncertainObject) -> None:
-        steps = self.engine.pruner.min_steps(obj, self.region)
-        if steps >= _UNREACHABLE:
-            return  # can never enter the region at any horizon
-        threshold = obj.initial.time + steps
-        self._threshold_by_id[obj.object_id] = threshold
-        bisect.insort(self._thresholds, threshold)
-
-    def _untrack(self, object_id: str) -> None:
-        threshold = self._threshold_by_id.pop(object_id, None)
-        if threshold is None:
-            return
-        index = bisect.bisect_left(self._thresholds, threshold)
-        if (
-            index < len(self._thresholds)
-            and self._thresholds[index] == threshold
-        ):
-            del self._thresholds[index]
+    def _register(self, views) -> None:
+        """Open a stream per chain that has objects and register the
+        cohort rows appended since the last sync."""
+        for chain_id, view in sorted(views.items()):
+            stream = self._chains.get(chain_id)
+            if stream is None:
+                if not view.rows.size:
+                    continue
+                stream = self._chains[chain_id] = _ChainStream(
+                    chain_id, self, view.cohort
+                )
+            stream.register(view)
 
     def _sync(self) -> None:
-        """Patch streaming state from the database mutation journal."""
+        """Catch up with the database: the cohorts are patched from
+        the mutation journal (departures are tombstoned rows,
+        re-sightings flip columns in place), the tick takes its view
+        of them, new rows get their thresholds."""
         database = self.engine.database
+        # version first: an entry landing after this line is replayed
+        # by the next sync
+        version = database.version
         changes = database.changes_since(self._synced_version)
-        if changes is None:
+        views = database.cohort_views()
+        if (
             # the bounded journal no longer covers our last sync
+            changes is None
+            # a replaced model invalidates every derived artefact
+            or any(change.op == "chain" for change in changes)
+            # compaction renumbered the rows
+            or any(
+                chain_id not in views
+                or views[chain_id].cohort is not stream.cohort
+                for chain_id, stream in self._chains.items()
+            )
+        ):
             self._rebuild()
             return
-        self._synced_version = database.version
-        for change in changes:
-            if change.op == "chain":
-                # a replaced model invalidates every derived artefact
-                self._rebuild()
-                return
-            # drop any prior tracking of this id (no-op for fresh adds)
-            for stream in self._chains.values():
-                if (
-                    change.object_id in stream.singles
-                    or change.object_id in stream.multis
-                ):
-                    posterior = stream.posteriors.get(change.object_id)
-                    stream.remove_object(change.object_id)
-                    if change.op == "observe" and posterior:
-                        # keep the filtered pdf: _posterior extends it
-                        # (and detects backfills) instead of
-                        # refiltering from the first observation
-                        stream.posteriors[change.object_id] = posterior
-                    break
-            self._untrack(change.object_id)
-            if change.op in ("add", "observe"):
-                if change.object_id not in database:
-                    continue
-                obj = database.get(change.object_id)
-                target = self._chains.get(obj.chain_id)
-                if target is None:
-                    target = self._chains[obj.chain_id] = _ChainStream(
-                        obj.chain_id, self
-                    )
-                target.add_object(obj)
-                self._track(obj)
+        self._synced_version = version
+        self._register(views)
 
     def _rebuild(self) -> None:
         """Re-derive all streaming state from current database state.
 
         The recovery path for journal overflow ("the bounded journal
-        no longer covers our last sync"), chain replacement, and
-        :meth:`reset` after quarantine; ``resyncs`` counts these.
+        no longer covers our last sync"), chain replacement, a
+        compacted cohort, and :meth:`reset` after quarantine;
+        ``resyncs`` counts these.
         """
         self.resyncs += 1
         self._chains = {}
-        self._threshold_by_id = {}
-        self._thresholds = []
         self._active = 0
         self._initialize()
 
@@ -1120,12 +1016,10 @@ class StandingQuery:
     def _build_plan(
         self,
         window: SpatioTemporalWindow,
-        n_total: int,
         entered: int,
         matvecs: int,
-        counters: Dict[str, int],
+        counters: Dict[str, Dict[str, int]],
         evaluate_seconds: float,
-        rungs_evicted: int = 0,
     ) -> QueryPlan:
         options = PlanOptions()
         plan = QueryPlan(
@@ -1144,8 +1038,8 @@ class StandingQuery:
                     chain_id=chain_id,
                     method="stream",
                     features=GroupFeatures(
-                        n_single=len(stream.singles),
-                        n_multi=len(stream.multis),
+                        n_single=counters[chain_id]["n_single"],
+                        n_multi=counters[chain_id]["n_multi"],
                         n_states=(
                             stream.matrices.size
                             if stream.matrices is not None
@@ -1154,43 +1048,51 @@ class StandingQuery:
                         nnz=stream.chain.nnz,
                         horizon=max(
                             0,
-                            window.t_end - min(
-                                stream.groups, default=window.t_end
-                            ),
+                            window.t_end
+                            - counters[chain_id]["first_start"],
                         ),
                         duration=window.duration,
                     ),
-                    survivors=len(stream.singles) + len(stream.multis),
+                    survivors=counters[chain_id]["n_single"]
+                    + counters[chain_id]["n_multi"],
                     backend=stream.backend,
                 )
                 for chain_id, stream in sorted(self._chains.items())
             ],
         )
+        # the pending list is cleared at the commit point, not here: a
+        # tick that fails after this still owes the report
         plan.degradations = list(self._pending_degradations) + list(
             self.context.events
         )
-        self._pending_degradations = []
+        total = {
+            key: sum(chain[key] for chain in counters.values())
+            for key in (
+                "stream", "fallback", "multi", "evicted",
+                "n_single", "n_multi",
+            )
+        }
         rungs = sum(
             len(stream.rel) for stream in self._chains.values()
         )
         plan.stages = [
             StageStats(
                 "streaming",
-                n_total,
+                total["n_single"] + total["n_multi"],
                 self._active,
                 0.0,
                 f"tick {self.ticks}, stride {self.stride}, "
                 f"{entered:+d} candidates, {matvecs} sparse products, "
-                f"{rungs} rungs ({rungs_evicted} evicted)",
+                f"{rungs} rungs ({total['evicted']} evicted)",
             ),
             StageStats(
                 "evaluate",
                 self._active,
                 self._active,
                 evaluate_seconds,
-                f"incremental={counters['stream']}, "
-                f"fallback={counters['fallback']}, "
-                f"multi={counters['multi']}",
+                f"incremental={total['stream']}, "
+                f"fallback={total['fallback']}, "
+                f"multi={total['multi']}",
             ),
         ]
         plan.operator_seconds = self.context.timings
@@ -1227,6 +1129,15 @@ class StreamingQueryEngine:
         )
         self.pruner = pruner or ReachabilityPruner(database)
         self._standing: List[StandingQuery] = []
+        # Lemma 1 posteriors of re-sighted objects, one table per
+        # (chain, backend), shared by every standing query and synced
+        # from the journal on its own cursor; the lock covers ticks of
+        # different standing queries running on different threads
+        self._posteriors: Dict[
+            Tuple[str, Optional[str]], _Posteriors
+        ] = {}
+        self._posteriors_version = database.version
+        self._posterior_lock = threading.Lock()
 
     @property
     def standing(self) -> Tuple[StandingQuery, ...]:
@@ -1263,6 +1174,34 @@ class StreamingQueryEngine:
         )
         self._standing.append(standing)
         return standing
+
+    def _posteriors_of(
+        self, cohort, rows, last, chain, backend, context
+    ) -> SupportBlock:
+        """The Lemma 1 posteriors of ``rows`` (re-sighted objects whose
+        evidence all precedes the caller's window) at their latest
+        observation times ``last``, from the chain's shared table,
+        caught up with the database first."""
+        database = self.database
+        with self._posterior_lock:
+            version = database.version
+            if self._posteriors_version != version:
+                changes = database.changes_since(
+                    self._posteriors_version
+                )
+                self._posteriors_version = version
+                if changes is None or any(
+                    change.op == "chain" for change in changes
+                ):
+                    self._posteriors.clear()
+                for table in self._posteriors.values():
+                    table.sync(changes, database)
+            key = (cohort.chain_id, backend)
+            table = self._posteriors.get(key)
+            if table is None or table.cohort is not cohort:
+                table = self._posteriors[key] = _Posteriors(cohort)
+            table.fill(rows, last, chain, backend, database, context)
+            return table.block(rows)
 
     def tick_all(self) -> List[Optional["QueryResult"]]:
         """Tick every registered standing query; never raises.

@@ -1,14 +1,16 @@
 """Columnar chain cohorts: one chain group's objects as arrays.
 
-Everything a one-shot query asks about an object -- when it was first
+Everything a query asks about an object -- when it was first and last
 observed, over which states, whether later observations exist -- it
 asks of every object of a chain group.  A :class:`Cohort` answers for
 the whole group at once: the first-observation supports as one CSR
 (``indptr`` / ``states`` / ``probs``) plus the parallel per-object
-columns ``start_time``, ``is_multi`` and ``object_id``.  Planner,
-filter stages, kernel staging and result assembly pass *row-index
-arrays* over it, so a query costs a constant number of Python steps
-per chain group instead of per object.
+columns ``start_time``, ``last_time``, ``is_multi`` and ``object_id``.
+Planner, filter stages, kernel staging and result assembly of a
+one-shot query, and every tick of a standing query
+(:mod:`repro.core.streaming`), pass *row-index arrays* over it, so
+both cost a constant number of Python steps per chain group instead of
+per object.
 
 Cohorts are owned by
 :class:`~repro.database.uncertain_db.TrajectoryDatabase`, which builds
@@ -18,17 +20,22 @@ the end, a removed one is marked dead, and row numbers never change --
 a row array taken from :attr:`Cohort.rows` keeps naming the same
 objects whatever is written later.  Once dead rows outnumber the live
 ones the database swaps in a :meth:`Cohort.compacted` copy.
+
+Growth replaces the columns, so rows taken earlier always index them
+safely; liveness, ``is_multi`` and ``last_time`` are patched in place,
+and a reader that needs one state of them while other threads keep
+syncing the cohort takes a :class:`CohortView`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.distribution import SupportBlock
 
-__all__ = ["Cohort"]
+__all__ = ["Cohort", "CohortView"]
 
 
 class Cohort:
@@ -37,6 +44,8 @@ class Cohort:
     Attributes:
         indptr, states, probs: first-observation supports, CSR.
         start_time: per row, timestamp of the first observation.
+        last_time: per row, timestamp of the latest observation
+            (``start_time`` unless ``is_multi``).
         is_multi: per row, later observations exist (Section VI).
         object_id: per row, the object's id (``object`` array).
         row_of: ``{object id: row}`` of the live objects.
@@ -49,6 +58,7 @@ class Cohort:
         self.states = np.zeros(0, dtype=np.int64)
         self.probs = np.zeros(0, dtype=float)
         self.start_time = np.zeros(0, dtype=np.int64)
+        self.last_time = np.zeros(0, dtype=np.int64)
         self.is_multi = np.zeros(0, dtype=bool)
         self.object_id = np.zeros(0, dtype=object)
         self.row_of: Dict[str, int] = {}
@@ -105,7 +115,7 @@ class Cohort:
         object_ids: Sequence[str],
         block: SupportBlock,
         start_times: Sequence[int],
-        is_multi: Sequence[bool],
+        last_times: Sequence[int],
     ) -> None:
         """Append one row per object of ``block``; an id already held
         is superseded (its old row dies).  Columns are replaced, not
@@ -120,11 +130,12 @@ class Cohort:
         )
         self.states = np.concatenate([self.states, block.states])
         self.probs = np.concatenate([self.probs, block.probs])
-        self.start_time = np.concatenate(
-            [self.start_time, np.asarray(start_times, dtype=np.int64)]
-        )
+        start_times = np.asarray(start_times, dtype=np.int64)
+        last_times = np.asarray(last_times, dtype=np.int64)
+        self.start_time = np.concatenate([self.start_time, start_times])
+        self.last_time = np.concatenate([self.last_time, last_times])
         self.is_multi = np.concatenate(
-            [self.is_multi, np.asarray(is_multi, dtype=bool)]
+            [self.is_multi, last_times > start_times]
         )
         self.object_id = np.concatenate([self.object_id, ids])
         self._alive = np.concatenate(
@@ -143,7 +154,7 @@ class Cohort:
                 self.n_states,
             ),
             [obj.initial.time for obj in objects],
-            [obj.has_multiple_observations() for obj in objects],
+            [obj.observations.last.time for obj in objects],
         )
 
     def discard(self, object_id: str) -> None:
@@ -153,6 +164,14 @@ class Cohort:
             self._alive[row] = False
             self._rows = None
 
+    def view(self) -> "CohortView":
+        """Copies of the live rows' patched-in-place columns (call
+        under the owning database's cohort lock)."""
+        rows = self.rows
+        return CohortView(
+            self, self.n_rows, rows, self.is_multi[rows], self.last_time[rows]
+        )
+
     def compacted(self) -> "Cohort":
         """A copy holding only the live rows, renumbered from zero."""
         rows = self.rows
@@ -161,6 +180,18 @@ class Cohort:
             self.ids(rows),
             self.block(rows),
             self.start_time[rows],
-            self.is_multi[rows],
+            self.last_time[rows],
         )
         return fresh
+
+
+class CohortView(NamedTuple):
+    """One state of a cohort's live rows, private to its holder:
+    ``is_multi`` and ``last_time`` are copies aligned with ``rows``,
+    ``n_rows`` the row count then; later patches do not show."""
+
+    cohort: Cohort
+    n_rows: int
+    rows: np.ndarray
+    is_multi: np.ndarray
+    last_time: np.ndarray

@@ -184,8 +184,9 @@ class ReachabilityPruner:
         ``region`` (``np.iinfo(np.int64).max`` when unreachable).
 
         ``obj`` first intersects a window over ``region`` no earlier
-        than ``obj.initial.time + min_steps``; streaming candidate
-        tracking activates it at exactly that tick.
+        than ``obj.initial.time + min_steps``.  The per-object form of
+        the threshold standing queries gather for whole cohorts
+        (``block.min_over_support(min_levels(...))``).
         """
         levels = self.min_levels(obj.chain_id, region)
         states, _probs = obj.initial.distribution.sparse()

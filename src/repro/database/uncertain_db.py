@@ -26,7 +26,7 @@ from repro.core.errors import StateSpaceError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.observation import Observation, ObservationSet
 from repro.core.state_space import StateSpace
-from repro.database.cohort import Cohort
+from repro.database.cohort import Cohort, CohortView
 from repro.database.objects import DEFAULT_CHAIN, UncertainObject
 
 if TYPE_CHECKING:  # avoid a circular import with database.pruning
@@ -297,7 +297,7 @@ class TrajectoryDatabase:
             self._journal_dropped += excess
 
     # ------------------------------------------------------------------
-    # columnar chain cohorts (one-shot query path)
+    # columnar chain cohorts (one-shot queries and standing-query ticks)
     # ------------------------------------------------------------------
     def cohorts(self) -> Dict[str, Cohort]:
         """The per-chain :class:`~repro.database.cohort.Cohort` arrays,
@@ -309,13 +309,26 @@ class TrajectoryDatabase:
         a query pays Python per *changed* object, not per object.  The
         planner calls this once per query, before any group fans out
         to a worker thread; the row arrays it takes from
-        :attr:`Cohort.rows` stay valid for that query whatever is
+        :attr:`Cohort.rows` keep naming the same objects whatever is
         written afterwards.
         """
         if self._cohorts is None or self._cohort_version != self._version:
             with self._cohort_lock:
                 self._sync_cohorts()
         return self._cohorts
+
+    def cohort_views(self) -> Dict[str, CohortView]:
+        """:meth:`cohorts`, each as a
+        :class:`~repro.database.cohort.CohortView` taken under the
+        cohort lock -- what a standing-query tick works on while other
+        queries keep syncing the cohorts."""
+        with self._cohort_lock:
+            if self._cohorts is None or self._cohort_version != self._version:
+                self._sync_cohorts()
+            return {
+                chain_id: cohort.view()
+                for chain_id, cohort in self._cohorts.items()
+            }
 
     def _sync_cohorts(self) -> None:
         # version first: a write landing after this line is replayed
@@ -350,9 +363,9 @@ class TrajectoryDatabase:
         """Replay journal entries onto the cohorts.
 
         ``add`` appends a row, ``remove`` tombstones it, ``observe``
-        flips ``is_multi`` in place -- unless the sighting was
-        backfilled before the first one, which moves the anchoring
-        observation and so replaces the row.  Each touched id is
+        flips ``is_multi`` and moves ``last_time`` in place -- unless
+        the sighting was backfilled before the first one, which moves
+        the anchoring observation and so replaces the row.  Each touched id is
         reconciled once against the database's *current* record, so
         the order of its journal entries does not matter.
         """
@@ -383,6 +396,7 @@ class TrajectoryDatabase:
                     and holder.start_time[row] == obj.initial.time
                 ):
                     holder.is_multi[row] = True
+                    holder.last_time[row] = obj.observations.last.time
                     continue
                 holder.discard(object_id)
             if obj is not None:

@@ -686,12 +686,14 @@ class PosteriorCollapse(Operator):
     """Lemma 1 forward filtering of a multi-observation object.
 
     ``inputs`` is ``(observations, resume)`` where ``resume`` is an
-    optional ``(time, pdf)`` pair to extend from (the streaming engine
-    caches the posterior of the previous re-sighting).  Returns
-    ``(t_last, P(X_t_last | all observations))``: once every
+    optional sparse ``(time, support, weights)`` posterior to extend
+    from (the streaming engine keeps the one of the previous
+    re-sighting).  Returns ``(t_last, support, weights)``, the nonzero
+    entries of ``P(X_t_last | all observations)``: once every
     observation precedes the query window, the object is exactly
     Markov from this pdf and rides the same backward columns as a
-    single-observation object.
+    single-observation object.  The result does not depend on a query
+    region; ``region`` is ignored.
     """
 
     name = "posterior_collapse"
@@ -700,8 +702,9 @@ class PosteriorCollapse(Operator):
         observations, resume = inputs
         t_last = observations.last.time
         if resume is not None:
-            time, vector = resume
-            vector = np.asarray(vector, dtype=float).copy()
+            time, support, weights = resume
+            vector = np.zeros(chain.n_states, dtype=float)
+            vector[support] = weights
         else:
             time = observations.first.time
             vector = np.asarray(
@@ -727,7 +730,8 @@ class PosteriorCollapse(Operator):
                     f"trajectory model: posterior mass is zero"
                 )
             vector = vector / total
-        return t_last, vector
+        support = np.flatnonzero(vector)
+        return t_last, support, vector[support]
 
 
 # ----------------------------------------------------------------------
@@ -773,8 +777,10 @@ class MCSample(Operator):
 class LadderExtend(Operator):
     """Extend a backward-vector ladder by repeated ``M_minus`` steps.
 
-    ``inputs`` is ``(m_minus, base, steps)``; returns the list of
-    ``steps`` new rungs ``[M.base, M^2.base, ...]``.  This is the
+    ``inputs`` is ``(m_minus, base, steps)``; writes the ``steps``
+    new rungs ``[M.base, M^2.base, ...]`` along axis 0 of ``out``
+    (``(steps,) + base.shape``, the spare tail of the caller's ladder
+    array) and returns it.  This is the
     streaming engine's per-tick kernel: shift invariance makes every
     slid window's backward column a pure ``M_minus`` extension of the
     previous one.
@@ -782,19 +788,19 @@ class LadderExtend(Operator):
 
     name = "ladder_extend"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, backend, out, context=None, **_):
         m_minus, base, steps = inputs
-        rungs: List[np.ndarray] = []
         vector = base
-        for _step in range(steps):
+        for step in range(steps):
             if isinstance(m_minus, CSRMatrix):
-                vector = np.asarray(matvec(m_minus, vector), dtype=float)
+                vector = matvec(m_minus, vector)
             elif backend == "native":
                 vector = native_kernels.matvec(m_minus, vector)
             else:
-                vector = np.asarray(m_minus @ vector, dtype=float)
-            rungs.append(vector)
-        return rungs
+                vector = m_minus @ vector
+            out[step] = vector
+            vector = out[step]
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -243,6 +243,11 @@ class ShardView:
         return self.obs_times[self.obj_indptr[:-1]]
 
     @property
+    def last_time(self) -> np.ndarray:
+        """Per object: timestamp of its latest observation."""
+        return self.obs_times[self.obj_indptr[1:] - 1]
+
+    @property
     def is_multi(self) -> np.ndarray:
         """Per object: later observations exist (Section VI)."""
         return np.diff(self.obj_indptr) > 1
@@ -585,7 +590,7 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
                 view.object_ids,
                 view.block(np.arange(view.n_objects())),
                 view.start_time,
-                view.is_multi,
+                view.last_time,
             )
         for object_id in self._stale:
             for cohort in self._cohorts.values():

@@ -232,6 +232,41 @@ class TestRuntimeDegradation:
         assert_values_close(result, reference)
 
 
+    def test_degradation_survives_a_failed_retry(self, monkeypatch):
+        """The retried tick fails between building its plan and the
+        commit point: the ``native -> scipy`` event is still owed and
+        the next committed tick reports it."""
+        from repro.exec.faults import (
+            FaultInjector,
+            FaultSpec,
+            InjectedFaultError,
+        )
+
+        database = build_database(seed=5)
+        monkeypatch.setenv("REPRO_NATIVE_FORCE_FAIL", "1")
+        standing = QueryEngine(database).watch(
+            PSTKTimesQuery(WINDOW),
+            faults=FaultInjector(
+                FaultSpec(site="streaming:commit", match={"tick": 0})
+            ),
+        )
+        with pytest.raises(InjectedFaultError):
+            standing.tick()  # BackendError -> scipy retry -> poisoned
+        assert standing.ticks == 0
+        assert all(
+            stream.backend == "scipy"
+            for stream in standing._chains.values()
+        )
+        standing.tick()
+        assert any(
+            "native -> scipy" in event
+            for event in standing.explain().degradations
+        )
+        # reported once, not on every later plan
+        standing.tick()
+        assert not standing.explain().degradations
+
+
 class TestStreamingParity:
     """Native-promoted chain streams tick within 1e-12 of batch."""
 

@@ -197,14 +197,18 @@ class TestLadderExtend:
     def test_rungs_are_repeated_products(self, chain, matrices):
         base = np.zeros(matrices.size, dtype=float)
         base[matrices.top_index] = 1.0
+        # the streaming ladder passes the spare tail of its own array
+        ladder = np.zeros((5, matrices.size), dtype=float)
         rungs = LADDER_EXTEND(
-            (matrices.m_minus, base, 3), chain, WINDOW.region
+            (matrices.m_minus, base, 3), chain, WINDOW.region,
+            out=ladder[1:4],
         )
-        assert len(rungs) == 3
+        assert len(rungs) == 3 and np.shares_memory(rungs, ladder)
         expected = base
         for rung in rungs:
             expected = matrices.m_minus @ expected
             np.testing.assert_allclose(rung, expected, atol=0)
+        assert not ladder[0].any() and not ladder[4].any()
 
 
 class TestPosteriorCollapse:
@@ -214,15 +218,16 @@ class TestPosteriorCollapse:
             Observation.uniform(3, N_STATES, range(8, 16)),
             Observation.uniform(6, N_STATES, range(10, 20)),
         )
-        t_fresh, fresh = POSTERIOR_COLLAPSE(
+        t_fresh, support, fresh = POSTERIOR_COLLAPSE(
             (observations, None), chain, WINDOW.region
         )
         prefix = ObservationSet.of(*observations.observations[:2])
-        t_mid, mid = POSTERIOR_COLLAPSE(
-            (prefix, None), chain, WINDOW.region
+        middle = POSTERIOR_COLLAPSE((prefix, None), chain, WINDOW.region)
+        t_resumed, resumed_support, resumed = POSTERIOR_COLLAPSE(
+            (observations, middle), chain, WINDOW.region
         )
-        t_resumed, resumed = POSTERIOR_COLLAPSE(
-            (observations, (t_mid, mid)), chain, WINDOW.region
-        )
+        # the sparse form: exactly the nonzero entries of the posterior
+        assert fresh.min() > 0.0 and fresh.sum() == pytest.approx(1.0)
+        np.testing.assert_array_equal(resumed_support, support)
         assert t_fresh == t_resumed == 6
         np.testing.assert_allclose(resumed, fresh, atol=1e-14)

@@ -236,7 +236,7 @@ class TestStreamingParity:
             for stream in standing._chains.values()
         )
         spread = max(
-            max(stream.singles.values()) - min(stream.singles.values())
+            int(np.ptp(stream.cohort.start_time[stream.cohort.rows]))
             for stream in standing._chains.values()
         )
         # one rung per live gap in the dense kept range, nothing for
