@@ -18,6 +18,7 @@ from repro.core.ktimes import (
     ktimes_distribution_blocked,
 )
 from repro.core.object_based import ob_exists_probability
+from repro.core.planner import PlanOptions
 from repro.core.query import PSTExistsQuery, SpatioTemporalWindow
 from repro.core.query_based import QueryBasedKTimesEvaluator
 
@@ -50,8 +51,13 @@ def test_ablation_pruning(benchmark, prune):
     query = PSTExistsQuery(
         SpatioTemporalWindow.from_ranges(100, 120, 10, 15)
     )
+    # plain: both filter stages off; pruned: the exact BFS filter on,
+    # the R-tree prefilter left to the planner
+    options = PlanOptions(
+        prefilter=None if prune else False, bfs_prune=prune
+    )
     result = benchmark.pedantic(
-        lambda: engine.evaluate(query, method="ob", prune=prune),
+        lambda: engine.evaluate(query, method="ob", options=options),
         rounds=1,
         iterations=1,
     )

@@ -7,11 +7,10 @@
 Monte-Carlo processing per chain group, and the plan runs as a staged
 filter--refinement pipeline (:mod:`repro.core.pipeline`) -- R-tree
 geometric prefilter, exact BFS reachability pruning, then the shared
-operator layer (:mod:`repro.exec.operators`), dispatched serially,
-across a thread pool (independent chain groups), or across the
-shared-memory process pool of :mod:`repro.exec.dispatch` (chain
-groups *and* within-chain object shards -- the mode that scales a
-single-chain database past the GIL).  Pass
+operator layer (:mod:`repro.exec.operators`), dispatched serially or
+across the shared-memory process pool of :mod:`repro.exec.dispatch`
+(chain groups *and* within-chain object shards -- the mode that
+scales a database past one core).  Pass
 ``cost_model=CostModel.from_calibration()`` to plan with coefficients
 measured on this machine (``repro-bench calibrate``,
 :mod:`repro.exec.calibrate`) instead of the hand-derived defaults.
@@ -37,7 +36,6 @@ candidate counts and timings -- also available directly through
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -179,7 +177,6 @@ class QueryEngine:
             pruner=self.pruner,
         )
         self._streaming = None
-        self._prune_deprecation_emitted = False
         # auto-stream detection (PlanOptions.auto_stream): the last
         # seen window signature, the stride of the last observed
         # slide (promotion needs the same stride twice in a row), and
@@ -196,7 +193,6 @@ class QueryEngine:
         self,
         query: PSTQuery,
         method: str = "auto",
-        prune: Optional[bool] = None,
         n_samples: Optional[int] = None,
         seed: Optional[int] = None,
         options: Optional[PlanOptions] = None,
@@ -208,16 +204,11 @@ class QueryEngine:
                 :class:`PSTKTimesQuery`.
             method: ``"auto"`` (cost-based planning, the default) or a
                 forced ``"qb"``/``"ob"``/``"mc"``.
-            prune: deprecated -- use
-                ``options=PlanOptions(prefilter=..., bfs_prune=...)``.
-                Honoured for *every* method now (it used to be silently
-                ignored outside OB): ``True`` forces the BFS filter on,
-                ``False`` forces both filter stages off.
             n_samples: Monte-Carlo sample count (MC only; paper default
                 100).
             seed: Monte-Carlo base seed; every object samples its own
                 stream derived from it.
-            options: planner overrides (filters, parallelism, cost
+            options: planner overrides (filters, dispatch, cost
                 model); see :class:`~repro.core.planner.PlanOptions`.
 
         Returns:
@@ -230,21 +221,8 @@ class QueryEngine:
             raise QueryError(
                 f"unknown method {method!r}; expected one of {_METHODS}"
             )
-        if prune is not None and not self._prune_deprecation_emitted:
-            # once per engine, not per query: a monitoring loop passing
-            # prune= every tick should not flood the warning log
-            self._prune_deprecation_emitted = True
-            warnings.warn(
-                "QueryEngine.evaluate(prune=...) is deprecated; use "
-                "options=PlanOptions(prefilter=..., bfs_prune=...) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         query.window.validate_for(self.database.n_states)
-        effective = resolve_options(
-            options, method, n_samples, seed, prune
-        )
+        effective = resolve_options(options, method, n_samples, seed)
         if effective.auto_stream and effective.method is None:
             delegated = self._auto_stream_tick(query)
             if delegated is not None:

@@ -65,7 +65,7 @@ class ExecutionError(ReproError):
     died, a task overran its deadline, a shared-memory segment
     vanished.  The supervised dispatch layer
     (:mod:`repro.exec.dispatch`) retries transient execution errors
-    and degrades process -> thread -> serial before letting one
+    and degrades process -> serial before letting one
     propagate, so user code normally only sees this after every
     recovery path was exhausted.
     """
@@ -153,7 +153,7 @@ class DegradedExecutionWarning(UserWarning):
     """Execution fell back to a slower-but-safe tier.
 
     Emitted (via :mod:`warnings`) when supervised dispatch exhausts
-    its retries and degrades process -> thread -> serial.  The query
+    its retries and degrades process -> serial.  The query
     still returns the exact answer; the degradation is also recorded
     on ``plan.degradations`` so ``explain()`` shows what happened.
     """

@@ -17,10 +17,9 @@ monotonically non-increasing by construction):
 3. **evaluate** -- the surviving objects of each chain group run
    through the shared operator layer (:mod:`repro.exec.operators`)
    with the group's planned method, dispatched per the plan:
-   ``serial``, ``thread`` (chain groups across a
-   :class:`~concurrent.futures.ThreadPoolExecutor` sharing the
-   engine's thread-safe plan cache) or ``process`` (chain groups *and*
-   within-chain object shards across the shared-memory worker pool of
+   ``serial`` (one chain group after the other, in the calling
+   thread) or ``process`` (chain groups *and* within-chain object
+   shards across the shared-memory worker pool of
    :mod:`repro.exec.dispatch`).
 
 Candidates travel between the stages as *row-index arrays* over each
@@ -44,20 +43,19 @@ property.
 **Degradation.**  The evaluate stage is fault-tolerant: when the
 supervised process tier exhausts its retries
 (:class:`~repro.core.errors.ExecutionError` from
-:mod:`repro.exec.dispatch`), the stage falls back to the thread tier,
-and from there to serial -- the same exact kernels, so the query still
-returns the exact answer.  Each fall is recorded on
-``plan.degradations`` (rendered by ``QueryPlan.describe()``) and
-warned as :class:`~repro.core.errors.DegradedExecutionWarning`.
+:mod:`repro.exec.dispatch`), or cannot serve this engine at all (no
+scipy, or a non-scipy engine backend), the stage falls back to serial
+-- the same exact kernels, so the query still returns the exact
+answer.  The fall is recorded on ``plan.degradations`` (rendered by
+``QueryPlan.describe()``) and warned as
+:class:`~repro.core.errors.DegradedExecutionWarning`.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time as _time
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
@@ -109,21 +107,6 @@ class QueryPipeline:
         self.plan_cache = plan_cache
         self.backend = backend
         self.pruner = pruner or ReachabilityPruner(database)
-        # thread-dispatch workers: one executor for the pipeline's
-        # lifetime, started on the first plan that fans chain groups
-        # out.  It is never resized or shut down, so concurrent
-        # execute() calls can share it; its idle threads exit when the
-        # pipeline (with its engine) is collected.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    thread_name_prefix="repro-pipeline"
-                )
-            return self._pool
 
     # ------------------------------------------------------------------
     # entry point
@@ -322,47 +305,40 @@ class QueryPipeline:
         started = _time.perf_counter()
         seed_index = self._seed_index(plan)
 
-        mode = plan.dispatch if plan.parallel else "serial"
-        pool_tasks: Optional[int] = None
+        mode = plan.dispatch
+        pool_tasks = 0
         if mode == "process":
             try:
                 pool_tasks = self._evaluate_processes(
                     plan, survivors, values, query, context, seed_index
                 )
             except ExecutionError as error:
-                # supervised retries exhausted (crash / timeout / lost
-                # segment): same exact kernels, one tier down
-                pool_tasks = None
-                self._degrade(
-                    context,
-                    "process",
-                    "thread" if len(plan.groups) > 1 else "serial",
-                    error,
-                )
+                # the pool cannot serve this engine, or supervised
+                # retries are exhausted (crash / timeout / lost
+                # segment): same exact kernels, in the parent
+                self._degrade(context, "process", "serial", error)
+                mode = "serial"
             except BackendError as error:
                 # native kernels failed in the parent-side pool prep:
                 # pin every native group back to scipy and re-run the
-                # whole stage one tier down
-                pool_tasks = None
+                # whole stage in the parent
                 self._degrade(context, "native", "scipy", error)
                 for group in plan.groups:
                     if group.backend == "native":
                         group.backend = "scipy"
-            if pool_tasks is None:  # unavailable: degrade gracefully
-                mode = "thread" if len(plan.groups) > 1 else "serial"
+                mode = "serial"
 
-        if mode != "process":
-            def run_group(group: GroupPlan) -> Dict[str, ResultValue]:
+        if mode == "serial":
+            for group in plan.groups:
                 rows = survivors[group.chain_id]
                 group_started = _time.perf_counter()
-                out: Dict[str, ResultValue] = {}
                 if rows.size:
                     kernel = partial(
                         self._kernel, group, rows, plan, query,
                         seed_index, context,
                     )
                     try:
-                        out = kernel()
+                        values.update(kernel())
                     except BackendError as error:
                         if group.backend != "native":
                             raise
@@ -371,50 +347,11 @@ class QueryPipeline:
                         # the scipy products, answer unchanged
                         self._degrade(context, "native", "scipy", error)
                         group.backend = "scipy"
-                        out = kernel()
+                        values.update(kernel())
                 group.survivors = len(rows)
                 group.elapsed_seconds = (
                     _time.perf_counter() - group_started
                 )
-                return out
-
-            # busy groups first, so striding deals them out evenly
-            ordered = sorted(
-                plan.groups,
-                key=lambda group: not survivors[group.chain_id].size,
-            )
-            busy = sum(
-                1 for group in plan.groups
-                if survivors[group.chain_id].size
-            )
-            if mode == "thread" and busy > 1:
-                # plan.max_workers bounds *this* query's share of the
-                # shared executor: that many tasks, each running every
-                # width-th group
-                width = min(plan.max_workers, busy)
-                try:
-                    futures = [
-                        self._thread_pool().submit(
-                            lambda lane: [
-                                run_group(group) for group in lane
-                            ],
-                            ordered[index::width],
-                        )
-                        for index in range(width)
-                    ]
-                    wait(futures)
-                    for future in futures:
-                        for out in future.result():
-                            values.update(out)
-                except ExecutionError as error:
-                    self._degrade(context, "thread", "serial", error)
-                    mode = "serial"
-                    for group in plan.groups:
-                        values.update(run_group(group))
-            else:
-                mode = "serial"
-                for group in plan.groups:
-                    values.update(run_group(group))
 
         if mode == "process":
             if plan.store_stats:
@@ -436,8 +373,6 @@ class QueryPipeline:
                     if pool_tasks
                     else "process (parent-only)"
                 )
-        elif mode == "thread":
-            detail_mode = f"thread x{plan.max_workers}"
         else:
             detail_mode = "serial"
         methods = ",".join(
@@ -507,9 +442,11 @@ class QueryPipeline:
         query,
         context: ExecutionContext,
         seed_index: Optional[Dict[str, int]],
-    ) -> Optional[int]:
-        """Process-pool evaluation; None when unavailable here, else
-        the number of group tasks actually shipped to the pool.
+    ) -> int:
+        """Process-pool evaluation; the number of group tasks actually
+        shipped to the pool.  Raises :class:`ExecutionError` when the
+        pool cannot serve this engine
+        (:func:`~repro.exec.dispatch.process_dispatch_available`).
 
         A database that shards its own storage
         (``supports_shard_scatter``) takes the store-scatter path:
@@ -529,10 +466,12 @@ class QueryPipeline:
         """
         from repro.exec import dispatch as _dispatch
 
-        if not _dispatch.process_dispatch_available():
-            return None
-        if self.backend not in (None, "scipy"):
-            return None
+        if not _dispatch.process_dispatch_available(self.backend):
+            raise ExecutionError(
+                f"process dispatch publishes scipy CSR matrices; "
+                f"unavailable without scipy or for engine backend "
+                f"{self.backend!r}"
+            )
 
         if getattr(self.database, "supports_shard_scatter", False):
             scattered = self._evaluate_store_scatter(

@@ -15,10 +15,9 @@ module makes the engine plan its own execution:
 * :class:`QueryPlanner` -- builds a :class:`QueryPlan` per query,
   choosing a processing method per *chain group* and deciding whether
   to run the geometric pre-filter, the exact BFS reachability filter,
-  and the parallel group dispatch;
+  and the process-pool dispatch;
 * :class:`PlanOptions` -- per-query overrides (force a method, force a
-  filter on/off, cap the worker pool), replacing the old boolean
-  ``prune=`` flag;
+  filter on/off, force the execution mode, cap the worker pool);
 * :class:`QueryPlan` / :class:`GroupPlan` / :class:`StageStats` -- the
   EXPLAIN-style artefact the pipeline fills with per-stage candidate
   counts and timings, returned on every
@@ -60,7 +59,7 @@ __all__ = [
 
 _EXACT_METHODS = ("qb", "ob")
 _ALL_METHODS = ("qb", "ob", "mc")
-_DISPATCH_MODES = ("serial", "thread", "process")
+_DISPATCH_MODES = ("serial", "process")
 
 #: CostModel fields the calibration harness fits (kernel coefficients,
 #: as opposed to the stage-decision thresholds, which stay structural).
@@ -105,7 +104,7 @@ class SupervisorPolicy:
     that crashes its worker, loses a shared-memory segment, or times
     out is retried on a rebuilt pool with exponential backoff up to
     ``max_retries`` times; past that the dispatch call raises and the
-    pipeline degrades process -> thread -> serial (recorded on
+    pipeline degrades process -> serial (recorded on
     ``plan.degradations`` and warned as
     :class:`~repro.core.errors.DegradedExecutionWarning`).
 
@@ -171,24 +170,20 @@ class PlanOptions:
     """Per-query planning overrides.
 
     Every field defaults to "let the planner decide"; forcing a value
-    turns the corresponding decision off.  This replaces the engine's
-    deprecated boolean ``prune=`` flag.
+    turns the corresponding decision off.
 
     Attributes:
         method: force ``"qb"``, ``"ob"`` or ``"mc"`` for every chain
             group instead of the cost-based choice.
         prefilter: force the R-tree geometric pre-filter on or off.
         bfs_prune: force the exact BFS reachability filter on or off.
-        parallel: force parallel chain-group dispatch on or off
-            (legacy toggle; ``True`` means thread dispatch unless
-            ``dispatch`` says otherwise).
-        dispatch: force the execution mode -- ``"serial"``,
-            ``"thread"`` (chain groups across a thread pool) or
+        dispatch: force the execution mode -- ``"serial"`` (chain
+            groups one after the other in the calling thread) or
             ``"process"`` (chain groups *and* within-chain object
             shards across a shared-memory process pool, see
             :mod:`repro.exec.dispatch`).  ``None`` lets the cost
             model choose.
-        max_workers: worker-pool size cap for parallel dispatch.
+        max_workers: worker-pool size cap for process dispatch.
         allow_approximate: let the cost model pick Monte-Carlo when it
             is the cheapest strategy (off by default: planned execution
             then stays exact and method-independent).
@@ -223,7 +218,6 @@ class PlanOptions:
     method: Optional[str] = None
     prefilter: Optional[bool] = None
     bfs_prune: Optional[bool] = None
-    parallel: Optional[bool] = None
     dispatch: Optional[str] = None
     max_workers: Optional[int] = None
     allow_approximate: bool = False
@@ -259,19 +253,14 @@ class PlanOptions:
                 f"supervisor must be a SupervisorPolicy, got "
                 f"{self.supervisor!r}"
             )
-        if self.dispatch is not None:
-            if self.dispatch not in _DISPATCH_MODES:
-                raise ValidationError(
-                    f"unknown dispatch {self.dispatch!r}; expected one "
-                    f"of {_DISPATCH_MODES}"
-                )
-            if self.parallel is not None and (
-                self.parallel == (self.dispatch == "serial")
-            ):
-                raise QueryError(
-                    f"dispatch={self.dispatch!r} conflicts with "
-                    f"parallel={self.parallel!r}"
-                )
+        if (
+            self.dispatch is not None
+            and self.dispatch not in _DISPATCH_MODES
+        ):
+            raise ValidationError(
+                f"unknown dispatch {self.dispatch!r}; expected one "
+                f"of {_DISPATCH_MODES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -310,8 +299,6 @@ class CostModel:
             fraction of the state space (an almost-everywhere region
             prunes nothing and its MBR costs ``O(|region|)``).
         bfs_min_objects: smallest group worth the reverse-BFS labelling.
-        parallel_min_objects: smallest total workload dispatched to the
-            worker pool.
         max_workers_cap: upper bound on auto-sized worker pools.
         process_min_cost: smallest estimated evaluation cost (in the
             model's units) worth the process-pool dispatch of
@@ -347,7 +334,6 @@ class CostModel:
     prefilter_min_objects: int = 8
     prefilter_max_region_fraction: float = 0.5
     bfs_min_objects: int = 4
-    parallel_min_objects: int = 32
     max_workers_cap: int = 8
     process_min_cost: float = 5e8
     shard_min_objects: int = 128
@@ -745,15 +731,14 @@ class QueryPlan:
         complemented: the window is the for-all complement reduction.
         use_prefilter: run the R-tree geometric filter stage.
         use_bfs: run the exact BFS reachability filter stage.
-        parallel: dispatch work across a worker pool (equivalent to
-            ``dispatch != "serial"``; kept for compatibility).
-        max_workers: pool size when ``parallel``.
+        max_workers: pool size under ``process`` dispatch (1 when
+            ``serial``).
         options: the resolved :class:`PlanOptions`.
         groups: one :class:`GroupPlan` per chain group.
         stages: filled by the pipeline with per-stage candidate counts
             and timings.
-        dispatch: chosen execution mode -- ``"serial"``, ``"thread"``
-            or ``"process"`` (shared-memory process pool,
+        dispatch: chosen execution mode -- ``"serial"`` or
+            ``"process"`` (shared-memory process pool,
             :mod:`repro.exec.dispatch`).
         operator_seconds: per-operator ``(calls, seconds)`` timings
             collected by the execution layer's hooks
@@ -768,7 +753,8 @@ class QueryPlan:
             delegated to.
         degradations: recovery events of this execution -- supervisor
             retries ("pool rebuilt after worker crash ..."), and tier
-            falls ("process -> thread: ...").  Empty on a clean run;
+            falls ("degraded process -> serial ...").  Empty on a clean
+            run;
             rendered by :meth:`describe` so ``explain()`` shows how
             the exact answer was actually obtained.
         fusion: cross-request fusion events recorded by the
@@ -791,7 +777,6 @@ class QueryPlan:
     complemented: bool
     use_prefilter: bool
     use_bfs: bool
-    parallel: bool
     max_workers: int
     options: PlanOptions
     groups: List[GroupPlan] = field(default_factory=list)
@@ -874,7 +859,7 @@ class QueryPlan:
             f" -> evaluate("
             + (
                 f"{self.dispatch} x{self.max_workers}"
-                if self.parallel
+                if self.dispatch != "serial"
                 else "serial"
             )
             + ")",
@@ -1074,7 +1059,6 @@ class QueryPlanner:
             complemented=complemented,
             use_prefilter=use_prefilter,
             use_bfs=use_bfs,
-            parallel=dispatch != "serial",
             max_workers=max_workers,
             options=options,
             groups=groups,
@@ -1222,51 +1206,32 @@ class QueryPlanner:
         model: CostModel,
         kind: str,
     ):
-        """Choose serial / thread / process execution and a pool size.
+        """Choose serial or process execution and a pool size.
 
-        Threads only help when *independent chain groups* exist (the
-        batched kernels hold the GIL for one group's products);
-        processes shard within a chain too, so they are the only mode
-        that scales a single-chain sweep -- but each shard pays
-        fork/IPC overhead, so the estimated kernel cost must clear
-        ``process_min_cost`` before auto picks them.  Both the stacked
+        Processes run chain groups *and* within-chain object shards in
+        parallel, but each shard pays fork/IPC overhead, so the
+        estimated kernel cost must clear ``process_min_cost`` before
+        auto picks them -- and never for an engine the pool cannot
+        serve (no scipy, or pinned to another backend).  Both the stacked
         exists sweeps (OB) and the stacked k-times sweep (CT) shard
         within a chain; QB's shared backward pass runs as one task.
         """
-        cores = os.cpu_count() or 1
-
-        def workers_for(mode: str) -> int:
-            cap = options.max_workers or min(
-                model.max_workers_cap, cores
-            )
-            if mode == "thread":
-                return max(1, min(cap, len(groups)))
-            shards = max(
-                len(groups),
-                total_objects // max(1, model.shard_min_objects),
-                sum(group.shard_count or 0 for group in groups),
-            )
-            return max(1, min(cap, shards))
-
-        if options.dispatch is not None:
-            mode = options.dispatch
-            if mode == "serial":
-                return "serial", 1
-            return mode, workers_for(mode)
-
-        thread_auto = (
-            len(groups) >= 2
-            and total_objects >= model.parallel_min_objects
-        )
-        if options.parallel is True:
-            # legacy toggle: thread dispatch, needing >= 2 groups
-            if len(groups) < 2:
-                return "serial", 1
-            return "thread", workers_for("thread")
-        if options.parallel is False:
+        if options.dispatch == "serial":
             return "serial", 1
+        cores = os.cpu_count() or 1
+        shards = max(
+            len(groups),
+            total_objects // max(1, model.shard_min_objects),
+            sum(group.shard_count or 0 for group in groups),
+        )
+        cap = options.max_workers or min(model.max_workers_cap, cores)
+        workers = max(1, min(cap, shards))
+        if options.dispatch == "process":
+            return "process", workers
 
-        if cores >= 2:
+        from repro.exec.dispatch import process_dispatch_available
+
+        if cores >= 2 and process_dispatch_available(self.backend):
             estimated = sum(
                 min(group.costs.values())
                 for group in groups
@@ -1290,13 +1255,9 @@ class QueryPlanner:
             if (
                 estimated >= model.process_min_cost
                 and (shardable or len(groups) >= 2)
-                and workers_for("process") > 1
+                and workers > 1
             ):
-                return "process", workers_for("process")
-        if thread_auto:
-            workers = workers_for("thread")
-            if workers > 1:
-                return "thread", workers
+                return "process", workers
         return "serial", 1
 
 
@@ -1305,15 +1266,11 @@ def resolve_options(
     method: str,
     n_samples: Optional[int],
     seed: Optional[int],
-    prune: Optional[bool],
 ) -> PlanOptions:
     """Merge the engine's keyword arguments into plan options.
 
     ``method="auto"`` leaves the cost-based choice in place; a concrete
-    method forces it (conflicting forcings raise).  The deprecated
-    ``prune`` flag maps onto the two filter toggles (``True`` enables
-    the BFS filter, ``False`` disables both) -- explicit fields on
-    ``base`` win over the legacy flag.
+    method forces it (conflicting forcings raise).
     """
     options = base or PlanOptions()
     updates = {}
@@ -1328,9 +1285,4 @@ def resolve_options(
         updates["n_samples"] = n_samples
     if seed is not None:
         updates["seed"] = seed
-    if prune is not None:
-        if options.bfs_prune is None:
-            updates["bfs_prune"] = prune
-        if options.prefilter is None and not prune:
-            updates["prefilter"] = False
     return replace(options, **updates) if updates else options

@@ -1029,7 +1029,6 @@ class StandingQuery:
             complemented=self.complemented,
             use_prefilter=False,
             use_bfs=False,
-            parallel=False,
             max_workers=1,
             options=options,
             semantics="forall" if self.complemented else self.kind,

@@ -17,8 +17,9 @@ kernels.  This package is the single home of those kernels:
   ``(inputs, chain, region, backend) -> arrays`` signatures and
   per-call timing hooks collected on an
   :class:`~repro.exec.operators.ExecutionContext`;
-* :mod:`repro.exec.dispatch` -- serial / thread-pool / process-pool
-  dispatch of operator work, with CSR matrices and stacked state
+* :mod:`repro.exec.dispatch` -- process-pool dispatch of operator
+  work (the alternative to serial evaluation in the calling thread),
+  with CSR matrices and stacked state
   vectors published once into :mod:`multiprocessing.shared_memory`
   and rebuilt pickle-free on the worker side, run under a supervisor
   (cost-priced deadlines, retry with pool rebuild, tier degradation)

@@ -1,8 +1,8 @@
 """Process-pool dispatch with shared-memory matrices.
 
 The batched kernels hold the GIL for the duration of every sparse
-product, so a thread pool only scales across *independent chain
-groups* -- a single-chain database is capped at one core.  This module
+product, so inside one interpreter a query is capped at one core,
+however many chain groups it has.  This module
 lifts that cap: chain groups **and within-chain object shards** run
 across a pool of worker processes, and the large arrays they need --
 the chain CSR, the augmented absorbing matrices (plus their cached
@@ -30,7 +30,7 @@ one :func:`supervise` loop (cost-priced deadlines, pool rebuild and
 resubmission with backoff after a worker crash or a hang, bounded
 retries); what a task that exhausts them becomes is the caller's
 ``exhausted`` hook -- typed errors here, which the pipeline catches to
-degrade process -> thread -> serial, in-parent evaluation for store
+degrade process -> serial, in-parent evaluation for store
 shards.  Either way the query still returns the exact answer.  Every
 published segment is named ``repro-<session>-<pid>-<seq>`` so the
 startup *janitor* (:func:`sweep_orphans`, run on every pool build and
@@ -88,9 +88,11 @@ __all__ = [
 ]
 
 
-def process_dispatch_available() -> bool:
-    """Whether this platform supports the shared-memory process path."""
-    return _sp is not None
+def process_dispatch_available(backend: Optional[str] = None) -> bool:
+    """Whether the shared-memory process path can serve an engine on
+    ``backend``: it publishes scipy CSR matrices, so it needs scipy and
+    an engine that is not pinned to another backend."""
+    return _sp is not None and backend in (None, "scipy")
 
 
 # ----------------------------------------------------------------------

@@ -127,8 +127,8 @@ class ExecutionContext:
         # recovery events (pool rebuilds, retries) the supervisor
         # records; the pipeline copies them onto plan.degradations
         self.events: List[str] = []
-        # one context is shared across the thread-dispatch pool, so
-        # the counters must fold in atomically
+        # a context is a public object callers may hand to several
+        # threads, so the counters must fold in atomically
         self._lock = threading.Lock()
 
     def record(self, name: str, seconds: float) -> None:

@@ -247,7 +247,7 @@ class QueryService:
         await self.start()
         loop = asyncio.get_running_loop()
         query.window.validate_for(self.engine.database.n_states)
-        effective = resolve_options(options, method, n_samples, seed, None)
+        effective = resolve_options(options, method, n_samples, seed)
         predicted = self.engine.planner.estimate_seconds(query, effective)
         account = self.ledger.account(tenant)
         if account.would_exceed(predicted):

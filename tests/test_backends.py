@@ -2,7 +2,7 @@
 
 The native backend is an optimisation layer, never a semantics layer:
 whatever combination of predicate (exists / for-all / k-times),
-dispatch tier (serial / thread / process) and backend answers a query,
+dispatch tier (serial / process) and backend answers a query,
 the values must agree with the scipy serial reference to 1e-12 -- the
 same tolerance every other execution tier in this repo is held to.
 Also covered here:
@@ -49,7 +49,7 @@ QUERIES = [
     PSTForAllQuery(WINDOW),
     PSTKTimesQuery(WINDOW, k=2),
 ]
-DISPATCHES = ["serial", "thread", "process"]
+DISPATCHES = ["serial", "process"]
 
 
 def dense_chain(seed: int, n_states: int = N_STATES) -> MarkovChain:
@@ -138,11 +138,11 @@ class TestBatchParity:
     @pytest.mark.parametrize(
         "query", QUERIES, ids=lambda q: type(q).__name__
     )
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial"])
     def test_pure_backend_parity(self, database, references, query, mode):
         # the pure-python backend cannot publish shared-memory CSR
-        # views, so it has no process tier; serial and thread must
-        # still agree with the scipy reference
+        # views, so it has no process tier; serial must still agree
+        # with the scipy reference
         engine = QueryEngine(database, backend="pure")
         result = engine.evaluate(
             query, options=PlanOptions(dispatch=mode, max_workers=2)
@@ -205,6 +205,45 @@ class TestRuntimeDegradation:
             "native -> scipy" in event
             for event in result.plan.degradations
         )
+
+    def test_unservable_backend_records_the_process_fall(self):
+        """The pool cannot publish a pure-backend engine's matrices:
+        a forced process plan answers serially and says so, and auto
+        never picks process for such an engine."""
+        from repro.core.errors import DegradedExecutionWarning
+        from repro.core.planner import CostModel
+
+        database = build_database(seed=6)
+        reference = QueryEngine(database).evaluate(
+            QUERIES[0], options=PlanOptions(dispatch="serial")
+        )
+        # thresholds under which auto picks the pool for this query
+        eager = CostModel(process_min_cost=0.0, shard_min_objects=4)
+        auto = PlanOptions(method="ob", max_workers=2)
+        assert QueryEngine(database, cost_model=eager).planner.plan(
+            QUERIES[0], auto
+        ).dispatch == "process"
+        engine = QueryEngine(database, backend="pure", cost_model=eager)
+        with pytest.warns(
+            DegradedExecutionWarning, match="process -> serial"
+        ):
+            result = engine.evaluate(
+                QUERIES[0],
+                method="ob",
+                options=PlanOptions(dispatch="process", max_workers=2),
+            )
+        assert_values_close(result, reference)
+        assert result.plan.dispatch == "process"
+        assert result.plan.stages[-1].detail.startswith("serial")
+        assert len(result.plan.degradations) == 1
+        assert result.plan.degradations[0].startswith(
+            "degraded process -> serial after ExecutionError"
+        )
+        assert "'pure'" in result.plan.degradations[0]
+        planned = engine.evaluate(QUERIES[0], options=auto)
+        assert planned.plan.dispatch == "serial"
+        assert planned.plan.degradations == []
+        assert_values_close(planned, reference)
 
     def test_streaming_tick_degrades_and_answers(self, monkeypatch):
         database = build_database(seed=5)

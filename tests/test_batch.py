@@ -16,6 +16,7 @@ from repro import (
     MonteCarloSampler,
     Observation,
     ObservationSet,
+    PlanOptions,
     PSTExistsQuery,
     QueryBasedEvaluator,
     QueryEngine,
@@ -323,10 +324,11 @@ class TestEngineParity:
             frozenset({0, 1}), frozenset({1, 2})
         )
         engine = QueryEngine(database)
-        with pytest.warns(DeprecationWarning, match="prune"):
-            pruned = engine.evaluate(
-                PSTExistsQuery(window), method="ob", prune=True
-            )
+        pruned = engine.evaluate(
+            PSTExistsQuery(window),
+            method="ob",
+            options=PlanOptions(bfs_prune=True),
+        )
         plain = engine.evaluate(PSTExistsQuery(window), method="ob")
         surviving = {
             obj.object_id

@@ -15,9 +15,9 @@ The load-bearing properties:
 
 from __future__ import annotations
 
-import gc
 import tempfile
 import threading
+from concurrent.futures import Executor
 
 import numpy as np
 import pytest
@@ -83,20 +83,20 @@ def resighting(seed: int) -> StateDistribution:
     return StateDistribution(weights, normalize=True)
 
 
-def make_object(seed: int) -> UncertainObject:
+def make_object(seed: int, chains=CHAINS) -> UncertainObject:
     return UncertainObject.with_distribution(
         f"obj-{seed}",
         sighting(seed),
         time=1 + seed % 3,
-        chain_id=CHAINS[seed % 2],
+        chain_id=chains[seed % len(chains)],
     )
 
 
-def seed_database() -> TrajectoryDatabase:
+def seed_database(chains=CHAINS, n_objects: int = 8) -> TrajectoryDatabase:
     database = TrajectoryDatabase(
         N_STATES, state_space=LineStateSpace(N_STATES)
     )
-    for index, chain_id in enumerate(CHAINS):
+    for index, chain_id in enumerate(chains):
         database.register_chain(
             chain_id,
             make_line_chain(
@@ -104,7 +104,9 @@ def seed_database() -> TrajectoryDatabase:
                 rng=np.random.default_rng(index),
             ),
         )
-    database.add_all([make_object(seed) for seed in range(8)])
+    database.add_all(
+        [make_object(seed, chains) for seed in range(n_objects)]
+    )
     return database
 
 
@@ -402,53 +404,48 @@ class TestNoPerObjectPython:
         assert len(messages) == 1
         assert "precedes the observation at t=3" in messages.pop()
 
-    def test_thread_workers_are_shared_and_released(self):
-        database = seed_database()
-        engine = QueryEngine(database)
-        reference = engine.evaluate(PSTExistsQuery(WINDOW)).values
-        engine.evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="thread")
+    def test_planned_evaluation_starts_no_threads(self):
+        # the thread rung cannot creep back: a multi-chain database big
+        # enough for the old rule (>= 2 groups, >= 32 objects) plans
+        # serial, runs in the calling thread, and the pipeline owns no
+        # executor
+        engine = QueryEngine(
+            seed_database(("bus", "car", "tram", "bike"), n_objects=40)
         )
-        pool = engine.pipeline._pool
-        assert pool is not None
-        # a different width shares the executor instead of replacing it
-        narrow = engine.evaluate(
-            PSTExistsQuery(WINDOW),
-            options=PlanOptions(dispatch="thread", max_workers=1),
+        before = threading.active_count()
+        for query, method in (
+            (PSTExistsQuery(WINDOW), "auto"),
+            (PSTForAllQuery(WINDOW), "auto"),
+            (PSTKTimesQuery(WINDOW), "auto"),
+            (PSTExistsQuery(WINDOW), "mc"),
+        ):
+            plan = engine.evaluate(query, method=method, seed=3).plan
+            assert len(plan.groups) == 4
+            assert plan.dispatch == "serial"
+            assert plan.stages[-1].detail.startswith("serial")
+            assert threading.active_count() == before
+        assert not any(
+            isinstance(value, Executor)
+            for value in vars(engine.pipeline).values()
         )
-        assert engine.pipeline._pool is pool
-        assert narrow.values == reference
-        workers = list(pool._threads)
-        assert workers
-        del engine, pool, narrow
-        gc.collect()
-        for worker in workers:
-            worker.join(timeout=10)
-            assert not worker.is_alive()
 
     def test_concurrent_evaluates_with_different_widths(self):
-        # regression: resizing the shared executor under a concurrent
-        # evaluate() raised "cannot schedule new futures after shutdown"
+        # four caller threads share one engine (plan cache, pruner,
+        # cohorts) under default options
         database = seed_database()
         engine = QueryEngine(database)
         reference = engine.evaluate(PSTExistsQuery(WINDOW)).values
         errors = []
 
-        def worker(width: int) -> None:
-            options = PlanOptions(dispatch="thread", max_workers=width)
+        def worker() -> None:
             try:
                 for _ in range(40):
-                    got = engine.evaluate(
-                        PSTExistsQuery(WINDOW), options=options
-                    ).values
+                    got = engine.evaluate(PSTExistsQuery(WINDOW)).values
                     assert got == reference
             except BaseException as error:  # noqa: BLE001
                 errors.append(error)
 
-        threads = [
-            threading.Thread(target=worker, args=(1 + index % 2,))
-            for index in range(4)
-        ]
+        threads = [threading.Thread(target=worker) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:

@@ -2,7 +2,7 @@
 
 The load-bearing properties:
 
-* thread-pool, process-pool and serial dispatch agree to 1e-12 on
+* process-pool and serial dispatch agree to 1e-12 on
   randomized multi-chain workloads -- including after mid-run
   ``append_observation`` mutations (which turn objects into
   multi-observation Section VI cases);
@@ -211,14 +211,13 @@ class TestDispatchParity:
                 method=method,
                 options=PlanOptions(dispatch=mode, max_workers=2),
             )
-            for mode in ("serial", "thread", "process")
+            for mode in ("serial", "process")
         }
-        for mode in ("thread", "process"):
-            assert results[mode].plan.dispatch == mode
-            for object_id in database.object_ids:
-                assert results[mode].values[object_id] == pytest.approx(
-                    results["serial"].values[object_id], abs=1e-12
-                )
+        assert results["process"].plan.dispatch == "process"
+        for object_id in database.object_ids:
+            assert results["process"].values[object_id] == pytest.approx(
+                results["serial"].values[object_id], abs=1e-12
+            )
 
     def test_parity_survives_append_observation(self):
         """Mid-run mutations (objects turning multi) keep parity."""
@@ -249,15 +248,8 @@ class TestDispatchParity:
                 query,
                 options=PlanOptions(dispatch="process", max_workers=2),
             )
-            thread = engine.evaluate(
-                query,
-                options=PlanOptions(dispatch="thread", max_workers=2),
-            )
             for object_id in database.object_ids:
                 assert process.values[object_id] == pytest.approx(
-                    serial.values[object_id], abs=1e-12
-                )
-                assert thread.values[object_id] == pytest.approx(
                     serial.values[object_id], abs=1e-12
                 )
 
@@ -329,9 +321,7 @@ class TestDispatchParity:
         )
         planner = QueryPlanner(
             database,
-            cost_model=CostModel(
-                process_min_cost=0.0, parallel_min_objects=1
-            ),
+            cost_model=CostModel(process_min_cost=0.0),
         )
         plan = planner.plan(
             PSTExistsQuery(WINDOW), PlanOptions(method="qb")

@@ -8,6 +8,7 @@ import pytest
 from repro import (
     Observation,
     ObservationSet,
+    PlanOptions,
     PSTExistsQuery,
     PSTForAllQuery,
     PSTKTimesQuery,
@@ -154,10 +155,11 @@ class TestPruneOption:
         database = build_database(seed=9)
         engine = QueryEngine(database)
         plain = engine.evaluate(PSTExistsQuery(WINDOW), method="ob")
-        with pytest.warns(DeprecationWarning, match="prune"):
-            pruned = engine.evaluate(
-                PSTExistsQuery(WINDOW), method="ob", prune=True
-            )
+        pruned = engine.evaluate(
+            PSTExistsQuery(WINDOW),
+            method="ob",
+            options=PlanOptions(bfs_prune=True),
+        )
         for object_id in database.object_ids:
             assert pruned.values[object_id] == pytest.approx(
                 plain.values[object_id], abs=1e-12

@@ -175,6 +175,16 @@ class TestSupervisedDispatch:
             "WorkerCrashError" in event
             for event in result.plan.degradations
         )
+        # several chain groups still make exactly one fall, straight
+        # to the parent's serial loop
+        assert len(result.plan.groups) >= 2
+        falls = [
+            event for event in result.plan.degradations
+            if event.startswith("degraded ")
+        ]
+        assert len(falls) == 1
+        assert falls[0].startswith("degraded process -> serial")
+        assert result.plan.stages[-1].detail.startswith("serial")
         # explain() surfaces the same events
         assert "degraded" in result.plan.describe()
 

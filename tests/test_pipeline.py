@@ -14,7 +14,6 @@ The load-bearing properties:
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -205,24 +204,6 @@ class TestAutoParity:
         with pytest.raises(QueryError):
             engine.evaluate(PSTKTimesQuery(WINDOW))
 
-    def test_parallel_groups_match_serial(self):
-        database = mixed_line_database(
-            n_objects=30, seed=8, chain_ids=("cars", "trucks", "bikes")
-        )
-        engine = QueryEngine(database)
-        serial = engine.evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
-        )
-        parallel = engine.evaluate(
-            PSTExistsQuery(WINDOW),
-            options=PlanOptions(parallel=True, max_workers=3),
-        )
-        assert parallel.plan.parallel
-        for object_id in database.object_ids:
-            assert serial.values[object_id] == pytest.approx(
-                parallel.values[object_id], abs=1e-12
-            )
-
 
 class TestFilterSafety:
     def test_filters_never_drop_nonzero_objects_randomized(self):
@@ -307,48 +288,6 @@ class TestExplain:
         )
         with pytest.raises(QueryError):
             QueryEngine(database).explain(PSTForAllQuery(window))
-
-    def test_prune_false_disables_both_stages(self):
-        database = mixed_line_database(seed=14)
-        engine = QueryEngine(database)
-        with pytest.warns(DeprecationWarning):
-            result = engine.evaluate(
-                PSTExistsQuery(WINDOW), prune=False
-            )
-        assert not result.plan.use_prefilter
-        assert not result.plan.use_bfs
-        assert result.plan.stage_counts() == [
-            len(database)
-        ] * 4  # nothing filtered
-
-    def test_prune_true_enables_bfs_for_every_method(self):
-        database = mixed_line_database(seed=15, multi_every=0)
-        for method in ("qb", "ob", "mc"):
-            engine = QueryEngine(database)  # the warning is per engine
-            with pytest.warns(DeprecationWarning):
-                result = engine.evaluate(
-                    PSTExistsQuery(WINDOW),
-                    method=method,
-                    prune=True,
-                    seed=0,
-                )
-            assert result.plan.use_bfs
-
-    def test_prune_deprecation_warns_once_per_engine(self):
-        database = mixed_line_database(seed=15, multi_every=0)
-        engine = QueryEngine(database)
-        with pytest.warns(DeprecationWarning, match="PlanOptions"):
-            engine.evaluate(PSTExistsQuery(WINDOW), prune=True)
-        # a monitoring loop re-passing prune= must not warn again
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.evaluate(PSTExistsQuery(WINDOW), prune=True)
-            engine.evaluate(PSTExistsQuery(WINDOW), prune=False)
-        # ... but a fresh engine warns anew
-        with pytest.warns(DeprecationWarning, match="PlanOptions"):
-            QueryEngine(database).evaluate(
-                PSTExistsQuery(WINDOW), prune=True
-            )
 
 
 class TestPlanCacheThreadSafety:

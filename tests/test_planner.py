@@ -81,23 +81,25 @@ class TestPlanOptions:
     def test_bad_dispatch_named_in_error(self):
         with pytest.raises(ValidationError, match="gpu"):
             PlanOptions(dispatch="gpu")
+        # the thread rung is gone: an unknown mode like any other, and
+        # the error names the two that exist
+        with pytest.raises(
+            ValidationError, match=r"thread.*\('serial', 'process'\)"
+        ):
+            PlanOptions(dispatch="thread")
+
+    def test_removed_knobs_are_type_errors(self):
+        # no alias or shim: dispatch= is the one execution switch and
+        # prefilter= / bfs_prune= the only filter toggles
+        with pytest.raises(TypeError):
+            PlanOptions(parallel=True)
+        engine = QueryEngine(line_database(n_objects=2))
+        with pytest.raises(TypeError):
+            engine.evaluate(PSTExistsQuery(WINDOW), prune=True)
 
     def test_resolve_conflicting_methods_raise(self):
         with pytest.raises(QueryError):
-            resolve_options(
-                PlanOptions(method="ob"), "qb", None, None, None
-            )
-
-    def test_resolve_prune_flag_mapping(self):
-        on = resolve_options(None, "auto", None, None, True)
-        assert on.bfs_prune is True and on.prefilter is None
-        off = resolve_options(None, "auto", None, None, False)
-        assert off.bfs_prune is False and off.prefilter is False
-
-    def test_resolve_explicit_fields_beat_prune_flag(self):
-        base = PlanOptions(bfs_prune=True, prefilter=True)
-        merged = resolve_options(base, "auto", None, None, False)
-        assert merged.bfs_prune is True and merged.prefilter is True
+            resolve_options(PlanOptions(method="ob"), "qb", None, None)
 
 
 class TestMethodChoice:
@@ -201,21 +203,6 @@ class TestStageDecisions:
             PlanOptions(prefilter=True, bfs_prune=True),
         )
         assert plan.use_prefilter and plan.use_bfs
-
-    def test_parallel_needs_multiple_groups(self):
-        single = line_database(n_objects=64)
-        plan = QueryPlanner(single).plan(
-            PSTExistsQuery(WINDOW), PlanOptions(parallel=True)
-        )
-        assert not plan.parallel
-        multi = line_database(
-            n_objects=64, chain_ids=("cars", "trucks")
-        )
-        plan = QueryPlanner(multi).plan(
-            PSTExistsQuery(WINDOW),
-            PlanOptions(parallel=True, max_workers=2),
-        )
-        assert plan.parallel and plan.max_workers == 2
 
     def test_forall_plans_complement(self):
         database = line_database(n_objects=10, n_states=50)

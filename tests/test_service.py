@@ -121,7 +121,7 @@ class TestFusionKey:
         query = PSTExistsQuery(WINDOW)
         base = fusion_key(query, PlanOptions(), 0)
         assert fusion_key(
-            query, PlanOptions(dispatch="thread", max_workers=2), 0
+            query, PlanOptions(dispatch="process", max_workers=2), 0
         ) == base
 
     def test_seeded_monte_carlo_fuses_unseeded_never_does(self):

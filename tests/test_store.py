@@ -4,8 +4,8 @@ The load-bearing properties:
 
 * the store facade answers every query kind (qb/ob/mc exists, exact
   and MC k-times, for-all) identically (1e-12; in practice bit-exact)
-  to the in-RAM database it was created from -- across serial, thread
-  and process dispatch, where process dispatch takes the store-scatter
+  to the in-RAM database it was created from -- across serial and
+  process dispatch, where process dispatch takes the store-scatter
   path over zero-copy shard workers;
 * the journal + snapshot format survives restarts: appends, adds and
   removes made after the snapshot replay on reopen, and ``snapshot()``
@@ -127,9 +127,7 @@ def store(tmp_path, database):
 class TestStoreParity:
     """Store vs in-RAM across query kinds and dispatch modes."""
 
-    @pytest.mark.parametrize(
-        "mode", ["serial", "thread", "process"]
-    )
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     @pytest.mark.parametrize(
         "query,kwargs",
         [
@@ -143,10 +141,10 @@ class TestStoreParity:
     )
     def test_exact_kinds(self, database, store, query, kwargs, mode):
         expect = QueryEngine(database).evaluate(
-            query, options=PlanOptions(parallel=False, **kwargs)
+            query, options=PlanOptions(dispatch="serial", **kwargs)
         ).values
         options = (
-            PlanOptions(parallel=False, **kwargs)
+            PlanOptions(dispatch="serial", **kwargs)
             if mode == "serial"
             else PlanOptions(dispatch=mode, max_workers=2, **kwargs)
         )
@@ -156,9 +154,7 @@ class TestStoreParity:
             assert result.plan.store_stats is not None
             assert result.plan.store_stats["shards"] == 8
 
-    @pytest.mark.parametrize(
-        "mode", ["serial", "thread", "process"]
-    )
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     @pytest.mark.parametrize(
         "query", [PSTExistsQuery(WINDOW), PSTKTimesQuery(WINDOW, k=1)],
         ids=["exists", "ktimes"],
@@ -168,10 +164,10 @@ class TestStoreParity:
             method="mc", allow_approximate=True, n_samples=40, seed=7
         )
         expect = QueryEngine(database).evaluate(
-            query, options=PlanOptions(parallel=False, **kwargs)
+            query, options=PlanOptions(dispatch="serial", **kwargs)
         ).values
         options = (
-            PlanOptions(parallel=False, **kwargs)
+            PlanOptions(dispatch="serial", **kwargs)
             if mode == "serial"
             else PlanOptions(dispatch=mode, max_workers=2, **kwargs)
         )
@@ -191,7 +187,7 @@ class TestStoreParity:
         )
         assert store.overlay_object_ids() == frozenset()
         expect = QueryEngine(database).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         got = QueryEngine(store).evaluate(
             PSTExistsQuery(WINDOW),
@@ -224,7 +220,7 @@ class TestJournalAndRestart:
         assert "obj-2" not in reopened
         assert len(reopened.get("obj-1").observations) == 2
         expect = QueryEngine(store).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         got = QueryEngine(reopened).evaluate(
             PSTExistsQuery(WINDOW),
@@ -241,7 +237,7 @@ class TestJournalAndRestart:
         )
         assert "obj-3" in store.overlay_object_ids()
         before = QueryEngine(store).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         generation = store.generation
         token = store.fusion_token
@@ -284,7 +280,7 @@ class TestStreamingTicks:
                 )
             result = standing.tick()
             expect = batch.evaluate(
-                result.query, options=PlanOptions(parallel=False)
+                result.query, options=PlanOptions(dispatch="serial")
             ).values
             assert_parity(expect, result.values)
         # the overlay crossed the (1-record) threshold after the tick
@@ -333,7 +329,7 @@ class TestShardWorkers:
             )
         )
         expect = QueryEngine(database).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         result = QueryEngine(store).evaluate(
             PSTExistsQuery(WINDOW),
@@ -357,7 +353,7 @@ class TestShardWorkers:
             )
         )
         expect = QueryEngine(database).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         result = QueryEngine(store).evaluate(
             PSTExistsQuery(WINDOW),
@@ -399,7 +395,7 @@ class TestShardWorkers:
             dispatch, "_release_executor", lambda executor, owned: None
         )
         expect = QueryEngine(database).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         result = QueryEngine(store).evaluate(
             PSTExistsQuery(WINDOW),
@@ -431,7 +427,7 @@ class TestShardWorkers:
             )
         )
         expect = QueryEngine(database).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         result = QueryEngine(store).evaluate(
             PSTExistsQuery(WINDOW),
@@ -505,7 +501,7 @@ _NO_RETRIES = SupervisorPolicy(
 
 class TestOneKernelTable:
     @pytest.mark.parametrize(
-        "path", ["thread", "process", "store-serial", "store-scatter",
+        "path", ["process", "store-serial", "store-scatter",
                  "store-parent-fallback"],
     )
     @pytest.mark.parametrize("method", ["qb", "ob", "mc"])
@@ -533,8 +529,6 @@ class TestOneKernelTable:
         ).values
         if path == "store-serial":
             kwargs.update(dispatch="serial")
-        elif path == "thread":
-            kwargs.update(dispatch="thread", max_workers=2)
         else:
             kwargs.update(dispatch="process", max_workers=2)
         if path == "store-parent-fallback":
@@ -544,7 +538,7 @@ class TestOneKernelTable:
                     site="worker:store-shard", action="raise", times=None
                 )),
             )
-        target = database if path in ("thread", "process") else store
+        target = database if path == "process" else store
         result = QueryEngine(target).evaluate(
             query, options=PlanOptions(**kwargs)
         )
@@ -654,7 +648,7 @@ class TestDoctor:
         assert store_health(store.path)["stale_snapshots"] == []
         # the swept store still answers queries
         values = QueryEngine(store).evaluate(
-            PSTExistsQuery(WINDOW), options=PlanOptions(parallel=False)
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
         ).values
         assert len(values) == 36
 
