@@ -1,49 +1,28 @@
-"""Benchmark result persistence shared by all benchmark entry points.
+"""Result persistence shared by the standalone benchmark scripts.
 
-Every benchmark run -- standalone scripts and the pytest-benchmark
-figure suites alike -- writes a ``BENCH_<name>.json`` file so CI can
-upload the numbers as artifacts and the benchmark trajectory is a
-queryable series instead of scrollback.  The output directory defaults
-to the current working directory and is overridden with the
-``BENCH_OUTPUT_DIR`` environment variable.
-
-Two entry points:
-
-* :func:`write_result` -- called by the standalone scripts
-  (``benchmark_batching.py``, ``benchmark_planner.py``,
-  ``benchmark_streaming.py``) with their measured payload;
-* :func:`pytest_smoke_main` -- turns a pytest-benchmark figure suite
-  into a standalone ``python benchmarks/benchmark_figXX.py [--smoke]``
-  command: it re-runs the file under pytest with
-  ``--benchmark-json``, compacts the per-test statistics, and writes
-  the same ``BENCH_<name>.json`` shape.  ``--smoke`` exports
-  ``REPRO_BENCH_SMOKE=1``, which ``_bench_fixtures`` and the figure
-  modules use to shrink databases and parameter sweeps to CI scale.
+Every script (``benchmark_backends.py``, ``benchmark_dispatch.py``,
+``benchmark_store.py``) writes its measured payload to a
+``BENCH_<name>.json`` file so CI can upload the numbers as artifacts.
+The output directory defaults to the current working directory and is
+overridden with the ``BENCH_OUTPUT_DIR`` environment variable.  The
+scripts gate on parity and their own speed floors; nothing compares
+these files across runs -- speed over time is the end-to-end
+benchmark's job (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import subprocess
-import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-SMOKE_ENV = "REPRO_BENCH_SMOKE"
 OUTPUT_ENV = "BENCH_OUTPUT_DIR"
 
 
-def smoke_mode() -> bool:
-    """Whether benchmarks should run at CI ("smoke") scale."""
-    return os.environ.get(SMOKE_ENV, "") not in ("", "0")
-
-
 def bench_name(file: str) -> str:
-    """``benchmarks/benchmark_fig08_states.py`` -> ``fig08_states``."""
+    """``benchmarks/benchmark_store.py`` -> ``store``."""
     stem = Path(file).stem
     prefix = "benchmark_"
     return stem[len(prefix):] if stem.startswith(prefix) else stem
@@ -57,76 +36,9 @@ def write_result(name: str, payload: Dict[str, Any]) -> Path:
     document = {
         "name": name,
         "unix_time": time.time(),
-        "smoke": smoke_mode(),
-        # lets check_regression.py refuse to gate wall times across
-        # different hardware classes
         "cpu_count": os.cpu_count(),
         **payload,
     }
     path.write_text(json.dumps(document, indent=2, sort_keys=True))
     print(f"wrote {path}")
     return path
-
-
-def _compact_benchmark_json(raw: Dict[str, Any]) -> List[Dict[str, Any]]:
-    compact = []
-    for bench in raw.get("benchmarks", []):
-        stats = bench.get("stats", {})
-        compact.append({
-            "test": bench.get("fullname", bench.get("name")),
-            "mean_seconds": stats.get("mean"),
-            "stddev_seconds": stats.get("stddev"),
-            "rounds": stats.get("rounds"),
-        })
-    return compact
-
-
-def pytest_smoke_main(
-    file: str, argv: Optional[List[str]] = None
-) -> int:
-    """Standalone entry point for the pytest-benchmark figure suites."""
-    parser = argparse.ArgumentParser(
-        description=f"run {Path(file).name} and write a "
-                    f"BENCH_*.json result file",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI scale: shrink databases/sweeps via "
-             f"{SMOKE_ENV}=1 before collection",
-    )
-    args = parser.parse_args(argv)
-    env = dict(os.environ)
-    if args.smoke:
-        env[SMOKE_ENV] = "1"
-    name = bench_name(file)
-    with tempfile.TemporaryDirectory() as tmp:
-        raw_path = Path(tmp) / "benchmark.json"
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "pytest",
-                str(file),
-                "-q",
-                "-p",
-                "no:cacheprovider",
-                f"--benchmark-json={raw_path}",
-            ],
-            env=env,
-        )
-        raw = (
-            json.loads(raw_path.read_text())
-            if raw_path.exists()
-            else {}
-        )
-    write_result(
-        name,
-        {
-            "kind": "pytest-benchmark",
-            "smoke": args.smoke,
-            "exit_status": completed.returncode,
-            "benchmarks": _compact_benchmark_json(raw),
-        },
-    )
-    return completed.returncode

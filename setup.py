@@ -27,7 +27,6 @@ setup(
     extras_require={
         "test": [
             "pytest",
-            "pytest-benchmark",
             "hypothesis",
         ],
     },

@@ -3,7 +3,7 @@
 * :mod:`repro.bench.harness` -- timing utilities and the experiment
   result container.
 * :mod:`repro.bench.experiments` -- one driver per paper figure
-  (Fig. 8(a) through Fig. 11(b)) plus the ablations from DESIGN.md.
+  (Fig. 8(a) through Fig. 11(b)) plus five design ablations.
 * :mod:`repro.bench.reporting` -- ASCII / Markdown / CSV rendering.
 * :mod:`repro.bench.cli` -- the ``repro-bench`` command-line entry point.
 """

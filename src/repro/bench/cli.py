@@ -5,10 +5,13 @@ Examples::
     repro-bench --list
     repro-bench fig8a
     repro-bench --all --scale 0.5 --output results/
+    repro-bench --all --smoke
     repro-bench calibrate --smoke
 
 Each experiment prints an ASCII table to stdout; with ``--output`` it
 also writes ``<id>.md`` and ``<id>.csv`` into the given directory.
+``--smoke`` runs experiments at :data:`SMOKE_SCALE` (the whole registry
+in seconds, for CI) and shrinks calibration to a seconds-scale grid.
 
 ``repro-bench calibrate`` is special: it measures every operator
 kernel over a parameter grid (:mod:`repro.exec.calibrate`), fits the
@@ -43,6 +46,10 @@ __all__ = ["main"]
 
 REQUIRED_CALIBRATION_ACCURACY = 0.8
 
+#: the ``--smoke`` size multiplier: every experiment still runs every
+#: code path, and the whole registry takes seconds
+SMOKE_SCALE = 0.05
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,44 +61,13 @@ def _parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         help="experiment ids to run (see --list), or the special "
-             "commands 'calibrate', 'doctor' and 'service'",
+             "commands 'calibrate' and 'doctor'",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="calibrate/service: seconds-scale CI workload",
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=64,
-        help="service: concurrent clients per round (default 64)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=4,
-        help="service: tenants the clients are spread over (default 4)",
-    )
-    parser.add_argument(
-        "--distinct",
-        type=int,
-        default=4,
-        help="service: distinct query windows in the mix -- 1 fuses "
-             "everything, clients fuses nothing (default 4)",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="service: measurement rounds (default 3)",
-    )
-    parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=5.0,
-        help="service: broker fusion window in milliseconds "
-             "(default 5.0)",
+        help=f"seconds-scale CI run: experiments at --scale "
+             f"{SMOKE_SCALE:g}, calibrate on a small grid",
     )
     parser.add_argument(
         "--no-sweep",
@@ -127,7 +103,7 @@ def _parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="size multiplier for databases/state spaces (default 1.0 = "
-             "laptop scale)",
+             "laptop scale; ignored under --smoke)",
     )
     parser.add_argument(
         "--output",
@@ -309,159 +285,10 @@ def _run_doctor(args) -> int:
     return 0 if stats["orphan_bytes"] == 0 else 1
 
 
-def _run_service(args) -> int:
-    """``repro-bench service``: concurrent load against QueryService.
-
-    Drives ``--clients`` concurrent submissions per round, spread over
-    ``--tenants`` tenants and ``--distinct`` query windows, against a
-    synthetic database; then replays the identical request stream as
-    sequential ``QueryEngine.evaluate`` calls.  Reports throughput,
-    the fusion ratio (requests answered per engine evaluation) and the
-    speedup the broker's request fusion buys.
-    """
-    import asyncio
-
-    import numpy as np
-
-    from repro import (
-        PSTExistsQuery,
-        QueryEngine,
-        QueryService,
-        SpatioTemporalWindow,
-        TrajectoryDatabase,
-        UncertainObject,
-    )
-    from repro.core.state_space import LineStateSpace
-    from repro.workloads.synthetic import (
-        make_line_chain,
-        make_object_distribution,
-    )
-
-    n_states = 120 if args.smoke else 300
-    n_objects = 24 if args.smoke else 80
-    n_chains = 3
-    clients = min(args.clients, 16) if args.smoke else args.clients
-    rounds = 1 if args.smoke else args.rounds
-    distinct = max(1, min(args.distinct, clients))
-    tenants = max(1, args.tenants)
-
-    rng = np.random.default_rng(0)
-    database = TrajectoryDatabase(
-        n_states, state_space=LineStateSpace(n_states)
-    )
-    for index in range(n_chains):
-        database.register_chain(
-            f"chain-{index}", make_line_chain(n_states, rng=rng)
-        )
-    for index in range(n_objects):
-        database.add(
-            UncertainObject.with_distribution(
-                f"obj-{index}",
-                make_object_distribution(n_states, 5, rng),
-                time=int(rng.integers(0, 5)),
-                chain_id=f"chain-{index % n_chains}",
-            )
-        )
-    engine = QueryEngine(database)
-    lo = n_states // 4
-    queries = [
-        PSTExistsQuery(
-            SpatioTemporalWindow.from_ranges(
-                lo + 2 * i, lo + n_states // 4 + 2 * i, 6, 10
-            )
-        )
-        for i in range(distinct)
-    ]
-    # one warm pass so both sides measure steady-state (cached plans)
-    for query in queries:
-        engine.evaluate(query)
-
-    request_stream = [
-        (queries[i % distinct], f"tenant-{i % tenants}")
-        for i in range(clients)
-    ]
-
-    started = time.perf_counter()
-    for _ in range(rounds):
-        for query, _tenant in request_stream:
-            engine.evaluate(query)
-    serial_seconds = time.perf_counter() - started
-
-    async def drive(service):
-        for _ in range(rounds):
-            await asyncio.gather(
-                *(
-                    service.submit(query, tenant=tenant)
-                    for query, tenant in request_stream
-                )
-            )
-
-    async def run():
-        async with QueryService(
-            engine, fusion_window_ms=args.window_ms
-        ) as service:
-            begun = time.perf_counter()
-            await drive(service)
-            return service, time.perf_counter() - begun
-
-    service, fused_seconds = asyncio.run(run())
-
-    requests = clients * rounds
-    speedup = serial_seconds / fused_seconds if fused_seconds else 0.0
-    fusion_ratio = (
-        requests / service.evaluations if service.evaluations else 0.0
-    )
-    print(
-        f"{requests} requests, {clients} concurrent clients, "
-        f"{distinct} distinct window(s), {tenants} tenant(s), "
-        f"{args.window_ms:g} ms fusion window"
-    )
-    print(
-        f"serial  : {serial_seconds:8.3f} s "
-        f"({requests / serial_seconds:8.1f} req/s)"
-    )
-    print(
-        f"service : {fused_seconds:8.3f} s "
-        f"({requests / fused_seconds:8.1f} req/s)"
-    )
-    print(
-        f"speedup : {speedup:.2f}x with {service.evaluations} "
-        f"evaluation(s) for {requests} requests "
-        f"({fusion_ratio:.1f} requests/evaluation)"
-    )
-    print(f"{'tenant':<12} {'admitted':>8} {'fused':>6} {'charged':>10}")
-    for name, account in sorted(service.ledger.accounts().items()):
-        print(
-            f"{name:<12} {account.admitted:>8} {account.fused:>6} "
-            f"{account.charged_seconds:>9.4f}s"
-        )
-    _write_bench_result(
-        "service_loadgen",
-        {
-            "smoke": args.smoke,
-            "clients": clients,
-            "rounds": rounds,
-            "distinct": distinct,
-            "tenants": tenants,
-            "fusion_window_ms": args.window_ms,
-            "requests": requests,
-            "evaluations": service.evaluations,
-            "fused_calls": service.fused_calls,
-            "fusion_ratio": fusion_ratio,
-            "serial_seconds": serial_seconds,
-            "service_seconds": fused_seconds,
-            "speedup": speedup,
-        },
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = _parser().parse_args(argv)
-    if args.experiments and args.experiments[0] in (
-        "calibrate", "doctor", "service"
-    ):
+    if args.experiments and args.experiments[0] in ("calibrate", "doctor"):
         command = args.experiments[0]
         if len(args.experiments) > 1:
             print(
@@ -471,8 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         if command == "doctor":
             return _run_doctor(args)
-        if command == "service":
-            return _run_service(args)
         return _run_calibrate(args)
     if args.list:
         for experiment_id in sorted(EXPERIMENTS):
@@ -491,8 +316,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.output is not None:
         args.output.mkdir(parents=True, exist_ok=True)
+    scale = SMOKE_SCALE if args.smoke else args.scale
     for experiment_id in ids:
-        series = run_experiment(experiment_id, scale=args.scale)
+        series = run_experiment(experiment_id, scale=scale)
         print(to_ascii_table(series))
         if args.output is not None:
             (args.output / f"{experiment_id}.md").write_text(

@@ -1,4 +1,4 @@
-"""One driver per paper figure (Section VIII) plus DESIGN.md ablations.
+"""One experiment per paper figure (Section VIII) plus five ablations.
 
 Every driver returns an :class:`~repro.bench.harness.ExperimentSeries`
 holding the same axes as the corresponding figure of the paper.  Sizes
@@ -6,11 +6,14 @@ default to laptop scale (documented in each series' ``notes``); the
 ``scale`` argument multiplies database/state sizes for larger runs.
 
 The absolute numbers differ from the paper's 2011 MATLAB/Xeon setup; the
-*shapes* are what the reproduction asserts (see EXPERIMENTS.md):
-MC >> OB >> QB, OB growing with the query horizon while QB barely moves,
-the naive independence model over-estimating with growing window length,
-PSTkQ being the most expensive predicate, and near-linear scaling in
-``max_step`` / ``state_spread``.
+*shapes* are what the reproduction compares: MC >> OB >> QB, OB growing
+with the query horizon while QB barely moves, the naive independence
+model over-estimating with growing window length, PSTkQ being the most
+expensive predicate, and near-linear scaling in ``max_step`` /
+``state_spread``.  ``tests/test_bench.py`` asserts the ones that hold;
+README.md lists the ones that do not.  Speed of the system as a whole
+is not measured here but by the end-to-end benchmark
+(``benchmarks/e2e``).
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.bench.harness import ExperimentSeries, measure_seconds
+from repro.core.distribution import StateDistribution
 from repro.core.engine import QueryEngine
 from repro.core.errors import ValidationError
+from repro.core.markov import MarkovChain
 from repro.core.planner import PlanOptions
 from repro.core.ktimes import ktimes_distribution
-from repro.core.matrices import build_absorbing_matrices
 from repro.core.naive import naive_exists_probability
 from repro.core.object_based import ob_exists_probability
 from repro.core.query import (
@@ -37,6 +41,8 @@ from repro.core.query_based import (
     QueryBasedEvaluator,
     QueryBasedKTimesEvaluator,
 )
+from repro.database.clustering import ClusteredThresholdProcessor
+from repro.database.objects import UncertainObject
 from repro.database.uncertain_db import TrajectoryDatabase
 from repro.workloads.road_network import (
     make_road_database,
@@ -45,6 +51,7 @@ from repro.workloads.road_network import (
 )
 from repro.workloads.synthetic import (
     SyntheticConfig,
+    make_line_chain,
     make_synthetic_database,
 )
 
@@ -421,7 +428,7 @@ def fig11b(scale: float = 1.0) -> ExperimentSeries:
 
 
 # ----------------------------------------------------------------------
-# Ablations (DESIGN.md Section 7)
+# Ablations: one design choice each, same answers either way
 # ----------------------------------------------------------------------
 def ablation_backend(scale: float = 1.0) -> ExperimentSeries:
     """scipy CSR vs the pure-Python CSR backend on OB processing."""
@@ -511,56 +518,6 @@ def ablation_pruning(scale: float = 1.0) -> ExperimentSeries:
     return result
 
 
-def planner(scale: float = 1.0) -> ExperimentSeries:
-    """ISSUE 2: cost-based planning + filter-refinement vs no pruning.
-
-    The query window sits at the low end of the line state space while
-    objects spread uniformly, so the per-chain R-tree prefilter
-    eliminates most of the database geometrically and the BFS stage
-    refines the rest -- the regime where the staged pipeline's win is
-    largest.  Both engines are measured warm (repeated monitoring
-    query) so the comparison is per-query work, not construction.
-    """
-    result = ExperimentSeries(
-        experiment_id="planner",
-        title="Cost-based planner + filter-refinement vs unpruned batching",
-        x_label="states",
-        y_label="runtime (s)",
-        notes="selective window [100,120] x [20,25]; objects uniform, "
-              "so the prefilter discards most of them before the "
-              "batched kernels run",
-    )
-    n_objects = _scaled(1_000, scale)
-    for n_states in [10_000, 20_000, 40_000]:
-        n_states = _scaled(n_states, scale, minimum=2_000)
-        database = make_synthetic_database(
-            SyntheticConfig(
-                n_objects=n_objects, n_states=n_states, seed=61
-            )
-        )
-        window = _window(n_states)
-        query = PSTExistsQuery(window)
-        unpruned = QueryEngine(database)
-        planned = QueryEngine(database)
-        unpruned.evaluate(query, method="qb", options=_NO_FILTERS)
-        planned.evaluate(query)
-        result.x_values.append(n_states)
-        result.add_point(
-            "batched, no pruning (warm)",
-            measure_seconds(
-                lambda: unpruned.evaluate(
-                    query, method="qb", options=_NO_FILTERS
-                )
-            ),
-        )
-        result.add_point(
-            "planned auto (warm)",
-            measure_seconds(lambda: planned.evaluate(query)),
-        )
-    result.validate()
-    return result
-
-
 def ablation_ktimes_algorithms(scale: float = 1.0) -> ExperimentSeries:
     """C(t) algorithm vs blocked matrices vs blocked QB for PSTkQ."""
     result = ExperimentSeries(
@@ -618,68 +575,128 @@ def ablation_ktimes_algorithms(scale: float = 1.0) -> ExperimentSeries:
     return result
 
 
-def batching(scale: float = 1.0) -> ExperimentSeries:
-    """ISSUE 1: batched + plan-cached evaluation vs per-object OB.
+def _jittered(
+    base: MarkovChain, rng: np.random.Generator
+) -> MarkovChain:
+    """A copy of ``base`` with every non-zero entry perturbed by <= 0.02."""
+    dense = base.to_dense()
+    mask = dense > 0
+    dense = np.clip(
+        dense + rng.uniform(-0.02, 0.02, size=dense.shape) * mask,
+        1e-6,
+        None,
+    ) * mask
+    return MarkovChain(dense / dense.sum(axis=1, keepdims=True))
 
-    The per-object curve rebuilds the absorbing matrices every query
-    and runs one forward pass per object; the batched curves stack all
-    objects into one product per timestep, cold (first query, cache
-    empty) and warm (repeated query, construction cached).
+
+def ablation_clustered(scale: float = 1.0) -> ExperimentSeries:
+    """Section V-C cluster pruning vs per-object threshold evaluation.
+
+    Objects follow many *similar* chains -- two families of jittered
+    copies of one base chain each.  The clustered processor decides
+    whole clusters from interval bounds and refines only the rest; the
+    baseline evaluates every object exactly.
     """
     result = ExperimentSeries(
-        experiment_id="batching",
-        title="Batched evaluation + plan cache vs per-object processing",
-        x_label="objects",
+        experiment_id="ablation_clustered",
+        title="Clustered threshold processing vs per-object evaluation",
+        x_label="chains per family",
         y_label="runtime (s)",
-        notes="single shared chain; warm = identical query repeated "
-              "against the engine's hot plan cache",
+        notes="two chain families, 5 objects per chain, threshold 0.3, "
+              "cluster radius 0.1; clustering itself is not timed",
     )
-    n_states = _scaled(2_000, scale, minimum=300)
-    for n_objects in [100, 250, 500]:
-        n_objects = _scaled(n_objects, scale)
-        database = make_synthetic_database(
-            SyntheticConfig(
-                n_objects=n_objects, n_states=n_states, seed=53
-            )
-        )
-        chain = database.chain()
-        window = _window(n_states)
-        query = PSTExistsQuery(window)
-        objects = list(database)
-
-        def per_object() -> None:
-            matrices = build_absorbing_matrices(chain, window.region)
-            for obj in objects:
-                ob_exists_probability(
-                    chain,
-                    obj.initial.distribution,
-                    window,
-                    start_time=obj.initial.time,
-                    matrices=matrices,
+    n_states = _scaled(400, scale, minimum=200)
+    window = _window(n_states, time_low=10, time_high=15)
+    threshold = 0.3
+    rng = np.random.default_rng(5)
+    bases = [make_line_chain(n_states, seed=seed) for seed in (50, 51)]
+    for per_family in (2, 4, 6):
+        database = TrajectoryDatabase(n_states)
+        for index in range(per_family):
+            for family, base in zip("ab", bases):
+                database.register_chain(
+                    f"{family}{index}", _jittered(base, rng)
                 )
-
-        engine = QueryEngine(database)
-        result.x_values.append(n_objects)
-        result.add_point("per-object OB", measure_seconds(per_object))
+        for chain_id in database.chain_ids:
+            for _ in range(5):
+                database.add(
+                    UncertainObject.at_state(
+                        f"o{len(database)}",
+                        n_states,
+                        int(rng.integers(0, n_states)),
+                        chain_id=chain_id,
+                    )
+                )
+        processor = ClusteredThresholdProcessor(database, radius=0.1)
+        result.x_values.append(per_family)
         result.add_point(
-            "batched OB (cold cache)",
+            "per-object",
             measure_seconds(
-                lambda: engine.evaluate(query, method="ob")
+                lambda: [
+                    obj.object_id
+                    for obj in database
+                    if ob_exists_probability(
+                        database.chain(obj.chain_id),
+                        obj.initial.distribution,
+                        window,
+                    )
+                    >= threshold
+                ]
             ),
         )
         result.add_point(
-            "batched OB (warm cache)",
-            measure_seconds(
-                lambda: engine.evaluate(query, method="ob")
-            ),
+            "clustered",
+            measure_seconds(lambda: processor.evaluate(window, threshold)),
         )
     result.validate()
     return result
 
 
+def ablation_early_termination(scale: float = 1.0) -> ExperimentSeries:
+    """Thresholded OB (Section V-A early termination) vs full OB.
+
+    Objects start just below the query region, so ``P(TOP)`` crosses
+    the threshold at the first window timestamps and the thresholded
+    pass skips the window's remaining steps.  ``P(TOP)`` cannot grow
+    before ``t_start``, so the saving is bounded by the window's share
+    of the horizon (6 of the 26 timestamps 0..25 here).
+    """
+    result = ExperimentSeries(
+        experiment_id="ablation_early_termination",
+        title="Early termination: thresholded vs full OB",
+        x_label="states",
+        y_label="runtime (s)",
+        notes="20 objects observed just below [100,120] x [20,25]; "
+              "threshold 0.1",
+    )
+    for n_states in [1_000, 2_000, 3_000]:
+        n_states = _scaled(n_states, scale, minimum=500)
+        chain = make_line_chain(n_states, seed=59)
+        window = _window(n_states)
+        initials = [
+            StateDistribution.uniform(
+                n_states, range(95 + offset, 100 + offset)
+            )
+            for offset in range(0, 40, 2)
+        ]
+        result.x_values.append(n_states)
+        for label, threshold in (("full", None), ("early stop", 0.1)):
+            result.add_point(
+                label,
+                measure_seconds(
+                    lambda t=threshold: [
+                        ob_exists_probability(
+                            chain, initial, window, stop_at_probability=t
+                        )
+                        for initial in initials
+                    ]
+                ),
+            )
+    result.validate()
+    return result
+
+
 EXPERIMENTS: Dict[str, Callable[[float], ExperimentSeries]] = {
-    "batching": batching,
-    "planner": planner,
     "fig8a": fig8a,
     "fig8b": fig8b,
     "fig9a": fig9a,
@@ -693,6 +710,8 @@ EXPERIMENTS: Dict[str, Callable[[float], ExperimentSeries]] = {
     "ablation_backend": ablation_backend,
     "ablation_pruning": ablation_pruning,
     "ablation_ktimes": ablation_ktimes_algorithms,
+    "ablation_clustered": ablation_clustered,
+    "ablation_early_termination": ablation_early_termination,
 }
 
 

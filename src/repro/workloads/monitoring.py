@@ -23,8 +23,8 @@ through the database's online
 / :meth:`~repro.database.uncertain_db.TrajectoryDatabase.remove`
 entry points), so incremental and from-scratch engines can be driven
 over the *same* evolving database and compared tick by tick --
-which is precisely what ``benchmarks/benchmark_streaming.py`` and the
-streaming property tests do.
+which is precisely what the streaming property tests and the
+end-to-end benchmark's ``monitor_stream`` workload do.
 """
 
 from __future__ import annotations

@@ -1,11 +1,18 @@
-"""Tests for the benchmark harness, reporting, and CLI."""
+"""Tests for the benchmark harness, reporting, and CLI.
+
+The ``TestExperimentRegistry`` shape checks assert the curve shapes the
+paper states for Section VIII, at the CI scale and compared on sums of
+runtimes (single points are timing noise at this size).  Each asserted
+shape held in 20 of 20 runs on a 2-core machine; shapes that did not
+are listed in README.md as *differs from paper* and not asserted.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.bench.harness import ExperimentSeries, Timer, measure_seconds
-from repro.bench.cli import main as cli_main
+from repro.bench.cli import SMOKE_SCALE, main as cli_main
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import to_ascii_table, to_csv, to_markdown
 from repro.core.errors import ValidationError
@@ -40,6 +47,11 @@ def sample_series() -> ExperimentSeries:
     series.add_point("QB", 0.1)
     series.add_point("QB", 0.2)
     return series
+
+
+def _half_sums(values):
+    half = len(values) // 2
+    return sum(values[:half]), sum(values[half:])
 
 
 class TestExperimentSeries:
@@ -119,9 +131,12 @@ class TestExperimentRegistry:
         series.validate()
         exact = series.curve("with temporal correlation")
         naive = series.curve("without temporal correlation")
-        # averaged over many objects, the naive model must not fall below
-        # the exact average on longer windows
-        assert naive[-1] >= exact[-1] - 1e-9
+        # averaged over many objects, the naive model never falls below
+        # the exact average, and from 6 timeslots on the bias is visible
+        for length, n, e in zip(series.x_values, naive, exact):
+            assert n >= e - 1e-9
+            if length >= 6:
+                assert n > e
 
     def test_tiny_fig8a_run_orders_methods(self):
         series = run_experiment("fig8a", scale=0.05)
@@ -144,6 +159,54 @@ class TestExperimentRegistry:
         half = len(ob) // 2
         assert sum(ob[half:]) > sum(ob[:half])
 
+    @pytest.mark.parametrize(
+        "experiment_id, growing",
+        [("fig8b", ("OB", "QB")), ("fig9b", ("OB",)), ("fig9c", ("OB",))],
+    )
+    def test_tiny_ob_above_qb_and_growing(self, experiment_id, growing):
+        # 8(b): both grow with |S|; 9(b)/(c): OB grows with the start time
+        series = run_experiment(experiment_id, scale=SMOKE_SCALE)
+        assert sum(series.curve("OB")) > sum(series.curve("QB"))
+        for label in growing:
+            low, high = _half_sums(series.curve(label))
+            assert high > low
+
+    def test_tiny_fig10a_ktimes_grows(self):
+        series = run_experiment("fig10a", scale=SMOKE_SCALE)
+        low, high = _half_sums(series.curve("ktimes"))
+        assert high > low
+
+    def test_tiny_fig10b_ktimes_costliest_and_growing(self):
+        series = run_experiment("fig10b", scale=SMOKE_SCALE)
+        exists = sum(series.curve("exists"))
+        forall = sum(series.curve("forall"))
+        ktimes = series.curve("ktimes")
+        assert sum(ktimes) > max(exists, forall)
+        assert 0.5 <= exists / forall <= 2.0
+        low, high = _half_sums(ktimes)
+        assert high > low
+
+    @pytest.mark.parametrize("experiment_id", ["fig11a", "fig11b"])
+    def test_tiny_locality_sweep_at_most_linear(self, experiment_id):
+        series = run_experiment(experiment_id, scale=SMOKE_SCALE)
+        x_low, x_high = _half_sums(series.x_values)
+        assert sum(series.curve("OB")) > sum(series.curve("QB"))
+        for label in ("OB", "QB"):
+            low, high = _half_sums(series.curve(label))
+            assert high / low <= x_high / x_low
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["ablation_clustered", "ablation_early_termination"]
+    )
+    def test_ported_ablations_run_at_smoke_scale(self, experiment_id):
+        series = run_experiment(experiment_id, scale=SMOKE_SCALE)
+        assert len(series.series) == 2
+        assert all(
+            value > 0.0
+            for curve in series.series.values()
+            for value in curve
+        )
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -156,6 +219,19 @@ class TestCli:
 
     def test_unknown_id_is_an_error(self, capsys):
         assert cli_main(["nope"]) == 2
+
+    def test_smoke_runs_experiments_at_ci_scale(self, monkeypatch, capsys):
+        scales = {}
+
+        def record(experiment_id, scale=1.0):
+            scales[experiment_id] = scale
+            return sample_series()
+
+        monkeypatch.setattr("repro.bench.cli.run_experiment", record)
+        assert cli_main(["--all", "--smoke", "--scale", "3"]) == 0
+        assert scales == {i: SMOKE_SCALE for i in EXPERIMENTS}
+        assert cli_main(["fig8a", "--scale", "0.5"]) == 0
+        assert scales["fig8a"] == 0.5
 
     def test_run_one_experiment_with_output(self, tmp_path, capsys):
         code = cli_main(

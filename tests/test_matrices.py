@@ -54,6 +54,22 @@ class TestAbsorbingMatrices:
                 sums = to_array(matrix).sum(axis=1)
                 assert np.allclose(sums, 1.0)
 
+    def test_random_chains_match_the_definition(self):
+        # M_minus = M plus an absorbing TOP; M_plus moves every
+        # transition into the region onto TOP
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            chain = random_chain(6, rng)
+            region = sorted({int(s) for s in rng.choice(6, 2)})
+            matrices = build_absorbing_matrices(chain, region)
+            minus = np.eye(7)
+            minus[:6, :6] = np.asarray(chain.to_dense())
+            plus = minus.copy()
+            plus[:6, 6] = minus[:6, region].sum(axis=1)
+            plus[:6, region] = 0.0
+            assert np.array_equal(to_array(matrices.m_minus), minus)
+            assert np.allclose(to_array(matrices.m_plus), plus, atol=1e-15)
+
     def test_top_is_absorbing(self, paper_chain):
         matrices = build_absorbing_matrices(paper_chain, {0})
         for matrix in (matrices.m_minus, matrices.m_plus):

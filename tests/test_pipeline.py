@@ -257,6 +257,24 @@ class TestExplain:
                 later <= earlier
                 for earlier, later in zip(counts, counts[1:])
             )
+        # a selective window at the low end of a line space whose
+        # objects spread uniformly over two chains: the planner turns
+        # the R-tree prefilter on and it removes >= 80% of the database
+        database = mixed_line_database(
+            n_objects=100,
+            n_states=1_000,
+            seed=3,
+            chain_ids=("cars", "trucks"),
+            multi_every=0,
+        )
+        plan = QueryEngine(database).explain(PSTExistsQuery(WINDOW))
+        counts = plan.stage_counts()
+        assert all(
+            later <= earlier for earlier, later in zip(counts, counts[1:])
+        )
+        prefilter = plan.stages[0]
+        assert prefilter.name == "prefilter"
+        assert prefilter.candidates_out <= 0.2 * prefilter.candidates_in
 
     def test_plan_recorded_on_result(self):
         database = mixed_line_database(seed=12)

@@ -90,6 +90,7 @@ class TestPosteriorMarginals:
             expected = brute_force_marginals(
                 chain, observations, horizon
             )
+            assert len(marginals) == horizon + 1
             for offset, marginal in enumerate(marginals):
                 assert np.allclose(
                     marginal.vector, expected[offset], atol=1e-9
