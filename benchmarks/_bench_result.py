@@ -1,7 +1,7 @@
 """Result persistence shared by the standalone benchmark scripts.
 
-Every script (``benchmark_backends.py``, ``benchmark_dispatch.py``,
-``benchmark_store.py``) writes its measured payload to a
+Both scripts (``benchmark_dispatch.py``, ``benchmark_store.py``)
+write their measured payload to a
 ``BENCH_<name>.json`` file so CI can upload the numbers as artifacts.
 The output directory defaults to the current working directory and is
 overridden with the ``BENCH_OUTPUT_DIR`` environment variable.  The

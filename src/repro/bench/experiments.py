@@ -76,10 +76,8 @@ def _window(
 
 
 # the figure sweeps time the *methods themselves* (the paper runs no
-# pruning), so the planner's filter stages are forced off and the
-# backend pinned: letting best_backend() promote only one side of an
-# OB-vs-QB comparison to the native kernels would skew the ordering
-_NO_FILTERS = PlanOptions(prefilter=False, bfs_prune=False, backend="scipy")
+# pruning), so the planner's filter stages are forced off
+_NO_FILTERS = PlanOptions(prefilter=False, bfs_prune=False)
 
 
 def _time_exists(

@@ -10,11 +10,8 @@ geometric prefilter, exact BFS reachability pruning, then the shared
 operator layer (:mod:`repro.exec.operators`), dispatched serially or
 across the shared-memory process pool of :mod:`repro.exec.dispatch`
 (chain groups *and* within-chain object shards -- the mode that
-scales a database past one core).  Pass
-``cost_model=CostModel.from_calibration()`` to plan with coefficients
-measured on this machine (``repro-bench calibrate``,
-:mod:`repro.exec.calibrate`) instead of the hand-derived defaults.
-Forcing a method is still supported:
+scales a database past one core).  Forcing a method is still
+supported:
 
 * ``"qb"`` -- query-based: one backward pass per chain, then one dot
   product per object (Section V-B).  Objects with multiple observations
@@ -41,7 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.errors import QueryError, ValidationError
+from repro.core.errors import BackendError, QueryError, ValidationError
 from repro.core.pipeline import QueryPipeline
 from repro.core.plan_cache import PlanCache
 from repro.core.planner import (
@@ -59,6 +56,7 @@ from repro.core.query import (
 )
 from repro.database.pruning import ReachabilityPruner
 from repro.database.uncertain_db import TrajectoryDatabase
+from repro.linalg.ops import available_backends, get_backend
 
 __all__ = ["QueryEngine", "QueryResult"]
 
@@ -139,16 +137,18 @@ class QueryEngine:
 
     Args:
         database: the database to query.
-        backend: linear-algebra backend name (default scipy).
+        backend: linear-algebra backend name, one of
+            :func:`~repro.linalg.ops.available_backends` (default
+            scipy, else pure).  Every query of the engine runs on it.
         plan_cache: cache for matrices/backward vectors; a private one
             is created when omitted.  Pass a shared instance to
             amortise construction across several engines (it is
             thread-safe).
         cost_model: planner coefficients; defaults are tuned for the
-            batched scipy kernels.  Use
-            :meth:`~repro.core.planner.CostModel.from_calibration`
-            for coefficients least-squares-fitted to this machine's
-            measured kernel times.
+            batched scipy kernels.
+
+    Raises:
+        ValidationError: when ``backend`` is not an available backend.
     """
 
     def __init__(
@@ -158,6 +158,13 @@ class QueryEngine:
         plan_cache: Optional[PlanCache] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
+        try:
+            backend = get_backend(backend).name
+        except BackendError:
+            raise ValidationError(
+                f"unknown backend {backend!r}; expected one of "
+                f"{available_backends()}"
+            ) from None
         self.database = database
         self.backend = backend
         self.plan_cache = (

@@ -85,7 +85,7 @@ class WorkerCrashError(ExecutionError):
 class TaskTimeoutError(ExecutionError):
     """A dispatched task overran its supervised deadline.
 
-    Deadlines are priced from the calibrated
+    Deadlines are priced from the
     :class:`~repro.core.planner.CostModel` (predicted seconds times
     :attr:`~repro.core.planner.SupervisorPolicy.timeout_multiplier`);
     a timed-out pool is torn down (the hung worker cannot be

@@ -63,7 +63,6 @@ import numpy as np
 
 from repro.core.batch import evaluate_rows
 from repro.core.errors import (
-    BackendError,
     DegradedExecutionWarning,
     ExecutionError,
     QueryError,
@@ -318,36 +317,15 @@ class QueryPipeline:
                 # segment): same exact kernels, in the parent
                 self._degrade(context, "process", "serial", error)
                 mode = "serial"
-            except BackendError as error:
-                # native kernels failed in the parent-side pool prep:
-                # pin every native group back to scipy and re-run the
-                # whole stage in the parent
-                self._degrade(context, "native", "scipy", error)
-                for group in plan.groups:
-                    if group.backend == "native":
-                        group.backend = "scipy"
-                mode = "serial"
 
         if mode == "serial":
             for group in plan.groups:
                 rows = survivors[group.chain_id]
                 group_started = _time.perf_counter()
                 if rows.size:
-                    kernel = partial(
-                        self._kernel, group, rows, plan, query,
-                        seed_index, context,
-                    )
-                    try:
-                        values.update(kernel())
-                    except BackendError as error:
-                        if group.backend != "native":
-                            raise
-                        # compiled kernels unusable at runtime (import
-                        # or compile failure): same exact kernels on
-                        # the scipy products, answer unchanged
-                        self._degrade(context, "native", "scipy", error)
-                        group.backend = "scipy"
-                        values.update(kernel())
+                    values.update(self._kernel(
+                        group, rows, plan, query, seed_index, context,
+                    ))
                 group.survivors = len(rows)
                 group.elapsed_seconds = (
                     _time.perf_counter() - group_started
@@ -423,7 +401,7 @@ class QueryPipeline:
                 if group.method == "mc"
                 else None
             ),
-            backend=group.backend or self.backend,
+            backend=self.backend,
             plan_cache=self.plan_cache,
             context=context,
         )
@@ -494,11 +472,10 @@ class QueryPipeline:
                 continue
             chain = self.database.chain(group.chain_id)
             cohort = group.cohort
-            group_backend = group.backend or self.backend
 
             def ship(method: str, members, **extras) -> None:
                 tasks.append(_dispatch.GroupTask(
-                    chain, method, members, group_backend, **extras
+                    chain, method, members, **extras
                 ))
                 task_groups.append(group)
 
@@ -543,7 +520,7 @@ class QueryPipeline:
                         members(rows[~multi]),
                         matrices=BUILD_ABSORBING(
                             None, chain, plan.window.region,
-                            group_backend, context=context,
+                            self.backend, context=context,
                             plan_cache=self.plan_cache,
                         ),
                     )
@@ -619,9 +596,7 @@ class QueryPipeline:
             method = group.method
             if plan.kind == "ktimes" and method != "mc":
                 method = "ct"
-            scatter_groups.append(
-                (group.chain_id, method, group.backend or self.backend)
-            )
+            scatter_groups.append((group.chain_id, method))
         predicted = sum(
             model.predict_seconds(group.costs.get(group.method, 0.0))
             for group in plan.groups

@@ -61,18 +61,6 @@ _EXACT_METHODS = ("qb", "ob")
 _ALL_METHODS = ("qb", "ob", "mc")
 _DISPATCH_MODES = ("serial", "process")
 
-#: CostModel fields the calibration harness fits (kernel coefficients,
-#: as opposed to the stage-decision thresholds, which stay structural).
-CALIBRATED_COEFFICIENTS = (
-    "sweep_unit",
-    "dense_sweep_unit",
-    "dot_unit",
-    "build_unit",
-    "mc_step_unit",
-    "ktimes_unit",
-    "object_overhead",
-)
-
 
 def _require_int(name: str, value, minimum: int) -> None:
     """Eager type+range check; names the offending value.
@@ -203,12 +191,6 @@ class PlanOptions:
         supervisor: fault-tolerance knobs of the process dispatch
             (per-task deadlines, retries, degradation); ``None`` uses
             :class:`SupervisorPolicy`'s defaults.
-        backend: force a linear-algebra backend (``"scipy"``,
-            ``"native"``, ``"pure"``) for every chain group instead of
-            the cost-based per-group choice
-            (:meth:`CostModel.best_backend`).  Like ``dispatch`` this
-            changes *how*, never *what*: every backend agrees to
-            1e-12, so it stays out of the service tier's fusion key.
         faults: a :class:`~repro.exec.faults.FaultInjector` threaded
             through execution for deterministic chaos testing
             (``None`` -- the production value -- costs one attribute
@@ -226,7 +208,6 @@ class PlanOptions:
     cost_model: Optional["CostModel"] = None
     auto_stream: bool = False
     supervisor: Optional[SupervisorPolicy] = None
-    backend: Optional[str] = None
     faults: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -235,14 +216,6 @@ class PlanOptions:
                 f"unknown method {self.method!r}; expected one of "
                 f"{_ALL_METHODS}"
             )
-        if self.backend is not None:
-            from repro.linalg.ops import available_backends
-
-            if self.backend not in available_backends():
-                raise ValidationError(
-                    f"unknown backend {self.backend!r}; expected one "
-                    f"of {available_backends()}"
-                )
         _require_int("n_samples", self.n_samples, 1)
         if self.max_workers is not None:
             _require_int("max_workers", self.max_workers, 1)
@@ -306,22 +279,6 @@ class CostModel:
             dominates any GIL win.
         shard_min_objects: smallest within-chain object shard handed to
             one process-pool worker.
-        native_min_objects: smallest stacked cohort the structural
-            (uncalibrated) heuristic promotes to the ``native``
-            backend -- below it the sweeps are too small for the
-            compiled kernels' setup (JIT dispatch or densify) to pay.
-        native_min_density: smallest chain density
-            (``nnz / n_states^2``) the structural heuristic promotes;
-            very sparse chains are exactly where scipy's CSR products
-            already win.
-        backend_coefficients: per-backend calibrated coefficient sets
-            (``{"scipy": {...}, "native": {...}}``) fitted by
-            ``repro-bench calibrate``; when at least two backends are
-            present, :meth:`best_backend` prices each group under each
-            set and picks the measured argmin instead of the
-            structural heuristic.
-        calibrated_from: provenance note (calibration file path) when
-            the coefficients came from :meth:`from_calibration`.
     """
 
     sweep_unit: float = 1.0
@@ -337,127 +294,21 @@ class CostModel:
     max_workers_cap: int = 8
     process_min_cost: float = 5e8
     shard_min_objects: int = 128
-    native_min_objects: int = 16
-    native_min_density: float = 0.08
-    backend_coefficients: Optional[Dict[str, Dict[str, float]]] = None
-    calibrated_from: Optional[str] = None
 
-    @staticmethod
-    def calibration_path() -> str:
-        """Where calibrated coefficients live on this machine.
-
-        ``$REPRO_COSTMODEL_PATH`` when set, else
-        ``~/.repro/costmodel.json`` (written by ``repro-bench
-        calibrate``, see :mod:`repro.exec.calibrate`).
-        """
-        env = os.environ.get("REPRO_COSTMODEL_PATH")
-        if env:
-            return env
-        return os.path.join(
-            os.path.expanduser("~"), ".repro", "costmodel.json"
-        )
-
-    @classmethod
-    def from_calibration(
-        cls, path: Optional[str] = None, **overrides
-    ) -> "CostModel":
-        """A cost model with coefficients fitted on this hardware.
-
-        Loads the JSON written by ``repro-bench calibrate``
-        (:func:`repro.exec.calibrate.calibrate`): the kernel
-        coefficients come from the least-squares fit, the structural
-        thresholds keep their defaults unless overridden.
-
-        Args:
-            path: calibration file (default:
-                :meth:`calibration_path`).
-            **overrides: explicit field values that win over both.
-
-        Raises:
-            QueryError: when the file is missing or malformed (run
-                ``repro-bench calibrate`` first).
-        """
-        import json
-
-        path = path or cls.calibration_path()
-        try:
-            with open(path) as handle:
-                document = json.load(handle)
-            coefficients = document["coefficients"]
-            # a coefficient a pre-existing calibration file does not
-            # carry (e.g. ktimes_unit before its kernel was measured)
-            # must not keep its structural default: fitted values are
-            # seconds-per-unit-load, and mixing scales would inflate
-            # that kernel's estimates by orders of magnitude.  Borrow
-            # the fitted sparse-sweep scale instead -- same kind of
-            # per-nnz-per-timestep load, so the argmin and the
-            # process-dispatch threshold stay in one unit system.
-            def _coefficient_set(source) -> Dict[str, float]:
-                values = {
-                    name: float(source[name])
-                    for name in CALIBRATED_COEFFICIENTS
-                    if name in source
-                }
-                if "ktimes_unit" not in values and "sweep_unit" in values:
-                    values["ktimes_unit"] = values["sweep_unit"]
-                return values
-
-            fields = dict(_coefficient_set(coefficients))
-            # per-backend coefficient sets (newer calibration files);
-            # a single-backend file from before backend selection
-            # loads as a scipy-only set, so best_backend() falls back
-            # to the structural heuristic exactly as documented
-            backends_doc = document.get("backends")
-            if backends_doc:
-                fields["backend_coefficients"] = {
-                    str(name): _coefficient_set(
-                        entry.get("coefficients", entry)
-                    )
-                    for name, entry in backends_doc.items()
-                }
-            else:
-                fields["backend_coefficients"] = {"scipy": dict(fields)}
-            # calibrated coefficients are seconds-per-unit-load, so
-            # the process-dispatch threshold switches to the file's
-            # wall-time bound (seconds past which a pool pays off)
-            for name, value in document.get(
-                "thresholds", {}
-            ).items():
-                if name in ("process_min_cost",):
-                    fields[name] = float(value)
-        except FileNotFoundError:
-            raise QueryError(
-                f"no calibration at {path}; run `repro-bench "
-                f"calibrate` to measure this machine"
-            ) from None
-        except (
-            KeyError, TypeError, ValueError, OSError, AttributeError
-        ) as error:
-            raise QueryError(
-                f"unreadable calibration file {path}: {error}"
-            ) from None
-        fields["calibrated_from"] = path
-        fields.update(overrides)
-        return cls(**fields)
-
-    #: seconds one default (uncalibrated) cost unit roughly buys --
-    #: the default coefficients count "operations", and ~2 ns per
-    #: operation is the right order of magnitude for the sparse
-    #: kernels on any recent CPU.  Only used to price supervision
-    #: deadlines, which carry a generous multiplier and floor anyway.
+    #: seconds one cost unit roughly buys -- the coefficients count
+    #: "operations", and ~2 ns per operation is the right order of
+    #: magnitude for the sparse kernels on any recent CPU.  Prices
+    #: supervision deadlines (which carry a generous multiplier and
+    #: floor anyway) and the service tier's admission control.
     DEFAULT_UNIT_SECONDS = 2e-9
 
     def predict_seconds(self, cost: float) -> float:
         """Estimated wall seconds of work costing ``cost`` model units.
 
-        Calibrated coefficients (:meth:`from_calibration`) are
-        seconds-per-unit-load, so the cost *is* seconds; the
-        structural defaults are abstract operation counts and are
-        converted at :data:`DEFAULT_UNIT_SECONDS`.  The supervised
-        dispatch layer prices per-task deadlines from this.
+        The coefficients are abstract operation counts, converted at
+        :data:`DEFAULT_UNIT_SECONDS`.  The supervised dispatch layer
+        prices per-task deadlines from this.
         """
-        if self.calibrated_from is not None:
-            return float(cost)
         return float(cost) * self.DEFAULT_UNIT_SECONDS
 
     def qb_cost(self, features: "GroupFeatures") -> float:
@@ -514,93 +365,6 @@ class CostModel:
             * self.dense_sweep_unit * max(1, features.n_multi)
         )
 
-    # ------------------------------------------------------------------
-    # backend selection
-    # ------------------------------------------------------------------
-    def method_cost(
-        self,
-        features: "GroupFeatures",
-        method: str,
-        n_samples: int = 100,
-    ) -> float:
-        """The group's estimated cost under ``method``."""
-        if method == "qb":
-            return self.qb_cost(features)
-        if method == "ob":
-            return self.ob_cost(features)
-        if method == "ct":
-            return self.ktimes_cost(features)
-        if method == "mc":
-            return self.mc_cost(features, n_samples)
-        raise QueryError(f"unknown method {method!r}")
-
-    def for_backend(self, name: str) -> "CostModel":
-        """This model with ``name``'s calibrated coefficients swapped in.
-
-        Identity when no per-backend set was calibrated for ``name`` --
-        the shared coefficients then price every backend the same and
-        the structural heuristic decides.
-        """
-        sets = self.backend_coefficients or {}
-        if name not in sets:
-            return self
-        return replace(self, **sets[name])
-
-    def best_backend(
-        self,
-        features: "GroupFeatures",
-        method: str,
-        n_samples: int = 100,
-    ) -> str:
-        """The backend this group's kernels should execute through.
-
-        With calibrated per-backend coefficient sets (two or more
-        backends measured) the choice is the measured argmin of the
-        group's method cost, scipy winning ties.  Otherwise a
-        structural heuristic promotes dense stacked cohorts (the
-        shapes where the compiled/dense kernels were measured to win)
-        to ``native`` and keeps everything else on scipy.
-        """
-        from repro.linalg.ops import available_backends
-
-        installed = available_backends()
-        if "native" not in installed or "scipy" not in installed:
-            return "scipy" if "scipy" in installed else "pure"
-        sets = self.backend_coefficients or {}
-        comparable = [
-            name for name in sorted(sets) if name in installed
-        ]
-        if len(comparable) >= 2:
-            def price(name: str) -> float:
-                return self.for_backend(name).method_cost(
-                    features, method, n_samples
-                )
-
-            scipy_cost = price("scipy") if "scipy" in comparable else None
-            best = min(comparable, key=price)
-            if (
-                scipy_cost is not None
-                and price(best) >= scipy_cost * 0.999
-            ):
-                return "scipy"  # ties (and noise-level wins) stay put
-            return best
-        # structural heuristic: the compiled kernels win on dense
-        # chains sweeping many stacked columns; tiny or very sparse
-        # groups stay on scipy (measured crossover, see
-        # benchmarks/benchmark_backends.py)
-        from repro.linalg import native as native_kernels
-
-        density = features.nnz / max(1, features.n_states) ** 2
-        dense_elements = features.n_states ** 2
-        if (
-            method in ("ob", "ct")
-            and features.n_single >= self.native_min_objects
-            and density >= self.native_min_density
-            and dense_elements <= native_kernels.dense_cap()
-        ):
-            return "native"
-        return "scipy"
-
 
 @dataclass(frozen=True)
 class GroupFeatures:
@@ -646,11 +410,9 @@ class GroupPlan:
             mutating the plan).
         features: the cost-model inputs.
         costs: estimated cost per candidate method.
-        backend: linear-algebra backend the group's kernels execute
-            through (:meth:`CostModel.best_backend`, or the forced
-            :attr:`PlanOptions.backend`).  The pipeline rewrites it to
-            ``"scipy"`` if the native kernels fail at runtime, with
-            the fall recorded on ``plan.degradations``.
+        backend: the engine's linear-algebra backend, which every
+            group's kernels execute through (recorded for
+            ``describe()``).
         predicted_seconds: the cost model's wall-time prediction for
             the chosen method; ``describe()`` renders it next to the
             measured ``elapsed_seconds``.
@@ -805,9 +567,9 @@ class QueryPlan:
     def estimated_cost(self) -> float:
         """Planned cost: the sum of each group's cheapest method.
 
-        In the cost model's units (abstract operations for the default
-        coefficients, seconds for calibrated ones); feed it through
-        :meth:`CostModel.predict_seconds` for a wall-time prediction.
+        In the cost model's units (abstract operations); feed it
+        through :meth:`CostModel.predict_seconds` for a wall-time
+        prediction.
         This is the quantity the service tier's admission control
         prices requests with.
         """
@@ -934,7 +696,8 @@ class QueryPlanner:
         database: the database queries run against.
         plan_cache: the engine's plan cache, probed (without mutating
             its statistics) to credit cached constructions.
-        backend: linear-algebra backend name (cache-key component).
+        backend: the engine's linear-algebra backend name (cache-key
+            component, recorded on every :class:`GroupPlan`).
         cost_model: default coefficients; per-query overrides come via
             :attr:`PlanOptions.cost_model`.
     """
@@ -997,11 +760,8 @@ class QueryPlanner:
         The admission-control hook of the service tier
         (:mod:`repro.service`): planning probes only object counts,
         chain sparsity and the plan cache, so the price of a request
-        can be quoted *before* any kernel work is committed.  With a
-        calibrated cost model
-        (:meth:`CostModel.from_calibration`) the returned value is a
-        genuine wall-time prediction; with the structural defaults it
-        is an operation count converted at
+        can be quoted *before* any kernel work is committed.  The
+        value is the structural model's operation count converted at
         :data:`CostModel.DEFAULT_UNIT_SECONDS` -- coarse, but
         consistent across requests, which is all ordering and
         budgeting need.
@@ -1123,16 +883,6 @@ class QueryPlanner:
                 method = min(
                     candidates, key=lambda name: costs.get(name, float("inf"))
                 )
-        if options.backend is not None:
-            backend = options.backend
-        elif self.backend not in (None, "scipy"):
-            # an engine pinned to a non-default backend (e.g. the
-            # pure-python cross-check) keeps it for every group
-            backend = self.backend
-        else:
-            backend = model.best_backend(
-                features, method, options.n_samples
-            )
         shard_count = None
         store_shards = getattr(self.database, "store_shards", None)
         if callable(store_shards):
@@ -1150,7 +900,7 @@ class QueryPlanner:
             rows=rows,
             features=features,
             costs=costs,
-            backend=backend,
+            backend=self.backend,
             predicted_seconds=model.predict_seconds(
                 costs.get(method, 0.0)
             ),
@@ -1212,7 +962,7 @@ class QueryPlanner:
         parallel, but each shard pays fork/IPC overhead, so the
         estimated kernel cost must clear ``process_min_cost`` before
         auto picks them -- and never for an engine the pool cannot
-        serve (no scipy, or pinned to another backend).  Both the stacked
+        serve (no scipy, or a pure engine).  Both the stacked
         exists sweeps (OB) and the stacked k-times sweep (CT) shard
         within a chain; QB's shared backward pass runs as one task.
         """

@@ -110,14 +110,12 @@ from repro.core.batch import (
 from repro.core.distribution import SupportBlock
 from repro.core.observation import ObservationSet
 from repro.core.errors import (
-    BackendError,
     QuarantinedQueryError,
     QueryError,
     ValidationError,
 )
 from repro.core.plan_cache import PlanCache
 from repro.core.planner import (
-    CostModel,
     GroupFeatures,
     GroupPlan,
     PlanOptions,
@@ -173,7 +171,7 @@ class _Posteriors:
 
     ``P(X_t_last | observations)`` of a multi-observation object does
     not depend on the query region, so the engine keeps one table per
-    ``(chain, backend)`` and every standing query reads it: a
+    chain and every standing query reads it: a
     re-sighting is collapsed once, whoever ticks first.  The table is
     aligned with the chain's :class:`~repro.database.cohort.Cohort`
     rows -- ``slot[row]`` names the row's entry in an append-only CSR
@@ -320,10 +318,7 @@ class _ChainStream:
         self.cohort = cohort
         self.view = None  # the current tick's, set by register()
         self.chain = owner.engine.database.chain(chain_id)
-        # the stream's backend is a per-chain plan decision, fixed at
-        # construction (ticks must stay O(stride)); a runtime
-        # BackendError flips it to scipy -- see StandingQuery.tick
-        self.backend = owner._chain_backend(self.chain)
+        self.backend = owner.engine.backend
         if owner.kind == "ktimes":
             # the suffix-count ladder runs on the plain chain matrix;
             # the count dimension lives in the C-blocks, not in an
@@ -579,7 +574,7 @@ class _ChainStream:
                 # Markov from its filtered posterior
                 block = engine._posteriors_of(
                     cohort, rows[picked], last[picked], self.chain,
-                    self.backend, owner.context,
+                    owner.context,
                 )
                 out[picked] = self._ride(block, gaps[picked])
                 gone[picked[np.diff(block.indptr) == 0]] = True
@@ -725,9 +720,6 @@ class StandingQuery:
         self._active = 0
         self._synced_version = 0
         self._last_plan: Optional[QueryPlan] = None
-        # backend falls (native -> scipy) recorded by the *next*
-        # committed tick's plan; see the BackendError branch of tick()
-        self._pending_degradations: List[str] = []
         self._initialize()
 
     # ------------------------------------------------------------------
@@ -814,32 +806,11 @@ class StandingQuery:
                 self.faults.fire("streaming:commit", tick=self.ticks)
             # ---- commit point: everything below is rollback-free ----
             self._last_plan = plan
-            self._pending_degradations = []  # reported by ``plan``
             evaluated = _shift_window(self.query.window, self._offset)
             self.ticks += 1
             self._offset += self.stride
         except Exception as exc:
             self._restore(snapshot)
-            if isinstance(exc, BackendError):
-                fallen = [
-                    stream
-                    for stream in self._chains.values()
-                    if stream.backend == "native"
-                ]
-                if fallen:
-                    # same contract as the batch pipeline: the native
-                    # kernels are an optimisation, never a correctness
-                    # dependency -- flip the failing streams to scipy
-                    # and re-run the tick (the rollback above restored
-                    # every ladder; stream.backend is not part of the
-                    # snapshot, so the flip survives the retry)
-                    for stream in fallen:
-                        stream.backend = "scipy"
-                    self._pending_degradations.append(
-                        "degraded native -> scipy after "
-                        f"BackendError: {exc}"
-                    )
-                    return self.tick()
             self._failures += 1
             self._error = f"{type(exc).__name__}: {exc}"
             if self._failures >= self.quarantine_after:
@@ -978,41 +949,6 @@ class StandingQuery:
         self._active = 0
         self._initialize()
 
-    def _chain_backend(self, chain) -> Optional[str]:
-        """The linear-algebra backend one chain stream runs on.
-
-        Decided once per stream, mirroring the batch planner's
-        structural heuristic (:meth:`CostModel.best_backend`): an
-        explicit engine backend always wins; otherwise only the
-        k-times C-block ladder -- a dense ``(n, duration+1)`` GEMM per
-        extension step -- is promoted to the native kernels, and only
-        on chains dense enough for them to pay
-        (``native_min_density``) and small enough to densify
-        (``REPRO_NATIVE_DENSE_CAP``).  Exists ladders are single
-        matvec extensions where sparse scipy products stay ahead.
-        """
-        engine_backend = self.engine.backend
-        if engine_backend not in (None, "scipy"):
-            return engine_backend
-        if self.kind != "ktimes":
-            return engine_backend
-        try:
-            from repro.linalg import native as native_kernels
-            from repro.linalg.ops import available_backends
-        except Exception:  # pragma: no cover - linalg always imports
-            return engine_backend
-        if "native" not in available_backends():
-            return engine_backend
-        model = CostModel()
-        n = chain.n_states
-        density = chain.nnz / max(1, n * n)
-        if (
-            density >= model.native_min_density
-            and n * n <= native_kernels.dense_cap()
-        ):
-            return "native"
-        return engine_backend
-
     def _build_plan(
         self,
         window: SpatioTemporalWindow,
@@ -1059,11 +995,7 @@ class StandingQuery:
                 for chain_id, stream in sorted(self._chains.items())
             ],
         )
-        # the pending list is cleared at the commit point, not here: a
-        # tick that fails after this still owes the report
-        plan.degradations = list(self._pending_degradations) + list(
-            self.context.events
-        )
+        plan.degradations = list(self.context.events)
         total = {
             key: sum(chain[key] for chain in counters.values())
             for key in (
@@ -1129,12 +1061,10 @@ class StreamingQueryEngine:
         self.pruner = pruner or ReachabilityPruner(database)
         self._standing: List[StandingQuery] = []
         # Lemma 1 posteriors of re-sighted objects, one table per
-        # (chain, backend), shared by every standing query and synced
-        # from the journal on its own cursor; the lock covers ticks of
+        # chain, shared by every standing query and synced from the
+        # journal on its own cursor; the lock covers ticks of
         # different standing queries running on different threads
-        self._posteriors: Dict[
-            Tuple[str, Optional[str]], _Posteriors
-        ] = {}
+        self._posteriors: Dict[str, _Posteriors] = {}
         self._posteriors_version = database.version
         self._posterior_lock = threading.Lock()
 
@@ -1175,7 +1105,7 @@ class StreamingQueryEngine:
         return standing
 
     def _posteriors_of(
-        self, cohort, rows, last, chain, backend, context
+        self, cohort, rows, last, chain, context
     ) -> SupportBlock:
         """The Lemma 1 posteriors of ``rows`` (re-sighted objects whose
         evidence all precedes the caller's window) at their latest
@@ -1195,11 +1125,11 @@ class StreamingQueryEngine:
                     self._posteriors.clear()
                 for table in self._posteriors.values():
                     table.sync(changes, database)
-            key = (cohort.chain_id, backend)
+            key = cohort.chain_id
             table = self._posteriors.get(key)
             if table is None or table.cohort is not cohort:
                 table = self._posteriors[key] = _Posteriors(cohort)
-            table.fill(rows, last, chain, backend, database, context)
+            table.fill(rows, last, chain, self.backend, database, context)
             return table.block(rows)
 
     def tick_all(self) -> List[Optional["QueryResult"]]:

@@ -18,7 +18,8 @@ kernels.  This package is the single home of those kernels:
   per-call timing hooks collected on an
   :class:`~repro.exec.operators.ExecutionContext`;
 * :mod:`repro.exec.dispatch` -- process-pool dispatch of operator
-  work (the alternative to serial evaluation in the calling thread),
+  work (the alternative to serial evaluation in the calling thread)
+  for scipy engines,
   with CSR matrices and stacked state
   vectors published once into :mod:`multiprocessing.shared_memory`
   and rebuilt pickle-free on the worker side, run under a supervisor
@@ -27,11 +28,7 @@ kernels.  This package is the single home of those kernels:
 * :mod:`repro.exec.faults` -- deterministic fault injection
   (:class:`~repro.exec.faults.FaultInjector` /
   :class:`~repro.exec.faults.FaultSpec`) driving the recovery paths
-  on demand in the fault-tolerance test suite;
-* :mod:`repro.exec.calibrate` -- measures each operator over a
-  parameter grid and least-squares-fits the
-  :class:`~repro.core.planner.CostModel` coefficients so the planner's
-  choices reflect the hardware it actually runs on.
+  on demand in the fault-tolerance test suite.
 """
 
 from repro.exec.dispatch import (

@@ -91,7 +91,7 @@ __all__ = [
 def process_dispatch_available(backend: Optional[str] = None) -> bool:
     """Whether the shared-memory process path can serve an engine on
     ``backend``: it publishes scipy CSR matrices, so it needs scipy and
-    an engine that is not pinned to another backend."""
+    a scipy engine."""
     return _sp is not None and backend in (None, "scipy")
 
 
@@ -306,7 +306,7 @@ class _Publisher:
     """Owns every published segment; publishes each artefact once.
 
     Three caches -- chains by fingerprint, absorbing-matrix quadruples
-    by ``(fingerprint, region, backend)``, per-chain Monte-Carlo CDF
+    by ``(fingerprint, region)``, per-chain Monte-Carlo CDF
     tables -- so a monitoring workload re-issuing windows over the
     same chains publishes once per artefact, not once per query.  The
     caches are LRU-bounded (unlike an address-space cache, stale
@@ -383,8 +383,7 @@ class _Publisher:
         )
 
     def absorbing(
-        self, chain, matrices, backend: Optional[str],
-        lease: Optional[list] = None,
+        self, chain, matrices, lease: Optional[list] = None,
     ) -> Tuple[SharedCSR, SharedCSR, SharedCSR, SharedCSR]:
         """Publish ``(M_minus, M_plus, M_minus^T, M_plus^T)`` once."""
 
@@ -400,7 +399,7 @@ class _Publisher:
 
         return self._entry(
             "absorbing",
-            (chain.fingerprint(), matrices.region, backend),
+            (chain.fingerprint(), matrices.region),
             publish,
             lease,
         )
@@ -565,7 +564,7 @@ def _invalidate_executor(executor: ProcessPoolExecutor) -> None:
             _EXECUTOR_BROKEN = True
 
 
-def prewarm(max_workers: int, compile_native: bool = True) -> None:
+def prewarm(max_workers: int) -> None:
     """Build the persistent worker pool ahead of the first dispatch.
 
     The first ``dispatch="process"`` evaluation of a session pays the
@@ -575,23 +574,7 @@ def prewarm(max_workers: int, compile_native: bool = True) -> None:
     cost lands outside any latency-sensitive window.  No-op when a
     pool with at least ``max_workers`` workers is already up; safe
     without scipy (the pool itself has no backend dependency).
-
-    With ``compile_native`` (the default) the ``native`` backend's
-    kernels are also compiled/exercised on tiny inputs
-    (:func:`repro.linalg.native.prewarm`) *before* the pool forks, so
-    first-query latency never eats the JIT cost and fork-spawned
-    workers inherit the warm kernels (numba's ``cache=True`` persists
-    the machine code for spawn-start pools too).  Kernel prewarm never
-    raises -- a backend that cannot compile simply degrades to scipy
-    at execution time.
     """
-    if compile_native:
-        try:
-            from repro.linalg import native as _native
-
-            _native.prewarm()
-        except Exception:  # pragma: no cover - defensive: never block
-            pass
     executor, owned = _acquire_executor(max_workers)
     _release_executor(executor, owned)
 
@@ -752,7 +735,6 @@ class _ShardTask:
     region: Tuple[int, ...]
     times: Tuple[int, ...]
     method: str
-    backend: Optional[str]
     m_minus: Optional[SharedCSR] = None
     m_plus: Optional[SharedCSR] = None
     m_minus_t: Optional[SharedCSR] = None
@@ -811,7 +793,7 @@ def _rehydrate(task: _ShardTask):
     cache = _worker_cache()
     region = frozenset(task.region)
     adopted = cache.lookup_fingerprint(
-        "chain", task.fingerprint, frozenset(), task.backend
+        "chain", task.fingerprint, frozenset()
     )
     if adopted is None:
         chain = MarkovChain(
@@ -820,25 +802,25 @@ def _rehydrate(task: _ShardTask):
         )
         chain._fingerprint_cache = task.fingerprint
         adopted = cache.adopt(
-            "chain", task.fingerprint, frozenset(), task.backend, chain
+            "chain", task.fingerprint, frozenset(), None, chain
         )
     chain = adopted
     if task.m_minus is not None and cache.lookup_fingerprint(
-        "absorbing", task.fingerprint, region, task.backend
+        "absorbing", task.fingerprint, region
     ) is None:
         rebuilt = AbsorbingMatrices(
             n_states=chain.n_states,
             region=region,
             m_minus=attach_csr(task.m_minus, verify=task.verify),
             m_plus=attach_csr(task.m_plus, verify=task.verify),
-            backend=get_backend(task.backend),
+            backend=get_backend(),
         )
         rebuilt._transposed = (
             attach_csr(task.m_minus_t, verify=task.verify),
             attach_csr(task.m_plus_t, verify=task.verify),
         )
         cache.adopt(
-            "absorbing", task.fingerprint, region, task.backend, rebuilt
+            "absorbing", task.fingerprint, region, None, rebuilt
         )
     return chain, cache
 
@@ -957,9 +939,7 @@ def _evaluate_shard(task: _ShardTask):
     window = SpatioTemporalWindow(
         frozenset(task.region), frozenset(task.times)
     )
-    context = ExecutionContext(
-        cache, task.backend, faults=task.faults
-    )
+    context = ExecutionContext(cache, faults=task.faults)
     block = observation_sets = None
     if task.method in ("multi", "mc"):
         observation_sets = _shard_observation_sets(task)
@@ -994,7 +974,6 @@ def _evaluate_shard(task: _ShardTask):
             if task.seeds is not None
             else None
         ),
-        backend=task.backend,
         plan_cache=cache,
         context=context,
     )
@@ -1028,7 +1007,6 @@ class _StoreShardTask:
     chain_id: str
     kind: str  # "exists" | "ktimes"
     method: str  # qb | ob | mc (exists), ct | mc (ktimes)
-    backend: Optional[str]
     region: Tuple[int, ...]
     times: Tuple[int, ...]
     exclude: Tuple[str, ...] = ()
@@ -1098,9 +1076,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
         frozenset(task.region), frozenset(task.times)
     )
     cache = _worker_cache()
-    context = ExecutionContext(
-        cache, task.backend, faults=task.faults
-    )
+    context = ExecutionContext(cache, faults=task.faults)
 
     object_ids = np.asarray(view.object_ids, dtype=object)
     candidates = np.arange(view.n_objects(), dtype=np.int64)
@@ -1203,7 +1179,6 @@ def _evaluate_store_shard(task: _StoreShardTask):
             observation_sets=view.observation_sets,
             n_samples=task.n_samples,
             seeds=seeds,
-            backend=task.backend,
             plan_cache=cache,
             context=context,
         )
@@ -1449,14 +1424,13 @@ class GroupTask:
     chain CSR).  ``multi`` / ``mc`` groups ship every observation:
     ``members`` is a list of
     :class:`~repro.database.objects.UncertainObject`, ``mc`` with
-    ``n_samples`` and one seed per member.  ``backend`` is the
-    planner's per-group decision, adopted by the workers' kernels.
+    ``n_samples`` and one seed per member.  Workers run the scipy
+    backend, the only one whose matrices publish.
     """
 
     chain: object
     method: str
     members: object
-    backend: Optional[str] = None
     matrices: Optional[object] = None
     n_samples: Optional[int] = None
     seeds: Optional[Sequence[Optional[int]]] = None
@@ -1550,9 +1524,7 @@ def run_groups_in_processes(
             _fire_published(chain_handle, "chain")
             if group.matrices is not None:
                 minus_h, plus_h, minus_t_h, plus_t_h = (
-                    publisher.absorbing(
-                        chain, group.matrices, group.backend, lease
-                    )
+                    publisher.absorbing(chain, group.matrices, lease)
                 )
                 _fire_published(minus_h, "absorbing")
             else:  # the chain CSR is the whole matrix payload
@@ -1625,7 +1597,6 @@ def run_groups_in_processes(
                         region=tuple(sorted(window.region)),
                         times=tuple(sorted(window.times)),
                         method=method,
-                        backend=group.backend,
                         obs_times=obs_times,
                         obj_indptr=obj_indptr,
                         n_samples=group.n_samples,
@@ -1681,7 +1652,7 @@ def run_groups_in_processes(
 
 def run_store_shards(
     store,
-    groups: Sequence[Tuple[str, str, Optional[str]]],
+    groups: Sequence[Tuple[str, str]],
     window,
     kind: str,
     *,
@@ -1710,7 +1681,7 @@ def run_store_shards(
         store: a :class:`~repro.store.sharded.ShardedTrajectoryStore`
             (anything with ``path`` / ``generation`` /
             ``store_shards`` / ``shard_exclusions``).
-        groups: ``(chain_id, method, backend)`` per chain group.
+        groups: ``(chain_id, method)`` per chain group.
         window: the evaluated window.
         kind: ``"exists"`` or ``"ktimes"``.
         max_workers: pool size.
@@ -1740,7 +1711,7 @@ def run_store_shards(
     region = tuple(sorted(window.region))
     times = tuple(sorted(window.times))
     shards: List[_StoreShardTask] = []
-    for chain_id, method, task_backend in groups:
+    for chain_id, method in groups:
         for entry in store.store_shards(chain_id):
             if not entry.get("n_objects"):
                 continue
@@ -1756,7 +1727,6 @@ def run_store_shards(
                     chain_id=str(chain_id),
                     kind=kind,
                     method=method,
-                    backend=task_backend,
                     region=region,
                     times=times,
                     exclude=excluded,
@@ -1770,7 +1740,7 @@ def run_store_shards(
 
     values: Dict[str, object] = {}
     chain_seconds: Dict[str, float] = {
-        chain_id: 0.0 for chain_id, _method, _backend in groups
+        chain_id: 0.0 for chain_id, _method in groups
     }
     stats = {
         "shards": len(shards),

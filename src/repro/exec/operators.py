@@ -19,8 +19,7 @@ where ``inputs`` carries the operator-specific payload (matrices, a
 ``region`` / ``backend`` identify the artefact space, and ``context``
 is an optional :class:`ExecutionContext` whose timing hooks record one
 ``(calls, seconds)`` entry per operator name -- the numbers
-``QueryPlan.describe()`` renders and :mod:`repro.exec.calibrate` fits
-the cost model against.
+``QueryPlan.describe()`` renders.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.core.matrices import (
     build_absorbing_matrices,
     build_doubled_matrices,
 )
-from repro.linalg import native as native_kernels
 from repro.linalg.ops import matvec
 from repro.linalg.sparse import CSRMatrix
 
@@ -314,11 +312,6 @@ class _ForwardStack:
     def __init__(self, matrices, n_objects: int) -> None:
         self.matrices = matrices
         self._transposed = not isinstance(matrices.m_minus, CSRMatrix)
-        # the backend travels with the matrices, so shard workers that
-        # rehydrate a published CSR adopt the compiled kernels too
-        self._native = (
-            getattr(matrices.backend, "name", None) == "native"
-        )
         if self._transposed:
             self.stack = np.zeros(
                 (matrices.size, n_objects), dtype=float
@@ -364,10 +357,7 @@ class _ForwardStack:
         if self._transposed:
             minus_t, plus_t = self.matrices.transposed()
             matrix = plus_t if time in times else minus_t
-            if self._native:
-                self.stack = native_kernels.spmm(matrix, self.stack)
-            else:
-                self.stack = matrix @ self.stack
+            self.stack = matrix @ self.stack
         else:
             self.stack = np.asarray(
                 self.matrices.backend.matmat(
@@ -470,9 +460,6 @@ class BackwardSweep(Operator):
                 f"query time {window.t_start} precedes start_time "
                 f"{wanted[-1]}"
             )
-        use_backend = backend or getattr(
-            matrices.backend, "name", None
-        )
         vector = np.zeros(matrices.size, dtype=float)
         vector[matrices.top_index] = 1.0
         result: Dict[int, np.ndarray] = {}
@@ -483,9 +470,7 @@ class BackwardSweep(Operator):
             matrix = matrices.matrix_for_target_time(
                 time + 1, window.times
             )
-            vector = np.asarray(
-                matvec(matrix, vector, backend=use_backend), dtype=float
-            )
+            vector = np.asarray(matvec(matrix, vector), dtype=float)
             if time in remaining:
                 result[time] = vector.copy()
         return result
@@ -585,15 +570,10 @@ class KTimesSweep(Operator):
 
         visit(schedule.first)
         for time in range(schedule.first + 1, schedule.last + 1):
-            if backend == "native":
-                flat = native_kernels.spmm(
-                    transpose, stack.reshape(n, live * n_objects)
-                )
-            else:
-                flat = np.asarray(
-                    transpose @ stack.reshape(n, live * n_objects),
-                    dtype=float,
-                )
+            flat = np.asarray(
+                transpose @ stack.reshape(n, live * n_objects),
+                dtype=float,
+            )
             stack = flat.reshape(n, live, n_objects)
             visit(time)
         result = np.zeros((n_objects, schedule.n_rows), dtype=float)
@@ -658,15 +638,7 @@ class KTimesCore(Operator):
         remaining = set(wanted)
         result: Dict[int, np.ndarray] = {}
         for target in range(window.t_end, wanted[0], -1):
-            if backend == "native":
-                # fused count-row update: shift + product in one kernel
-                if target in window.times:
-                    block = native_kernels.ktimes_update(
-                        matrix, block, columns
-                    )
-                else:
-                    block = native_kernels.spmm(matrix, block)
-            elif target in window.times:
+            if target in window.times:
                 shifted = block.copy()
                 shifted[columns, 1:] = block[columns, :-1]
                 shifted[columns, 0] = 0.0
@@ -713,12 +685,9 @@ class PosteriorCollapse(Operator):
         transpose = chain.transpose_matrix()
         for observation in observations.after(time):
             while time < observation.time:
-                if backend == "native":
-                    vector = native_kernels.matvec(transpose, vector)
-                else:
-                    vector = np.asarray(
-                        transpose @ vector, dtype=float
-                    ).reshape(-1)
+                vector = np.asarray(
+                    transpose @ vector, dtype=float
+                ).reshape(-1)
                 time += 1
             vector = vector * np.asarray(
                 observation.distribution.vector, dtype=float
@@ -794,8 +763,6 @@ class LadderExtend(Operator):
         for step in range(steps):
             if isinstance(m_minus, CSRMatrix):
                 vector = matvec(m_minus, vector)
-            elif backend == "native":
-                vector = native_kernels.matvec(m_minus, vector)
             else:
                 vector = m_minus @ vector
             out[step] = vector

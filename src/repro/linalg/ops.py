@@ -1,23 +1,20 @@
 """Backend dispatch for sparse linear algebra.
 
 The query processors in :mod:`repro.core` never touch scipy directly; they
-call the functions in this module, which route to one of three backends:
+call the functions in this module, which route to one of two backends:
 
 * ``"scipy"`` -- :class:`scipy.sparse.csr_matrix` with numpy vectors.  This
-  is the baseline production backend and mirrors the paper's use of
-  MATLAB's sparse engine.
-* ``"native"`` -- same scipy CSR storage, but every product runs through
-  the compiled kernels in :mod:`repro.linalg.native` (numba JIT when
-  importable, cached dense-BLAS otherwise).  Sharing the scipy storage
-  means fingerprints, plan caches and shared-memory publication are
-  identical; only the inner loops differ.
+  is the production backend and mirrors the paper's use of MATLAB's
+  sparse engine.
 * ``"pure"``  -- :class:`repro.linalg.sparse.CSRMatrix` with Python lists.
-  Dependency-free and independently implemented; used as a cross-check.
+  Dependency-free and independently implemented; used where scipy is
+  missing and as the test suite's cross-check.
 
-A backend is selected per call site via :func:`get_backend`; the default is
-scipy when importable, otherwise pure.  The planner promotes groups to
-``native`` when the cost model says the compiled kernels win (see
-``CostModel.best_backend``).
+The backend is a property of the engine
+(``QueryEngine(database, backend=...)``), resolved through
+:func:`get_backend`; the default is scipy when importable, otherwise
+pure.  The module-level products below dispatch on the matrix's storage
+type, so they serve either backend's matrices.
 """
 
 from __future__ import annotations
@@ -158,38 +155,11 @@ def _scipy_backend() -> Backend:
     )
 
 
-def _native_backend() -> Backend:
-    """Scipy CSR storage, compiled-kernel products.
-
-    Construction is byte-identical to the scipy backend (so caching,
-    fingerprints and shared-memory publication agree); only the product
-    functions route through :mod:`repro.linalg.native`.
-    """
-    if not _HAVE_SCIPY:  # pragma: no cover
-        raise BackendError("native backend requires scipy for CSR storage")
-    from repro.linalg import native as _native
-
-    base = _scipy_backend()
-    return Backend(
-        name="native",
-        from_coo=base.from_coo,
-        from_dense=base.from_dense,
-        identity=base.identity,
-        transpose=base.transpose,
-        vecmat=lambda x, m: _native.vecmat(x, m),
-        matvec=lambda m, x: _native.matvec(m, x),
-        matmat=lambda rows, m: _native.matmat(rows, m),
-        zeros_vector=base.zeros_vector,
-        from_coo_arrays=base.from_coo_arrays,
-    )
-
-
 _BACKENDS: Dict[str, Callable[[], Backend]] = {
     "pure": _pure_backend,
 }
 if _HAVE_SCIPY:
     _BACKENDS["scipy"] = _scipy_backend
-    _BACKENDS["native"] = _native_backend
 
 _DEFAULT = "scipy" if _HAVE_SCIPY else "pure"
 
@@ -224,20 +194,11 @@ def vecmat(x: Any, matrix: Any) -> Any:
     raise BackendError(f"unsupported matrix type {type(matrix)!r}")
 
 
-def matvec(matrix: Any, x: Any, backend: Optional[str] = None) -> Any:
-    """Matrix times column-vector for either backend's matrix type.
-
-    ``backend="native"`` routes a scipy CSR through the compiled
-    kernels; any other value (or a pure matrix) takes the storage
-    backend's own product.
-    """
+def matvec(matrix: Any, x: Any) -> Any:
+    """Matrix times column-vector for either backend's matrix type."""
     if isinstance(matrix, CSRMatrix):
         return matrix.matvec(list(x))
     if _HAVE_SCIPY:
-        if backend == "native":
-            from repro.linalg import native as _native
-
-            return _native.matvec(matrix, x)
         return matrix @ _np.asarray(x, dtype=float)
     raise BackendError(f"unsupported matrix type {type(matrix)!r}")
 
@@ -247,8 +208,9 @@ def spmm(matrix: Any, block: Any, backend: Optional[str] = None) -> Any:
 
     The column-block form of :func:`matvec`: one product advances every
     column at once (backward suffix blocks, transposed forward stacks).
-    ``backend="native"`` routes scipy CSR storage through the compiled
-    kernels.
+    Like :func:`matvec` it dispatches on the storage type of ``matrix``;
+    ``backend`` names the caller's backend and does not change the
+    product.
     """
     if isinstance(matrix, CSRMatrix):
         cols = [
@@ -257,10 +219,6 @@ def spmm(matrix: Any, block: Any, backend: Optional[str] = None) -> Any:
         ]
         return [list(out_row) for out_row in zip(*cols)]
     if _HAVE_SCIPY:
-        if backend == "native":
-            from repro.linalg import native as _native
-
-            return _native.spmm(matrix, block)
         return matrix @ _np.asarray(block, dtype=float)
     raise BackendError(f"unsupported matrix type {type(matrix)!r}")
 

@@ -2,7 +2,7 @@
 
 An asyncio front end (:class:`~repro.service.server.QueryService`)
 over one :class:`~repro.core.engine.QueryEngine`: requests from many
-clients are admission-controlled with the calibrated cost model,
+clients are admission-controlled with the planner's cost model,
 fused by the :class:`~repro.service.broker.RequestBroker` when they
 share a fusion key within one scheduling window, executed as stacked
 engine calls, and demultiplexed back to each caller.  Per-tenant

@@ -3,7 +3,7 @@
 :class:`QueryService` is the front end a deployment exposes instead of
 handing every client its own :class:`~repro.core.engine.QueryEngine`.
 Clients ``await service.submit(query)``; the service admits or rejects
-the request using the calibrated cost model, parks admitted requests
+the request using the planner's cost model, parks admitted requests
 in the :class:`~repro.service.broker.RequestBroker` for one *fusion
 window*, then executes each fused group as a single stacked engine
 call on a worker thread and demultiplexes the values back to every
@@ -44,16 +44,6 @@ from repro.service.broker import (
 from repro.service.tenants import TenantAccount, TenantLedger
 
 __all__ = ["QueryService", "ServiceStandingQuery"]
-
-
-def _prewarm_native() -> None:
-    """Compile/warm the native kernels; never raises (startup path)."""
-    try:
-        from repro.linalg import native
-
-        native.prewarm()
-    except Exception:
-        pass
 
 
 class QueryService:
@@ -150,11 +140,6 @@ class QueryService:
             self._wakeup = asyncio.Event()
             loop = asyncio.get_running_loop()
             self._loop_task = loop.create_task(self._broker_loop())
-            # warm the native linear-algebra kernels on the executor
-            # (tiny-input AOT compile + dense-cache priming) so the
-            # first admitted query never pays the compile; failures
-            # are irrelevant here -- the pipeline degrades to scipy
-            loop.run_in_executor(self._executor, _prewarm_native)
         return self
 
     async def stop(self, drain: bool = True) -> None:

@@ -3,7 +3,7 @@
 The service admits requests from many tenants against one engine, so
 fairness has to be priced somewhere: each tenant gets a
 :class:`TenantAccount` whose *token budget* is denominated in
-predicted wall seconds (the same currency the calibrated
+predicted wall seconds (the same currency the
 :class:`~repro.core.planner.CostModel` quotes).  Admission charges the
 cost model's prediction up front; completion trues the account up
 with the measured share of the (possibly fused) evaluation, so a

@@ -165,7 +165,6 @@ class TestPlanCacheRehydration:
                 region=tuple(sorted(WINDOW.region)),
                 times=tuple(sorted(WINDOW.times)),
                 method="qb",
-                backend=None,
             )
             dispatch._WORKER_CACHE = None  # fresh worker state
             lo, hi, values, timings, elapsed = (

@@ -1,12 +1,14 @@
 """Documentation stays true: doctests run, links resolve.
 
-Two guarantees:
+Three guarantees:
 
 * every ``>>>`` snippet in ``docs/API.md`` executes and produces the
   output the page shows (doctest);
 * every relative markdown link in ``README.md`` and ``docs/*.md``
   points at a file that exists, so refactors cannot silently orphan
-  the documentation.
+  the documentation;
+* the ``REPRO_*`` environment variables read under ``src/`` are the
+  ones ``docs/OPERATIONS.md`` documents.
 """
 
 from __future__ import annotations
@@ -54,3 +56,20 @@ def test_relative_links_resolve(page: Path):
         if not (page.parent / path).exists():
             broken.append(target)
     assert not broken, f"{page.name}: broken relative links {broken}"
+
+
+def test_environment_variables_documented():
+    """The ``REPRO_*`` variables the library reads are exactly the
+    ones the operations guide documents: a row for a deleted variable
+    fails here as surely as an undocumented new one."""
+    name = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
+    read = {
+        match
+        for source in (REPO_ROOT / "src").rglob("*.py")
+        for match in name.findall(source.read_text())
+    }
+    documented = set(
+        name.findall((REPO_ROOT / "docs" / "OPERATIONS.md").read_text())
+    )
+    assert read, "no REPRO_* variable found under src/"
+    assert read == documented

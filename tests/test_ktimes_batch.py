@@ -356,53 +356,3 @@ class TestPlannerIntegration:
         for group in plan.groups:
             assert group.method == "ct"
             assert group.costs["ct"] > 0
-
-    def test_pre_ktimes_calibration_file_borrows_sweep_scale(self):
-        """An old calibration without ktimes_unit must not mix units.
-
-        Fitted coefficients are seconds-per-unit-load; keeping the
-        structural default (1.0 relative units) for a missing
-        ktimes_unit would inflate k-times estimates by ~9 orders of
-        magnitude and trip the seconds-scale process threshold.
-        """
-        import json
-
-        from repro import CostModel
-
-        document = {
-            "coefficients": {
-                "sweep_unit": 2e-9,
-                "dense_sweep_unit": 1e-9,
-                "dot_unit": 1e-11,
-                "build_unit": 5e-8,
-                "mc_step_unit": 1e-6,
-                "object_overhead": 1e-5,
-            },
-            "thresholds": {"process_min_cost": 0.5},
-        }
-        import tempfile
-
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False
-        ) as handle:
-            json.dump(document, handle)
-            path = handle.name
-        model = CostModel.from_calibration(path)
-        assert model.ktimes_unit == pytest.approx(2e-9)
-
-    def test_calibration_fits_ktimes_coefficient(self):
-        from repro.exec.calibrate import (
-            CalibrationConfig,
-            default_grid,
-            fit,
-            measure_grid,
-        )
-
-        grid = default_grid(smoke=True)[:4]
-        measurements = measure_grid(
-            CalibrationConfig(smoke=True, repeats=1), grid
-        )
-        kernels = {m.kernel for m in measurements}
-        assert "ct" in kernels
-        model = fit(measurements, CalibrationConfig(smoke=True))
-        assert model.ktimes_unit > 0

@@ -31,7 +31,7 @@ TRIPLES = [
 
 class TestRegistry:
     def test_both_backends_available(self):
-        assert available_backends() == ["native", "pure", "scipy"]
+        assert available_backends() == ["pure", "scipy"]
 
     def test_default_is_scipy(self):
         assert get_backend().name == "scipy"

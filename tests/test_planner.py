@@ -89,10 +89,21 @@ class TestPlanOptions:
             PlanOptions(dispatch="thread")
 
     def test_removed_knobs_are_type_errors(self):
-        # no alias or shim: dispatch= is the one execution switch and
-        # prefilter= / bfs_prune= the only filter toggles
+        # no alias or shim: dispatch= is the one execution switch,
+        # prefilter= / bfs_prune= the only filter toggles, and the
+        # backend a property of the engine
+        from repro.exec.dispatch import prewarm
+
         with pytest.raises(TypeError):
             PlanOptions(parallel=True)
+        with pytest.raises(TypeError):
+            PlanOptions(backend="scipy")
+        with pytest.raises(TypeError):
+            CostModel(native_min_density=0.1)
+        with pytest.raises(TypeError):
+            CostModel(backend_coefficients={})
+        with pytest.raises(TypeError):
+            prewarm(2, compile_native=True)
         engine = QueryEngine(line_database(n_objects=2))
         with pytest.raises(TypeError):
             engine.evaluate(PSTExistsQuery(WINDOW), prune=True)

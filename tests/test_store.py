@@ -301,7 +301,7 @@ class TestShardWorkers:
                 str(store.path), store.generation, entry["shard_id"]
             )
         dispatch.shutdown()
-        groups = [("chain-0", "qb", None), ("chain-1", "qb", None)]
+        groups = [("chain-0", "qb"), ("chain-1", "qb")]
         for _ in range(2):
             _values, _seconds, stats = dispatch.run_store_shards(
                 store, groups, WINDOW, "exists", max_workers=2
