@@ -4,12 +4,14 @@ The paper's reduction (Sections V--VI) turns one query over one object
 into a sequence of sparse vector--matrix products.  A database query is
 many objects sharing a chain, so the per-object row vectors can be
 stacked into one ``(n_objects, size)`` matrix ``X`` and the whole
-forward pass becomes *one* sparse-dense product ``X @ M_t`` per
-timestep: ``O(objects x timesteps)`` vecmats collapse into
-``O(timesteps)`` matmats, which is how the paper's Figure 9/11
-experiments amortise the linear algebra.  Per row the products are
-identical to the per-object path, so results agree exactly (asserted to
-1e-12 in the test suite).
+forward pass becomes *one* sparse product ``X @ M_t`` per timestep:
+``O(objects x timesteps)`` vecmats collapse into ``O(timesteps)``
+matmats.  ``X`` is itself sparse (a CSR frontier holding only the
+states the objects have spread to, dense once it fills up or when the
+stack is small), so a step costs what the supports cover, not ``|S|``
+per object -- the paper's Figure 9/11 argument for the object-based
+pass.  Per row the products are those of the per-object path, so
+results agree to rounding (asserted to 1e-12 in the test suite).
 
 Since the operator-layer refactor these functions are thin schedule
 builders over :mod:`repro.exec.operators`: the sweeps themselves run as

@@ -16,7 +16,7 @@ distribution utilities used by the query processors and the pruning layer.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -291,24 +291,6 @@ class MarkovChain:
                 break
         return frozenset(current)
 
-    def reachable_within(
-        self, sources: Iterable[int], steps: int
-    ) -> FrozenSet[int]:
-        """States reachable in *at most* ``steps`` transitions."""
-        seen: Set[int] = {self._checked(s) for s in sources}
-        frontier = set(seen)
-        for _ in range(steps):
-            nxt: Set[int] = set()
-            for state in frontier:
-                for successor in self.successors(state):
-                    if successor not in seen:
-                        seen.add(successor)
-                        nxt.add(successor)
-            if not nxt:
-                break
-            frontier = nxt
-        return frozenset(seen)
-
     def can_reach(
         self, sources: Iterable[int], region: Iterable[int], steps: int
     ) -> bool:
@@ -391,50 +373,6 @@ class MarkovChain:
         coo = self._matrix.tocoo()
         for i, j, v in zip(coo.row, coo.col, coo.data):
             yield int(i), int(j), float(v)
-
-    def restricted(
-        self, states: Sequence[int]
-    ) -> Tuple["MarkovChain", Dict[int, int]]:
-        """Sub-chain over ``states``; mass leaving the set is dropped.
-
-        Returns the restricted chain (rows renormalised -- rows that lose
-        all mass become absorbing self-loops) and the mapping from original
-        to restricted state indices.  Used by the reachability pruning of
-        the object-based processor: when ``states`` is closed under
-        transitions up to the query horizon, restriction is exact.
-        """
-        kept = sorted(set(int(s) for s in states))
-        if not kept:
-            raise ValidationError("cannot restrict to an empty state set")
-        index_map = {old: new for new, old in enumerate(kept)}
-        size = len(kept)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        matrix = self._matrix
-        for old in kept:
-            new = index_map[old]
-            lo, hi = matrix.indptr[old], matrix.indptr[old + 1]
-            kept_mass = 0.0
-            for j, v in zip(matrix.indices[lo:hi], matrix.data[lo:hi]):
-                target = index_map.get(int(j))
-                if target is not None:
-                    rows.append(new)
-                    cols.append(target)
-                    vals.append(float(v))
-                    kept_mass += float(v)
-            if kept_mass <= 0.0:
-                rows.append(new)
-                cols.append(new)
-                vals.append(1.0)
-        sub = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(size, size), dtype=float
-        )
-        # renormalise rows that lost some (but not all) mass
-        row_sums = np.asarray(sub.sum(axis=1)).ravel()
-        scale = sp.diags(1.0 / row_sums)
-        sub = (scale @ sub).tocsr()
-        return MarkovChain(sub, validate=False), index_map
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkovChain):

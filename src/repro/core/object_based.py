@@ -10,10 +10,10 @@ Features beyond the basic loop, all from the paper:
 
 * **early termination** (Section V-C): for threshold queries, processing
   can stop as soon as ``P(TOP)`` exceeds the threshold;
-* **reachability pruning** (Section V-C / the ``S_reach`` discussion):
-  the chain is restricted to the states actually reachable from the
-  object's start distribution within the query horizon, shrinking the
-  matrices;
+* **reachability** (Section V-C / the ``S_reach`` discussion): large
+  stacks sweep as a sparse frontier
+  (:class:`~repro.exec.operators.ForwardSweep`), so each step touches
+  only the states the objects can have reached;
 * **multiple observations** (Section VI): the doubled-state-space variant
   with Lemma 1 evidence fusion at each later observation.
 """
@@ -62,7 +62,6 @@ def ob_exists_probability(
     matrices: Optional[AbsorbingMatrices] = None,
     backend: Optional[str] = None,
     stop_at_probability: Optional[float] = None,
-    prune: bool = False,
     plan_cache=None,
 ) -> float:
     """PST-exists probability of one object, object-based (Section V-A).
@@ -82,11 +81,9 @@ def ob_exists_probability(
         stop_at_probability: when set, return as soon as ``P(TOP)`` reaches
             this value -- a lower bound sufficient for threshold queries
             (the paper's early-termination note in Section V-C).
-        prune: restrict the computation to states reachable from the
-            initial support within the horizon (the paper's ``S_reach``).
         plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
             supplying the absorbing matrices across calls (ignored when
-            ``matrices`` is given or ``prune`` restricts the chain).
+            ``matrices`` is given).
 
     Returns:
         ``P_exists(o, S_q, T_q)`` -- exact up to float arithmetic (or a
@@ -98,11 +95,6 @@ def ob_exists_probability(
             f"chain over {chain.n_states}"
         )
     _check_window(chain, window, start_time)
-
-    if prune and matrices is None:
-        return _ob_exists_pruned(
-            chain, initial, window, start_time, backend, stop_at_probability
-        )
 
     matrices = resolve_absorbing(
         chain, window.region, backend, plan_cache, matrices
@@ -133,38 +125,6 @@ def ob_exists_probability(
         (matrices, schedule), chain, window.region, backend
     )
     return float(result[0])
-
-
-def _ob_exists_pruned(
-    chain: MarkovChain,
-    initial: StateDistribution,
-    window: SpatioTemporalWindow,
-    start_time: int,
-    backend: Optional[str],
-    stop_at_probability: Optional[float],
-) -> float:
-    """OB with the chain restricted to the reachable state set."""
-    horizon = window.t_end - start_time
-    reachable = chain.reachable_within(initial.support(), horizon)
-    region = window.region & reachable
-    if not region:
-        return 0.0  # the object cannot enter the window at all
-    sub_chain, index_map = chain.restricted(sorted(reachable))
-    sub_initial = np.zeros(sub_chain.n_states, dtype=float)
-    for state, probability in initial.items():
-        sub_initial[index_map[state]] = probability
-    sub_window = SpatioTemporalWindow(
-        frozenset(index_map[s] for s in region), window.times
-    )
-    return ob_exists_probability(
-        sub_chain,
-        StateDistribution(sub_initial, normalize=True),
-        sub_window,
-        start_time=start_time,
-        backend=backend,
-        stop_at_probability=stop_at_probability,
-        prune=False,
-    )
 
 
 def ob_forall_probability(

@@ -8,14 +8,21 @@ operators now), and the per-call timing hooks account every call.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import (
     Observation,
     ObservationSet,
+    PlanOptions,
+    PSTExistsQuery,
+    QueryEngine,
     SpatioTemporalWindow,
     StateDistribution,
+    TrajectoryDatabase,
+    UncertainObject,
 )
 from repro.core.distribution import SupportBlock
 from repro.core.errors import InfeasibleEvidenceError, QueryError
@@ -24,6 +31,7 @@ from repro.core.matrices import (
     build_doubled_matrices,
 )
 from repro.core.plan_cache import PlanCache
+from repro.exec import operators
 from repro.exec.operators import (
     BACKWARD_SWEEP,
     BUILD_ABSORBING,
@@ -56,6 +64,69 @@ def chain():
 @pytest.fixture(scope="module")
 def matrices(chain):
     return build_absorbing_matrices(chain, WINDOW.region)
+
+
+# A chain wide enough that a dozen rows cross the frontier's entry size
+# (12 x 4,001 and 6 x 8,000 cells) while a few rows stay dense.
+WIDE_STATES = 4000
+WIDE_WINDOW = SpatioTemporalWindow.from_ranges(1990, 2010, 5, 7)
+ABSORBING, DOUBLED = 0, 1
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The wide chain and its (absorbing, doubled) matrices per backend."""
+    chain = make_line_chain(WIDE_STATES, max_step=20, seed=9)
+    return chain, {
+        backend: (
+            build_absorbing_matrices(chain, WIDE_WINDOW.region, backend),
+            build_doubled_matrices(chain, WIDE_WINDOW.region, backend),
+        )
+        for backend in ("scipy", "pure")
+    }
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """Class names of the sweep stacks built, in construction order."""
+    names = []
+    for cls in (operators._DenseStack, operators._Frontier):
+        def spy(*args, _cls=cls):
+            names.append(_cls.__name__)
+            return _cls(*args)
+
+        monkeypatch.setattr(operators, cls.__name__, spy)
+    return names
+
+
+def near(rng, n_rows, low=1950, high=2050, width=5):
+    """A block of ``n_rows`` uniform pdfs over ``width`` adjacent states
+    starting in ``[low, high)``."""
+    return SupportBlock.from_distributions(
+        [
+            StateDistribution.uniform(
+                WIDE_STATES, range(start, start + width)
+            )
+            for start in rng.integers(low, high, n_rows)
+        ],
+        WIDE_STATES,
+    )
+
+
+def against_pure(wide, kind, schedule, taken):
+    """Run ``schedule`` on scipy and on the pure dense reference; they
+    agree to 1e-12.  Returns the scipy answer and the stacks it built."""
+    _, matrices = wide
+    answer = FORWARD_SWEEP((matrices["scipy"][kind], schedule))
+    built = list(taken)
+    reference = FORWARD_SWEEP((matrices["pure"][kind], schedule))
+    np.testing.assert_allclose(answer, reference, rtol=0, atol=1e-12)
+    return answer, built
+
+
+# (rows, the stack the sweep starts on) on each side of the entry size
+ABSORBING_SIDES = [(4, "_DenseStack"), (12, "_Frontier")]
+DOUBLED_SIDES = [(2, "_DenseStack"), (6, "_Frontier")]
 
 
 class TestTimingHooks:
@@ -191,6 +262,201 @@ class TestForwardSweep:
         )
         with pytest.raises(InfeasibleEvidenceError):
             FORWARD_SWEEP((doubled, schedule), chain, WINDOW.region)
+
+    @pytest.mark.parametrize("n_rows, stack", ABSORBING_SIDES)
+    def test_mixed_activations_match_pure(self, wide, taken, n_rows, stack):
+        rng = np.random.default_rng(n_rows)
+        # rows join at 0, 2 and at the query time 5; the last group
+        # straddles the region's edge, so part of it starts on TOP
+        groups = np.array_split(np.arange(n_rows), 3)
+        activations = {
+            0: (groups[0], near(rng, len(groups[0]))),
+            2: (groups[1], near(rng, len(groups[1]))),
+            5: (groups[2], near(rng, len(groups[2]), 2007, 2009)),
+        }
+        top = wide[1]["scipy"][ABSORBING].top_index
+        answer, built = against_pure(wide, ABSORBING, SweepSchedule(
+            n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
+            times=WIDE_WINDOW.times, activations=activations,
+            harvests={WIDE_WINDOW.t_end: range(n_rows)},
+            read="top", read_offset=top,
+        ), taken)
+        assert built == [stack]
+        # states 2007-2010 of the five are inside: 0.6 is on TOP at once
+        assert (answer[groups[2]] >= 0.6 - 1e-12).all()
+        assert 0.0 < answer.min() and answer.max() < 1.0
+
+    @pytest.mark.parametrize("n_rows, stack", DOUBLED_SIDES)
+    def test_doubled_fusions_match_pure(self, wide, taken, n_rows, stack):
+        rng = np.random.default_rng(n_rows)
+        doubled = wide[1]["scipy"][DOUBLED]
+        centers = rng.integers(1950, 2050, n_rows)
+        first = SupportBlock.from_distributions(
+            [
+                StateDistribution.uniform(WIDE_STATES, range(c, c + 5))
+                for c in centers
+            ],
+            WIDE_STATES,
+        )
+
+        def sighting(row):
+            return doubled.tile_observation(np.asarray(
+                StateDistribution.uniform(
+                    WIDE_STATES, range(centers[row] - 30, centers[row] + 35)
+                ).vector
+            ))
+
+        rows = np.arange(n_rows)
+        # odd rows join at 3; every row is re-sighted before the
+        # window, even rows inside it, row 0 after t_end (read at 9)
+        fusions = {
+            4: [(row, sighting(row)) for row in rows],
+            6: [(row, sighting(row)) for row in rows[::2]],
+            9: [(0, sighting(0))],
+        }
+        answer, built = against_pure(wide, DOUBLED, SweepSchedule(
+            n_rows=n_rows, first=0, last=9, times=WIDE_WINDOW.times,
+            activations={
+                0: (rows[::2], first.take(rows[::2])),
+                3: (rows[1::2], first.take(rows[1::2])),
+            },
+            fusions=fusions,
+            harvests={WIDE_WINDOW.t_end: rows[1:], 9: [0]},
+            read="tail", read_offset=doubled.n_states,
+        ), taken)
+        assert built == [stack]
+        assert 0.0 < answer.min() and answer.max() < 1.0
+
+    @pytest.mark.parametrize("n_rows, stack", ABSORBING_SIDES)
+    def test_stop_threshold_matches_pure(self, wide, taken, n_rows, stack):
+        rng = np.random.default_rng(n_rows)
+        top = wide[1]["scipy"][ABSORBING].top_index
+        base = dict(
+            n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
+            times=WIDE_WINDOW.times,
+            activations={0: (np.arange(n_rows), near(rng, n_rows, 1995, 2001))},
+            harvests={WIDE_WINDOW.t_end: range(n_rows)},
+            read="top", read_offset=top,
+        )
+        exact = FORWARD_SWEEP(
+            (wide[1]["scipy"][ABSORBING], SweepSchedule(**base))
+        )
+        taken.clear()
+        bounded, built = against_pure(
+            wide, ABSORBING, SweepSchedule(**base, stop_threshold=0.05),
+            taken,
+        )
+        assert built == [stack]
+        assert (bounded >= 0.05).all()
+        assert (bounded <= exact + 1e-12).all()
+        assert (bounded < exact - 1e-3).any()  # it stopped early
+
+    @pytest.mark.parametrize("n_rows, stack", DOUBLED_SIDES)
+    def test_infeasible_fusion_raises_on_both_sides(
+        self, wide, taken, n_rows, stack
+    ):
+        rng = np.random.default_rng(n_rows)
+        doubled = wide[1]["scipy"][DOUBLED]
+        contradiction = np.zeros(WIDE_STATES, dtype=float)
+        contradiction[0] = 1.0  # ~2,000 states from any row's start
+        schedule = SweepSchedule(
+            n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
+            times=WIDE_WINDOW.times,
+            activations={0: (np.arange(n_rows), near(rng, n_rows))},
+            fusions={1: [(
+                n_rows - 1, doubled.tile_observation(contradiction)
+            )]},
+            harvests={WIDE_WINDOW.t_end: range(n_rows)},
+            read="tail", read_offset=doubled.n_states,
+        )
+        with pytest.raises(InfeasibleEvidenceError, match="t=1"):
+            FORWARD_SWEEP((doubled, schedule))
+        assert taken == [stack]
+
+    def test_frontier_densifies_on_long_horizons(self, wide, taken):
+        """Supports spreading over 1/16 of the stack hand the sweep to
+        the dense representation; the answers do not change."""
+        n_rows = 12
+        window = SpatioTemporalWindow(WIDE_WINDOW.region, range(25, 28))
+        rng = np.random.default_rng(3)
+        answer, built = against_pure(wide, ABSORBING, SweepSchedule(
+            n_rows=n_rows, first=0, last=window.t_end, times=window.times,
+            activations={0: (np.arange(n_rows), near(rng, n_rows))},
+            harvests={window.t_end: range(n_rows)},
+            read="top",
+            read_offset=wide[1]["scipy"][ABSORBING].top_index,
+        ), taken)
+        assert built == ["_Frontier", "_DenseStack"]
+        assert 0.0 < answer.min()
+
+    def test_frontier_memory_bound(self):
+        """A 2,000 x 8,001 OB sweep stays far below one dense stack
+        (128 MB per copy)."""
+        n_states, n_rows = 8000, 2000
+        chain = make_line_chain(n_states, seed=3)
+        window = SpatioTemporalWindow.from_ranges(3990, 4010, 3, 5)
+        matrices = build_absorbing_matrices(chain, window.region)
+        starts = np.random.default_rng(3).integers(0, n_states - 5, n_rows)
+        block = SupportBlock(
+            n_states,
+            np.arange(0, 5 * n_rows + 1, 5),
+            (starts[:, None] + np.arange(5)).ravel(),
+            np.full(5 * n_rows, 0.2),
+        )
+        schedule = SweepSchedule(
+            n_rows=n_rows, first=0, last=window.t_end, times=window.times,
+            activations={0: (np.arange(n_rows), block)},
+            harvests={window.t_end: range(n_rows)},
+            read="top", read_offset=matrices.top_index,
+        )
+        tracemalloc.start()
+        try:
+            answer = FORWARD_SWEEP((matrices, schedule))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert answer.max() > 0.0
+
+    def test_engine_ob_with_multi_observations_matches_qb(
+        self, wide, taken
+    ):
+        """method="ob" on a database whose single- and multi-observation
+        groups both sweep as frontiers agrees with QB and with the pure
+        backend."""
+        chain, _ = wide
+        database = TrajectoryDatabase.with_chain(chain)
+        rng = np.random.default_rng(21)
+        for index in range(40):
+            center = int(rng.integers(1930, 2070))
+            observations = [
+                Observation.uniform(0, WIDE_STATES, range(center, center + 5))
+            ]
+            if index % 2:  # re-sighted before the window
+                observations.append(Observation.uniform(
+                    3, WIDE_STATES, range(center - 25, center + 30)
+                ))
+            database.add(UncertainObject(
+                f"o{index}", ObservationSet.of(*observations)
+            ))
+        query = PSTExistsQuery(WIDE_WINDOW)
+        options = PlanOptions(prefilter=False, bfs_prune=False)
+        ob = QueryEngine(database).evaluate(
+            query, method="ob", options=options
+        )
+        assert taken == ["_Frontier", "_Frontier"]
+        qb = QueryEngine(database).evaluate(
+            query, method="qb", options=options
+        )
+        pure = QueryEngine(database, backend="pure").evaluate(
+            query, method="ob", options=options
+        )
+        for object_id, value in ob.values.items():
+            assert value == pytest.approx(qb.values[object_id], abs=1e-12)
+            assert value == pytest.approx(
+                pure.values[object_id], abs=1e-12
+            )
+        assert max(ob.values.values()) > 0.0
 
 
 class TestLadderExtend:

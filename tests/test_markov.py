@@ -148,12 +148,6 @@ class TestReachability:
         assert paper_chain.reachable_in([1], 1) == frozenset({0, 2})
         assert paper_chain.reachable_in([0], 2) == frozenset({1, 2})
 
-    def test_reachable_within(self, paper_chain):
-        assert paper_chain.reachable_within([0], 0) == frozenset({0})
-        assert paper_chain.reachable_within([0], 2) == frozenset(
-            {0, 1, 2}
-        )
-
     def test_can_reach_immediate(self, paper_chain):
         assert paper_chain.can_reach([0], [0], 0)
 
@@ -167,7 +161,7 @@ class TestReachability:
 
     def test_reachability_range_check(self, paper_chain):
         with pytest.raises(ValidationError):
-            paper_chain.reachable_within([9], 1)
+            paper_chain.reachable_in([9], 1)
 
 
 class TestStationary:
@@ -206,52 +200,6 @@ class TestConversions:
         other = MarkovChain.identity(3)
         assert paper_chain != other
         assert paper_chain != "chain"
-
-
-class TestRestriction:
-    def test_restricted_closed_set_is_exact(self):
-        # states {0,1} are closed: restriction must preserve dynamics
-        chain = MarkovChain(
-            [
-                [0.5, 0.5, 0.0],
-                [1.0, 0.0, 0.0],
-                [0.2, 0.3, 0.5],
-            ]
-        )
-        sub, mapping = chain.restricted([0, 1])
-        assert mapping == {0: 0, 1: 1}
-        assert np.allclose(
-            sub.to_dense(), [[0.5, 0.5], [1.0, 0.0]]
-        )
-
-    def test_restricted_renormalises_leaky_rows(self):
-        chain = MarkovChain(
-            [
-                [0.5, 0.25, 0.25],
-                [0.5, 0.5, 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        sub, _ = chain.restricted([0, 1])
-        # row 0 lost 0.25 to state 2; kept mass renormalised
-        assert np.allclose(
-            sub.to_dense()[0], [0.5 / 0.75, 0.25 / 0.75]
-        )
-
-    def test_restricted_dead_row_becomes_absorbing(self):
-        chain = MarkovChain(
-            [
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-                [1.0, 0.0, 0.0],
-            ]
-        )
-        sub, mapping = chain.restricted([1])
-        assert sub.is_absorbing_state(mapping[1])
-
-    def test_restricted_empty_rejected(self, paper_chain):
-        with pytest.raises(ValidationError):
-            paper_chain.restricted([])
 
 
 class TestRandomChains:

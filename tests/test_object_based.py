@@ -163,6 +163,10 @@ class TestEarlyTermination:
 
 
 class TestPruning:
+    """``S_reach`` is no option any more: the forward sweep only steps
+    the states an object has spread to.  The inputs that exercised the
+    old restricted-chain path now check plain OB directly."""
+
     def test_pruned_matches_unpruned(self):
         rng = np.random.default_rng(46)
         for _ in range(10):
@@ -170,11 +174,13 @@ class TestPruning:
             chain = random_chain(n, rng, density=0.35)
             initial = random_distribution(n, rng, sparse=True)
             window = random_window(n, rng, max_time=4)
-            unpruned = ob_exists_probability(chain, initial, window)
-            pruned = ob_exists_probability(
-                chain, initial, window, prune=True
-            )
-            assert pruned == pytest.approx(unpruned, abs=1e-10)
+            expected = PossibleWorldEnumerator(
+                chain, initial, window.t_end
+            ).exists_probability(window)
+            for backend in ("scipy", "pure"):
+                assert ob_exists_probability(
+                    chain, initial, window, backend=backend
+                ) == pytest.approx(expected, abs=1e-12)
 
     def test_unreachable_region_returns_zero(self):
         # two disconnected components
@@ -188,9 +194,7 @@ class TestPruning:
         )
         initial = StateDistribution.point(4, 0)
         window = SpatioTemporalWindow(frozenset({2, 3}), frozenset({5}))
-        assert ob_exists_probability(
-            chain, initial, window, prune=True
-        ) == 0.0
+        assert ob_exists_probability(chain, initial, window) == 0.0
 
 
 class TestValidation:

@@ -18,6 +18,7 @@ from repro import (
     SpatioTemporalWindow,
     TrajectoryDatabase,
     UncertainObject,
+    ob_exists_probability,
 )
 from repro.core.errors import QueryError, ValidationError
 from repro.core.planner import resolve_options
@@ -104,9 +105,17 @@ class TestPlanOptions:
             CostModel(backend_coefficients={})
         with pytest.raises(TypeError):
             prewarm(2, compile_native=True)
-        engine = QueryEngine(line_database(n_objects=2))
+        database = line_database(n_objects=2)
+        engine = QueryEngine(database)
         with pytest.raises(TypeError):
             engine.evaluate(PSTExistsQuery(WINDOW), prune=True)
+        # S_reach is the forward sweep's job, not a per-call restriction
+        obj = next(iter(database))
+        with pytest.raises(TypeError):
+            ob_exists_probability(
+                database.chain(), obj.initial.distribution, WINDOW,
+                prune=True,
+            )
 
     def test_resolve_conflicting_methods_raise(self):
         with pytest.raises(QueryError):
