@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Shared-memory process dispatch vs serial evaluation.
+"""In-RAM process dispatch through the spill vs serial evaluation.
 
-A *single-chain* 2,000-object workload runs the stacked object-based
-sweep under both dispatch modes.  The sweep holds the GIL for every
-sparse product, so inside one interpreter a single chain is capped at
-one core -- the gap process dispatch closes: CSR matrices and the
-stacked initial vectors are published once into
-``multiprocessing.shared_memory`` and within-chain object shards run
-across worker processes (:mod:`repro.exec.dispatch`).  The script
-asserts 1e-12 parity of the two modes on every object and, **on
-machines with >= 4 cores**, requires the process pool to beat serial
-evaluation by >= 2x.  Below 4 cores the speedup is reported but not
-gated (there is nothing to scale onto), and ``--smoke`` never gates
-speedup: a tens-of-milliseconds workload measures dispatch overhead,
-not scaling -- smoke's job is parity and machinery coverage in CI.
+A *single-chain* 2,000-object in-RAM workload runs the stacked
+object-based sweep under both dispatch modes.  The sweep holds the GIL
+for every sparse product, so inside one interpreter a single chain is
+capped at one core -- the gap process dispatch closes: the database is
+spilled once per version into the sharded store's slab format
+(``/dev/shm`` where that exists) and its slab shards run across worker
+processes (:mod:`repro.exec.dispatch`).  Every timed run follows a
+version bump (one write and its undo, outside the timer), so each
+process run pays one spill.  The script asserts 1e-12 parity of the two
+modes on every object and, **on machines with >= 2 cores**, requires
+the process pool to beat serial evaluation by >= 1.5x, spill included.
+``--smoke`` never gates speedup: a tens-of-milliseconds workload
+measures dispatch overhead, not scaling -- smoke's job is parity and
+machinery coverage in CI.
 
 Everything lands in ``BENCH_dispatch.json``.
 
@@ -28,7 +29,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro import PlanOptions, PSTExistsQuery, QueryEngine
+from repro import PlanOptions, PSTExistsQuery, QueryEngine, UncertainObject
 from repro.workloads.synthetic import (
     SyntheticConfig,
     make_synthetic_database,
@@ -36,7 +37,18 @@ from repro.workloads.synthetic import (
 
 from _bench_result import bench_name, write_result
 
-MIN_CORES_FOR_GATE = 4
+MIN_CORES_FOR_GATE = 2
+
+
+def _bump_version(database) -> None:
+    """One write and its undo: the version moves, no answer does."""
+    template = next(iter(database))
+    database.add(UncertainObject(
+        object_id="__version-bump__",
+        observations=template.observations,
+        chain_id=template.chain_id,
+    ))
+    database.remove("__version-bump__")
 
 
 def _time_mode(
@@ -47,6 +59,7 @@ def _time_mode(
 ) -> float:
     best = float("inf")
     for _ in range(repeats):
+        _bump_version(engine.database)
         started = time.perf_counter()
         engine.evaluate(query, options=options)
         best = min(best, time.perf_counter() - started)
@@ -87,8 +100,9 @@ def run(
         f"{cores} cores, {workers} workers, best of {repeats}"
     )
 
-    # warm the pool and the plan cache so fork/publication one-time
-    # costs are amortised the way a standing service amortises them
+    # warm the pool and the plan cache so the fork and the matrix
+    # builds are amortised the way a standing service amortises them;
+    # the spill is not -- every timed run re-lays it
     results = {
         name: engine.evaluate(query, options=options)
         for name, options in modes.items()
@@ -151,8 +165,8 @@ def run(
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="shared-memory process dispatch vs serial "
-                    "evaluation"
+        description="in-RAM process dispatch through the spill vs "
+                    "serial evaluation"
     )
     parser.add_argument(
         "--smoke",
@@ -174,8 +188,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     return run(
         n_objects=args.objects or 2_000,
         n_states=args.states or 4_000,
-        repeats=3,
-        required_speedup=2.0,
+        repeats=5,
+        required_speedup=1.5,
         smoke=False,
     )
 

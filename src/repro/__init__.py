@@ -46,7 +46,6 @@ from repro.core.errors import (
     QuarantinedQueryError,
     QueryError,
     ReproError,
-    SegmentLostError,
     SerializationError,
     StateSpaceError,
     TaskTimeoutError,
@@ -293,7 +292,6 @@ __all__ = [
     "ExecutionError",
     "WorkerCrashError",
     "TaskTimeoutError",
-    "SegmentLostError",
     "InjectedFaultError",
     "QuarantinedQueryError",
     "AdmissionRejected",

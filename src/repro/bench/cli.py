@@ -12,13 +12,13 @@ also writes ``<id>.md`` and ``<id>.csv`` into the given directory.
 ``--smoke`` runs experiments at :data:`SMOKE_SCALE` (the whole registry
 in seconds, for CI).
 
-``repro-bench doctor`` is the shared-memory health check: it lists
-every ``repro-*`` segment on the machine with its owning PID and
-liveness, sweeps segments leaked by dead sessions (skip with
-``--no-sweep``), and prints the live-byte accounting of
-:func:`repro.exec.dispatch.memory_stats`.  Exit code 0 means no leaked
-bytes remain; 1 means orphans survived the sweep (or were left by
-``--no-sweep``).
+``repro-bench doctor`` is the spill health check: it lists every
+``repro-*`` spill directory (the scratch stores process dispatch
+writes in-RAM databases to) with its owning PID and liveness, sweeps
+spills leaked by dead sessions (skip with ``--no-sweep``), and prints
+the live-byte accounting of :func:`repro.exec.dispatch.memory_stats`.
+Exit code 0 means no leaked bytes remain; 1 means orphans survived the
+sweep (or were left by ``--no-sweep``).
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-sweep",
         action="store_true",
-        help="doctor: report orphaned shared-memory segments and "
-             "stale store snapshots without removing them",
+        help="doctor: report orphaned spills and stale store "
+             "snapshots without removing them",
     )
     parser.add_argument(
         "--store",
@@ -94,11 +94,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_doctor(args) -> int:
-    """``repro-bench doctor``: health check -- backends + shared memory.
+    """``repro-bench doctor``: health check -- backends + spills.
 
     Reports which linear-algebra backends are importable, then runs
-    the shared-memory janitor and accounting.  The exit code reflects
-    only leaked bytes.
+    the spill janitor and accounting.  The exit code reflects only
+    leaked bytes.
     """
     from repro.exec.dispatch import (
         list_segments,
@@ -109,23 +109,23 @@ def _run_doctor(args) -> int:
 
     print(f"backends      : {', '.join(available_backends())}")
 
-    segments = list_segments()
-    if segments:
-        print(f"{'segment':<32} {'pid':>8} {'bytes':>12} state")
-        for info in segments:
+    spills = list_segments()
+    if spills:
+        print(f"{'spill':<32} {'pid':>8} {'bytes':>12} state")
+        for info in spills:
             state = "live" if info.alive else "ORPHAN"
             print(
                 f"{info.name:<32} {info.pid:>8} {info.size:>12} "
                 f"{state}"
             )
     else:
-        print("no repro-* shared-memory segments found")
+        print("no repro-* spills found")
     if not args.no_sweep:
         swept = sweep_orphans()
         if swept:
             reclaimed = sum(info.size for info in swept)
             print(
-                f"swept {len(swept)} orphaned segment(s), "
+                f"swept {len(swept)} orphaned spill(s), "
                 f"reclaimed {reclaimed} bytes"
             )
         else:
@@ -134,7 +134,7 @@ def _run_doctor(args) -> int:
     print(
         f"session bytes : {stats['session_bytes']}\n"
         f"machine bytes : {stats['machine_bytes']} "
-        f"({stats['segments']} segment(s))\n"
+        f"({stats['segments']} spill(s))\n"
         f"leaked bytes  : {stats['orphan_bytes']}"
     )
     if args.store is not None:

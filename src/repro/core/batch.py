@@ -558,9 +558,8 @@ def evaluate_rows(
     """The planned kernel over ``rows`` of one chain group's columns.
 
     The one place ``(kind, method, is_multi) -> kernel`` is decided
-    (tabulated in ``docs/ARCHITECTURE.md``); the one-shot pipeline,
-    the shared-memory shard worker and the store shard worker build
-    their columns and call it.  ``method="mc"`` samples every row
+    (tabulated in ``docs/ARCHITECTURE.md``); the one-shot pipeline
+    and the store shard worker build their columns and call it.  ``method="mc"`` samples every row
     (:func:`batch_mc_exists`; for k-times one reseeded sampler per
     object, there being no batched k-times sampler).  Exact k-times is
     :func:`batch_ktimes_distribution` whatever the method.  Exact

@@ -8,9 +8,9 @@ Monte-Carlo processing per chain group, and the plan runs as a staged
 filter--refinement pipeline (:mod:`repro.core.pipeline`) -- R-tree
 geometric prefilter, exact BFS reachability pruning, then the shared
 operator layer (:mod:`repro.exec.operators`), dispatched serially or
-across the shared-memory process pool of :mod:`repro.exec.dispatch`
-(chain groups *and* within-chain object shards -- the mode that
-scales a database past one core).  Forcing a method is still
+across the process pool of :mod:`repro.exec.dispatch` (slab shards of
+a sharded store, or of the spill of an in-RAM database -- the mode
+that scales a database past one core).  Forcing a method is still
 supported:
 
 * ``"qb"`` -- query-based: one backward pass per chain, then one dot

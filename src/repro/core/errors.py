@@ -58,27 +58,26 @@ class SerializationError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """A failure in the execution substrate (pools, shared memory).
+    """A failure in the execution substrate (the process pool).
 
     Unlike :class:`ValidationError` (the *input* was wrong), an
     execution error means the *machinery* failed: a worker process
-    died, a task overran its deadline, a shared-memory segment
-    vanished.  The supervised dispatch layer
-    (:mod:`repro.exec.dispatch`) retries transient execution errors
-    and degrades process -> serial before letting one
-    propagate, so user code normally only sees this after every
-    recovery path was exhausted.
+    died, or a task overran its deadline.  The supervised dispatch
+    layer (:mod:`repro.exec.dispatch`) retries transient execution
+    errors and evaluates an exhausted shard in the parent, so user
+    code normally only sees this after every recovery path was
+    exhausted.
     """
 
 
 class WorkerCrashError(ExecutionError):
     """A pool worker process died mid-task.
 
-    Raised by the dispatch supervisor after pool rebuilds and
-    resubmissions failed ``max_retries`` times in a row -- a single
-    crash is recovered transparently (the pool is rebuilt and the
-    unfinished shards resubmitted) and only recorded as a
-    ``plan.degradations`` event.
+    What the dispatch supervisor reports once pool rebuilds and
+    resubmissions failed ``max_retries`` times in a row; the shard is
+    then evaluated in the parent.  A single crash is recovered
+    transparently (the pool is rebuilt and the unfinished shards
+    resubmitted) and only recorded as a ``plan.degradations`` event.
     """
 
 
@@ -89,19 +88,8 @@ class TaskTimeoutError(ExecutionError):
     :class:`~repro.core.planner.CostModel` (predicted seconds times
     :attr:`~repro.core.planner.SupervisorPolicy.timeout_multiplier`);
     a timed-out pool is torn down (the hung worker cannot be
-    reclaimed) and the task retried on a fresh one before this
-    propagates.
-    """
-
-
-class SegmentLostError(ExecutionError):
-    """A shared-memory segment vanished or failed verification.
-
-    Raised when a worker attaches a segment whose name no longer
-    resolves (a racing unlink, a crashed publisher) or whose content
-    no longer matches its publication checksum.  The supervisor
-    treats it as transient; on exhaustion the publisher's cache is
-    invalidated so the *next* query republishes from scratch.
+    reclaimed) and the task retried on a fresh one before this is
+    reported and the shard evaluated in the parent.
     """
 
 
@@ -152,8 +140,9 @@ class QuarantinedQueryError(ExecutionError):
 class DegradedExecutionWarning(UserWarning):
     """Execution fell back to a slower-but-safe tier.
 
-    Emitted (via :mod:`warnings`) when supervised dispatch exhausts
-    its retries and degrades process -> serial.  The query
-    still returns the exact answer; the degradation is also recorded
-    on ``plan.degradations`` so ``explain()`` shows what happened.
+    Emitted (via :mod:`warnings`) when process dispatch cannot serve
+    the engine and the evaluate stage degrades process -> serial.  The
+    query still returns the exact answer; the degradation is also
+    recorded on ``plan.degradations`` so ``explain()`` shows what
+    happened.
     """

@@ -22,7 +22,7 @@ execution runs the stacked cohort form instead --
 :func:`repro.core.batch.batch_ktimes_distribution` over the shared
 :data:`~repro.exec.operators.KTIMES_SWEEP` operator (one sparse product
 and one cohort-wide column shift per timestep for all objects of a
-chain, shardable across the process pool of
+chain, scattered over slab shards by the process pool of
 :mod:`repro.exec.dispatch`) -- and standing sliding-window queries use
 the incremental C-block ladder of :mod:`repro.core.streaming` built on
 the shift-invariant :data:`~repro.exec.operators.KTIMES_CORE` backward

@@ -92,44 +92,12 @@ class MonteCarloSampler:
 
     # process-wide CDF tables keyed by chain *fingerprint*: every
     # sampler instance over the same chain content shares one table
-    # (each keeps its own RNG, so sharing never couples seeded
-    # streams), and shard workers adopt tables the dispatcher
-    # published to shared memory instead of re-tabulating per worker
+    # (each keeps its own RNG, so sharing never couples seeded streams)
     _TABLE_CACHE: "OrderedDict[str, Tuple[np.ndarray, np.ndarray]]" = (
         OrderedDict()
     )
     _TABLE_CACHE_SIZE = 8
     _TABLE_LOCK = threading.Lock()
-
-    @classmethod
-    def shared_cdf_tables(
-        cls, chain: MarkovChain
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The chain's ``(cdf, targets)`` tables, built at most once
-        per process (None when the chain is too dense to tabulate).
-
-        The parent dispatcher calls this to publish the tables into
-        shared memory exactly once per chain.
-        """
-        return cls(chain)._full_cdf()
-
-    @classmethod
-    def adopt_cdf_tables(
-        cls, fingerprint: str, cdf: np.ndarray, targets: np.ndarray
-    ) -> None:
-        """Install externally built tables under ``fingerprint``.
-
-        Shard workers adopt the zero-copy shared-memory views the
-        dispatcher published, so no worker ever re-tabulates a chain
-        the parent already did.  Adopted views are treated as
-        immutable (sampling only reads them).
-        """
-        with cls._TABLE_LOCK:
-            if fingerprint not in cls._TABLE_CACHE:
-                cls._TABLE_CACHE[fingerprint] = (cdf, targets)
-            cls._TABLE_CACHE.move_to_end(fingerprint)
-            while len(cls._TABLE_CACHE) > cls._TABLE_CACHE_SIZE:
-                cls._TABLE_CACHE.popitem(last=False)
 
     def __init__(
         self,
@@ -191,7 +159,11 @@ class MonteCarloSampler:
             targets = np.zeros((n, width), dtype=np.int32)
             targets[rows, columns] = matrix.indices
             self._cdf_table = (cdf, targets)
-            self.adopt_cdf_tables(fingerprint, cdf, targets)
+            with self._TABLE_LOCK:
+                self._TABLE_CACHE.setdefault(fingerprint, self._cdf_table)
+                self._TABLE_CACHE.move_to_end(fingerprint)
+                while len(self._TABLE_CACHE) > self._TABLE_CACHE_SIZE:
+                    self._TABLE_CACHE.popitem(last=False)
         return self._cdf_table
 
     def _row_cdf(self, state: int) -> Tuple[np.ndarray, np.ndarray]:

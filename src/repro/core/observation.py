@@ -123,8 +123,7 @@ class ObservationSet:
 
         Observation ``i`` is at ``times[i]`` with support
         ``states[indptr[i]:indptr[i + 1]]`` and the parallel
-        ``weights`` -- how the sharded store's slabs and the
-        shared-memory observation stacks hold them.  The weights must
+        ``weights`` -- how the sharded store's slabs hold them.  The weights must
         not be renormalised: they are exact copies of the source
         vectors' entries, so the rebuilt rows pass validation
         unchanged, whereas normalising would perturb bits the parity

@@ -18,9 +18,9 @@ monotonically non-increasing by construction):
    through the shared operator layer (:mod:`repro.exec.operators`)
    with the group's planned method, dispatched per the plan:
    ``serial`` (one chain group after the other, in the calling
-   thread) or ``process`` (chain groups *and* within-chain object
-   shards across the shared-memory worker pool of
-   :mod:`repro.exec.dispatch`).
+   thread) or ``process`` (slab shards across the worker pool of
+   :mod:`repro.exec.dispatch` -- a sharded store's own shards, or the
+   spill an in-RAM database is written to once per version).
 
 Candidates travel between the stages as *row-index arrays* over each
 chain group's columnar :class:`~repro.database.cohort.Cohort` (synced
@@ -40,15 +40,14 @@ identical (to the last bit) to unfiltered forced-method evaluation;
 the test suite asserts 1e-12 parity plus the randomized safety
 property.
 
-**Degradation.**  The evaluate stage is fault-tolerant: when the
-supervised process tier exhausts its retries
-(:class:`~repro.core.errors.ExecutionError` from
-:mod:`repro.exec.dispatch`), or cannot serve this engine at all (no
-scipy, or a non-scipy engine backend), the stage falls back to serial
--- the same exact kernels, so the query still returns the exact
-answer.  The fall is recorded on ``plan.degradations`` (rendered by
-``QueryPlan.describe()``) and warned as
-:class:`~repro.core.errors.DegradedExecutionWarning`.
+**Degradation.**  The evaluate stage is fault-tolerant: a shard whose
+supervised retries are exhausted is evaluated by the parent from the
+same slabs, and when the process tier cannot serve this engine at all
+(no scipy, or a non-scipy engine backend) the stage falls back to
+serial -- the same exact kernels either way, so the query still
+returns the exact answer.  Both are recorded on ``plan.degradations``
+(rendered by ``QueryPlan.describe()``); the fall to serial is also
+warned as :class:`~repro.core.errors.DegradedExecutionWarning`.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from repro.core.query import PSTKTimesQuery
 from repro.database.pruning import ReachabilityPruner
 from repro.exec.operators import (
     BFS_PRUNE,
-    BUILD_ABSORBING,
     PREFILTER,
     ExecutionContext,
 )
@@ -305,16 +303,14 @@ class QueryPipeline:
         seed_index = self._seed_index(plan)
 
         mode = plan.dispatch
-        pool_tasks = 0
         if mode == "process":
             try:
-                pool_tasks = self._evaluate_processes(
+                self._evaluate_processes(
                     plan, survivors, values, query, context, seed_index
                 )
             except ExecutionError as error:
-                # the pool cannot serve this engine, or supervised
-                # retries are exhausted (crash / timeout / lost
-                # segment): same exact kernels, in the parent
+                # the pool cannot serve this engine: same exact
+                # kernels, in the parent
                 self._degrade(context, "process", "serial", error)
                 mode = "serial"
 
@@ -332,25 +328,12 @@ class QueryPipeline:
                 )
 
         if mode == "process":
-            if plan.store_stats:
-                shards = plan.store_stats.get("shards", 0)
-                detail_mode = (
-                    f"store-scatter x{plan.max_workers} "
-                    f"({shards} shard" + ("s" if shards != 1 else "")
-                    + ")"
-                )
-            else:
-                # a process plan whose surviving work was all
-                # parent-side (k-times MC) must not claim pool
-                # execution in EXPLAIN
-                detail_mode = (
-                    f"process x{plan.max_workers} "
-                    f"({pool_tasks} pool task"
-                    + ("s" if pool_tasks != 1 else "")
-                    + ")"
-                    if pool_tasks
-                    else "process (parent-only)"
-                )
+            shards = plan.store_stats["shards"]
+            scatter = "store-scatter" if self._is_store() else "process"
+            detail_mode = (
+                f"{scatter} x{plan.max_workers} ({shards} shard"
+                + ("s" if shards != 1 else "") + ")"
+            )
         else:
             detail_mode = "serial"
         methods = ",".join(
@@ -420,174 +403,41 @@ class QueryPipeline:
         query,
         context: ExecutionContext,
         seed_index: Optional[Dict[str, int]],
-    ) -> int:
-        """Process-pool evaluation; the number of group tasks actually
-        shipped to the pool.  Raises :class:`ExecutionError` when the
-        pool cannot serve this engine
+    ) -> None:
+        """Scatter the plan over slab shards.  Raises
+        :class:`ExecutionError` when the pool cannot serve this engine
         (:func:`~repro.exec.dispatch.process_dispatch_available`).
 
-        A database that shards its own storage
-        (``supports_shard_scatter``) takes the store-scatter path:
-        persistent workers attach the store's slabs zero-copy and run
-        the whole prefilter -> BFS -> kernel pipeline shard-local
-        (:meth:`_evaluate_store_scatter`).  Otherwise single-
-        observation qb/ob objects and whole k-times chain groups ship
-        to the shared-memory workers as their cohort block (within-
-        chain shards for the stacked OB and CT sweeps),
-        multi-observation groups ship as stacked observation rows, and
-        exists-MC groups ship with their published CDF tables and
-        per-object seeds; only k-times-MC -- per-object resampling
-        with no batched kernel -- stays in the parent.  Parity is
-        unconditional either way.  Each group's ``elapsed_seconds``
-        becomes the summed worker-side shard seconds plus any
-        parent-side kernel time.
+        Persistent workers memory-map the slabs (attached once per
+        process, zero-copy across queries) and run prefilter -> BFS ->
+        kernel shard-local over every slab object.  A sharded store
+        scatters over its own snapshot; its journaled overlay objects
+        -- added or re-observed since the snapshot, every object when
+        the snapshot holds no shards -- run in the parent with the
+        exact same kernels.  An in-RAM database scatters over its
+        spill (:func:`~repro.exec.dispatch.run_groups_in_processes`),
+        which holds every object, so its overlay is empty.  Objects
+        the parent stages already zeroed are re-evaluated shard-side;
+        the filters are safe, so the worker's exact answer equals the
+        zero element and the overwrite is a no-op.  Each group's
+        ``elapsed_seconds`` becomes the summed worker-side shard
+        seconds plus any parent-side kernel time.
         """
         from repro.exec import dispatch as _dispatch
 
         if not _dispatch.process_dispatch_available(self.backend):
             raise ExecutionError(
-                f"process dispatch publishes scipy CSR matrices; "
+                f"process dispatch runs the scipy kernels; "
                 f"unavailable without scipy or for engine backend "
                 f"{self.backend!r}"
             )
-
-        if getattr(self.database, "supports_shard_scatter", False):
-            scattered = self._evaluate_store_scatter(
-                plan, survivors, values, query, context, seed_index
-            )
-            if scattered is not None:
-                return scattered
-
-        # the model the *planner* resolved (per-query override or
-        # engine default) -- execution must shard by the same knobs
+        if self._is_store():
+            scatter = _dispatch.run_store_shards
+            overlay = self.database.overlay_object_ids()
+        else:
+            scatter = _dispatch.run_groups_in_processes
+            overlay = set()
         model = plan.cost_model or plan.options.cost_model or CostModel()
-        tasks = []
-        task_groups: List[GroupPlan] = []
-        elapsed: Dict[str, float] = {}
-        for group in plan.groups:
-            rows = survivors[group.chain_id]
-            group.survivors = len(rows)
-            elapsed[group.chain_id] = 0.0
-            if not rows.size:
-                continue
-            chain = self.database.chain(group.chain_id)
-            cohort = group.cohort
-
-            def ship(method: str, members, **extras) -> None:
-                tasks.append(_dispatch.GroupTask(
-                    chain, method, members, **extras
-                ))
-                task_groups.append(group)
-
-            def members(subset: np.ndarray):
-                return (
-                    cohort.ids(subset),
-                    cohort.start_time[subset],
-                    cohort.block(subset),
-                )
-
-            if group.method == "mc":
-                if plan.kind == "ktimes":
-                    # per-object resampling, no batched kernel to
-                    # shard: the parent's sampler serves the group
-                    started = _time.perf_counter()
-                    values.update(
-                        self._kernel(
-                            group, rows, plan, query, seed_index,
-                            context,
-                        )
-                    )
-                    elapsed[group.chain_id] += (
-                        _time.perf_counter() - started
-                    )
-                    continue
-                ids = cohort.ids(rows)
-                ship(
-                    "mc",
-                    self._objects(ids),
-                    n_samples=plan.options.n_samples,
-                    seeds=self._seeds(ids, plan, seed_index),
-                )
-            elif plan.kind == "ktimes":
-                # the stacked CT sweep needs only the chain CSR (the
-                # count dimension lives in the stack, not a matrix)
-                ship("ct", members(rows))
-            else:
-                multi = cohort.is_multi[rows]
-                if not multi.all():
-                    ship(
-                        group.method,
-                        members(rows[~multi]),
-                        matrices=BUILD_ABSORBING(
-                            None, chain, plan.window.region,
-                            self.backend, context=context,
-                            plan_cache=self.plan_cache,
-                        ),
-                    )
-                if multi.any():
-                    # Section VI groups ship as stacked observation
-                    # rows and run the doubled-space sweep worker-side
-                    ship(
-                        "multi",
-                        self._objects(cohort.ids(rows[multi])),
-                    )
-        if tasks:
-            # price the supervisor deadline from the same cost model
-            # the planner chose methods with: the model's estimate for
-            # every pool-bound group, converted to seconds
-            predicted = sum(
-                model.predict_seconds(
-                    group.costs.get(group.method, 0.0)
-                )
-                for group in task_groups
-            )
-            shard_values, group_seconds = (
-                _dispatch.run_groups_in_processes(
-                    tasks,
-                    plan.window,
-                    max_workers=plan.max_workers,
-                    shard_min_objects=model.shard_min_objects,
-                    context=context,
-                    policy=plan.options.supervisor,
-                    predicted_seconds=predicted,
-                    faults=plan.options.faults,
-                )
-            )
-            values.update(self._from_shards(shard_values, plan, query))
-            for group, seconds in zip(task_groups, group_seconds):
-                elapsed[group.chain_id] += seconds
-        for group in plan.groups:
-            group.elapsed_seconds = elapsed[group.chain_id]
-        return len(tasks)
-
-    def _evaluate_store_scatter(
-        self,
-        plan: QueryPlan,
-        survivors: Dict[str, np.ndarray],
-        values: Dict[str, ResultValue],
-        query,
-        context: ExecutionContext,
-        seed_index: Optional[Dict[str, int]],
-    ) -> Optional[int]:
-        """Scatter the query over a sharded store's slab shards.
-
-        Persistent workers memory-map the store's columnar slabs
-        (attached once per process, zero-copy across queries) and run
-        prefilter -> BFS -> kernel shard-local over every snapshot
-        object; journaled overlay objects -- added or re-observed
-        since the snapshot -- run in the parent with the exact same
-        kernels.  Snapshot objects the parent stages already zeroed
-        are re-evaluated shard-side; the filters are safe, so the
-        worker's exact answer equals the zero element and the
-        overwrite is a no-op.  Returns the shard count (the stage's
-        pool-task count) or ``None`` to fall through to the classic
-        publish path when the store holds no shards.
-        """
-        from repro.exec import dispatch as _dispatch
-
-        store = self.database
-        model = plan.cost_model or plan.options.cost_model or CostModel()
-        overlay = store.overlay_object_ids()
         scatter_groups = []
         elapsed: Dict[str, float] = {}
         for group in plan.groups:
@@ -601,8 +451,8 @@ class QueryPipeline:
             model.predict_seconds(group.costs.get(group.method, 0.0))
             for group in plan.groups
         )
-        shard_values, chain_seconds, stats = _dispatch.run_store_shards(
-            store,
+        shard_values, chain_seconds, stats = scatter(
+            self.database,
             scatter_groups,
             plan.window,
             plan.kind,
@@ -616,8 +466,6 @@ class QueryPipeline:
             predicted_seconds=predicted,
             faults=plan.options.faults,
         )
-        if not stats["shards"]:
-            return None  # empty store: all state lives in the overlay
         values.update(self._from_shards(shard_values, plan, query))
         for group in plan.groups:
             rows = survivors[group.chain_id]
@@ -639,7 +487,11 @@ class QueryPipeline:
                 + chain_seconds.get(group.chain_id, 0.0)
             )
         plan.store_stats = dict(stats)
-        return int(stats["shards"])
+
+    def _is_store(self) -> bool:
+        """The database shards its own storage: process dispatch
+        scatters over its slabs instead of a spill."""
+        return getattr(self.database, "supports_shard_scatter", False)
 
     def _objects(self, object_ids: List[str]) -> list:
         """The object records behind ``object_ids`` -- for the kernels

@@ -220,51 +220,6 @@ class PlanCache:
         )
 
     # ------------------------------------------------------------------
-    # cross-process rehydration
-    # ------------------------------------------------------------------
-    def lookup_fingerprint(
-        self,
-        kind: str,
-        fingerprint: str,
-        region: Iterable[int],
-        backend: Optional[str] = None,
-        extra: Hashable = None,
-    ) -> Any:
-        """Fetch an artefact by content fingerprint (None on a miss).
-
-        The process-dispatch workers look their rehydrated artefacts
-        up this way -- a present entry counts as a hit, an absent one
-        counts as nothing (adoption is not construction, so the miss
-        counters stay meaningful).
-        """
-        key = self._key(kind, fingerprint, region, backend, extra)
-        with self._lock:
-            return self._lookup(key)
-
-    def adopt(
-        self,
-        kind: str,
-        fingerprint: str,
-        region: Iterable[int],
-        backend: Optional[str],
-        value: Any,
-        extra: Hashable = None,
-    ) -> Any:
-        """Store an externally constructed artefact under its content key.
-
-        Process-pool workers (:mod:`repro.exec.dispatch`) rebuild
-        matrices from shared memory and *adopt* them here instead of
-        constructing: keys are content fingerprints, never addresses,
-        so a hit in the worker cache is exactly as valid as one in the
-        parent's.  Adopting counts as neither a hit nor a miss (the
-        value was built elsewhere); the racing-store rule of
-        :meth:`_store` applies.
-        """
-        key = self._key(kind, fingerprint, region, backend, extra)
-        with self._lock:
-            return self._store(key, value)
-
-    # ------------------------------------------------------------------
     # cached constructions
     # ------------------------------------------------------------------
     def absorbing(

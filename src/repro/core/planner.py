@@ -89,12 +89,10 @@ class SupervisorPolicy:
     Every dispatched task runs under a deadline priced from the cost
     model (``predicted seconds x timeout_multiplier``, floored at
     ``timeout_floor``, or the explicit ``timeout_seconds``).  A task
-    that crashes its worker, loses a shared-memory segment, or times
-    out is retried on a rebuilt pool with exponential backoff up to
-    ``max_retries`` times; past that the dispatch call raises and the
-    pipeline degrades process -> serial (recorded on
-    ``plan.degradations`` and warned as
-    :class:`~repro.core.errors.DegradedExecutionWarning`).
+    that crashes its worker or times out is retried on a rebuilt pool
+    with exponential backoff up to ``max_retries`` times; past that
+    the parent evaluates the shard itself from the same slabs
+    (recorded on ``plan.degradations``).
 
     Attributes:
         timeout_seconds: explicit per-attempt deadline; ``None``
@@ -107,12 +105,6 @@ class SupervisorPolicy:
             gives up (``2`` means up to three attempts in total).
         backoff_seconds: sleep before the first retry; doubles each
             further retry.
-        verify_segments: re-checksum shared-memory payloads on worker
-            attach, so a corrupted segment fails loudly as
-            :class:`~repro.core.errors.SegmentLostError` instead of
-            silently producing wrong numbers (off by default: the
-            publication checksum is always recorded, verification
-            costs one pass over the payload per worker rehydration).
     """
 
     timeout_seconds: Optional[float] = None
@@ -120,7 +112,6 @@ class SupervisorPolicy:
     timeout_floor: float = 30.0
     max_retries: int = 2
     backoff_seconds: float = 0.05
-    verify_segments: bool = False
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and not (
@@ -167,10 +158,11 @@ class PlanOptions:
         bfs_prune: force the exact BFS reachability filter on or off.
         dispatch: force the execution mode -- ``"serial"`` (chain
             groups one after the other in the calling thread) or
-            ``"process"`` (chain groups *and* within-chain object
-            shards across a shared-memory process pool, see
-            :mod:`repro.exec.dispatch`).  ``None`` lets the cost
-            model choose.
+            ``"process"`` (slab shards across a process pool, see
+            :mod:`repro.exec.dispatch`; an in-RAM database is spilled
+            into the store's slab format first).  ``None`` lets the
+            cost model choose, and it picks ``"process"`` only for a
+            sharded store.
         max_workers: worker-pool size cap for process dispatch.
         allow_approximate: let the cost model pick Monte-Carlo when it
             is the cheapest strategy (off by default: planned execution
@@ -277,8 +269,9 @@ class CostModel:
             model's units) worth the process-pool dispatch of
             :mod:`repro.exec.dispatch` -- below it, fork/IPC overhead
             dominates any GIL win.
-        shard_min_objects: smallest within-chain object shard handed to
-            one process-pool worker.
+        shard_min_objects: objects per process-pool worker when the
+            planner sizes the pool (and so the shard count of an
+            in-RAM database's spill).
     """
 
     sweep_unit: float = 1.0
@@ -500,7 +493,7 @@ class QueryPlan:
         stages: filled by the pipeline with per-stage candidate counts
             and timings.
         dispatch: chosen execution mode -- ``"serial"`` or
-            ``"process"`` (shared-memory process pool,
+            ``"process"`` (slab shards across a process pool,
             :mod:`repro.exec.dispatch`).
         operator_seconds: per-operator ``(calls, seconds)`` timings
             collected by the execution layer's hooks
@@ -514,7 +507,8 @@ class QueryPlan:
             :attr:`PlanOptions.auto_stream` evaluation transparently
             delegated to.
         degradations: recovery events of this execution -- supervisor
-            retries ("pool rebuilt after worker crash ..."), and tier
+            retries ("pool rebuilt after worker crash ..."), shard
+            falls ("store shard ... degraded to parent ...") and tier
             falls ("degraded process -> serial ...").  Empty on a clean
             run;
             rendered by :meth:`describe` so ``explain()`` shows how
@@ -526,11 +520,11 @@ class QueryPlan:
             of the request the plan was returned to).  Empty for
             plain library evaluations; rendered by :meth:`describe`
             so ``explain()`` shows what was merged and why.
-        store_stats: aggregate statistics of a store-scatter
-            execution (shard count, shard-local filter prunes, fresh
-            slab attaches, shard -> parent fallbacks); ``None`` unless
-            the query ran against a sharded store through the
-            zero-copy shard workers.
+        store_stats: aggregate statistics of a process execution
+            (shard count, shard-local filter prunes, fresh slab
+            attaches, shard -> parent fallbacks); ``None`` unless the
+            query scattered over slab shards -- a sharded store's, or
+            an in-RAM database's spill.
     """
 
     kind: str
@@ -958,13 +952,15 @@ class QueryPlanner:
     ):
         """Choose serial or process execution and a pool size.
 
-        Processes run chain groups *and* within-chain object shards in
-        parallel, but each shard pays fork/IPC overhead, so the
-        estimated kernel cost must clear ``process_min_cost`` before
-        auto picks them -- and never for an engine the pool cannot
-        serve (no scipy, or a pure engine).  Both the stacked
-        exists sweeps (OB) and the stacked k-times sweep (CT) shard
-        within a chain; QB's shared backward pass runs as one task.
+        Processes scatter a query over slab shards, but each shard
+        pays fork/IPC overhead, so the estimated kernel cost must
+        clear ``process_min_cost`` before auto picks them -- and only
+        for a sharded store (``supports_shard_scatter``), never for an
+        engine the pool cannot serve (no scipy, or a pure engine).  An
+        in-RAM database would first have to be spilled into the slab
+        format, once per version, so auto keeps it serial; a forced
+        ``dispatch="process"`` still scatters it through the spill,
+        with the pool size as its shard count.
         """
         if options.dispatch == "serial":
             return "serial", 1
@@ -981,30 +977,24 @@ class QueryPlanner:
 
         from repro.exec.dispatch import process_dispatch_available
 
-        if cores >= 2 and process_dispatch_available(self.backend):
+        if (
+            getattr(self.database, "supports_shard_scatter", False)
+            and cores >= 2
+            and process_dispatch_available(self.backend)
+        ):
             estimated = sum(
                 min(group.costs.values())
                 for group in groups
                 if group.costs
             )
-            # only stacked-sweep groups (OB exists, CT k-times) shard
-            # within a chain (QB's shared backward pass runs as one
-            # task), so a lone QB group gains nothing from a pool --
-            # don't pay fork for it
-            shardable = any(
-                group.method in ("ob", "ct")
-                and group.features is not None
-                and group.features.n_single >= 2 * model.shard_min_objects
-                for group in groups
-            ) or any(
-                # a sharded store scatters every method (qb/mc/multi
-                # included) shard-locally over its slabs
-                (group.shard_count or 0) > 1
-                for group in groups
+            # a store scatters every method shard-locally over its
+            # slabs, so one chain gains from a pool once it has shards
+            scatterable = len(groups) >= 2 or any(
+                (group.shard_count or 0) > 1 for group in groups
             )
             if (
                 estimated >= model.process_min_cost
-                and (shardable or len(groups) >= 2)
+                and scatterable
                 and workers > 1
             ):
                 return "process", workers

@@ -19,12 +19,11 @@ kernels.  This package is the single home of those kernels:
   :class:`~repro.exec.operators.ExecutionContext`;
 * :mod:`repro.exec.dispatch` -- process-pool dispatch of operator
   work (the alternative to serial evaluation in the calling thread)
-  for scipy engines,
-  with CSR matrices and stacked state
-  vectors published once into :mod:`multiprocessing.shared_memory`
-  and rebuilt pickle-free on the worker side, run under a supervisor
-  (cost-priced deadlines, retry with pool rebuild, tier degradation)
-  with a startup janitor for segments leaked by crashed sessions;
+  for scipy engines: workers memory-map a store's slab shards (an
+  in-RAM database is spilled once per version into the same slab
+  format), run under a supervisor (cost-priced deadlines, retry with
+  pool rebuild, degradation of a shard to the parent) with a startup
+  janitor for spills leaked by crashed sessions;
 * :mod:`repro.exec.faults` -- deterministic fault injection
   (:class:`~repro.exec.faults.FaultInjector` /
   :class:`~repro.exec.faults.FaultSpec`) driving the recovery paths

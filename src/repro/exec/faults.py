@@ -10,32 +10,24 @@ the chaos hooks: a :class:`FaultInjector` holds a list of
 worker-process shard tasks), and the execution layer calls
 :meth:`FaultInjector.fire` at named *sites*.  A spec that matches a
 site fires its action -- raise, kill the worker, sleep past a
-deadline, unlink or corrupt a shared-memory segment -- a configured
-number of times, deterministically.
+deadline -- a configured number of times, deterministically.
 
 Sites currently wired through the engine:
 
-``worker:shard``
-    entry of :func:`repro.exec.dispatch._evaluate_shard` in a pool
-    worker; info carries ``row_lo``, ``fingerprint``, ``attempt``.
 ``worker:store-shard``
-    entry of :func:`repro.exec.dispatch._evaluate_store_shard` when a
-    query scatters over a sharded trajectory store; info carries
+    entry of :func:`repro.exec.dispatch._evaluate_store_shard` in a
+    pool worker, for every process-dispatched query (a sharded store's
+    shards, or the spill of an in-RAM database); info carries
     ``shard_id``, ``attempt``, ``pid``.  Exhausted retries degrade the
     shard to in-parent evaluation instead of raising.
 ``operator:<name>``
     every :class:`~repro.exec.operators.Operator` call (e.g.
     ``operator:forward_sweep``); fires on the calling side, which is
     the worker process under process dispatch.
-``dispatch:published``
-    parent side, once per shared-memory segment published for a
-    dispatch call; info carries ``name`` (segment) and ``kind``
-    (``"chain"``/``"absorbing"``/``"stack"``) -- the site ``unlink``
-    and ``corrupt`` actions target.
 ``dispatch:submit``
     parent side, inside :func:`repro.exec.dispatch.supervise`
-    immediately before each ``executor.submit`` of either scatter
-    path; info carries ``index`` (position in the scatter),
+    immediately before each ``executor.submit``; info carries
+    ``index`` (position in the scatter),
     ``attempt`` and ``label``.  Raising ``BrokenProcessPool`` here
     drives the kill-during-scatter window deterministically: the
     supervisor replaces the pool and moves every unfinished task over.
@@ -48,8 +40,8 @@ Example -- kill the worker evaluating the first shard, first attempt
 only (the supervisor's pool rebuild then recovers the query)::
 
     faults = FaultInjector(
-        FaultSpec(site="worker:shard", action="kill",
-                  match={"row_lo": 0, "attempt": 0}),
+        FaultSpec(site="worker:store-shard", action="kill",
+                  match={"shard_id": "shard-0000", "attempt": 0}),
     )
     engine.evaluate(query, options=PlanOptions(
         dispatch="process", faults=faults))
@@ -72,7 +64,7 @@ from repro.core.errors import InjectedFaultError, ValidationError
 
 __all__ = ["FaultSpec", "FaultInjector"]
 
-_ACTIONS = ("raise", "kill", "delay", "unlink", "corrupt")
+_ACTIONS = ("raise", "kill", "delay")
 
 
 @dataclass(frozen=True)
@@ -85,10 +77,8 @@ class FaultSpec:
             (SIGKILL the current process -- only honoured in a child
             of the process that built the injector, so a spec can
             never kill the test runner itself; in the origin process
-            it raises instead), ``"delay"`` (sleep
-            :attr:`delay_seconds`), ``"unlink"`` (remove the shared
-            memory segment named by the event's ``name``), or
-            ``"corrupt"`` (bit-flip that segment's payload in place).
+            it raises instead), or ``"delay"`` (sleep
+            :attr:`delay_seconds`).
         match: event-info keys that must all be present and equal for
             the rule to count the event (e.g. ``{"attempt": 0}`` fires
             on first attempts only, making retries succeed).
@@ -225,53 +215,6 @@ class FaultInjector:
                 or f"injected kill at {spec.site} refused in origin "
                 f"process {self._origin_pid}"
             )
-        if spec.action in ("unlink", "corrupt"):
-            name = info.get("name")
-            if name:
-                if spec.action == "unlink":
-                    _unlink_segment(name)
-                else:
-                    _corrupt_segment(name)
-            return
         raise spec.exception(
             spec.message or f"injected fault at {spec.site}: {info}"
         )
-
-
-def _unlink_segment(name: str) -> None:
-    """Remove a shared-memory segment out from under its users."""
-    path = os.path.join("/dev/shm", name)
-    try:
-        os.unlink(path)
-        return
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        pass
-    # non-Linux fallback: attach through the stdlib and unlink
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    try:
-        segment.unlink()
-    finally:
-        segment.close()
-
-
-def _corrupt_segment(name: str) -> None:
-    """Flip every payload bit of a segment (checksums must notice)."""
-    from multiprocessing import shared_memory
-
-    import numpy as np
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    try:
-        view = np.frombuffer(segment.buf, dtype=np.uint8)
-        view ^= 0xFF
-        del view
-    finally:
-        segment.close()

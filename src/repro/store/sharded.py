@@ -13,7 +13,9 @@ live*:
   by ``REPRO_STORE_RAM_CAP``, not by the dataset;
 * shard workers (:func:`repro.exec.dispatch.run_store_shards`) attach
   the same slab files zero-copy through the OS page cache -- no
-  pickling, no per-query shared-memory publish;
+  pickling, nothing published per query (an in-RAM database reaches
+  the same workers by being written once per version with
+  :func:`write_generation`);
 * mutations after a snapshot go to an in-RAM overlay plus the on-disk
   :class:`~repro.store.journal.StoreJournal`, routed to the owning
   shard, so a restart replays to the exact pre-crash state and
@@ -92,7 +94,7 @@ _SLAB_FILES = (
 )
 
 
-def _snapshot_dir(root: Path, generation: int) -> Path:
+def snapshot_dir(root: Path, generation: int) -> Path:
     return Path(root) / f"{_SNAPSHOT_PREFIX}{int(generation):06d}"
 
 
@@ -220,7 +222,7 @@ class ShardView:
 
     @property
     def slab_dir(self) -> Path:
-        return _snapshot_dir(Path(self.store_dir), self.generation) / self.shard_id
+        return snapshot_dir(Path(self.store_dir), self.generation) / self.shard_id
 
     def states(self) -> np.ndarray:
         return global_pool().map(self.slab_dir / "obs_states.npy")
@@ -251,6 +253,38 @@ class ShardView:
     def is_multi(self) -> np.ndarray:
         """Per object: later observations exist (Section VI)."""
         return np.diff(self.obj_indptr) > 1
+
+    def mbr_keep(self, rows: np.ndarray, window) -> Optional[np.ndarray]:
+        """Which objects at ``rows`` may reach ``window``, or None when
+        the store has no geometry.
+
+        The parent R-tree's argument, on the slab MBR columns: an
+        object whose first-observation MBR, expanded by the chain's
+        displacement bound x horizon, misses the region's MBR provably
+        never intersects the window.
+        """
+        positions = store_positions(self.store_dir)
+        if (not self.has_mbr or self.displacement_bound is None
+                or positions is None):
+            return None
+        region_states = window.region.array
+        rx = np.asarray(positions[region_states, 0], dtype=float)
+        ry = (
+            np.asarray(positions[region_states, 1], dtype=float)
+            if positions.shape[1] > 1
+            else np.zeros_like(rx)
+        )
+        mbrs = self.mbrs()[rows]
+        horizons = np.maximum(
+            window.t_end - self.start_time[rows], 0
+        ).astype(float)
+        margin = horizons * float(self.displacement_bound)
+        return ~(
+            (mbrs[:, 2] + margin < rx.min())
+            | (mbrs[:, 0] - margin > rx.max())
+            | (mbrs[:, 3] + margin < ry.min())
+            | (mbrs[:, 1] - margin > ry.max())
+        )
 
     def block(self, rows: np.ndarray) -> SupportBlock:
         """The first-observation distributions of the objects at
@@ -290,6 +324,12 @@ _CHAINS: Dict[Tuple[str, str], MarkovChain] = {}
 
 
 def _manifest_for(store_dir: str, generation: int) -> Dict:
+    """The manifest of generation ``generation`` of ``store_dir``.
+
+    Cached per process; caching a generation drops the dir's other
+    generations -- their manifests, shard views and slab mappings --
+    so a long-lived worker never pins the pages of a swept generation.
+    """
     key = (str(store_dir), int(generation))
     with _ATTACH_LOCK:
         cached = _MANIFESTS.get(key)
@@ -303,7 +343,34 @@ def _manifest_for(store_dir: str, generation: int) -> Dict:
         )
     with _ATTACH_LOCK:
         _MANIFESTS[key] = manifest
+    forget_generations(store_dir, keep=int(generation))
     return manifest
+
+
+def forget_generations(
+    store_dir: Union[str, Path], keep: Optional[int] = None
+) -> None:
+    """Drop this process's cached manifests, shard views and slab
+    mappings of ``store_dir``: of every generation but ``keep``, or of
+    the whole store (its chains included) when ``keep`` is None."""
+    store_dir = str(store_dir)
+    with _ATTACH_LOCK:
+        stale = {
+            key[1] for key in (*_MANIFESTS, *_SHARD_VIEWS)
+            if key[0] == store_dir and key[1] != keep
+        }
+        for cache in (_MANIFESTS, _SHARD_VIEWS):
+            for key in [k for k in cache if k[0] == store_dir
+                        and k[1] in stale]:
+                del cache[key]
+        if keep is None:
+            for key in [k for k in _CHAINS if k[0] == store_dir]:
+                del _CHAINS[key]
+    pool = global_pool()
+    if keep is None:
+        pool.forget(os.path.join(store_dir, ""))
+    for generation in stale:
+        pool.forget(os.path.join(snapshot_dir(store_dir, generation), ""))
 
 
 def attach_shard(
@@ -330,7 +397,7 @@ def attach_shard(
         raise SerializationError(
             f"store {store_dir} has no shard {shard_id!r}"
         )
-    slab_dir = _snapshot_dir(Path(store_dir), generation) / shard_id
+    slab_dir = snapshot_dir(Path(store_dir), generation) / shard_id
     with open(slab_dir / "objects.json", "r", encoding="utf-8") as handle:
         objects = json.load(handle)
     view = ShardView(
@@ -482,42 +549,7 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
         root = Path(path)
         if (root / _MANIFEST).exists():
             raise ValidationError(f"store already exists at {root}")
-        root.mkdir(parents=True, exist_ok=True)
-        positions = database.state_positions()
-        if positions is not None:
-            write_slab(root / "positions.npy",
-                       np.asarray(positions, dtype=float))
-        chains_meta: Dict[str, Dict] = {}
-        for index, chain_id in enumerate(database.chain_ids):
-            stem = f"chain-{index:03d}"
-            chain = database.chain(chain_id)
-            _write_chain(root, stem, chain)
-            chains_meta[chain_id] = {
-                "files": stem,
-                "fingerprint": chain.fingerprint(),
-                "displacement_bound":
-                    database.chain_displacement_bound(chain_id),
-            }
-        seed_of = getattr(database, "seed_positions", None)
-        seed_of = seed_of() if callable(seed_of) else {
-            oid: index for index, oid in enumerate(database.object_ids)
-        }
-        shards = _write_snapshot_dirs(
-            root, 1, database.objects_by_chain(), positions,
-            seed_of, shards_per_chain,
-        )
-        manifest = {
-            "schema_version": _SCHEMA_VERSION,
-            "store_id": os.urandom(6).hex(),
-            "n_states": database.n_states,
-            "generation": 1,
-            "version": database.version,
-            "has_positions": positions is not None,
-            "chains": chains_meta,
-            "shards": shards,
-            "shard_journal_offsets": {},
-        }
-        _write_json_atomic(root / _MANIFEST, manifest)
+        write_generation(root, database, 1, shards_per_chain)
         return cls(root, state_space=database.state_space)
 
     # ------------------------------------------------------------------
@@ -534,7 +566,7 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
     def _load_shards(self, manifest: Dict) -> None:
         for entry in manifest["shards"]:
             shard_id = entry["shard_id"]
-            slab_dir = _snapshot_dir(self.path, self.generation) / shard_id
+            slab_dir = snapshot_dir(self.path, self.generation) / shard_id
             try:
                 view, _fresh = attach_shard(
                     str(self.path), self.generation, shard_id
@@ -849,7 +881,6 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
             ),
         }
         _write_json_atomic(self.path / _MANIFEST, manifest)
-        old_generation = self.generation
         self._manifest = manifest
         self.generation = generation
         self._disk_journal.truncate(self._version)
@@ -865,7 +896,7 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
         self._persist = False
         self._load_shards(manifest)
         self._persist = persist
-        global_pool().forget(_snapshot_dir(self.path, old_generation))
+        forget_generations(self.path, keep=generation)
         return generation
 
     def maybe_autosnapshot(self) -> Optional[int]:
@@ -906,21 +937,79 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
 # ----------------------------------------------------------------------
 # snapshot writing
 # ----------------------------------------------------------------------
-def _first_support_points(
+def write_generation(
+    root: Union[str, Path],
+    database: TrajectoryDatabase,
+    generation: int,
+    shards_per_chain: int,
+) -> Dict:
+    """Lay ``database`` out as slab generation ``generation`` at ``root``.
+
+    Writes the state positions, every chain's CSR, the generation's
+    shard slabs and -- last, atomically -- the manifest naming them;
+    returns that manifest.  Earlier generations' slab directories are
+    left in place for their readers.  :meth:`ShardedTrajectoryStore.
+    create` is this at generation 1 followed by the open; the process
+    dispatcher spills in-RAM databases with it.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    positions = database.state_positions()
+    if positions is not None:
+        write_slab(root / "positions.npy",
+                   np.asarray(positions, dtype=float))
+    chains_meta: Dict[str, Dict] = {}
+    for index, chain_id in enumerate(database.chain_ids):
+        stem = f"chain-{index:03d}"
+        chain = database.chain(chain_id)
+        _write_chain(root, stem, chain)
+        chains_meta[chain_id] = {
+            "files": stem,
+            "fingerprint": chain.fingerprint(),
+            "displacement_bound":
+                database.chain_displacement_bound(chain_id),
+        }
+    seed_of = getattr(database, "seed_positions", None)
+    seed_of = seed_of() if callable(seed_of) else {
+        oid: index for index, oid in enumerate(database.object_ids)
+    }
+    shards = _write_snapshot_dirs(
+        root, generation, database.objects_by_chain(), positions,
+        seed_of, shards_per_chain,
+    )
+    manifest = {
+        "schema_version": _SCHEMA_VERSION,
+        "store_id": os.urandom(6).hex(),
+        "n_states": database.n_states,
+        "generation": int(generation),
+        "version": database.version,
+        "has_positions": positions is not None,
+        "chains": chains_meta,
+        "shards": shards,
+        "shard_journal_offsets": {},
+    }
+    _write_json_atomic(root / _MANIFEST, manifest)
+    return manifest
+
+
+def _first_support_geometry(
     obj: UncertainObject, positions: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    support = list(obj.initial.distribution.support())
-    if not support:
-        return None
+) -> Tuple[float, Tuple[float, float, float, float]]:
+    """``(mean x, (min x, min y, max x, max y))`` of the points of the
+    object's first-observation support (state indices on a line
+    without positions); zeros for an empty support."""
+    support = obj.initial.distribution.sparse()[0]
+    if not len(support):
+        return 0.0, (0.0, 0.0, 0.0, 0.0)
     if positions is None:
-        return np.column_stack([
-            np.asarray(support, dtype=float),
-            np.zeros(len(support)),
-        ])
-    points = np.atleast_2d(np.asarray(positions, dtype=float)[support])
-    if points.shape[1] == 1:
-        points = np.column_stack([points[:, 0], np.zeros(len(points))])
-    return points[:, :2]
+        x, y = support.astype(float), np.zeros(len(support))
+    else:
+        points = np.atleast_2d(np.asarray(positions, dtype=float)[support])
+        x = points[:, 0]
+        y = points[:, 1] if points.shape[1] > 1 else np.zeros(len(x))
+    return float(x.mean()), (
+        float(x.min()), float(y.min()), float(x.max()), float(y.max())
+    )
 
 
 def _write_snapshot_dirs(
@@ -932,7 +1021,7 @@ def _write_snapshot_dirs(
     shards_per_chain: int,
 ) -> List[Dict]:
     """Write every shard of one generation; returns manifest entries."""
-    snapshot = _snapshot_dir(root, generation)
+    snapshot = snapshot_dir(root, generation)
     snapshot.mkdir(parents=True, exist_ok=True)
     entries: List[Dict] = []
     shard_index = 0
@@ -941,12 +1030,10 @@ def _write_snapshot_dirs(
         objects = objects_by_chain[chain_id]
         if not objects:
             continue
-        centroids = np.zeros(len(objects), dtype=float)
-        for index, obj in enumerate(objects):
-            points = _first_support_points(obj, positions)
-            centroids[index] = (
-                float(points[:, 0].mean()) if points is not None else 0.0
-            )
+        geometry = [
+            _first_support_geometry(obj, positions) for obj in objects
+        ]
+        centroids = np.array([centroid for centroid, _mbr in geometry])
         order = np.argsort(centroids, kind="stable")
         tiles = np.array_split(
             order, max(1, min(int(shards_per_chain), len(objects)))
@@ -965,7 +1052,8 @@ def _write_snapshot_dirs(
                 seeds.append(seed_of[obj.object_id])
             entries.append(_write_shard(
                 snapshot / shard_id, shard_id, chain_id, tile_objects,
-                positions, seeds,
+                [geometry[i][1] for i in tile], positions is not None,
+                seeds,
             ))
     return entries
 
@@ -975,7 +1063,8 @@ def _write_shard(
     shard_id: str,
     chain_id: str,
     objects: Sequence[UncertainObject],
-    positions: Optional[np.ndarray],
+    mbr_rows: List[Tuple[float, float, float, float]],
+    has_positions: bool,
     seeds: Sequence[int],
 ) -> Dict:
     slab_dir.mkdir(parents=True, exist_ok=True)
@@ -984,7 +1073,6 @@ def _write_shard(
     obs_indptr = [0]
     obs_times: List[int] = []
     obj_indptr = [0]
-    mbr_rows: List[Tuple[float, float, float, float]] = []
     object_ids: List[str] = []
     n_multi = 0
     for obj in objects:
@@ -992,21 +1080,12 @@ def _write_shard(
         if len(obj.observations) > 1:
             n_multi += 1
         for observation in obj.observations:
-            vector = np.asarray(observation.distribution.vector, dtype=float)
-            support = np.flatnonzero(vector > 0.0)
+            support, weights = observation.distribution.sparse()
             states_parts.append(support.astype(np.int32))
-            weights_parts.append(vector[support])
+            weights_parts.append(np.asarray(weights, dtype=np.float64))
             obs_indptr.append(obs_indptr[-1] + len(support))
             obs_times.append(int(observation.time))
         obj_indptr.append(len(obs_times))
-        points = _first_support_points(obj, positions)
-        if points is None:
-            mbr_rows.append((0.0, 0.0, 0.0, 0.0))
-        else:
-            mbr_rows.append((
-                float(points[:, 0].min()), float(points[:, 1].min()),
-                float(points[:, 0].max()), float(points[:, 1].max()),
-            ))
     slab_bytes = 0
     slab_bytes += write_slab(
         slab_dir / "obs_states.npy",
@@ -1038,7 +1117,7 @@ def _write_shard(
         "chain_id": chain_id,
     })
     mbr_array = np.asarray(mbr_rows, dtype=float)
-    has_geometry = positions is not None and len(mbr_rows) > 0
+    has_geometry = has_positions and len(mbr_rows) > 0
     return {
         "shard_id": shard_id,
         "chain_id": chain_id,
@@ -1056,7 +1135,7 @@ def _write_shard(
 # ----------------------------------------------------------------------
 # health + sweeping (repro-bench doctor)
 # ----------------------------------------------------------------------
-def _tree_bytes(path: Path) -> int:
+def tree_bytes(path: Path) -> int:
     total = 0
     for directory, _subdirs, files in os.walk(path):
         for name in files:
@@ -1071,7 +1150,7 @@ def store_health(path: Union[str, Path]) -> Dict[str, object]:
     """Health report of a store directory (no full open needed)."""
     root = Path(path)
     manifest = _load_manifest(root)
-    current = _snapshot_dir(root, manifest["generation"]).name
+    current = snapshot_dir(root, manifest["generation"]).name
     stale_dirs = sorted(
         entry.name for entry in root.iterdir()
         if entry.is_dir() and entry.name.startswith(_SNAPSHOT_PREFIX)
@@ -1095,7 +1174,7 @@ def store_health(path: Union[str, Path]) -> Dict[str, object]:
         "shard_journal_offsets": dict(journal.shard_offsets),
         "stale_snapshots": stale_dirs,
         "stale_snapshot_bytes": int(sum(
-            _tree_bytes(root / name) for name in stale_dirs
+            tree_bytes(root / name) for name in stale_dirs
         )),
         "pool": pool.stats(),
     }
@@ -1104,14 +1183,15 @@ def store_health(path: Union[str, Path]) -> Dict[str, object]:
 def sweep_stale_snapshots(path: Union[str, Path]) -> Tuple[int, int]:
     """Remove non-current snapshot generations; ``(dirs, bytes)`` freed.
 
-    The moral twin of the shared-memory janitor: snapshots keep the
+    The twin of the dispatcher's spill janitor: snapshots keep the
     previous generation on disk so in-flight readers survive, and this
     sweep (wired into ``repro-bench doctor``) reclaims them once no
     query is older than the current generation.
     """
     root = Path(path)
     manifest = _load_manifest(root)
-    current = _snapshot_dir(root, manifest["generation"]).name
+    current = snapshot_dir(root, manifest["generation"]).name
+    forget_generations(root, keep=int(manifest["generation"]))
     removed = 0
     freed = 0
     for entry in sorted(root.iterdir()):
@@ -1119,13 +1199,8 @@ def sweep_stale_snapshots(path: Union[str, Path]) -> Tuple[int, int]:
                 or not entry.name.startswith(_SNAPSHOT_PREFIX)
                 or entry.name == current):
             continue
-        freed += _tree_bytes(entry)
+        freed += tree_bytes(entry)
         global_pool().forget(entry)
-        with _ATTACH_LOCK:
-            for key in [k for k in _SHARD_VIEWS
-                        if k[0] == str(root)
-                        and _snapshot_dir(root, k[1]).name == entry.name]:
-                _SHARD_VIEWS.pop(key, None)
         shutil.rmtree(entry, ignore_errors=True)
         removed += 1
     return removed, freed

@@ -12,8 +12,8 @@ contributed by slab data is bounded by the cap, not by the dataset --
 the property the out-of-core benchmark asserts with an address-space
 rlimit.
 
-Two deliberate differences from the shared-memory publication cache of
-:mod:`repro.exec.dispatch`:
+Two properties the process dispatch of :mod:`repro.exec.dispatch`
+relies on:
 
 * slabs are backed by *files*, so "publishing" is free -- every worker
   process (and the parent) maps the same pages through the OS page

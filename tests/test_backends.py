@@ -9,8 +9,8 @@ reference to 1e-12 -- the same tolerance every other execution tier
 in this repo is held to.  Also covered here:
 
 * an unknown backend is rejected when the engine is constructed;
-* a pure engine forced onto the process tier (which publishes scipy
-  CSR only) answers serially and records the fall on the plan;
+* a pure engine forced onto the process tier (which runs the scipy
+  kernels only) answers serially and records the fall on the plan;
 * streaming ticks on a pure engine agreeing with scipy batch
   re-evaluation of every slid window;
 * the prewarm regression: building the worker pool must not change a
@@ -135,9 +135,9 @@ class TestBatchParity:
     )
     @pytest.mark.parametrize("mode", ["serial"])
     def test_pure_backend_parity(self, database, references, query, mode):
-        # the pure-python backend cannot publish shared-memory CSR
-        # views, so it has no process tier; serial must still agree
-        # with the scipy reference
+        # the pool runs only the scipy kernels, so the pure-python
+        # backend has no process tier; serial must still agree with
+        # the scipy reference
         engine = QueryEngine(database, backend="pure")
         result = engine.evaluate(
             query, options=PlanOptions(dispatch=mode, max_workers=2)
@@ -154,21 +154,26 @@ class TestBatchParity:
 
 
 class TestRuntimeDegradation:
-    def test_unservable_backend_records_the_process_fall(self):
-        """The pool cannot publish a pure-backend engine's matrices:
-        a forced process plan answers serially and says so, and auto
-        never picks process for such an engine."""
+    def test_unservable_backend_records_the_process_fall(self, tmp_path):
+        """The pool runs only the scipy kernels: a pure-backend
+        engine's forced process plan answers serially and says so, and
+        auto never picks process for such an engine -- not even over a
+        sharded store, the one layout auto scatters."""
         from repro.core.errors import DegradedExecutionWarning
         from repro.core.planner import CostModel
+        from repro.store.sharded import ShardedTrajectoryStore
 
         database = build_database(seed=6)
         reference = QueryEngine(database).evaluate(
             QUERIES[0], options=PlanOptions(dispatch="serial")
         )
+        store = ShardedTrajectoryStore.create(
+            tmp_path / "store", database, shards_per_chain=2
+        )
         # thresholds under which auto picks the pool for this query
         eager = CostModel(process_min_cost=0.0, shard_min_objects=4)
         auto = PlanOptions(method="ob", max_workers=2)
-        assert QueryEngine(database, cost_model=eager).planner.plan(
+        assert QueryEngine(store, cost_model=eager).planner.plan(
             QUERIES[0], auto
         ).dispatch == "process"
         engine = QueryEngine(database, backend="pure", cost_model=eager)
@@ -188,7 +193,9 @@ class TestRuntimeDegradation:
             "degraded process -> serial after ExecutionError"
         )
         assert "'pure'" in result.plan.degradations[0]
-        planned = engine.evaluate(QUERIES[0], options=auto)
+        planned = QueryEngine(
+            store, backend="pure", cost_model=eager
+        ).evaluate(QUERIES[0], options=auto)
         assert planned.plan.dispatch == "serial"
         assert planned.plan.degradations == []
         assert_values_close(planned, reference)

@@ -1,19 +1,26 @@
-"""Shared-memory process dispatch: parity, rehydration, publication.
+"""Process dispatch: parity, the in-RAM spill, the auto rule.
 
 The load-bearing properties:
 
 * process-pool and serial dispatch agree to 1e-12 on
   randomized multi-chain workloads -- including after mid-run
   ``append_observation`` mutations (which turn objects into
-  multi-observation Section VI cases);
-* CSR matrices survive the shared-memory publish/attach roundtrip
-  bit-for-bit, with no pickling of the payload arrays;
-* a worker-side :class:`~repro.core.plan_cache.PlanCache` keyed by
-  content fingerprint serves rehydrated matrices as hits -- no
-  same-address-space assumption, no reconstruction.
+  multi-observation Section VI cases); an in-RAM database reaches the
+  pool by being spilled into the store's slab format;
+* the spill publishes the chain CSR bit-for-bit, and workers map it
+  zero-copy;
+* one spill per database version: a second query reuses it, a write
+  re-lays it at the next generation and removes the old one, a spill
+  swept from under the cache is rebuilt, and ``shutdown()`` removes
+  them all;
+* auto dispatch never spills: it picks the pool only for a sharded
+  store.
 """
 
 from __future__ import annotations
+
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -27,11 +34,14 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
-from repro.core.matrices import build_absorbing_matrices
-from repro.core.plan_cache import PlanCache
-from repro.core.planner import PlanOptions
+from repro.core.planner import CostModel, PlanOptions, QueryPlanner
 from repro.core.state_space import LineStateSpace
 from repro.exec import dispatch
+from repro.store.sharded import (
+    ShardedTrajectoryStore,
+    open_store_chain,
+    snapshot_dir,
+)
 from repro.workloads.synthetic import (
     make_line_chain,
     make_object_distribution,
@@ -67,135 +77,59 @@ def build_database(seed: int, n_objects: int = 60, n_chains: int = 3):
     return database
 
 
+PROCESS = PlanOptions(dispatch="process", max_workers=2)
+
+
+def assert_process_matches_serial(engine, database, query=None):
+    query = query or PSTExistsQuery(WINDOW)
+    serial = engine.evaluate(query, options=PlanOptions(dispatch="serial"))
+    process = engine.evaluate(query, options=PROCESS)
+    assert process.plan.dispatch == "process"
+    for object_id in database.object_ids:
+        assert process.values[object_id] == pytest.approx(
+            serial.values[object_id], abs=1e-12
+        )
+    return process
+
+
+def spill_of(database):
+    return dispatch._SPILLS._spills[id(database)]
+
+
+@pytest.fixture
+def publications(monkeypatch):
+    """Every spill layout of the test, as ``(root, generation)``."""
+    calls = []
+    real = dispatch.publish_csr
+
+    def counting(database, root, generation, shards_per_chain):
+        calls.append((root, generation))
+        return real(database, root, generation, shards_per_chain)
+
+    monkeypatch.setattr(dispatch, "publish_csr", counting)
+    return calls
+
+
 class TestSharedMemoryRoundtrip:
-    def test_csr_roundtrip_is_exact(self):
-        chain = make_line_chain(N_STATES, rng=np.random.default_rng(1))
-        segments = []
-        try:
-            handle = dispatch.publish_csr(chain.matrix, segments)
-            attached = dispatch.attach_csr(handle)
-            assert (attached != chain.matrix).nnz == 0
+    """The spill in ``/dev/shm`` is the shared memory workers read."""
+
+    def test_csr_roundtrip_is_exact(self, tmp_path):
+        database = build_database(seed=1, n_objects=12, n_chains=2)
+        dispatch.publish_csr(database, str(tmp_path / "spill"), 1, 2)
+        for chain_id in database.chain_ids:
+            attached = open_store_chain(str(tmp_path / "spill"), chain_id)
+            expected = database.chain(chain_id).matrix
+            assert (attached.matrix != expected).nnz == 0
             np.testing.assert_array_equal(
-                attached.data, chain.matrix.data
+                attached.matrix.data, expected.data
             )
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
 
-    def test_attached_matrix_is_zero_copy(self):
-        chain = make_line_chain(N_STATES, rng=np.random.default_rng(2))
-        segments = []
-        try:
-            handle = dispatch.publish_csr(chain.matrix, segments)
-            attached = dispatch.attach_csr(handle)
-            # the arrays view the shared segment, they do not own data
-            assert not attached.data.flags["OWNDATA"]
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-
-class TestPlanCacheRehydration:
-    def test_adopt_hits_by_fingerprint_without_construction(self):
-        """A rehydrated artefact is a cache hit, never a rebuild."""
-        chain = make_line_chain(N_STATES, rng=np.random.default_rng(3))
-        matrices = build_absorbing_matrices(chain, WINDOW.region)
-        fingerprint = chain.fingerprint()
-
-        worker_cache = PlanCache()
-        worker_cache.adopt(
-            "absorbing", fingerprint, WINDOW.region, None, matrices
-        )
-        assert worker_cache.stats.total_constructions == 0
-
-        # an equal-by-value chain (fresh object, same content) hits
-        clone = make_line_chain(N_STATES, rng=np.random.default_rng(3))
-        assert clone is not chain
-        assert (
-            worker_cache.absorbing(clone, WINDOW.region, None)
-            is matrices
-        )
-        assert worker_cache.stats.hits == 1
-        assert worker_cache.stats.total_constructions == 0
-
-    def test_lookup_fingerprint_miss_is_none(self):
-        cache = PlanCache()
-        assert (
-            cache.lookup_fingerprint(
-                "absorbing", "no-such", WINDOW.region, None
-            )
-            is None
-        )
-        assert cache.stats.misses == 0  # adoption lookups never count
-
-    def test_worker_rehydrates_from_shared_memory(self):
-        """End to end: publish, attach, adopt, evaluate -- in process.
-
-        Runs the worker entry point in this process (the fork path
-        executes the same function) and asserts the worker cache
-        answered from adopted artefacts with zero constructions of
-        absorbing matrices.
-        """
-        chain = make_line_chain(N_STATES, rng=np.random.default_rng(4))
-        matrices = build_absorbing_matrices(chain, WINDOW.region)
-        import scipy.sparse as sp
-
-        rng = np.random.default_rng(5)
-        initials = sp.csr_matrix(
-            np.eye(N_STATES)[rng.integers(0, N_STATES, size=8)]
-        )
-        segments = []
-        try:
-            minus_t, plus_t = matrices.transposed()
-            task = dispatch._ShardTask(
-                fingerprint=chain.fingerprint(),
-                chain=dispatch.publish_csr(chain.matrix, segments),
-                m_minus=dispatch.publish_csr(
-                    matrices.m_minus, segments
-                ),
-                m_plus=dispatch.publish_csr(matrices.m_plus, segments),
-                m_minus_t=dispatch.publish_csr(minus_t, segments),
-                m_plus_t=dispatch.publish_csr(plus_t, segments),
-                initials=dispatch.publish_csr(initials, segments),
-                row_lo=0,
-                row_hi=8,
-                starts=(0,) * 8,
-                region=tuple(sorted(WINDOW.region)),
-                times=tuple(sorted(WINDOW.times)),
-                method="qb",
-            )
-            dispatch._WORKER_CACHE = None  # fresh worker state
-            lo, hi, values, timings, elapsed = (
-                dispatch._evaluate_shard(task)
-            )
-            assert elapsed > 0.0
-            worker_cache = dispatch._worker_cache()
-            assert (
-                worker_cache.stats.constructions.get("absorbing", 0)
-                == 0
-            )
-            # parity against the ordinary serial kernel
-            from repro import StateDistribution
-            from repro.core.batch import batch_qb_exists
-
-            expected = batch_qb_exists(
-                chain,
-                [
-                    StateDistribution(row)
-                    for row in initials.toarray()
-                ],
-                WINDOW,
-                matrices=matrices,
-            )
-            np.testing.assert_allclose(values, expected, atol=1e-12)
-            assert "backward_sweep" in timings
-        finally:
-            dispatch._WORKER_CACHE = None
-            for segment in segments:
-                segment.close()
-                segment.unlink()
+    def test_attached_matrix_is_zero_copy(self, tmp_path):
+        database = build_database(seed=2, n_objects=12, n_chains=1)
+        dispatch.publish_csr(database, str(tmp_path / "spill"), 1, 2)
+        attached = open_store_chain(str(tmp_path / "spill"), "chain-0")
+        # the arrays view the memory-mapped slab, they do not own data
+        assert not attached.matrix.data.flags["OWNDATA"]
 
 
 class TestDispatchParity:
@@ -313,8 +247,6 @@ class TestDispatchParity:
         """A lone QB group cannot shard: auto dispatch must not pay
         fork/publication for zero parallelism, even when the
         estimated cost clears the process threshold."""
-        from repro.core.planner import CostModel, QueryPlanner
-
         database = build_database(
             seed=71, n_objects=80, n_chains=1
         )
@@ -343,3 +275,124 @@ class TestDispatchParity:
             stage for stage in plan.stages if stage.name == "evaluate"
         ][0]
         assert "process" in evaluate_stage.detail
+
+    # -- the spill: one scratch store per database version -------------
+    def test_two_queries_on_one_version_make_one_spill(
+        self, publications
+    ):
+        database = build_database(seed=81, n_objects=24)
+        engine = QueryEngine(database)
+        assert_process_matches_serial(engine, database)
+        assert_process_matches_serial(engine, database)
+        assert len(publications) == 1
+        assert spill_of(database).leases == 0
+
+    def test_write_respills_once_and_drops_the_old_generation(
+        self, publications
+    ):
+        database = build_database(seed=82, n_objects=24)
+        engine = QueryEngine(database)
+        assert_process_matches_serial(engine, database)
+        database.append_observation(
+            "obj-3",
+            Observation.uniform(6, N_STATES, range(N_STATES)),
+        )
+        result = assert_process_matches_serial(engine, database)
+        assert result.plan.store_stats["shards"] > 0
+        spill = spill_of(database)
+        assert [generation for _root, generation in publications] == [1, 2]
+        assert spill.generation == 2 and spill.leases == 0
+        assert not snapshot_dir(spill.path, 1).exists()
+        assert snapshot_dir(spill.path, 2).exists()
+
+    def test_removed_spill_is_rebuilt(self, publications):
+        """A spill swept from under the cache (a tmp cleaner) is laid
+        out again, and the next answer is exact."""
+        database = build_database(seed=83, n_objects=24)
+        engine = QueryEngine(database)
+        assert_process_matches_serial(engine, database)
+        shutil.rmtree(spill_of(database).path)
+        assert_process_matches_serial(engine, database)
+        assert len(publications) == 2
+
+    def test_shutdown_removes_this_sessions_spills(self):
+        database = build_database(seed=84, n_objects=24)
+        assert_process_matches_serial(QueryEngine(database), database)
+        assert dispatch.memory_stats()["session_bytes"] > 0
+        dispatch.shutdown()
+        assert not any(
+            info.pid == os.getpid() for info in dispatch.list_segments()
+        )
+        assert dispatch.memory_stats()["session_bytes"] == 0
+
+    def test_concurrent_queries_and_writes_share_one_spill(self):
+        """More query threads than cores race a writer: every query
+        answers, every lease is returned, and only the generation of
+        the last version stays on disk."""
+        import sys
+        import threading
+
+        database = build_database(seed=86, n_objects=24)
+        engine = QueryEngine(database)
+        errors = []
+
+        def query() -> None:
+            try:
+                for _ in range(3):
+                    engine.evaluate(PSTExistsQuery(WINDOW), options=PROCESS)
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        def write() -> None:
+            rng = np.random.default_rng(9)
+            for index in range(6):
+                database.add(UncertainObject.with_distribution(
+                    f"late-{index}",
+                    make_object_distribution(N_STATES, 5, rng),
+                    time=2,
+                    chain_id="chain-0",
+                ))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=query) for _ in range(4)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert_process_matches_serial(engine, database)
+        spill = spill_of(database)
+        assert spill.leases == 0
+        assert sorted(
+            p.name for p in snapshot_dir(spill.path, 1).parent.iterdir()
+            if p.name.startswith("snapshot-")
+        ) == [snapshot_dir(spill.path, spill.generation).name]
+
+    # -- auto never spills ---------------------------------------------
+    @pytest.mark.parametrize("layout", ["in-ram", "store"])
+    def test_auto_picks_process_only_for_a_store(
+        self, layout, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        model = CostModel(process_min_cost=0.0)
+        database = build_database(
+            seed=85, n_objects=2 * model.shard_min_objects, n_chains=1
+        )
+        if layout == "store":
+            database = ShardedTrajectoryStore.create(
+                tmp_path / "store", database, shards_per_chain=4
+            )
+        plan = QueryPlanner(database, cost_model=model).plan(
+            PSTExistsQuery(WINDOW), PlanOptions(method="ob")
+        )
+        assert plan.groups[0].features.n_single >= (
+            2 * model.shard_min_objects
+        )
+        expected = "process" if layout == "store" else "serial"
+        assert plan.dispatch == expected

@@ -8,7 +8,9 @@ Three guarantees:
   points at a file that exists, so refactors cannot silently orphan
   the documentation;
 * the ``REPRO_*`` environment variables read under ``src/`` are the
-  ones ``docs/OPERATIONS.md`` documents.
+  ones ``docs/OPERATIONS.md`` documents;
+* the fault-injection sites :mod:`repro.exec.faults` documents are the
+  ones the code fires.
 """
 
 from __future__ import annotations
@@ -73,3 +75,26 @@ def test_environment_variables_documented():
     )
     assert read, "no REPRO_* variable found under src/"
     assert read == documented
+
+
+def test_documented_fault_sites_are_the_fired_ones():
+    """The "Sites currently wired" list of ``repro.exec.faults`` names
+    exactly the sites a ``fire("...")`` call under ``src/`` reports --
+    ``operator:<name>`` standing for the per-operator f-string."""
+    fired = {
+        re.sub(r"\{[^}]*\}", "<name>", site)
+        for source in (REPO_ROOT / "src").rglob("*.py")
+        for site in re.findall(
+            r'\.fire\(\s*f?"([^"]+)"', source.read_text()
+        )
+    }
+    faults = (REPO_ROOT / "src" / "repro" / "exec" / "faults.py").read_text()
+    wired = faults.split("Sites currently wired", 1)[1].split("Example", 1)[0]
+    documented = {
+        site
+        for line in wired.splitlines()
+        if line.startswith("``")
+        for site in re.findall(r"``([^`]+)``", line)
+    }
+    assert "operator:<name>" in fired
+    assert fired == documented

@@ -1,10 +1,10 @@
 """Fault injection: every recovery path lands on the exact answer.
 
 The load-bearing property mirrors the dispatch parity suite: whatever
-the supervisor has to survive -- killed workers, hung workers, vanished
-or corrupted shared-memory segments, poisoned streaming ticks -- the
-query still returns values within 1e-12 of the serial reference, and
-the recovery (pool rebuild, per-shard retry, tier degradation,
+the supervisor has to survive -- killed workers, hung workers, a pool
+that breaks mid-scatter, poisoned streaming ticks -- the query still
+returns values within 1e-12 of the serial reference, and the recovery
+(pool rebuild, per-shard retry, shard -> parent degradation,
 transactional rollback) is visible on ``plan.degradations`` /
 ``StandingQuery.error`` rather than silent.
 
@@ -16,13 +16,13 @@ timing races.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
 from repro import (
-    DegradedExecutionWarning,
     FaultInjector,
     FaultSpec,
     InjectedFaultError,
@@ -49,12 +49,11 @@ WINDOW = SpatioTemporalWindow.from_ranges(80, 110, 8, 11)
 
 needs_processes = pytest.mark.skipif(
     not dispatch.process_dispatch_available(),
-    reason="shared-memory process dispatch unavailable",
+    reason="process dispatch unavailable",
 )
-needs_dev_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"),
-    reason="janitor inspects /dev/shm (Linux POSIX shm)",
-)
+#: the first slab shard of every test database's spill (chain-0's
+#: first tile) -- where the fault rules below strike
+FIRST_SHARD = "shard-0000"
 
 
 def build_database(
@@ -116,7 +115,7 @@ def process_options(faults=None, policy=None) -> PlanOptions:
 
 
 # ----------------------------------------------------------------------
-# supervised dispatch: kills, hangs, lost and corrupted segments
+# supervised dispatch: kills, hangs, broken pools
 # ----------------------------------------------------------------------
 @needs_processes
 class TestSupervisedDispatch:
@@ -126,9 +125,9 @@ class TestSupervisedDispatch:
         reference = serial_reference(database, query)
         faults = FaultInjector(
             FaultSpec(
-                site="worker:shard",
+                site="worker:store-shard",
                 action="kill",
-                match={"row_lo": 0, "attempt": 0},
+                match={"shard_id": FIRST_SHARD, "attempt": 0},
             )
         )
         result = QueryEngine(database).evaluate(
@@ -149,44 +148,44 @@ class TestSupervisedDispatch:
         query = PSTExistsQuery(WINDOW)
         reference = serial_reference(database, query)
         # no attempt filter and times=None: every attempt dies, so the
-        # supervisor must exhaust retries and fall back to a tier that
-        # still computes the exact kernels
+        # supervisor must exhaust retries and hand the shard to the
+        # parent, which still computes the exact kernels
         faults = FaultInjector(
             FaultSpec(
-                site="worker:shard",
+                site="worker:store-shard",
                 action="kill",
-                match={"row_lo": 0},
+                match={"shard_id": FIRST_SHARD},
                 times=None,
             )
         )
-        with pytest.warns(DegradedExecutionWarning):
-            result = QueryEngine(database).evaluate(
-                query,
-                options=process_options(
-                    faults=faults, policy=fast_policy(max_retries=1)
-                ),
-            )
+        result = QueryEngine(database).evaluate(
+            query,
+            options=process_options(
+                faults=faults, policy=fast_policy(max_retries=1)
+            ),
+        )
         assert_parity(result, reference)
-        assert any(
-            event.startswith("degraded process ->")
-            for event in result.plan.degradations
-        )
-        assert any(
-            "WorkerCrashError" in event
-            for event in result.plan.degradations
-        )
-        # several chain groups still make exactly one fall, straight
-        # to the parent's serial loop
-        assert len(result.plan.groups) >= 2
+        # shards fall one by one, and only to the parent -- never the
+        # whole query to serial.  Each kill breaks the pool under the
+        # shards in flight beside the poisoned one, so they may run
+        # out of retries too
         falls = [
             event for event in result.plan.degradations
-            if event.startswith("degraded ")
+            if "degraded" in event
         ]
-        assert len(falls) == 1
-        assert falls[0].startswith("degraded process -> serial")
-        assert result.plan.stages[-1].detail.startswith("serial")
+        assert (
+            f"store shard {FIRST_SHARD} degraded to parent after "
+            f"worker crash"
+        ) in falls
+        assert all(
+            event.startswith("store shard ")
+            and event.endswith(" degraded to parent after worker crash")
+            for event in falls
+        )
+        assert result.plan.store_stats["parent_fallbacks"] == len(falls)
+        assert result.plan.stages[-1].detail.startswith("process x2")
         # explain() surfaces the same events
-        assert "degraded" in result.plan.describe()
+        assert "degraded to parent" in result.plan.describe()
 
     def test_pool_that_keeps_breaking_at_submit_degrades(self, monkeypatch):
         # every pool the supervisor acquires is already dead: the
@@ -214,18 +213,16 @@ class TestSupervisedDispatch:
         database = build_database(seed=12)
         query = PSTExistsQuery(WINDOW)
         reference = serial_reference(database, query)
-        with pytest.warns(DegradedExecutionWarning):
-            result = QueryEngine(database).evaluate(
-                query,
-                options=process_options(
-                    policy=fast_policy(max_retries=1)
-                ),
-            )
+        result = QueryEngine(database).evaluate(
+            query,
+            options=process_options(policy=fast_policy(max_retries=1)),
+        )
         assert_parity(result, reference)
         assert len(swaps) == 1 + 3  # first pool + (max_retries + 2) swaps
+        stats = result.plan.store_stats
+        assert stats["parent_fallbacks"] == stats["shards"]
         assert any(
-            event.startswith("degraded process ->")
-            and "WorkerCrashError" in event
+            "degraded to parent after worker pool broke" in event
             for event in result.plan.degradations
         )
 
@@ -265,19 +262,18 @@ class TestSupervisedDispatch:
         engine = QueryEngine(database)
         faults = FaultInjector(
             FaultSpec(
-                site="worker:shard",
+                site="worker:store-shard",
                 action="kill",
-                match={"row_lo": 0},
+                match={"shard_id": FIRST_SHARD},
                 times=None,
             )
         )
-        with pytest.warns(DegradedExecutionWarning):
-            engine.evaluate(
-                query,
-                options=process_options(
-                    faults=faults, policy=fast_policy(max_retries=1)
-                ),
-            )
+        engine.evaluate(
+            query,
+            options=process_options(
+                faults=faults, policy=fast_policy(max_retries=1)
+            ),
+        )
         # the very next process-dispatch query must transparently
         # rebuild the broken pool and run clean
         clean = engine.evaluate(query, options=process_options())
@@ -292,10 +288,10 @@ class TestSupervisedDispatch:
         # abandons them, rebuilds the pool and the retries run clean
         faults = FaultInjector(
             FaultSpec(
-                site="worker:shard",
+                site="worker:store-shard",
                 action="delay",
                 delay_seconds=6.0,
-                match={"row_lo": 0, "attempt": 0},
+                match={"shard_id": FIRST_SHARD, "attempt": 0},
             )
         )
         policy = fast_policy(timeout_seconds=2.0)
@@ -307,74 +303,15 @@ class TestSupervisedDispatch:
             "deadline" in event for event in result.plan.degradations
         )
 
-    def test_unlinked_segment_degrades_then_recovers(self):
-        database = build_database(seed=15)
-        query = PSTExistsQuery(WINDOW)
-        reference = serial_reference(database, query)
-        engine = QueryEngine(database)
-        faults = FaultInjector(
-            FaultSpec(
-                site="dispatch:published",
-                action="unlink",
-                match={"kind": "stack"},
-            )
-        )
-        with pytest.warns(DegradedExecutionWarning):
-            result = engine.evaluate(
-                query, options=process_options(faults=faults)
-            )
-        assert_parity(result, reference)
-        assert any(
-            "SegmentLostError" in event
-            for event in result.plan.degradations
-        )
-        # the publication cache was dropped, so the next process query
-        # republishes and runs clean
-        clean = engine.evaluate(query, options=process_options())
-        assert_parity(clean, reference)
-        assert clean.plan.degradations == []
-
-    def test_corrupted_segment_caught_by_checksum(self):
-        database = build_database(seed=16)
-        query = PSTExistsQuery(WINDOW)
-        reference = serial_reference(database, query)
-        engine = QueryEngine(database)
-        faults = FaultInjector(
-            FaultSpec(
-                site="dispatch:published",
-                action="corrupt",
-                match={"kind": "chain"},
-            )
-        )
-        with pytest.warns(DegradedExecutionWarning):
-            result = engine.evaluate(
-                query,
-                options=process_options(
-                    faults=faults,
-                    policy=fast_policy(verify_segments=True),
-                ),
-            )
-        # without verification the workers would compute garbage from
-        # the flipped bits; the checksum turns that into a clean
-        # degradation to an exact tier instead
-        assert_parity(result, reference)
-        assert any(
-            "SegmentLostError" in event
-            for event in result.plan.degradations
-        )
-        clean = engine.evaluate(query, options=process_options())
-        assert_parity(clean, reference)
-        assert clean.plan.degradations == []
-
     def test_transient_worker_fault_retried_in_place(self):
         database = build_database(seed=17)
         query = PSTExistsQuery(WINDOW)
         reference = serial_reference(database, query)
         faults = FaultInjector(
             FaultSpec(
-                site="worker:shard",
+                site="worker:store-shard",
                 action="raise",
-                match={"row_lo": 0, "attempt": 0},
+                match={"shard_id": FIRST_SHARD, "attempt": 0},
                 message="flaky shard",
             )
         )
@@ -383,7 +320,7 @@ class TestSupervisedDispatch:
         )
         assert_parity(result, reference)
         # a raise from a healthy pool retries just that shard -- no
-        # pool rebuild, no tier degradation
+        # pool rebuild, no degradation
         assert any(
             "retried after worker fault" in event
             for event in result.plan.degradations
@@ -567,12 +504,15 @@ class TestTransactionalTicks:
 
 
 # ----------------------------------------------------------------------
-# shared-memory janitor + doctor
+# spill janitor + doctor
 # ----------------------------------------------------------------------
 def _fake_orphan(pid: int, seq: int = 0, size: int = 4096) -> str:
-    """Plant a ``repro-*`` segment file owned by ``pid`` in /dev/shm."""
-    path = os.path.join("/dev/shm", f"repro-deadbeef-{pid}-{seq}")
-    with open(path, "wb") as handle:
+    """Plant a ``repro-*`` spill directory owned by ``pid``."""
+    path = os.path.join(
+        dispatch._SPILL_ROOT, f"repro-deadbeef-{pid}-{seq}"
+    )
+    os.makedirs(os.path.join(path, "snapshot-000001"))
+    with open(os.path.join(path, "manifest.json"), "wb") as handle:
         handle.write(b"\0" * size)
     return path
 
@@ -584,7 +524,6 @@ def _dead_pid() -> int:
     return child.pid
 
 
-@needs_dev_shm
 class TestJanitor:
     def test_sweep_reclaims_segments_of_dead_sessions(self):
         path = _fake_orphan(_dead_pid())
@@ -600,8 +539,7 @@ class TestJanitor:
             assert not os.path.exists(path)
             assert dispatch.memory_stats()["orphan_bytes"] == 0
         finally:
-            if os.path.exists(path):
-                os.unlink(path)
+            shutil.rmtree(path, ignore_errors=True)
 
     def test_live_sessions_are_never_swept(self):
         path = _fake_orphan(os.getpid(), seq=1)
@@ -611,15 +549,16 @@ class TestJanitor:
                 info.name: info for info in dispatch.list_segments()
             }
             assert infos[name].alive
+            assert infos[name].size == 4096
             swept = dispatch.sweep_orphans()
             assert name not in {info.name for info in swept}
             assert os.path.exists(path)
         finally:
-            os.unlink(path)
+            shutil.rmtree(path, ignore_errors=True)
 
     @needs_processes
     def test_pool_startup_sweeps_leftovers_of_crashed_session(self):
-        # simulate a crashed parent: its segment survives in /dev/shm,
+        # simulate a crashed parent: its spill survives on disk,
         # its PID is gone; building a fresh pool must sweep it
         path = _fake_orphan(_dead_pid())
         try:
@@ -634,8 +573,7 @@ class TestJanitor:
             assert_parity(result, serial_reference(database, query))
             assert not os.path.exists(path)
         finally:
-            if os.path.exists(path):
-                os.unlink(path)
+            shutil.rmtree(path, ignore_errors=True)
 
     def test_doctor_sweeps_and_reports_zero_leaked_bytes(self, capsys):
         from repro.bench.cli import main
@@ -646,12 +584,11 @@ class TestJanitor:
             output = capsys.readouterr().out
             assert exit_code == 0
             assert "ORPHAN" in output
-            assert "swept 1 orphaned segment(s)" in output
+            assert "swept 1 orphaned spill(s)" in output
             assert "leaked bytes  : 0" in output
             assert not os.path.exists(path)
         finally:
-            if os.path.exists(path):
-                os.unlink(path)
+            shutil.rmtree(path, ignore_errors=True)
 
     def test_doctor_no_sweep_reports_leak_and_fails(self, capsys):
         from repro.bench.cli import main
@@ -664,7 +601,7 @@ class TestJanitor:
             assert "ORPHAN" in output
             assert os.path.exists(path)  # --no-sweep left it alone
         finally:
-            os.unlink(path)
+            shutil.rmtree(path, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,18 @@ class TestPlanOptions:
     def test_removed_knobs_are_type_errors(self):
         # no alias or shim: dispatch= is the one execution switch,
         # prefilter= / bfs_prune= the only filter toggles, and the
-        # backend a property of the engine
+        # backend a property of the engine, and process dispatch has
+        # no shared-memory segments to verify, unlink or corrupt
+        import repro
+        from repro.core.planner import SupervisorPolicy
         from repro.exec.dispatch import prewarm
+        from repro.exec.faults import FaultSpec
 
+        with pytest.raises(TypeError):
+            SupervisorPolicy(verify_segments=True)
+        with pytest.raises(ValidationError):
+            FaultSpec(site="worker:store-shard", action="unlink")
+        assert not hasattr(repro, "SegmentLostError")
         with pytest.raises(TypeError):
             PlanOptions(parallel=True)
         with pytest.raises(TypeError):

@@ -53,7 +53,7 @@ OTHER_WINDOW = SpatioTemporalWindow.from_ranges(120, 150, 8, 11)
 
 needs_processes = pytest.mark.skipif(
     not dispatch.process_dispatch_available(),
-    reason="shared-memory process dispatch unavailable",
+    reason="process dispatch unavailable",
 )
 
 
@@ -328,9 +328,9 @@ class TestFusionParity:
             ),
             faults=FaultInjector(
                 FaultSpec(
-                    site="worker:shard",
+                    site="worker:store-shard",
                     action="kill",
-                    match={"row_lo": 0, "attempt": 0},
+                    match={"shard_id": "shard-0000", "attempt": 0},
                 )
             ),
         )

@@ -319,6 +319,42 @@ class TestShardWorkers:
         assert second is first
         assert fresh is False
 
+    def test_new_generation_evicts_the_old(self, store):
+        """A worker that served generation 1 keeps none of it -- no
+        manifest, shard view or slab mapping -- once it serves 2."""
+        from repro.store import sharded
+        from repro.store.slabs import global_pool
+
+        def evaluate_every_shard() -> None:
+            for entry in store.store_shards():
+                dispatch._evaluate_store_shard(dispatch._StoreShardTask(
+                    store_dir=str(store.path),
+                    generation=store.generation,
+                    shard_id=entry["shard_id"],
+                    chain_id=entry["chain_id"],
+                    kind="exists",
+                    method="qb",
+                    region=tuple(sorted(WINDOW.region)),
+                    times=tuple(sorted(WINDOW.times)),
+                ))
+
+        root = str(store.path)
+        evaluate_every_shard()
+        assert (root, 1) in sharded._MANIFESTS
+        store.snapshot()
+        evaluate_every_shard()
+        stale = [
+            key
+            for cache in (sharded._MANIFESTS, sharded._SHARD_VIEWS)
+            for key in cache
+            if key[0] == root and key[1] == 1
+        ]
+        assert stale == []
+        old = str(sharded.snapshot_dir(store.path, 1))
+        assert not any(
+            name.startswith(old) for name in global_pool()._maps
+        )
+
     def test_killed_worker_recovers_exactly(self, database, store):
         shard_id = store.store_shards()[0]["shard_id"]
         faults = FaultInjector(
@@ -581,9 +617,9 @@ class TestOneKernelTable:
             QueryEngine(target).evaluate(
                 PSTExistsQuery(WINDOW), options=options
             )
-        assert set(callers) == {
-            "_kernel", "_evaluate_shard", "_evaluate_store_shard"
-        }
+        # an in-RAM database's process path is the store worker too,
+        # over its spill
+        assert set(callers) == {"_kernel", "_evaluate_store_shard"}
         # ...and nothing else picks a kernel behind its back
         for module in (pipeline, dispatch):
             source = inspect.getsource(module)
