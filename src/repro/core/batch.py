@@ -69,6 +69,7 @@ from repro.exec.operators import (
     KTIMES_CORE,
     KTIMES_SWEEP,
     MC_SAMPLE,
+    POSTERIOR_COLLAPSE,
     ExecutionContext,
     KTimesSchedule,
     SweepSchedule,
@@ -538,6 +539,21 @@ def batch_mc_exists(
     )
 
 
+def collapse_posteriors(
+    chain: MarkovChain,
+    observation_sets: Sequence[ObservationSet],
+    context: Optional[ExecutionContext] = None,
+) -> SupportBlock:
+    """Lemma 1 posteriors ``P(X_t_last | observations)``, one row per
+    observation set, each at its latest observation time."""
+    return SupportBlock.from_distributions([
+        StateDistribution.from_support(chain.n_states, *POSTERIOR_COLLAPSE(
+            (observations, None), chain, None, context=context
+        )[1:])
+        for observations in observation_sets
+    ], chain.n_states)
+
+
 def evaluate_rows(
     chain: MarkovChain,
     window: SpatioTemporalWindow,
@@ -547,8 +563,10 @@ def evaluate_rows(
     *,
     block,
     start_time: np.ndarray,
+    last_time: np.ndarray,
     is_multi: np.ndarray,
     observation_sets,
+    posteriors,
     n_samples: Optional[int] = None,
     seeds: Optional[Sequence[Optional[int]]] = None,
     backend: Optional[str] = None,
@@ -563,9 +581,11 @@ def evaluate_rows(
     (:func:`batch_mc_exists`; for k-times one reseeded sampler per
     object, there being no batched k-times sampler).  Exact k-times is
     :func:`batch_ktimes_distribution` whatever the method.  Exact
-    exists runs single-observation rows through
-    :func:`batch_qb_exists` or :func:`batch_ob_exists` as planned and
-    multi-observation rows through :func:`batch_exists_multi`.
+    exists runs the planned :func:`batch_qb_exists` /
+    :func:`batch_ob_exists` in one call over the single-observation rows
+    and the re-sighted rows whose evidence all precedes ``min(T_q)``,
+    which start from their Lemma 1 posterior at ``last_time``; rows
+    sighted at or after ``min(T_q)`` take :func:`batch_exists_multi`.
 
     Args:
         kind: ``"exists"`` (for-all plans run their complement as
@@ -574,10 +594,14 @@ def evaluate_rows(
         rows: indices into the columns below.
         block: ``rows -> SupportBlock`` of first observations
             (:meth:`Cohort.block <repro.database.cohort.Cohort.block>`).
-        start_time / is_multi: per-row columns, indexed by ``rows``.
+        start_time / last_time / is_multi: per-row columns, indexed by
+            ``rows``.
         observation_sets: ``rows -> [ObservationSet]``, called only for
             the rows whose kernel needs every observation (Section VI
             fusion, sampling).
+        posteriors: ``(rows, last) -> SupportBlock``, the Lemma 1
+            posteriors of re-sighted rows at times ``last``
+            (:func:`collapse_posteriors`, or the database's table).
         n_samples / seeds: Monte-Carlo parameters; ``seeds`` is
             aligned with ``rows``.
 
@@ -612,16 +636,25 @@ def evaluate_rows(
             start_times=start_time[rows], **shared,
         )
     multi = is_multi[rows]
+    last = last_time[rows]
+    doubled = multi & (last >= window.t_start)
     answers = np.zeros(len(rows), dtype=float)
-    if not multi.all():
-        singles = rows[~multi]
+    if not doubled.all():
+        riding = np.flatnonzero(~multi)
+        initials, starts = block(rows[riding]), start_time[rows[riding]]
+        collapsed = np.flatnonzero(multi & ~doubled)
+        if collapsed.size:
+            initials = initials.concat(
+                posteriors(rows[collapsed], last[collapsed])
+            )
+            starts = np.concatenate([starts, last[collapsed]])
+            riding = np.concatenate([riding, collapsed])
         evaluate = batch_qb_exists if method == "qb" else batch_ob_exists
-        answers[~multi] = evaluate(
-            chain, block(singles), window,
-            start_times=start_time[singles], **shared,
+        answers[riding] = evaluate(
+            chain, initials, window, start_times=starts, **shared
         )
-    if multi.any():  # Section VI path regardless of qb/ob
-        answers[multi] = batch_exists_multi(
-            chain, observation_sets(rows[multi]), window, **shared
+    if doubled.any():
+        answers[doubled] = batch_exists_multi(
+            chain, observation_sets(rows[doubled]), window, **shared
         )
     return answers

@@ -382,6 +382,15 @@ class SupportBlock:
             self.indptr[1:][rows],
         )
 
+    def concat(self, other: "SupportBlock") -> "SupportBlock":
+        """The rows of ``self`` followed by those of ``other``."""
+        return SupportBlock(
+            self.n_states,
+            np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
+            np.concatenate([self.states, other.states]),
+            np.concatenate([self.probs, other.probs]),
+        )
+
     def entry_rows(self) -> np.ndarray:
         """The row index of every stored entry."""
         return np.repeat(

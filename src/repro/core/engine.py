@@ -14,8 +14,8 @@ that scales a database past one core).  Forcing a method is still
 supported:
 
 * ``"qb"`` -- query-based: one backward pass per chain, then one dot
-  product per object (Section V-B).  Objects with multiple observations
-  automatically fall back to object-based Section VI processing.
+  product per object (Section V-B).  Objects sighted again at or after
+  the window start automatically fall back to Section VI processing.
 * ``"ob"`` -- object-based: one stacked forward pass per chain group
   (Section V-A).
 * ``"mc"`` -- the Monte-Carlo baseline (Section VIII-A).

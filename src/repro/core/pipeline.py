@@ -65,6 +65,7 @@ from repro.core.errors import (
     DegradedExecutionWarning,
     ExecutionError,
     QueryError,
+    ValidationError,
 )
 from repro.core.planner import CostModel, GroupPlan, QueryPlan, StageStats
 from repro.core.query import PSTKTimesQuery
@@ -364,20 +365,23 @@ class QueryPipeline:
     ) -> Dict[str, ResultValue]:
         """The group's planned kernels over its surviving ``rows``."""
         cohort = group.cohort
+        chain = self.database.chain(group.chain_id)
         ids = cohort.ids(rows)
         answers = evaluate_rows(
-            self.database.chain(group.chain_id),
+            chain,
             plan.window,
             plan.kind,
             group.method,
             rows,
             block=cohort.block,
             start_time=cohort.start_time,
+            last_time=cohort.last_time,
             is_multi=cohort.is_multi,
             observation_sets=lambda subset: [
                 obj.observations
                 for obj in self._objects(cohort.ids(subset))
             ],
+            posteriors=partial(self._posteriors, cohort, chain, context),
             n_samples=plan.options.n_samples,
             seeds=(
                 self._seeds(ids, plan, seed_index)
@@ -497,6 +501,15 @@ class QueryPipeline:
         """The object records behind ``object_ids`` -- for the kernels
         that are per-object by nature (Section VI fusion, sampling)."""
         return [self.database.get(object_id) for object_id in object_ids]
+
+    def _posteriors(self, cohort, chain, context, rows, last):
+        """Lemma 1 posteriors from the database's shared table."""
+        block = cohort.posteriors.collapse(
+            rows, last, chain, self.database, self.backend, context
+        )
+        if not np.diff(block.indptr).all():  # a racing write took it
+            raise ValidationError("a re-sighted object changed mid-query")
+        return block
 
     @staticmethod
     def _from_shards(

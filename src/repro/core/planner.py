@@ -364,11 +364,13 @@ class GroupFeatures:
     """The per-chain-group quantities the cost model consumes.
 
     Attributes:
-        n_single: single-observation objects in the group.
-        n_multi: multi-observation (Section VI) objects in the group.
+        n_single: objects the single-observation kernel answers,
+            re-sighted ones whose evidence precedes ``min(T_q)`` too.
+        n_multi: objects sighted at or after ``min(T_q)`` (Section VI).
+        n_collapsed: the re-sighted objects among ``n_single``.
         n_states: augmented state-vector length (``|S| + 1``).
         nnz: chain transition non-zeros (sparsity).
-        horizon: ``t_end`` minus the group's earliest observation time.
+        horizon: ``t_end`` minus the group's earliest kernel start.
         duration: ``|T_q]`` timestamps in the window.
         absorbing_cached: Section V-A matrices already in the plan cache.
         doubled_cached: Section VI matrices already in the plan cache.
@@ -385,6 +387,7 @@ class GroupFeatures:
     absorbing_cached: bool = False
     doubled_cached: bool = False
     backward_cached_fraction: float = 0.0
+    n_collapsed: int = 0
 
 
 @dataclass
@@ -627,6 +630,8 @@ class QueryPlan:
             )
             singles = group.features.n_single if group.features else "?"
             multis = group.features.n_multi if group.features else "?"
+            if group.features and group.features.n_collapsed:
+                singles = f"{singles} ({group.features.n_collapsed} collapsed)"
             line = (
                 f"  group {group.chain_id!r}: {singles} single + "
                 f"{multis} multi -> method={group.method}"
@@ -832,12 +837,19 @@ class QueryPlanner:
         chain_id = cohort.chain_id
         chain = self.database.chain(chain_id)
         rows = cohort.rows
-        n_multi = int(np.count_nonzero(cohort.is_multi[rows]))
-        starts = np.unique(cohort.start_time[rows]).tolist()
+        # evidence all before the window: evaluate_rows' single kernel
+        last = cohort.last_time[rows]
+        before = last < window.t_start
+        multi = cohort.is_multi[rows]
+        n_multi = int(np.count_nonzero(multi & ~before))
+        starts = np.unique(
+            np.where(before, last, cohort.start_time[rows])
+        ).tolist()
         horizon = max(0, window.t_end - starts[0])
         features = GroupFeatures(
             n_single=len(rows) - n_multi,
             n_multi=n_multi,
+            n_collapsed=int(np.count_nonzero(multi & before)),
             n_states=chain.n_states + 1,
             nnz=chain.nnz,
             horizon=horizon,

@@ -40,9 +40,10 @@ the incremental values are bit-identical to re-evaluation from scratch
   posterior alike -- with one gather over the supports against each
   row's rung and one per-row reduction, per chain, however many
   distinct start times there are.  The posterior of a re-sighting does
-  not depend on the query region: one table per chain, owned by the
-  engine, serves every standing query, so a re-sighting is filtered
-  once;
+  not depend on the query region: the database keeps one table per
+  cohort (:class:`~repro.database.cohort.Posteriors`) that every
+  standing query and one-shot query reads, so a re-sighting is
+  filtered once;
 * falls back to the exact PR-1 batched kernels
   (:func:`~repro.core.batch.batch_qb_exists` /
   :func:`~repro.core.batch.batch_exists_multi`) for objects the
@@ -96,7 +97,6 @@ poisoned query take down the whole engine.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
@@ -108,11 +108,9 @@ from repro.core.batch import (
     batch_qb_exists,
 )
 from repro.core.distribution import SupportBlock
-from repro.core.observation import ObservationSet
 from repro.core.errors import (
     QuarantinedQueryError,
     QueryError,
-    ValidationError,
 )
 from repro.core.plan_cache import PlanCache
 from repro.core.planner import (
@@ -131,11 +129,7 @@ from repro.core.query import (
 )
 from repro.database.pruning import ReachabilityPruner
 from repro.database.uncertain_db import TrajectoryDatabase
-from repro.exec.operators import (
-    LADDER_EXTEND,
-    POSTERIOR_COLLAPSE,
-    ExecutionContext,
-)
+from repro.exec.operators import LADDER_EXTEND, ExecutionContext
 
 __all__ = ["StreamingQueryEngine", "StandingQuery"]
 
@@ -151,150 +145,6 @@ def _shift_window(
     return SpatioTemporalWindow(
         window.region, frozenset(t + offset for t in window.times)
     )
-
-
-def _record(database: TrajectoryDatabase, cohort, row: int):
-    """The observations of cohort row ``row`` -- ``None`` once a write
-    racing the tick has removed or re-anchored the object (the row is
-    dead by then; the tick leaves it out of its answer)."""
-    try:
-        observations = database.get(cohort.object_id[row]).observations
-    except ValidationError:
-        return None
-    if observations.first.time != cohort.start_time[row]:
-        return None
-    return observations
-
-
-class _Posteriors:
-    """Lemma 1 filtered posteriors of one chain's re-sighted objects.
-
-    ``P(X_t_last | observations)`` of a multi-observation object does
-    not depend on the query region, so the engine keeps one table per
-    chain and every standing query reads it: a
-    re-sighting is collapsed once, whoever ticks first.  The table is
-    aligned with the chain's :class:`~repro.database.cohort.Cohort`
-    rows -- ``slot[row]`` names the row's entry in an append-only CSR
-    (``-1``: none), ``time[row]`` the observation time it is filtered
-    up to and ``folded[row]`` how many observations it folded in -- so
-    a removed or re-anchored object, which always gets a fresh row,
-    can never inherit an entry.  Every entry is a pure function of the
-    object's observations; nothing here is part of a tick's rollback
-    snapshot.
-    """
-
-    def __init__(self, cohort) -> None:
-        self.cohort = cohort
-        self.slot = np.zeros(0, dtype=np.int64)
-        self.time = np.zeros(0, dtype=np.int64)
-        self.folded = np.zeros(0, dtype=np.int64)
-        self.indptr = np.zeros(1, dtype=np.int64)
-        self.states = np.zeros(0, dtype=np.int64)
-        self.weights = np.zeros(0, dtype=float)
-
-    def _grow(self) -> None:
-        """One (empty) entry per cohort row appended since."""
-        fresh = np.full(
-            self.cohort.n_rows - len(self.slot), -1, dtype=np.int64
-        )
-        if fresh.size:
-            self.slot = np.concatenate([self.slot, fresh])
-            self.time = np.concatenate([self.time, fresh])
-            self.folded = np.concatenate([self.folded, fresh])
-
-    def sync(self, changes, database: TrajectoryDatabase) -> None:
-        """Replay journal entries: a sighting backfilled below an
-        entry's time was never folded into it -- drop the entry, the
-        next tick refilters from the first observation.  (A later
-        sighting leaves the entry in place as the point to resume
-        from.)"""
-        self._grow()
-        for change in changes:
-            row = self.cohort.row_of.get(change.object_id)
-            if (
-                change.op != "observe"
-                or row is None
-                or row >= len(self.slot)  # appended after _grow()
-                or self.slot[row] < 0
-            ):
-                continue
-            observations = _record(database, self.cohort, row) or ()
-            upto = sum(o.time <= self.time[row] for o in observations)
-            if upto != self.folded[row]:
-                self.slot[row] = self.time[row] = -1
-
-    def fill(self, rows, last, chain, backend, database, context) -> None:
-        """Collapse the objects of ``rows`` whose entry is missing or
-        not at ``last``, the latest observation time in the caller's
-        view of each (the Python loop is over those -- objects
-        re-sighted since the last tick -- only)."""
-        self._grow()
-        cohort = self.cohort
-        pick = self.time[rows] != last
-        if not pick.any():
-            return
-        stale = rows[pick]
-        supports, weights, folded = [], [], []
-        for row, slot, upto in zip(
-            stale.tolist(), self.slot[stale].tolist(), last[pick].tolist()
-        ):
-            observations = _record(database, cohort, row)
-            if observations is None:
-                # an empty entry: evaluate() drops the row
-                supports.append(self.states[:0])
-                weights.append(self.weights[:0])
-                folded.append(0)
-                continue
-            if observations.last.time != upto:
-                # sighted again since the caller took its view: its
-                # tick answers from the evidence it saw
-                observations = ObservationSet(tuple(
-                    o for o in observations if o.time <= upto
-                ))
-            resume = None
-            if slot >= 0 and self.time[row] < upto:
-                entry = slice(self.indptr[slot], self.indptr[slot + 1])
-                resume = (
-                    int(self.time[row]),
-                    self.states[entry],
-                    self.weights[entry],
-                )
-            _t_last, support, weight = POSTERIOR_COLLAPSE(
-                (observations, resume), chain, None, backend,
-                context=context,
-            )
-            supports.append(support)
-            weights.append(weight)
-            folded.append(len(observations))
-        n_slots = len(self.indptr) - 1
-        self.indptr = np.concatenate([
-            self.indptr,
-            self.indptr[-1] + np.cumsum([len(s) for s in supports]),
-        ])
-        self.states = np.concatenate([self.states] + supports)
-        self.weights = np.concatenate([self.weights] + weights)
-        self.slot[stale] = np.arange(n_slots, n_slots + len(stale))
-        self.time[stale] = last[pick]
-        self.folded[stale] = folded
-        live = np.zeros(len(self.slot), dtype=bool)
-        live[cohort.rows[cohort.rows < len(live)]] = live[rows] = True
-        live = np.flatnonzero(live & (self.slot >= 0))
-        if len(self.indptr) - 1 > 2 * len(live) + 64:
-            # superseded and departed entries outnumber the live ones
-            block = self.block(live)
-            self.indptr, self.states = block.indptr, block.states
-            self.weights = block.probs
-            self.slot[:] = -1
-            self.slot[live] = np.arange(len(live))
-            self.time[self.slot < 0] = -1
-
-    def block(self, rows: np.ndarray) -> SupportBlock:
-        """The posteriors of ``rows`` (all filled) as one CSR."""
-        slots = self.slot[rows]
-        return SupportBlock.gather(
-            self.cohort.n_states, self.states, self.weights,
-            self.indptr[slots], self.indptr[slots + 1],
-        )
 
 
 class _ChainStream:
@@ -572,9 +422,9 @@ class _ChainStream:
             if picked.size:
                 # all evidence precedes the window: the object is
                 # Markov from its filtered posterior
-                block = engine._posteriors_of(
-                    cohort, rows[picked], last[picked], self.chain,
-                    owner.context,
+                block = cohort.posteriors.collapse(
+                    rows[picked], last[picked], self.chain,
+                    engine.database, self.backend, owner.context,
                 )
                 out[picked] = self._ride(block, gaps[picked])
                 gone[picked[np.diff(block.indptr) == 0]] = True
@@ -598,7 +448,7 @@ class _ChainStream:
             # evidence at/inside the window needs the full Section VI
             # doubled sweep (transient: the window slides past)
             records = [
-                _record(engine.database, cohort, row)
+                cohort.record(engine.database, row)
                 for row in rows[doubled].tolist()
             ]
             gone[doubled] = [record is None for record in records]
@@ -614,7 +464,7 @@ class _ChainStream:
             out = out[:, owner.k]  # a fixed k asks for one scalar
         if gone.any():
             rows, out = rows[~gone], out[~gone]
-        n_multi = int(np.count_nonzero(multi))
+        n_multi = int(np.count_nonzero(multi & ~before))  # doubled
         return (
             dict(zip(
                 cohort.ids(rows), out.tolist() if out.ndim == 1 else out
@@ -1060,13 +910,6 @@ class StreamingQueryEngine:
         )
         self.pruner = pruner or ReachabilityPruner(database)
         self._standing: List[StandingQuery] = []
-        # Lemma 1 posteriors of re-sighted objects, one table per
-        # chain, shared by every standing query and synced from the
-        # journal on its own cursor; the lock covers ticks of
-        # different standing queries running on different threads
-        self._posteriors: Dict[str, _Posteriors] = {}
-        self._posteriors_version = database.version
-        self._posterior_lock = threading.Lock()
 
     @property
     def standing(self) -> Tuple[StandingQuery, ...]:
@@ -1103,34 +946,6 @@ class StreamingQueryEngine:
         )
         self._standing.append(standing)
         return standing
-
-    def _posteriors_of(
-        self, cohort, rows, last, chain, context
-    ) -> SupportBlock:
-        """The Lemma 1 posteriors of ``rows`` (re-sighted objects whose
-        evidence all precedes the caller's window) at their latest
-        observation times ``last``, from the chain's shared table,
-        caught up with the database first."""
-        database = self.database
-        with self._posterior_lock:
-            version = database.version
-            if self._posteriors_version != version:
-                changes = database.changes_since(
-                    self._posteriors_version
-                )
-                self._posteriors_version = version
-                if changes is None or any(
-                    change.op == "chain" for change in changes
-                ):
-                    self._posteriors.clear()
-                for table in self._posteriors.values():
-                    table.sync(changes, database)
-            key = cohort.chain_id
-            table = self._posteriors.get(key)
-            if table is None or table.cohort is not cohort:
-                table = self._posteriors[key] = _Posteriors(cohort)
-            table.fill(rows, last, chain, self.backend, database, context)
-            return table.block(rows)
 
     def tick_all(self) -> List[Optional["QueryResult"]]:
         """Tick every registered standing query; never raises.

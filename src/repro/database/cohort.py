@@ -24,18 +24,23 @@ ones the database swaps in a :meth:`Cohort.compacted` copy.
 Growth replaces the columns, so rows taken earlier always index them
 safely; liveness, ``is_multi`` and ``last_time`` are patched in place,
 and a reader that needs one state of them while other threads keep
-syncing the cohort takes a :class:`CohortView`.
+syncing the cohort takes a :class:`CohortView`.  Beside each cohort
+sits its :class:`Posteriors`, shared by every reader of the cohort.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.distribution import SupportBlock
+from repro.core.errors import ValidationError
+from repro.core.observation import ObservationSet
+from repro.exec.operators import POSTERIOR_COLLAPSE
 
-__all__ = ["Cohort", "CohortView"]
+__all__ = ["Cohort", "CohortView", "Posteriors"]
 
 
 class Cohort:
@@ -49,6 +54,7 @@ class Cohort:
         is_multi: per row, later observations exist (Section VI).
         object_id: per row, the object's id (``object`` array).
         row_of: ``{object id: row}`` of the live objects.
+        posteriors: the rows' shared Lemma 1 posteriors.
     """
 
     def __init__(self, chain_id: str, n_states: int) -> None:
@@ -64,6 +70,7 @@ class Cohort:
         self.row_of: Dict[str, int] = {}
         self._alive = np.zeros(0, dtype=bool)
         self._rows: Optional[np.ndarray] = None
+        self.posteriors = Posteriors(self)
 
     @property
     def n_rows(self) -> int:
@@ -77,9 +84,10 @@ class Cohort:
         A fresh array after every mutation, never modified in place:
         a plan holds on to it as the snapshot it was made on.
         """
-        if self._rows is None:
-            self._rows = np.flatnonzero(self._alive)
-        return self._rows
+        rows = self._rows  # one read: a patch may reset it meanwhile
+        if rows is None:
+            rows = self._rows = np.flatnonzero(self._alive)
+        return rows
 
     def __len__(self) -> int:
         return len(self.row_of)
@@ -106,6 +114,18 @@ class Cohort:
             (row_of[i] for i in object_ids if i in row_of),
             dtype=np.int64,
         )
+
+    def record(self, database, row: int) -> Optional[ObservationSet]:
+        """The observations of row ``row`` in ``database`` -- ``None``
+        once a write racing the reader has removed or re-anchored the
+        object (the row is dead by then)."""
+        try:
+            observations = database.get(self.object_id[row]).observations
+        except ValidationError:
+            return None
+        if observations.first.time != self.start_time[row]:
+            return None
+        return observations
 
     # ------------------------------------------------------------------
     # mutation (the owning database only, under its cohort lock)
@@ -195,3 +215,133 @@ class CohortView(NamedTuple):
     rows: np.ndarray
     is_multi: np.ndarray
     last_time: np.ndarray
+
+
+class Posteriors:
+    """Lemma 1 filtered posteriors of one cohort's re-sighted objects.
+
+    ``P(X_t_last | observations)`` does not depend on the query region,
+    so every reader -- one-shot queries, the store's in-parent path,
+    standing-query ticks -- shares the table: a re-sighting is
+    collapsed once, whoever asks first.  Row-aligned with the cohort:
+    ``slot[row]`` names the row's entry in an append-only CSR (``-1``:
+    none), ``time[row]`` the observation time it is filtered up to,
+    ``folded[row]`` how many observations it folded in.  A removed or
+    re-anchored object gets a fresh row and a compacted cohort a fresh
+    table, so nothing inherits an entry; the journal replay drops one
+    a backfilled sighting invalidates, and a call with another chain
+    empties the table.
+    """
+
+    def __init__(self, cohort: Cohort) -> None:
+        self.cohort = cohort
+        self._lock = threading.Lock()
+        self._clear(None)
+
+    def _clear(self, chain) -> None:
+        self.chain = chain
+        self.slot = np.zeros(0, dtype=np.int64)
+        self.time = np.zeros(0, dtype=np.int64)
+        self.folded = np.zeros(0, dtype=np.int64)
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.states = np.zeros(0, dtype=np.int64)
+        self.weights = np.zeros(0, dtype=float)
+
+    def _grow(self) -> None:
+        """One (empty) entry per cohort row appended since."""
+        fresh = np.full(
+            self.cohort.n_rows - len(self.slot), -1, dtype=np.int64
+        )
+        if fresh.size:
+            self.slot = np.concatenate([self.slot, fresh])
+            self.time = np.concatenate([self.time, fresh])
+            self.folded = np.concatenate([self.folded, fresh])
+
+    def observed(self, row: int, observations: ObservationSet) -> None:
+        """A sighting landed on ``row``: drop the entry if it was
+        backfilled below it (a later one is resumed from)."""
+        with self._lock:
+            if row >= len(self.slot) or self.slot[row] < 0:
+                return
+            upto = sum(o.time <= self.time[row] for o in observations)
+            if upto != self.folded[row]:
+                self.slot[row] = self.time[row] = -1
+
+    def collapse(
+        self, rows, last, chain, database, backend=None, context=None
+    ) -> SupportBlock:
+        """The posteriors of ``rows`` at ``last`` (the latest
+        observation time in the caller's view of each) as one CSR.
+        Entries missing or not at ``last`` are filtered first through
+        :data:`~repro.exec.operators.POSTERIOR_COLLAPSE`; a row whose
+        record a racing write took away gets an empty one."""
+        with self._lock:
+            if chain is not self.chain:
+                self._clear(chain)
+            self._fill(rows, last, database, backend, context)
+            return self._block(rows)
+
+    def _block(self, rows: np.ndarray) -> SupportBlock:
+        """The entries of ``rows`` (all filled) as one CSR."""
+        slots = self.slot[rows]
+        return SupportBlock.gather(
+            self.cohort.n_states, self.states, self.weights,
+            self.indptr[slots], self.indptr[slots + 1],
+        )
+
+    def _fill(self, rows, last, database, backend, context) -> None:
+        self._grow()
+        cohort = self.cohort
+        pick = self.time[rows] != last
+        if not pick.any():
+            return
+        stale = rows[pick]
+        supports, weights, folded = [], [], []
+        for row, slot, upto in zip(
+            stale.tolist(), self.slot[stale].tolist(), last[pick].tolist()
+        ):
+            observations = cohort.record(database, row)
+            if observations is None:
+                supports.append(self.states[:0])
+                weights.append(self.weights[:0])
+                folded.append(0)
+                continue
+            if observations.last.time != upto:
+                # sighted again since the caller took its view: it
+                # answers from the evidence it saw
+                observations = ObservationSet(tuple(
+                    o for o in observations if o.time <= upto
+                ))
+            resume = None
+            if slot >= 0 and self.time[row] < upto:
+                entry = slice(self.indptr[slot], self.indptr[slot + 1])
+                resume = (int(self.time[row]), self.states[entry],
+                          self.weights[entry])
+            _t_last, support, weight = POSTERIOR_COLLAPSE(
+                (observations, resume), self.chain, None, backend,
+                context=context,
+            )
+            supports.append(support)
+            weights.append(weight)
+            folded.append(len(observations))
+        n_slots = len(self.indptr) - 1
+        self.indptr = np.concatenate([
+            self.indptr,
+            self.indptr[-1] + np.cumsum([len(s) for s in supports]),
+        ])
+        self.states = np.concatenate([self.states] + supports)
+        self.weights = np.concatenate([self.weights] + weights)
+        self.slot[stale] = np.arange(n_slots, n_slots + len(stale))
+        self.time[stale] = last[pick]
+        self.folded[stale] = folded
+        live = np.zeros(len(self.slot), dtype=bool)
+        live[cohort.rows[cohort.rows < len(live)]] = live[rows] = True
+        live = np.flatnonzero(live & (self.slot >= 0))
+        if len(self.indptr) - 1 > 2 * len(live) + 64:
+            # superseded and departed entries outnumber the live ones
+            block = self._block(live)
+            self.indptr, self.states = block.indptr, block.states
+            self.weights = block.probs
+            self.slot[:] = -1
+            self.slot[live] = np.arange(len(live))
+            self.time[self.slot < 0] = -1

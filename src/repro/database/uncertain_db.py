@@ -363,7 +363,8 @@ class TrajectoryDatabase:
         """Replay journal entries onto the cohorts.
 
         ``add`` appends a row, ``remove`` tombstones it, ``observe``
-        flips ``is_multi`` and moves ``last_time`` in place -- unless
+        flips ``is_multi`` and moves ``last_time`` in place (and drops
+        a posterior entry the sighting was backfilled below) -- unless
         the sighting was backfilled before the first one, which moves
         the anchoring observation and so replaces the row.  Each touched id is
         reconciled once against the database's *current* record, so
@@ -397,6 +398,7 @@ class TrajectoryDatabase:
                 ):
                     holder.is_multi[row] = True
                     holder.last_time[row] = obj.observations.last.time
+                    holder.posteriors.observed(row, obj.observations)
                     continue
                 holder.discard(object_id)
             if obj is not None:

@@ -503,7 +503,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
     """
     from functools import partial
 
-    from repro.core.batch import evaluate_rows
+    from repro.core.batch import collapse_posteriors, evaluate_rows
     from repro.core.query import SpatioTemporalWindow
     from repro.database.pruning import reachability_levels
     from repro.exec.operators import BFS_PRUNE, ExecutionContext
@@ -595,8 +595,13 @@ def _evaluate_store_shard(task: _StoreShardTask):
             candidates,
             block=view.block,
             start_time=start_time,
+            last_time=view.last_time,
             is_multi=view.is_multi,
             observation_sets=view.observation_sets,
+            # slabs are immutable: collapse the few re-sighted rows here
+            posteriors=lambda subset, _last: collapse_posteriors(
+                chain, view.observation_sets(subset), context
+            ),
             n_samples=task.n_samples,
             seeds=seeds,
             plan_cache=cache,

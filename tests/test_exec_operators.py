@@ -24,6 +24,7 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
+from repro.core.batch import batch_exists_multi
 from repro.core.distribution import SupportBlock
 from repro.core.errors import InfeasibleEvidenceError, QueryError
 from repro.core.matrices import (
@@ -421,9 +422,26 @@ class TestForwardSweep:
     def test_engine_ob_with_multi_observations_matches_qb(
         self, wide, taken
     ):
-        """method="ob" on a database whose single- and multi-observation
-        groups both sweep as frontiers agrees with QB and with the pure
-        backend."""
+        """method="ob" on a database whose objects were re-sighted
+        before the window: their Lemma 1 posteriors join the single
+        observations' frontier, and the one sweep agrees with QB and
+        with the pure backend."""
+        built = self.engine_ob_parity(wide, taken, resighted_at=3)
+        assert built == ["_Frontier"]
+
+    def test_engine_ob_with_a_sighting_inside_the_window_sweeps_twice(
+        self, wide, taken
+    ):
+        """Evidence inside the window keeps the Section VI doubled
+        sweep: the single- and multi-observation rows sweep as two
+        frontiers."""
+        built = self.engine_ob_parity(wide, taken, resighted_at=6)
+        assert built == ["_Frontier", "_Frontier"]
+
+    @staticmethod
+    def engine_ob_parity(wide, taken, resighted_at):
+        """OB agrees with QB, with the pure backend and with the
+        Section VI doubled sweep; returns the stacks OB built."""
         chain, _ = wide
         database = TrajectoryDatabase.with_chain(chain)
         rng = np.random.default_rng(21)
@@ -432,9 +450,10 @@ class TestForwardSweep:
             observations = [
                 Observation.uniform(0, WIDE_STATES, range(center, center + 5))
             ]
-            if index % 2:  # re-sighted before the window
+            if index % 2:
                 observations.append(Observation.uniform(
-                    3, WIDE_STATES, range(center - 25, center + 30)
+                    resighted_at, WIDE_STATES,
+                    range(center - 25, center + 30),
                 ))
             database.add(UncertainObject(
                 f"o{index}", ObservationSet.of(*observations)
@@ -444,19 +463,28 @@ class TestForwardSweep:
         ob = QueryEngine(database).evaluate(
             query, method="ob", options=options
         )
-        assert taken == ["_Frontier", "_Frontier"]
+        built = list(taken)
         qb = QueryEngine(database).evaluate(
             query, method="qb", options=options
         )
         pure = QueryEngine(database, backend="pure").evaluate(
             query, method="ob", options=options
         )
-        for object_id, value in ob.values.items():
+        ids = database.object_ids
+        section6 = batch_exists_multi(
+            chain,
+            [database.get(object_id).observations for object_id in ids],
+            WIDE_WINDOW,
+        )
+        for object_id, expected in zip(ids, section6):
+            value = ob.values[object_id]
             assert value == pytest.approx(qb.values[object_id], abs=1e-12)
             assert value == pytest.approx(
                 pure.values[object_id], abs=1e-12
             )
+            assert value == pytest.approx(expected, abs=1e-12)
         assert max(ob.values.values()) > 0.0
+        return built
 
 
 class TestLadderExtend:

@@ -9,18 +9,29 @@ from repro import (
     MonteCarloSampler,
     Observation,
     ObservationSet,
+    PlanOptions,
     PossibleWorldEnumerator,
+    PSTExistsQuery,
+    PSTForAllQuery,
+    QueryEngine,
     SpatioTemporalWindow,
     StateDistribution,
+    TrajectoryDatabase,
+    UncertainObject,
     build_doubled_matrices,
     ob_exists_probability,
     ob_exists_probability_multi,
 )
+from repro.core.batch import batch_exists_multi
 from repro.core.errors import (
     InfeasibleEvidenceError,
     QueryError,
     ValidationError,
 )
+from repro.core.state_space import LineStateSpace
+from repro.exec.operators import PosteriorCollapse
+from repro.store.sharded import ShardedTrajectoryStore
+from repro.workloads.synthetic import make_line_chain
 
 from conftest import random_chain, random_distribution
 
@@ -229,3 +240,241 @@ class TestValidation:
             ob_exists_probability_multi(
                 paper_chain, observations, window, matrices=matrices
             )
+
+
+# ----------------------------------------------------------------------
+# Lemma 1 collapse: evidence before the window rides the single kernel
+# ----------------------------------------------------------------------
+GRID_STATES = 80
+GRID_WINDOW = SpatioTemporalWindow.from_ranges(30, 50, 6, 9)
+# re-sighting times relative to the window's T_q = [6, 9]
+SIGHTED = {"before": (3,), "twice-before": (2, 4), "at": (6,),
+           "inside": (8,), "after": (12,)}
+
+
+def sighting(chain, observations, time, width=3):
+    """A feasible, informative sighting at ``time``: the states around
+    the likeliest one given ``observations``."""
+    pdf, at = observations.first.distribution, observations.first.time
+    for seen in observations.after(at):
+        pdf = StateDistribution(
+            chain.propagate(pdf, seen.time - at).vector
+            * seen.distribution.vector,
+            normalize=True,
+        )
+        at = seen.time
+    center = chain.propagate(pdf, time - at).mode()
+    low, high = max(0, center - width), min(chain.n_states, center + width)
+    return Observation.uniform(time, chain.n_states, range(low, high + 1))
+
+
+def grid_database(seed=71):
+    """Single-observation objects plus objects re-sighted before, at,
+    inside and after ``GRID_WINDOW``."""
+    rng = np.random.default_rng(seed)
+    chain = make_line_chain(GRID_STATES, max_step=10, rng=rng)
+    database = TrajectoryDatabase.with_chain(
+        chain, state_space=LineStateSpace(GRID_STATES)
+    )
+    for label, times in [("single", ())] + list(SIGHTED.items()):
+        for index in range(4):
+            low = int(rng.integers(22, 54))
+            observations = ObservationSet.of(Observation.uniform(
+                int(rng.integers(0, 2)), GRID_STATES, range(low, low + 4)
+            ))
+            for time in times:
+                observations = ObservationSet(
+                    observations.observations
+                    + (sighting(chain, observations, time),)
+                )
+            database.add(UncertainObject(f"{label}-{index}", observations))
+    return database
+
+
+def section6(database, query):
+    """Every object's answer by the Section VI doubled sweep."""
+    ids = database.object_ids
+    window = query.window
+    if isinstance(query, PSTForAllQuery):
+        window = window.with_region(
+            query.region.complement(database.n_states)
+        )
+    answers = batch_exists_multi(
+        database.chain(), [database.get(i).observations for i in ids],
+        window,
+    )
+    if isinstance(query, PSTForAllQuery):
+        answers = 1.0 - answers
+    return dict(zip(ids, answers.tolist()))
+
+
+def count_collapses(monkeypatch):
+    calls = []
+    original = PosteriorCollapse.run
+
+    def counting(self, inputs, *args, **kwargs):
+        calls.append(len(inputs[0]))
+        return original(self, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(PosteriorCollapse, "run", counting)
+    return calls
+
+
+class TestLemma1Collapse:
+    """A re-sighted object whose evidence all precedes the window
+    answers from its filtered posterior through the planned single
+    kernel; its answer is the Section VI doubled sweep's."""
+
+    @pytest.mark.parametrize("layout", ["in-RAM", "store"])
+    @pytest.mark.parametrize("dispatch", ["serial", "process"])
+    @pytest.mark.parametrize("case", ["qb", "ob", "forall"])
+    def test_matches_section6(self, tmp_path, layout, dispatch, case):
+        database = grid_database()
+        target = database
+        if layout == "store":
+            target = ShardedTrajectoryStore.create(
+                tmp_path / "store", database, shards_per_chain=2
+            )
+        # journaled sightings: overlay objects the parent evaluates
+        # next to the slab shards' re-sighted rows
+        for object_id, time in [("single-0", 4), ("single-1", 7),
+                                ("before-0", 5)]:
+            seen = sighting(
+                database.chain(), database.get(object_id).observations,
+                time,
+            )
+            for writable in {id(database): database,
+                             id(target): target}.values():
+                writable.append_observation(object_id, seen)
+        query_type = PSTForAllQuery if case == "forall" else PSTExistsQuery
+        query = query_type(GRID_WINDOW)
+        result = QueryEngine(target).evaluate(
+            query,
+            method="auto" if case == "forall" else case,
+            options=PlanOptions(dispatch=dispatch, max_workers=2),
+        )
+        expected = section6(database, query)
+        assert set(result.values) == set(expected)
+        for object_id, value in expected.items():
+            assert result.values[object_id] == pytest.approx(
+                value, abs=1e-12
+            ), object_id
+        assert max(expected.values()) > 0.0
+
+    @pytest.mark.parametrize("method", ["qb", "ob"])
+    def test_tiny_chains_match_conditioned_enumeration(self, method):
+        rng = np.random.default_rng(72)
+        for _ in range(12):
+            n = int(rng.integers(2, 5))
+            chain = random_chain(n, rng)
+            window = SpatioTemporalWindow(
+                frozenset(int(s) for s in rng.choice(
+                    n, size=int(rng.integers(1, n)), replace=False
+                )),
+                frozenset({3, 4}),
+            )
+            database = TrajectoryDatabase.with_chain(chain)
+            oracles = {}
+            for index, times in enumerate([(), (1,), (1, 2), (3,), (4,),
+                                           (5,)]):
+                first = random_distribution(n, rng, sparse=True)
+                later = [(t, random_distribution(n, rng)) for t in times]
+                database.add(UncertainObject(
+                    f"o{index}",
+                    ObservationSet.of(
+                        Observation(0, first),
+                        *(Observation(t, pdf) for t, pdf in later),
+                    ),
+                ))
+                oracles[f"o{index}"] = PossibleWorldEnumerator(
+                    chain, first, max((4,) + times)
+                ).conditioned_on_observations(later)
+            engine = QueryEngine(database)
+            exists = engine.evaluate(PSTExistsQuery(window), method=method)
+            forall = engine.evaluate(PSTForAllQuery(window), method=method)
+            for object_id, oracle in oracles.items():
+                assert exists.values[object_id] == pytest.approx(
+                    oracle.exists_probability(window), abs=1e-12
+                )
+                assert forall.values[object_id] == pytest.approx(
+                    oracle.probability_that(
+                        lambda world: world.stays_within(window)
+                    ),
+                    abs=1e-12,
+                )
+
+    @pytest.mark.parametrize("method", ["qb", "ob"])
+    @pytest.mark.parametrize("time", [1, 2])
+    def test_contradictory_evidence_raises(self, paper_chain, method, time):
+        """From s1 the object is certainly at s3 at t=1; a sighting at
+        s1 then contradicts it, whether the collapse (before the
+        window) or the doubled sweep (at it) meets it."""
+        database = TrajectoryDatabase.with_chain(paper_chain)
+        database.add(UncertainObject("o", ObservationSet.of(
+            Observation.precise(0, 3, 0),
+            Observation.precise(1, 3, 0),
+        )))
+        window = SpatioTemporalWindow(frozenset({1}), frozenset({time, 3}))
+        with pytest.raises(InfeasibleEvidenceError):
+            QueryEngine(database).evaluate(
+                PSTExistsQuery(window), method=method
+            )
+
+    def test_backfilled_sighting_is_refiltered(self, monkeypatch):
+        database = grid_database()
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(GRID_WINDOW)
+        calls = count_collapses(monkeypatch)
+        engine.evaluate(query, method="qb")
+        collapsed = len(calls)
+        assert collapsed == 8  # "before-*" and "twice-before-*"
+        engine.evaluate(query, method="ob")
+        assert len(calls) == collapsed  # one table, every reader
+        observations = database.get("twice-before-0").observations
+        # between the two sightings the entry at t=4 was filtered over
+        backfill = sighting(
+            database.chain(),
+            ObservationSet(observations.observations[:2]),
+            3,
+            width=1,
+        )
+        database.append_observation("twice-before-0", backfill)
+        result = engine.evaluate(query, method="qb")
+        assert len(calls) == collapsed + 1
+        expected = section6(database, query)
+        for object_id, value in expected.items():
+            assert result.values[object_id] == pytest.approx(
+                value, abs=1e-12
+            )
+
+    def test_readded_id_never_inherits_an_entry(self):
+        database = grid_database()
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(GRID_WINDOW)
+        engine.evaluate(query)  # collapses "before-0"
+        old = database.remove("before-0").observations
+        fresh = ObservationSet.of(Observation.uniform(
+            old.first.time, GRID_STATES, range(40, 44)
+        ))
+        fresh = ObservationSet(
+            fresh.observations
+            + (sighting(database.chain(), fresh, old.last.time),)
+        )
+        assert fresh.times == old.times
+        database.add(UncertainObject("before-0", fresh))
+        result = engine.evaluate(query)
+        assert result.values["before-0"] == pytest.approx(
+            section6(database, query)["before-0"], abs=1e-12
+        )
+
+    def test_explain_reports_the_split(self):
+        plan = QueryEngine(grid_database()).explain(
+            PSTExistsQuery(GRID_WINDOW)
+        )
+        (group,) = plan.groups
+        features = group.features
+        # before + twice-before collapse; at, inside and after double
+        assert (
+            features.n_single, features.n_collapsed, features.n_multi
+        ) == (12, 8, 12)
+        assert "12 (8 collapsed) single + 12 multi" in plan.describe()

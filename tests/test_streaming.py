@@ -464,6 +464,9 @@ class TestSharedPosteriors:
     def test_four_queries_collapse_each_resighting_once(
         self, monkeypatch
     ):
+        """Four standing queries plus the one-shot ``evaluate()`` calls
+        of the reference between their ticks: the database keeps one
+        table, so each re-sighting is collapsed once in all."""
         database = build_database(seed=61, n_chains=1)
         engine = QueryEngine(database)
         reference = QueryEngine(database)
@@ -546,8 +549,9 @@ class TestSharedPosteriors:
 
     def test_concurrent_ticks_share_the_table(self, monkeypatch):
         """Standing queries of one engine ticked from different
-        threads (the service does this): still one collapse per
-        re-sighting, still exact."""
+        threads, with a one-shot ``evaluate()`` beside them (the
+        service does this): still one collapse per re-sighting, still
+        exact."""
         database = build_database(seed=64, n_chains=1)
         engine = QueryEngine(database)
         reference = QueryEngine(database)
@@ -571,10 +575,12 @@ class TestSharedPosteriors:
                                 5 + tick, N_STATES, range(N_STATES)
                             ),
                         )
+                    one_shot = PSTExistsQuery(shifted(windows[0], tick))
                     results = list(
                         pool.map(
-                            lambda watched: watched.tick(),
-                            standing,
+                            lambda work: work(),
+                            [watched.tick for watched in standing]
+                            + [lambda: engine.evaluate(one_shot)],
                             timeout=120,
                         )
                     )
@@ -603,7 +609,7 @@ class TestSharedPosteriors:
         assert_tick_parity(
             result, reference.evaluate(result.query), database
         )
-        (table,) = engine._streaming._posteriors.values()
+        table = database.cohorts()["chain-0"].posteriors
         # one live entry; the table holds a bounded number of dead ones
         assert len(table.indptr) - 1 <= 2 * 1 + 64 + 1 < n_ticks
 
@@ -814,10 +820,12 @@ class TestWritesRacingATick:
             PSTExistsQuery(self.WIDE), faults=_Interloper(None)
         )
         first.tick()
-        self.resight(database, "obj-0", 6)  # not collapsed yet
-        first.faults.act = interlope
+        # taken before the re-sighting: a one-shot query after it would
+        # fill the shared posterior table
         before = reference.evaluate(PSTExistsQuery(first.window))
         del before.values["obj-0"]
+        self.resight(database, "obj-0", 6)  # not collapsed yet
+        first.faults.act = interlope
         result = first.tick()
         assert first.faults.act is None
         assert_values_parity(result, before)
