@@ -27,7 +27,6 @@ from repro.core.batch import (
     backward_vectors,
     batch_exists_multi,
     batch_ktimes_distribution,
-    batch_mc_exists,
     batch_ob_exists,
     batch_qb_exists,
 )
@@ -196,7 +195,6 @@ __all__ = [
     "batch_ob_exists",
     "batch_qb_exists",
     "batch_exists_multi",
-    "batch_mc_exists",
     "batch_ktimes_distribution",
     "backward_vectors",
     "PlanCache",

@@ -58,7 +58,6 @@ from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
-from repro.core.montecarlo import MonteCarloSampler
 from repro.core.observation import ObservationSet
 from repro.core.query import SpatioTemporalWindow
 from repro.exec.operators import (
@@ -80,7 +79,6 @@ __all__ = [
     "batch_ob_exists",
     "batch_qb_exists",
     "batch_exists_multi",
-    "batch_mc_exists",
     "batch_ktimes_distribution",
     "ktimes_sweep",
     "evaluate_rows",
@@ -490,55 +488,6 @@ def ktimes_sweep(
     )
 
 
-def batch_mc_exists(
-    chain: MarkovChain,
-    observation_sets: Sequence[ObservationSet],
-    window: SpatioTemporalWindow,
-    n_samples: int = 100,
-    seeds: Optional[Sequence[Optional[int]]] = None,
-    context: Optional[ExecutionContext] = None,
-) -> np.ndarray:
-    """Monte-Carlo PST-exists for many objects sharing a chain.
-
-    One :class:`~repro.core.montecarlo.MonteCarloSampler` serves every
-    object (its per-chain CDF tables are built once), reseeded per
-    object from ``seeds``.  Per-object seeding keeps each estimate
-    independent of which other objects a pruning stage removed, so the
-    pipeline's filtered MC path reproduces the unfiltered one draw for
-    draw on every surviving object.
-
-    Args:
-        chain: the Markov model shared by the objects.
-        observation_sets: one observation set per object; objects with
-            several observations use the Section VI multi-observation
-            estimator.
-        window: the query window.
-        n_samples: sampled paths per object (paper default 100).
-        seeds: one RNG seed per object (``None`` entries sample
-            nondeterministically); omitted = all nondeterministic.
-        context: optional operator-timing context.
-
-    Returns:
-        Estimated ``P_exists`` per object, aligned with
-        ``observation_sets``.
-    """
-    n_objects = len(observation_sets)
-    window.validate_for(chain.n_states)
-    if n_objects == 0:
-        return np.zeros(0, dtype=float)
-    if seeds is None:
-        seeds = [None] * n_objects
-    if len(seeds) != n_objects:
-        raise ValidationError(
-            f"{len(seeds)} seeds for {n_objects} objects"
-        )
-    return MC_SAMPLE(
-        (observation_sets, window, n_samples, seeds),
-        chain, window.region, None,
-        context=context,
-    )
-
-
 def collapse_posteriors(
     chain: MarkovChain,
     observation_sets: Sequence[ObservationSet],
@@ -577,9 +526,9 @@ def evaluate_rows(
 
     The one place ``(kind, method, is_multi) -> kernel`` is decided
     (tabulated in ``docs/ARCHITECTURE.md``); the one-shot pipeline
-    and the store shard worker build their columns and call it.  ``method="mc"`` samples every row
-    (:func:`batch_mc_exists`; for k-times one reseeded sampler per
-    object, there being no batched k-times sampler).  Exact k-times is
+    and the store shard worker build their columns and call it.
+    ``method="mc"`` samples every row, exists or k-times, in one
+    columnar :data:`~repro.exec.operators.MC_SAMPLE` call.  Exact k-times is
     :func:`batch_ktimes_distribution` whatever the method.  Exact
     exists runs the planned :func:`batch_qb_exists` /
     :func:`batch_ob_exists` in one call over the single-observation rows
@@ -612,24 +561,14 @@ def evaluate_rows(
     """
     shared = dict(backend=backend, plan_cache=plan_cache, context=context)
     if method == "mc":
-        sets = observation_sets(rows)
-        if kind != "ktimes":
-            return batch_mc_exists(
-                chain, sets, window,
-                n_samples=n_samples, seeds=seeds, context=context,
-            )
-        # per-object resampling: there is no batched k-times sampler
-        sampler = MonteCarloSampler(chain)
-        answers = np.zeros((len(rows), window.duration + 1), dtype=float)
-        for row, observations in enumerate(sets):
-            sampler.reseed(None if seeds is None else seeds[row])
-            answers[row] = sampler.ktimes_distribution(
-                observations.first.distribution,
-                window,
-                n_samples,
-                start_time=observations.first.time,
-            )
-        return answers
+        multi = np.flatnonzero(is_multi[rows])
+        evidence = dict(zip(multi.tolist(), observation_sets(rows[multi])))
+        return MC_SAMPLE(
+            (block(rows), start_time[rows], window, n_samples, seeds, kind,
+             evidence),
+            chain, window.region, None,
+            context=context,
+        )
     if kind == "ktimes":
         return batch_ktimes_distribution(
             chain, block(rows), window,

@@ -6,11 +6,12 @@ path sampling is a Bernoulli sequence, the standard deviation of the
 estimate is ``sqrt(p (1 - p) / n)`` -- the accuracy bound the paper quotes
 for 100 samples.
 
-The sampler here is vectorised over paths: a precomputed row-CDF table
-advances *all* samples one timestep with a single inverse-CDF lookup.
-It is nonetheless still *orders of magnitude* slower than the exact
-matrix approaches, which is precisely the headline result of
-Figure 8(a).
+The sampler here is columnar: every object pre-draws its uniforms from
+its own generator, then one ``(objects x samples)`` state array steps
+through a precomputed row-CDF table once per timestep.  At Figure
+8(a)'s sizes it runs below the object-based sweep and 3--12x above the
+query-based pass (README.md), not orders of magnitude above both as in
+the paper.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.distribution import StateDistribution
+from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import (
     InfeasibleEvidenceError,
     QueryError,
@@ -70,13 +71,13 @@ class MonteCarloResult:
 
 
 class MonteCarloSampler:
-    """Vectorised possible-world sampler for one chain.
+    """Columnar possible-world sampler for one chain.
 
     The full row-CDF table -- one padded cumulative row per state -- is
     precomputed lazily on the first sampling call and cached, so every
-    step advances *all* samples with a single vectorised inverse-CDF
-    lookup instead of a per-unique-state mask loop.  Repeated queries
-    against the same sampler reuse the table.
+    step advances *all* samples of *all* objects with one vectorised
+    inverse-CDF lookup instead of a per-unique-state mask loop.
+    Repeated queries against the same sampler reuse the table.
 
     Args:
         chain: the Markov model.
@@ -89,6 +90,9 @@ class MonteCarloSampler:
     # int32 targets = 12 bytes per states-x-widest-row entry); chains
     # too dense to fit fall back to grouped stepping
     _CDF_TABLE_MAX_BYTES = 128 * 1024 * 1024
+    # budget for one chunk's pre-drawn float64 uniforms (rows x time
+    # span x n_samples x 8 bytes): a long row list samples in chunks
+    _DRAW_BLOCK_MAX_BYTES = 4 * 1024 * 1024
 
     # process-wide CDF tables keyed by chain *fingerprint*: every
     # sampler instance over the same chain content shares one table
@@ -110,24 +114,14 @@ class MonteCarloSampler:
         self._cdf_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._cdf_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def reseed(self, seed: Optional[int]) -> "MonteCarloSampler":
-        """Replace the RNG, keeping the (expensive) cached CDF tables.
-
-        The batched MC kernel gives every object its own stream seeded
-        from a stable per-object offset, so an estimate does not depend
-        on which *other* objects a filter stage removed; reseeding one
-        shared sampler avoids re-tabulating the chain per object.
-        """
-        self.rng = np.random.default_rng(seed)
-        return self
-
     def _full_cdf(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(cdf, targets)`` padded ``(n_states, max_row_nnz)`` tables.
 
         Row ``s`` holds the cumulative transition probabilities of state
         ``s`` followed by ``1.0`` padding, so for a uniform draw ``r``
         the sampled column is ``count(cdf[s] < r)`` -- padding is never
-        selected because the last real entry is exactly one.  Returns
+        selected because the last real entry is exactly one.  ``cdf``
+        is column-major, for :meth:`_advance`'s column gathers.  Returns
         None when the table would exceed the memory limit.
         """
         if self._cdf_table is None:
@@ -156,6 +150,7 @@ class MonteCarloSampler:
             weights[rows, columns] = matrix.data
             cdf = np.cumsum(weights, axis=1)
             cdf /= cdf[:, -1:]  # guard against float drift
+            cdf = np.asfortranarray(cdf)
             targets = np.zeros((n, width), dtype=np.int32)
             targets[rows, columns] = matrix.indices
             self._cdf_table = (cdf, targets)
@@ -180,21 +175,38 @@ class MonteCarloSampler:
         self._cdf_cache[state] = entry
         return entry
 
-    def _advance(self, current: np.ndarray) -> np.ndarray:
-        """One transition for all samples at once."""
+    def _advance(self, current: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """One transition for every sample in ``current`` (any shape),
+        each driven by its uniform in the same-shaped ``draws``."""
         table = self._full_cdf()
-        draws = self.rng.random(current.shape[0])
         if table is not None:
             cdf, targets = table
-            picks = (cdf[current] < draws[:, None]).sum(axis=1)
-            return targets[current, picks]
-        # grouped fallback for chains too dense to tabulate
-        nxt = np.empty(current.shape[0], dtype=np.int64)
+            # the pick counts the row's entries below the draw, one
+            # contiguous column gather at a time; the last column is
+            # 1.0, never below a draw
+            picks = np.zeros(current.shape, dtype=np.intp)
+            for column in range(cdf.shape[1] - 1):
+                picks += cdf[:, column][current] < draws
+            return targets[current, picks].astype(np.intp)
+        # grouped fallback for chains too dense to tabulate: the same
+        # inverse-CDF pick per unique current state, hence the same paths
+        nxt = np.empty(current.shape, dtype=np.int64)
         for state in np.unique(current):
             mask = current == state
             targets, cdf = self._row_cdf(int(state))
             nxt[mask] = targets[np.searchsorted(cdf, draws[mask])]
         return nxt
+
+    def _check(self, n_states: int, n_samples: int) -> None:
+        if n_samples <= 0:
+            raise ValidationError(
+                f"n_samples must be positive, got {n_samples}"
+            )
+        if n_states != self.chain.n_states:
+            raise ValidationError(
+                f"initial distribution over {n_states} states, "
+                f"chain over {self.chain.n_states}"
+            )
 
     def sample_paths(
         self, initial: StateDistribution, horizon: int, n_samples: int
@@ -205,43 +217,146 @@ class MonteCarloSampler:
             An integer array of shape ``(n_samples, horizon + 1)``; row
             ``i`` is one possible world.
         """
-        if n_samples <= 0:
-            raise ValidationError(
-                f"n_samples must be positive, got {n_samples}"
-            )
+        self._check(initial.n_states, n_samples)
         if horizon < 0:
             raise ValidationError(
                 f"horizon must be non-negative, got {horizon}"
             )
-        if initial.n_states != self.chain.n_states:
-            raise ValidationError(
-                f"initial distribution over {initial.n_states} states, "
-                f"chain over {self.chain.n_states}"
-            )
+        draws = self.rng.random((horizon + 1, n_samples))
         paths = np.empty((n_samples, horizon + 1), dtype=np.int64)
-        paths[:, 0] = self.rng.choice(
-            initial.n_states, size=n_samples, p=initial.vector
-        )
+        paths[:, 0] = _initial_states(*initial.sparse(), draws[0])
         for step in range(1, horizon + 1):
-            paths[:, step] = self._advance(paths[:, step - 1])
+            paths[:, step] = self._advance(paths[:, step - 1], draws[step])
         return paths
 
     # ------------------------------------------------------------------
-    # query estimators
+    # the columnar sampler
     # ------------------------------------------------------------------
-    def _hit_counts(
+    def estimate(
         self,
-        paths: np.ndarray,
+        initials: SupportBlock,
+        start_times: Sequence[int],
         window: SpatioTemporalWindow,
-        start_time: int,
+        n_samples: int,
+        seeds: Optional[Sequence[Optional[int]]] = None,
+        kind: str = "exists",
+        evidence: Optional[Mapping[int, ObservationSet]] = None,
     ) -> np.ndarray:
-        region = np.zeros(self.chain.n_states, dtype=bool)
-        region[list(window.region)] = True
-        counts = np.zeros(paths.shape[0], dtype=np.int64)
-        for time in window.times:
-            counts += region[paths[:, time - start_time]]
-        return counts
+        """MC answers for many objects, sampled in one stepping loop.
 
+        Row ``i`` draws from ``default_rng(seeds[i])`` (this sampler's
+        generator where the seed is ``None``) exactly the uniforms, in
+        the order, that sampling the object alone takes, so its answer
+        does not depend on which rows share the call.
+
+        Args:
+            initials / start_times: each object's first observation.
+            seeds: one per object; omitted = all ``None``.
+            kind: ``"exists"`` or ``"ktimes"``.
+            evidence: ``{row: observation set}`` of the rows sighted
+                again, whose later sightings weight the row's paths
+                (self-normalised importance sampling of Equation 1).
+                K-times samples from the first observation only, as the
+                exact k-times kernel does.
+
+        Returns:
+            ``(rows,)`` exists probabilities, or the
+            ``(rows, |T_q| + 1)`` visit-count distributions.
+
+        Raises:
+            InfeasibleEvidenceError: when every path of some row
+                contradicts its later observations.
+        """
+        width = window.duration + 1
+        ktimes = kind == "ktimes"
+        answers = np.zeros((len(initials), width) if ktimes else len(initials))
+        for lo, counts, weights in self._sample(
+            initials, start_times, window, n_samples, seeds,
+            None if ktimes else evidence,
+        ):
+            rows = slice(lo, lo + len(counts))
+            if ktimes:
+                cells = counts + width * np.arange(len(counts))[:, None]
+                answers[rows] = np.bincount(
+                    cells.ravel(), minlength=len(counts) * width
+                ).reshape(-1, width) / n_samples
+            else:
+                answers[rows] = _weighted(counts > 0, weights)[0]
+        return answers
+
+    def _sample(
+        self, initials, start_times, window, n_samples, seeds, evidence
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Yield ``(lo, counts, weights)`` per chunk of rows whose
+        pre-drawn uniforms fit ``_DRAW_BLOCK_MAX_BYTES``: ``counts[i, j]``
+        is the number of window times path ``j`` of row ``lo + i``
+        spends in the region, ``weights[i, j]`` that path's likelihood
+        of the row's later observations (one without ``evidence``).  A
+        row joins the state array at its first observation and leaves
+        after its last."""
+        self._check(initials.n_states, n_samples)
+        window.validate_for(self.chain.n_states)
+        n_rows, evidence = len(initials), evidence or {}
+        seeds = [None] * n_rows if seeds is None else seeds
+        if len(seeds) != n_rows:
+            raise ValidationError(f"{len(seeds)} seeds for {n_rows} objects")
+        starts = np.asarray(start_times, dtype=np.int64).reshape(-1)
+        if n_rows and starts.max() > window.t_start:
+            raise QueryError(
+                f"query time {window.t_start} precedes the observation "
+                f"at t={starts.max()}"
+            )
+        finals = np.full(n_rows, window.t_end, dtype=np.int64)
+        for row, observations in evidence.items():
+            finals[row] = max(finals[row], observations.last.time)
+        region = np.zeros(self.chain.n_states, dtype=bool)
+        region[window.region.array] = True
+        span = int(finals.max() - starts.min()) + 1 if n_rows else 1
+        step = max(1, self._DRAW_BLOCK_MAX_BYTES // (8 * span * n_samples))
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            first, last = int(starts[lo:hi].min()), int(finals[lo:hi].max())
+            draws = np.empty((last - first + 1, hi - lo, n_samples))
+            initial = np.empty((hi - lo, n_samples), dtype=np.intp)
+            for row in range(lo, hi):
+                seed = seeds[row]
+                rng = self.rng if seed is None else np.random.default_rng(seed)
+                begin = starts[row] - first
+                own = rng.random((finals[row] - starts[row] + 1, n_samples))
+                draws[begin:begin + len(own), row - lo] = own
+                support = slice(initials.indptr[row], initials.indptr[row + 1])
+                initial[row - lo] = _initial_states(
+                    initials.states[support], initials.probs[support], own[0]
+                )
+            fusions: Dict[int, list] = {}
+            for row in (row for row in evidence if lo <= row < hi):
+                for observation in evidence[row].after(int(starts[row])):
+                    fusions.setdefault(observation.time, []).append(
+                        (row - lo, observation.distribution.vector)
+                    )
+            weights = np.ones((hi - lo, n_samples))
+            counts = np.zeros((hi - lo, n_samples), dtype=np.int64)
+            current = np.zeros((hi - lo, n_samples), dtype=np.intp)
+            joins, leaves = starts[lo:hi], finals[lo:hi]
+            for time in range(first, last + 1):
+                stepping = (joins < time) & (leaves >= time)
+                if stepping.all():
+                    current = self._advance(current, draws[time - first])
+                elif stepping.any():
+                    current[stepping] = self._advance(
+                        current[stepping], draws[time - first][stepping]
+                    )
+                joining = joins == time
+                current[joining] = initial[joining]
+                for row, vector in fusions.get(time, ()):
+                    weights[row] *= vector[current[row]]
+                if time in window.times:
+                    counts += region[current]
+            yield lo, counts, weights
+
+    # ------------------------------------------------------------------
+    # one-object estimators: one-row calls of the columnar sampler
+    # ------------------------------------------------------------------
     def exists_probability(
         self,
         initial: StateDistribution,
@@ -250,12 +365,10 @@ class MonteCarloSampler:
         start_time: int = 0,
     ) -> MonteCarloResult:
         """Estimate the PST-exists probability from sampled paths."""
-        self._check_window(window, start_time)
-        paths = self.sample_paths(
-            initial, window.t_end - start_time, n_samples
-        )
-        counts = self._hit_counts(paths, window, start_time)
-        return MonteCarloResult(float((counts > 0).mean()), n_samples)
+        estimate = self.estimate(
+            _one_row(initial), [start_time], window, n_samples
+        )[0]
+        return MonteCarloResult(float(estimate), n_samples)
 
     def forall_probability(
         self,
@@ -264,15 +377,12 @@ class MonteCarloSampler:
         n_samples: int,
         start_time: int = 0,
     ) -> MonteCarloResult:
-        """Estimate the PST-for-all probability from sampled paths."""
-        self._check_window(window, start_time)
-        paths = self.sample_paths(
-            initial, window.t_end - start_time, n_samples
+        """Estimate the PST-for-all probability from sampled paths: the
+        share of paths in the region at all ``|T_q|`` times."""
+        distribution = self.ktimes_distribution(
+            initial, window, n_samples, start_time
         )
-        counts = self._hit_counts(paths, window, start_time)
-        return MonteCarloResult(
-            float((counts == window.duration).mean()), n_samples
-        )
+        return MonteCarloResult(float(distribution[-1]), n_samples)
 
     def ktimes_distribution(
         self,
@@ -282,15 +392,10 @@ class MonteCarloSampler:
         start_time: int = 0,
     ) -> np.ndarray:
         """Estimate the full visit-count distribution from sampled paths."""
-        self._check_window(window, start_time)
-        paths = self.sample_paths(
-            initial, window.t_end - start_time, n_samples
-        )
-        counts = self._hit_counts(paths, window, start_time)
-        return (
-            np.bincount(counts, minlength=window.duration + 1).astype(float)
-            / n_samples
-        )
+        return self.estimate(
+            _one_row(initial), [start_time], window, n_samples,
+            kind="ktimes",
+        )[0]
 
     def exists_probability_multi(
         self,
@@ -305,42 +410,48 @@ class MonteCarloSampler:
         states (self-normalised importance sampling of Equation 1).
         """
         first = observations.first
-        self._check_window(window, first.time)
-        final_time = max(window.t_end, observations.last.time)
-        paths = self.sample_paths(
-            first.distribution, final_time - first.time, n_samples
+        ((_, counts, weights),) = self._sample(
+            _one_row(first.distribution), [first.time], window, n_samples,
+            None, {0: observations},
         )
-        weights = np.ones(n_samples, dtype=float)
-        for observation in observations.after(first.time):
-            column = paths[:, observation.time - first.time]
-            weights *= observation.distribution.vector[column]
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise InfeasibleEvidenceError(
-                "all sampled paths are inconsistent with the observations; "
-                "increase n_samples or check the observations"
-            )
-        region = np.zeros(self.chain.n_states, dtype=bool)
-        region[list(window.region)] = True
-        hit = np.zeros(n_samples, dtype=bool)
-        for time in window.times:
-            hit |= region[paths[:, time - first.time]]
+        estimate, totals = _weighted(counts > 0, weights)
         # with self-normalised importance weights the Bernoulli error
         # bound applies to Kish's effective sample size, not n_samples
-        effective = int(max(1, round(total**2 / float((weights**2).sum()))))
-        return MonteCarloResult(
-            float((weights * hit).sum() / total), effective
+        effective = int(
+            max(1, round(totals[0] ** 2 / float((weights**2).sum())))
         )
+        return MonteCarloResult(float(estimate[0]), effective)
 
-    def _check_window(
-        self, window: SpatioTemporalWindow, start_time: int
-    ) -> None:
-        window.validate_for(self.chain.n_states)
-        if window.t_start < start_time:
-            raise QueryError(
-                f"query time {window.t_start} precedes the observation "
-                f"at t={start_time}"
-            )
+
+def _one_row(distribution: StateDistribution) -> SupportBlock:
+    return SupportBlock.from_distributions(
+        [distribution], distribution.n_states
+    )
+
+
+def _initial_states(
+    states: np.ndarray, probabilities: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """``Generator.choice(n, p=vector)`` on ``uniforms``, from the
+    vector's support: its cumulative sums are the dense vector's (a
+    zero entry never moves a sum)."""
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    return states[np.searchsorted(cdf, uniforms, side="right")]
+
+
+def _weighted(
+    hit: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Self-normalised importance estimates and weight totals, one per
+    row (unit weights give the plain fraction ``k / n`` exactly)."""
+    totals = weights.sum(axis=1)
+    if (totals <= 0.0).any():
+        raise InfeasibleEvidenceError(
+            "all sampled paths are inconsistent with the observations; "
+            "increase n_samples or check the observations"
+        )
+    return (weights * hit).sum(axis=1) / totals, totals
 
 
 def mc_exists_probability(

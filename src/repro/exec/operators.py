@@ -785,12 +785,11 @@ class PosteriorCollapse(Operator):
 # MCSample
 # ----------------------------------------------------------------------
 class MCSample(Operator):
-    """Monte-Carlo PST-exists for many objects sharing a chain.
-
-    ``inputs`` is ``(observation_sets, window, n_samples, seeds)``.
-    One sampler serves every object (its per-chain CDF tables are
-    built once), reseeded per object so each estimate is independent
-    of which other objects a pruning stage removed.
+    """Monte-Carlo PST-exists or k-times for many objects sharing a
+    chain: ``inputs`` are the arguments of one columnar
+    :meth:`~repro.core.montecarlo.MonteCarloSampler.estimate` call.
+    Each object samples from its own seed, so its estimate is
+    independent of which other objects a pruning stage removed.
     """
 
     name = "mc_sample"
@@ -798,24 +797,7 @@ class MCSample(Operator):
     def run(self, inputs, chain, region, backend, context=None, **_):
         from repro.core.montecarlo import MonteCarloSampler
 
-        observation_sets, window, n_samples, seeds = inputs
-        sampler = MonteCarloSampler(chain)
-        result = np.zeros(len(observation_sets), dtype=float)
-        for row, observations in enumerate(observation_sets):
-            sampler.reseed(seeds[row])
-            if len(observations) > 1:
-                estimate = sampler.exists_probability_multi(
-                    observations, window, n_samples
-                )
-            else:
-                estimate = sampler.exists_probability(
-                    observations.first.distribution,
-                    window,
-                    n_samples,
-                    start_time=observations.first.time,
-                )
-            result[row] = estimate.estimate
-        return result
+        return MonteCarloSampler(chain).estimate(*inputs)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    MonteCarloSampler,
     Observation,
     ObservationSet,
     PlanOptions,
@@ -36,6 +35,7 @@ from repro import (
 from repro.core.errors import QueryError, ValidationError
 
 from conftest import random_chain, random_distribution, random_window
+from test_montecarlo import reference_exists
 
 TOLERANCE = 1e-12
 
@@ -353,26 +353,12 @@ class TestEngineParity:
         result = QueryEngine(database).evaluate(
             PSTExistsQuery(window), method="mc", n_samples=64, seed=5
         )
-        index = {
-            object_id: position
-            for position, object_id in enumerate(database.object_ids)
-        }
-        for chain_id, objects in database.objects_by_chain().items():
-            sampler = MonteCarloSampler(database.chain(chain_id))
-            for obj in objects:
-                sampler.reseed(5 + index[obj.object_id])
-                if obj.has_multiple_observations():
-                    expected = sampler.exists_probability_multi(
-                        obj.observations, window, 64
-                    ).estimate
-                else:
-                    expected = sampler.exists_probability(
-                        obj.initial.distribution,
-                        window,
-                        64,
-                        start_time=obj.initial.time,
-                    ).estimate
-                assert result.values[obj.object_id] == expected
+        for position, object_id in enumerate(database.object_ids):
+            obj = database.get(object_id)
+            assert result.values[object_id] == reference_exists(
+                database.chain(obj.chain_id), obj.observations, window,
+                64, 5 + position,
+            )
 
     def test_random_windows_property(self):
         rng = np.random.default_rng(23)

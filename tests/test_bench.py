@@ -9,13 +9,17 @@ are listed in README.md as *differs from paper* and not asserted.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro import PSTExistsQuery, QueryEngine, SpatioTemporalWindow
 from repro.bench.harness import ExperimentSeries, Timer, measure_seconds
 from repro.bench.cli import SMOKE_SCALE, main as cli_main
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import to_ascii_table, to_csv, to_markdown
 from repro.core.errors import ValidationError
+from repro.workloads.synthetic import SyntheticConfig, make_synthetic_database
 
 
 class TestTimer:
@@ -138,15 +142,25 @@ class TestExperimentRegistry:
             if length >= 6:
                 assert n > e
 
-    def test_tiny_fig8a_run_orders_methods(self):
+    def test_tiny_fig8a_mc_estimates_bracket_qb(self):
         series = run_experiment("fig8a", scale=0.05)
         series.validate()
-        # the headline ordering holds even at toy scale; compare sums,
-        # single points are timing-noise territory at this size
-        mc = sum(series.curve("MC"))
-        ob = sum(series.curve("OB"))
-        qb = sum(series.curve("QB"))
-        assert mc > ob > qb
+        # at toy scale the columnar sampler's timings race OB's, so
+        # what is asserted is the figure's accuracy claim: on the same
+        # databases every seeded 100-sample MC estimate lies within 4
+        # Bernoulli standard errors of QB's exact answer (floor 0.05)
+        for n_states in series.x_values:
+            engine = QueryEngine(make_synthetic_database(SyntheticConfig(
+                n_objects=10, n_states=n_states, seed=7
+            )))
+            query = PSTExistsQuery(
+                SpatioTemporalWindow.from_ranges(100, 120, 20, 25)
+            )
+            mc = engine.evaluate(query, method="mc", seed=0).values
+            exact = engine.evaluate(query, method="qb").values
+            for object_id, p in exact.items():
+                bound = max(4.0 * math.sqrt(p * (1.0 - p) / 100), 0.05)
+                assert abs(mc[object_id] - p) <= bound, object_id
 
     def test_tiny_fig9a_run_shapes(self):
         series = run_experiment("fig9a", scale=0.05)

@@ -8,8 +8,17 @@ import pytest
 from repro import (
     MonteCarloResult,
     MonteCarloSampler,
+    Observation,
+    ObservationSet,
+    PlanOptions,
+    PSTExistsQuery,
+    PSTForAllQuery,
+    PSTKTimesQuery,
+    QueryEngine,
     SpatioTemporalWindow,
     StateDistribution,
+    TrajectoryDatabase,
+    UncertainObject,
     ktimes_distribution,
     mc_exists_probability,
     mc_forall_probability,
@@ -17,9 +26,56 @@ from repro import (
     ob_exists_probability,
     ob_forall_probability,
 )
-from repro.core.errors import QueryError, ValidationError
+from repro.core.errors import (
+    InfeasibleEvidenceError,
+    QueryError,
+    ValidationError,
+)
+from repro.store.sharded import ShardedTrajectoryStore
+from repro.workloads.synthetic import make_line_chain
 
 from conftest import random_chain, random_distribution
+
+
+def reference_paths(chain, observations, window, n_samples, seed):
+    """Independent per-object sampler: ``rng.choice`` for the first
+    state, then per step ``rng.random`` and a ``searchsorted`` on the
+    current state's transition CDF.  Returns each path's number of
+    window times in the region and its likelihood of the later
+    observations."""
+    rng = np.random.default_rng(seed)
+    first, matrix = observations.first, chain.matrix
+    paths = [rng.choice(
+        chain.n_states, n_samples, p=first.distribution.vector
+    )]
+    for _ in range(first.time, max(window.t_end, observations.last.time)):
+        step = []
+        for state, draw in zip(paths[-1], rng.random(n_samples)):
+            lo, hi = matrix.indptr[state], matrix.indptr[state + 1]
+            cdf = np.cumsum(matrix.data[lo:hi])
+            cdf /= cdf[-1]
+            step.append(matrix.indices[lo + np.searchsorted(cdf, draw)])
+        paths.append(step)
+    paths = np.array(paths)
+    inside = np.isin(paths, window.region.array)
+    counts = inside[[t - first.time for t in window.times]].sum(axis=0)
+    weights = np.ones(n_samples)
+    for observation in observations.after(first.time):
+        weights *= observation.distribution.vector[
+            paths[observation.time - first.time]
+        ]
+    return counts, weights
+
+
+def reference_exists(chain, observations, window, n_samples, seed):
+    """The self-normalised importance estimate over
+    :func:`reference_paths` (the plain fraction without evidence)."""
+    counts, weights = reference_paths(
+        chain, observations, window, n_samples, seed
+    )
+    if weights.sum() <= 0.0:
+        raise InfeasibleEvidenceError("every reference path contradicts")
+    return float((weights * (counts > 0)).sum() / weights.sum())
 
 
 class TestResultContainer:
@@ -209,18 +265,178 @@ class TestCdfTable:
                     int(a), int(b)
                 ) > 0
 
-    def test_fallback_converges_like_table(self, paper_chain):
+    def test_fallback_draws_the_table_paths(self, paper_chain):
         start = StateDistribution.point(3, 1)
         window = SpatioTemporalWindow(
             frozenset({0, 1}), frozenset({2, 3})
         )
-        table = MonteCarloSampler(paper_chain, seed=9).exists_probability(
-            start, window, 20_000
-        )
-        fallback_sampler = MonteCarloSampler(paper_chain, seed=9)
-        fallback_sampler._CDF_TABLE_MAX_BYTES = 0
-        fallback = fallback_sampler.exists_probability(
-            start, window, 20_000
-        )
-        assert table.estimate == pytest.approx(0.864, abs=0.01)
-        assert fallback.estimate == pytest.approx(0.864, abs=0.01)
+        for seed in range(4):
+            table = MonteCarloSampler(paper_chain, seed=seed)
+            fallback = MonteCarloSampler(paper_chain, seed=seed)
+            fallback._CDF_TABLE_MAX_BYTES = 0
+            assert fallback.exists_probability(
+                start, window, 2_000
+            ) == table.exists_probability(start, window, 2_000)
+            assert (
+                fallback.sample_paths(start, 6, 50)
+                == table.sample_paths(start, 6, 50)
+            ).all()
+            assert fallback._cdf_table is None
+
+
+# ----------------------------------------------------------------------
+# the columnar sampler against the per-object reference
+# ----------------------------------------------------------------------
+ORACLE_STATES = 80
+ORACLE_WINDOW = SpatioTemporalWindow.from_ranges(30, 45, 6, 9)
+# later sightings of the multi-observation rows: before the window,
+# before and inside it, inside it, and after t_end
+ORACLE_SIGHTINGS = [(3,), (4, 8), (7,), (11,)]
+
+
+def oracle_database(multi=True, seed=5):
+    """Single-observation rows first seen at t = 0..6 (up to t_start),
+    plus, with ``multi``, rows re-sighted with broad evidence (point
+    re-sightings would leave no consistent path among 100 samples)."""
+    rng = np.random.default_rng(seed)
+    chain = make_line_chain(ORACLE_STATES, max_step=8, rng=rng)
+    database = TrajectoryDatabase.with_chain(chain)
+    for index in range(10):
+        low = int(rng.integers(20, 50))
+        database.add(UncertainObject(f"single-{index}", ObservationSet.of(
+            Observation.uniform(index % 7, ORACLE_STATES, range(low, low + 4))
+        )))
+    for index in range(8 if multi else 0):
+        low = int(rng.integers(25, 45))
+        broad = range(max(0, low - 30), min(ORACLE_STATES, low + 34))
+        database.add(UncertainObject(f"multi-{index}", ObservationSet.of(
+            Observation.uniform(index % 3, ORACLE_STATES, range(low, low + 4)),
+            # uneven weights, so every sighting moves the estimate
+            *(Observation.weighted(time, ORACLE_STATES, dict(
+                zip(broad, rng.random(len(broad)) + 0.05)
+            )) for time in ORACLE_SIGHTINGS[index % 4]),
+        )))
+    return database
+
+
+def oracle_answers(database, query, seed, n_samples=100):
+    """Every object's answer from :func:`reference_paths`, seeded by
+    the engine's rule (base seed + the object's database position)."""
+    chain = database.chain()
+    answers = {}
+    for position, object_id in enumerate(database.object_ids):
+        observations = database.get(object_id).observations
+        window, row_seed = query.window, seed + position
+        if isinstance(query, PSTKTimesQuery):
+            counts, _ = reference_paths(
+                chain, observations, window, n_samples, row_seed
+            )
+            distribution = np.bincount(
+                counts, minlength=window.duration + 1
+            ) / n_samples
+            answers[object_id] = (
+                distribution if query.k is None else distribution[query.k]
+            )
+        elif isinstance(query, PSTForAllQuery):
+            # the engine answers for-all as 1 - exists(complement)
+            complement = window.with_region(
+                query.region.complement(ORACLE_STATES)
+            )
+            answers[object_id] = 1.0 - reference_exists(
+                chain, observations, complement, n_samples, row_seed
+            )
+        else:
+            answers[object_id] = reference_exists(
+                chain, observations, window, n_samples, row_seed
+            )
+    return answers
+
+
+def _engine_target(tmp_path, database, layout):
+    if layout == "in-RAM":
+        return database
+    return ShardedTrajectoryStore.create(
+        tmp_path / "store", database, shards_per_chain=2
+    )
+
+
+class TestColumnarOracle:
+    """Seeded MC answers equal the per-object reference sampler's (==,
+    not approx): the columnar sampler takes each object's draws in the
+    reference's order, whichever rows share a call."""
+
+    @pytest.mark.parametrize("layout", ["in-RAM", "store"])
+    @pytest.mark.parametrize("dispatch", ["serial", "process"])
+    def test_engine_equals_reference(self, tmp_path, layout, dispatch):
+        cases = [
+            (oracle_database(), PSTExistsQuery(ORACLE_WINDOW)),
+            (oracle_database(), PSTForAllQuery(ORACLE_WINDOW)),
+            (oracle_database(multi=False),
+             PSTKTimesQuery(ORACLE_WINDOW, None)),
+            (oracle_database(multi=False), PSTKTimesQuery(ORACLE_WINDOW, 2)),
+        ]
+        options = PlanOptions(dispatch=dispatch, max_workers=2)
+        for index, (database, query) in enumerate(cases):
+            target = _engine_target(tmp_path / str(index), database, layout)
+            result = QueryEngine(target).evaluate(
+                query, method="mc", seed=11, options=options
+            )
+            expected = oracle_answers(database, query, seed=11)
+            assert set(result.values) == set(expected)
+            for object_id, value in expected.items():
+                assert np.array_equal(
+                    result.values[object_id], value
+                ), (type(query).__name__, object_id)
+            assert any(np.any(value) for value in expected.values())
+
+    def test_small_draw_blocks_change_nothing(self, monkeypatch):
+        database = oracle_database()
+        query = PSTExistsQuery(ORACLE_WINDOW)
+        # a few bytes: every row becomes a chunk of its own
+        monkeypatch.setattr(MonteCarloSampler, "_DRAW_BLOCK_MAX_BYTES", 64)
+        result = QueryEngine(database).evaluate(query, method="mc", seed=3)
+        assert result.values == oracle_answers(database, query, seed=3)
+
+    def test_sampler_estimators_equal_reference(self):
+        database = oracle_database()
+        chain = database.chain()
+        window = ORACLE_WINDOW
+        for position, object_id in enumerate(database.object_ids):
+            observations = database.get(object_id).observations
+            first = observations.first
+            sampler = MonteCarloSampler(chain, seed=position)
+            assert sampler.exists_probability_multi(
+                observations, window, 100
+            ).estimate == reference_exists(
+                chain, observations, window, 100, position
+            )
+            single = ObservationSet.of(first)
+            counts, _ = reference_paths(chain, single, window, 100, position)
+            for estimator, expected in [
+                ("exists_probability", (counts > 0).mean()),
+                ("forall_probability", (counts == window.duration).mean()),
+            ]:
+                estimate = getattr(
+                    MonteCarloSampler(chain, seed=position), estimator
+                )(first.distribution, window, 100, start_time=first.time)
+                assert estimate.estimate == expected
+            assert np.array_equal(
+                MonteCarloSampler(chain, seed=position).ktimes_distribution(
+                    first.distribution, window, 100, start_time=first.time
+                ),
+                np.bincount(counts, minlength=window.duration + 1) / 100,
+            )
+
+    def test_paths_that_all_contradict_the_evidence_raise(self):
+        """A row whose sampled paths all miss both the window and its
+        later sighting (unreachable in one step) has no estimate."""
+        database = oracle_database(multi=False)
+        database.add(UncertainObject("lost", ObservationSet.of(
+            Observation.uniform(0, ORACLE_STATES, range(0, 4)),
+            Observation.uniform(1, ORACLE_STATES, range(70, 74)),
+        )))
+        with pytest.raises(InfeasibleEvidenceError):
+            QueryEngine(database).evaluate(
+                PSTExistsQuery(ORACLE_WINDOW), method="mc", seed=1,
+                options=PlanOptions(prefilter=False, bfs_prune=False),
+            )
