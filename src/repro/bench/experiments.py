@@ -181,6 +181,9 @@ def _starttime_sweep(
     )
     n_states = database.n_states
     region_low = min(100, n_states - region_states - 1)
+    # the first query builds the database's columnar index; build it
+    # here so it is not charged to the earliest start time alone
+    database.cohorts()
     for start in start_times:
         window = SpatioTemporalWindow.from_ranges(
             region_low,

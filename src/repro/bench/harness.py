@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -41,14 +42,23 @@ def measure_seconds(
 
     Best-of is the standard noise-reduction strategy for micro-timings;
     the paper reports single-run wall clocks, so ``repeat=1`` matches it.
+    As in :mod:`timeit`, the garbage collector is off while ``function``
+    runs, so a collection of some earlier call's garbage is not charged
+    to it.
     """
     if repeat < 1:
         raise ValidationError(f"repeat must be positive, got {repeat}")
     best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeat):
+            start = time.perf_counter()
+            function()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
     return best
 
 

@@ -2,9 +2,11 @@
 
 The ``TestExperimentRegistry`` shape checks assert the curve shapes the
 paper states for Section VIII, at the CI scale and compared on sums of
-runtimes (single points are timing noise at this size).  Each asserted
-shape held in 20 of 20 runs on a 2-core machine; shapes that did not
-are listed in README.md as *differs from paper* and not asserted.
+runtimes (single points are timing noise at this size).  Each runtime is
+the best of ``SHAPE_RUNS`` independent runs of the experiment, so one
+descheduled run on a busy machine does not flip a shape.  Shapes that
+do not hold are listed in README.md as *differs from paper* and not
+asserted.
 """
 
 from __future__ import annotations
@@ -51,6 +53,28 @@ def sample_series() -> ExperimentSeries:
     series.add_point("QB", 0.1)
     series.add_point("QB", 0.2)
     return series
+
+
+SHAPE_RUNS = 5
+
+
+def _best_of_runs(experiment_id):
+    """``experiment_id`` at the CI scale, each point the fastest of
+    ``SHAPE_RUNS`` runs (each run builds its own databases and engines,
+    so every run times the same cold evaluation)."""
+    runs = [
+        run_experiment(experiment_id, scale=SMOKE_SCALE)
+        for _ in range(SHAPE_RUNS)
+    ]
+    best = runs[0]
+    for run in runs[1:]:
+        assert run.x_values == best.x_values
+        for label, values in run.series.items():
+            best.series[label] = [
+                min(a, b) for a, b in zip(best.series[label], values)
+            ]
+    best.validate()
+    return best
 
 
 def _half_sums(values):
@@ -163,8 +187,7 @@ class TestExperimentRegistry:
                 assert abs(mc[object_id] - p) <= bound, object_id
 
     def test_tiny_fig9a_run_shapes(self):
-        series = run_experiment("fig9a", scale=0.05)
-        series.validate()
+        series = _best_of_runs("fig9a")
         ob = series.curve("OB")
         qb = series.curve("QB")
         assert all(o > q for o, q in zip(ob, qb))
@@ -179,19 +202,19 @@ class TestExperimentRegistry:
     )
     def test_tiny_ob_above_qb_and_growing(self, experiment_id, growing):
         # 8(b): both grow with |S|; 9(b)/(c): OB grows with the start time
-        series = run_experiment(experiment_id, scale=SMOKE_SCALE)
+        series = _best_of_runs(experiment_id)
         assert sum(series.curve("OB")) > sum(series.curve("QB"))
         for label in growing:
             low, high = _half_sums(series.curve(label))
             assert high > low
 
     def test_tiny_fig10a_ktimes_grows(self):
-        series = run_experiment("fig10a", scale=SMOKE_SCALE)
+        series = _best_of_runs("fig10a")
         low, high = _half_sums(series.curve("ktimes"))
         assert high > low
 
     def test_tiny_fig10b_ktimes_costliest_and_growing(self):
-        series = run_experiment("fig10b", scale=SMOKE_SCALE)
+        series = _best_of_runs("fig10b")
         exists = sum(series.curve("exists"))
         forall = sum(series.curve("forall"))
         ktimes = series.curve("ktimes")
@@ -202,7 +225,7 @@ class TestExperimentRegistry:
 
     @pytest.mark.parametrize("experiment_id", ["fig11a", "fig11b"])
     def test_tiny_locality_sweep_at_most_linear(self, experiment_id):
-        series = run_experiment(experiment_id, scale=SMOKE_SCALE)
+        series = _best_of_runs(experiment_id)
         x_low, x_high = _half_sums(series.x_values)
         assert sum(series.curve("OB")) > sum(series.curve("QB"))
         for label in ("OB", "QB"):
