@@ -146,7 +146,6 @@ from repro.database.clustering import (
 )
 from repro.database.objects import UncertainObject
 from repro.database.pruning import GeometricPrefilter, ReachabilityPruner
-from repro.database.rtree import Rect, RTree
 from repro.database.serialization import (
     load_chain,
     load_database,
@@ -268,8 +267,6 @@ __all__ = [
     "TrajectoryDatabase",
     "QueryEngine",
     "QueryResult",
-    "RTree",
-    "Rect",
     "ReachabilityPruner",
     "GeometricPrefilter",
     "save_chain",

@@ -5,10 +5,11 @@
 (``method="auto"``) the engine *plans* its own execution: a cost model
 (:mod:`repro.core.planner`) picks query-based, object-based or
 Monte-Carlo processing per chain group, and the plan runs as a staged
-filter--refinement pipeline (:mod:`repro.core.pipeline`) -- R-tree
-geometric prefilter, exact BFS reachability pruning, then the shared
-operator layer (:mod:`repro.exec.operators`), dispatched serially or
-across the process pool of :mod:`repro.exec.dispatch` (slab shards of
+filter--refinement pipeline (:mod:`repro.core.pipeline`) -- exact BFS
+reachability pruning (after a geometric prefilter only when a query
+forces one), then the shared operator layer (:mod:`repro.exec.operators`),
+dispatched serially or across the process pool of
+:mod:`repro.exec.dispatch` (slab shards of
 a sharded store, or of the spill of an in-RAM database -- the mode
 that scales a database past one core).  Forcing a method is still
 supported:

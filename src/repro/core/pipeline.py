@@ -4,16 +4,19 @@ A :class:`~repro.core.planner.QueryPlan` runs as three stages, each of
 which can only *narrow* the candidate set (the EXPLAIN stage counts are
 monotonically non-increasing by construction):
 
-1. **prefilter** -- the per-chain STR R-tree of
-   :class:`~repro.database.pruning.GeometricPrefilter` is probed with
-   the query MBR expanded by the chain's exact displacement bound times
-   the horizon.  Objects outside provably cannot intersect the window
-   and are answered with the query's zero element immediately.
+1. **prefilter** -- only when ``PlanOptions(prefilter=True)`` forces
+   it: :class:`~repro.database.pruning.GeometricPrefilter` labels
+   every state with a lower bound on its steps into the region (its
+   distance to the region over the chain's exact displacement bound),
+   and the same segmented minimum as the BFS stage drops the objects
+   whose supports cannot reach the region within their horizons.  It
+   never drops an object BFS keeps, so planning leaves it off.
 2. **bfs** -- the exact Section V-C reachability filter
    (:class:`~repro.database.pruning.ReachabilityPruner`): one reverse
    BFS labelling per ``(chain, region)``, resumed across queries, then
    one segmented minimum of the labels over the candidates' supports
-   against their per-object horizons.
+   against their per-object horizons.  Objects no window time can
+   reach are answered with the query's zero element immediately.
 3. **evaluate** -- the surviving objects of each chain group run
    through the shared operator layer (:mod:`repro.exec.operators`)
    with the group's planned method, dispatched per the plan:
@@ -69,7 +72,7 @@ from repro.core.errors import (
 )
 from repro.core.planner import CostModel, GroupPlan, QueryPlan, StageStats
 from repro.core.query import PSTKTimesQuery
-from repro.database.pruning import ReachabilityPruner
+from repro.database.pruning import GeometricPrefilter, ReachabilityPruner
 from repro.exec.operators import (
     BFS_PRUNE,
     PREFILTER,
@@ -186,7 +189,7 @@ class QueryPipeline:
         survivors[group.chain_id] = rows[keep]
 
     # ------------------------------------------------------------------
-    # stage 1: R-tree geometric prefilter
+    # stage 1: geometric prefilter (only when the caller forces it)
     # ------------------------------------------------------------------
     def _stage_prefilter(
         self,
@@ -198,42 +201,36 @@ class QueryPipeline:
     ) -> None:
         entering = sum(len(rows) for rows in survivors.values())
         started = _time.perf_counter()
-        nodes_visited = 0
-        available = False
-        if plan.use_prefilter:
+        positions = self.database.state_positions()
+        if plan.use_prefilter and positions is not None:
+            region = plan.window.region
             for group in plan.groups:
                 rows = survivors[group.chain_id]
                 if not rows.size:
                     continue
-                prefilter = self.database.geometric_prefilter(
-                    group.chain_id
+                prefilter = GeometricPrefilter(
+                    positions,
+                    self.database.chain_displacement_bound(group.chain_id),
                 )
-                if prefilter is None:
-                    continue
-                available = True
                 cohort = group.cohort
-                ids, visited = PREFILTER(
+                keep = PREFILTER(
                     (
-                        prefilter,
-                        plan.window,
-                        int(cohort.start_time[rows].min()),
+                        partial(prefilter.probe, region),
+                        cohort.block(rows),
+                        cohort.start_time[rows],
+                        plan.window.t_end,
                     ),
-                    region=plan.window.region,
+                    region=region,
                     context=context,
                 )
-                nodes_visited += visited
-                probed = np.zeros(cohort.n_rows, dtype=bool)
-                probed[cohort.rows_of(ids)] = True
-                self._narrow(
-                    group, survivors, probed[rows], values, zeros
-                )
+                self._narrow(group, survivors, keep, values, zeros)
         remaining = sum(len(rows) for rows in survivors.values())
         if not plan.use_prefilter:
             detail = "off"
-        elif available:
-            detail = f"{nodes_visited} R-tree nodes"
-        else:
+        elif positions is None:
             detail = "no geometry"
+        else:
+            detail = ""
         plan.stages.append(
             StageStats(
                 "prefilter",

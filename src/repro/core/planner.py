@@ -154,7 +154,11 @@ class PlanOptions:
     Attributes:
         method: force ``"qb"``, ``"ob"`` or ``"mc"`` for every chain
             group instead of the cost-based choice.
-        prefilter: force the R-tree geometric pre-filter on or off.
+        prefilter: ``True`` forces the geometric pre-filter stage
+            (:class:`~repro.database.pruning.GeometricPrefilter`);
+            ``None`` and ``False`` leave it off.  It never drops an
+            object the exact BFS filter keeps, so the planner does not
+            run it on its own.
         bfs_prune: force the exact BFS reachability filter on or off.
         dispatch: force the execution mode -- ``"serial"`` (chain
             groups one after the other in the calling thread) or
@@ -257,12 +261,6 @@ class CostModel:
             ``dot_unit``.
         object_overhead: fixed per-object bookkeeping cost (vector
             staging, Python dispatch).
-        prefilter_min_objects: smallest database slice worth probing
-            the R-tree for.
-        prefilter_max_region_fraction: geometric pre-filtering is
-            skipped when the query region covers more than this
-            fraction of the state space (an almost-everywhere region
-            prunes nothing and its MBR costs ``O(|region|)``).
         bfs_min_objects: smallest group worth the reverse-BFS labelling.
         max_workers_cap: upper bound on auto-sized worker pools.
         process_min_cost: smallest estimated evaluation cost (in the
@@ -281,8 +279,6 @@ class CostModel:
     mc_step_unit: float = 8.0
     ktimes_unit: float = 1.0
     object_overhead: float = 200.0
-    prefilter_min_objects: int = 8
-    prefilter_max_region_fraction: float = 0.5
     bfs_min_objects: int = 4
     max_workers_cap: int = 8
     process_min_cost: float = 5e8
@@ -459,7 +455,7 @@ class StageStats:
         candidates_in: objects entering the stage.
         candidates_out: objects surviving the stage.
         elapsed_seconds: wall-clock stage time.
-        detail: free-form annotation (e.g. R-tree nodes visited).
+        detail: free-form annotation (e.g. ``"off"``).
     """
 
     name: str
@@ -487,7 +483,8 @@ class QueryPlan:
         requested_method: what the caller asked for (``"auto"`` or a
             forced method).
         complemented: the window is the for-all complement reduction.
-        use_prefilter: run the R-tree geometric filter stage.
+        use_prefilter: run the geometric filter stage (only when
+            ``PlanOptions(prefilter=True)`` forces it).
         use_bfs: run the exact BFS reachability filter stage.
         max_workers: pool size under ``process`` dispatch (1 when
             ``serial``).
@@ -799,9 +796,7 @@ class QueryPlanner:
                 self._plan_group(cohort, window, kind, options, model)
             )
 
-        use_prefilter = self._decide_prefilter(
-            window, total_objects, options, model
-        )
+        use_prefilter = options.prefilter is True
         use_bfs = (
             options.bfs_prune
             if options.bfs_prune is not None
@@ -937,22 +932,6 @@ class QueryPlanner:
             )
         )
         return cached / len(starts)
-
-    def _decide_prefilter(
-        self,
-        window: SpatioTemporalWindow,
-        total_objects: int,
-        options: PlanOptions,
-        model: CostModel,
-    ) -> bool:
-        if options.prefilter is not None:
-            return options.prefilter
-        if self.database.state_positions() is None:
-            return False
-        if total_objects < model.prefilter_min_objects:
-            return False
-        fraction = len(window.region) / max(1, self.database.n_states)
-        return fraction <= model.prefilter_max_region_fraction
 
     def _decide_dispatch(
         self,

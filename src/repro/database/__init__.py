@@ -3,23 +3,19 @@
 * :mod:`repro.database.objects` -- the :class:`UncertainObject` record.
 * :mod:`repro.database.uncertain_db` -- :class:`TrajectoryDatabase`, a
   validated collection of objects over shared Markov chains.
-* :mod:`repro.database.rtree` -- an STR-packed R-tree used as the spatial
-  filter step.
-* :mod:`repro.database.pruning` -- reachability-based object pruning for
-  the object-based processor.
+* :mod:`repro.database.pruning` -- reachability-based object pruning
+  (exact reverse BFS, plus a geometric lower bound on the same labels
+  that runs only when a query forces it).
 * :mod:`repro.database.serialization` -- persistence of chains and
   databases.
 """
 
 from repro.database.objects import UncertainObject
 from repro.database.uncertain_db import TrajectoryDatabase
-from repro.database.rtree import Rect, RTree
 from repro.database.pruning import ReachabilityPruner
 
 __all__ = [
     "UncertainObject",
     "TrajectoryDatabase",
-    "Rect",
-    "RTree",
     "ReachabilityPruner",
 ]

@@ -9,20 +9,20 @@ This module provides the corresponding filter step:
   the chain's transition structure (an object survives the filter iff some
   state of the query region is reachable from its observation support
   within ``t_end - t_obs`` steps);
-* a fast *geometric* pre-filter for state spaces with positions: an R-tree
-  over observation locations is probed with the query region's MBR
-  expanded by ``max_displacement x dt`` -- objects outside cannot reach
-  the region, objects inside proceed to the exact BFS check.
+* :class:`GeometricPrefilter` -- a closed-form lower bound on the same
+  labels for state spaces with positions (distance to the region over
+  the chain's per-step displacement bound).  It only ever drops objects
+  BFS drops too, so planning runs it only when a caller forces it.
 
-Both filters are *safe*: they never discard an object with non-zero
-result probability (verified against brute force in the test suite).
+Both labels feed :func:`reachable_rows`, and both filters are *safe*:
+they never discard an object with non-zero result probability
+(verified against brute force in the test suite).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.core.distribution import SupportBlock
 from repro.core.errors import ValidationError
 from repro.core.query import Region, SpatioTemporalWindow
 from repro.database.objects import UncertainObject
-from repro.database.rtree import Rect, RTree
 from repro.database.uncertain_db import TrajectoryDatabase
 
 __all__ = [
@@ -235,159 +234,63 @@ class ReachabilityPruner:
         return 1.0 - kept / total
 
 
-@dataclass
 class GeometricPrefilter:
-    """R-tree pre-filter using a per-step displacement bound.
+    """Geometric lower bound on the transitions into a region.
+
+    A chain whose every transition moves an object at most
+    ``max_displacement`` (Euclidean) needs at least
+    ``dist(state, region) / max_displacement`` steps to carry an object
+    from ``state`` into the region; the distance to the region's
+    bounding box never exceeds the distance to any region state, so
+    :meth:`probe`'s per-state label ``floor(dist(state, bbox) /
+    max_displacement)`` is a lower bound on the reverse-BFS label of
+    :func:`reachability_levels`.  The ``floor`` keeps it a lower bound
+    under rounding.  Filtering with it therefore never drops an object
+    the exact BFS keeps -- nor, with BFS on, any object BFS would not
+    drop anyway, which is why the planner never picks it on its own.
 
     Args:
-        database: the database to filter (its state space must provide
-            positions).
-        max_displacement: an upper bound on the geometric distance an
-            object can travel in one transition.  For the paper's
-            synthetic generator this is ``max_step / 2`` (an object in
-            state ``s_i`` reaches at most ``s_{i +/- max_step/2}``);
+        positions: ``(n_states, d)`` state coordinates
+            (:meth:`~repro.database.uncertain_db.TrajectoryDatabase.state_positions`).
+        max_displacement: an upper bound on the distance an object
+            moves in one transition --
             :meth:`~repro.database.uncertain_db.TrajectoryDatabase.chain_displacement_bound`
-            derives the exact bound from any chain's transition
-            structure.
-        chain_id: restrict the index to objects of one chain.  Chains
-            have different locality (different ``max_displacement``), so
-            the query pipeline keeps one tree per chain group.
+            derives the exact one from a chain's transition structure.
     """
 
-    database: TrajectoryDatabase
-    max_displacement: float
-    chain_id: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.max_displacement < 0:
-            raise ValidationError(
-                f"max_displacement must be non-negative, "
-                f"got {self.max_displacement}"
-            )
-        space = self.database.state_space
-        if space is None:
+    def __init__(self, positions: np.ndarray, max_displacement: float) -> None:
+        if positions is None:
             raise ValidationError(
                 "geometric pre-filtering needs a state space with positions"
             )
-        self._space = space
-        # online mutations land in a linear overflow buffer (inserts)
-        # and a tombstone set (deletions); the STR tree is re-packed
-        # only when the buffer grows past _rebuild_threshold, so a
-        # monitoring stream of appends costs O(buffer) per probe
-        # instead of an O(n log n) bulk load per mutation
-        self._extras: List[Tuple[Rect, str]] = []
-        self._tombstones: Set[str] = set()
-        self._tree = self._build_tree()
-
-    def _location(self, state: int) -> Tuple[float, float]:
-        location = self._space.location_of(state)
-        if len(location) == 1:  # 1-D spaces embed on the x-axis
-            return (float(location[0]), 0.0)
-        return (float(location[0]), float(location[1]))
-
-    def _build_tree(self) -> RTree:
-        entries = []
-        for obj in self.database:
-            if (
-                self.chain_id is not None
-                and obj.chain_id != self.chain_id
-            ):
-                continue
-            entries.append((self._object_rect(obj), obj.object_id))
-        return RTree(entries)
-
-    def _object_rect(self, obj: UncertainObject) -> Rect:
-        states, _probs = obj.initial.distribution.sparse()
-        rects = [
-            Rect.point(*self._location(int(state))) for state in states
-        ]
-        return Rect.union_all(rects)
-
-    @property
-    def _rebuild_threshold(self) -> int:
-        return max(32, len(self._tree) // 4)
-
-    def insert_object(self, obj: UncertainObject) -> None:
-        """Index a new (or re-anchored) object incrementally.
-
-        The entry goes into the overflow buffer; the STR tree is only
-        re-packed once the buffer exceeds a quarter of the tree (the
-        point where linear buffer scans start rivalling tree descent).
-        """
-        if self.chain_id is not None and obj.chain_id != self.chain_id:
-            return
-        self._extras.append((self._object_rect(obj), obj.object_id))
-        if (
-            len(self._extras) + len(self._tombstones)
-            > self._rebuild_threshold
-        ):
-            self.rebuild()
-
-    def remove_object(self, object_id: str) -> None:
-        """Drop an object from the index (tombstone until re-pack)."""
-        self._extras = [
-            entry for entry in self._extras if entry[1] != object_id
-        ]
-        self._tombstones.add(str(object_id))
-        if (
-            len(self._extras) + len(self._tombstones)
-            > self._rebuild_threshold
-        ):
-            self.rebuild()  # removal-heavy streams must not accumulate
-
-    def rebuild(self) -> None:
-        """Re-pack the STR tree from the database and clear patches."""
-        self._extras = []
-        self._tombstones = set()
-        self._tree = self._build_tree()
-
-    def region_mbr(self, region: Iterable[int]) -> Rect:
-        """MBR of the query region's state locations."""
-        rects = [Rect.point(*self._location(state)) for state in region]
-        if not rects:
-            raise ValidationError("query region is empty")
-        return Rect.union_all(rects)
-
-    def candidate_ids(
-        self, window: SpatioTemporalWindow, start_time: int = 0
-    ) -> List[str]:
-        """Object ids that *may* reach the window (superset guarantee).
-
-        The query MBR is expanded by ``max_displacement x dt`` with
-        ``dt = t_end - start_time``; any object whose observation MBR
-        misses the expanded rectangle provably cannot intersect the window.
-        """
-        return self.probe(window, start_time)[0]
+        if max_displacement < 0:
+            raise ValidationError(
+                f"max_displacement must be non-negative, "
+                f"got {max_displacement}"
+            )
+        self.positions = np.asarray(positions, dtype=float)
+        self.max_displacement = float(max_displacement)
 
     def probe(
-        self, window: SpatioTemporalWindow, start_time: int = 0
-    ) -> Tuple[List[str], int]:
-        """Like :meth:`candidate_ids`, plus the R-tree nodes visited.
+        self, region: Iterable[int], depth_needed: int = 0
+    ) -> np.ndarray:
+        """Per-state lower bound on the transitions into ``region``.
 
-        The visit count goes into the pipeline's EXPLAIN report.
+        ``int64`` labels, ``np.iinfo(np.int64).max`` for a state a
+        zero-displacement chain cannot move into the region.  The
+        label is closed-form and complete at every depth;
+        ``depth_needed`` only matches the ``fetch_levels`` signature of
+        :func:`reachable_rows`.
         """
-        dt = window.t_end - start_time
-        if dt < 0:
-            return [], 0
-        probe = self.region_mbr(window.region).expand(
-            self.max_displacement * dt
+        region = Region(region)
+        if not len(region):
+            raise ValidationError("query region is empty")
+        corners = self.positions[region.array]
+        gaps = np.maximum(
+            np.maximum(corners.min(axis=0) - self.positions, 0.0),
+            self.positions - corners.max(axis=0),
         )
-        items, visited = self._tree.search_with_stats(probe)
-        results = [
-            str(item)
-            for item in items
-            if str(item) not in self._tombstones
-        ]
-        for rect, object_id in self._extras:
-            if rect.intersects(probe):
-                results.append(object_id)
-        return results, visited
-
-    def candidates(
-        self, window: SpatioTemporalWindow, start_time: int = 0
-    ) -> List[UncertainObject]:
-        """Surviving objects (database order)."""
-        surviving = set(self.candidate_ids(window, start_time))
-        return [
-            obj for obj in self.database if obj.object_id in surviving
-        ]
+        distance = np.sqrt((gaps * gaps).sum(axis=1))
+        if self.max_displacement > 0.0:
+            return np.floor(distance / self.max_displacement).astype(np.int64)
+        return np.where(distance > 0.0, _UNREACHABLE, 0)

@@ -15,7 +15,7 @@ well-formed database.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from repro.core.observation import Observation, ObservationSet
 from repro.core.state_space import StateSpace
 from repro.database.cohort import Cohort, CohortView
 from repro.database.objects import DEFAULT_CHAIN, UncertainObject
-
-if TYPE_CHECKING:  # avoid a circular import with database.pruning
-    from repro.database.pruning import GeometricPrefilter
 
 __all__ = ["TrajectoryDatabase", "DatabaseChange"]
 
@@ -93,7 +90,6 @@ class TrajectoryDatabase:
         self._positions: Optional[np.ndarray] = None
         self._positions_known = False
         self._displacement_bounds: Dict[str, Optional[float]] = {}
-        self._prefilters: Dict[str, Optional["GeometricPrefilter"]] = {}
         # mutation journal: streaming consumers sync against `version`.
         # Bounded: a long-running feed must not accumulate memory, so
         # the oldest entries are dropped past _JOURNAL_LIMIT and
@@ -132,7 +128,6 @@ class TrajectoryDatabase:
         self._chains[str(chain_id)] = chain
         # the displacement bound depends on the chain's transitions
         self._displacement_bounds.pop(str(chain_id), None)
-        self._prefilters.pop(str(chain_id), None)
         self._record("chain", str(chain_id))
 
     def chain(self, chain_id: str = DEFAULT_CHAIN) -> MarkovChain:
@@ -170,9 +165,6 @@ class TrajectoryDatabase:
                 f"database over {self.n_states}"
             )
         self._objects[obj.object_id] = obj
-        prefilter = self._prefilters.get(obj.chain_id)
-        if prefilter is not None:  # patch the built index, don't rebuild
-            prefilter.insert_object(obj)
         self._record("add", obj.object_id)
 
     def add_all(self, objects: Sequence[UncertainObject]) -> None:
@@ -193,9 +185,6 @@ class TrajectoryDatabase:
         """Delete and return an object."""
         obj = self.get(object_id)
         del self._objects[object_id]
-        prefilter = self._prefilters.get(obj.chain_id)
-        if prefilter is not None:
-            prefilter.remove_object(object_id)
         self._record("remove", object_id)
         return obj
 
@@ -208,12 +197,10 @@ class TrajectoryDatabase:
         """Record a new (later) observation of an object, online.
 
         The monitoring entry point: a sighting arriving mid-stream is
-        folded into the database *incrementally* -- the per-chain R-tree
-        prefilter, displacement bounds and reachability labellings are
-        patched or left untouched rather than rebuilt (appending to an
-        existing object keeps its anchoring first observation, so the
-        R-tree entry is already correct; chain-level caches do not
-        depend on objects at all).
+        folded into the database *incrementally* -- displacement bounds
+        and reachability labellings are chain-level and do not depend
+        on objects at all, so nothing is rebuilt; the columnar cohorts
+        patch themselves from the mutation journal.
 
         Args:
             object_id: an existing object (the observation is appended
@@ -249,12 +236,6 @@ class TrajectoryDatabase:
             ),
         )
         self._objects[object_id] = updated
-        if updated.initial.time != existing.initial.time:
-            # a backfilled earlier sighting moves the R-tree anchor
-            prefilter = self._prefilters.get(updated.chain_id)
-            if prefilter is not None:
-                prefilter.remove_object(object_id)
-                prefilter.insert_object(updated)
         self._record("observe", object_id)
         return updated
 
@@ -444,8 +425,8 @@ class TrajectoryDatabase:
 
         ``None`` when the database has no state space or the space
         cannot place its states (e.g. a road graph loaded without node
-        positions) -- the geometric pre-filter is then unavailable and
-        the pipeline falls back to BFS pruning alone.
+        positions) -- a forced geometric pre-filter then reports "no
+        geometry" and keeps every object.
         """
         if not self._positions_known:
             self._positions_known = True
@@ -488,28 +469,6 @@ class TrajectoryDatabase:
                         np.sqrt((deltas ** 2).sum(axis=1)).max()
                     )
         return self._displacement_bounds[chain_id]
-
-    def geometric_prefilter(
-        self, chain_id: str = DEFAULT_CHAIN
-    ) -> Optional["GeometricPrefilter"]:
-        """The lazy per-chain R-tree pre-filter (None without geometry).
-
-        Built on first use and kept until the object set of the chain
-        or the chain itself changes, so a monitoring workload pays STR
-        bulk loading once across all its queries.
-        """
-        from repro.database.pruning import GeometricPrefilter
-
-        chain_id = str(chain_id)
-        if chain_id not in self._prefilters:
-            bound = self.chain_displacement_bound(chain_id)
-            if bound is None:
-                self._prefilters[chain_id] = None
-            else:
-                self._prefilters[chain_id] = GeometricPrefilter(
-                    self, bound, chain_id=chain_id
-                )
-        return self._prefilters[chain_id]
 
     def __repr__(self) -> str:
         return (

@@ -12,8 +12,7 @@ kernels.  This package is the single home of those kernels:
   :class:`~repro.exec.operators.PosteriorCollapse`,
   :class:`~repro.exec.operators.MCSample`,
   :class:`~repro.exec.operators.LadderExtend`, plus the
-  :class:`~repro.exec.operators.Prefilter` /
-  :class:`~repro.exec.operators.BfsPrune` filter wrappers) with uniform
+  :class:`~repro.exec.operators.BfsPrune` filter wrapper) with uniform
   ``(inputs, chain, region, backend) -> arrays`` signatures and
   per-call timing hooks collected on an
   :class:`~repro.exec.operators.ExecutionContext`;
@@ -57,7 +56,6 @@ from repro.exec.operators import (
     Operator,
     OperatorStats,
     PosteriorCollapse,
-    Prefilter,
     SweepSchedule,
 )
 
@@ -81,7 +79,6 @@ __all__ = [
     "Operator",
     "OperatorStats",
     "PosteriorCollapse",
-    "Prefilter",
     "SweepSchedule",
     "FaultInjector",
     "FaultSpec",

@@ -496,18 +496,26 @@ def _evaluate_store_shard(task: _StoreShardTask):
     exact answers per object id (filtered objects get the zero
     element), whether this call had to map the slabs (False on every
     warm call), and the shard-local filter-stage counts.  Candidates
-    are an index array over the shard's objects: stage 1 tests the
-    slab MBR columns instead of the R-tree, stage 2 is the shared
-    :data:`~repro.exec.operators.BFS_PRUNE`, and the kernels gather
-    their initials straight from the slabs.
+    are an index array over the shard's objects: the two filter
+    stages are the parent's own -- :data:`~repro.exec.operators.PREFILTER`
+    over the store's positions, :data:`~repro.exec.operators.BFS_PRUNE`
+    over worker-local labels -- and the kernels gather their initials
+    straight from the slabs.
     """
     from functools import partial
 
     from repro.core.batch import collapse_posteriors, evaluate_rows
     from repro.core.query import SpatioTemporalWindow
-    from repro.database.pruning import reachability_levels
-    from repro.exec.operators import BFS_PRUNE, ExecutionContext
-    from repro.store.sharded import attach_shard, open_store_chain
+    from repro.database.pruning import (
+        GeometricPrefilter,
+        reachability_levels,
+    )
+    from repro.exec.operators import BFS_PRUNE, PREFILTER, ExecutionContext
+    from repro.store.sharded import (
+        attach_shard,
+        open_store_chain,
+        store_positions,
+    )
 
     shard_started = _time.perf_counter()
     if task.faults is not None:
@@ -557,11 +565,20 @@ def _evaluate_store_shard(task: _StoreShardTask):
         candidates = candidates[keep]
         return len(dropped)
 
-    # stage 1: geometric prefilter against the per-object slab MBRs
-    if task.use_prefilter and candidates.size:
-        keep = view.mbr_keep(candidates, window)
-        if keep is not None:
-            stats["prefilter_pruned"] = drop(keep)
+    # stage 1: the forced geometric prefilter, the parent's own stage
+    positions = store_positions(task.store_dir) if task.use_prefilter else None
+    if positions is not None and candidates.size:
+        prefilter = GeometricPrefilter(positions, view.displacement_bound)
+        stats["prefilter_pruned"] = drop(PREFILTER(
+            (
+                partial(prefilter.probe, window.region),
+                view.block(candidates),
+                start_time[candidates],
+                window.t_end,
+            ),
+            region=window.region,
+            context=context,
+        ))
 
     # stage 2: exact reverse-BFS reachability, resumable per
     # (chain, region) across queries exactly like the parent pruner

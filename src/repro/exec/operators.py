@@ -62,7 +62,6 @@ __all__ = [
     "PosteriorCollapse",
     "MCSample",
     "LadderExtend",
-    "Prefilter",
     "BfsPrune",
     "BUILD_ABSORBING",
     "BUILD_DOUBLED",
@@ -833,34 +832,23 @@ class LadderExtend(Operator):
 # ----------------------------------------------------------------------
 # filter-stage wrappers
 # ----------------------------------------------------------------------
-class Prefilter(Operator):
-    """R-tree geometric prefilter probe (timed wrapper).
-
-    ``inputs`` is ``(prefilter, window, min_start)``; returns the
-    ``(candidate ids, nodes visited)`` pair of
-    :meth:`~repro.database.pruning.GeometricPrefilter.probe`.
-    """
-
-    name = "prefilter"
-
-    def run(self, inputs, chain, region, backend, context=None, **_):
-        prefilter, window, min_start = inputs
-        return prefilter.probe(window, min_start)
-
-
 class BfsPrune(Operator):
-    """Exact Section V-C reachability filter over a block of objects.
+    """Section V-C reachability filter over a block of objects.
 
     ``inputs`` is ``(fetch_levels, block, start_times, t_end)`` -- see
     :func:`repro.database.pruning.reachable_rows`, which this times;
     returns the boolean keep-mask over the block's rows.  The pipeline
-    feeds it a cohort's candidate rows and the pruner's labelling,
-    store shard workers their slab rows and the worker-local one.
-    Safe by construction: a dropped row provably has probability zero
-    in the window.
+    feeds it a cohort's candidate rows, store shard workers their slab
+    rows.  Two instances: :data:`BFS_PRUNE` over the exact reverse-BFS
+    labels (the pruner's, or the worker-local ones), and
+    :data:`PREFILTER` over the geometric lower bound of
+    :meth:`~repro.database.pruning.GeometricPrefilter.probe`.  Safe by
+    construction: a dropped row provably has probability zero in the
+    window.
     """
 
-    name = "bfs_prune"
+    def __init__(self, name: str = "bfs_prune") -> None:
+        self.name = name
 
     def run(self, inputs, chain, region, backend, context=None, **_):
         from repro.database.pruning import reachable_rows
@@ -879,5 +867,5 @@ KTIMES_CORE = KTimesCore()
 POSTERIOR_COLLAPSE = PosteriorCollapse()
 MC_SAMPLE = MCSample()
 LADDER_EXTEND = LadderExtend()
-PREFILTER = Prefilter()
+PREFILTER = BfsPrune("prefilter")
 BFS_PRUNE = BfsPrune()

@@ -34,7 +34,6 @@ On-disk layout (all writes atomic via tmp-file + rename)::
           obs_indptr.npy       # int64 (n_obs + 1) row boundaries
           obs_times.npy        # int64 per-observation timestamps
           obj_indptr.npy       # int64 (n_objects + 1) object boundaries
-          obj_mbr.npy          # float64 (n_objects, 4) first-obs MBRs
           obj_dbindex.npy      # int64 stable per-object seed positions
           objects.json         # object ids + chain id
       journal.jsonl            # mutations since the snapshot
@@ -82,17 +81,6 @@ _SNAPSHOT_PREFIX = "snapshot-"
 #: journal records that trigger :meth:`ShardedTrajectoryStore.maybe_autosnapshot`
 AUTOSNAPSHOT_ENV = "REPRO_STORE_AUTOSNAPSHOT"
 _AUTOSNAPSHOT_DEFAULT = 4096
-
-_SLAB_FILES = (
-    "obs_states.npy",
-    "obs_weights.npy",
-    "obs_indptr.npy",
-    "obs_times.npy",
-    "obj_indptr.npy",
-    "obj_mbr.npy",
-    "obj_dbindex.npy",
-)
-
 
 def snapshot_dir(root: Path, generation: int) -> Path:
     return Path(root) / f"{_SNAPSHOT_PREFIX}{int(generation):06d}"
@@ -201,10 +189,10 @@ class SlabDistribution(StateDistribution):
 class ShardView:
     """One shard's columns, attached through the slab pool.
 
-    The heavy ragged columns (support states/weights, per-object MBRs)
-    stay memory-mapped and are accessed through :meth:`states` /
-    :meth:`weights` / :meth:`mbrs`; the small index columns are copied
-    into RAM once at attach time.
+    The heavy ragged columns (support states and weights) stay
+    memory-mapped and are accessed through :meth:`states` /
+    :meth:`weights`; the small index columns are copied into RAM once
+    at attach time.
     """
 
     store_dir: str
@@ -218,7 +206,6 @@ class ShardView:
     obj_indptr: np.ndarray
     obj_dbindex: np.ndarray
     displacement_bound: Optional[float]
-    has_mbr: bool
 
     @property
     def slab_dir(self) -> Path:
@@ -229,9 +216,6 @@ class ShardView:
 
     def weights(self) -> np.ndarray:
         return global_pool().map(self.slab_dir / "obs_weights.npy")
-
-    def mbrs(self) -> np.ndarray:
-        return global_pool().map(self.slab_dir / "obj_mbr.npy")
 
     def n_objects(self) -> int:
         return len(self.object_ids)
@@ -253,38 +237,6 @@ class ShardView:
     def is_multi(self) -> np.ndarray:
         """Per object: later observations exist (Section VI)."""
         return np.diff(self.obj_indptr) > 1
-
-    def mbr_keep(self, rows: np.ndarray, window) -> Optional[np.ndarray]:
-        """Which objects at ``rows`` may reach ``window``, or None when
-        the store has no geometry.
-
-        The parent R-tree's argument, on the slab MBR columns: an
-        object whose first-observation MBR, expanded by the chain's
-        displacement bound x horizon, misses the region's MBR provably
-        never intersects the window.
-        """
-        positions = store_positions(self.store_dir)
-        if (not self.has_mbr or self.displacement_bound is None
-                or positions is None):
-            return None
-        region_states = window.region.array
-        rx = np.asarray(positions[region_states, 0], dtype=float)
-        ry = (
-            np.asarray(positions[region_states, 1], dtype=float)
-            if positions.shape[1] > 1
-            else np.zeros_like(rx)
-        )
-        mbrs = self.mbrs()[rows]
-        horizons = np.maximum(
-            window.t_end - self.start_time[rows], 0
-        ).astype(float)
-        margin = horizons * float(self.displacement_bound)
-        return ~(
-            (mbrs[:, 2] + margin < rx.min())
-            | (mbrs[:, 0] - margin > rx.max())
-            | (mbrs[:, 3] + margin < ry.min())
-            | (mbrs[:, 1] - margin > ry.max())
-        )
 
     def block(self, rows: np.ndarray) -> SupportBlock:
         """The first-observation distributions of the objects at
@@ -414,7 +366,6 @@ def attach_shard(
         displacement_bound=manifest["chains"]
         .get(str(entry["chain_id"]), {})
         .get("displacement_bound"),
-        has_mbr=bool(manifest.get("has_positions")),
     )
     with _ATTACH_LOCK:
         _SHARD_VIEWS[key] = view
@@ -543,8 +494,9 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
 
         Objects are partitioned per chain into ``shards_per_chain``
         spatial tiles (contiguous slices of the first-observation
-        centroid ordering, so each tile is compact and the per-shard
-        MBR prunes whole shards against a query region).
+        centroid ordering, so each tile is compact); a tile's bounding
+        box in the manifest routes objects added later to the nearest
+        tile.
         """
         root = Path(path)
         if (root / _MANIFEST).exists():
@@ -891,7 +843,6 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
         self._shard_of.clear()
         self._snapshot_ids.clear()
         self._stale.clear()
-        self._prefilters.clear()
         persist = self._persist
         self._persist = False
         self._load_shards(manifest)
@@ -992,24 +943,18 @@ def write_generation(
     return manifest
 
 
-def _first_support_geometry(
+def _first_support_centroid(
     obj: UncertainObject, positions: Optional[np.ndarray]
-) -> Tuple[float, Tuple[float, float, float, float]]:
-    """``(mean x, (min x, min y, max x, max y))`` of the points of the
-    object's first-observation support (state indices on a line
-    without positions); zeros for an empty support."""
+) -> float:
+    """Mean x of the points of the object's first-observation support
+    (state indices on a line without positions); 0 for an empty
+    support."""
     support = obj.initial.distribution.sparse()[0]
     if not len(support):
-        return 0.0, (0.0, 0.0, 0.0, 0.0)
+        return 0.0
     if positions is None:
-        x, y = support.astype(float), np.zeros(len(support))
-    else:
-        points = np.atleast_2d(np.asarray(positions, dtype=float)[support])
-        x = points[:, 0]
-        y = points[:, 1] if points.shape[1] > 1 else np.zeros(len(x))
-    return float(x.mean()), (
-        float(x.min()), float(y.min()), float(x.max()), float(y.max())
-    )
+        return float(support.mean())
+    return float(np.asarray(positions, dtype=float)[support, 0].mean())
 
 
 def _write_snapshot_dirs(
@@ -1030,10 +975,9 @@ def _write_snapshot_dirs(
         objects = objects_by_chain[chain_id]
         if not objects:
             continue
-        geometry = [
-            _first_support_geometry(obj, positions) for obj in objects
-        ]
-        centroids = np.array([centroid for centroid, _mbr in geometry])
+        centroids = np.array([
+            _first_support_centroid(obj, positions) for obj in objects
+        ])
         order = np.argsort(centroids, kind="stable")
         tiles = np.array_split(
             order, max(1, min(int(shards_per_chain), len(objects)))
@@ -1052,8 +996,7 @@ def _write_snapshot_dirs(
                 seeds.append(seed_of[obj.object_id])
             entries.append(_write_shard(
                 snapshot / shard_id, shard_id, chain_id, tile_objects,
-                [geometry[i][1] for i in tile], positions is not None,
-                seeds,
+                positions, seeds,
             ))
     return entries
 
@@ -1063,8 +1006,7 @@ def _write_shard(
     shard_id: str,
     chain_id: str,
     objects: Sequence[UncertainObject],
-    mbr_rows: List[Tuple[float, float, float, float]],
-    has_positions: bool,
+    positions: Optional[np.ndarray],
     seeds: Sequence[int],
 ) -> Dict:
     slab_dir.mkdir(parents=True, exist_ok=True)
@@ -1107,27 +1049,29 @@ def _write_shard(
         slab_dir / "obj_indptr.npy", np.asarray(obj_indptr, dtype=np.int64)
     )
     slab_bytes += write_slab(
-        slab_dir / "obj_mbr.npy", np.asarray(mbr_rows, dtype=np.float64)
-    )
-    slab_bytes += write_slab(
         slab_dir / "obj_dbindex.npy", np.asarray(seeds, dtype=np.int64)
     )
     _write_json_atomic(slab_dir / "objects.json", {
         "object_ids": object_ids,
         "chain_id": chain_id,
     })
-    mbr_array = np.asarray(mbr_rows, dtype=float)
-    has_geometry = has_positions and len(mbr_rows) > 0
+    mbr = None  # routes later additions (ShardedTrajectoryStore._route)
+    if positions is not None and objects:
+        points = np.asarray(positions, dtype=float)[
+            np.concatenate([states_parts[i] for i in obj_indptr[:-1]])
+        ]
+        x = points[:, 0]
+        y = points[:, 1] if points.shape[1] > 1 else np.zeros(len(x))
+        mbr = [
+            float(x.min()), float(y.min()), float(x.max()), float(y.max())
+        ]
     return {
         "shard_id": shard_id,
         "chain_id": chain_id,
         "n_objects": len(objects),
         "n_observations": len(obs_times),
         "n_multi": n_multi,
-        "mbr": [
-            float(mbr_array[:, 0].min()), float(mbr_array[:, 1].min()),
-            float(mbr_array[:, 2].max()), float(mbr_array[:, 3].max()),
-        ] if has_geometry else None,
+        "mbr": mbr,
         "slab_bytes": int(slab_bytes),
     }
 

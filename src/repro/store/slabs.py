@@ -1,7 +1,7 @@
 """Memory-mapped numpy slabs with a bounded resident pool.
 
 The sharded store keeps its heavy payloads -- observation supports,
-weights, timestamps, per-object MBR columns -- as raw ``.npy`` files
+weights, timestamps, object boundaries -- as raw ``.npy`` files
 ("slabs").  Readers attach them through :class:`SlabPool`, which maps
 each file at most once per process (``numpy.load(mmap_mode="r")``) and
 keeps the set of live mappings LRU-bounded by ``REPRO_STORE_RAM_CAP``

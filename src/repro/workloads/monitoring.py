@@ -174,8 +174,8 @@ class MonitoringWorkload:
         """Apply tick ``tick``'s events to the database (returns them).
 
         Routes every event through the database's online mutation
-        entry points, exercising the incremental R-tree/journal
-        machinery exactly the way a live feed would.
+        entry points, exercising the incremental journal machinery
+        exactly the way a live feed would.
         """
         events = self.events[tick]
         for obj in events.arrivals:

@@ -10,6 +10,7 @@ from repro import (
     GridStateSpace,
     Observation,
     ObservationSet,
+    PlanOptions,
     PSTExistsQuery,
     PSTForAllQuery,
     PSTKTimesQuery,
@@ -109,12 +110,18 @@ class TestSyntheticEndToEnd:
     def test_pruning_pipeline(self):
         pruner = ReachabilityPruner(self.database)
         prefilter = GeometricPrefilter(
-            self.database, max_displacement=20.0
+            self.database.state_positions(), max_displacement=20.0
         )
         exact_ids = {
             o.object_id for o in pruner.candidates(self.window)
         }
-        geometric_ids = set(prefilter.candidate_ids(self.window))
+        labels = prefilter.probe(self.window.region)
+        geometric_ids = {
+            o.object_id
+            for o in self.database
+            if labels[o.initial.distribution.sparse()[0]].min()
+            <= self.window.t_end - o.initial.time
+        }
         assert exact_ids <= geometric_ids
         result = self.engine.evaluate(
             PSTExistsQuery(self.window), method="qb"
@@ -125,6 +132,13 @@ class TestSyntheticEndToEnd:
             if p > 1e-12
         }
         assert positive <= exact_ids
+        # the forced stage (the chain's own bound) changes no answer
+        forced = self.engine.evaluate(
+            PSTExistsQuery(self.window),
+            method="qb",
+            options=PlanOptions(prefilter=True, bfs_prune=False),
+        )
+        assert forced.values == result.values
 
 
 class TestIcebergScenario:

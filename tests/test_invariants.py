@@ -1,9 +1,8 @@
 """Cross-module invariants not covered by the per-module suites.
 
 Each test pins one mathematical identity that ties two parts of the
-library together (Chapman-Kolmogorov, time-shift invariance, structural
-independence of the R-tree from its fan-out, transpose algebra of the
-pure CSR kernel, ...).
+library together (Chapman-Kolmogorov, time-shift invariance, transpose
+algebra of the pure CSR kernel, ...).
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from repro import (
     PSTExistsQuery,
     QueryBasedEvaluator,
     QueryEngine,
-    Rect,
-    RTree,
     SpatioTemporalWindow,
     StateDistribution,
     TrajectoryDatabase,
@@ -170,33 +167,6 @@ class TestEnginePureBackend:
             assert pure_result.values[object_id] == pytest.approx(
                 scipy_result.values[object_id], abs=1e-12
             )
-
-
-class TestRTreeStructuralIndependence:
-    def test_results_independent_of_capacity(self):
-        rng = np.random.default_rng(7)
-        entries = [
-            (Rect.point(*rng.uniform(0, 50, size=2)), index)
-            for index in range(200)
-        ]
-        query = Rect(10, 10, 30, 30)
-        reference = sorted(RTree(entries, capacity=2).search(query))
-        for capacity in (3, 8, 64):
-            assert sorted(
-                RTree(entries, capacity=capacity).search(query)
-            ) == reference
-
-    def test_higher_capacity_never_deepens_the_tree(self):
-        rng = np.random.default_rng(8)
-        entries = [
-            (Rect.point(*rng.uniform(0, 50, size=2)), index)
-            for index in range(300)
-        ]
-        heights = [
-            RTree(entries, capacity=capacity).height
-            for capacity in (4, 8, 16, 32)
-        ]
-        assert heights == sorted(heights, reverse=True)
 
 
 class TestPureCSRAlgebra:

@@ -258,8 +258,9 @@ class TestExplain:
                 for earlier, later in zip(counts, counts[1:])
             )
         # a selective window at the low end of a line space whose
-        # objects spread uniformly over two chains: the planner turns
-        # the R-tree prefilter on and it removes >= 80% of the database
+        # objects spread uniformly over two chains: auto planning
+        # leaves the geometric prefilter off (BFS prunes everything it
+        # could), and forced on it removes >= 80% of the database
         database = mixed_line_database(
             n_objects=100,
             n_states=1_000,
@@ -267,7 +268,14 @@ class TestExplain:
             chain_ids=("cars", "trucks"),
             multi_every=0,
         )
-        plan = QueryEngine(database).explain(PSTExistsQuery(WINDOW))
+        engine = QueryEngine(database)
+        auto = engine.explain(PSTExistsQuery(WINDOW))
+        assert not auto.use_prefilter
+        assert auto.stages[0].name == "prefilter"
+        assert auto.stages[0].detail == "off"
+        plan = engine.explain(
+            PSTExistsQuery(WINDOW), options=PlanOptions(prefilter=True)
+        )
         counts = plan.stage_counts()
         assert all(
             later <= earlier for earlier, later in zip(counts, counts[1:])
@@ -275,6 +283,7 @@ class TestExplain:
         prefilter = plan.stages[0]
         assert prefilter.name == "prefilter"
         assert prefilter.candidates_out <= 0.2 * prefilter.candidates_in
+        assert counts[-1] == auto.stage_counts()[-1]
 
     def test_plan_recorded_on_result(self):
         database = mixed_line_database(seed=12)

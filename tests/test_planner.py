@@ -212,12 +212,24 @@ class TestStageDecisions:
         assert not plan.use_prefilter
 
     def test_wide_region_disables_prefilter(self):
-        database = line_database(n_objects=40, n_states=100)
-        wide = SpatioTemporalWindow.from_ranges(0, 80, 4, 6)
+        """Auto planning leaves the geometric prefilter off for wide
+        and narrow regions alike (BFS prunes every object it could);
+        forced on, it still removes >= 80% of the same database for
+        the narrow one."""
+        database = line_database(n_objects=40, n_states=1_000)
+        wide = SpatioTemporalWindow.from_ranges(0, 800, 4, 6)
         plan = QueryPlanner(database).plan(PSTExistsQuery(wide))
         assert not plan.use_prefilter
         narrow = QueryPlanner(database).plan(PSTExistsQuery(WINDOW))
-        assert narrow.use_prefilter
+        assert not narrow.use_prefilter
+        assert plan.use_bfs and narrow.use_bfs
+        forced = QueryEngine(database).explain(
+            PSTExistsQuery(WINDOW), options=PlanOptions(prefilter=True)
+        )
+        assert forced.use_prefilter
+        stage = forced.stages[0]
+        assert stage.name == "prefilter"
+        assert stage.candidates_out <= 0.2 * stage.candidates_in
 
     def test_tiny_database_skips_filters(self):
         database = line_database(n_objects=2)

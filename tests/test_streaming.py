@@ -18,6 +18,7 @@ import pytest
 
 from repro import (
     Observation,
+    PlanOptions,
     PSTExistsQuery,
     PSTForAllQuery,
     PSTKTimesQuery,
@@ -1049,12 +1050,21 @@ class TestOnlineAppends:
             )
 
     def test_prefilter_patched_incrementally(self):
+        """The forced geometric stage is a function of the positions
+        and the chain alone, so writes need no index maintenance: the
+        next query already sees every add and remove."""
         database = build_database(seed=17, n_chains=1)
-        prefilter = database.geometric_prefilter("chain-0")
-        assert prefilter is not None
-        window = shifted(WINDOW, 0)
-        before = set(prefilter.candidate_ids(window, 0))
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(shifted(WINDOW, 0))
+        forced = PlanOptions(prefilter=True, bfs_prune=False)
 
+        def run():
+            result = engine.evaluate(query, options=forced)
+            stage = result.plan.stages[0]
+            assert stage.name == "prefilter" and stage.detail == ""
+            return result, stage.candidates_in, stage.candidates_out
+
+        _before, entering, kept = run()
         database.add(
             UncertainObject.with_distribution(
                 "inside",
@@ -1069,22 +1079,23 @@ class TestOnlineAppends:
                 "right-there", N_STATES, 110, chain_id="chain-0"
             )
         )
-        # the same prefilter object is patched, not rebuilt
-        assert database.geometric_prefilter("chain-0") is prefilter
-        after = set(prefilter.candidate_ids(window, 0))
-        assert "right-there" in after
-        assert before <= after | {"right-there", "inside"}
+        after, entering_after, kept_after = run()
+        assert entering_after == entering + 2
+        assert kept + 1 <= kept_after <= kept + 2
+        assert after.values["right-there"] > 0.0
 
         database.remove("right-there")
-        assert "right-there" not in set(
-            prefilter.candidate_ids(window, 0)
-        )
+        final, entering_final, kept_final = run()
+        assert entering_final == entering + 1
+        assert kept_final == kept_after - 1
+        assert "right-there" not in final.values
 
     def test_prefilter_matches_fresh_rebuild(self):
-        """Patched probes equal a from-scratch STR build."""
+        """After online writes, the forced stage keeps exactly what it
+        keeps on a database built from scratch with the same objects,
+        and answers bit-identically to unfiltered evaluation."""
         rng = np.random.default_rng(18)
         database = build_database(seed=18, n_chains=1)
-        prefilter = database.geometric_prefilter("chain-0")
         for index in range(20):
             database.add(
                 UncertainObject.with_distribution(
@@ -1095,11 +1106,23 @@ class TestOnlineAppends:
             )
         for index in range(0, 20, 3):
             database.remove(f"new-{index}")
-        window = shifted(WINDOW, 3)
-        patched = set(prefilter.candidate_ids(window, 0))
-        prefilter.rebuild()
-        rebuilt = set(prefilter.candidate_ids(window, 0))
-        assert patched == rebuilt
+        fresh = TrajectoryDatabase(
+            N_STATES, state_space=LineStateSpace(N_STATES)
+        )
+        fresh.register_chain("chain-0", database.chain("chain-0"))
+        fresh.add_all(list(database))
+        # a horizon short enough for the chain's 20-state bound to prune
+        query = PSTExistsQuery(SpatioTemporalWindow.from_ranges(100, 120, 5, 6))
+        forced = PlanOptions(prefilter=True, bfs_prune=False)
+        patched = QueryEngine(database).evaluate(query, options=forced)
+        rebuilt = QueryEngine(fresh).evaluate(query, options=forced)
+        assert patched.plan.stage_counts() == rebuilt.plan.stage_counts()
+        assert patched.plan.stage_counts()[1] < len(database)
+        assert patched.values == rebuilt.values
+        unfiltered = QueryEngine(database).evaluate(
+            query, options=PlanOptions(prefilter=False, bfs_prune=False)
+        )
+        assert patched.values == unfiltered.values
 
     def test_min_levels_serves_every_horizon(self):
         database = build_database(seed=19, n_chains=1)
