@@ -495,10 +495,10 @@ def collapse_posteriors(
 ) -> SupportBlock:
     """Lemma 1 posteriors ``P(X_t_last | observations)``, one row per
     observation set, each at its latest observation time."""
-    return SupportBlock.from_distributions([
-        StateDistribution.from_support(chain.n_states, *POSTERIOR_COLLAPSE(
+    return SupportBlock.from_sparse([
+        POSTERIOR_COLLAPSE(
             (observations, None), chain, None, context=context
-        )[1:])
+        )[1:]
         for observations in observation_sets
     ], chain.n_states)
 

@@ -335,7 +335,11 @@ class SupportBlock:
     ) -> "SupportBlock":
         """Stack per-object distributions (bulk callers
         :meth:`gather` from columnar storage instead)."""
-        parts = [distribution.sparse() for distribution in distributions]
+        return cls.from_sparse([d.sparse() for d in distributions], n_states)
+
+    @classmethod
+    def from_sparse(cls, parts, n_states: int) -> "SupportBlock":
+        """Stack ``(states, probs)`` rows, one per object."""
         indptr = np.zeros(len(parts) + 1, dtype=np.int64)
         np.cumsum([len(states) for states, _ in parts], out=indptr[1:])
         return cls(

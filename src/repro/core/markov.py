@@ -52,6 +52,7 @@ class MarkovChain:
     __slots__ = (
         "_matrix",
         "_transpose_cache",
+        "_band_cache",
         "_successors_cache",
         "_fingerprint_cache",
     )
@@ -59,6 +60,7 @@ class MarkovChain:
     def __init__(self, matrix, validate: bool = True) -> None:
         self._matrix = self._coerce(matrix)
         self._transpose_cache: Optional[sp.csr_matrix] = None
+        self._band_cache: Optional[Tuple[int, int]] = None
         self._successors_cache: Optional[List[np.ndarray]] = None
         self._fingerprint_cache: Optional[str] = None
         if validate:
@@ -253,6 +255,15 @@ class MarkovChain:
         if self._transpose_cache is None:
             self._transpose_cache = self._matrix.transpose().tocsr()
         return self._transpose_cache
+
+    def band(self) -> Tuple[int, int]:
+        """``(down, up)`` (cached, exact): no transition leaves ``s``
+        for a state below ``s - down`` or above ``s + up``."""
+        if self._band_cache is None:
+            coo = self._matrix.tocoo()
+            offsets = np.append((coo.col - coo.row)[coo.data != 0.0], 0)
+            self._band_cache = (-int(offsets.min()), int(offsets.max()))
+        return self._band_cache
 
     def fingerprint(self) -> str:
         """A content hash of the transition matrix (cached).

@@ -743,6 +743,12 @@ class PosteriorCollapse(Operator):
     Markov from this pdf and rides the same backward columns as a
     single-observation object.  The result does not depend on a query
     region; ``region`` is ignored.
+
+    Each gap of ``k`` steps runs on ``M^T`` sliced once to the states
+    its support ``[a, b]`` can reach, ``[a - k*down, b + k*up]`` by
+    :meth:`~repro.core.markov.MarkovChain.band`; the skipped terms are
+    exact zeros, so this is bit-identical to stepping all of ``M^T``
+    and pays off under transition locality (Table I).
     """
 
     name = "posterior_collapse"
@@ -760,12 +766,21 @@ class PosteriorCollapse(Operator):
                 observations.first.distribution.vector, dtype=float
             )
         transpose = chain.transpose_matrix()
+        down, up = chain.band()
         for observation in observations.after(time):
-            while time < observation.time:
-                vector = np.asarray(
-                    transpose @ vector, dtype=float
-                ).reshape(-1)
-                time += 1
+            steps, time = observation.time - time, observation.time
+            support = np.flatnonzero(vector)
+            lo, hi = 0, len(vector)
+            if support.size:
+                lo = max(0, int(support[0]) - steps * down)
+                hi = min(hi, int(support[-1]) + 1 + steps * up)
+            whole = hi - lo == len(vector)
+            block = transpose if whole else transpose[lo:hi, lo:hi]
+            reached = vector[lo:hi]
+            for _ in range(steps):
+                reached = block @ reached
+            vector = np.zeros_like(vector)
+            vector[lo:hi] = reached
             vector = vector * np.asarray(
                 observation.distribution.vector, dtype=float
             )

@@ -12,8 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import (
+    MarkovChain,
     Observation,
     ObservationSet,
     PlanOptions,
@@ -24,7 +26,7 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
-from repro.core.batch import batch_exists_multi
+from repro.core.batch import batch_exists_multi, collapse_posteriors
 from repro.core.distribution import SupportBlock
 from repro.core.errors import InfeasibleEvidenceError, QueryError
 from repro.core.matrices import (
@@ -525,3 +527,173 @@ class TestPosteriorCollapse:
         np.testing.assert_array_equal(resumed_support, support)
         assert t_fresh == t_resumed == 6
         np.testing.assert_allclose(resumed, fresh, atol=1e-14)
+
+    def test_banded_gaps_bit_identical_to_dense_steps(self):
+        """Supports anywhere, the edges included, over 1-step to
+        whole-space gaps and several Table I spreads."""
+        rng = np.random.default_rng(17)
+        for max_step in (2, 6, 10, 40):
+            chain = make_line_chain(N_STATES, max_step=max_step, rng=rng)
+            for start in (0, N_STATES - 1, 7, 30):
+                observations = sighted_path(chain, start, rng)
+                check_against_dense(chain, observations)
+
+    def test_gaps_clip_at_both_ends_and_reach_the_whole_space(self):
+        chain = make_line_chain(N_STATES, max_step=10, seed=3)
+        spy = SliceSpy(chain)
+        observations = ObservationSet.of(
+            Observation.uniform(0, N_STATES, [0, N_STATES - 1]),
+            Observation.uniform(1, N_STATES, range(N_STATES)),
+            Observation.uniform(40, N_STATES, range(N_STATES)),
+        )
+        check_against_dense(spy, observations)
+        # both ends already on the support: a whole-space step, as is
+        # the long gap
+        assert spy.slices == []
+        down, up = chain.band()
+        for edge, near, clipped in (
+            (0, range(6), (0, 1 + up)),
+            (N_STATES - 1, range(N_STATES - 6, N_STATES),
+             (N_STATES - 1 - down, N_STATES)),
+        ):
+            spy.slices.clear()
+            check_against_dense(spy, ObservationSet.of(
+                Observation.precise(0, N_STATES, edge),
+                Observation.uniform(1, N_STATES, near),
+            ))
+            assert spy.slices == [clipped]
+
+    def test_unbanded_chain_steps_the_whole_transpose(self):
+        matrix = make_line_chain(N_STATES, max_step=6, seed=4).matrix.tolil()
+        matrix[0, N_STATES - 1] = matrix[N_STATES - 1, 0] = 0.5
+        matrix = sp.diags(
+            1.0 / np.asarray(matrix.sum(axis=1)).ravel()
+        ) @ matrix
+        chain = MarkovChain(matrix)
+        assert chain.band() == (N_STATES - 1, N_STATES - 1)
+        spy = SliceSpy(chain)
+        rng = np.random.default_rng(8)
+        for start in (0, 25, N_STATES - 1):
+            check_against_dense(spy, sighted_path(chain, start, rng))
+        assert spy.slices == []
+
+    def test_identity_chain_steps_only_the_support(self):
+        chain = MarkovChain.identity(N_STATES)
+        spy = SliceSpy(chain)
+        observations = ObservationSet.of(
+            Observation.uniform(0, N_STATES, range(20, 30)),
+            Observation.uniform(5, N_STATES, range(25, 40)),
+        )
+        check_against_dense(spy, observations)
+        assert spy.slices == [(20, 30)]
+
+    def test_resumed_entries_bit_identical_to_dense_resume(self):
+        rng = np.random.default_rng(21)
+        chain = make_line_chain(N_STATES, max_step=8, rng=rng)
+        for start in (0, 33, N_STATES - 1):
+            observations = sighted_path(chain, start, rng)
+            for cut in range(1, len(observations)):
+                prefix = ObservationSet.of(*observations.observations[:cut])
+                middle = POSTERIOR_COLLAPSE((prefix, None), chain, None)
+                check_against_dense(chain, observations, resume=middle)
+
+    def test_shard_block_holds_the_operator_rows(self):
+        """``collapse_posteriors`` (the store shard worker's table) is
+        exactly the operator's sparse rows, with no dense round trip."""
+        rng = np.random.default_rng(29)
+        chain = make_line_chain(N_STATES, max_step=8, rng=rng)
+        sets = [sighted_path(chain, start, rng) for start in (0, 20, 59)]
+        block = collapse_posteriors(chain, sets)
+        dense = SupportBlock.from_distributions([
+            StateDistribution.from_support(
+                N_STATES, *POSTERIOR_COLLAPSE((o, None), chain, None)[1:]
+            )
+            for o in sets
+        ], N_STATES)
+        for name in ("indptr", "states", "probs"):
+            assert np.array_equal(getattr(block, name), getattr(dense, name))
+
+    def test_infeasible_evidence_still_raises(self, chain):
+        contradiction = ObservationSet.of(
+            Observation.precise(0, N_STATES, 0),
+            Observation.precise(1, N_STATES, N_STATES - 1),
+        )
+        with pytest.raises(InfeasibleEvidenceError, match="t=1"):
+            POSTERIOR_COLLAPSE((contradiction, None), chain, None)
+        # an all-zero resumed posterior has no support to band around
+        empty = (0, np.zeros(0, dtype=np.int64), np.zeros(0))
+        with pytest.raises(InfeasibleEvidenceError, match="t=1"):
+            POSTERIOR_COLLAPSE((contradiction, empty), chain, None)
+
+
+def sighted_path(chain, start, rng, n_sightings=6):
+    """Uniform sightings around one path of ``chain`` from ``start``:
+    consistent evidence, gaps of 1 to 8 steps."""
+    matrix = chain.matrix.tocsr()
+    state, time = start, 0
+    observations = [Observation.precise(0, chain.n_states, start)]
+    for _ in range(n_sightings - 1):
+        for _ in range(int(rng.integers(1, 9))):
+            row = slice(matrix.indptr[state], matrix.indptr[state + 1])
+            state = int(rng.choice(matrix.indices[row], p=matrix.data[row]))
+            time += 1
+        width = int(rng.integers(0, 4))
+        observations.append(Observation.uniform(time, chain.n_states, range(
+            max(0, state - width), min(chain.n_states, state + width + 1)
+        )))
+    return ObservationSet.of(*observations)
+
+
+def dense_collapse(chain, observations, resume=None):
+    """The reference Lemma 1 filter: every step multiplies all of
+    ``M^T``."""
+    transpose = chain.transpose_matrix()
+    if resume is not None:
+        time, support, weights = resume
+        vector = np.zeros(chain.n_states)
+        vector[support] = weights
+    else:
+        time = observations.first.time
+        vector = np.asarray(observations.first.distribution.vector)
+    for observation in observations.after(time):
+        while time < observation.time:
+            vector = np.asarray(transpose @ vector, dtype=float).reshape(-1)
+            time += 1
+        vector = vector * observation.distribution.vector
+        vector = vector / float(vector.sum())
+    support = np.flatnonzero(vector)
+    return observations.last.time, support, vector[support]
+
+
+def check_against_dense(chain, observations, resume=None):
+    t_last, support, weights = POSTERIOR_COLLAPSE(
+        (observations, resume), chain, None
+    )
+    expected = dense_collapse(chain, observations, resume)
+    assert t_last == expected[0]
+    assert np.array_equal(support, expected[1])
+    assert np.array_equal(weights, expected[2])
+
+
+class SliceSpy:
+    """A chain whose transpose records the ``(lo, hi)`` of every
+    submatrix the collapse slices off it."""
+
+    def __init__(self, chain):
+        self.chain = chain
+        self.n_states = chain.n_states
+        self.slices = []
+
+    def band(self):
+        return self.chain.band()
+
+    def transpose_matrix(self):
+        spy = self
+
+        class Recording(type(self.chain.transpose_matrix())):
+            def __getitem__(self, key):
+                rows, _cols = key
+                spy.slices.append((rows.start, rows.stop))
+                return spy.chain.transpose_matrix()[key]
+
+        return Recording(self.chain.transpose_matrix())

@@ -217,3 +217,46 @@ class TestRandomChains:
             assert chain.propagate(dist, steps).vector.sum() == (
                 pytest.approx(1.0)
             )
+
+
+class TestBand:
+    @staticmethod
+    def offsets(chain):
+        coo = chain.matrix.tocoo()
+        return (coo.col - coo.row)[coo.data != 0.0]
+
+    def test_bounds_every_transition_and_are_attained(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n_states = int(rng.integers(2, 40))
+            # sparse inside a band of random width: the bounds vary
+            low, high = rng.integers(0, n_states, size=2)
+            rows, cols = np.indices((n_states, n_states))
+            keep = (rng.random((n_states, n_states)) < 0.2) & (
+                (cols - rows >= -low) & (cols - rows <= high)
+            )
+            dense = rng.random((n_states, n_states)) * keep + np.eye(n_states)
+            chain = MarkovChain(dense / dense.sum(axis=1, keepdims=True))
+            down, up = chain.band()
+            offsets = self.offsets(chain)
+            assert ((offsets >= -down) & (offsets <= up)).all()
+            assert down == max(0, -offsets.min())
+            assert up == max(0, offsets.max())
+
+    def test_cached_and_computed_for_unvalidated_chains(self):
+        rng = np.random.default_rng(14)
+        chain = random_chain(9, rng, density=0.3)
+        assert chain.band() is chain.band()
+        raw = MarkovChain(chain.matrix, validate=False)
+        assert raw.band() == chain.band()
+
+    def test_identity_and_stored_zeros(self):
+        assert MarkovChain.identity(5).band() == (0, 0)
+        # an explicitly stored zero is no transition
+        matrix = sp.csr_matrix(
+            ([1.0, 0.0, 0.5, 0.5, 1.0], ([0, 0, 1, 1, 2], [1, 2, 0, 1, 2])),
+            shape=(3, 3),
+        )
+        chain = MarkovChain(matrix)
+        assert chain.matrix.nnz == 5
+        assert chain.band() == (1, 1)
