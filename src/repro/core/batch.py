@@ -503,6 +503,17 @@ def collapse_posteriors(
     ], chain.n_states)
 
 
+def refuse_multi_ktimes(kind: str, is_multi: np.ndarray) -> None:
+    """Reject a k-times query over re-sighted objects (Definition 4
+    counts visits from one observation).  Callers check every row
+    before any filter, so the outcome cannot depend on pruning."""
+    if kind == "ktimes" and is_multi.any():
+        raise QueryError(
+            "PSTkQ with multiple observations is not part of the "
+            "paper's framework; query the first observation only"
+        )
+
+
 def evaluate_rows(
     chain: MarkovChain,
     window: SpatioTemporalWindow,
@@ -525,8 +536,9 @@ def evaluate_rows(
     """The planned kernel over ``rows`` of one chain group's columns.
 
     The one place ``(kind, method, is_multi) -> kernel`` is decided
-    (tabulated in ``docs/ARCHITECTURE.md``); the one-shot pipeline
-    and the store shard worker build their columns and call it.
+    (tabulated in ``docs/ARCHITECTURE.md``); the one-shot pipeline,
+    the store shard worker and a standing query's tick (for the rows
+    its ladder does not answer) build their columns and call it.
     ``method="mc"`` samples every row, exists or k-times, in one
     columnar :data:`~repro.exec.operators.MC_SAMPLE` call.  Exact k-times is
     :func:`batch_ktimes_distribution` whatever the method.  Exact

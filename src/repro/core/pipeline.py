@@ -63,7 +63,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.core.batch import evaluate_rows
+from repro.core.batch import evaluate_rows, refuse_multi_ktimes
 from repro.core.errors import (
     DegradedExecutionWarning,
     ExecutionError,
@@ -143,12 +143,9 @@ class QueryPipeline:
                     "k-times plans need the originating PSTKTimesQuery"
                 )
             for group in plan.groups:
-                if group.cohort.is_multi[group.rows].any():
-                    raise QueryError(
-                        "PSTkQ with multiple observations is not "
-                        "part of the paper's framework; query the "
-                        "first observation only"
-                    )
+                refuse_multi_ktimes(
+                    plan.kind, group.cohort.is_multi[group.rows]
+                )
 
         context = ExecutionContext(
             self.plan_cache, self.backend,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -353,6 +353,29 @@ class CostModel:
             features.horizon * 2.0 * features.nnz
             * self.dense_sweep_unit * max(1, features.n_multi)
         )
+
+
+def group_split(
+    window: SpatioTemporalWindow,
+    start_time: np.ndarray,
+    last_time: np.ndarray,
+    is_multi: np.ndarray,
+) -> Tuple[Dict[str, int], np.ndarray]:
+    """The :class:`GroupFeatures` row split of a group's columns (as
+    ``evaluate_rows`` and a tick's ladder run them; a tick reports
+    through it too), plus the distinct kernel start times: ``last_time``
+    for rows whose evidence all precedes ``min(T_q)``, else the first."""
+    before = last_time < window.t_start
+    n_multi = int(np.count_nonzero(is_multi & ~before))
+    starts = np.unique(np.where(before, last_time, start_time))
+    return {
+        "n_single": len(before) - n_multi,
+        "n_multi": n_multi,
+        "n_collapsed": int(np.count_nonzero(is_multi & before)),
+        "horizon": max(
+            0, window.t_end - int(starts.min(initial=window.t_end))
+        ),
+    }, starts
 
 
 @dataclass(frozen=True)
@@ -832,27 +855,21 @@ class QueryPlanner:
         chain_id = cohort.chain_id
         chain = self.database.chain(chain_id)
         rows = cohort.rows
-        # evidence all before the window: evaluate_rows' single kernel
-        last = cohort.last_time[rows]
-        before = last < window.t_start
-        multi = cohort.is_multi[rows]
-        n_multi = int(np.count_nonzero(multi & ~before))
-        starts = np.unique(
-            np.where(before, last, cohort.start_time[rows])
-        ).tolist()
-        horizon = max(0, window.t_end - starts[0])
+        split, starts = group_split(
+            window,
+            cohort.start_time[rows],
+            cohort.last_time[rows],
+            cohort.is_multi[rows],
+        )
         features = GroupFeatures(
-            n_single=len(rows) - n_multi,
-            n_multi=n_multi,
-            n_collapsed=int(np.count_nonzero(multi & before)),
+            **split,
             n_states=chain.n_states + 1,
             nnz=chain.nnz,
-            horizon=horizon,
             duration=window.duration,
             absorbing_cached=self._cached("absorbing", chain, window),
             doubled_cached=self._cached("doubled", chain, window),
             backward_cached_fraction=self._backward_fraction(
-                chain, window, starts
+                chain, window, starts.tolist()
             ),
         )
         costs: Dict[str, float] = {}

@@ -44,11 +44,10 @@ the incremental values are bit-identical to re-evaluation from scratch
   cohort (:class:`~repro.database.cohort.Posteriors`) that every
   standing query and one-shot query reads, so a re-sighting is
   filtered once;
-* falls back to the exact PR-1 batched kernels
-  (:func:`~repro.core.batch.batch_qb_exists` /
-  :func:`~repro.core.batch.batch_exists_multi`) for objects the
-  incremental identity does not cover: observations at or after the
-  current window start, single or Section VI;
+* hands the objects the incremental identity does not cover --
+  observations at or after the current window start, single or
+  Section VI -- to :func:`~repro.core.batch.evaluate_rows`, the kernel
+  router of one-shot queries and store shards;
 * reports a ``streaming`` stage on the executed
   :class:`~repro.core.planner.QueryPlan` with the per-tick candidate
   delta (objects whose BFS reachability threshold the sliding horizon
@@ -66,11 +65,10 @@ ladder caches per-gap *C-blocks* ``rel[d] = M^d . W`` (``W`` the
 per standing query) and a tick costs ``stride`` sparse products per
 chain, each carrying the ``|T_q|+1`` count columns, rather than a full
 re-sweep.  Dead C-blocks are evicted per tick exactly like the exists
-rungs, so memory stays bounded by the live gap spread.  Objects whose
-observation lands at or inside the window fall back to the exact
-batched :func:`~repro.core.batch.batch_ktimes_distribution` kernel
-until the window slides past them; multi-observation objects are
-rejected, matching the batch pipeline's Definition 4 semantics.
+rungs, so memory stays bounded by the live gap spread.  Objects
+observed at or inside the window go through ``evaluate_rows`` until
+the window slides past them; multi-observation objects are rejected
+(:func:`~repro.core.batch.refuse_multi_ktimes`).
 
 **Transactional ticks.**  A :meth:`StandingQuery.tick` either fully
 commits -- ladder rungs extended, journal cursor advanced, tick
@@ -83,8 +81,8 @@ the database) is restored on any exception, so a failed tick can
 simply be retried and resyncs from the database journal.  The cohort
 itself is shared with every other query and keeps being patched, so a
 tick works on the :class:`~repro.database.cohort.CohortView` it took
-at sync: rows and evidence times as of then, whatever lands later.  A
-standing query that
+at sync: rows and evidence times as of then (the records it reads
+are cut at those times), whatever lands later.  A standing query that
 keeps failing (``quarantine_after`` consecutive tick failures, default
 3) is *quarantined* with the error recorded on :attr:`StandingQuery.error`;
 ticking it raises
@@ -102,11 +100,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import (
-    batch_exists_multi,
-    batch_ktimes_distribution,
-    batch_qb_exists,
-)
+from repro.core.batch import evaluate_rows, refuse_multi_ktimes
 from repro.core.distribution import SupportBlock
 from repro.core.errors import (
     QuarantinedQueryError,
@@ -119,6 +113,7 @@ from repro.core.planner import (
     PlanOptions,
     QueryPlan,
     StageStats,
+    group_split,
 )
 from repro.core.query import (
     PSTExistsQuery,
@@ -228,12 +223,7 @@ class _ChainStream:
         rows' supports."""
         cohort = self.cohort
         self.view = view
-        if self.owner.kind == "ktimes" and view.is_multi.any():
-            raise QueryError(
-                "PSTkQ with multiple observations is not part of "
-                "the paper's framework; query the first "
-                "observation only"
-            )
+        refuse_multi_ktimes(self.owner.kind, view.is_multi)
         fresh = np.arange(len(self.threshold), view.n_rows)
         if not fresh.size:
             return
@@ -371,7 +361,7 @@ class _ChainStream:
     # ------------------------------------------------------------------
     def evaluate(
         self, window: SpatioTemporalWindow
-    ) -> Tuple[Dict[str, object], Dict[str, int]]:
+    ) -> Tuple[Dict[str, object], Dict[str, object]]:
         """Per-object answers for the current window, plus the tick's
         row counts for the plan.
 
@@ -380,30 +370,25 @@ class _ChainStream:
         the ladder: a row's answer is its pdf against the rung of its
         gap (exists: ``P_exists``; k-times: the C-block, giving the
         visit-count distribution).  Observations at or inside the
-        window have no ``M_minus`` prefix to extend and take the exact
-        batched kernels until the window slides past them.  Rows below
-        their BFS threshold get the query's zero element.
+        window have no ``M_minus`` prefix to extend and go through
+        ``evaluate_rows`` until the window slides past them.  Rows
+        below their BFS threshold get the query's zero element.
         """
         owner = self.owner
         engine = owner.engine
-        ktimes = owner.kind == "ktimes"
         cohort = self.cohort
         # the sync's view, not the live columns: other queries keep
         # patching the cohort while this tick runs
         view = self.view
         rows, multi, last = view.rows, view.is_multi, view.last_time
+        start_time = cohort.start_time[rows]
         reach = self.threshold[rows] <= window.t_end
         before = last < window.t_start
-        if ktimes:
+        if owner.kind == "ktimes":
             out = np.zeros((len(rows), window.duration + 1), dtype=float)
             out[:, 0] = 1.0  # zero visits
         else:
             out = np.zeros(len(rows), dtype=float)
-        kernel_args = dict(
-            backend=self.backend,
-            plan_cache=engine.plan_cache,
-            context=owner.context,
-        )
 
         # re-sighted rows whose record a racing write took away
         gone = np.zeros(len(rows), dtype=bool)
@@ -414,73 +399,67 @@ class _ChainStream:
             evicted = self._cover(
                 int(gaps[riding].min()), int(gaps[riding].max()), window
             )
-            picked = np.flatnonzero(riding & ~multi)
-            out[picked] = self._ride(
-                cohort.block(rows[picked]), gaps[picked]
-            )
-            picked = np.flatnonzero(riding & multi)
-            if picked.size:
+            single = np.flatnonzero(riding & ~multi)
+            collapsed = np.flatnonzero(riding & multi)
+            block = cohort.block(rows[single])
+            if collapsed.size:
                 # all evidence precedes the window: the object is
                 # Markov from its filtered posterior
-                block = cohort.posteriors.collapse(
-                    rows[picked], last[picked], self.chain,
+                posteriors = cohort.posteriors.collapse(
+                    rows[collapsed], last[collapsed], self.chain,
                     engine.database, self.backend, owner.context,
                 )
-                out[picked] = self._ride(block, gaps[picked])
-                gone[picked[np.diff(block.indptr) == 0]] = True
+                block = block.concat(posteriors)
+                gone[collapsed[np.diff(posteriors.indptr) == 0]] = True
+            picked = np.concatenate([single, collapsed])
+            out[picked] = self._ride(block, gaps[picked])
         else:
             self.rel = self.rel[:0]
 
-        late = np.flatnonzero(reach & ~before & ~multi)
-        if late.size:
-            kernel = (
-                batch_ktimes_distribution if ktimes else batch_qb_exists
+        rest = np.flatnonzero(reach & ~before)
+        doubled = rest[multi[rest]]
+        # the evidence as of the sync, whatever was sighted since
+        records = {
+            p: cohort.record(engine.database, rows[p], last[p])
+            for p in doubled.tolist()
+        }
+        gone[doubled] = [record is None for record in records.values()]
+        rest = rest[~gone[rest]]
+        if rest.size:
+            out[rest] = evaluate_rows(
+                self.chain, window, owner.kind, "qb", rest,
+                block=lambda picked: cohort.block(rows[picked]),
+                start_time=start_time,
+                last_time=last,
+                is_multi=multi,
+                observation_sets=lambda picked: [
+                    records[p] for p in picked.tolist()
+                ],
+                posteriors=None,  # every row here has last >= t_start
+                backend=self.backend,
+                plan_cache=engine.plan_cache,
+                context=owner.context,
             )
-            out[late] = kernel(
-                self.chain,
-                cohort.block(rows[late]),
-                window,
-                start_times=cohort.start_time[rows[late]],
-                **kernel_args,
-            )
-        doubled = np.flatnonzero(reach & ~before & multi)
-        if doubled.size:
-            # evidence at/inside the window needs the full Section VI
-            # doubled sweep (transient: the window slides past)
-            records = [
-                cohort.record(engine.database, row)
-                for row in rows[doubled].tolist()
-            ]
-            gone[doubled] = [record is None for record in records]
-            records = [r for r in records if r is not None]
-            if records:
-                out[doubled[~gone[doubled]]] = batch_exists_multi(
-                    self.chain, records, window, **kernel_args
-                )
 
         if owner.complemented:
             out = 1.0 - out
-        if ktimes and owner.k is not None:
+        if owner.k is not None:
             out = out[:, owner.k]  # a fixed k asks for one scalar
+        counters = {
+            "stream": int(np.count_nonzero(before & ~multi)),
+            "fallback": int(np.count_nonzero(reach & ~before & ~multi)),
+            "multi": int(np.count_nonzero(reach & multi)),
+            "active": int(np.count_nonzero(reach)),
+            "evicted": evicted,
+            "split": group_split(window, start_time, last, multi)[0],
+        }
         if gone.any():
             rows, out = rows[~gone], out[~gone]
-        n_multi = int(np.count_nonzero(multi & ~before))  # doubled
         return (
             dict(zip(
                 cohort.ids(rows), out.tolist() if out.ndim == 1 else out
             )),
-            {
-                "stream": int(np.count_nonzero(before & ~multi)),
-                "fallback": int(late.size),
-                "multi": int(np.count_nonzero(reach & multi)),
-                "active": int(np.count_nonzero(reach)),
-                "evicted": evicted,
-                "n_single": len(rows) - n_multi,
-                "n_multi": n_multi,
-                "first_start": int(
-                    cohort.start_time[rows].min(initial=window.t_end)
-                ),
-            },
+            counters,
         )
 
 
@@ -823,23 +802,12 @@ class StandingQuery:
                     chain_id=chain_id,
                     method="stream",
                     features=GroupFeatures(
-                        n_single=counters[chain_id]["n_single"],
-                        n_multi=counters[chain_id]["n_multi"],
-                        n_states=(
-                            stream.matrices.size
-                            if stream.matrices is not None
-                            else stream.chain.n_states
-                        ),
+                        **counters[chain_id]["split"],
+                        n_states=stream.chain.n_states + 1,
                         nnz=stream.chain.nnz,
-                        horizon=max(
-                            0,
-                            window.t_end
-                            - counters[chain_id]["first_start"],
-                        ),
                         duration=window.duration,
                     ),
-                    survivors=counters[chain_id]["n_single"]
-                    + counters[chain_id]["n_multi"],
+                    survivors=len(stream.view.rows),
                     backend=stream.backend,
                 )
                 for chain_id, stream in sorted(self._chains.items())
@@ -848,10 +816,7 @@ class StandingQuery:
         plan.degradations = list(self.context.events)
         total = {
             key: sum(chain[key] for chain in counters.values())
-            for key in (
-                "stream", "fallback", "multi", "evicted",
-                "n_single", "n_multi",
-            )
+            for key in ("stream", "fallback", "multi", "evicted")
         }
         rungs = sum(
             len(stream.rel) for stream in self._chains.values()
@@ -859,7 +824,7 @@ class StandingQuery:
         plan.stages = [
             StageStats(
                 "streaming",
-                total["n_single"] + total["n_multi"],
+                sum(group.survivors for group in plan.groups),
                 self._active,
                 0.0,
                 f"tick {self.ticks}, stride {self.stride}, "

@@ -115,16 +115,25 @@ class Cohort:
             dtype=np.int64,
         )
 
-    def record(self, database, row: int) -> Optional[ObservationSet]:
+    def record(
+        self, database, row: int, upto: Optional[int] = None
+    ) -> Optional[ObservationSet]:
         """The observations of row ``row`` in ``database`` -- ``None``
         once a write racing the reader has removed or re-anchored the
-        object (the row is dead by then)."""
+        object (the row is dead by then).  With ``upto`` (the latest
+        observation time in the caller's view) only the observations at
+        or before it: a sighting that landed since is not the caller's
+        evidence."""
         try:
             observations = database.get(self.object_id[row]).observations
         except ValidationError:
             return None
         if observations.first.time != self.start_time[row]:
             return None
+        if upto is not None and observations.last.time > upto:
+            observations = ObservationSet(tuple(
+                o for o in observations if o.time <= upto
+            ))
         return observations
 
     # ------------------------------------------------------------------
@@ -300,18 +309,12 @@ class Posteriors:
         for row, slot, upto in zip(
             stale.tolist(), self.slot[stale].tolist(), last[pick].tolist()
         ):
-            observations = cohort.record(database, row)
+            observations = cohort.record(database, row, upto)
             if observations is None:
                 supports.append(self.states[:0])
                 weights.append(self.weights[:0])
                 folded.append(0)
                 continue
-            if observations.last.time != upto:
-                # sighted again since the caller took its view: it
-                # answers from the evidence it saw
-                observations = ObservationSet(tuple(
-                    o for o in observations if o.time <= upto
-                ))
             resume = None
             if slot >= 0 and self.time[row] < upto:
                 entry = slice(self.indptr[slot], self.indptr[slot + 1])

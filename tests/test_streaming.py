@@ -728,6 +728,31 @@ class TestWritesRacingATick:
             result, reference.evaluate(result.query), database
         )
 
+    @pytest.mark.parametrize("object_id", ["obj-1", "obj-11"])
+    def test_sighting_inside_the_window_as_of_the_sync(self, object_id):
+        """An object sighted inside the window takes the doubled sweep
+        over its evidence as of the sync: a later sighting landing
+        mid-tick -- in the region, and for "obj-11" contradicting the
+        first ones -- neither moves nor fails the tick."""
+        database = build_database(seed=66, n_chains=1)
+        window = SpatioTemporalWindow.from_ranges(60, 200, 10, 12)
+        engine = QueryEngine(database)
+        reference = QueryEngine(database)
+        first = engine.watch(PSTExistsQuery(window), faults=_Interloper(None))
+        first.tick()
+        database.append_observation(
+            object_id, Observation.uniform(12, N_STATES, [201, 202])
+        )
+        before = reference.evaluate(PSTExistsQuery(first.window))
+        first.faults.act = lambda: database.append_observation(
+            object_id, Observation.uniform(13, N_STATES, [199, 200])
+        )
+        result = first.tick()
+        assert first.faults.act is None
+        assert_values_parity(result, before)
+        assert result.values[object_id] < 0.9
+        assert first.error is None and first._failures == 0
+
     def test_threaded_writes_never_fail_a_tick(self):
         """Arrivals, departures and re-sightings from one thread while
         three standing queries tick on their own: every tick commits
@@ -907,6 +932,57 @@ class TestStructuralGuards:
             (stream,) = standing._chains.values()
             assert len(stream.rel) == min(tick, 1)
 
+    @pytest.mark.parametrize("kind", ["exists", "ktimes"])
+    def test_rows_off_the_ladder_go_through_evaluate_rows(
+        self, kind, monkeypatch
+    ):
+        """The ladder answers every row whose evidence precedes the
+        window; the rest -- an arrival at the window start, a sighting
+        inside the window -- reach the one kernel router, as "qb" rows
+        of the tick's view, until the window slides past them."""
+        from repro.core import streaming
+
+        database = self.staggered_database(2)
+        in_region = range(104, 109)
+        if kind == "exists":
+            database.append_observation(
+                "resighted",
+                Observation.uniform(5, N_STATES, in_region),
+                chain_id="chain-0",
+            )
+        standing = QueryEngine(database).watch(KINDS[kind](WINDOW))
+        reference = QueryEngine(database)
+        (stream,) = standing._chains.values()
+        received = []
+        route = streaming.evaluate_rows
+
+        def recorder(chain, window, kind, method, rows, **columns):
+            ids = stream.cohort.ids(stream.view.rows[rows])
+            received.append((kind, method, sorted(ids)))
+            return route(chain, window, kind, method, rows, **columns)
+
+        monkeypatch.setattr(streaming, "evaluate_rows", recorder)
+        expected = {
+            "exists": [[], ["arrival", "resighted"], ["resighted"], []],
+            "ktimes": [[], ["arrival"], [], []],
+        }[kind]
+        for tick, rows in enumerate(expected):
+            if tick == 1:
+                database.append_observation(
+                    "arrival",
+                    Observation.uniform(11, N_STATES, in_region),
+                    chain_id="chain-0",
+                )
+                if kind == "exists":
+                    database.append_observation(
+                        "resighted",
+                        Observation.uniform(12, N_STATES, range(N_STATES)),
+                    )
+            del received[:]
+            result = standing.tick()
+            assert received == ([(kind, "qb", rows)] if rows else [])
+            assert_values_parity(result, reference.evaluate(result.query))
+
     def test_resighting_at_window_start_takes_the_doubled_sweep(self):
         database = self.staggered_database(2)
         database.append_observation(
@@ -954,6 +1030,36 @@ class TestStreamingPlan:
         # the horizon only grows, so BFS thresholds only ever admit
         # more objects (no mutations in this run)
         assert counts == sorted(counts)
+
+    def test_group_split_matches_the_one_shot_plan(self):
+        """A tick reports its groups as a one-shot plan of its window
+        does: re-sighted objects collapsed or doubled, and the horizon
+        from the kernels' start times."""
+        database = build_database(seed=7)
+        everywhere = range(N_STATES)
+        # chain-0 collapses "obj-0"; chain-1 sweeps "obj-1" doubled
+        # for two ticks, then collapses it too
+        database.append_observation(
+            "obj-0", Observation.uniform(6, N_STATES, everywhere)
+        )
+        database.append_observation(
+            "obj-1", Observation.uniform(11, N_STATES, everywhere)
+        )
+        engine = QueryEngine(database)
+        standing = engine.watch(PSTExistsQuery(WINDOW))
+
+        def split(plan):
+            return [
+                (group.chain_id, group.features.n_single,
+                 group.features.n_multi, group.features.n_collapsed,
+                 group.features.horizon)
+                for group in plan.groups
+            ]
+
+        for _ in range(3):
+            result = standing.tick()
+            assert split(result.plan) == split(engine.explain(result.query))
+        assert "(1 collapsed) single + 0 multi" in result.plan.describe()
 
     def test_explain_before_tick_raises(self):
         database = build_database(seed=9)
