@@ -50,6 +50,7 @@ stacked into a block on entry, so there is one staging path.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -72,6 +73,7 @@ from repro.exec.operators import (
     ExecutionContext,
     KTimesSchedule,
     SweepSchedule,
+    sweeps_frontier,
 )
 
 __all__ = [
@@ -185,6 +187,7 @@ def batch_ob_exists(
     backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
+    levels=None,
 ) -> np.ndarray:
     """Object-based PST-exists for many objects in one forward sweep.
 
@@ -202,6 +205,9 @@ def batch_ob_exists(
         plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
             supplying the matrices.
         context: optional operator-timing context.
+        levels: optional ``fetch_levels(depth)`` labelling of the region
+            (as ``BFS_PRUNE`` takes): a frontier sweep then skips the mass
+            that can no longer reach it, with the same answers.
 
     Returns:
         ``P_exists`` per object, aligned with ``initials``.
@@ -218,15 +224,19 @@ def batch_ob_exists(
         context=context, plan_cache=plan_cache,
     )
 
+    first = int(starts.min())
     schedule = SweepSchedule(
         n_rows=n_objects,
-        first=int(starts.min()),
+        first=first,
         last=window.t_end,
         times=window.times,
         activations=_activations(block, starts),
         harvests={window.t_end: range(n_objects)},
         read="top",
         read_offset=matrices.top_index,
+        reach=np.append(levels(window.t_end - first), 0)
+        if levels is not None and sweeps_frontier(matrices, n_objects)
+        else None,
     )
     return FORWARD_SWEEP(
         (matrices, schedule), chain, window.region, backend,
@@ -532,6 +542,7 @@ def evaluate_rows(
     backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
+    levels=None,
 ) -> np.ndarray:
     """The planned kernel over ``rows`` of one chain group's columns.
 
@@ -565,6 +576,7 @@ def evaluate_rows(
             (:func:`collapse_posteriors`, or the database's table).
         n_samples / seeds: Monte-Carlo parameters; ``seeds`` is
             aligned with ``rows``.
+        levels: the ``fetch_levels`` :func:`batch_ob_exists` takes.
 
     Returns:
         Answers aligned with ``rows``: ``(len(rows),)`` probabilities
@@ -600,7 +612,8 @@ def evaluate_rows(
             )
             starts = np.concatenate([starts, last[collapsed]])
             riding = np.concatenate([riding, collapsed])
-        evaluate = batch_qb_exists if method == "qb" else batch_ob_exists
+        ob = partial(batch_ob_exists, levels=levels)
+        evaluate = batch_qb_exists if method == "qb" else ob
         answers[riding] = evaluate(
             chain, initials, window, start_times=starts, **shared
         )

@@ -385,6 +385,9 @@ class QueryPipeline:
             backend=self.backend,
             plan_cache=self.plan_cache,
             context=context,
+            levels=partial(
+                self.pruner.levels, group.chain_id, plan.window.region
+            ),
         )
         if plan.kind != "ktimes":
             return dict(zip(ids, answers.tolist()))

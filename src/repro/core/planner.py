@@ -159,7 +159,8 @@ class PlanOptions:
             ``None`` and ``False`` leave it off.  It never drops an
             object the exact BFS filter keeps, so the planner does not
             run it on its own.
-        bfs_prune: force the exact BFS reachability filter on or off.
+        bfs_prune: force the exact BFS reachability filter *stage* on or
+            off; the OB kernel skips mass that cannot reach S_q either way.
         dispatch: force the execution mode -- ``"serial"`` (chain
             groups one after the other in the calling thread) or
             ``"process"`` (slab shards across a process pool, see

@@ -582,13 +582,13 @@ def _evaluate_store_shard(task: _StoreShardTask):
 
     # stage 2: exact reverse-BFS reachability, resumable per
     # (chain, region) across queries exactly like the parent pruner
+    levels = partial(
+        reachability_levels, chain, window.region, cache=_STORE_BFS
+    )
     if task.use_bfs and candidates.size:
         stats["bfs_pruned"] = drop(BFS_PRUNE(
             (
-                partial(
-                    reachability_levels, chain, window.region,
-                    cache=_STORE_BFS,
-                ),
+                levels,
                 view.block(candidates),
                 start_time[candidates],
                 window.t_end,
@@ -623,6 +623,7 @@ def _evaluate_store_shard(task: _StoreShardTask):
             seeds=seeds,
             plan_cache=cache,
             context=context,
+            levels=levels,
         )
         values.update(zip(
             object_ids[candidates].tolist(),

@@ -281,6 +281,9 @@ class SweepSchedule:
             as every *unharvested* row's read value reaches this bound
             (single-row threshold queries); the values read so far are
             returned as lower bounds.
+        reach: per augmented state the Section V-C steps into ``S_q``
+            (TOP 0): a ``read="top"`` frontier stepping into ``t`` drops
+            mass labelled above ``last - (t - 1)``, which no kept entry needs.
     """
 
     n_rows: int
@@ -295,6 +298,7 @@ class SweepSchedule:
     read: str = "top"
     read_offset: int = 0
     stop_threshold: Optional[float] = None
+    reach: Optional[np.ndarray] = None
 
 
 class _DenseStack:
@@ -348,6 +352,9 @@ class _DenseStack:
         if tail:
             return self.stack[rows, offset:].sum(axis=1)
         return self.stack[rows, offset]
+
+    def trim(self, reach: np.ndarray, budget: int) -> None:
+        """No-op: the dense stack steps every state anyway."""
 
     def step(self, time: int, times) -> "_DenseStack":
         if self._transposed:
@@ -414,6 +421,14 @@ class _Frontier:
             self._owners()[hit], weights=x.data[hit], minlength=x.shape[0]
         )[rows]
 
+    def trim(self, reach: np.ndarray, budget: int) -> None:
+        """Drop the entries labelled above ``budget``, in stored order."""
+        x, keep = self.x, reach[self.x.indices] <= budget
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        self.x = sp.csr_matrix(
+            (x.data[keep], x.indices[keep], kept[x.indptr]), shape=x.shape
+        )
+
     def step(self, time: int, times):
         """Advance one timestep; returns the stack to continue with."""
         self.x = self.x @ self.matrices.matrix_for_target_time(time, times)
@@ -441,6 +456,13 @@ _FRONTIER_MIN_CELLS = 1 << 15
 _DENSE_FILL = 1 / 16
 
 
+def sweeps_frontier(matrices, n_rows: int) -> bool:
+    """Whether a sweep of ``n_rows`` starts on a :class:`_Frontier`."""
+    return not isinstance(matrices.m_minus, CSRMatrix) and (
+        n_rows * matrices.size >= _FRONTIER_MIN_CELLS
+    )
+
+
 class ForwardSweep(Operator):
     """One stacked forward pass executing a :class:`SweepSchedule`.
 
@@ -453,20 +475,17 @@ class ForwardSweep(Operator):
     scipy matrices sweep a :class:`_Frontier` once the stack has
     ``_FRONTIER_MIN_CELLS`` cells, a :class:`_DenseStack` below that;
     the pure backend always sweeps the dense reference.  Both give the
-    same answers to rounding.
+    same answers to rounding; a frontier trims to ``schedule.reach``.
     """
 
     name = "forward_sweep"
 
     def run(self, inputs, chain, region, backend, context=None, **_):
         matrices, schedule = inputs
-        if (
-            isinstance(matrices.m_minus, CSRMatrix)
-            or schedule.n_rows * matrices.size < _FRONTIER_MIN_CELLS
-        ):
-            stack = _DenseStack(matrices, schedule.n_rows)
-        else:
-            stack = _Frontier(matrices, schedule.n_rows)
+        stack = (
+            _Frontier if sweeps_frontier(matrices, schedule.n_rows)
+            else _DenseStack
+        )(matrices, schedule.n_rows)
         tail = schedule.read == "tail"
         result = np.zeros(schedule.n_rows, dtype=float)
 
@@ -502,6 +521,8 @@ class ForwardSweep(Operator):
         if visit(schedule.first):
             return read(every_row)
         for time in range(schedule.first + 1, schedule.last + 1):
+            if schedule.reach is not None:
+                stack.trim(schedule.reach, schedule.last - (time - 1))
             stack = stack.step(time, schedule.times)
             if visit(time):
                 return read(every_row)

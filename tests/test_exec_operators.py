@@ -9,6 +9,7 @@ operators now), and the per-call timing hooks account every call.
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
-from repro.core.batch import batch_exists_multi, collapse_posteriors
+from repro.core.batch import (
+    batch_exists_multi,
+    batch_ob_exists,
+    collapse_posteriors,
+)
 from repro.core.distribution import SupportBlock
 from repro.core.errors import InfeasibleEvidenceError, QueryError
 from repro.core.matrices import (
@@ -34,6 +39,7 @@ from repro.core.matrices import (
     build_doubled_matrices,
 )
 from repro.core.plan_cache import PlanCache
+from repro.database.pruning import reachability_levels
 from repro.exec import operators
 from repro.exec.operators import (
     BACKWARD_SWEEP,
@@ -45,6 +51,7 @@ from repro.exec.operators import (
     OperatorStats,
     SweepSchedule,
 )
+from repro.store.sharded import ShardedTrajectoryStore
 from repro.workloads.synthetic import make_line_chain
 
 N_STATES = 60
@@ -487,6 +494,211 @@ class TestForwardSweep:
             assert value == pytest.approx(expected, abs=1e-12)
         assert max(ob.values.values()) > 0.0
         return built
+
+
+def fetch_levels(chain, window):
+    """The ``fetch_levels(depth)`` callable the pipeline and the shard
+    workers hand the OB kernel."""
+    return partial(reachability_levels, chain, window.region, cache={})
+
+
+def points(states, n_states=WIDE_STATES):
+    """A block of point masses."""
+    return SupportBlock.from_distributions(
+        [StateDistribution.point(n_states, int(s)) for s in states],
+        n_states,
+    )
+
+
+# the class itself, whether or not ``taken`` has swapped the name
+FRONTIER = operators._Frontier
+
+
+@pytest.fixture
+def trims(monkeypatch):
+    """``(entries before, entries after)`` of every frontier trim."""
+    seen = []
+    original = FRONTIER.trim
+
+    def spy(self, reach, budget):
+        before = self.x.nnz
+        original(self, reach, budget)
+        seen.append((before, self.x.nnz))
+
+    monkeypatch.setattr(FRONTIER, "trim", spy)
+    return seen
+
+
+class TestReachTrim:
+    """With ``levels`` the OB frontier drops the mass that can no
+    longer reach S_q before each step; every answer is ``==`` the
+    untrimmed sweep's (both on the frontier, neither densifying)."""
+
+    @staticmethod
+    def oracle(wide, taken, trims, block, window, starts):
+        chain, _ = wide
+        untrimmed = batch_ob_exists(chain, block, window, starts)
+        assert not trims
+        trimmed = batch_ob_exists(
+            chain, block, window, starts,
+            levels=fetch_levels(chain, window),
+        )
+        assert taken == ["_Frontier", "_Frontier"]
+        assert len(trims) == window.t_end - int(np.min(starts))
+        np.testing.assert_array_equal(trimmed, untrimmed)
+        return trimmed
+
+    def test_line_chain_mixed_reach(self, wide, taken, trims):
+        rng = np.random.default_rng(41)
+        # supports from 300 states below the region to 300 above: the
+        # far ones are dropped before the first step, the near ones
+        # keep a shrinking cone towards the region
+        block = near(rng, 16, 1700, 2300)
+        answer = self.oracle(wide, taken, trims, block, WIDE_WINDOW, 0)
+        assert (answer == 0.0).any() and (answer > 0.0).any()
+        assert trims[0][1] < trims[0][0]
+        assert trims[-1][1] < trims[-1][0]
+
+    def test_supports_at_both_ends(self, wide, taken, trims):
+        region = frozenset(range(0, 6)) | frozenset(range(3994, 4000))
+        window = SpatioTemporalWindow(region, frozenset(range(5, 8)))
+        states = [0, 2, 4, 40, 60, 2000, 3940, 3960, 3995, 3997, 3999, 10]
+        answer = self.oracle(
+            wide, taken, trims, points(states), window, 0
+        )
+        assert answer[5] == 0.0
+        assert (answer[[0, 1, 2, 8, 9, 10]] > 0.0).all()
+
+    def test_t_end_exactly_at_the_reach_edge(self, wide, taken, trims):
+        chain, _ = wide
+        window = WIDE_WINDOW
+        labels = reachability_levels(chain, window.region, 4000, {})
+        starts = np.array([0] * 6 + [2] * 6)
+        horizons = window.t_end - starts
+        # per row a state labelled exactly the horizon, or one past it
+        states = [
+            int(np.flatnonzero(labels == horizon + (row % 2))[0])
+            for row, horizon in enumerate(horizons)
+        ]
+        answer = self.oracle(
+            wide, taken, trims, points(states), window, starts
+        )
+        assert (answer[0::2] > 0.0).all()
+        assert (answer[1::2] == 0.0).all()
+
+    def test_late_activations_and_starts_inside_the_window(
+        self, wide, taken, trims
+    ):
+        rng = np.random.default_rng(43)
+        block = near(rng, 15, 1900, 2100).concat(
+            near(rng, 6, 2006, 2009)
+        )
+        # rows join at 0, 2 and 4, and at the query time 5 -- the last
+        # group straddles the region's edge, so part of it starts on TOP
+        starts = np.repeat([0, 2, 4, 5], [5, 5, 5, 6])
+        answer = self.oracle(
+            wide, taken, trims, block, WIDE_WINDOW, starts
+        )
+        assert (answer[-6:] >= 0.4 - 1e-12).all()
+
+    def test_gapped_query_times(self, wide, taken, trims):
+        rng = np.random.default_rng(47)
+        window = SpatioTemporalWindow(
+            WIDE_WINDOW.region, frozenset({3, 6, 9})
+        )
+        answer = self.oracle(
+            wide, taken, trims, near(rng, 14, 1850, 2150), window,
+            rng.integers(0, 3, 14),
+        )
+        assert (answer > 0.0).any()
+
+    def test_all_unreachable_block_answers_zero(self, wide, taken, trims):
+        rng = np.random.default_rng(53)
+        answer = self.oracle(
+            wide, taken, trims, near(rng, 12, 100, 900), WIDE_WINDOW, 0
+        )
+        assert (answer == 0.0).all()
+        assert trims[0] == (60, 0)
+
+    def test_dense_sweeps_fetch_no_labels(self, wide, taken):
+        """A stack below the frontier's entry size steps every state
+        anyway, so it never pays for a labelling."""
+        chain, _ = wide
+
+        def refuse(depth):
+            raise AssertionError(f"labels to depth {depth} fetched")
+
+        block = near(np.random.default_rng(67), 4)
+        answer = batch_ob_exists(chain, block, WIDE_WINDOW, 0, levels=refuse)
+        assert taken == ["_DenseStack"]
+        np.testing.assert_array_equal(
+            answer, batch_ob_exists(chain, block, WIDE_WINDOW, 0)
+        )
+
+    def test_stop_threshold(self, wide, taken):
+        chain, matrices = wide
+        absorbing = matrices["scipy"][ABSORBING]
+        rng = np.random.default_rng(59)
+        n_rows = 12
+        base = dict(
+            n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
+            times=WIDE_WINDOW.times,
+            activations={
+                0: (np.arange(n_rows), near(rng, n_rows, 1995, 2001))
+            },
+            harvests={WIDE_WINDOW.t_end: range(n_rows)},
+            read="top", read_offset=absorbing.top_index,
+            stop_threshold=0.05,
+        )
+        reach = np.append(
+            fetch_levels(chain, WIDE_WINDOW)(WIDE_WINDOW.t_end), 0
+        )
+        untrimmed = FORWARD_SWEEP((absorbing, SweepSchedule(**base)))
+        trimmed = FORWARD_SWEEP(
+            (absorbing, SweepSchedule(**base, reach=reach))
+        )
+        assert taken == ["_Frontier", "_Frontier"]
+        np.testing.assert_array_equal(trimmed, untrimmed)
+        assert (trimmed >= 0.05).all()
+
+    @pytest.mark.parametrize("layout", ["in-RAM", "store"])
+    @pytest.mark.parametrize("dispatch", ["serial", "process"])
+    def test_engine_ob_without_bfs_stage(
+        self, wide, tmp_path, layout, dispatch
+    ):
+        """``bfs_prune=False`` drops no object, yet the OB kernel still
+        trims: answers match the untrimmed sweep at 1e-12."""
+        chain, _ = wide
+        database = TrajectoryDatabase.with_chain(chain)
+        rng = np.random.default_rng(61)
+        starts = rng.integers(0, 4, 48)
+        initials = [
+            StateDistribution.uniform(WIDE_STATES, range(c, c + 5))
+            for c in rng.integers(1800, 2200, 48)
+        ]
+        for index, (start, initial) in enumerate(zip(starts, initials)):
+            database.add(UncertainObject(
+                f"o{index}",
+                ObservationSet.of(Observation(int(start), initial)),
+            ))
+        target = database
+        if layout == "store":
+            target = ShardedTrajectoryStore.create(
+                tmp_path / "store", database, shards_per_chain=2
+            )
+        result = QueryEngine(target).evaluate(
+            PSTExistsQuery(WIDE_WINDOW),
+            method="ob",
+            options=PlanOptions(
+                bfs_prune=False, dispatch=dispatch, max_workers=2
+            ),
+        )
+        expected = batch_ob_exists(chain, initials, WIDE_WINDOW, starts)
+        for index, value in enumerate(expected):
+            assert result.values[f"o{index}"] == pytest.approx(
+                value, abs=1e-12
+            )
+        assert 0.0 < expected.max() and expected.min() == 0.0
 
 
 class TestLadderExtend:
