@@ -28,15 +28,16 @@ evaluators are provided, mirroring the per-object functions of
   activating each object's row when the sweep reaches its observation
   timestamp;
 * :func:`batch_qb_exists` -- the Section V-B backward pass run *once*
-  (one pass serves every start time via :func:`backward_vectors`),
-  then one sparse product ``P @ v`` answers all objects of a start
-  group;
+  over the chain's own matrix (one pass serves every start time via
+  :func:`backward_vectors`; no augmented matrix is built), then one
+  sparse product ``P @ v`` answers all objects of a start group;
 * :func:`batch_exists_multi` -- the Section VI doubled-space forward
   pass with per-row Lemma 1 evidence fusion at each object's later
   observations.
 
 All three accept an optional :class:`~repro.core.plan_cache.PlanCache`
-so repeated windows skip matrix construction entirely, and an optional
+so repeated windows skip matrix construction (and, for QB, the backward
+pass) entirely, and an optional
 :class:`~repro.exec.operators.ExecutionContext` collecting per-operator
 timings for EXPLAIN ANALYZE output.
 
@@ -58,7 +59,11 @@ import numpy as np
 from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
-from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
+from repro.core.matrices import (
+    AbsorbingMatrices,
+    DoubledMatrices,
+    extend_block,
+)
 from repro.core.observation import ObservationSet
 from repro.core.query import SpatioTemporalWindow
 from repro.exec.operators import (
@@ -157,23 +162,31 @@ def _activations(
 
 
 def backward_vectors(
-    matrices: AbsorbingMatrices,
+    chain: MarkovChain,
     window: SpatioTemporalWindow,
     start_times: Iterable[int],
+    backend: Optional[str] = None,
+    plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> Dict[int, np.ndarray]:
     """Section V-B backward vectors for every requested start time.
 
-    One pass from ``t_end`` down to the earliest start yields ``v(t)``
-    for *all* intermediate ``t``; the requested ones are copied out.
-    Each returned vector is bit-identical to the one
+    One pass over the chain's own matrix from ``t_end`` down to the
+    earliest start yields ``v(t)`` for *all* intermediate ``t``; the
+    requested ones are copied out.  Each returned vector is
+    bit-identical to the one
     :class:`~repro.core.query_based.QueryBasedEvaluator` computes for
-    that start time alone.  Delegates to
-    :data:`~repro.exec.operators.BACKWARD_SWEEP`.
+    that start time alone.  Runs as
+    :data:`~repro.exec.operators.BACKWARD_SWEEP`, through the
+    ``plan_cache`` when one is given (the vectors are then reused
+    across queries).
     """
+    if plan_cache is not None:
+        return plan_cache.backward_vectors(
+            chain, window, start_times, backend, context=context
+        )
     return BACKWARD_SWEEP(
-        (matrices, window, start_times),
-        region=window.region,
+        (window, start_times), chain, window.region, backend,
         context=context,
     )
 
@@ -249,17 +262,17 @@ def batch_qb_exists(
     initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
-    matrices: Optional[AbsorbingMatrices] = None,
     backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
-    """Query-based PST-exists for many objects: one backward pass,
-    one sparse product per start-time group.
+    """Query-based PST-exists for many objects: one backward pass over
+    the chain's own matrix, one sparse product per start-time group.
 
-    Arguments mirror :func:`batch_ob_exists`.  With a ``plan_cache``
-    the backward vectors themselves are reused across queries, so a
-    repeated window costs only the final dot products.
+    Arguments mirror :func:`batch_ob_exists`; no augmented matrix is
+    built.  With a ``plan_cache`` the backward vectors themselves are
+    reused across queries, so a repeated window costs only the final
+    dot products.
     """
     n_objects = len(initials)
     window.validate_for(chain.n_states)
@@ -268,27 +281,17 @@ def batch_qb_exists(
     block = _as_block(chain, initials)
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
-    unique_starts = np.unique(starts).tolist()
-    if plan_cache is not None and matrices is None:
-        # cache the backward vectors themselves, not just the matrices
-        vectors = plan_cache.backward_vectors(
-            chain, window, unique_starts, backend, context=context
-        )
-        matrices = plan_cache.absorbing(chain, window.region, backend)
-    else:
-        matrices = BUILD_ABSORBING(
-            matrices, chain, window.region, backend, context=context
-        )
-        vectors = backward_vectors(
-            matrices, window, unique_starts, context=context
-        )
+    vectors = backward_vectors(
+        chain, window, np.unique(starts).tolist(), backend, plan_cache,
+        context,
+    )
 
     result = np.zeros(n_objects, dtype=float)
     for start, (rows, group) in _activations(block, starts).items():
         # the extended initials (mass already inside the region at a
         # query-time start sits on TOP) against v(start), row by row
-        entry_rows, states, mass = matrices.extend_block(
-            group, start, window.times
+        entry_rows, states, mass = extend_block(
+            group, window.region, start, window.times
         )
         result[rows] = np.bincount(
             entry_rows,

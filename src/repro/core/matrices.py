@@ -20,6 +20,18 @@ where ``M_out`` is ``M`` with every column in ``S_q`` zeroed and
 ``t in T_q`` and ``M_minus`` otherwise; worlds entering the query window
 are thereby absorbed exactly once.
 
+Only the object-based forward sweep (and the first-passage analysis of
+:mod:`repro.core.temporal`) builds these matrices.  The Section V-B
+backward pass needs just ``M`` and ``S_q``: its vector keeps
+``v[TOP] = 1`` at every step, so
+
+    M_plus . v = M . (v with its S_q entries set to 1)
+    M_minus . v = M . v          (on the real states)
+
+and :class:`~repro.exec.operators.BackwardSweep` steps the chain's own
+matrix.  :func:`extend_block` lays out initial distributions over the
+augmented states from the region alone, for both directions.
+
 Multiple observations (Section VI) -- the doubled construction
 --------------------------------------------------------------
 Worlds that have already hit the window can no longer be collapsed into a
@@ -51,6 +63,7 @@ __all__ = [
     "build_absorbing_matrices",
     "build_doubled_matrices",
     "build_ktimes_block_matrices",
+    "extend_block",
 ]
 
 
@@ -93,6 +106,9 @@ def _region_mask(region: Iterable[int], n_states: int) -> np.ndarray:
 @dataclass
 class AbsorbingMatrices:
     """The Section V-A pair ``(M_minus, M_plus)`` with the TOP state.
+
+    Object-based sweeps only: query-based evaluation steps the chain's
+    own matrix (see the module docstring).
 
     Attributes:
         n_states: number of *real* states; TOP has index ``n_states``.
@@ -161,28 +177,36 @@ class AbsorbingMatrices:
     def extend_block(
         self, block, start_time: int, times: FrozenSet[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`extend_initial` for a whole
-        :class:`~repro.core.distribution.SupportBlock` at once.
+        """:func:`extend_block` over this pair's region."""
+        return extend_block(block, self.region, start_time, times)
 
-        Returns the extended initial vectors of the block's rows as
-        COO triples ``(row, augmented state, mass)`` -- at most one
-        entry per ``(row, state)`` -- ready to be scattered into a
-        sweep stack or reduced against a backward vector.
-        """
-        rows = block.entry_rows()
-        if start_time not in times:
-            return rows, block.states, block.probs
-        inside = _region_mask(self.region, self.n_states)[block.states]
-        hit = block.row_sums(np.where(inside, block.probs, 0.0))
-        outside = ~inside
-        return (
-            np.concatenate([rows[outside], np.arange(len(block))]),
-            np.concatenate([
-                block.states[outside],
-                np.full(len(block), self.top_index, dtype=np.int64),
-            ]),
-            np.concatenate([block.probs[outside], hit]),
-        )
+
+def extend_block(
+    block, region: Region, start_time: int, times: FrozenSet[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`AbsorbingMatrices.extend_initial` for a whole
+    :class:`~repro.core.distribution.SupportBlock` at once.
+
+    Needs only the region: returns the extended initial vectors of the
+    block's rows as COO triples ``(row, augmented state, mass)`` -- at
+    most one entry per ``(row, state)``, TOP at index
+    ``block.n_states`` -- ready to be scattered into a sweep stack or
+    reduced against a backward vector.
+    """
+    rows = block.entry_rows()
+    if start_time not in times:
+        return rows, block.states, block.probs
+    inside = _region_mask(region, block.n_states)[block.states]
+    hit = block.row_sums(np.where(inside, block.probs, 0.0))
+    outside = ~inside
+    return (
+        np.concatenate([rows[outside], np.arange(len(block))]),
+        np.concatenate([
+            block.states[outside],
+            np.full(len(block), block.n_states, dtype=np.int64),
+        ]),
+        np.concatenate([block.probs[outside], hit]),
+    )
 
 
 @dataclass

@@ -29,9 +29,12 @@ from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
 from repro.core.observation import ObservationSet
-from repro.core.plan_cache import resolve_absorbing, resolve_doubled
 from repro.core.query import SpatioTemporalWindow
-from repro.exec.operators import FORWARD_SWEEP, SweepSchedule
+from repro.exec.operators import (
+    BUILD_ABSORBING,
+    FORWARD_SWEEP,
+    SweepSchedule,
+)
 
 __all__ = [
     "ob_exists_probability",
@@ -96,8 +99,8 @@ def ob_exists_probability(
         )
     _check_window(chain, window, start_time)
 
-    matrices = resolve_absorbing(
-        chain, window.region, backend, plan_cache, matrices
+    matrices = BUILD_ABSORBING(
+        matrices, chain, window.region, backend, plan_cache=plan_cache
     )
 
     # a one-row schedule through the shared ForwardSweep operator: the
@@ -181,10 +184,6 @@ def ob_exists_probability_multi(
     first = observations.first
     _check_window(chain, window, first.time)
 
-    matrices = resolve_doubled(
-        chain, window.region, backend, plan_cache, matrices
-    )
-
     # the one-object case of the batched Section VI sweep: same
     # operator, same schedule shape, one row
     from repro.core.batch import batch_exists_multi
@@ -195,5 +194,6 @@ def ob_exists_probability_multi(
         window,
         matrices=matrices,
         backend=backend,
+        plan_cache=plan_cache,
     )
     return float(result[0])

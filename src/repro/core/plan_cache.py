@@ -2,8 +2,12 @@
 
 Every query against a ``(chain, region)`` pair pays a construction cost
 before the first vector--matrix product can run: the Section V-A
-absorbing matrices, the Section VI doubled matrices, or the Section V-B
-backward vector are assembled from COO triples.  Monitoring workloads --
+absorbing matrices (object-based sweeps only) or the Section VI doubled
+matrices are assembled from COO triples, and the Section V-B backward
+vectors take one pass over the horizon.  That pass steps the chain's
+own matrix -- with ``v[TOP] = 1``, ``M_plus . v = M . (v with its S_q
+entries set to 1)`` -- so query-based evaluation caches only
+``"backward"`` entries and never an augmented matrix.  Monitoring workloads --
 the paper's motivating iceberg/traffic scenarios -- re-issue windows
 over the same chains continuously, so that construction cost dominates
 once the products themselves are batched (see :mod:`repro.core.batch`).
@@ -38,72 +42,19 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import QueryError, ValidationError
+from repro.core.errors import ValidationError
 from repro.core.markov import MarkovChain
-from repro.core.matrices import (
-    AbsorbingMatrices,
-    DoubledMatrices,
-    build_absorbing_matrices,
-    build_doubled_matrices,
-)
+from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
 from repro.core.query import Region, SpatioTemporalWindow
 
 __all__ = [
     "PlanCache",
     "PlanCacheStats",
-    "resolve_absorbing",
-    "resolve_doubled",
 ]
-
-
-def resolve_absorbing(
-    chain: MarkovChain,
-    region: FrozenSet[int],
-    backend: Optional[str] = None,
-    plan_cache: Optional["PlanCache"] = None,
-    prebuilt: Optional[AbsorbingMatrices] = None,
-) -> AbsorbingMatrices:
-    """The Section V-A matrices from whichever source is available.
-
-    Precedence: an explicitly ``prebuilt`` instance (validated against
-    ``region``), then the ``plan_cache``, then a fresh construction.
-    Every query processor resolves its matrices through here so the
-    precedence and the region check live in one place.
-    """
-    if prebuilt is not None:
-        if prebuilt.region != region:
-            raise QueryError(
-                "pre-built matrices were constructed for a "
-                "different region"
-            )
-        return prebuilt
-    if plan_cache is not None:
-        return plan_cache.absorbing(chain, region, backend)
-    return build_absorbing_matrices(chain, region, backend)
-
-
-def resolve_doubled(
-    chain: MarkovChain,
-    region: FrozenSet[int],
-    backend: Optional[str] = None,
-    plan_cache: Optional["PlanCache"] = None,
-    prebuilt: Optional[DoubledMatrices] = None,
-) -> DoubledMatrices:
-    """The Section VI doubled matrices; see :func:`resolve_absorbing`."""
-    if prebuilt is not None:
-        if prebuilt.region != region:
-            raise QueryError(
-                "pre-built matrices were constructed for a "
-                "different region"
-            )
-        return prebuilt
-    if plan_cache is not None:
-        return plan_cache.doubled(chain, region, backend)
-    return build_doubled_matrices(chain, region, backend)
 
 
 @dataclass
@@ -133,6 +84,10 @@ class PlanCacheStats:
 
 class PlanCache:
     """A bounded LRU cache of query-evaluation artefacts.
+
+    Query-based evaluation stores only ``"backward"`` vectors (its pass
+    steps the chain's own matrix); the augmented matrices are built for
+    object-based sweeps, Section VI and first-passage analyses.
 
     One instance per :class:`~repro.core.engine.QueryEngine` by default;
     share an instance across engines to amortise construction across
@@ -227,36 +182,36 @@ class PlanCache:
         chain: MarkovChain,
         region: Iterable[int],
         backend: Optional[str] = None,
+        context=None,
     ) -> AbsorbingMatrices:
-        """The Section V-A matrices for ``(chain, region)``, cached."""
-        region = Region(region)
-        key = self._key("absorbing", chain.fingerprint(), region, backend)
-        with self._lock:
-            cached = self._lookup(key)
-            if cached is not None:
-                return cached
-            self.stats.misses += 1
-            self.stats._count("absorbing")
-        value = build_absorbing_matrices(chain, region, backend)
-        with self._lock:
-            return self._store(key, value)
+        """The Section V-A matrices for ``(chain, region)``, cached; a
+        miss runs :data:`~repro.exec.operators.BUILD_ABSORBING`."""
+        return self._matrices("absorbing", chain, region, backend, context)
 
     def doubled(
         self,
         chain: MarkovChain,
         region: Iterable[int],
         backend: Optional[str] = None,
+        context=None,
     ) -> DoubledMatrices:
-        """The Section VI doubled matrices, cached."""
+        """The Section VI doubled matrices, cached; a miss runs
+        :data:`~repro.exec.operators.BUILD_DOUBLED`."""
+        return self._matrices("doubled", chain, region, backend, context)
+
+    def _matrices(self, kind, chain, region, backend, context):
+        from repro.exec.operators import BUILD_ABSORBING, BUILD_DOUBLED
+
         region = Region(region)
-        key = self._key("doubled", chain.fingerprint(), region, backend)
+        key = self._key(kind, chain.fingerprint(), region, backend)
         with self._lock:
             cached = self._lookup(key)
             if cached is not None:
                 return cached
             self.stats.misses += 1
-            self.stats._count("doubled")
-        value = build_doubled_matrices(chain, region, backend)
+            self.stats._count(kind)
+        operator = BUILD_ABSORBING if kind == "absorbing" else BUILD_DOUBLED
+        value = operator.build(chain, region, backend, context)
         with self._lock:
             return self._store(key, value)
 
@@ -270,13 +225,14 @@ class PlanCache:
     ) -> Dict[int, np.ndarray]:
         """Section V-B backward vectors for several start times, cached.
 
-        Missing start times are filled in by *one* shared backward pass
-        from ``t_end`` down to the earliest missing start (the pass
-        yields every intermediate ``v(t)`` for free), so asking for the
-        vectors of ``k`` start times costs at most one pass -- not
-        ``k``.
+        Missing start times are filled in by *one* shared
+        :data:`~repro.exec.operators.BACKWARD_SWEEP` pass over the
+        chain's own matrix from ``t_end`` down to the earliest missing
+        start (the pass yields every intermediate ``v(t)`` for free), so
+        asking for the vectors of ``k`` start times costs at most one
+        pass -- not ``k`` -- and builds no augmented matrix.
         """
-        from repro.core.batch import backward_vectors as _run_backward
+        from repro.exec.operators import BACKWARD_SWEEP
 
         wanted = sorted({int(t) for t in start_times})
         fingerprint = chain.fingerprint()
@@ -297,9 +253,9 @@ class PlanCache:
                 self.stats.misses += len(missing)
                 self.stats._count("backward")
         if missing:
-            matrices = self.absorbing(chain, window.region, backend)
-            computed = _run_backward(
-                matrices, window, missing, context=context
+            computed = BACKWARD_SWEEP(
+                (window, missing), chain, window.region, backend,
+                context=context,
             )
             with self._lock:
                 for start, vector in computed.items():

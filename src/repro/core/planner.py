@@ -251,7 +251,8 @@ class CostModel:
             of the stacked OB forward sweep.
         dot_unit: cost per state per object of the final QB dots.
         build_unit: cost per non-zero of constructing augmented
-            matrices (skipped on a plan-cache hit).
+            matrices for OB and Section VI (skipped on a plan-cache
+            hit; QB builds none).
         mc_step_unit: cost per sample per timestep per object of the
             Monte-Carlo sampler.
         ktimes_unit: cost per chain non-zero per timestep per count
@@ -302,10 +303,9 @@ class CostModel:
         return float(cost) * self.DEFAULT_UNIT_SECONDS
 
     def qb_cost(self, features: "GroupFeatures") -> float:
-        """One shared backward pass (unless cached) + one dot/object."""
-        build = 0.0 if features.absorbing_cached else (
-            self.build_unit * features.nnz
-        )
+        """One shared backward pass (unless cached) + one dot/object.
+
+        No build term: the pass steps the chain's own matrix."""
         sweep = (
             (1.0 - features.backward_cached_fraction)
             * features.horizon * features.nnz * self.sweep_unit
@@ -313,7 +313,7 @@ class CostModel:
         answers = features.n_single * (
             features.n_states * self.dot_unit + self.object_overhead
         )
-        return build + sweep + answers
+        return sweep + answers
 
     def ob_cost(self, features: "GroupFeatures") -> float:
         """One stacked forward sweep dragging every object column."""
@@ -392,7 +392,8 @@ class GroupFeatures:
         nnz: chain transition non-zeros (sparsity).
         horizon: ``t_end`` minus the group's earliest kernel start.
         duration: ``|T_q]`` timestamps in the window.
-        absorbing_cached: Section V-A matrices already in the plan cache.
+        absorbing_cached: Section V-A matrices already in the plan cache
+            (priced by OB only).
         doubled_cached: Section VI matrices already in the plan cache.
         backward_cached_fraction: fraction of the group's distinct start
             times whose Section V-B backward vector is already cached.

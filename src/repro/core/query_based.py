@@ -1,10 +1,13 @@
 """Query-based (QB) query processing -- Section V-B.
 
 The query-based approach reverses the computation: one backward pass from
-``t_end`` to the observation time with the *transposed* augmented matrices
+``t_end`` to the observation time, ``v(t) = M(t -> t+1) . v(t+1)``,
 produces a vector ``v`` whose entry ``v[s]`` is the probability that an
 object starting at state ``s`` satisfies the query.  Each object is then
-answered by a single (sparse) dot product ``P(o, 0) . v``.
+answered by a single (sparse) dot product ``P(o, 0) . v``.  The pass needs
+only the chain matrix and the region: ``v[TOP]`` is 1 at every step, so
+``M_plus . v = M . (v with its S_q entries set to 1)`` and
+``M_minus . v = M . v`` -- no augmented matrix is built.
 
 The backward pass is shared across *all* objects that follow the same
 chain, which is why QB beats OB by orders of magnitude on large databases
@@ -18,16 +21,12 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+from repro.core.batch import backward_vectors
 from repro.core.distribution import StateDistribution
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
-from repro.core.matrices import (
-    AbsorbingMatrices,
-    build_ktimes_block_matrices,
-)
-from repro.core.plan_cache import resolve_absorbing
+from repro.core.matrices import build_ktimes_block_matrices
 from repro.core.query import SpatioTemporalWindow
-from repro.exec.operators import BACKWARD_SWEEP
 
 __all__ = [
     "QueryBasedEvaluator",
@@ -40,18 +39,18 @@ class QueryBasedEvaluator:
     """Pre-computed backward vector for one (chain, window) pair.
 
     Construction runs the backward pass once (``O(|S_reach|^2 . dt)`` in
-    the paper's notation); afterwards :meth:`probability` answers each
-    object in time proportional to its support size -- "a total CPU cost
-    of O(1) per object" for point observations.
+    the paper's notation) on the chain's own matrix; afterwards
+    :meth:`probability` answers each object in time proportional to its
+    support size -- "a total CPU cost of O(1) per object" for point
+    observations.
 
     Args:
         chain: the Markov model shared by the objects.
         window: the query window ``S_q x T_q``.
         start_time: the observation timestamp the backward pass stops at.
-        matrices: pre-built absorbing matrices (reused when given).
         backend: linear-algebra backend name.
         plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
-            supplying the matrices (ignored when ``matrices`` is given).
+            supplying (and keeping) the backward vector.
     """
 
     def __init__(
@@ -59,7 +58,6 @@ class QueryBasedEvaluator:
         chain: MarkovChain,
         window: SpatioTemporalWindow,
         start_time: int = 0,
-        matrices: Optional[AbsorbingMatrices] = None,
         backend: Optional[str] = None,
         plan_cache=None,
     ) -> None:
@@ -73,39 +71,30 @@ class QueryBasedEvaluator:
                 f"query time {window.t_start} precedes start_time "
                 f"{start_time}"
             )
-        matrices = resolve_absorbing(
-            chain, window.region, backend, plan_cache, matrices
-        )
         self.chain = chain
         self.window = window
         self.start_time = start_time
-        self.matrices = matrices
-        self._backward = self._run_backward_pass()
-
-    def _run_backward_pass(self) -> np.ndarray:
-        """Compute ``v(start_time)`` per Section V-B.
-
-        ``v(t_end) = (0, ..., 0, 1)`` (only TOP satisfies the query at the
-        end); then ``v(t) = M(t -> t+1) . v(t+1)``, where the transition
-        into a query timestamp uses ``M_plus`` and any other transition
-        uses ``M_minus``.  Runs as the shared
-        :data:`~repro.exec.operators.BACKWARD_SWEEP` operator -- the
-        exact pass the batched kernels and the streaming anchor use.
-        """
-        vectors = BACKWARD_SWEEP(
-            (self.matrices, self.window, [self.start_time]),
-            self.chain,
-            self.window.region,
-        )
-        return vectors[self.start_time]
+        self._backward = backward_vectors(
+            chain, window, [start_time], backend, plan_cache
+        )[start_time]
+        # the per-state answers: mass inside S_q at a start time that is
+        # itself a query timestamp is an immediate hit (TOP, worth 1)
+        self._answers = self._backward[:-1]
+        if start_time in window.times:
+            self._answers = self._answers.copy()
+            self._answers[window.region.array] = 1.0
 
     @property
     def backward_vector(self) -> np.ndarray:
         """``v(start_time)``: per-start-state satisfaction probability.
 
-        Entry ``s < n`` is the probability that an object sitting at state
-        ``s`` at ``start_time`` satisfies the query; the final entry is the
-        TOP component (always 1).
+        ``v(t_end) = (0, ..., 0, 1)`` (only TOP satisfies the query at
+        the end); then ``v(t) = M(t -> t+1) . v(t+1)`` -- the shared
+        :data:`~repro.exec.operators.BACKWARD_SWEEP` pass the batched
+        kernels and the streaming anchor run.  Entry ``s < n`` is the
+        probability that an object sitting at state ``s`` at
+        ``start_time`` satisfies the query; the final entry is the TOP
+        component (always 1).
         """
         return self._backward
 
@@ -115,14 +104,7 @@ class QueryBasedEvaluator:
             raise ValidationError(
                 f"state {state} out of range [0, {self.chain.n_states})"
             )
-        # A point mass inside the region at a start time that is itself a
-        # query timestamp is an immediate hit; extend_initial handles it.
-        vector = np.zeros(self.chain.n_states, dtype=float)
-        vector[state] = 1.0
-        extended = self.matrices.extend_initial(
-            vector, self.start_time, self.window.times
-        )
-        return float(extended @ self._backward)
+        return float(self._answers[state])
 
     def probability(self, initial: StateDistribution) -> float:
         """``P_exists(o, S_q, T_q)`` for one object's distribution."""
@@ -131,12 +113,7 @@ class QueryBasedEvaluator:
                 f"initial distribution over {initial.n_states} states, "
                 f"chain over {self.chain.n_states}"
             )
-        extended = self.matrices.extend_initial(
-            np.asarray(initial.vector, dtype=float),
-            self.start_time,
-            self.window.times,
-        )
-        return float(extended @ self._backward)
+        return float(np.asarray(initial.vector, dtype=float) @ self._answers)
 
     def probabilities(
         self, initials: Iterable[StateDistribution]
@@ -158,7 +135,7 @@ def qb_exists_probability(
     Prefer constructing a :class:`QueryBasedEvaluator` explicitly when
     several objects share the chain -- that is the whole point of QB --
     or pass a :class:`~repro.core.plan_cache.PlanCache` so repeated
-    calls reuse the matrices.
+    calls reuse the backward vector.
     """
     evaluator = QueryBasedEvaluator(
         chain,

@@ -150,9 +150,9 @@ class _ChainStream:
     rows one-shot queries plan over, through the
     :class:`~repro.database.cohort.CohortView` taken at each sync --
     and keeps beside it only what depends on the query: one BFS
-    threshold per row, the chain's absorbing matrices (shared with the
-    batch engine through the plan cache) and the backward-column
-    ladder.
+    threshold per row and the backward-column ladder (seeded from the
+    batch engine's plan-cache backward vectors, extended on the chain
+    matrix).
     """
 
     def __init__(
@@ -164,15 +164,6 @@ class _ChainStream:
         self.view = None  # the current tick's, set by register()
         self.chain = owner.engine.database.chain(chain_id)
         self.backend = owner.engine.backend
-        if owner.kind == "ktimes":
-            # the suffix-count ladder runs on the plain chain matrix;
-            # the count dimension lives in the C-blocks, not in an
-            # augmented construction
-            self.matrices = None
-        else:
-            self.matrices = owner.engine.plan_cache.absorbing(
-                self.chain, owner.region, self.backend
-            )
         # per cohort row (registered rows only): the earliest t_end at
         # which the object can be non-zero -- first observation time
         # plus BFS distance into the region.  Exact-safe: below it the
@@ -265,14 +256,11 @@ class _ChainStream:
                 )
             buffer[:count] = self.rel
             self._buffer, self._end = buffer, count
-        # M_minus (the absorbing prefix) for exists ladders, the plain
-        # chain matrix for k-times C-blocks (the count dimension rides
-        # in the block's columns)
-        matrix = self.chain.matrix
-        if self.matrices is not None:
-            matrix = self.matrices.m_minus
+        # the chain matrix steps both ladders: an exists rung's real
+        # block (M_minus's real rows are M's, TOP stays 1) and a k-times
+        # C-block (the count dimension rides in the block's columns)
         LADDER_EXTEND(
-            (matrix, self._buffer[self._end - 1], steps),
+            (self.chain.matrix, self._buffer[self._end - 1], steps),
             self.chain, self.owner.region, self.backend,
             context=self.owner.context,
             out=self._buffer[self._end:self._end + steps],

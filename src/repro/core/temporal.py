@@ -29,8 +29,8 @@ from repro.core.distribution import StateDistribution
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.naive import region_marginals
-from repro.core.plan_cache import resolve_absorbing
 from repro.core.query import SpatioTemporalWindow
+from repro.exec.operators import BUILD_ABSORBING
 
 __all__ = [
     "FirstPassageResult",
@@ -135,7 +135,7 @@ def first_passage_distribution(
         raise QueryError(
             f"region state {max(frozen)} outside [0, {chain.n_states})"
         )
-    matrices = resolve_absorbing(chain, frozen, plan_cache=plan_cache)
+    matrices = BUILD_ABSORBING(None, chain, frozen, plan_cache=plan_cache)
     steps = horizon - start_time
     all_times = frozenset(range(start_time, horizon + 1))
     vector = matrices.extend_initial(

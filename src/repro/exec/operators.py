@@ -205,9 +205,14 @@ class BuildMatrices(Operator):
     """Resolve the augmented matrices for ``(chain, region)``.
 
     ``inputs`` may carry pre-built matrices (validated against the
-    region and passed through); otherwise the context's plan cache is
-    probed and construction runs only on a miss, so a cache hit costs
-    (and records) almost nothing.
+    region and passed through); otherwise the plan cache (the
+    ``plan_cache`` argument, else the context's) is probed and only a
+    miss constructs.  Only construction is timed -- :meth:`build`, the
+    plan cache's miss path -- so the operator's calls count matrices
+    built: ``build_absorbing`` calls equal the cache's ``"absorbing"``
+    constructions.  Object-based sweeps, Section VI and the
+    first-passage analysis resolve through it; query-based evaluation
+    builds nothing (:class:`BackwardSweep`).
     """
 
     def __init__(self, kind: str) -> None:
@@ -215,34 +220,39 @@ class BuildMatrices(Operator):
             raise QueryError(f"unknown matrix kind {kind!r}")
         self.kind = kind
         self.name = f"build_{kind}"
+        self._builder = (
+            build_absorbing_matrices
+            if kind == "absorbing"
+            else build_doubled_matrices
+        )
 
-    def run(
-        self, inputs, chain, region, backend, context=None,
-        plan_cache=None, **_,
+    def __call__(
+        self, inputs, chain=None, region=None, backend=None,
+        context=None, plan_cache=None, **_,
     ):
-        prebuilt = inputs
-        if prebuilt is not None:
-            if prebuilt.region != region:
+        if inputs is not None:
+            if inputs.region != region:
                 raise QueryError(
                     "pre-built matrices were constructed for a "
                     "different region"
                 )
-            return prebuilt
+            return inputs
         if plan_cache is None and context is not None:
             plan_cache = context.plan_cache
         if plan_cache is not None:
-            getter = (
-                plan_cache.absorbing
-                if self.kind == "absorbing"
-                else plan_cache.doubled
+            return getattr(plan_cache, self.kind)(
+                chain, region, backend, context=context
             )
-            return getter(chain, region, backend)
-        builder = (
-            build_absorbing_matrices
-            if self.kind == "absorbing"
-            else build_doubled_matrices
+        return self.build(chain, region, backend, context)
+
+    def build(self, chain, region, backend=None, context=None):
+        """Construct the matrices, timed as one operator call."""
+        return super().__call__(
+            None, chain, region, backend, context=context
         )
-        return builder(chain, region, backend)
+
+    def run(self, inputs, chain, region, backend, context=None, **_):
+        return self._builder(chain, region, backend)
 
 
 # ----------------------------------------------------------------------
@@ -535,17 +545,22 @@ class ForwardSweep(Operator):
 class BackwardSweep(Operator):
     """Section V-B backward vectors for every requested start time.
 
-    ``inputs`` is ``(matrices, window, start_times)``.  One pass from
-    ``t_end`` down to the earliest start yields ``v(t)`` for *all*
-    intermediate ``t``; the requested ones are copied out.  Each
-    returned vector is bit-identical to the one the per-object
-    query-based evaluator computes for that start time alone.
+    ``inputs`` is ``(window, start_times)``.  One pass from ``t_end``
+    down to the earliest start yields ``v(t)`` for *all* intermediate
+    ``t``; the requested ones are copied out.  The pass steps the
+    chain's own matrix, not the Section V-A pair: ``v[TOP]`` is 1 at
+    every step, so ``M_plus . v = M . (v with its S_q entries set to
+    1)`` and ``M_minus . v = M . v``.  A step into a query time
+    therefore sets ``real[S_q] = 1`` and then takes ``real <- M .
+    real``; the returned ``(n + 1)`` vectors carry ``TOP = 1``.  The
+    pure backend runs the same kernel through
+    :func:`~repro.linalg.ops.matvec` over its own copy of the matrix.
     """
 
     name = "backward_sweep"
 
     def run(self, inputs, chain, region, backend, context=None, **_):
-        matrices, window, start_times = inputs
+        window, start_times = inputs
         wanted = sorted({int(t) for t in start_times})
         if not wanted:
             return {}
@@ -558,19 +573,27 @@ class BackwardSweep(Operator):
                 f"query time {window.t_start} precedes start_time "
                 f"{wanted[-1]}"
             )
-        vector = np.zeros(matrices.size, dtype=float)
-        vector[matrices.top_index] = 1.0
+        matrix = chain.to_pure() if backend == "pure" else chain.matrix
+        columns = window.region.array
+        n = chain.n_states
+        real = np.zeros(n, dtype=float)
+        keep = set(wanted)
+
+        def augmented() -> np.ndarray:
+            vector = np.empty(n + 1, dtype=float)
+            vector[:n] = real
+            vector[n] = 1.0
+            return vector
+
         result: Dict[int, np.ndarray] = {}
-        if window.t_end in wanted:  # degenerate: observation at t_end
-            result[window.t_end] = vector.copy()
-        remaining = set(wanted) - set(result)
+        if window.t_end in keep:  # degenerate: observation at t_end
+            result[window.t_end] = augmented()
         for time in range(window.t_end - 1, wanted[0] - 1, -1):
-            matrix = matrices.matrix_for_target_time(
-                time + 1, window.times
-            )
-            vector = np.asarray(matvec(matrix, vector), dtype=float)
-            if time in remaining:
-                result[time] = vector.copy()
+            if time + 1 in window.times:
+                real[columns] = 1.0
+            real = np.asarray(matvec(matrix, real), dtype=float)
+            if time in keep:
+                result[time] = augmented()
         return result
 
 
@@ -841,26 +864,27 @@ class MCSample(Operator):
 class LadderExtend(Operator):
     """Extend a backward-vector ladder by repeated ``M_minus`` steps.
 
-    ``inputs`` is ``(m_minus, base, steps)``; writes the ``steps``
+    ``inputs`` is ``(matrix, base, steps)``; writes the ``steps``
     new rungs ``[M.base, M^2.base, ...]`` along axis 0 of ``out``
     (``(steps,) + base.shape``, the spare tail of the caller's ladder
-    array) and returns it.  This is the
-    streaming engine's per-tick kernel: shift invariance makes every
-    slid window's backward column a pure ``M_minus`` extension of the
-    previous one.
+    array) and returns it.  ``matrix`` steps the leading
+    ``matrix.shape[0]`` entries of each rung and the rest are copied:
+    an exists rung's TOP entry stays 1 under the chain matrix, since
+    ``M_minus``'s real rows are exactly ``M``'s (bit-identical rungs).
+    This is the streaming engine's per-tick kernel: shift invariance
+    makes every slid window's backward column a pure ``M_minus``
+    extension of the previous one.
     """
 
     name = "ladder_extend"
 
     def run(self, inputs, chain, region, backend, out, context=None, **_):
-        m_minus, base, steps = inputs
+        matrix, base, steps = inputs
+        n = matrix.shape[0]
         vector = base
         for step in range(steps):
-            if isinstance(m_minus, CSRMatrix):
-                vector = matvec(m_minus, vector)
-            else:
-                vector = m_minus @ vector
-            out[step] = vector
+            out[step][:n] = matrix @ vector[:n]
+            out[step][n:] = vector[n:]
             vector = out[step]
         return out
 

@@ -165,33 +165,23 @@ class TestBatchQbExists:
     def test_backward_vectors_bit_identical_to_evaluator(
         self, paper_chain, paper_window
     ):
-        matrices = build_absorbing_matrices(
-            paper_chain, paper_window.region
-        )
-        vectors = backward_vectors(matrices, paper_window, [0, 1, 2])
+        vectors = backward_vectors(paper_chain, paper_window, [0, 1, 2])
         for start, vector in vectors.items():
             evaluator = QueryBasedEvaluator(
-                paper_chain,
-                paper_window,
-                start_time=start,
-                matrices=matrices,
+                paper_chain, paper_window, start_time=start
             )
             assert np.array_equal(vector, evaluator.backward_vector)
 
     def test_backward_vector_at_t_end(self, paper_chain):
         window = SpatioTemporalWindow(frozenset({0}), frozenset({2}))
-        matrices = build_absorbing_matrices(paper_chain, window.region)
-        vectors = backward_vectors(matrices, window, [2])
+        vectors = backward_vectors(paper_chain, window, [2])
         expected = np.zeros(4)
         expected[3] = 1.0
         assert np.array_equal(vectors[2], expected)
 
     def test_empty_inputs(self, paper_chain, paper_window):
         assert batch_qb_exists(paper_chain, [], paper_window).shape == (0,)
-        matrices = build_absorbing_matrices(
-            paper_chain, paper_window.region
-        )
-        assert backward_vectors(matrices, paper_window, []) == {}
+        assert backward_vectors(paper_chain, paper_window, []) == {}
 
 
 class TestBatchMulti:

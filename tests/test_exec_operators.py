@@ -140,11 +140,11 @@ DOUBLED_SIDES = [(2, "_DenseStack"), (6, "_Frontier")]
 
 
 class TestTimingHooks:
-    def test_every_call_recorded(self, chain, matrices):
+    def test_every_call_recorded(self, chain):
         context = ExecutionContext()
         for _ in range(3):
             BACKWARD_SWEEP(
-                (matrices, WINDOW, [0]),
+                (WINDOW, [0]),
                 chain,
                 WINDOW.region,
                 context=context,
@@ -153,10 +153,8 @@ class TestTimingHooks:
         assert stats.calls == 3
         assert stats.seconds > 0.0
 
-    def test_no_context_is_fine(self, chain, matrices):
-        result = BACKWARD_SWEEP(
-            (matrices, WINDOW, [0]), chain, WINDOW.region
-        )
+    def test_no_context_is_fine(self, chain):
+        result = BACKWARD_SWEEP((WINDOW, [0]), chain, WINDOW.region)
         assert 0 in result
 
     def test_merge_folds_worker_tuples(self):
@@ -214,9 +212,7 @@ class TestForwardSweep:
         forward = FORWARD_SWEEP(
             (matrices, schedule), chain, WINDOW.region
         )
-        backward = BACKWARD_SWEEP(
-            (matrices, WINDOW, [0]), chain, WINDOW.region
-        )
+        backward = BACKWARD_SWEEP((WINDOW, [0]), chain, WINDOW.region)
         extended = matrices.extend_initial(
             np.asarray(initial.vector, dtype=float), 0, WINDOW.times
         )
@@ -717,6 +713,25 @@ class TestLadderExtend:
             expected = matrices.m_minus @ expected
             np.testing.assert_allclose(rung, expected, atol=0)
         assert not ladder[0].any() and not ladder[4].any()
+
+    def test_chain_matrix_step_equals_m_minus_step(self, chain, matrices):
+        """A tick steps ``chain.matrix`` on the real block and keeps TOP
+        at 1; ``M_minus``'s real rows are ``M``'s, so from the same
+        anchor the rungs are bit-identical."""
+        anchor = BACKWARD_SWEEP(
+            (WINDOW, [WINDOW.t_start - 1]), chain, WINDOW.region
+        )[WINDOW.t_start - 1]
+        plain = np.zeros((3, matrices.size), dtype=float)
+        augmented = np.zeros((3, matrices.size), dtype=float)
+        LADDER_EXTEND(
+            (chain.matrix, anchor, 3), chain, WINDOW.region, out=plain
+        )
+        LADDER_EXTEND(
+            (matrices.m_minus, anchor, 3), chain, WINDOW.region,
+            out=augmented,
+        )
+        assert (plain == augmented).all()
+        assert (plain[:, matrices.top_index] == 1.0).all()
 
 
 class TestPosteriorCollapse:

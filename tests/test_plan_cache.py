@@ -115,10 +115,8 @@ class TestBackwardVectors:
             paper_chain, paper_window, [0, 1, 2]
         )
         assert set(vectors) == {0, 1, 2}
-        assert cache.stats.constructions == {
-            "absorbing": 1,
-            "backward": 1,
-        }
+        # the pass steps the chain's own matrix: no augmented matrices
+        assert cache.stats.constructions == {"backward": 1}
 
     def test_repeat_is_all_hits(self, paper_chain, paper_window):
         cache = PlanCache()

@@ -140,11 +140,27 @@ class TestMethodChoice:
         assert group.costs["qb"] < group.costs["ob"]
 
     def test_singleton_group_prefers_ob(self):
+        # once OB's matrices are cached, one object's forward sweep
+        # beats a backward pass plus a dense dot
         database = line_database(n_objects=1)
-        plan = QueryPlanner(database).plan(PSTExistsQuery(WINDOW))
+        cache = PlanCache()
+        QueryEngine(database, plan_cache=cache).evaluate(
+            PSTExistsQuery(WINDOW), method="ob"
+        )
+        plan = QueryPlanner(database, plan_cache=cache).plan(
+            PSTExistsQuery(WINDOW)
+        )
         group = plan.groups[0]
         assert group.method == "ob"
         assert group.costs["ob"] < group.costs["qb"]
+
+    def test_cold_singleton_prefers_qb(self):
+        # a cold OB pays the augmented-matrix build, QB builds nothing
+        database = line_database(n_objects=1)
+        plan = QueryPlanner(database).plan(PSTExistsQuery(WINDOW))
+        group = plan.groups[0]
+        assert group.method == "qb"
+        assert group.costs["qb"] < group.costs["ob"]
 
     def test_forced_method_wins(self):
         database = line_database(n_objects=50)
@@ -185,7 +201,9 @@ class TestCacheAwareCosts:
         assert (
             warm.groups[0].costs["qb"] < cold.groups[0].costs["qb"]
         )
-        assert warm.groups[0].features.absorbing_cached
+        # QB caches backward vectors only, never the Section V-A pair
+        assert not warm.groups[0].features.absorbing_cached
+        assert "absorbing" not in cache.stats.constructions
 
     def test_probe_does_not_mutate_cache_stats(self):
         database = line_database(n_objects=30)

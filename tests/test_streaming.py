@@ -1105,14 +1105,18 @@ class TestStreamingPlan:
         database = build_database(seed=12, n_chains=1)
         engine = QueryEngine(database)
         engine.evaluate(PSTExistsQuery(WINDOW))
-        built = engine.plan_cache.stats.total_constructions
+        stats = engine.plan_cache.stats
+        built = stats.total_constructions
         standing = engine.watch(PSTExistsQuery(WINDOW))
         standing.tick()
-        # the standing query reuses the batch engine's absorbing
-        # matrices; only backward artefacts may be added
-        constructions = engine.plan_cache.stats.constructions
-        assert constructions.get("absorbing", 0) == 1
-        assert engine.plan_cache.stats.total_constructions <= built + 1
+        # neither QB nor the ladder builds an augmented matrix: the
+        # tick adds at most its anchor's backward vector
+        assert set(stats.constructions) == {"backward"}
+        assert stats.total_constructions <= built + 1
+        # and a second standing query reuses that cached anchor
+        built = stats.total_constructions
+        engine.watch(PSTExistsQuery(WINDOW)).tick()
+        assert stats.total_constructions == built
 
     def test_standalone_streaming_engine(self):
         database = build_database(seed=13)
