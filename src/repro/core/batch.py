@@ -23,8 +23,9 @@ shard workers of :mod:`repro.exec.dispatch` execute.  Three batched
 evaluators are provided, mirroring the per-object functions of
 :mod:`repro.core.object_based` and :mod:`repro.core.query_based`:
 
-* :func:`batch_ob_exists` -- the Section V-A forward pass over the
-  absorbing matrices, with mixed per-object start times handled by
+* :func:`batch_ob_exists` -- the Section V-A forward pass, stepped on
+  the chain's own matrix with TOP's mass kept per row (no augmented
+  matrix is built), with mixed per-object start times handled by
   activating each object's row when the sweep reaches its observation
   timestamp;
 * :func:`batch_qb_exists` -- the Section V-B backward pass run *once*
@@ -246,7 +247,6 @@ def batch_ob_exists(
         activations=_activations(block, starts),
         harvests={window.t_end: range(n_objects)},
         read="top",
-        read_offset=matrices.top_index,
         reach=np.append(levels(window.t_end - first), 0)
         if levels is not None and sweeps_frontier(matrices, n_objects)
         else None,

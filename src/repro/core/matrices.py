@@ -29,8 +29,15 @@ backward pass needs just ``M`` and ``S_q``: its vector keeps
     M_minus . v = M . v          (on the real states)
 
 and :class:`~repro.exec.operators.BackwardSweep` steps the chain's own
-matrix.  :func:`extend_block` lays out initial distributions over the
-augmented states from the region alone, for both directions.
+matrix.  The forward sweep uses the same identity from the other side:
+``x . M_minus`` is ``x_real . M`` with TOP's mass kept, and ``x .
+M_plus`` is that with the ``S_q`` mass then moved onto TOP.  So
+:class:`~repro.exec.operators.ForwardSweep` also steps ``M`` itself,
+holding TOP's mass per row beside it, and :class:`AbsorbingMatrices`
+builds ``M_minus`` / ``M_plus`` only when they are read (the
+first-passage analysis, the reference tests).  :func:`extend_block`
+lays out initial distributions over the augmented states from the
+region alone, for both directions.
 
 Multiple observations (Section VI) -- the doubled construction
 --------------------------------------------------------------
@@ -107,25 +114,40 @@ def _region_mask(region: Iterable[int], n_states: int) -> np.ndarray:
 class AbsorbingMatrices:
     """The Section V-A pair ``(M_minus, M_plus)`` with the TOP state.
 
-    Object-based sweeps only: query-based evaluation steps the chain's
-    own matrix (see the module docstring).
+    Query-based evaluation and the forward sweep step the chain's own
+    matrix (:meth:`sweep_pair`; see the module docstring), so both
+    matrices are built on first access.
 
     Attributes:
         n_states: number of *real* states; TOP has index ``n_states``.
         region: the query region baked into ``m_plus``.
-        m_minus: transition matrix used when the target time is outside
-            ``T_q``.
-        m_plus: transition matrix used when the target time is inside
-            ``T_q``.
-        backend: the linear-algebra backend that built the matrices.
+        backend: the linear-algebra backend.
+        chain: the chain the matrices augment.
     """
 
     n_states: int
     region: FrozenSet[int]
-    m_minus: Any
-    m_plus: Any
     backend: Backend
+    chain: MarkovChain = field(repr=False, compare=False)
+    _m_minus: Optional[Any] = field(default=None, repr=False)
+    _m_plus: Optional[Any] = field(default=None, repr=False)
     _transposed: Optional[Tuple[Any, Any]] = field(default=None, repr=False)
+
+    @property
+    def m_minus(self) -> Any:
+        """Transition matrix used when the target time is outside
+        ``T_q`` (built on first access)."""
+        if self._m_minus is None:
+            self._m_minus = _absorbing_matrix(self, plus=False)
+        return self._m_minus
+
+    @property
+    def m_plus(self) -> Any:
+        """Transition matrix used when the target time is inside
+        ``T_q`` (built on first access)."""
+        if self._m_plus is None:
+            self._m_plus = _absorbing_matrix(self, plus=True)
+        return self._m_plus
 
     @property
     def top_index(self) -> int:
@@ -142,13 +164,26 @@ class AbsorbingMatrices:
         return self.m_plus if time in times else self.m_minus
 
     def transposed(self) -> Tuple[Any, Any]:
-        """``(M_minus^T, M_plus^T)`` for the query-based backward pass."""
+        """``(M_minus^T, M_plus^T)``."""
         if self._transposed is None:
             self._transposed = (
                 self.backend.transpose(self.m_minus),
                 self.backend.transpose(self.m_plus),
             )
         return self._transposed
+
+    def sweep_pair(self, transposed: bool = False) -> Tuple[Any, Any]:
+        """The ``(outside T_q, inside T_q)`` matrices a forward sweep
+        steps its real states with: the chain's ``M`` (or its cached
+        ``M^T``) for both.  The sweep holds TOP's mass per row and moves
+        the ``S_q`` mass onto it after a step into ``T_q`` itself."""
+        if transposed:
+            matrix = self.chain.transpose_matrix()
+        elif self.backend.name == "pure":
+            matrix = self.chain.to_pure()
+        else:
+            matrix = self.chain.matrix
+        return matrix, matrix
 
     def extend_initial(
         self, initial: np.ndarray, start_time: int, times: FrozenSet[int]
@@ -242,6 +277,13 @@ class DoubledMatrices:
             )
         return self._transposed
 
+    def sweep_pair(self, transposed: bool = False) -> Tuple[Any, Any]:
+        """The ``(outside T_q, inside T_q)`` matrices a forward sweep
+        steps with: ``(M_minus, M_plus)``, or their transposes."""
+        if transposed:
+            return self.transposed()
+        return self.m_minus, self.m_plus
+
     def extend_initial(
         self, initial: np.ndarray, start_time: int, times: FrozenSet[int]
     ) -> np.ndarray:
@@ -297,6 +339,9 @@ def build_absorbing_matrices(
 ) -> AbsorbingMatrices:
     """Construct the Section V-A matrices for ``chain`` and ``region``.
 
+    Builds nothing yet: a forward sweep steps the chain's own matrix,
+    and ``M_minus`` / ``M_plus`` are built when first read.
+
     Args:
         chain: the object's Markov model.
         region: the spatial query region ``S_q``.
@@ -304,36 +349,30 @@ def build_absorbing_matrices(
     """
     frozen = _check_region(chain, region)
     linalg = get_backend(backend)
-    n = chain.n_states
+    return AbsorbingMatrices(
+        n_states=chain.n_states, region=frozen, backend=linalg, chain=chain
+    )
+
+
+def _absorbing_matrix(matrices: AbsorbingMatrices, plus: bool):
+    """``M_plus``: ``M`` with the columns in the region moved onto TOP;
+    with ``plus`` false none move, which is ``M_minus``."""
+    n = matrices.n_states
     top = n
-    rows, cols, values, inside = _coo_arrays(chain, frozen)
-
-    minus_rows = np.append(rows, top)
-    minus_cols = np.append(cols, top)
-    minus_vals = np.append(values, 1.0)
-
+    rows, cols, values, inside = _coo_arrays(matrices.chain, matrices.region)
+    inside &= plus
     redirected = np.bincount(
         rows[inside], weights=values[inside], minlength=n
     )
     sources = np.nonzero(redirected)[0]
-    plus_rows = np.concatenate([rows[~inside], sources, [top]])
-    plus_cols = np.concatenate([
-        cols[~inside], np.full(sources.size, top, dtype=np.int64), [top]
-    ])
-    plus_vals = np.concatenate([
-        values[~inside], redirected[sources], [1.0]
-    ])
-
-    return AbsorbingMatrices(
-        n_states=n,
-        region=frozen,
-        m_minus=linalg.build_coo(
-            n + 1, n + 1, minus_rows, minus_cols, minus_vals
-        ),
-        m_plus=linalg.build_coo(
-            n + 1, n + 1, plus_rows, plus_cols, plus_vals
-        ),
-        backend=linalg,
+    return matrices.backend.build_coo(
+        n + 1,
+        n + 1,
+        np.concatenate([rows[~inside], sources, [top]]),
+        np.concatenate([
+            cols[~inside], np.full(sources.size, top, dtype=np.int64), [top]
+        ]),
+        np.concatenate([values[~inside], redirected[sources], [1.0]]),
     )
 
 

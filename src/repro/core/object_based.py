@@ -121,7 +121,6 @@ def ob_exists_probability(
         },
         harvests={window.t_end: [0]},
         read="top",
-        read_offset=matrices.top_index,
         stop_threshold=stop_at_probability,
     )
     result = FORWARD_SWEEP(

@@ -1,13 +1,15 @@
 """Cross-query caching of augmented matrices and backward vectors.
 
 Every query against a ``(chain, region)`` pair pays a construction cost
-before the first vector--matrix product can run: the Section V-A
-absorbing matrices (object-based sweeps only) or the Section VI doubled
+before the first vector--matrix product can run: the Section VI doubled
 matrices are assembled from COO triples, and the Section V-B backward
 vectors take one pass over the horizon.  That pass steps the chain's
 own matrix -- with ``v[TOP] = 1``, ``M_plus . v = M . (v with its S_q
 entries set to 1)`` -- so query-based evaluation caches only
-``"backward"`` entries and never an augmented matrix.  Monitoring workloads --
+``"backward"`` entries and never an augmented matrix.  The object-based
+sweep steps the chain's own matrix too, so its ``"absorbing"`` entry
+is a descriptor whose Section V-A matrices are built only when read
+(the first-passage analysis).  Monitoring workloads --
 the paper's motivating iceberg/traffic scenarios -- re-issue windows
 over the same chains continuously, so that construction cost dominates
 once the products themselves are batched (see :mod:`repro.core.batch`).

@@ -164,6 +164,14 @@ class _ChainStream:
         self.view = None  # the current tick's, set by register()
         self.chain = owner.engine.database.chain(chain_id)
         self.backend = owner.engine.backend
+        # the ladder's step matrix: the pure backend steps exists rungs
+        # on its own copy of the chain (as BackwardSweep does); k-times
+        # C-blocks are 2-D and always ride scipy
+        self.matrix = (
+            self.chain.to_pure()
+            if self.backend == "pure" and owner.kind != "ktimes"
+            else self.chain.matrix
+        )
         # per cohort row (registered rows only): the earliest t_end at
         # which the object can be non-zero -- first observation time
         # plus BFS distance into the region.  Exact-safe: below it the
@@ -260,7 +268,7 @@ class _ChainStream:
         # block (M_minus's real rows are M's, TOP stays 1) and a k-times
         # C-block (the count dimension rides in the block's columns)
         LADDER_EXTEND(
-            (self.chain.matrix, self._buffer[self._end - 1], steps),
+            (self.matrix, self._buffer[self._end - 1], steps),
             self.chain, self.owner.region, self.backend,
             context=self.owner.context,
             out=self._buffer[self._end:self._end + steps],

@@ -46,7 +46,6 @@ from repro.core.matrices import (
     build_doubled_matrices,
 )
 from repro.linalg.ops import matvec
-from repro.linalg.sparse import CSRMatrix
 
 __all__ = [
     "ExecutionContext",
@@ -212,7 +211,9 @@ class BuildMatrices(Operator):
     built: ``build_absorbing`` calls equal the cache's ``"absorbing"``
     constructions.  Object-based sweeps, Section VI and the
     first-passage analysis resolve through it; query-based evaluation
-    builds nothing (:class:`BackwardSweep`).
+    builds nothing (:class:`BackwardSweep`), and an absorbing
+    resolution is an O(1) descriptor (:class:`ForwardSweep` steps the
+    chain's own matrix).
     """
 
     def __init__(self, kind: str) -> None:
@@ -284,8 +285,10 @@ class SweepSchedule:
             :class:`~repro.core.errors.InfeasibleEvidenceError`).
         harvests: per timestamp, the rows (any integer sequence)
             whose result is read there.
-        read: ``"top"`` reads the TOP component, ``"tail"`` sums the
-            shadow block from ``read_offset`` (Section VI).
+        read: ``"top"`` makes the sweep absorbing (Section V-A: the
+            ``S_q`` mass moves onto TOP after each step into ``T_q``)
+            and reads TOP; ``"tail"`` sums the shadow block from
+            ``read_offset`` (Section VI, the only sweeps that fuse).
         read_offset: first index of the shadow block for ``"tail"``.
         stop_threshold: early termination (Section V-C): stop as soon
             as every *unharvested* row's read value reaches this bound
@@ -318,18 +321,21 @@ class _DenseStack:
     sweeps it (row-wise :func:`~repro.linalg.ops.matmat`), and scipy
     keeps it for stacks too small to pay the frontier's bookkeeping.
     For scipy the stack is kept *transposed* -- a C-contiguous
-    ``(size, n_rows)`` array -- so each transition is ``M^T @ X^T``
-    over the matrices' cached transposes: one CSR matvecs kernel call
+    ``(states, n_rows)`` array -- so each transition is ``M^T @ X^T``
+    over the sweep pair's cached transposes: one CSR matvecs kernel call
     per timestep with no copies in the loop.
     """
 
     def __init__(self, matrices, n_rows: int) -> None:
         self.matrices = matrices
-        self._transposed = not isinstance(matrices.m_minus, CSRMatrix)
-        shape = (matrices.size, n_rows)
+        self._transposed = matrices.backend.name != "pure"
+        self.minus, self.plus = matrices.sweep_pair(self._transposed)
+        shape = (self.minus.shape[0], n_rows)
         self.stack = np.zeros(
             shape if self._transposed else shape[::-1], dtype=float
         )
+        # per row, the mass on TOP (an absorbing sweep's answer)
+        self.absorbed = np.zeros(n_rows, dtype=float)
 
     def activate(
         self, rows: np.ndarray, states: np.ndarray, values: np.ndarray
@@ -353,30 +359,33 @@ class _DenseStack:
             vector[:] = fused / total
         return total
 
-    def read(self, rows: np.ndarray, offset: int, tail: bool) -> np.ndarray:
-        """Per row, entry ``offset`` or (``tail``) the sum from it on."""
+    def read(self, rows: np.ndarray, offset: int) -> np.ndarray:
+        """Per row, the sum of the entries from ``offset`` on."""
         if self._transposed:
-            if tail:
-                return self.stack[offset:, rows].sum(axis=0)
-            return self.stack[offset, rows]
-        if tail:
-            return self.stack[rows, offset:].sum(axis=1)
-        return self.stack[rows, offset]
+            return self.stack[offset:, rows].sum(axis=0)
+        return self.stack[rows, offset:].sum(axis=1)
 
     def trim(self, reach: np.ndarray, budget: int) -> None:
         """No-op: the dense stack steps every state anyway."""
 
-    def step(self, time: int, times) -> "_DenseStack":
+    def absorb(self, inside: np.ndarray) -> None:
+        """Move every row's mass on the states ``inside`` marks into
+        :attr:`absorbed` -- a step on ``M`` followed by this is one on
+        ``M_plus``."""
         if self._transposed:
-            minus_t, plus_t = self.matrices.transposed()
-            matrix = plus_t if time in times else minus_t
+            self.absorbed += self.stack[inside].sum(axis=0)
+            self.stack[inside] = 0.0
+        else:
+            self.absorbed += self.stack[:, inside].sum(axis=1)
+            self.stack[:, inside] = 0.0
+
+    def step(self, time: int, times) -> "_DenseStack":
+        matrix = self.plus if time in times else self.minus
+        if self._transposed:
             self.stack = matrix @ self.stack
         else:
             self.stack = np.asarray(
-                self.matrices.backend.matmat(
-                    self.stack,
-                    self.matrices.matrix_for_target_time(time, times),
-                ),
+                self.matrices.backend.matmat(self.stack, matrix),
                 dtype=float,
             )
         return self
@@ -396,8 +405,11 @@ class _Frontier:
 
     def __init__(self, matrices, n_rows: int) -> None:
         self.matrices = matrices
-        self.x = sp.csr_matrix((n_rows, matrices.size), dtype=float)
-        self._dense_at = _DENSE_FILL * n_rows * matrices.size
+        self.minus, self.plus = matrices.sweep_pair()
+        width = self.minus.shape[0]
+        self.x = sp.csr_matrix((n_rows, width), dtype=float)
+        self.absorbed = np.zeros(n_rows, dtype=float)
+        self._dense_at = _DENSE_FILL * n_rows * width
 
     def _owners(self) -> np.ndarray:
         """The row of every stored entry."""
@@ -423,10 +435,10 @@ class _Frontier:
             self.x.data[lo:hi] = fused / total
         return total
 
-    def read(self, rows: np.ndarray, offset: int, tail: bool) -> np.ndarray:
+    def read(self, rows: np.ndarray, offset: int) -> np.ndarray:
         """:meth:`_DenseStack.read` as one bincount over the entries."""
         x = self.x
-        hit = x.indices >= offset if tail else x.indices == offset
+        hit = x.indices >= offset
         return np.bincount(
             self._owners()[hit], weights=x.data[hit], minlength=x.shape[0]
         )[rows]
@@ -439,13 +451,24 @@ class _Frontier:
             (x.data[keep], x.indices[keep], kept[x.indptr]), shape=x.shape
         )
 
+    def absorb(self, inside: np.ndarray) -> None:
+        """:meth:`_DenseStack.absorb` on the stored entries, in place:
+        the zeros left behind drop out of the next product."""
+        x = self.x
+        hit = inside[x.indices]
+        self.absorbed += np.bincount(
+            self._owners()[hit], weights=x.data[hit], minlength=x.shape[0]
+        )
+        x.data[hit] = 0.0
+
     def step(self, time: int, times):
         """Advance one timestep; returns the stack to continue with."""
-        self.x = self.x @ self.matrices.matrix_for_target_time(time, times)
+        self.x = self.x @ (self.plus if time in times else self.minus)
         if self.x.nnz < self._dense_at:
             return self
         dense = _DenseStack(self.matrices, self.x.shape[0])
         dense.activate(self._owners(), self.x.indices, self.x.data)
+        dense.absorbed = self.absorbed
         return dense
 
 
@@ -468,7 +491,7 @@ _DENSE_FILL = 1 / 16
 
 def sweeps_frontier(matrices, n_rows: int) -> bool:
     """Whether a sweep of ``n_rows`` starts on a :class:`_Frontier`."""
-    return not isinstance(matrices.m_minus, CSRMatrix) and (
+    return matrices.backend.name != "pure" and (
         n_rows * matrices.size >= _FRONTIER_MIN_CELLS
     )
 
@@ -486,6 +509,13 @@ class ForwardSweep(Operator):
     ``_FRONTIER_MIN_CELLS`` cells, a :class:`_DenseStack` below that;
     the pure backend always sweeps the dense reference.  Both give the
     same answers to rounding; a frontier trims to ``schedule.reach``.
+    An absorbing (Section V-A) sweep steps the chain's own ``M`` over
+    the real states and keeps TOP's mass per row in the stack's
+    ``absorbed`` vector: ``x . M_minus`` is ``x_real . M`` with TOP
+    kept, and ``x . M_plus`` is that with the ``S_q`` mass then moved
+    onto TOP, which the sweep does after each step into ``T_q``.  So
+    no augmented matrix is built for it; ``read="top"`` reads
+    ``absorbed``.
     """
 
     name = "forward_sweep"
@@ -496,13 +526,19 @@ class ForwardSweep(Operator):
             _Frontier if sweeps_frontier(matrices, schedule.n_rows)
             else _DenseStack
         )(matrices, schedule.n_rows)
-        tail = schedule.read == "tail"
         result = np.zeros(schedule.n_rows, dtype=float)
 
         def read(rows) -> np.ndarray:
-            return stack.read(rows, schedule.read_offset, tail)
+            if schedule.read == "top":
+                return stack.absorbed[rows]
+            return stack.read(rows, schedule.read_offset)
 
         every_row = np.arange(schedule.n_rows)
+        width = stack.minus.shape[0]
+        absorbs = schedule.read == "top"
+        if absorbs:
+            inside = np.zeros(width, dtype=bool)
+            inside[matrices.region.array] = True
 
         def visit(time: int) -> bool:
             if time in schedule.activations:
@@ -510,7 +546,12 @@ class ForwardSweep(Operator):
                 entry_rows, states, values = matrices.extend_block(
                     block, time, schedule.times
                 )
-                stack.activate(rows[entry_rows], states, values)
+                rows = rows[entry_rows]
+                # TOP entries (past the real states an absorbing sweep
+                # steps) start the row's absorbed mass; rows are fresh
+                top = states >= width
+                stack.absorbed[rows[top]] = values[top]
+                stack.activate(rows[~top], states[~top], values[~top])
             for row, tiled in schedule.fusions.get(time, ()):
                 if stack.fuse(row, tiled) <= 0.0:
                     raise InfeasibleEvidenceError(
@@ -534,6 +575,8 @@ class ForwardSweep(Operator):
             if schedule.reach is not None:
                 stack.trim(schedule.reach, schedule.last - (time - 1))
             stack = stack.step(time, schedule.times)
+            if absorbs and time in schedule.times:
+                stack.absorb(inside)
             if visit(time):
                 return read(every_row)
         return result
@@ -862,15 +905,18 @@ class MCSample(Operator):
 # LadderExtend
 # ----------------------------------------------------------------------
 class LadderExtend(Operator):
-    """Extend a backward-vector ladder by repeated ``M_minus`` steps.
+    """Extend a backward-vector ladder by repeated steps of the chain
+    matrix (TOP and any trailing entries copied).
 
     ``inputs`` is ``(matrix, base, steps)``; writes the ``steps``
     new rungs ``[M.base, M^2.base, ...]`` along axis 0 of ``out``
     (``(steps,) + base.shape``, the spare tail of the caller's ladder
-    array) and returns it.  ``matrix`` steps the leading
-    ``matrix.shape[0]`` entries of each rung and the rest are copied:
-    an exists rung's TOP entry stays 1 under the chain matrix, since
-    ``M_minus``'s real rows are exactly ``M``'s (bit-identical rungs).
+    array) and returns it.  ``matrix`` (scipy, or a pure
+    :class:`~repro.linalg.sparse.CSRMatrix` for 1-D rungs) steps the
+    leading ``matrix.shape[0]`` entries of each rung and the rest are
+    copied: an exists rung's TOP entry stays 1 under the chain matrix,
+    since ``M_minus``'s real rows are exactly ``M``'s (bit-identical
+    rungs).
     This is the streaming engine's per-tick kernel: shift invariance
     makes every slid window's backward column a pure ``M_minus``
     extension of the previous one.
@@ -883,7 +929,7 @@ class LadderExtend(Operator):
         n = matrix.shape[0]
         vector = base
         for step in range(steps):
-            out[step][:n] = matrix @ vector[:n]
+            out[step][:n] = matvec(matrix, vector[:n])
             out[step][n:] = vector[n:]
             vector = out[step]
         return out

@@ -195,6 +195,101 @@ class TestBuildMatrices:
             )
 
 
+class TestAbsorbingSweepOnTheChain:
+    """A Section V-A sweep steps the chain's own ``M`` and moves the
+    ``S_q`` mass onto TOP after each step into ``T_q``: it builds
+    neither augmented matrix and answers as stepping them does."""
+
+    GAPPED = {
+        "small": SpatioTemporalWindow(WINDOW.region, frozenset({6, 8})),
+        "wide": SpatioTemporalWindow(
+            WIDE_WINDOW.region, frozenset({5, 7})
+        ),
+    }
+
+    @staticmethod
+    def reference(chain, window, initials, starts):
+        """Row by row, the extended initial stepped on ``M_minus`` /
+        ``M_plus``."""
+        augmented = build_absorbing_matrices(chain, window.region)
+        answers = []
+        for initial, start in zip(initials, starts):
+            x = augmented.extend_initial(
+                np.asarray(initial.vector, dtype=float), start,
+                window.times,
+            )
+            for time in range(start + 1, window.t_end + 1):
+                x = x @ augmented.matrix_for_target_time(
+                    time, window.times
+                )
+            answers.append(x[augmented.top_index])
+        return np.array(answers)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("gapped", [False, True])
+    @pytest.mark.parametrize("size,backend,n_rows,stack", [
+        ("small", "scipy", 4, "_DenseStack"),
+        ("small", "pure", 4, "_DenseStack"),
+        ("wide", "scipy", 12, "_Frontier"),
+    ])
+    def test_matches_the_augmented_pair_and_builds_neither(
+        self, seed, gapped, size, backend, n_rows, stack, taken,
+        monkeypatch,
+    ):
+        import repro.core.matrices as matrices_module
+
+        rng = np.random.default_rng(seed)
+        if size == "small":
+            chain = make_line_chain(N_STATES, rng=rng)
+            window, low, high = WINDOW, 0, N_STATES - 5
+        else:
+            chain = make_line_chain(WIDE_STATES, max_step=20, seed=seed)
+            window, low, high = WIDE_WINDOW, 1950, 2050
+        if gapped:
+            window = self.GAPPED[size]
+        initials = [
+            StateDistribution.uniform(
+                chain.n_states, range(start, start + 5)
+            )
+            for start in rng.integers(low, high, n_rows)
+        ]
+        # before, at and inside T_q
+        t_min = min(window.times)
+        starts = np.array(
+            [(0, 2, t_min, t_min + 1)[row % 4] for row in range(n_rows)]
+        )
+        expected = self.reference(chain, window, initials, starts)
+
+        def unbuilt(*_):
+            raise AssertionError("an augmented matrix was built")
+
+        monkeypatch.setattr(matrices_module, "_absorbing_matrix", unbuilt)
+        activations = {}
+        for start in np.unique(starts):
+            rows = np.flatnonzero(starts == start)
+            activations[int(start)] = (
+                rows,
+                SupportBlock.from_distributions(
+                    [initials[row] for row in rows], chain.n_states
+                ),
+            )
+        answer = FORWARD_SWEEP((
+            build_absorbing_matrices(chain, window.region, backend),
+            SweepSchedule(
+                n_rows=n_rows,
+                first=0,
+                last=window.t_end,
+                times=window.times,
+                activations=activations,
+                harvests={window.t_end: range(n_rows)},
+                read="top",
+            ),
+        ))
+        assert taken == [stack]
+        assert expected.max() > 0.0
+        np.testing.assert_allclose(answer, expected, rtol=0, atol=1e-12)
+
+
 class TestForwardSweep:
     def test_matches_backward_answer(self, chain, matrices):
         """Forward (OB) and backward (QB) operators agree exactly."""
@@ -732,6 +827,23 @@ class TestLadderExtend:
         )
         assert (plain == augmented).all()
         assert (plain[:, matrices.top_index] == 1.0).all()
+
+    def test_pure_chain_matrix_steps_through_matvec(self, chain, matrices):
+        """The pure backend's ladder: a :class:`CSRMatrix` copy of the
+        chain, stepped through ``matvec``, gives scipy's rungs."""
+        anchor = BACKWARD_SWEEP(
+            (WINDOW, [WINDOW.t_start - 1]), chain, WINDOW.region
+        )[WINDOW.t_start - 1]
+        plain = np.zeros((3, matrices.size), dtype=float)
+        pure = np.zeros((3, matrices.size), dtype=float)
+        LADDER_EXTEND(
+            (chain.matrix, anchor, 3), chain, WINDOW.region, out=plain
+        )
+        LADDER_EXTEND(
+            (chain.to_pure(), anchor, 3), chain, WINDOW.region, out=pure
+        )
+        np.testing.assert_allclose(pure, plain, rtol=0, atol=1e-15)
+        assert (pure[:, matrices.top_index] == 1.0).all()
 
 
 class TestPosteriorCollapse:

@@ -1118,6 +1118,40 @@ class TestStreamingPlan:
         engine.watch(PSTExistsQuery(WINDOW)).tick()
         assert stats.total_constructions == built
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_pure_backend_ticks_match_scipy(self, stride, monkeypatch):
+        """A pure-backend exists ladder steps its own copy of the chain
+        through ``matvec``; every tick equals the scipy engine's."""
+        import repro.core.streaming as streaming
+
+        stepped = []
+
+        def spy(inputs, *args, **kwargs):
+            stepped.append(type(inputs[0]).__name__)
+            return ladder(inputs, *args, **kwargs)
+
+        ladder = streaming.LADDER_EXTEND
+        monkeypatch.setattr(streaming, "LADDER_EXTEND", spy)
+        database = build_database(seed=15)
+        pure = QueryEngine(database, backend="pure").watch(
+            PSTExistsQuery(WINDOW), stride=stride
+        )
+        reference = QueryEngine(database).watch(
+            PSTExistsQuery(WINDOW), stride=stride
+        )
+        for _ in range(4):
+            stepped.clear()
+            result = pure.tick()
+            assert set(stepped) == {"CSRMatrix"}
+            stepped.clear()
+            expected = reference.tick()
+            assert set(stepped) == {"csr_matrix"}
+            assert set(result.values) == set(expected.values)
+            for object_id, value in expected.values.items():
+                assert result.values[object_id] == pytest.approx(
+                    value, abs=1e-12
+                )
+
     def test_standalone_streaming_engine(self):
         database = build_database(seed=13)
         streaming = StreamingQueryEngine(database)
