@@ -4,11 +4,13 @@
 Demonstrates :class:`repro.QueryService` end to end:
 
 * 24 concurrent clients across 3 tenants submit overlapping queries;
-  requests sharing a fusion fingerprint inside the scheduling window
-  are answered by a single stacked evaluation (watch the
+  queued requests sharing a fusion fingerprint join one group and are
+  answered by a single stacked evaluation (watch the
   evaluations-vs-requests ratio),
 * each caller's plan carries ``fusion`` events showing what was
   merged and what it paid,
+* the same query asked again at the same database version is answered
+  from the answer already in hand, without an evaluation,
 * admission control rejects a tenant whose budget is exhausted and a
   request whose deadline the cost model says cannot be met,
 * a standing query registered through the service bills its ticks to
@@ -62,12 +64,10 @@ async def main() -> None:
                 80 + 10 * i, 110 + 10 * i, 8, 11
             )
         )
-        for i in range(2)  # two fingerprints across 24 clients
+        for i in range(3)  # two fingerprints across 24 clients, one spare
     ]
 
-    async with repro.QueryService(
-        engine, fusion_window_ms=5.0
-    ) as service:
+    async with repro.QueryService(engine) as service:
         print("== concurrent burst: 24 clients, 2 distinct queries ==")
         results = await asyncio.gather(
             *(
@@ -85,6 +85,18 @@ async def main() -> None:
         for event in results[0].plan.fusion:
             print(f"  {event}")
 
+        print("\n== the same query again, no write in between ==")
+        evaluations = service.evaluations
+        again = await service.submit(queries[0], tenant="tenant-0")
+        assert service.evaluations == evaluations
+        assert again.values == results[0].values
+        print(
+            f"answered without an evaluation "
+            f"({service.reused} reused answer(s)):"
+        )
+        for event in again.plan.fusion:
+            print(f"  {event}")
+
         print("\n== admission control ==")
         service.set_tenant_budget("freeloader", 0.0)
         for kwargs in (
@@ -92,7 +104,8 @@ async def main() -> None:
             {"deadline_seconds": 0.0},
         ):
             try:
-                await service.submit(queries[0], **kwargs)
+                # a query not answered yet: a reused one is priced at 0s
+                await service.submit(queries[2], **kwargs)
             except repro.AdmissionRejected as rejection:
                 print(f"rejected ({rejection.reason}): {rejection}")
 

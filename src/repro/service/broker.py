@@ -3,16 +3,21 @@
 Many clients monitoring the same uncertain trajectories tend to ask
 the same questions at the same time -- dashboards refresh on the same
 cadence, alerting rules share windows.  The broker exploits that:
-requests collected within one scheduling window are grouped by a
-*fusion key* (query semantics plus every option that can change the
-answer, plus the database version so a mutation splits the groups)
-and each group is answered by a single engine evaluation whose values
-are demultiplexed back to every caller.
+every admitted request joins the queued group of its *fusion key*
+(query semantics plus every option that can change the answer, plus
+the database version so a mutation splits the groups), formed at
+enqueue, and each group is answered by a single engine evaluation
+whose values are demultiplexed back to every caller.
+
+A group keeps absorbing matching requests until it is dequeued, and
+dequeue is work-conserving: the service pops one group (earliest
+deadline, then oldest arrival) whenever an executor slot frees, so
+the queue never waits on a timer while there is work.
 
 Everything here is synchronous and deterministic; the asyncio side
-(:class:`~repro.service.server.QueryService`) owns timing and
-concurrency.  That split keeps the scheduling policy unit-testable
-without an event loop.
+(:class:`~repro.service.server.QueryService`) owns timing, the idle
+linger, concurrency and per-version answer reuse.  That split keeps
+the scheduling policy unit-testable without an event loop.
 """
 
 from __future__ import annotations
@@ -79,6 +84,12 @@ def fusion_key(
     )
 
 
+def key_token(key: Tuple[Any, ...]) -> Any:
+    """The database version a fusion key was formed at (``None`` if
+    the key is unfusable: no answer is ever shared under it)."""
+    return None if key[0] == "unfusable" else key[-1]
+
+
 def fingerprint_of(key: Tuple[Any, ...]) -> str:
     """Short stable hex digest of a fusion key, for explain output."""
     digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
@@ -126,14 +137,8 @@ class FusedGroup:
     requests: List[PendingRequest] = field(default_factory=list)
 
     @property
-    def fingerprint(self) -> str:
-        return fingerprint_of(self.key)
-
-    @property
     def predicted_seconds(self) -> float:
         """Price of executing the group: one evaluation, not N."""
-        if not self.requests:
-            return 0.0
         return min(r.predicted_seconds for r in self.requests)
 
     @property
@@ -146,47 +151,52 @@ class FusedGroup:
         ]
         return min(deadlines) if deadlines else None
 
-    @property
-    def tenants(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for request in self.requests:
-            seen.setdefault(request.tenant, None)
-        return list(seen)
-
 
 class RequestBroker:
-    """FIFO intake queue with fuse-and-order draining.
+    """One queued :class:`FusedGroup` per fusion key.
 
-    The service enqueues admitted requests as they arrive; once per
-    scheduling window it calls :meth:`drain`, which empties the queue,
-    groups requests by fusion key and returns the groups in execution
-    order: earliest deadline first, then cheapest predicted plan --
-    so under load the broker clears many quick answers before one
-    expensive one, and a deadline is never parked behind undated work.
+    The service enqueues admitted requests as they arrive; a request
+    joins the group of its key, so a queued group absorbs every
+    matching request until it is dequeued.  Each :meth:`drain` pops
+    the next group to execute: earliest deadline first, then oldest
+    arrival -- a deadline is never parked behind undated work, and
+    undated work runs in the order it arrived.
     """
 
     def __init__(self) -> None:
-        self._pending: List[PendingRequest] = []
+        # insertion order is group formation order: oldest arrival first
+        self._groups: Dict[Tuple[Any, ...], FusedGroup] = {}
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return sum(len(group.requests) for group in self._groups.values())
 
     def add(self, request: PendingRequest) -> None:
-        self._pending.append(request)
+        group = self._groups.get(request.key)
+        if group is None:
+            group = self._groups[request.key] = FusedGroup(key=request.key)
+        group.requests.append(request)
 
     def has_pending(self, key: Tuple[Any, ...]) -> bool:
-        """Whether a queued request already carries this fusion key.
+        """Whether a queued group already carries this fusion key.
 
         Admission control uses this to wave fusable requests through
         the backlog check: joining an existing group adds (almost) no
         work, so shedding it would only lose the cheap answer.
         """
-        return any(request.key == key for request in self._pending)
+        return key in self._groups
+
+    def take(self, key: Tuple[Any, ...]) -> Optional[FusedGroup]:
+        """Remove and return the queued group of ``key``, if any."""
+        return self._groups.pop(key, None)
 
     def clear(self) -> List[PendingRequest]:
         """Empty the queue and return what was in it (for shutdown)."""
-        pending = list(self._pending)
-        self._pending.clear()
+        pending = [
+            request
+            for group in self._groups.values()
+            for request in group.requests
+        ]
+        self._groups.clear()
         return pending
 
     def backlog_seconds(self) -> float:
@@ -196,26 +206,17 @@ class RequestBroker:
         backlog budget, so it must price the queue the way it will
         actually execute: one evaluation per fused group.
         """
-        cheapest: Dict[Tuple[Any, ...], float] = {}
-        for request in self._pending:
-            seen = cheapest.get(request.key)
-            if seen is None or request.predicted_seconds < seen:
-                cheapest[request.key] = request.predicted_seconds
-        return sum(cheapest.values())
+        return sum(g.predicted_seconds for g in self._groups.values())
 
-    def drain(self) -> List[FusedGroup]:
-        """Empty the queue into fused groups, in execution order."""
-        groups: Dict[Tuple[Any, ...], FusedGroup] = {}
-        for request in self._pending:
-            group = groups.get(request.key)
-            if group is None:
-                group = groups[request.key] = FusedGroup(key=request.key)
-            group.requests.append(request)
-        self._pending.clear()
-        return sorted(
-            groups.values(),
+    def drain(self) -> Optional[FusedGroup]:
+        """Pop the next group to execute, or ``None`` when empty."""
+        if not self._groups:
+            return None
+        # min() keeps the first of equals: the oldest group
+        group = min(
+            self._groups.values(),
             key=lambda g: (
-                g.deadline_at if g.deadline_at is not None else float("inf"),
-                g.predicted_seconds,
+                float("inf") if g.deadline_at is None else g.deadline_at
             ),
         )
+        return self._groups.pop(group.key)

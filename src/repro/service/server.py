@@ -3,11 +3,21 @@
 :class:`QueryService` is the front end a deployment exposes instead of
 handing every client its own :class:`~repro.core.engine.QueryEngine`.
 Clients ``await service.submit(query)``; the service admits or rejects
-the request using the planner's cost model, parks admitted requests
-in the :class:`~repro.service.broker.RequestBroker` for one *fusion
-window*, then executes each fused group as a single stacked engine
-call on a worker thread and demultiplexes the values back to every
-caller's future.
+the request using the planner's cost model and parks admitted requests
+in the :class:`~repro.service.broker.RequestBroker`, where each joins
+the queued group of its fusion key.  Dequeue is work-conserving:
+whenever an executor slot frees, the next group runs as a single
+stacked engine call on a worker thread and its values are
+demultiplexed back to every caller's future.  The loop waits only
+when the broker is empty; ``fusion_window_ms`` is an idle linger
+before the first dequeue after such a wait.
+
+Per-version reuse: a PST answer is an exact function of the query and
+the database state, both of which the fusion key carries, so the
+service keeps the answers it evaluated at the current fusion token
+and answers a request whose key is among them inside :meth:`submit`,
+without queueing or evaluating.  The table is dropped when the token
+moves.
 
 Concurrency model: all service state (broker queue, tenant ledger,
 counters) is confined to the event loop -- no locks anywhere.  The
@@ -18,7 +28,7 @@ evaluation runs at a time.
 
 Example::
 
-    async with QueryService(engine, fusion_window_ms=5.0) as service:
+    async with QueryService(engine) as service:
         results = await asyncio.gather(
             *(service.submit(query, tenant=f"t{i}") for i in range(8))
         )
@@ -28,8 +38,11 @@ from __future__ import annotations
 
 import asyncio
 import copy
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.core.engine import QueryEngine, QueryResult
 from repro.core.errors import AdmissionRejected, ValidationError
@@ -39,37 +52,46 @@ from repro.service.broker import (
     FusedGroup,
     PendingRequest,
     RequestBroker,
+    fingerprint_of,
     fusion_key,
+    key_token,
 )
 from repro.service.tenants import TenantAccount, TenantLedger
 
 __all__ = ["QueryService", "ServiceStandingQuery"]
 
+# answers kept for reuse at the current fusion token (LRU)
+_REUSE_CAPACITY = 256
+
 
 class QueryService:
     """Concurrent front end over one :class:`QueryEngine`.
 
-    Requests submitted within ``fusion_window_ms`` of each other that
-    share a fusion key (same query, same value-affecting options, same
-    database version) are answered by one evaluation; see
-    :mod:`repro.service.broker`.  Admission control prices every
-    request with :meth:`QueryPlanner.estimate_seconds` and rejects
-    with :class:`~repro.core.errors.AdmissionRejected` when a tenant
+    Queued requests that share a fusion key (same query, same
+    value-affecting options, same database version) are answered by
+    one evaluation: a queued group absorbs every matching request
+    until an executor slot frees and it is dequeued; see
+    :mod:`repro.service.broker`.  A request whose answer was already
+    evaluated at the current version is answered from the reuse table
+    without waiting.  Admission control prices every other request
+    with :meth:`QueryPlanner.estimate_seconds` and rejects with
+    :class:`~repro.core.errors.AdmissionRejected` when a tenant
     budget, the backlog budget, or a caller deadline cannot be met.
 
     Args:
         engine: the engine all evaluations run against.
-        fusion_window_ms: how long the broker collects requests before
-            draining a batch.  Larger windows fuse more but add that
-            much latency to every answer; ``0`` still fuses whatever
-            one event-loop iteration delivers together.
+        fusion_window_ms: idle linger -- after waiting on an empty
+            broker, how long to let concurrent submitters pile into
+            the first group before it is dequeued.  It never delays
+            work while a backlog is queued.  ``0`` (the default) still
+            fuses whatever one event-loop iteration delivers together.
         backlog_budget_seconds: load-shedding threshold -- a request is
             rejected (``reason="backlog"``) if the queue's predicted
             post-fusion cost already exceeds this.  ``None`` disables
             shedding.
         max_concurrency: fused groups evaluated in parallel.  The
-            default ``1`` keeps evaluations strictly sequential in the
-            broker's deadline-then-cheapest order.
+            default ``1`` keeps evaluations strictly sequential, in
+            the broker's earliest-deadline-then-oldest-arrival order.
 
     The service starts lazily on first :meth:`submit` (or explicitly
     via :meth:`start`) and must be stopped with :meth:`stop`; it is
@@ -79,7 +101,7 @@ class QueryService:
     def __init__(
         self,
         engine: QueryEngine,
-        fusion_window_ms: float = 5.0,
+        fusion_window_ms: float = 0.0,
         backlog_budget_seconds: Optional[float] = 30.0,
         max_concurrency: int = 1,
     ) -> None:
@@ -117,7 +139,10 @@ class QueryService:
         self.ledger = TenantLedger()
         self.evaluations = 0  # engine calls made on behalf of clients
         self.fused_calls = 0  # of those, calls that answered >1 request
+        self.reused = 0  # requests answered from the reuse table
         self._broker = RequestBroker()
+        self._answers: "OrderedDict[Any, QueryResult]" = OrderedDict()
+        self._answers_token: Any = None  # the token they were evaluated at
         self._wakeup: Optional[asyncio.Event] = None
         self._loop_task: Optional["asyncio.Task[None]"] = None
         self._executor = ThreadPoolExecutor(
@@ -208,8 +233,10 @@ class QueryService:
         :class:`~repro.core.errors.AdmissionRejected` before it ever
         queues if the tenant budget (``reason="tenant-budget"``), the
         service backlog (``"backlog"``) or ``deadline_seconds``
-        (``"deadline"``) rules it out.  Admitted requests wait at most
-        one fusion window plus the queue ahead of them.
+        (``"deadline"``) rules it out.  Admitted requests wait for the
+        queue ahead of them (plus the idle linger if the service was
+        idle); a request whose answer was already evaluated at the
+        current database version is priced at 0s and answered at once.
 
         Args:
             query: the PST query to answer.
@@ -233,7 +260,11 @@ class QueryService:
         loop = asyncio.get_running_loop()
         query.window.validate_for(self.engine.database.n_states)
         effective = resolve_options(options, method, n_samples, seed)
-        predicted = self.engine.planner.estimate_seconds(query, effective)
+        key = fusion_key(query, effective, self._sync())
+        answer = self._answers.get(key)
+        predicted = 0.0
+        if answer is None:
+            predicted = self.engine.planner.estimate_seconds(query, effective)
         account = self.ledger.account(tenant)
         if account.would_exceed(predicted):
             account.rejected += 1
@@ -250,18 +281,10 @@ class QueryService:
                 f"predicted evaluation time {predicted:.3g}s",
                 reason="deadline",
             )
-        # a sharded store's token also covers its snapshot generation
-        # and journal position, so reopening or re-snapshotting the
-        # store never fuses a request with a stale evaluation
-        database = self.engine.database
-        key = fusion_key(
-            query,
-            effective,
-            getattr(database, "fusion_token", database.version),
-        )
         budget = self.backlog_budget_seconds
         if (
-            budget is not None
+            answer is None
+            and budget is not None
             and not self._broker.has_pending(key)
             and self._broker.backlog_seconds() + predicted > budget
         ):
@@ -288,6 +311,10 @@ class QueryService:
             ),
             submitted_at=loop.time(),
         )
+        if answer is not None:
+            self._answers.move_to_end(key)
+            self._reuse([request], answer)
+            return request.future.result()
         self._broker.add(request)
         assert self._wakeup is not None
         self._wakeup.set()
@@ -333,25 +360,31 @@ class QueryService:
     # ------------------------------------------------------------------
     async def _broker_loop(self) -> None:
         assert self._wakeup is not None
+        loop = asyncio.get_running_loop()
+        running: Set["asyncio.Task[None]"] = set()
+
+        def finished(task: "asyncio.Task[None]") -> None:
+            running.discard(task)
+            self._wakeup.set()
+
         while True:
+            # work-conserving: fill every free executor slot
+            while len(running) < self.max_concurrency:
+                group = self._broker.drain()
+                if group is None:
+                    break
+                task = loop.create_task(self._execute_group(group))
+                running.add(task)
+                task.add_done_callback(finished)
+            if not running and self._stopping:
+                return
+            idle = not running
             await self._wakeup.wait()
             self._wakeup.clear()
-            if len(self._broker) == 0:
-                if self._stopping:
-                    return
-                continue
-            # the fusion window: let concurrent submitters pile in
-            await asyncio.sleep(self.fusion_window_ms / 1000.0)
-            groups = self._broker.drain()
-            if self.max_concurrency > 1:
-                await asyncio.gather(
-                    *(self._execute_group(g) for g in groups)
-                )
-            else:
-                for group in groups:
-                    await self._execute_group(group)
-            if self._stopping and len(self._broker) == 0:
-                return
+            if idle and self.fusion_window_ms > 0 and len(self._broker):
+                # idle linger: let concurrent submitters pile into the
+                # first group before it is dequeued
+                await asyncio.sleep(self.fusion_window_ms / 1000.0)
 
     async def _execute_group(self, group: FusedGroup) -> None:
         """Run one fused evaluation and demultiplex the answers."""
@@ -360,34 +393,36 @@ class QueryService:
         # can still expire while the queue ahead of it drains; failing
         # it *before* the evaluation keeps the deadline a promise
         # rather than a hint, and costs the caller nothing (settled at
-        # 0s).  The rest of the fused group still executes.
+        # 0s).  The rest of the fused group still executes.  A caller
+        # that went away (cancelled its wait) is settled at 0s too.
         now = loop.time()
         live: List[PendingRequest] = []
         for request in group.requests:
-            if (
+            if request.future.done():
+                self.ledger.settle(
+                    request.tenant, request.predicted_seconds, 0.0, False
+                )
+            elif (
                 request.deadline_at is not None
                 and now > request.deadline_at
             ):
                 self.ledger.settle(
-                    request.tenant,
-                    request.predicted_seconds,
-                    0.0,
-                    False,
+                    request.tenant, request.predicted_seconds, 0.0, False
                 )
                 self.ledger.account(request.tenant).rejected += 1
-                if not request.future.done():
-                    request.future.set_exception(
-                        AdmissionRejected(
-                            f"deadline passed while queued: waited "
-                            f"{now - request.submitted_at:.3g}s",
-                            reason="deadline",
-                        )
+                request.future.set_exception(
+                    AdmissionRejected(
+                        f"deadline passed while queued: waited "
+                        f"{now - request.submitted_at:.3g}s",
+                        reason="deadline",
                     )
+                )
             else:
                 live.append(request)
         if not live:
             return
         representative = live[0]
+        token = self._sync()
         started = loop.time()
         self.evaluations += 1
         fused = len(live) > 1
@@ -408,27 +443,70 @@ class QueryService:
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
-        elapsed = loop.time() - started
-        share = elapsed / len(live)
         shared_events: List[str] = []
         if fused:
             tenants = {request.tenant for request in live}
             shared_events.append(
                 f"fused {len(live)} requests from "
-                f"{len(tenants)} tenant(s) within "
-                f"{self.fusion_window_ms:g} ms window "
-                f"(fingerprint {group.fingerprint})"
+                f"{len(tenants)} tenant(s) in one queued group "
+                f"(fingerprint {fingerprint_of(group.key)})"
             )
-        for request in live:
+        self._answer(
+            live, result, (loop.time() - started) / len(live), fused,
+            shared_events,
+        )
+        key = group.key
+        # kept only if keyed at the token the evaluation started at and
+        # no write moved it since (an unfusable key has no token)
+        if key_token(key) == token == self._sync():
+            self._answers[key] = result
+            if len(self._answers) > _REUSE_CAPACITY:
+                self._answers.popitem(last=False)
+            # requests of this key that queued during the evaluation
+            twins = self._broker.take(key)
+            if twins is not None:
+                self._reuse(twins.requests, result)
+
+    def _sync(self) -> Any:
+        """The current fusion token; drops the kept answers if it moved.
+
+        A sharded store's token also covers its snapshot generation and
+        journal position, so no answer outlives the slabs it read."""
+        database = self.engine.database
+        token = getattr(database, "fusion_token", database.version)
+        if token != self._answers_token:
+            self._answers.clear()
+            self._answers_token = token
+        return token
+
+    def _reuse(self, requests: List[PendingRequest], answer: QueryResult) -> None:
+        """Answer ``requests`` from a kept answer, at no cost."""
+        self.reused += len(requests)
+        key = requests[0].key
+        self._answer(requests, answer, 0.0, True, [
+            f"reused the answer evaluated at version {key_token(key)} "
+            f"(fingerprint {fingerprint_of(key)})"
+        ])
+
+    def _answer(self, requests: List[PendingRequest], result: QueryResult,
+                share: float, fused: bool, shared_events: List[str]) -> None:
+        """Settle every request at ``share`` and resolve its future; a
+        caller that stopped waiting is settled at 0s and skipped."""
+        for request in requests:
+            gone = request.future.done()
             self.ledger.settle(
-                request.tenant, request.predicted_seconds, share, fused
+                request.tenant,
+                request.predicted_seconds,
+                0.0 if gone else share,
+                fused and not gone,
             )
-            events = list(shared_events)
-            events.append(
+            if gone:
+                continue
+            events = shared_events + [
                 f"admission: tenant {request.tenant!r} charged "
                 f"{request.predicted_seconds:.3g}s predicted, settled "
                 f"{share:.3g}s measured"
-            )
+            ]
             request.future.set_result(
                 self._caller_result(request, result, share, events)
             )
@@ -444,23 +522,23 @@ class QueryService:
 
         The plan is shallow-copied with a per-caller ``fusion`` event
         list so ``explain()`` shows what was merged and why; values
-        are filtered to the caller's ``object_ids`` subset if one was
-        given.  A query that reduced to a trivial answer has no plan,
-        so the fusion events have nowhere to land -- the values are
-        still correct.
+        are the caller's own copy (the answer may be kept for reuse),
+        filtered to its ``object_ids`` subset if one was given.  A
+        query that reduced to a trivial answer has no plan, so the
+        fusion events have nowhere to land -- the values are still
+        correct.
         """
         plan = result.plan
         if plan is not None:
             plan = copy.copy(plan)
             plan.fusion = list(result.plan.fusion) + events
-        values: Dict[str, Any] = result.values
-        if request.object_ids is not None:
-            wanted = set(request.object_ids)
-            values = {
-                oid: value
-                for oid, value in result.values.items()
-                if oid in wanted
-            }
+        ids = request.object_ids
+        wanted = None if ids is None else set(ids)
+        values: Dict[str, Any] = {
+            oid: value.copy() if isinstance(value, np.ndarray) else value
+            for oid, value in result.values.items()
+            if wanted is None or oid in wanted
+        }
         return QueryResult(
             query=request.query,
             method=result.method,

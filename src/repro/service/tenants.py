@@ -43,7 +43,7 @@ class TenantAccount:
         admitted: requests accepted by admission control.
         rejected: requests refused (budget, backlog or deadline).
         fused: admitted requests answered by an evaluation shared
-            with at least one other request.
+            with at least one other request (a reused answer counts).
         quarantined: standing queries owned by this tenant that were
             quarantined after repeated tick failures.
     """

@@ -13,6 +13,8 @@ the owning tenant, drain-on-stop.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro import (
     AdmissionRejected,
     FaultInjector,
     FaultSpec,
+    Observation,
     PlanOptions,
     PSTExistsQuery,
     PSTForAllQuery,
@@ -42,6 +45,7 @@ from repro.service.broker import (
     fusion_key,
 )
 from repro.service.tenants import TenantLedger
+from repro.store.sharded import ShardedTrajectoryStore
 from repro.workloads.synthetic import (
     make_line_chain,
     make_object_distribution,
@@ -88,6 +92,53 @@ def assert_parity(values, reference_values):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+class EvaluationProbe:
+    """Stands in for ``engine.evaluate`` on the service's worker threads.
+
+    Records each call's ``(start, end)`` and the peak number of calls
+    running at once, holds every call while :attr:`gate` is clear,
+    pauses each one ``pause`` seconds, and runs ``write`` (once) after
+    the first evaluation has computed its answer but before it returns.
+    """
+
+    def __init__(self, engine, pause=0.0, write=None):
+        self._evaluate = engine.evaluate
+        self.pause = pause
+        self.write = write
+        self.gate = threading.Event()
+        self.gate.set()
+        self.spans = []
+        self.active = self.peak = 0
+        self._lock = threading.Lock()
+        engine.evaluate = self
+
+    def __call__(self, query, options=None):
+        started = time.perf_counter()
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            self.gate.wait(10.0)
+            time.sleep(self.pause)
+            result = self._evaluate(query, options=options)
+            write, self.write = self.write, None
+            if write is not None:
+                write()
+            return result
+        finally:
+            with self._lock:
+                self.active -= 1
+                self.spans.append((started, time.perf_counter()))
+
+
+async def until(predicate, timeout=10.0):
+    """Yield to the event loop until ``predicate()`` holds."""
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never held"
+        await asyncio.sleep(0.002)
 
 
 # ----------------------------------------------------------------------
@@ -149,14 +200,28 @@ class TestRequestBroker:
             deadline_at=deadline_at,
         )
 
-    def test_drain_fuses_by_key_and_orders_cheapest_first(self):
+    @staticmethod
+    def _drain_all(broker):
+        groups = []
+        while len(broker):
+            groups.append(broker.drain())
+        return groups
+
+    def test_drain_fuses_by_key_and_orders_oldest_first(self):
         broker = RequestBroker()
         broker.add(self._request(("b",), 3.0))
         broker.add(self._request(("a",), 1.0))
         broker.add(self._request(("a",), 1.0))
-        groups = broker.drain()
-        assert [g.key for g in groups] == [("a",), ("b",)]
-        assert [len(g.requests) for g in groups] == [2, 1]
+        # a late request joins the queued group of its key
+        broker.add(self._request(("b",), 3.0))
+        assert len(broker) == 4
+        # one group per drain(), oldest arrival first (not cheapest)
+        first = broker.drain()
+        assert first.key == ("b",) and len(first.requests) == 2
+        assert len(broker) == 2
+        second = broker.drain()
+        assert second.key == ("a",) and len(second.requests) == 2
+        assert broker.drain() is None
         assert len(broker) == 0
 
     def test_deadlines_run_before_undated_work(self):
@@ -164,8 +229,9 @@ class TestRequestBroker:
         broker.add(self._request(("cheap",), 0.1))
         broker.add(self._request(("due",), 5.0, deadline_at=10.0))
         broker.add(self._request(("urgent",), 5.0, deadline_at=2.0))
-        assert [g.key for g in broker.drain()] == [
-            ("urgent",), ("due",), ("cheap",)
+        broker.add(self._request(("later",), 0.1))
+        assert [g.key for g in self._drain_all(broker)] == [
+            ("urgent",), ("due",), ("cheap",), ("later",)
         ]
 
     def test_backlog_prices_the_queue_post_fusion(self):
@@ -634,3 +700,364 @@ class TestServiceStandingQueries:
             build_database(seed=16, n_objects=12)
         ).evaluate(PSTExistsQuery(WINDOW))
         assert_parity(result.values, reference.values)
+
+
+# ----------------------------------------------------------------------
+# work-conserving dequeue
+# ----------------------------------------------------------------------
+class TestDequeue:
+    def test_request_arriving_while_busy_joins_the_queued_group(self):
+        database = build_database(seed=17, n_objects=12)
+        engine = QueryEngine(database)
+        probe = EvaluationProbe(engine)
+        probe.gate.clear()
+        busy = PSTExistsQuery(WINDOW)
+        queued = PSTExistsQuery(OTHER_WINDOW)
+
+        async def main():
+            async with QueryService(engine) as service:
+                first = asyncio.ensure_future(service.submit(busy))
+                early = asyncio.ensure_future(
+                    service.submit(queued, tenant="early")
+                )
+                await until(lambda: probe.active == 1)
+                # the executor is busy with `busy`; `queued` still waits
+                late = asyncio.ensure_future(
+                    service.submit(queued, tenant="late")
+                )
+                await asyncio.sleep(0.02)
+                probe.gate.set()
+                answers = await asyncio.gather(first, early, late)
+                return service, answers
+
+        service, (_first, early, late) = run(main())
+        assert service.evaluations == 2
+        assert service.fused_calls == 1
+        assert early.values == late.values
+        assert any(
+            "fused 2 requests from 2 tenant(s) in one queued group" in e
+            for e in late.plan.fusion
+        )
+
+    def test_backlog_never_waits_for_the_idle_linger(self):
+        database = build_database(seed=18, n_objects=12)
+        engine = QueryEngine(database)
+        probe = EvaluationProbe(engine)
+        probe.gate.clear()
+
+        async def main():
+            async with QueryService(
+                engine, fusion_window_ms=500.0
+            ) as service:
+                first = asyncio.ensure_future(
+                    service.submit(PSTExistsQuery(WINDOW))
+                )
+                # the first group starts after one idle linger
+                await until(lambda: probe.active == 1)
+                second = asyncio.ensure_future(
+                    service.submit(PSTExistsQuery(OTHER_WINDOW))
+                )
+                await asyncio.sleep(0.02)
+                probe.gate.set()
+                await asyncio.gather(first, second)
+
+        run(main())
+        (_, first_end), (second_start, _) = sorted(probe.spans)
+        assert second_start - first_end < 0.25
+
+    def test_max_concurrency_bounds_evaluations_in_flight(self):
+        database = build_database(seed=19, n_objects=12)
+        engine = QueryEngine(database)
+        probe = EvaluationProbe(engine, pause=0.05)
+        queries = [
+            PSTExistsQuery(
+                SpatioTemporalWindow.from_ranges(
+                    60 + 20 * i, 90 + 20 * i, 8, 11
+                )
+            )
+            for i in range(6)
+        ]
+        references = [engine.evaluate(q).values for q in queries]
+        probe.peak = 0
+
+        async def main():
+            async with QueryService(
+                engine, max_concurrency=2
+            ) as service:
+                answers = await asyncio.gather(
+                    *(service.submit(q) for q in queries)
+                )
+                return service, answers
+
+        service, answers = run(main())
+        assert service.evaluations == 6
+        assert probe.peak == 2
+        for answer, reference in zip(answers, references):
+            assert_parity(answer.values, reference)
+
+
+class TestCancelledCallers:
+    def test_cancelled_caller_does_not_stop_the_service(self):
+        database = build_database(seed=20, n_objects=12)
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(WINDOW)
+        reference = engine.evaluate(query)
+
+        async def main():
+            async with QueryService(
+                engine, fusion_window_ms=50.0
+            ) as service:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        service.submit(query, tenant="gone"), 0.01
+                    )
+                # joins the group its cancelled twin formed; a hung
+                # service fails this by timeout instead of hanging
+                answer = await asyncio.wait_for(
+                    service.submit(query, tenant="stays"), 10.0
+                )
+                return service, answer
+
+        service, answer = run(main())
+        assert_parity(answer.values, reference.values)
+        gone = service.tenant("gone")
+        assert gone.admitted == 1
+        assert gone.charged_seconds == pytest.approx(0.0)
+        assert gone.measured_seconds == 0.0
+
+    def test_group_whose_callers_all_left_is_not_evaluated(self):
+        database = build_database(seed=21, n_objects=12)
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(WINDOW)
+
+        async def main():
+            async with QueryService(
+                engine, fusion_window_ms=50.0
+            ) as service:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(service.submit(query), 0.01)
+                await asyncio.sleep(0.15)  # the linger has passed
+                return service
+
+        service = run(main())
+        assert service.evaluations == 0
+        assert service.tenant("default").charged_seconds == 0.0
+
+
+# ----------------------------------------------------------------------
+# per-version answer reuse
+# ----------------------------------------------------------------------
+def _new_object(database, object_id="obj-new"):
+    database.append_observation(
+        object_id,
+        Observation.precise(2, N_STATES, 95),
+        chain_id="chain-0",
+    )
+
+
+class TestAnswerReuse:
+    @pytest.mark.parametrize("kind", ["exists", "forall", "ktimes"])
+    def test_identical_request_at_same_version_is_not_re_evaluated(
+        self, kind
+    ):
+        database = build_database(seed=22, n_objects=12)
+        engine = QueryEngine(database)
+        query = {
+            "exists": PSTExistsQuery(WINDOW),
+            "forall": PSTForAllQuery(WINDOW),
+            "ktimes": PSTKTimesQuery(WINDOW, k=2),
+        }[kind]
+
+        async def main():
+            async with QueryService(engine) as service:
+                first = await service.submit(query, tenant="a")
+                second = await service.submit(query, tenant="b")
+                return service, first, second
+
+        service, first, second = run(main())
+        assert service.evaluations == 1
+        assert service.reused == 1
+        assert set(second.values) == set(first.values)
+        for object_id, value in first.values.items():
+            assert np.array_equal(second.values[object_id], value)
+        assert second.values is not first.values
+        assert second.elapsed_seconds == 0.0
+        assert any(e.startswith("reused ") for e in second.plan.fusion)
+        rider = service.tenant("b")
+        assert rider.admitted == 1
+        assert rider.charged_seconds == 0.0
+        assert rider.measured_seconds == 0.0
+
+    def test_a_caller_cannot_change_a_kept_answer(self):
+        database = build_database(seed=29, n_objects=8)
+        engine = QueryEngine(database)
+        query = PSTKTimesQuery(WINDOW)  # values are whole distributions
+
+        async def main():
+            async with QueryService(engine) as service:
+                first = await service.submit(query)
+                kept = {o: v.copy() for o, v in first.values.items()}
+                for value in first.values.values():
+                    value[:] = -1.0
+                return service, kept, await service.submit(query)
+
+        service, kept, second = run(main())
+        assert service.reused == 1
+        for object_id, value in kept.items():
+            assert np.array_equal(second.values[object_id], value)
+
+    def test_write_in_between_forces_re_evaluation(self):
+        database = build_database(seed=23, n_objects=12)
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(WINDOW)
+
+        async def main():
+            async with QueryService(engine) as service:
+                before = await service.submit(query)
+                _new_object(database)
+                after = await service.submit(query)
+                return service, before, after
+
+        service, before, after = run(main())
+        assert service.evaluations == 2
+        assert service.reused == 0
+        assert "obj-new" not in before.values
+        assert_parity(after.values, engine.evaluate(query).values)
+
+    def test_write_during_evaluation_leaves_nothing_stored(self):
+        database = build_database(seed=24, n_objects=12)
+        engine = QueryEngine(database)
+        probe = EvaluationProbe(
+            engine, write=lambda: _new_object(database)
+        )
+        query = PSTExistsQuery(WINDOW)
+
+        async def main():
+            async with QueryService(engine) as service:
+                await service.submit(query)
+                assert len(service._answers) == 0
+                again = await service.submit(query)
+                return service, again
+
+        service, again = run(main())
+        assert probe.write is None  # the write did land
+        assert service.evaluations == 2
+        assert service.reused == 0
+        assert_parity(again.values, engine.evaluate(query).values)
+
+    def test_unseeded_monte_carlo_is_never_reused(self):
+        database = build_database(seed=25, n_objects=8)
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(WINDOW)
+
+        async def main():
+            async with QueryService(engine) as service:
+                for _ in range(2):
+                    await service.submit(query, method="mc", n_samples=20)
+                unseeded = service.evaluations
+                for _ in range(2):
+                    await service.submit(
+                        query, method="mc", n_samples=20, seed=3
+                    )
+                return service, unseeded
+
+        service, unseeded = run(main())
+        assert unseeded == 2
+        # a seeded Monte-Carlo answer is deterministic, so it is kept
+        assert service.evaluations == 3
+        assert service.reused == 1
+
+    def test_store_journal_write_and_snapshot_invalidate(self, tmp_path):
+        database = build_database(seed=26, n_objects=12)
+        store = ShardedTrajectoryStore.create(
+            tmp_path / "store", database, shards_per_chain=2
+        )
+        engine = QueryEngine(store)
+        query = PSTExistsQuery(WINDOW)
+        serial = PlanOptions(dispatch="serial")
+
+        async def main():
+            async with QueryService(engine) as service:
+                counts = []
+                answers = []
+                for step in ("", "", "write", "", "snapshot", ""):
+                    if step == "write":
+                        _new_object(store)
+                    elif step == "snapshot":
+                        store.snapshot()
+                    answers.append(
+                        await service.submit(query, options=serial)
+                    )
+                    counts.append((service.evaluations, service.reused))
+                return counts, answers
+
+        counts, answers = run(main())
+        assert counts == [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
+        assert "obj-new" not in answers[1].values
+        assert_parity(
+            answers[-1].values,
+            QueryEngine(store).evaluate(query, options=serial).values,
+        )
+
+    def test_object_ids_slice_a_reused_answer(self):
+        database = build_database(seed=27, n_objects=12)
+        engine = QueryEngine(database)
+        query = PSTExistsQuery(WINDOW)
+
+        async def main():
+            async with QueryService(engine) as service:
+                full = await service.submit(query)
+                subset = await service.submit(
+                    query, object_ids=["obj-0", "obj-1"]
+                )
+                return service, full, subset
+
+        service, full, subset = run(main())
+        assert (service.evaluations, service.reused) == (1, 1)
+        assert set(subset.values) == {"obj-0", "obj-1"}
+        for object_id, value in subset.values.items():
+            assert value == full.values[object_id]
+
+    def test_reuse_passes_the_backlog_check_but_not_a_stop(self):
+        database = build_database(seed=28, n_objects=12)
+        engine = QueryEngine(database)
+        hot = PSTExistsQuery(WINDOW)
+        cold = [
+            PSTExistsQuery(
+                SpatioTemporalWindow.from_ranges(lo, lo + 30, 8, 11)
+            )
+            for lo in (120, 160)
+        ]
+        prices = [
+            engine.planner.estimate_seconds(q, PlanOptions())
+            for q in [hot] + cold
+        ]
+        # one queued cold query fits the budget, two do not
+        budget = 1.5 * max(prices)
+        assert prices[1] + prices[2] > budget
+
+        async def main():
+            service = QueryService(
+                engine,
+                fusion_window_ms=250.0,
+                backlog_budget_seconds=budget,
+            )
+            first = await service.submit(hot)
+            await asyncio.sleep(0.01)  # the service goes idle
+            queued = asyncio.ensure_future(service.submit(cold[0]))
+            await asyncio.sleep(0.05)  # lingering in the broker
+            with pytest.raises(AdmissionRejected) as info:
+                await service.submit(cold[1])
+            assert info.value.reason == "backlog"
+            reused = await service.submit(hot)
+            assert not queued.done()  # answered without waiting
+            await queued
+            await service.stop()
+            with pytest.raises(AdmissionRejected) as info:
+                await service.submit(hot)
+            assert info.value.reason == "stopped"
+            return service, first, reused
+
+        service, first, reused = run(main())
+        assert (service.evaluations, service.reused) == (2, 1)
+        assert reused.values == first.values
