@@ -52,6 +52,7 @@ class MarkovChain:
     __slots__ = (
         "_matrix",
         "_transpose_cache",
+        "_predecessor_cache",
         "_band_cache",
         "_successors_cache",
         "_fingerprint_cache",
@@ -60,6 +61,7 @@ class MarkovChain:
     def __init__(self, matrix, validate: bool = True) -> None:
         self._matrix = self._coerce(matrix)
         self._transpose_cache: Optional[sp.csr_matrix] = None
+        self._predecessor_cache: Optional[sp.csr_matrix] = None
         self._band_cache: Optional[Tuple[int, int]] = None
         self._successors_cache: Optional[List[np.ndarray]] = None
         self._fingerprint_cache: Optional[str] = None
@@ -255,6 +257,16 @@ class MarkovChain:
         if self._transpose_cache is None:
             self._transpose_cache = self._matrix.transpose().tocsr()
         return self._transpose_cache
+
+    def predecessor_graph(self) -> sp.csr_matrix:
+        """``M^T`` as a unit-weight graph (cached): an edge ``t -> s``
+        for every *positive* ``M[s, t]``.  Graph routines count a stored
+        zero as an edge, so those are dropped here."""
+        if self._predecessor_cache is None:
+            self._predecessor_cache = (
+                (self._matrix > 0.0).transpose().astype(np.float64).tocsr()
+            )
+        return self._predecessor_cache
 
     def band(self) -> Tuple[int, int]:
         """``(down, up)`` (cached, exact): no transition leaves ``s``

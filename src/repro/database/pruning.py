@@ -8,7 +8,8 @@ This module provides the corresponding filter step:
 * :class:`ReachabilityPruner` -- exact pruning by breadth-first search on
   the chain's transition structure (an object survives the filter iff some
   state of the query region is reachable from its observation support
-  within ``t_end - t_obs`` steps);
+  within ``t_end - t_obs`` steps): one cached C traversal backwards
+  from the region per ``(chain, region)``;
 * :class:`GeometricPrefilter` -- a closed-form lower bound on the same
   labels for state spaces with positions (distance to the region over
   the chain's per-step displacement bound).  It only ever drops objects
@@ -22,9 +23,12 @@ they never discard an object with non-zero result probability
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Tuple
+from collections import OrderedDict
+from contextlib import suppress
+from typing import Iterable, List, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core.distribution import SupportBlock
 from repro.core.errors import ValidationError
@@ -40,23 +44,34 @@ __all__ = [
 ]
 
 _UNREACHABLE = np.iinfo(np.int64).max
+# labellings a label cache keeps, as many as the plan cache
+_LABEL_CACHE_ENTRIES = 256
 
 
 def reachability_levels(
     chain,
     region: Iterable[int],
     depth_needed: int,
-    cache: Dict[Tuple[str, bytes], list],
+    cache: "OrderedDict[Tuple[str, bytes], list]",
 ) -> np.ndarray:
     """Database-free resumable reverse-BFS labelling of one chain.
 
     Labels every state with the minimum number of transitions needed
-    to enter ``region``, extended at least to ``depth_needed`` levels.
-    ``cache`` is a mutable mapping keyed by ``(chain fingerprint,
-    region key)`` holding ``[levels, reached depth, frontier]`` --
-    callers that hold a cache across queries (the pruner, shard
-    workers) resume the labelling instead of re-running it.
-    Unreachable states are labelled ``np.iinfo(np.int64).max``.  Not
+    to enter ``region``, extended at least to ``depth_needed`` levels;
+    unreachable (or not yet reached) states read
+    ``np.iinfo(np.int64).max``.  A labelling is one C traversal from
+    the region over the chain's
+    :meth:`~repro.core.markov.MarkovChain.predecessor_graph`, capped
+    at the depth.  A region of more than half the states (for-all's
+    complement) is exhausted within a few levels, so it pulls instead:
+    one sparse product per level.  Both give identical labels.
+
+    ``cache`` is an LRU ``OrderedDict`` of at most
+    ``_LABEL_CACHE_ENTRIES`` entries ``(chain fingerprint, region key)
+    -> [levels, reached depth, exhausted]``, held across queries by the
+    pruner and by shard workers.  A deeper request relabels to
+    ``max(depth_needed, 2 * reached)`` writing only sentinel slots, so
+    a label at or below the reached depth never changes.  Not
     thread-safe by itself; callers serialise access to ``cache`` (the
     pruner holds a lock, shard workers are single-threaded).
     """
@@ -64,19 +79,39 @@ def reachability_levels(
     key = (chain.fingerprint(), region.key)
     state = cache.get(key)
     if state is None:
+        while len(cache) >= _LABEL_CACHE_ENTRIES:
+            cache.popitem(last=False)
         levels = np.full(chain.n_states, _UNREACHABLE, dtype=np.int64)
-        frontier = np.zeros(chain.n_states, dtype=bool)
-        frontier[region.array] = True
-        levels[frontier] = 0
-        state = cache[key] = [levels, 0, frontier]
-    levels, depth, frontier = state
-    matrix = chain.matrix
-    while depth < depth_needed and frontier.any():
-        depth += 1
-        reached = matrix @ frontier.astype(np.float64)
-        frontier = (reached > 0.0) & (levels == _UNREACHABLE)
-        levels[frontier] = depth
-    state[1], state[2] = depth, frontier
+        levels[region.array] = 0
+        state = cache[key] = [levels, 0, False]
+    else:
+        cache.move_to_end(key)
+    levels, depth, exhausted = state
+    if depth >= depth_needed or exhausted:
+        return levels
+    target = max(int(depth_needed), 2 * depth)
+    if 2 * len(region) <= chain.n_states:
+        steps = dijkstra(
+            chain.predecessor_graph(),
+            indices=region.array,
+            min_only=True,
+            limit=target,
+        )
+        fresh = np.isfinite(steps) & (levels == _UNREACHABLE)
+        levels[fresh] = steps[fresh]
+        exhausted = not (steps == target).any()
+    else:
+        matrix = chain.matrix
+        frontier = levels == depth
+        for depth in range(depth + 1, target + 1):
+            reached = matrix @ frontier.astype(np.float64)
+            frontier = (reached > 0.0) & (levels == _UNREACHABLE)
+            if not frontier.any():
+                break
+            levels[frontier] = depth
+        exhausted = not frontier.any()
+    # labels first: a lock-free reader trusts them once it sees the depth
+    state[1], state[2] = target, exhausted
     return levels
 
 
@@ -120,13 +155,17 @@ class ReachabilityPruner:
 
     def __init__(self, database: TrajectoryDatabase) -> None:
         self.database = database
-        # resumable reverse-BFS state per (chain content, region):
-        # [levels, reached depth, current frontier mask].  Extensions
-        # happen under the lock; lock-free readers are safe because a
-        # label <= d is final once the reached depth is >= d, and
+        # resumable reverse-BFS state per (chain content, region), see
+        # reachability_levels.  Extensions and evictions happen under
+        # the lock (evicting pops, never iterates, so a reader's
+        # move_to_end cannot break it); lock-free readers are safe
+        # because a label <= d is final once the reached depth is >= d,
         # deeper labels only ever *replace* the unreachable sentinel
-        # (both of which a depth-d reader rejects equally).
-        self._bfs_state: Dict[Tuple[str, bytes], list] = {}
+        # (both of which a depth-d reader rejects equally), and an
+        # evicted entry stays a valid labelling.
+        self._bfs_state: "OrderedDict[Tuple[str, bytes], list]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
     def levels(
@@ -135,13 +174,11 @@ class ReachabilityPruner:
         """Per-state minimum steps into the region, labelled at least
         to ``depth_needed`` (reverse BFS, *resumable*).
 
-        The BFS frontier is cached per ``(chain, region)`` and extended
-        on demand: a one-shot query pays only its own horizon, while a
-        sliding window whose horizon grows each tick extends the same
-        labelling by one level per slid timestamp instead of re-running
-        the search.  Each level costs one C-speed spmv (a state is a
-        predecessor of the frontier iff the chain's sparse product
-        against the frontier indicator is positive).  Keyed by chain
+        The labelling (:func:`reachability_levels`) is cached per
+        ``(chain, region)`` and extended on demand: a one-shot query
+        pays only its own horizon, and a growing horizon relabels to
+        at least twice the reached depth, so one sliding a step per
+        tick pays a logarithmic number of traversals.  Keyed by chain
         *content* (fingerprint), so a pruner held across queries -- the
         engine keeps one per lifetime -- stays correct even when a
         chain id is re-registered with a new model.
@@ -151,8 +188,10 @@ class ReachabilityPruner:
         key = (chain.fingerprint(), region.key)
         state = self._bfs_state.get(key)
         if state is not None and (
-            state[1] >= depth_needed or not state[2].any()
+            state[1] >= depth_needed or state[2]
         ):
+            with suppress(KeyError):  # evicted meanwhile: still valid
+                self._bfs_state.move_to_end(key)
             return state[0]  # already labelled far enough (lock-free)
         with self._lock:
             return reachability_levels(

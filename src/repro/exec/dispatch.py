@@ -37,6 +37,7 @@ import tempfile
 import threading
 import time as _time
 import weakref
+from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
@@ -475,9 +476,10 @@ class _StoreShardTask:
 # worker-local caches, populated lazily after the fork: the plan cache
 # the kernels build their matrices through, and the resumable
 # reverse-BFS labellings keyed by (chain fingerprint, region) -- the
-# shard-local analogue of the parent pruner's cache
+# shard-local analogue of the parent pruner's cache, bounded the same
+# way (see reachability_levels)
 _WORKER_CACHE = None
-_STORE_BFS: Dict[tuple, list] = {}
+_STORE_BFS: "OrderedDict[tuple, list]" = OrderedDict()
 
 
 def _worker_cache():

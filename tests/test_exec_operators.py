@@ -8,6 +8,8 @@ operators now), and the per-call timing hooks account every call.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import tracemalloc
 from functools import partial
 
@@ -590,7 +592,9 @@ class TestForwardSweep:
 def fetch_levels(chain, window):
     """The ``fetch_levels(depth)`` callable the pipeline and the shard
     workers hand the OB kernel."""
-    return partial(reachability_levels, chain, window.region, cache={})
+    return partial(
+        reachability_levels, chain, window.region, cache=OrderedDict()
+    )
 
 
 def points(states, n_states=WIDE_STATES):
@@ -663,7 +667,9 @@ class TestReachTrim:
     def test_t_end_exactly_at_the_reach_edge(self, wide, taken, trims):
         chain, _ = wide
         window = WIDE_WINDOW
-        labels = reachability_levels(chain, window.region, 4000, {})
+        labels = reachability_levels(
+            chain, window.region, 4000, OrderedDict()
+        )
         starts = np.array([0] * 6 + [2] * 6)
         horizons = window.t_end - starts
         # per row a state labelled exactly the horizon, or one past it
