@@ -1,8 +1,8 @@
 """Package metadata for the ICDE 2012 reproduction.
 
 Installable with plain ``pip install -e .`` (exercised in CI); the
-runtime dependencies are the two scientific-stack packages the linear
-algebra backends build on, and the ``repro-bench`` console script runs
+runtime dependencies are numpy and scipy, whose sparse CSR engine runs
+every query, and the ``repro-bench`` console script runs
 the paper's evaluation suite (see ``repro/bench``).
 """
 

@@ -34,7 +34,6 @@ from repro.core.distribution import StateDistribution
 from repro.core.engine import QueryEngine, QueryResult
 from repro.core.errors import (
     AdmissionRejected,
-    BackendError,
     DegradedExecutionWarning,
     DimensionMismatchError,
     ExecutionError,
@@ -282,7 +281,6 @@ __all__ = [
     "QueryError",
     "ObservationError",
     "InfeasibleEvidenceError",
-    "BackendError",
     "SerializationError",
     "ExecutionError",
     "WorkerCrashError",

@@ -94,20 +94,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_doctor(args) -> int:
-    """``repro-bench doctor``: health check -- backends + spills.
+    """``repro-bench doctor``: health check of the spills.
 
-    Reports which linear-algebra backends are importable, then runs
-    the spill janitor and accounting.  The exit code reflects only
-    leaked bytes.
+    Lists the scratch spills, then runs the janitor and accounting.
+    The exit code reflects only leaked bytes.
     """
     from repro.exec.dispatch import (
         list_segments,
         memory_stats,
         sweep_orphans,
     )
-    from repro.linalg.ops import available_backends
-
-    print(f"backends      : {', '.join(available_backends())}")
 
     spills = list_segments()
     if spills:

@@ -1,4 +1,4 @@
-"""One experiment per paper figure (Section VIII) plus five ablations.
+"""One experiment per paper figure (Section VIII) plus four ablations.
 
 Every driver returns an :class:`~repro.bench.harness.ExperimentSeries`
 holding the same axes as the corresponding figure of the paper.  Sizes
@@ -431,45 +431,6 @@ def fig11b(scale: float = 1.0) -> ExperimentSeries:
 # ----------------------------------------------------------------------
 # Ablations: one design choice each, same answers either way
 # ----------------------------------------------------------------------
-def ablation_backend(scale: float = 1.0) -> ExperimentSeries:
-    """scipy CSR vs the pure-Python CSR backend on OB processing."""
-    result = ExperimentSeries(
-        experiment_id="ablation_backend",
-        title="Linear-algebra backend: scipy vs pure-Python CSR",
-        x_label="states",
-        y_label="runtime (s)",
-        notes="same algorithm, same results; quantifies how much the "
-              "paper's 'use a fast matrix library' advice buys",
-    )
-    for n_states in [500, 1_000, 2_000]:
-        n_states = _scaled(n_states, scale, minimum=200)
-        database = make_synthetic_database(
-            SyntheticConfig(
-                n_objects=20, n_states=n_states, seed=41
-            )
-        )
-        chain = database.chain()
-        window = _window(n_states)
-        initials = [
-            obj.initial.distribution for obj in database
-        ]
-        result.x_values.append(n_states)
-        for backend in ("scipy", "pure"):
-            result.add_point(
-                backend,
-                measure_seconds(
-                    lambda b=backend: [
-                        ob_exists_probability(
-                            chain, initial, window, backend=b
-                        )
-                        for initial in initials
-                    ]
-                ),
-            )
-    result.validate()
-    return result
-
-
 def ablation_pruning(scale: float = 1.0) -> ExperimentSeries:
     """OB with and without the reachability pruning filter.
 
@@ -708,7 +669,6 @@ EXPERIMENTS: Dict[str, Callable[[float], ExperimentSeries]] = {
     "fig10b": fig10b,
     "fig11a": fig11a,
     "fig11b": fig11b,
-    "ablation_backend": ablation_backend,
     "ablation_pruning": ablation_pruning,
     "ablation_ktimes": ablation_ktimes_algorithms,
     "ablation_clustered": ablation_clustered,

@@ -166,7 +166,6 @@ def backward_vectors(
     chain: MarkovChain,
     window: SpatioTemporalWindow,
     start_times: Iterable[int],
-    backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> Dict[int, np.ndarray]:
@@ -184,11 +183,10 @@ def backward_vectors(
     """
     if plan_cache is not None:
         return plan_cache.backward_vectors(
-            chain, window, start_times, backend, context=context
+            chain, window, start_times, context=context
         )
     return BACKWARD_SWEEP(
-        (window, start_times), chain, window.region, backend,
-        context=context,
+        (window, start_times), chain, window.region, context=context
     )
 
 
@@ -198,7 +196,6 @@ def batch_ob_exists(
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
     matrices: Optional[AbsorbingMatrices] = None,
-    backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
     levels=None,
@@ -215,7 +212,6 @@ def batch_ob_exists(
             reaches their timestamp, so mixed starts cost one pass, not
             one pass per start.
         matrices: pre-built absorbing matrices (else cache/build).
-        backend: linear-algebra backend name.
         plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
             supplying the matrices.
         context: optional operator-timing context.
@@ -234,7 +230,7 @@ def batch_ob_exists(
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
     matrices = BUILD_ABSORBING(
-        matrices, chain, window.region, backend,
+        matrices, chain, window.region,
         context=context, plan_cache=plan_cache,
     )
 
@@ -252,8 +248,7 @@ def batch_ob_exists(
         else None,
     )
     return FORWARD_SWEEP(
-        (matrices, schedule), chain, window.region, backend,
-        context=context,
+        (matrices, schedule), chain, window.region, context=context
     )
 
 
@@ -262,7 +257,6 @@ def batch_qb_exists(
     initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
-    backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
@@ -282,8 +276,7 @@ def batch_qb_exists(
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
     vectors = backward_vectors(
-        chain, window, np.unique(starts).tolist(), backend, plan_cache,
-        context,
+        chain, window, np.unique(starts).tolist(), plan_cache, context
     )
 
     result = np.zeros(n_objects, dtype=float)
@@ -306,7 +299,6 @@ def batch_exists_multi(
     observation_sets: Sequence[ObservationSet],
     window: SpatioTemporalWindow,
     matrices: Optional[DoubledMatrices] = None,
-    backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
@@ -339,7 +331,7 @@ def batch_exists_multi(
     )
     _check_starts(window, starts)
     matrices = BUILD_DOUBLED(
-        matrices, chain, window.region, backend,
+        matrices, chain, window.region,
         context=context, plan_cache=plan_cache,
     )
 
@@ -381,8 +373,7 @@ def batch_exists_multi(
         read_offset=matrices.n_states,
     )
     return FORWARD_SWEEP(
-        (matrices, schedule), chain, window.region, backend,
-        context=context,
+        (matrices, schedule), chain, window.region, context=context
     )
 
 
@@ -391,7 +382,6 @@ def batch_ktimes_distribution(
     initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
-    backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
@@ -424,8 +414,6 @@ def batch_ktimes_distribution(
         window: the query window ``S_q x T_q``.
         start_times: one observation timestamp per object (or a single
             shared one); each must be ``<= min(T_q)``.
-        backend: linear-algebra backend name (cache keys and timing
-            attribution; the kernels always run on the chain's CSR).
         plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
             supplying (and retaining) the suffix-count blocks.
         context: optional operator-timing context.
@@ -450,14 +438,11 @@ def batch_ktimes_distribution(
         groups = _rows_by_start(starts[before])
         if plan_cache is not None:
             blocks = plan_cache.ktimes_blocks(
-                chain, window, list(groups), backend, context=context
+                chain, window, list(groups), context=context
             )
         else:
             blocks = KTIMES_CORE(
-                (window, list(groups)),
-                chain,
-                window.region,
-                backend,
+                (window, list(groups)), chain, window.region,
                 context=context,
             )
         for start, rows in groups.items():
@@ -469,7 +454,6 @@ def batch_ktimes_distribution(
             block.take(at_start),
             starts[at_start],
             window,
-            backend=backend,
             context=context,
         )
     return result
@@ -480,7 +464,6 @@ def ktimes_sweep(
     block: SupportBlock,
     starts: np.ndarray,
     window: SpatioTemporalWindow,
-    backend: Optional[str] = None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """The stacked :data:`~repro.exec.operators.KTIMES_SWEEP` cohort
@@ -496,9 +479,7 @@ def ktimes_sweep(
         region_columns=window.region.array,
         activations=_activations(block, starts),
     )
-    return KTIMES_SWEEP(
-        schedule, chain, window.region, backend, context=context
-    )
+    return KTIMES_SWEEP(schedule, chain, window.region, context=context)
 
 
 def collapse_posteriors(
@@ -542,7 +523,6 @@ def evaluate_rows(
     posteriors,
     n_samples: Optional[int] = None,
     seeds: Optional[Sequence[Optional[int]]] = None,
-    backend: Optional[str] = None,
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
     levels=None,
@@ -586,15 +566,14 @@ def evaluate_rows(
         for exists, ``(len(rows), |T_q| + 1)`` count distributions for
         k-times.
     """
-    shared = dict(backend=backend, plan_cache=plan_cache, context=context)
+    shared = dict(plan_cache=plan_cache, context=context)
     if method == "mc":
         multi = np.flatnonzero(is_multi[rows])
         evidence = dict(zip(multi.tolist(), observation_sets(rows[multi])))
         return MC_SAMPLE(
             (block(rows), start_time[rows], window, n_samples, seeds, kind,
              evidence),
-            chain, window.region, None,
-            context=context,
+            chain, window.region, context=context,
         )
     if kind == "ktimes":
         return batch_ktimes_distribution(

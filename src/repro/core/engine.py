@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.errors import BackendError, QueryError, ValidationError
+from repro.core.errors import QueryError, ValidationError
 from repro.core.pipeline import QueryPipeline
 from repro.core.plan_cache import PlanCache
 from repro.core.planner import (
@@ -57,7 +57,6 @@ from repro.core.query import (
 )
 from repro.database.pruning import ReachabilityPruner
 from repro.database.uncertain_db import TrajectoryDatabase
-from repro.linalg.ops import available_backends, get_backend
 
 __all__ = ["QueryEngine", "QueryResult"]
 
@@ -138,50 +137,33 @@ class QueryEngine:
 
     Args:
         database: the database to query.
-        backend: linear-algebra backend name, one of
-            :func:`~repro.linalg.ops.available_backends` (default
-            scipy, else pure).  Every query of the engine runs on it.
         plan_cache: cache for matrices/backward vectors; a private one
             is created when omitted.  Pass a shared instance to
             amortise construction across several engines (it is
             thread-safe).
         cost_model: planner coefficients; defaults are tuned for the
             batched scipy kernels.
-
-    Raises:
-        ValidationError: when ``backend`` is not an available backend.
     """
 
     def __init__(
         self,
         database: TrajectoryDatabase,
-        backend: Optional[str] = None,
         plan_cache: Optional[PlanCache] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
-        try:
-            backend = get_backend(backend).name
-        except BackendError:
-            raise ValidationError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{available_backends()}"
-            ) from None
         self.database = database
-        self.backend = backend
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache()
         )
         self.planner = QueryPlanner(
             database,
             plan_cache=self.plan_cache,
-            backend=backend,
             cost_model=cost_model,
         )
         self.pruner = ReachabilityPruner(database)
         self.pipeline = QueryPipeline(
             database,
             plan_cache=self.plan_cache,
-            backend=backend,
             pruner=self.pruner,
         )
         self._streaming = None
@@ -319,7 +301,6 @@ class QueryEngine:
         if self._streaming is None:
             self._streaming = StreamingQueryEngine(
                 self.database,
-                backend=self.backend,
                 plan_cache=self.plan_cache,
                 pruner=self.pruner,
             )

@@ -49,10 +49,6 @@ class InfeasibleEvidenceError(ReproError):
     """
 
 
-class BackendError(ReproError):
-    """The requested linear-algebra backend is unavailable or misused."""
-
-
 class SerializationError(ReproError):
     """A persisted artifact cannot be read or written."""
 

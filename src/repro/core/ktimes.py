@@ -32,8 +32,6 @@ the cross-tier parity suite).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.distribution import StateDistribution
@@ -41,7 +39,6 @@ from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.matrices import build_ktimes_block_matrices
 from repro.core.query import SpatioTemporalWindow
-from repro.linalg.ops import vecmat
 
 __all__ = [
     "ktimes_distribution",
@@ -124,7 +121,6 @@ def ktimes_distribution_blocked(
     initial: StateDistribution,
     window: SpatioTemporalWindow,
     start_time: int = 0,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Distribution over visit counts via the blocked matrices.
 
@@ -138,7 +134,7 @@ def ktimes_distribution_blocked(
     n = chain.n_states
     blocks = window.duration + 1
     m_minus, m_plus = build_ktimes_block_matrices(
-        chain, window.region, window.duration, backend
+        chain, window.region, window.duration
     )
 
     vector = np.zeros(blocks * n, dtype=float)
@@ -150,7 +146,7 @@ def ktimes_distribution_blocked(
 
     for time in range(start_time + 1, window.t_end + 1):
         matrix = m_plus if time in window.times else m_minus
-        vector = np.asarray(vecmat(vector, matrix), dtype=float)
+        vector = vector @ matrix
     return vector.reshape(blocks, n).sum(axis=1)
 
 

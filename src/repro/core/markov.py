@@ -8,10 +8,10 @@ processing then reduces to vector--matrix products:
 * Corollary 1: ``P(o, t+1) = P(o, t) . M``
 * Corollary 2: ``P(o, t+m) = P(o, t) . M^m``
 
-:class:`MarkovChain` wraps a sparse CSR transition matrix (scipy by
-default, the pure-Python backend on request), validates stochasticity at
-construction, and provides transition, reachability and stationary-
-distribution utilities used by the query processors and the pruning layer.
+:class:`MarkovChain` wraps a scipy sparse CSR transition matrix,
+validates stochasticity at construction, and provides transition,
+reachability and stationary-distribution utilities used by the query
+processors and the pruning layer.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.core.errors import (
     NotStochasticError,
     ValidationError,
 )
-from repro.linalg.sparse import CSRMatrix
 
 __all__ = ["MarkovChain"]
 
@@ -39,8 +38,7 @@ class MarkovChain:
 
     Args:
         matrix: the row-stochastic single-step transition matrix.  Accepts a
-            scipy sparse matrix, a dense array-like, or a
-            :class:`repro.linalg.sparse.CSRMatrix`.
+            scipy sparse matrix or a dense array-like.
         validate: verify row-stochasticity (non-negative entries, each row
             summing to one).  Disable only for matrices produced by code
             that already guarantees the invariant.
@@ -70,13 +68,7 @@ class MarkovChain:
 
     @staticmethod
     def _coerce(matrix) -> sp.csr_matrix:
-        if isinstance(matrix, CSRMatrix):
-            coerced = sp.csr_matrix(
-                (matrix.data, matrix.indices, matrix.indptr),
-                shape=matrix.shape,
-                dtype=float,
-            )
-        elif sp.issparse(matrix):
+        if sp.issparse(matrix):
             coerced = matrix.tocsr().astype(float)
         else:
             dense = np.asarray(matrix, dtype=float)
@@ -375,18 +367,6 @@ class MarkovChain:
     # ------------------------------------------------------------------
     # conversions / views
     # ------------------------------------------------------------------
-    def to_pure(self) -> CSRMatrix:
-        """The transition matrix as a pure-Python CSR matrix."""
-        matrix = self._matrix
-        return CSRMatrix(
-            matrix.shape[0],
-            matrix.shape[1],
-            matrix.indptr.tolist(),
-            matrix.indices.tolist(),
-            matrix.data.tolist(),
-            validate=False,
-        )
-
     def to_dense(self) -> np.ndarray:
         """Dense copy of the transition matrix (small chains only)."""
         return self._matrix.toarray()

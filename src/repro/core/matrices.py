@@ -58,11 +58,11 @@ from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.query import Region
-from repro.linalg.ops import Backend, get_backend
 
 __all__ = [
     "AbsorbingMatrices",
@@ -89,6 +89,22 @@ def _coo_arrays(
     values = np.asarray(coo.data, dtype=float)
     inside = _region_mask(region, chain.n_states)[cols]
     return rows, cols, values, inside
+
+
+def _csr(size: int, rows, cols, values) -> sp.csr_matrix:
+    """A ``size x size`` CSR matrix from parallel COO arrays
+    (duplicate coordinates sum)."""
+    return sp.csr_matrix(
+        (
+            np.asarray(values, dtype=float),
+            (
+                np.asarray(rows, dtype=np.int64),
+                np.asarray(cols, dtype=np.int64),
+            ),
+        ),
+        shape=(size, size),
+        dtype=float,
+    )
 
 
 def _check_region(chain: MarkovChain, region: Iterable[int]) -> Region:
@@ -121,13 +137,11 @@ class AbsorbingMatrices:
     Attributes:
         n_states: number of *real* states; TOP has index ``n_states``.
         region: the query region baked into ``m_plus``.
-        backend: the linear-algebra backend.
         chain: the chain the matrices augment.
     """
 
     n_states: int
     region: FrozenSet[int]
-    backend: Backend
     chain: MarkovChain = field(repr=False, compare=False)
     _m_minus: Optional[Any] = field(default=None, repr=False)
     _m_plus: Optional[Any] = field(default=None, repr=False)
@@ -167,8 +181,8 @@ class AbsorbingMatrices:
         """``(M_minus^T, M_plus^T)``."""
         if self._transposed is None:
             self._transposed = (
-                self.backend.transpose(self.m_minus),
-                self.backend.transpose(self.m_plus),
+                self.m_minus.transpose().tocsr(),
+                self.m_plus.transpose().tocsr(),
             )
         return self._transposed
 
@@ -177,12 +191,9 @@ class AbsorbingMatrices:
         steps its real states with: the chain's ``M`` (or its cached
         ``M^T``) for both.  The sweep holds TOP's mass per row and moves
         the ``S_q`` mass onto it after a step into ``T_q`` itself."""
-        if transposed:
-            matrix = self.chain.transpose_matrix()
-        elif self.backend.name == "pure":
-            matrix = self.chain.to_pure()
-        else:
-            matrix = self.chain.matrix
+        matrix = (
+            self.chain.transpose_matrix() if transposed else self.chain.matrix
+        )
         return matrix, matrix
 
     def extend_initial(
@@ -256,7 +267,6 @@ class DoubledMatrices:
     region: FrozenSet[int]
     m_minus: Any
     m_plus: Any
-    backend: Backend
     _transposed: Optional[Tuple[Any, Any]] = field(default=None, repr=False)
 
     @property
@@ -272,8 +282,8 @@ class DoubledMatrices:
         """``(M_minus^T, M_plus^T)``."""
         if self._transposed is None:
             self._transposed = (
-                self.backend.transpose(self.m_minus),
-                self.backend.transpose(self.m_plus),
+                self.m_minus.transpose().tocsr(),
+                self.m_plus.transpose().tocsr(),
             )
         return self._transposed
 
@@ -333,9 +343,7 @@ class DoubledMatrices:
 
 
 def build_absorbing_matrices(
-    chain: MarkovChain,
-    region: Iterable[int],
-    backend: Optional[str] = None,
+    chain: MarkovChain, region: Iterable[int]
 ) -> AbsorbingMatrices:
     """Construct the Section V-A matrices for ``chain`` and ``region``.
 
@@ -345,12 +353,11 @@ def build_absorbing_matrices(
     Args:
         chain: the object's Markov model.
         region: the spatial query region ``S_q``.
-        backend: linear-algebra backend name (default scipy).
     """
-    frozen = _check_region(chain, region)
-    linalg = get_backend(backend)
     return AbsorbingMatrices(
-        n_states=chain.n_states, region=frozen, backend=linalg, chain=chain
+        n_states=chain.n_states,
+        region=_check_region(chain, region),
+        chain=chain,
     )
 
 
@@ -365,8 +372,7 @@ def _absorbing_matrix(matrices: AbsorbingMatrices, plus: bool):
         rows[inside], weights=values[inside], minlength=n
     )
     sources = np.nonzero(redirected)[0]
-    return matrices.backend.build_coo(
-        n + 1,
+    return _csr(
         n + 1,
         np.concatenate([rows[~inside], sources, [top]]),
         np.concatenate([
@@ -377,13 +383,10 @@ def _absorbing_matrix(matrices: AbsorbingMatrices, plus: bool):
 
 
 def build_doubled_matrices(
-    chain: MarkovChain,
-    region: Iterable[int],
-    backend: Optional[str] = None,
+    chain: MarkovChain, region: Iterable[int]
 ) -> DoubledMatrices:
     """Construct the Section VI doubled matrices for ``chain``/``region``."""
     frozen = _check_region(chain, region)
-    linalg = get_backend(backend)
     n = chain.n_states
     rows, cols, values, inside = _coo_arrays(chain, frozen)
 
@@ -405,13 +408,8 @@ def build_doubled_matrices(
     return DoubledMatrices(
         n_states=n,
         region=frozen,
-        m_minus=linalg.build_coo(
-            2 * n, 2 * n, minus_rows, minus_cols, minus_vals
-        ),
-        m_plus=linalg.build_coo(
-            2 * n, 2 * n, plus_rows, plus_cols, plus_vals
-        ),
-        backend=linalg,
+        m_minus=_csr(2 * n, minus_rows, minus_cols, minus_vals),
+        m_plus=_csr(2 * n, plus_rows, plus_cols, plus_vals),
     )
 
 
@@ -419,7 +417,6 @@ def build_ktimes_block_matrices(
     chain: MarkovChain,
     region: Iterable[int],
     n_query_times: int,
-    backend: Optional[str] = None,
 ) -> Tuple[Any, Any]:
     """The memory-*inefficient* blocked matrices for PSTkQ (Section VII).
 
@@ -443,7 +440,6 @@ def build_ktimes_block_matrices(
         raise QueryError(
             f"need at least one query time, got {n_query_times}"
         )
-    linalg = get_backend(backend)
     n = chain.n_states
     blocks = n_query_times + 1
     rows, cols, values, inside = _coo_arrays(chain, frozen)
@@ -474,15 +470,13 @@ def build_ktimes_block_matrices(
 
     size = blocks * n
     return (
-        linalg.build_coo(
-            size,
+        _csr(
             size,
             np.concatenate(minus_rows),
             np.concatenate(minus_cols),
             np.concatenate(minus_vals),
         ),
-        linalg.build_coo(
-            size,
+        _csr(
             size,
             np.concatenate(plus_rows),
             np.concatenate(plus_cols),

@@ -63,7 +63,6 @@ def ob_exists_probability(
     window: SpatioTemporalWindow,
     start_time: int = 0,
     matrices: Optional[AbsorbingMatrices] = None,
-    backend: Optional[str] = None,
     stop_at_probability: Optional[float] = None,
     plan_cache=None,
 ) -> float:
@@ -79,8 +78,6 @@ def ob_exists_probability(
         matrices: pre-built absorbing matrices to reuse across objects
             sharing a chain; built on the fly when omitted.  Must have been
             built for exactly ``window.region``.
-        backend: linear-algebra backend name (ignored when ``matrices`` is
-            given).
         stop_at_probability: when set, return as soon as ``P(TOP)`` reaches
             this value -- a lower bound sufficient for threshold queries
             (the paper's early-termination note in Section V-C).
@@ -100,7 +97,7 @@ def ob_exists_probability(
     _check_window(chain, window, start_time)
 
     matrices = BUILD_ABSORBING(
-        matrices, chain, window.region, backend, plan_cache=plan_cache
+        matrices, chain, window.region, plan_cache=plan_cache
     )
 
     # a one-row schedule through the shared ForwardSweep operator: the
@@ -123,9 +120,7 @@ def ob_exists_probability(
         read="top",
         stop_threshold=stop_at_probability,
     )
-    result = FORWARD_SWEEP(
-        (matrices, schedule), chain, window.region, backend
-    )
+    result = FORWARD_SWEEP((matrices, schedule), chain, window.region)
     return float(result[0])
 
 
@@ -134,7 +129,6 @@ def ob_forall_probability(
     initial: StateDistribution,
     window: SpatioTemporalWindow,
     start_time: int = 0,
-    backend: Optional[str] = None,
 ) -> float:
     """PST-for-all probability via the complement identity (Section VII).
 
@@ -150,7 +144,6 @@ def ob_forall_probability(
         initial,
         window.with_region(complement),
         start_time=start_time,
-        backend=backend,
     )
 
 
@@ -159,7 +152,6 @@ def ob_exists_probability_multi(
     observations: ObservationSet,
     window: SpatioTemporalWindow,
     matrices: Optional[DoubledMatrices] = None,
-    backend: Optional[str] = None,
     plan_cache=None,
 ) -> float:
     """PST-exists with multiple observations (Section VI).
@@ -192,7 +184,6 @@ def ob_exists_probability_multi(
         [observations],
         window,
         matrices=matrices,
-        backend=backend,
         plan_cache=plan_cache,
     )
     return float(result[0])

@@ -45,12 +45,13 @@ property.
 
 **Degradation.**  The evaluate stage is fault-tolerant: a shard whose
 supervised retries are exhausted is evaluated by the parent from the
-same slabs, and when the process tier cannot serve this engine at all
-(no scipy, or a non-scipy engine backend) the stage falls back to
-serial -- the same exact kernels either way, so the query still
-returns the exact answer.  Both are recorded on ``plan.degradations``
-(rendered by ``QueryPlan.describe()``); the fall to serial is also
-warned as :class:`~repro.core.errors.DegradedExecutionWarning`.
+same slabs, and when the process tier itself fails (an
+:class:`~repro.core.errors.ExecutionError` escaping the scatter) the
+stage falls back to serial -- the same exact kernels either way, so
+the query still returns the exact answer.  Both are recorded on
+``plan.degradations`` (rendered by ``QueryPlan.describe()``); the fall
+to serial is also warned as
+:class:`~repro.core.errors.DegradedExecutionWarning`.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class QueryPipeline:
     Args:
         database: the database the plans run against.
         plan_cache: shared (thread-safe) construction cache.
-        backend: linear-algebra backend name.
         pruner: reachability filter to reuse across queries; a private
             one is created when omitted.  Its per-``(chain, region,
             horizon)`` BFS labellings amortise across a monitoring
@@ -101,12 +101,10 @@ class QueryPipeline:
         self,
         database,
         plan_cache=None,
-        backend: Optional[str] = None,
         pruner: Optional[ReachabilityPruner] = None,
     ) -> None:
         self.database = database
         self.plan_cache = plan_cache
-        self.backend = backend
         self.pruner = pruner or ReachabilityPruner(database)
 
     # ------------------------------------------------------------------
@@ -148,8 +146,7 @@ class QueryPipeline:
                 )
 
         context = ExecutionContext(
-            self.plan_cache, self.backend,
-            faults=plan.options.faults,
+            self.plan_cache, faults=plan.options.faults
         )
         values: Dict[str, ResultValue] = {}
         survivors: Dict[str, np.ndarray] = {
@@ -304,8 +301,8 @@ class QueryPipeline:
                     plan, survivors, values, query, context, seed_index
                 )
             except ExecutionError as error:
-                # the pool cannot serve this engine: same exact
-                # kernels, in the parent
+                # the process tier failed: same exact kernels, in
+                # the parent
                 self._degrade(context, "process", "serial", error)
                 mode = "serial"
 
@@ -382,7 +379,6 @@ class QueryPipeline:
                 if group.method == "mc"
                 else None
             ),
-            backend=self.backend,
             plan_cache=self.plan_cache,
             context=context,
             levels=partial(
@@ -405,9 +401,7 @@ class QueryPipeline:
         context: ExecutionContext,
         seed_index: Optional[Dict[str, int]],
     ) -> None:
-        """Scatter the plan over slab shards.  Raises
-        :class:`ExecutionError` when the pool cannot serve this engine
-        (:func:`~repro.exec.dispatch.process_dispatch_available`).
+        """Scatter the plan over slab shards.
 
         Persistent workers memory-map the slabs (attached once per
         process, zero-copy across queries) and run prefilter -> BFS ->
@@ -426,12 +420,6 @@ class QueryPipeline:
         """
         from repro.exec import dispatch as _dispatch
 
-        if not _dispatch.process_dispatch_available(self.backend):
-            raise ExecutionError(
-                f"process dispatch runs the scipy kernels; "
-                f"unavailable without scipy or for engine backend "
-                f"{self.backend!r}"
-            )
         if self._is_store():
             scatter = _dispatch.run_store_shards
             overlay = self.database.overlay_object_ids()
@@ -502,7 +490,7 @@ class QueryPipeline:
     def _posteriors(self, cohort, chain, context, rows, last):
         """Lemma 1 posteriors from the database's shared table."""
         block = cohort.posteriors.collapse(
-            rows, last, chain, self.database, self.backend, context
+            rows, last, chain, self.database, context
         )
         if not np.diff(block.indptr).all():  # a racing write took it
             raise ValidationError("a re-sighted object changed mid-query")

@@ -16,7 +16,7 @@ once the products themselves are batched (see :mod:`repro.core.batch`).
 
 :class:`PlanCache` is a bounded LRU cache over those artefacts, keyed by
 
-    ``(construction kind, chain fingerprint, region key, extras, backend)``
+    ``(construction kind, chain fingerprint, region key, extras)``
 
 where the chain fingerprint is a content hash
 (:meth:`repro.core.markov.MarkovChain.fingerprint`), so equal-by-value
@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Tuple
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class PlanCache:
         kind: str,
         chain: MarkovChain,
         region: Iterable[int],
-        backend: Optional[str] = None,
         extra: Hashable = None,
     ) -> bool:
         """Non-mutating probe used by the query planner's cost model.
@@ -156,7 +155,7 @@ class PlanCache:
         planning a query does not perturb the statistics the executed
         plan is judged by.
         """
-        key = self._key(kind, chain.fingerprint(), region, backend, extra)
+        key = self._key(kind, chain.fingerprint(), region, extra)
         with self._lock:
             return key in self._entries
 
@@ -165,16 +164,9 @@ class PlanCache:
         kind: str,
         fingerprint: str,
         region: Iterable[int],
-        backend: Optional[str],
         extra: Hashable = None,
     ) -> Tuple[Hashable, ...]:
-        # None means "the default backend", which is scipy; the two
-        # spellings must alias or a planner probing with None never
-        # sees artefacts an engine stored under an explicit "scipy".
-        return (
-            kind, fingerprint, Region(region).key, backend or "scipy",
-            extra,
-        )
+        return (kind, fingerprint, Region(region).key, extra)
 
     # ------------------------------------------------------------------
     # cached constructions
@@ -183,29 +175,27 @@ class PlanCache:
         self,
         chain: MarkovChain,
         region: Iterable[int],
-        backend: Optional[str] = None,
         context=None,
     ) -> AbsorbingMatrices:
         """The Section V-A matrices for ``(chain, region)``, cached; a
         miss runs :data:`~repro.exec.operators.BUILD_ABSORBING`."""
-        return self._matrices("absorbing", chain, region, backend, context)
+        return self._matrices("absorbing", chain, region, context)
 
     def doubled(
         self,
         chain: MarkovChain,
         region: Iterable[int],
-        backend: Optional[str] = None,
         context=None,
     ) -> DoubledMatrices:
         """The Section VI doubled matrices, cached; a miss runs
         :data:`~repro.exec.operators.BUILD_DOUBLED`."""
-        return self._matrices("doubled", chain, region, backend, context)
+        return self._matrices("doubled", chain, region, context)
 
-    def _matrices(self, kind, chain, region, backend, context):
+    def _matrices(self, kind, chain, region, context):
         from repro.exec.operators import BUILD_ABSORBING, BUILD_DOUBLED
 
         region = Region(region)
-        key = self._key(kind, chain.fingerprint(), region, backend)
+        key = self._key(kind, chain.fingerprint(), region)
         with self._lock:
             cached = self._lookup(key)
             if cached is not None:
@@ -213,7 +203,7 @@ class PlanCache:
             self.stats.misses += 1
             self.stats._count(kind)
         operator = BUILD_ABSORBING if kind == "absorbing" else BUILD_DOUBLED
-        value = operator.build(chain, region, backend, context)
+        value = operator.build(chain, region, context)
         with self._lock:
             return self._store(key, value)
 
@@ -222,7 +212,6 @@ class PlanCache:
         chain: MarkovChain,
         window: SpatioTemporalWindow,
         start_times: Iterable[int],
-        backend: Optional[str] = None,
         context=None,
     ) -> Dict[int, np.ndarray]:
         """Section V-B backward vectors for several start times, cached.
@@ -243,7 +232,7 @@ class PlanCache:
         with self._lock:
             for start in wanted:
                 key = self._key(
-                    "backward", fingerprint, window.region, backend,
+                    "backward", fingerprint, window.region,
                     (window.times, start),
                 )
                 cached = self._lookup(key)
@@ -256,14 +245,13 @@ class PlanCache:
                 self.stats._count("backward")
         if missing:
             computed = BACKWARD_SWEEP(
-                (window, missing), chain, window.region, backend,
-                context=context,
+                (window, missing), chain, window.region, context=context
             )
             with self._lock:
                 for start, vector in computed.items():
                     vector.setflags(write=False)
                     key = self._key(
-                        "backward", fingerprint, window.region, backend,
+                        "backward", fingerprint, window.region,
                         (window.times, start),
                     )
                     result[start] = self._store(key, vector)
@@ -274,7 +262,6 @@ class PlanCache:
         chain: MarkovChain,
         window: SpatioTemporalWindow,
         start_times: Iterable[int],
-        backend: Optional[str] = None,
         context=None,
     ) -> Dict[int, np.ndarray]:
         """Section VII suffix-count blocks for several start times, cached.
@@ -295,7 +282,7 @@ class PlanCache:
         with self._lock:
             for start in wanted:
                 key = self._key(
-                    "ktimes_core", fingerprint, window.region, backend,
+                    "ktimes_core", fingerprint, window.region,
                     (window.times, start),
                 )
                 cached = self._lookup(key)
@@ -308,17 +295,13 @@ class PlanCache:
                 self.stats._count("ktimes_core")
         if missing:
             computed = KTIMES_CORE(
-                (window, missing),
-                chain,
-                window.region,
-                backend,
-                context=context,
+                (window, missing), chain, window.region, context=context
             )
             with self._lock:
                 for start, block in computed.items():
                     block.setflags(write=False)
                     key = self._key(
-                        "ktimes_core", fingerprint, window.region, backend,
+                        "ktimes_core", fingerprint, window.region,
                         (window.times, start),
                     )
                     result[start] = self._store(key, block)

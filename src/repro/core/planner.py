@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -427,9 +427,8 @@ class GroupPlan:
             mutating the plan).
         features: the cost-model inputs.
         costs: estimated cost per candidate method.
-        backend: the engine's linear-algebra backend, which every
-            group's kernels execute through (recorded for
-            ``describe()``).
+        backend: the linear-algebra engine every group's kernels run
+            on; always ``"scipy"`` (a class constant, not a field).
         predicted_seconds: the cost model's wall-time prediction for
             the chosen method; ``describe()`` renders it next to the
             measured ``elapsed_seconds``.
@@ -455,7 +454,7 @@ class GroupPlan:
     )
     features: Optional[GroupFeatures] = None
     costs: Dict[str, float] = field(default_factory=dict)
-    backend: Optional[str] = None
+    backend: ClassVar[str] = "scipy"
     predicted_seconds: Optional[float] = None
     survivors: Optional[int] = None
     elapsed_seconds: Optional[float] = None
@@ -658,8 +657,6 @@ class QueryPlan:
                 f"  group {group.chain_id!r}: {singles} single + "
                 f"{multis} multi -> method={group.method}"
             )
-            if group.backend is not None:
-                line += f" backend={group.backend}"
             if costs:
                 line += f"  [{costs}]"
             if group.predicted_seconds is not None:
@@ -717,8 +714,6 @@ class QueryPlanner:
         database: the database queries run against.
         plan_cache: the engine's plan cache, probed (without mutating
             its statistics) to credit cached constructions.
-        backend: the engine's linear-algebra backend name (cache-key
-            component, recorded on every :class:`GroupPlan`).
         cost_model: default coefficients; per-query overrides come via
             :attr:`PlanOptions.cost_model`.
     """
@@ -727,12 +722,10 @@ class QueryPlanner:
         self,
         database,
         plan_cache=None,
-        backend: Optional[str] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.database = database
         self.plan_cache = plan_cache
-        self.backend = backend
         self.cost_model = cost_model or CostModel()
 
     # ------------------------------------------------------------------
@@ -920,7 +913,6 @@ class QueryPlanner:
             rows=rows,
             features=features,
             costs=costs,
-            backend=self.backend,
             predicted_seconds=model.predict_seconds(
                 costs.get(method, 0.0)
             ),
@@ -930,9 +922,7 @@ class QueryPlanner:
     def _cached(self, kind: str, chain, window) -> bool:
         if self.plan_cache is None:
             return False
-        return self.plan_cache.contains(
-            kind, chain, window.region, self.backend
-        )
+        return self.plan_cache.contains(kind, chain, window.region)
 
     def _backward_fraction(
         self, chain, window, starts: Sequence[int]
@@ -946,7 +936,6 @@ class QueryPlanner:
                 "backward",
                 chain,
                 window.region,
-                self.backend,
                 (window.times, start),
             )
         )
@@ -965,10 +954,9 @@ class QueryPlanner:
         Processes scatter a query over slab shards, but each shard
         pays fork/IPC overhead, so the estimated kernel cost must
         clear ``process_min_cost`` before auto picks them -- and only
-        for a sharded store (``supports_shard_scatter``), never for an
-        engine the pool cannot serve (no scipy, or a pure engine).  An
-        in-RAM database would first have to be spilled into the slab
-        format, once per version, so auto keeps it serial; a forced
+        for a sharded store (``supports_shard_scatter``).  An in-RAM
+        database would first have to be spilled into the slab format,
+        once per version, so auto keeps it serial; a forced
         ``dispatch="process"`` still scatters it through the spill,
         with the pool size as its shard count.
         """
@@ -985,12 +973,9 @@ class QueryPlanner:
         if options.dispatch == "process":
             return "process", workers
 
-        from repro.exec.dispatch import process_dispatch_available
-
         if (
             getattr(self.database, "supports_shard_scatter", False)
             and cores >= 2
-            and process_dispatch_available(self.backend)
         ):
             estimated = sum(
                 min(group.costs.values())

@@ -17,7 +17,7 @@ per-class chains simply run one evaluator per class.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class QueryBasedEvaluator:
         chain: the Markov model shared by the objects.
         window: the query window ``S_q x T_q``.
         start_time: the observation timestamp the backward pass stops at.
-        backend: linear-algebra backend name.
         plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
             supplying (and keeping) the backward vector.
     """
@@ -58,7 +57,6 @@ class QueryBasedEvaluator:
         chain: MarkovChain,
         window: SpatioTemporalWindow,
         start_time: int = 0,
-        backend: Optional[str] = None,
         plan_cache=None,
     ) -> None:
         window.validate_for(chain.n_states)
@@ -75,7 +73,7 @@ class QueryBasedEvaluator:
         self.window = window
         self.start_time = start_time
         self._backward = backward_vectors(
-            chain, window, [start_time], backend, plan_cache
+            chain, window, [start_time], plan_cache
         )[start_time]
         # the per-state answers: mass inside S_q at a start time that is
         # itself a query timestamp is an immediate hit (TOP, worth 1)
@@ -127,7 +125,6 @@ def qb_exists_probability(
     initial: StateDistribution,
     window: SpatioTemporalWindow,
     start_time: int = 0,
-    backend: Optional[str] = None,
     plan_cache=None,
 ) -> float:
     """One-shot QB PST-exists (builds the evaluator and answers once).
@@ -141,7 +138,6 @@ def qb_exists_probability(
         chain,
         window,
         start_time=start_time,
-        backend=backend,
         plan_cache=plan_cache,
     )
     return evaluator.probability(initial)
@@ -152,7 +148,6 @@ def qb_forall_probability(
     initial: StateDistribution,
     window: SpatioTemporalWindow,
     start_time: int = 0,
-    backend: Optional[str] = None,
 ) -> float:
     """QB PST-for-all via the complement identity (Section VII)."""
     window.validate_for(chain.n_states)
@@ -164,7 +159,6 @@ def qb_forall_probability(
         initial,
         window.with_region(complement),
         start_time=start_time,
-        backend=backend,
     )
 
 
@@ -182,7 +176,6 @@ class QueryBasedKTimesEvaluator:
         chain: MarkovChain,
         window: SpatioTemporalWindow,
         start_time: int = 0,
-        backend: Optional[str] = None,
     ) -> None:
         window.validate_for(chain.n_states)
         if window.t_start < start_time:
@@ -195,7 +188,7 @@ class QueryBasedKTimesEvaluator:
         self.start_time = start_time
         self.n_blocks = window.duration + 1
         self.m_minus, self.m_plus = build_ktimes_block_matrices(
-            chain, window.region, window.duration, backend
+            chain, window.region, window.duration
         )
         self._backward = self._run_backward_pass()
 

@@ -163,15 +163,6 @@ class _ChainStream:
         self.cohort = cohort
         self.view = None  # the current tick's, set by register()
         self.chain = owner.engine.database.chain(chain_id)
-        self.backend = owner.engine.backend
-        # the ladder's step matrix: the pure backend steps exists rungs
-        # on its own copy of the chain (as BackwardSweep does); k-times
-        # C-blocks are 2-D and always ride scipy
-        self.matrix = (
-            self.chain.to_pure()
-            if self.backend == "pure" and owner.kind != "ktimes"
-            else self.chain.matrix
-        )
         # per cohort row (registered rows only): the earliest t_end at
         # which the object can be non-zero -- first observation time
         # plus BFS distance into the region.  Exact-safe: below it the
@@ -268,8 +259,8 @@ class _ChainStream:
         # block (M_minus's real rows are M's, TOP stays 1) and a k-times
         # C-block (the count dimension rides in the block's columns)
         LADDER_EXTEND(
-            (self.matrix, self._buffer[self._end - 1], steps),
-            self.chain, self.owner.region, self.backend,
+            (self.chain.matrix, self._buffer[self._end - 1], steps),
+            self.chain, self.owner.region,
             context=self.owner.context,
             out=self._buffer[self._end:self._end + steps],
         )
@@ -296,7 +287,7 @@ class _ChainStream:
         )
         return np.asarray(
             build(
-                self.chain, window, [anchor_start], self.backend,
+                self.chain, window, [anchor_start],
                 context=self.owner.context,
             )[anchor_start],
             dtype=float,
@@ -403,7 +394,7 @@ class _ChainStream:
                 # Markov from its filtered posterior
                 posteriors = cohort.posteriors.collapse(
                     rows[collapsed], last[collapsed], self.chain,
-                    engine.database, self.backend, owner.context,
+                    engine.database, owner.context,
                 )
                 block = block.concat(posteriors)
                 gone[collapsed[np.diff(posteriors.indptr) == 0]] = True
@@ -432,7 +423,6 @@ class _ChainStream:
                     records[p] for p in picked.tolist()
                 ],
                 posteriors=None,  # every row here has last >= t_start
-                backend=self.backend,
                 plan_cache=engine.plan_cache,
                 context=owner.context,
             )
@@ -535,9 +525,7 @@ class StandingQuery:
         self._error: Optional[str] = None
         # per-tick operator timing sink (reset by every tick; the
         # executed plan carries the tick's per-operator totals)
-        self.context = ExecutionContext(
-            engine.plan_cache, engine.backend, faults=faults
-        )
+        self.context = ExecutionContext(engine.plan_cache, faults=faults)
         self._offset = 0
         self._base = SpatioTemporalWindow(self.region, query.times)
         self._chains: Dict[str, _ChainStream] = {}
@@ -592,8 +580,7 @@ class StandingQuery:
         snapshot = self._snapshot()
         started = _time.perf_counter()
         self.context = ExecutionContext(
-            self.engine.plan_cache, self.engine.backend,
-            faults=self.faults,
+            self.engine.plan_cache, faults=self.faults
         )
         try:
             self._sync()
@@ -804,7 +791,6 @@ class StandingQuery:
                         duration=window.duration,
                     ),
                     survivors=len(stream.view.rows),
-                    backend=stream.backend,
                 )
                 for chain_id, stream in sorted(self._chains.items())
             ],
@@ -852,7 +838,6 @@ class StreamingQueryEngine:
 
     Args:
         database: the database standing queries run against.
-        backend: linear-algebra backend name (default scipy).
         plan_cache: shared construction cache (private when omitted).
         pruner: shared reachability filter (private when omitted).
     """
@@ -860,12 +845,10 @@ class StreamingQueryEngine:
     def __init__(
         self,
         database: TrajectoryDatabase,
-        backend: Optional[str] = None,
         plan_cache: Optional[PlanCache] = None,
         pruner: Optional[ReachabilityPruner] = None,
     ) -> None:
         self.database = database
-        self.backend = backend
         self.plan_cache = (
             plan_cache if plan_cache is not None else PlanCache()
         )

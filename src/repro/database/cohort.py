@@ -277,7 +277,7 @@ class Posteriors:
                 self.slot[row] = self.time[row] = -1
 
     def collapse(
-        self, rows, last, chain, database, backend=None, context=None
+        self, rows, last, chain, database, context=None
     ) -> SupportBlock:
         """The posteriors of ``rows`` at ``last`` (the latest
         observation time in the caller's view of each) as one CSR.
@@ -287,7 +287,7 @@ class Posteriors:
         with self._lock:
             if chain is not self.chain:
                 self._clear(chain)
-            self._fill(rows, last, database, backend, context)
+            self._fill(rows, last, database, context)
             return self._block(rows)
 
     def _block(self, rows: np.ndarray) -> SupportBlock:
@@ -298,7 +298,7 @@ class Posteriors:
             self.indptr[slots], self.indptr[slots + 1],
         )
 
-    def _fill(self, rows, last, database, backend, context) -> None:
+    def _fill(self, rows, last, database, context) -> None:
         self._grow()
         cohort = self.cohort
         pick = self.time[rows] != last
@@ -321,8 +321,7 @@ class Posteriors:
                 resume = (int(self.time[row]), self.states[entry],
                           self.weights[entry])
             _t_last, support, weight = POSTERIOR_COLLAPSE(
-                (observations, resume), self.chain, None, backend,
-                context=context,
+                (observations, resume), self.chain, context=context
             )
             supports.append(support)
             weights.append(weight)

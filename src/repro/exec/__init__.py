@@ -13,12 +13,12 @@ kernels.  This package is the single home of those kernels:
   :class:`~repro.exec.operators.MCSample`,
   :class:`~repro.exec.operators.LadderExtend`, plus the
   :class:`~repro.exec.operators.BfsPrune` filter wrapper) with uniform
-  ``(inputs, chain, region, backend) -> arrays`` signatures and
+  ``(inputs, chain, region) -> arrays`` signatures and
   per-call timing hooks collected on an
   :class:`~repro.exec.operators.ExecutionContext`;
 * :mod:`repro.exec.dispatch` -- process-pool dispatch of operator
-  work (the alternative to serial evaluation in the calling thread)
-  for scipy engines: workers memory-map a store's slab shards (an
+  work (the alternative to serial evaluation in the calling thread):
+  workers memory-map a store's slab shards (an
   in-RAM database is spilled once per version into the same slab
   format), run under a supervisor (cost-priced deadlines, retry with
   pool rebuild, degradation of a shard to the parent) with a startup

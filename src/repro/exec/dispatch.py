@@ -51,13 +51,7 @@ import numpy as np
 from repro.core.errors import ExecutionError, TaskTimeoutError
 from repro.core.errors import WorkerCrashError
 
-try:  # the workers run the scipy kernels over memory-mapped CSR slabs
-    import scipy.sparse as _sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
-
 __all__ = [
-    "process_dispatch_available",
     "run_groups_in_processes",
     "run_store_shards",
     "prewarm",
@@ -68,13 +62,6 @@ __all__ = [
     "sweep_orphans",
     "memory_stats",
 ]
-
-
-def process_dispatch_available(backend: Optional[str] = None) -> bool:
-    """Whether the process pool can serve an engine on ``backend``: its
-    workers run the scipy kernels over memory-mapped CSR slabs, so it
-    needs scipy and a scipy engine."""
-    return _sp is not None and backend in (None, "scipy")
 
 
 # ----------------------------------------------------------------------

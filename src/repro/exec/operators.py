@@ -12,11 +12,11 @@ the same code.
 
 Operators share a uniform call shape::
 
-    operator(inputs, chain, region, backend, context=ctx, ...) -> arrays
+    operator(inputs, chain, region, context=ctx, ...) -> arrays
 
 where ``inputs`` carries the operator-specific payload (matrices, a
 :class:`SweepSchedule`, a ladder base vector, ...), ``chain`` /
-``region`` / ``backend`` identify the artefact space, and ``context``
+``region`` identify the artefact space, and ``context``
 is an optional :class:`ExecutionContext` whose timing hooks record one
 ``(calls, seconds)`` entry per operator name -- the numbers
 ``QueryPlan.describe()`` renders.
@@ -45,7 +45,6 @@ from repro.core.matrices import (
     build_absorbing_matrices,
     build_doubled_matrices,
 )
-from repro.linalg.ops import matvec
 
 __all__ = [
     "ExecutionContext",
@@ -97,28 +96,21 @@ class OperatorStats:
 class ExecutionContext:
     """Shared state threaded through one query's operator calls.
 
-    Carries the artefact sources every operator resolves against (the
-    plan cache and the backend name) and collects the per-operator
-    timing hooks.  Worker processes build their own context and ship
-    its timings back; :meth:`merge` folds them into the parent's.
+    Carries the artefact source every operator resolves against (the
+    plan cache) and collects the per-operator timing hooks.  Worker
+    processes build their own context and ship its timings back;
+    :meth:`merge` folds them into the parent's.
 
     Args:
         plan_cache: construction cache operators resolve matrices from.
-        backend: linear-algebra backend name.
         faults: optional :class:`~repro.exec.faults.FaultInjector`
             whose chaos hooks every operator call reports to (fault
             injection tests only; ``None`` -- one attribute check per
             call -- in production).
     """
 
-    def __init__(
-        self,
-        plan_cache=None,
-        backend: Optional[str] = None,
-        faults=None,
-    ) -> None:
+    def __init__(self, plan_cache=None, faults=None) -> None:
         self.plan_cache = plan_cache
-        self.backend = backend
         self.faults = faults
         self.timings: Dict[str, OperatorStats] = {}
         # recovery events (pool rebuilds, retries) the supervisor
@@ -174,7 +166,6 @@ class Operator:
         inputs: Any,
         chain=None,
         region: Optional[FrozenSet[int]] = None,
-        backend: Optional[str] = None,
         context: Optional[ExecutionContext] = None,
         **kwargs: Any,
     ) -> Any:
@@ -182,9 +173,7 @@ class Operator:
             context.faults.fire(f"operator:{self.name}")
         started = _time.perf_counter()
         try:
-            return self.run(
-                inputs, chain, region, backend, context=context, **kwargs
-            )
+            return self.run(inputs, chain, region, context=context, **kwargs)
         finally:
             if context is not None:
                 context.record(
@@ -192,7 +181,7 @@ class Operator:
                 )
 
     def run(
-        self, inputs, chain, region, backend, context=None, **kwargs
+        self, inputs, chain, region, context=None, **kwargs
     ):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -228,8 +217,8 @@ class BuildMatrices(Operator):
         )
 
     def __call__(
-        self, inputs, chain=None, region=None, backend=None,
-        context=None, plan_cache=None, **_,
+        self, inputs, chain=None, region=None, context=None,
+        plan_cache=None, **_,
     ):
         if inputs is not None:
             if inputs.region != region:
@@ -242,18 +231,16 @@ class BuildMatrices(Operator):
             plan_cache = context.plan_cache
         if plan_cache is not None:
             return getattr(plan_cache, self.kind)(
-                chain, region, backend, context=context
+                chain, region, context=context
             )
-        return self.build(chain, region, backend, context)
+        return self.build(chain, region, context)
 
-    def build(self, chain, region, backend=None, context=None):
+    def build(self, chain, region, context=None):
         """Construct the matrices, timed as one operator call."""
-        return super().__call__(
-            None, chain, region, backend, context=context
-        )
+        return super().__call__(None, chain, region, context=context)
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
-        return self._builder(chain, region, backend)
+    def run(self, inputs, chain, region, context=None, **_):
+        return self._builder(chain, region)
 
 
 # ----------------------------------------------------------------------
@@ -317,23 +304,16 @@ class SweepSchedule:
 class _DenseStack:
     """The stacked distributions of all objects as one dense array.
 
-    The reference representation: the pure-Python backend always
-    sweeps it (row-wise :func:`~repro.linalg.ops.matmat`), and scipy
-    keeps it for stacks too small to pay the frontier's bookkeeping.
-    For scipy the stack is kept *transposed* -- a C-contiguous
-    ``(states, n_rows)`` array -- so each transition is ``M^T @ X^T``
-    over the sweep pair's cached transposes: one CSR matvecs kernel call
-    per timestep with no copies in the loop.
+    Kept for stacks too small to pay the frontier's bookkeeping, and
+    for a frontier that has filled in.  The stack is kept *transposed*
+    -- a C-contiguous ``(states, n_rows)`` array -- so each transition
+    is ``M^T @ X^T`` over the sweep pair's cached transposes: one CSR
+    matvecs kernel call per timestep with no copies in the loop.
     """
 
     def __init__(self, matrices, n_rows: int) -> None:
-        self.matrices = matrices
-        self._transposed = matrices.backend.name != "pure"
-        self.minus, self.plus = matrices.sweep_pair(self._transposed)
-        shape = (self.minus.shape[0], n_rows)
-        self.stack = np.zeros(
-            shape if self._transposed else shape[::-1], dtype=float
-        )
+        self.minus, self.plus = matrices.sweep_pair(transposed=True)
+        self.stack = np.zeros((self.minus.shape[0], n_rows), dtype=float)
         # per row, the mass on TOP (an absorbing sweep's answer)
         self.absorbed = np.zeros(n_rows, dtype=float)
 
@@ -341,10 +321,7 @@ class _DenseStack:
         self, rows: np.ndarray, states: np.ndarray, values: np.ndarray
     ) -> None:
         """Write sparse entries ``(rows[i], states[i]) = values[i]``."""
-        if self._transposed:
-            self.stack[states, rows] = values
-        else:
-            self.stack[rows, states] = values
+        self.stack[states, rows] = values
 
     def fuse(self, row: int, tiled: np.ndarray) -> float:
         """Lemma 1 on one row: multiply by ``tiled``, renormalise.
@@ -352,7 +329,7 @@ class _DenseStack:
         Returns the mass before renormalising; at zero the row is left
         as it was and the caller raises.
         """
-        vector = self.stack[:, row] if self._transposed else self.stack[row]
+        vector = self.stack[:, row]
         fused = vector * tiled
         total = float(fused.sum())
         if total > 0.0:
@@ -361,9 +338,7 @@ class _DenseStack:
 
     def read(self, rows: np.ndarray, offset: int) -> np.ndarray:
         """Per row, the sum of the entries from ``offset`` on."""
-        if self._transposed:
-            return self.stack[offset:, rows].sum(axis=0)
-        return self.stack[rows, offset:].sum(axis=1)
+        return self.stack[offset:, rows].sum(axis=0)
 
     def trim(self, reach: np.ndarray, budget: int) -> None:
         """No-op: the dense stack steps every state anyway."""
@@ -372,22 +347,11 @@ class _DenseStack:
         """Move every row's mass on the states ``inside`` marks into
         :attr:`absorbed` -- a step on ``M`` followed by this is one on
         ``M_plus``."""
-        if self._transposed:
-            self.absorbed += self.stack[inside].sum(axis=0)
-            self.stack[inside] = 0.0
-        else:
-            self.absorbed += self.stack[:, inside].sum(axis=1)
-            self.stack[:, inside] = 0.0
+        self.absorbed += self.stack[inside].sum(axis=0)
+        self.stack[inside] = 0.0
 
     def step(self, time: int, times) -> "_DenseStack":
-        matrix = self.plus if time in times else self.minus
-        if self._transposed:
-            self.stack = matrix @ self.stack
-        else:
-            self.stack = np.asarray(
-                self.matrices.backend.matmat(self.stack, matrix),
-                dtype=float,
-            )
+        self.stack = (self.plus if time in times else self.minus) @ self.stack
         return self
 
 
@@ -491,9 +455,7 @@ _DENSE_FILL = 1 / 16
 
 def sweeps_frontier(matrices, n_rows: int) -> bool:
     """Whether a sweep of ``n_rows`` starts on a :class:`_Frontier`."""
-    return matrices.backend.name != "pure" and (
-        n_rows * matrices.size >= _FRONTIER_MIN_CELLS
-    )
+    return n_rows * matrices.size >= _FRONTIER_MIN_CELLS
 
 
 class ForwardSweep(Operator):
@@ -505,10 +467,10 @@ class ForwardSweep(Operator):
     (a one-row schedule).  ``inputs`` is ``(matrices, schedule)``;
     the result is one value per schedule row.
 
-    scipy matrices sweep a :class:`_Frontier` once the stack has
-    ``_FRONTIER_MIN_CELLS`` cells, a :class:`_DenseStack` below that;
-    the pure backend always sweeps the dense reference.  Both give the
-    same answers to rounding; a frontier trims to ``schedule.reach``.
+    A stack of at least ``_FRONTIER_MIN_CELLS`` cells sweeps as a
+    :class:`_Frontier`, a smaller one as a :class:`_DenseStack`.  Both
+    give the same answers to rounding; a frontier trims to
+    ``schedule.reach``.
     An absorbing (Section V-A) sweep steps the chain's own ``M`` over
     the real states and keeps TOP's mass per row in the stack's
     ``absorbed`` vector: ``x . M_minus`` is ``x_real . M`` with TOP
@@ -520,7 +482,7 @@ class ForwardSweep(Operator):
 
     name = "forward_sweep"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         matrices, schedule = inputs
         stack = (
             _Frontier if sweeps_frontier(matrices, schedule.n_rows)
@@ -595,14 +557,12 @@ class BackwardSweep(Operator):
     every step, so ``M_plus . v = M . (v with its S_q entries set to
     1)`` and ``M_minus . v = M . v``.  A step into a query time
     therefore sets ``real[S_q] = 1`` and then takes ``real <- M .
-    real``; the returned ``(n + 1)`` vectors carry ``TOP = 1``.  The
-    pure backend runs the same kernel through
-    :func:`~repro.linalg.ops.matvec` over its own copy of the matrix.
+    real``; the returned ``(n + 1)`` vectors carry ``TOP = 1``.
     """
 
     name = "backward_sweep"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         window, start_times = inputs
         wanted = sorted({int(t) for t in start_times})
         if not wanted:
@@ -616,7 +576,7 @@ class BackwardSweep(Operator):
                 f"query time {window.t_start} precedes start_time "
                 f"{wanted[-1]}"
             )
-        matrix = chain.to_pure() if backend == "pure" else chain.matrix
+        matrix = chain.matrix
         columns = window.region.array
         n = chain.n_states
         real = np.zeros(n, dtype=float)
@@ -634,7 +594,7 @@ class BackwardSweep(Operator):
         for time in range(window.t_end - 1, wanted[0] - 1, -1):
             if time + 1 in window.times:
                 real[columns] = 1.0
-            real = np.asarray(matvec(matrix, real), dtype=float)
+            real = matrix @ real
             if time in keep:
                 result[time] = augmented()
         return result
@@ -700,7 +660,7 @@ class KTimesSweep(Operator):
 
     name = "ktimes_sweep"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         schedule = inputs
         n = chain.n_states
         n_objects = schedule.n_objects
@@ -776,7 +736,7 @@ class KTimesCore(Operator):
 
     name = "ktimes_core"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         window, start_times = inputs
         wanted = sorted({int(t) for t in start_times})
         if not wanted:
@@ -840,7 +800,7 @@ class PosteriorCollapse(Operator):
 
     name = "posterior_collapse"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         observations, resume = inputs
         t_last = observations.last.time
         if resume is not None:
@@ -895,7 +855,7 @@ class MCSample(Operator):
 
     name = "mc_sample"
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         from repro.core.montecarlo import MonteCarloSampler
 
         return MonteCarloSampler(chain).estimate(*inputs)
@@ -911,25 +871,24 @@ class LadderExtend(Operator):
     ``inputs`` is ``(matrix, base, steps)``; writes the ``steps``
     new rungs ``[M.base, M^2.base, ...]`` along axis 0 of ``out``
     (``(steps,) + base.shape``, the spare tail of the caller's ladder
-    array) and returns it.  ``matrix`` (scipy, or a pure
-    :class:`~repro.linalg.sparse.CSRMatrix` for 1-D rungs) steps the
+    array) and returns it.  ``matrix`` steps the
     leading ``matrix.shape[0]`` entries of each rung and the rest are
     copied: an exists rung's TOP entry stays 1 under the chain matrix,
     since ``M_minus``'s real rows are exactly ``M``'s (bit-identical
     rungs).
     This is the streaming engine's per-tick kernel: shift invariance
-    makes every slid window's backward column a pure ``M_minus``
+    makes every slid window's backward column a plain ``M_minus``
     extension of the previous one.
     """
 
     name = "ladder_extend"
 
-    def run(self, inputs, chain, region, backend, out, context=None, **_):
+    def run(self, inputs, chain, region, out, context=None, **_):
         matrix, base, steps = inputs
         n = matrix.shape[0]
         vector = base
         for step in range(steps):
-            out[step][:n] = matvec(matrix, vector[:n])
+            out[step][:n] = matrix @ vector[:n]
             out[step][n:] = vector[n:]
             vector = out[step]
         return out
@@ -956,7 +915,7 @@ class BfsPrune(Operator):
     def __init__(self, name: str = "bfs_prune") -> None:
         self.name = name
 
-    def run(self, inputs, chain, region, backend, context=None, **_):
+    def run(self, inputs, chain, region, context=None, **_):
         from repro.database.pruning import reachable_rows
 
         return reachable_rows(*inputs)

@@ -1,33 +1,22 @@
-"""Linear-algebra substrate for the repro library.
+"""The sparse product the library runs on, as a probe surface.
 
-The paper performs every query through (sparse) matrix--vector
-multiplications, using MATLAB's sparse engine.  This subpackage provides the
-equivalent substrate:
-
-* :mod:`repro.linalg.sparse` -- an independent, pure-Python compressed
-  sparse row (CSR) matrix implementation.  It exists both as a fallback when
-  scipy is unavailable and as an independently-implemented oracle used by
-  the test suite to cross-check the scipy backend.
-* :mod:`repro.linalg.ops` -- a thin dispatch layer that routes matrix
-  construction and multiplication either to scipy or to the pure backend.
+The paper performs every query through sparse matrix--vector
+multiplications on MATLAB's sparse engine; this library runs them on
+:mod:`scipy.sparse` CSR matrices with numpy arrays, written directly as
+``matrix @ block`` where they are needed.  This module exists only for
+the end-to-end benchmark's linear-algebra probe (``benchmarks/e2e``),
+which times :func:`spmm` per name :func:`available_backends` lists.
 """
 
-from repro.linalg.sparse import CSRMatrix
-from repro.linalg.ops import (
-    Backend,
-    available_backends,
-    get_backend,
-    matvec,
-    spmm,
-    vecmat,
-)
+from typing import List, Optional
 
-__all__ = [
-    "CSRMatrix",
-    "Backend",
-    "available_backends",
-    "get_backend",
-    "matvec",
-    "spmm",
-    "vecmat",
-]
+
+def available_backends() -> List[str]:
+    """The one sparse engine: ``["scipy"]``."""
+    return ["scipy"]
+
+
+def spmm(matrix, block, backend: Optional[str] = None):
+    """Sparse matrix times dense block, ``matrix @ block``; ``backend``
+    is accepted and ignored."""
+    return matrix @ block

@@ -4,7 +4,8 @@ The batched sweeps of :mod:`repro.core.batch` are pure restructurings
 of the per-object algorithms, so every probability they produce must
 agree with the corresponding single-object function to 1e-12 --
 including mixed start times, multi-observation objects, pruned-out
-objects, the Monte-Carlo engine path, and the pure-Python backend.
+objects, the Monte-Carlo engine path, and each row stepped on its own
+through the Section V-A matrices.
 """
 
 from __future__ import annotations
@@ -92,15 +93,21 @@ class TestBatchObExists:
         )
         assert batched[0] == pytest.approx(0.864)
 
-    def test_pure_backend_matches_scipy(self):
+    def test_matches_rowwise_augmented_steps(self):
         chain, initials, starts, window = _setup(11, n_objects=4)
-        scipy_result = batch_ob_exists(
+        batched = batch_ob_exists(
             chain, initials, window, start_times=starts
         )
-        pure_result = batch_ob_exists(
-            chain, initials, window, start_times=starts, backend="pure"
-        )
-        assert np.allclose(scipy_result, pure_result, atol=TOLERANCE)
+        matrices = build_absorbing_matrices(chain, window.region)
+        for probability, initial, start in zip(batched, initials, starts):
+            x = matrices.extend_initial(
+                np.asarray(initial.vector), start, window.times
+            )
+            for time in range(start + 1, window.t_end + 1):
+                x = x @ matrices.matrix_for_target_time(time, window.times)
+            assert probability == pytest.approx(
+                x[matrices.top_index], abs=TOLERANCE
+            )
 
     def test_empty_input(self, paper_chain, paper_window):
         assert batch_ob_exists(paper_chain, [], paper_window).shape == (0,)

@@ -273,7 +273,7 @@ class TestCli:
     def test_run_one_experiment_with_output(self, tmp_path, capsys):
         code = cli_main(
             [
-                "ablation_backend",
+                "ablation_pruning",
                 "--scale",
                 "0.3",
                 "--output",
@@ -281,7 +281,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (tmp_path / "ablation_backend.md").exists()
-        assert (tmp_path / "ablation_backend.csv").exists()
+        assert (tmp_path / "ablation_pruning.md").exists()
+        assert (tmp_path / "ablation_pruning.csv").exists()
         out = capsys.readouterr().out
-        assert "backend" in out.lower()
+        assert "pruning" in out.lower()

@@ -50,11 +50,6 @@ from repro.workloads.synthetic import (
 N_STATES = 300
 WINDOW = SpatioTemporalWindow.from_ranges(80, 110, 8, 11)
 
-pytestmark = pytest.mark.skipif(
-    not dispatch.process_dispatch_available(),
-    reason="process dispatch needs scipy",
-)
-
 
 def build_database(seed: int, n_objects: int = 60, n_chains: int = 3):
     rng = np.random.default_rng(seed)

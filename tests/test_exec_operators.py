@@ -87,15 +87,12 @@ ABSORBING, DOUBLED = 0, 1
 
 @pytest.fixture(scope="module")
 def wide():
-    """The wide chain and its (absorbing, doubled) matrices per backend."""
+    """The wide chain and its (absorbing, doubled) matrices."""
     chain = make_line_chain(WIDE_STATES, max_step=20, seed=9)
-    return chain, {
-        backend: (
-            build_absorbing_matrices(chain, WIDE_WINDOW.region, backend),
-            build_doubled_matrices(chain, WIDE_WINDOW.region, backend),
-        )
-        for backend in ("scipy", "pure")
-    }
+    return chain, (
+        build_absorbing_matrices(chain, WIDE_WINDOW.region),
+        build_doubled_matrices(chain, WIDE_WINDOW.region),
+    )
 
 
 @pytest.fixture
@@ -125,13 +122,55 @@ def near(rng, n_rows, low=1950, high=2050, width=5):
     )
 
 
-def against_pure(wide, kind, schedule, taken):
-    """Run ``schedule`` on scipy and on the pure dense reference; they
-    agree to 1e-12.  Returns the scipy answer and the stacks it built."""
+def rowwise(matrices, schedule):
+    """``schedule`` with every row stepped on its own through the built
+    augmented (absorbing) or doubled pair, ``x @ matrix_for_target_time``:
+    the same activations, Lemma 1 fusions, harvests and early stop as
+    the stacked sweep, none of its code."""
+    n_rows, first, last = schedule.n_rows, schedule.first, schedule.last
+    # per row, the value the schedule reads at every time first..last
+    reads = np.zeros((n_rows, last - first + 1))
+    for start, (rows, block) in schedule.activations.items():
+        entry_rows = block.entry_rows()
+        for i, row in enumerate(rows):
+            initial = np.zeros(block.n_states)
+            mine = entry_rows == i
+            initial[block.states[mine]] = block.probs[mine]
+            x = matrices.extend_initial(initial, start, schedule.times)
+            for time in range(start, last + 1):
+                if time > start:
+                    x = x @ matrices.matrix_for_target_time(
+                        time, schedule.times
+                    )
+                for fused_row, tiled in schedule.fusions.get(time, ()):
+                    if fused_row == row:
+                        x = x * tiled
+                        if x.sum() <= 0.0:
+                            raise InfeasibleEvidenceError(f"t={time}")
+                        x = x / x.sum()
+                reads[row, time - first] = (
+                    x[-1] if schedule.read == "top"
+                    else x[schedule.read_offset:].sum()
+                )
+    if schedule.stop_threshold is not None:
+        for column in reads.T:
+            if (column >= schedule.stop_threshold).all():
+                return column
+    result = np.zeros(n_rows)
+    for time, rows in schedule.harvests.items():
+        rows = np.asarray(rows)
+        result[rows] = reads[rows, time - first]
+    return result
+
+
+def against_rowwise(wide, kind, schedule, taken):
+    """Run ``schedule`` as one stacked sweep and row by row on the
+    built matrices; they agree to 1e-12.  Returns the sweep's answer
+    and the stacks it built."""
     _, matrices = wide
-    answer = FORWARD_SWEEP((matrices["scipy"][kind], schedule))
+    answer = FORWARD_SWEEP((matrices[kind], schedule))
     built = list(taken)
-    reference = FORWARD_SWEEP((matrices["pure"][kind], schedule))
+    reference = rowwise(matrices[kind], schedule)
     np.testing.assert_allclose(answer, reference, rtol=0, atol=1e-12)
     return answer, built
 
@@ -182,19 +221,17 @@ class TestBuildMatrices:
         cache = PlanCache()
         context = ExecutionContext(plan_cache=cache)
         first = BUILD_ABSORBING(
-            None, chain, WINDOW.region, None, context=context
+            None, chain, WINDOW.region, context=context
         )
         second = BUILD_ABSORBING(
-            None, chain, WINDOW.region, None, context=context
+            None, chain, WINDOW.region, context=context
         )
         assert first is second
         assert cache.stats.constructions["absorbing"] == 1
 
     def test_prebuilt_region_mismatch_raises(self, chain, matrices):
         with pytest.raises(QueryError):
-            BUILD_ABSORBING(
-                matrices, chain, frozenset({0, 1}), None
-            )
+            BUILD_ABSORBING(matrices, chain, frozenset({0, 1}))
 
 
 class TestAbsorbingSweepOnTheChain:
@@ -229,14 +266,12 @@ class TestAbsorbingSweepOnTheChain:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("gapped", [False, True])
-    @pytest.mark.parametrize("size,backend,n_rows,stack", [
-        ("small", "scipy", 4, "_DenseStack"),
-        ("small", "pure", 4, "_DenseStack"),
-        ("wide", "scipy", 12, "_Frontier"),
+    @pytest.mark.parametrize("size,n_rows,stack", [
+        ("small", 4, "_DenseStack"),
+        ("wide", 12, "_Frontier"),
     ])
     def test_matches_the_augmented_pair_and_builds_neither(
-        self, seed, gapped, size, backend, n_rows, stack, taken,
-        monkeypatch,
+        self, seed, gapped, size, n_rows, stack, taken, monkeypatch,
     ):
         import repro.core.matrices as matrices_module
 
@@ -276,7 +311,7 @@ class TestAbsorbingSweepOnTheChain:
                 ),
             )
         answer = FORWARD_SWEEP((
-            build_absorbing_matrices(chain, window.region, backend),
+            build_absorbing_matrices(chain, window.region),
             SweepSchedule(
                 n_rows=n_rows,
                 first=0,
@@ -367,7 +402,7 @@ class TestForwardSweep:
             FORWARD_SWEEP((doubled, schedule), chain, WINDOW.region)
 
     @pytest.mark.parametrize("n_rows, stack", ABSORBING_SIDES)
-    def test_mixed_activations_match_pure(self, wide, taken, n_rows, stack):
+    def test_mixed_activations_match_rowwise(self, wide, taken, n_rows, stack):
         rng = np.random.default_rng(n_rows)
         # rows join at 0, 2 and at the query time 5; the last group
         # straddles the region's edge, so part of it starts on TOP
@@ -377,8 +412,8 @@ class TestForwardSweep:
             2: (groups[1], near(rng, len(groups[1]))),
             5: (groups[2], near(rng, len(groups[2]), 2007, 2009)),
         }
-        top = wide[1]["scipy"][ABSORBING].top_index
-        answer, built = against_pure(wide, ABSORBING, SweepSchedule(
+        top = wide[1][ABSORBING].top_index
+        answer, built = against_rowwise(wide, ABSORBING, SweepSchedule(
             n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
             times=WIDE_WINDOW.times, activations=activations,
             harvests={WIDE_WINDOW.t_end: range(n_rows)},
@@ -390,9 +425,9 @@ class TestForwardSweep:
         assert 0.0 < answer.min() and answer.max() < 1.0
 
     @pytest.mark.parametrize("n_rows, stack", DOUBLED_SIDES)
-    def test_doubled_fusions_match_pure(self, wide, taken, n_rows, stack):
+    def test_doubled_fusions_match_rowwise(self, wide, taken, n_rows, stack):
         rng = np.random.default_rng(n_rows)
-        doubled = wide[1]["scipy"][DOUBLED]
+        doubled = wide[1][DOUBLED]
         centers = rng.integers(1950, 2050, n_rows)
         first = SupportBlock.from_distributions(
             [
@@ -417,7 +452,7 @@ class TestForwardSweep:
             6: [(row, sighting(row)) for row in rows[::2]],
             9: [(0, sighting(0))],
         }
-        answer, built = against_pure(wide, DOUBLED, SweepSchedule(
+        answer, built = against_rowwise(wide, DOUBLED, SweepSchedule(
             n_rows=n_rows, first=0, last=9, times=WIDE_WINDOW.times,
             activations={
                 0: (rows[::2], first.take(rows[::2])),
@@ -431,9 +466,9 @@ class TestForwardSweep:
         assert 0.0 < answer.min() and answer.max() < 1.0
 
     @pytest.mark.parametrize("n_rows, stack", ABSORBING_SIDES)
-    def test_stop_threshold_matches_pure(self, wide, taken, n_rows, stack):
+    def test_stop_threshold_matches_rowwise(self, wide, taken, n_rows, stack):
         rng = np.random.default_rng(n_rows)
-        top = wide[1]["scipy"][ABSORBING].top_index
+        top = wide[1][ABSORBING].top_index
         base = dict(
             n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
             times=WIDE_WINDOW.times,
@@ -442,10 +477,10 @@ class TestForwardSweep:
             read="top", read_offset=top,
         )
         exact = FORWARD_SWEEP(
-            (wide[1]["scipy"][ABSORBING], SweepSchedule(**base))
+            (wide[1][ABSORBING], SweepSchedule(**base))
         )
         taken.clear()
-        bounded, built = against_pure(
+        bounded, built = against_rowwise(
             wide, ABSORBING, SweepSchedule(**base, stop_threshold=0.05),
             taken,
         )
@@ -459,7 +494,7 @@ class TestForwardSweep:
         self, wide, taken, n_rows, stack
     ):
         rng = np.random.default_rng(n_rows)
-        doubled = wide[1]["scipy"][DOUBLED]
+        doubled = wide[1][DOUBLED]
         contradiction = np.zeros(WIDE_STATES, dtype=float)
         contradiction[0] = 1.0  # ~2,000 states from any row's start
         schedule = SweepSchedule(
@@ -482,12 +517,12 @@ class TestForwardSweep:
         n_rows = 12
         window = SpatioTemporalWindow(WIDE_WINDOW.region, range(25, 28))
         rng = np.random.default_rng(3)
-        answer, built = against_pure(wide, ABSORBING, SweepSchedule(
+        answer, built = against_rowwise(wide, ABSORBING, SweepSchedule(
             n_rows=n_rows, first=0, last=window.t_end, times=window.times,
             activations={0: (np.arange(n_rows), near(rng, n_rows))},
             harvests={window.t_end: range(n_rows)},
             read="top",
-            read_offset=wide[1]["scipy"][ABSORBING].top_index,
+            read_offset=wide[1][ABSORBING].top_index,
         ), taken)
         assert built == ["_Frontier", "_DenseStack"]
         assert 0.0 < answer.min()
@@ -526,8 +561,7 @@ class TestForwardSweep:
     ):
         """method="ob" on a database whose objects were re-sighted
         before the window: their Lemma 1 posteriors join the single
-        observations' frontier, and the one sweep agrees with QB and
-        with the pure backend."""
+        observations' frontier, and the one sweep agrees with QB."""
         built = self.engine_ob_parity(wide, taken, resighted_at=3)
         assert built == ["_Frontier"]
 
@@ -542,8 +576,8 @@ class TestForwardSweep:
 
     @staticmethod
     def engine_ob_parity(wide, taken, resighted_at):
-        """OB agrees with QB, with the pure backend and with the
-        Section VI doubled sweep; returns the stacks OB built."""
+        """OB agrees with QB and with the Section VI doubled sweep;
+        returns the stacks OB built."""
         chain, _ = wide
         database = TrajectoryDatabase.with_chain(chain)
         rng = np.random.default_rng(21)
@@ -569,9 +603,6 @@ class TestForwardSweep:
         qb = QueryEngine(database).evaluate(
             query, method="qb", options=options
         )
-        pure = QueryEngine(database, backend="pure").evaluate(
-            query, method="ob", options=options
-        )
         ids = database.object_ids
         section6 = batch_exists_multi(
             chain,
@@ -581,9 +612,6 @@ class TestForwardSweep:
         for object_id, expected in zip(ids, section6):
             value = ob.values[object_id]
             assert value == pytest.approx(qb.values[object_id], abs=1e-12)
-            assert value == pytest.approx(
-                pure.values[object_id], abs=1e-12
-            )
             assert value == pytest.approx(expected, abs=1e-12)
         assert max(ob.values.values()) > 0.0
         return built
@@ -734,7 +762,7 @@ class TestReachTrim:
 
     def test_stop_threshold(self, wide, taken):
         chain, matrices = wide
-        absorbing = matrices["scipy"][ABSORBING]
+        absorbing = matrices[ABSORBING]
         rng = np.random.default_rng(59)
         n_rows = 12
         base = dict(
@@ -833,23 +861,6 @@ class TestLadderExtend:
         )
         assert (plain == augmented).all()
         assert (plain[:, matrices.top_index] == 1.0).all()
-
-    def test_pure_chain_matrix_steps_through_matvec(self, chain, matrices):
-        """The pure backend's ladder: a :class:`CSRMatrix` copy of the
-        chain, stepped through ``matvec``, gives scipy's rungs."""
-        anchor = BACKWARD_SWEEP(
-            (WINDOW, [WINDOW.t_start - 1]), chain, WINDOW.region
-        )[WINDOW.t_start - 1]
-        plain = np.zeros((3, matrices.size), dtype=float)
-        pure = np.zeros((3, matrices.size), dtype=float)
-        LADDER_EXTEND(
-            (chain.matrix, anchor, 3), chain, WINDOW.region, out=plain
-        )
-        LADDER_EXTEND(
-            (chain.to_pure(), anchor, 3), chain, WINDOW.region, out=pure
-        )
-        np.testing.assert_allclose(pure, plain, rtol=0, atol=1e-15)
-        assert (pure[:, matrices.top_index] == 1.0).all()
 
 
 class TestPosteriorCollapse:

@@ -47,10 +47,6 @@ from repro.workloads.synthetic import (
 N_STATES = 300
 WINDOW = SpatioTemporalWindow.from_ranges(80, 110, 8, 11)
 
-needs_processes = pytest.mark.skipif(
-    not dispatch.process_dispatch_available(),
-    reason="process dispatch unavailable",
-)
 #: the first slab shard of every test database's spill (chain-0's
 #: first tile) -- where the fault rules below strike
 FIRST_SHARD = "shard-0000"
@@ -117,7 +113,6 @@ def process_options(faults=None, policy=None) -> PlanOptions:
 # ----------------------------------------------------------------------
 # supervised dispatch: kills, hangs, broken pools
 # ----------------------------------------------------------------------
-@needs_processes
 class TestSupervisedDispatch:
     def test_worker_kill_recovers_via_pool_rebuild(self):
         database = build_database(seed=11)
@@ -556,7 +551,6 @@ class TestJanitor:
         finally:
             shutil.rmtree(path, ignore_errors=True)
 
-    @needs_processes
     def test_pool_startup_sweeps_leftovers_of_crashed_session(self):
         # simulate a crashed parent: its spill survives on disk,
         # its PID is gone; building a fresh pool must sweep it

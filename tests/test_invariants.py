@@ -1,8 +1,8 @@
 """Cross-module invariants not covered by the per-module suites.
 
 Each test pins one mathematical identity that ties two parts of the
-library together (Chapman-Kolmogorov, time-shift invariance, transpose
-algebra of the pure CSR kernel, ...).
+library together (Chapman-Kolmogorov, time-shift invariance, the
+engine against possible-world enumeration, ...).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    PossibleWorldEnumerator,
     PSTExistsQuery,
     QueryBasedEvaluator,
     QueryEngine,
@@ -23,7 +24,6 @@ from repro import (
     ktimes_distribution,
     ob_exists_probability,
 )
-from repro.linalg.sparse import CSRMatrix
 
 from conftest import random_chain, random_distribution, random_window
 
@@ -142,8 +142,8 @@ class TestDegenerateWindows:
         assert (v_large >= v_small - 1e-12).all()
 
 
-class TestEnginePureBackend:
-    def test_pure_and_scipy_engines_agree(self):
+class TestEngineAgainstEnumeration:
+    def test_engine_ob_equals_possible_worlds(self):
         rng = np.random.default_rng(6)
         n = 8
         chain = random_chain(n, rng)
@@ -157,53 +157,16 @@ class TestEnginePureBackend:
         window = SpatioTemporalWindow(
             frozenset({0, 1}), frozenset({2, 3})
         )
-        scipy_result = QueryEngine(database, backend="scipy").evaluate(
+        result = QueryEngine(database).evaluate(
             PSTExistsQuery(window), method="ob"
         )
-        pure_result = QueryEngine(database, backend="pure").evaluate(
-            PSTExistsQuery(window), method="ob"
-        )
-        for object_id in database.object_ids:
-            assert pure_result.values[object_id] == pytest.approx(
-                scipy_result.values[object_id], abs=1e-12
+        for obj in database:
+            expected = PossibleWorldEnumerator(
+                chain, obj.initial.distribution, window.t_end
+            ).exists_probability(window)
+            assert result.values[obj.object_id] == pytest.approx(
+                expected, abs=1e-12
             )
-
-
-class TestPureCSRAlgebra:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_transpose_of_product(self, seed):
-        rng = np.random.default_rng(seed)
-        a_dense = rng.random((4, 3)) * (rng.random((4, 3)) < 0.6)
-        b_dense = rng.random((3, 5)) * (rng.random((3, 5)) < 0.6)
-        a = CSRMatrix.from_dense(a_dense.tolist())
-        b = CSRMatrix.from_dense(b_dense.tolist())
-        left = (a @ b).transpose()
-        right = b.transpose() @ a.transpose()
-        assert left.allclose(right, tol=1e-12)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_distributivity_of_add(self, seed):
-        rng = np.random.default_rng(seed)
-        a = CSRMatrix.from_dense(
-            (rng.random((3, 3)) * (rng.random((3, 3)) < 0.5)).tolist()
-        )
-        b = CSRMatrix.from_dense(
-            (rng.random((3, 3)) * (rng.random((3, 3)) < 0.5)).tolist()
-        )
-        c = CSRMatrix.from_dense(rng.random((3, 3)).tolist())
-        left = a.add(b) @ c
-        right = (a @ c).add(b @ c)
-        assert left.allclose(right, tol=1e-10)
-
-    def test_select_plus_drop_reconstructs(self):
-        rng = np.random.default_rng(9)
-        dense = rng.random((4, 6)) * (rng.random((4, 6)) < 0.7)
-        matrix = CSRMatrix.from_dense(dense.tolist())
-        kept = matrix.select_columns([0, 2, 4])
-        dropped = matrix.drop_columns([0, 2, 4])
-        assert kept.add(dropped).allclose(matrix, tol=1e-14)
 
 
 class TestFusionAlgebra:

@@ -37,12 +37,6 @@ class TestPaperExample:
             paper_chain, paper_start, paper_window, k=1
         ) == pytest.approx(0.672)
 
-    def test_pure_backend_blocked(self, paper_chain, paper_window,
-                                  paper_start):
-        assert ktimes_distribution_blocked(
-            paper_chain, paper_start, paper_window, backend="pure"
-        ) == pytest.approx([0.136, 0.672, 0.192])
-
 
 class TestConsistencyIdentities:
     def test_distribution_sums_to_one(self):

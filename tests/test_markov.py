@@ -12,7 +12,6 @@ from repro.core.errors import (
     NotStochasticError,
     ValidationError,
 )
-from repro.linalg.sparse import CSRMatrix
 
 from conftest import random_chain
 
@@ -25,11 +24,6 @@ class TestConstruction:
     def test_from_scipy(self):
         chain = MarkovChain(sp.identity(4, format="csc"))
         assert chain.n_states == 4
-
-    def test_from_pure_csr(self):
-        pure = CSRMatrix.from_dense([[0.5, 0.5], [1.0, 0.0]])
-        chain = MarkovChain(pure)
-        assert chain.transition_probability(0, 1) == 0.5
 
     def test_from_dict(self):
         chain = MarkovChain.from_dict(
@@ -186,11 +180,6 @@ class TestStationary:
 
 
 class TestConversions:
-    def test_to_pure_round_trip(self, paper_chain):
-        pure = paper_chain.to_pure()
-        back = MarkovChain(pure)
-        assert back == paper_chain
-
     def test_triples(self, paper_chain):
         triples = set(paper_chain.triples())
         assert (1, 0, 0.6) in triples
@@ -260,3 +249,139 @@ class TestBand:
         chain = MarkovChain(matrix)
         assert chain.matrix.nnz == 5
         assert chain.band() == (1, 1)
+
+
+SEEDS = range(4)
+
+
+def _dense_case(seed: int):
+    """A random chain, its dense matrix and a random start distribution."""
+    rng = np.random.default_rng(200 + seed)
+    n_states = int(rng.integers(3, 12))
+    chain = random_chain(n_states, rng, density=0.4)
+    weights = rng.random(n_states)
+    start = StateDistribution(weights / weights.sum())
+    return rng, chain, chain.to_dense(), start
+
+
+class TestAgainstNumpy:
+    """The chain's sparse operations equal the same algebra written
+    densely with numpy."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_step(self, seed):
+        _, chain, m, start = _dense_case(seed)
+        expected = start.vector @ m
+        assert np.allclose(chain.step(start).vector, expected / expected.sum())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_propagate(self, seed):
+        _, chain, m, start = _dense_case(seed)
+        for steps in (0, 1, 4, 9):
+            expected = start.vector @ np.linalg.matrix_power(m, steps)
+            assert np.allclose(
+                chain.propagate(start, steps).vector, expected, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_marginals(self, seed):
+        _, chain, m, start = _dense_case(seed)
+        vector = start.vector
+        for marginal in chain.marginals(start, 6):
+            assert np.allclose(marginal.vector, vector, atol=1e-14)
+            vector = vector @ m
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_power(self, seed):
+        _, chain, m, _ = _dense_case(seed)
+        for exponent in range(7):
+            assert np.allclose(
+                chain.power(exponent).toarray(),
+                np.linalg.matrix_power(m, exponent),
+                atol=1e-14,
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_transpose_matrix(self, seed):
+        _, chain, m, _ = _dense_case(seed)
+        transposed = chain.transpose_matrix()
+        assert sp.isspmatrix_csr(transposed)
+        assert np.array_equal(transposed.toarray(), m.T)
+        v = np.arange(chain.n_states, dtype=float)
+        assert np.allclose(transposed @ v, v @ m)
+        assert np.allclose(chain.matrix @ v, m @ v)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_predecessor_graph(self, seed):
+        _, chain, m, _ = _dense_case(seed)
+        # a stored zero is no edge
+        coo = chain.matrix.tocoo()
+        stored_zero = sp.csr_matrix(
+            (
+                np.append(coo.data, 0.0),
+                (np.append(coo.row, 0), np.append(coo.col, 0)),
+            ),
+            shape=m.shape,
+        )
+        for candidate in (chain, MarkovChain(stored_zero)):
+            graph = candidate.predecessor_graph()
+            assert np.array_equal(graph.toarray(), (m.T > 0).astype(float))
+            assert np.array_equal(np.unique(graph.data), [1.0])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_from_dict_round_trip(self, seed):
+        _, chain, m, _ = _dense_case(seed)
+        transitions = {}
+        for source, target, probability in chain.triples():
+            transitions.setdefault(source, {})[target] = probability
+        rebuilt = MarkovChain.from_dict(chain.n_states, transitions)
+        assert rebuilt == chain
+        assert np.array_equal(rebuilt.to_dense(), m)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sparse_inputs_coerced_to_sorted_csr(self, seed):
+        # duplicate COO coordinates sum; CSC and unsorted CSR inputs are
+        # normalised to one sorted CSR matrix of floats
+        rng, chain, m, _ = _dense_case(seed)
+        coo = chain.matrix.tocoo()
+        split = rng.random(coo.nnz)
+        duplicated = sp.coo_matrix(
+            (
+                np.concatenate([coo.data * split, coo.data * (1 - split)]),
+                (np.tile(coo.row, 2), np.tile(coo.col, 2)),
+            ),
+            shape=m.shape,
+        )
+        csr = chain.matrix
+        order = np.concatenate([
+            np.arange(csr.indptr[i], csr.indptr[i + 1])[::-1]
+            for i in range(m.shape[0])
+        ])
+        unsorted = sp.csr_matrix(
+            (csr.data[order], csr.indices[order], csr.indptr), shape=m.shape
+        )
+        for matrix in (duplicated, chain.matrix.tocsc(), unsorted):
+            coerced = MarkovChain(matrix)
+            assert sp.isspmatrix_csr(coerced.matrix)
+            assert coerced.matrix.dtype == np.float64
+            assert coerced.matrix.has_sorted_indices
+            assert np.allclose(coerced.to_dense(), m, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_triples_list_every_stored_transition(self, seed):
+        _, chain, m, _ = _dense_case(seed)
+        triples = list(chain.triples())
+        assert len(triples) == chain.nnz == np.count_nonzero(m)
+        for source, target, probability in triples:
+            assert m[source, target] == probability
+
+
+class TestDenseInputs:
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            MarkovChain([[1.0], [0.5, 0.5]])
+
+    def test_integer_matrix_coerced_to_float(self):
+        chain = MarkovChain(np.eye(3, dtype=np.int64))
+        assert chain.matrix.dtype == np.float64
+        assert chain == MarkovChain.identity(3)

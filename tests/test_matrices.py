@@ -16,9 +16,7 @@ from conftest import random_chain
 
 
 def to_array(matrix) -> np.ndarray:
-    if hasattr(matrix, "toarray"):
-        return matrix.toarray()
-    return np.asarray(matrix.to_dense())
+    return matrix.toarray()
 
 
 class TestAbsorbingMatrices:
@@ -131,20 +129,6 @@ class TestAbsorbingMatrices:
         with pytest.raises(QueryError):
             build_absorbing_matrices(paper_chain, {7})
 
-    def test_pure_backend_matches_scipy(self, paper_chain):
-        scipy_m = build_absorbing_matrices(
-            paper_chain, {0, 1}, backend="scipy"
-        )
-        pure_m = build_absorbing_matrices(
-            paper_chain, {0, 1}, backend="pure"
-        )
-        assert np.allclose(
-            to_array(scipy_m.m_plus), to_array(pure_m.m_plus)
-        )
-        assert np.allclose(
-            to_array(scipy_m.m_minus), to_array(pure_m.m_minus)
-        )
-
 
 class TestDoubledMatrices:
     """The Section VI construction, checked against the paper's matrices."""
@@ -255,3 +239,149 @@ class TestKTimesBlockMatrices:
     def test_zero_query_times_rejected(self, paper_chain):
         with pytest.raises(QueryError):
             build_ktimes_block_matrices(paper_chain, {0}, 0)
+
+
+def _dense_case(seed: int):
+    """A random chain, its dense matrix and a random region."""
+    rng = np.random.default_rng(100 + seed)
+    n_states = int(rng.integers(3, 9))
+    chain = random_chain(n_states, rng, density=0.5)
+    size = int(rng.integers(1, n_states))
+    region = sorted(int(s) for s in rng.choice(n_states, size, replace=False))
+    return rng, chain, chain.to_dense(), region
+
+
+SEEDS = range(6)
+
+
+class TestAgainstDenseDefinition:
+    """Every sparse construction equals its block formula written out
+    densely with numpy, and the identities the sweeps rely on hold."""
+
+    @staticmethod
+    def absorbing(m, region):
+        n = m.shape[0]
+        minus = np.eye(n + 1)
+        minus[:n, :n] = m
+        plus = minus.copy()
+        plus[:n, n] = m[:, region].sum(axis=1)
+        plus[:n, region] = 0.0
+        return minus, plus
+
+    @staticmethod
+    def doubled(m, region):
+        n = m.shape[0]
+        inside = np.zeros_like(m)
+        inside[:, region] = m[:, region]
+        minus = np.zeros((2 * n, 2 * n))
+        minus[:n, :n] = m
+        minus[n:, n:] = m
+        plus = np.zeros((2 * n, 2 * n))
+        plus[:n, :n] = m - inside
+        plus[:n, n:] = inside
+        plus[n:, n:] = m
+        return minus, plus
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_absorbing_m_minus(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        minus, _ = self.absorbing(m, region)
+        matrices = build_absorbing_matrices(chain, region)
+        assert np.array_equal(to_array(matrices.m_minus), minus)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_absorbing_m_plus(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        _, plus = self.absorbing(m, region)
+        matrices = build_absorbing_matrices(chain, region)
+        assert np.allclose(to_array(matrices.m_plus), plus, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_absorbing_transposed(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        minus, plus = self.absorbing(m, region)
+        minus_t, plus_t = build_absorbing_matrices(chain, region).transposed()
+        assert np.array_equal(to_array(minus_t), minus.T)
+        assert np.allclose(to_array(plus_t), plus.T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_forward_step_on_the_chain_matches_the_pair(self, seed):
+        # x . M_minus keeps TOP's mass beside x_real . M; x . M_plus then
+        # moves the S_q mass onto TOP
+        rng, chain, m, region = _dense_case(seed)
+        n = chain.n_states
+        minus, plus = self.absorbing(m, region)
+        matrices = build_absorbing_matrices(chain, region)
+        outside, inside = matrices.sweep_pair()
+        x = rng.random(n + 1)
+        stepped = x[:n] @ outside
+        assert np.allclose(x @ minus, np.append(stepped, x[n]), atol=1e-15)
+        stepped = x[:n] @ inside
+        top = x[n] + stepped[region].sum()
+        stepped[region] = 0.0
+        assert np.allclose(x @ plus, np.append(stepped, top), atol=1e-15)
+        transposed = matrices.sweep_pair(transposed=True)
+        assert all(
+            np.array_equal(to_array(t), m.T) for t in transposed
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_backward_step_on_the_chain_matches_the_pair(self, seed):
+        # with v[TOP] = 1: M_plus . v = M . (v with S_q set to 1) and
+        # M_minus . v = M . v on the real states
+        rng, chain, m, region = _dense_case(seed)
+        n = chain.n_states
+        minus, plus = self.absorbing(m, region)
+        v = np.append(rng.random(n), 1.0)
+        assert np.allclose((minus @ v)[:n], chain.matrix @ v[:n], atol=1e-15)
+        hit = v[:n].copy()
+        hit[region] = 1.0
+        assert np.allclose((plus @ v)[:n], chain.matrix @ hit, atol=1e-15)
+        assert (minus @ v)[n] == (plus @ v)[n] == 1.0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_doubled_m_minus(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        minus, _ = self.doubled(m, region)
+        matrices = build_doubled_matrices(chain, region)
+        assert np.array_equal(to_array(matrices.m_minus), minus)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_doubled_m_plus(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        _, plus = self.doubled(m, region)
+        matrices = build_doubled_matrices(chain, region)
+        assert np.array_equal(to_array(matrices.m_plus), plus)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_doubled_sweep_pair(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        minus, plus = self.doubled(m, region)
+        matrices = build_doubled_matrices(chain, region)
+        forward = matrices.sweep_pair()
+        assert forward == (matrices.m_minus, matrices.m_plus)
+        minus_t, plus_t = matrices.sweep_pair(transposed=True)
+        assert np.array_equal(to_array(minus_t), minus.T)
+        assert np.array_equal(to_array(plus_t), plus.T)
+        assert matrices.transposed() is matrices.transposed()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_ktimes_blocks(self, seed):
+        _, chain, m, region = _dense_case(seed)
+        n = chain.n_states
+        inside = np.zeros_like(m)
+        inside[:, region] = m[:, region]
+        for n_times in (1, 2, 3):
+            blocks = n_times + 1
+            minus = np.kron(np.eye(blocks), m)
+            plus = np.zeros_like(minus)
+            for b in range(blocks - 1):
+                rows = slice(b * n, (b + 1) * n)
+                plus[rows, rows] = m - inside
+                plus[rows, (b + 1) * n:(b + 2) * n] = inside
+            plus[-n:, -n:] = m
+            m_minus, m_plus = build_ktimes_block_matrices(
+                chain, region, n_times
+            )
+            assert np.array_equal(to_array(m_minus), minus)
+            assert np.array_equal(to_array(m_plus), plus)

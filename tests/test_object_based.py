@@ -53,11 +53,6 @@ class TestPaperExample:
             paper_chain, paper_start, window
         ) == pytest.approx(0.32)
 
-    def test_pure_backend_same_answer(self, paper_chain, paper_window, paper_start):
-        assert ob_exists_probability(
-            paper_chain, paper_start, paper_window, backend="pure"
-        ) == pytest.approx(0.864)
-
 
 class TestAgainstEnumeration:
     def test_random_instances(self):
@@ -177,10 +172,9 @@ class TestPruning:
             expected = PossibleWorldEnumerator(
                 chain, initial, window.t_end
             ).exists_probability(window)
-            for backend in ("scipy", "pure"):
-                assert ob_exists_probability(
-                    chain, initial, window, backend=backend
-                ) == pytest.approx(expected, abs=1e-12)
+            assert ob_exists_probability(
+                chain, initial, window
+            ) == pytest.approx(expected, abs=1e-12)
 
     def test_unreachable_region_returns_zero(self):
         # two disconnected components

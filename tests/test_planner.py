@@ -91,9 +91,9 @@ class TestPlanOptions:
 
     def test_removed_knobs_are_type_errors(self):
         # no alias or shim: dispatch= is the one execution switch,
-        # prefilter= / bfs_prune= the only filter toggles, and the
-        # backend a property of the engine, and process dispatch has
-        # no shared-memory segments to verify, unlink or corrupt
+        # prefilter= / bfs_prune= the only filter toggles, scipy the
+        # one sparse engine (no backend to name), and process dispatch
+        # has no shared-memory segments to verify, unlink or corrupt
         import repro
         from repro.core.planner import SupervisorPolicy
         from repro.exec.dispatch import prewarm
@@ -115,6 +115,8 @@ class TestPlanOptions:
         with pytest.raises(TypeError):
             prewarm(2, compile_native=True)
         database = line_database(n_objects=2)
+        with pytest.raises(TypeError):
+            QueryEngine(database, backend="scipy")
         engine = QueryEngine(database)
         with pytest.raises(TypeError):
             engine.evaluate(PSTExistsQuery(WINDOW), prune=True)
@@ -125,6 +127,63 @@ class TestPlanOptions:
                 database.chain(), obj.initial.distribution, WINDOW,
                 prune=True,
             )
+
+    @pytest.mark.parametrize("target", [
+        "repro.core.batch:backward_vectors",
+        "repro.core.batch:batch_ob_exists",
+        "repro.core.batch:batch_qb_exists",
+        "repro.core.batch:batch_exists_multi",
+        "repro.core.batch:batch_ktimes_distribution",
+        "repro.core.batch:ktimes_sweep",
+        "repro.core.batch:evaluate_rows",
+        "repro.core.object_based:ob_exists_probability",
+        "repro.core.object_based:ob_forall_probability",
+        "repro.core.object_based:ob_exists_probability_multi",
+        "repro.core.query_based:QueryBasedEvaluator",
+        "repro.core.query_based:QueryBasedKTimesEvaluator",
+        "repro.core.query_based:qb_exists_probability",
+        "repro.core.query_based:qb_forall_probability",
+        "repro.core.ktimes:ktimes_distribution",
+        "repro.core.ktimes:ktimes_distribution_blocked",
+        "repro.core.ktimes:ktimes_probability",
+        "repro.core.matrices:AbsorbingMatrices",
+        "repro.core.matrices:DoubledMatrices",
+        "repro.core.matrices:build_absorbing_matrices",
+        "repro.core.matrices:build_doubled_matrices",
+        "repro.core.matrices:build_ktimes_block_matrices",
+        "repro.core.plan_cache:PlanCache",
+        "repro.core.plan_cache:PlanCache.absorbing",
+        "repro.core.plan_cache:PlanCache.doubled",
+        "repro.core.plan_cache:PlanCache.backward_vectors",
+        "repro.core.plan_cache:PlanCache.ktimes_blocks",
+        "repro.core.planner:GroupPlan",
+        "repro.core.planner:QueryPlanner",
+        "repro.core.pipeline:QueryPipeline",
+        "repro.core.streaming:StreamingQueryEngine",
+        "repro.core.engine:QueryEngine",
+        "repro.database.cohort:Posteriors._fill",
+        "repro.exec.operators:ExecutionContext",
+        "repro.exec.operators:Operator.__call__",
+        "repro.exec.operators:BuildMatrices.__call__",
+        "repro.exec.operators:ForwardSweep.run",
+        "repro.exec.operators:BackwardSweep.run",
+        "repro.exec.operators:KTimesSweep.run",
+        "repro.exec.operators:KTimesCore.run",
+        "repro.exec.operators:PosteriorCollapse.run",
+        "repro.exec.operators:MCSample.run",
+        "repro.exec.operators:LadderExtend.run",
+    ])
+    def test_no_layer_takes_a_backend(self, target):
+        # scipy is the one sparse engine: no layer names a backend, so
+        # none can be handed one
+        import importlib
+        import inspect
+
+        module, _, path = target.partition(":")
+        obj = importlib.import_module(module)
+        for name in path.split("."):
+            obj = getattr(obj, name)
+        assert "backend" not in inspect.signature(obj).parameters
 
     def test_resolve_conflicting_methods_raise(self):
         with pytest.raises(QueryError):

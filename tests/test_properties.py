@@ -192,16 +192,17 @@ class TestMonotonicity:
         ) <= ob_forall_probability(chain, initial, window) + 1e-10
 
 
-class TestBackendAgreement:
+class TestEnumerationAgreement:
     @given(instance_strategy(max_states=4, max_time=4))
     @settings(max_examples=25, deadline=None)
-    def test_pure_equals_scipy(self, instance):
+    def test_ob_equals_enumeration_to_1e12(self, instance):
         chain, initial, window = instance
         assert ob_exists_probability(
-            chain, initial, window, backend="pure"
+            chain, initial, window
         ) == pytest.approx(
-            ob_exists_probability(chain, initial, window,
-                                  backend="scipy"),
+            PossibleWorldEnumerator(
+                chain, initial, window.t_end
+            ).exists_probability(window),
             abs=1e-12,
         )
 

@@ -44,7 +44,6 @@ class TestPublicSurface:
             "QueryError",
             "ObservationError",
             "InfeasibleEvidenceError",
-            "BackendError",
             "SerializationError",
         ):
             error_class = getattr(repro, name)

@@ -20,24 +20,20 @@ from repro import (
 from repro.core.batch import batch_qb_exists
 from repro.core.errors import QueryError, ValidationError
 from repro.exec.operators import BACKWARD_SWEEP
-from repro.linalg.ops import matvec
 
 from conftest import random_chain, random_distribution, random_window
 
-BACKENDS = ("scipy", "pure")
-
-
-def augmented_backward(chain, window, start, backend):
+def augmented_backward(chain, window, start):
     """The Section V-B pass over the Section V-A pair: ``v(t) =
     M(t -> t+1) . v(t+1)`` with ``M_plus`` into a query time and
     ``M_minus`` otherwise -- the reference the chain-matrix pass
     reproduces."""
-    matrices = build_absorbing_matrices(chain, window.region, backend)
+    matrices = build_absorbing_matrices(chain, window.region)
     vector = np.zeros(matrices.size, dtype=float)
     vector[matrices.top_index] = 1.0
     for time in range(window.t_end - 1, start - 1, -1):
         matrix = matrices.matrix_for_target_time(time + 1, window.times)
-        vector = np.asarray(matvec(matrix, vector), dtype=float)
+        vector = matrix @ vector
     return vector
 
 
@@ -108,26 +104,22 @@ class TestAgainstObjectBased:
 
 class TestBackwardPassOracle:
     """The chain-matrix backward pass (``M_plus . v = M . (v with S_q
-    set to 1)`` given ``v[TOP] = 1``) against the augmented pass, on
-    both backends."""
+    set to 1)`` given ``v[TOP] = 1``) against the augmented pass."""
 
-    def check(self, chain, window, starts, backend):
-        vectors = BACKWARD_SWEEP(
-            (window, starts), chain, window.region, backend
-        )
+    def check(self, chain, window, starts):
+        vectors = BACKWARD_SWEEP((window, starts), chain, window.region)
         assert sorted(vectors) == sorted(set(starts))
         for start, vector in vectors.items():
             assert vector.shape == (chain.n_states + 1,)
             assert vector[-1] == 1.0
             np.testing.assert_allclose(
                 vector,
-                augmented_backward(chain, window, start, backend),
+                augmented_backward(chain, window, start),
                 rtol=0,
                 atol=1e-12,
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_random_chains(self, backend):
+    def test_random_chains(self):
         rng = np.random.default_rng(38)
         for _ in range(25):
             n = int(rng.integers(2, 12))
@@ -136,10 +128,9 @@ class TestBackwardPassOracle:
             starts = sorted({
                 int(t) for t in rng.integers(0, window.t_start + 1, 3)
             })
-            self.check(chain, window, starts, backend)
+            self.check(chain, window, starts)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_state_and_near_full_complement(self, backend):
+    def test_single_state_and_near_full_complement(self):
         rng = np.random.default_rng(39)
         chain = random_chain(9, rng)
         times = frozenset({4, 5, 6})
@@ -147,10 +138,9 @@ class TestBackwardPassOracle:
         # for-all runs its complement as exists: all states but one
         complement = SpatioTemporalWindow(frozenset(range(9)) - {3}, times)
         for window in (single, complement):
-            self.check(chain, window, [0, 2, 3], backend)
+            self.check(chain, window, [0, 2, 3])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_start_at_t_end_inside_t_q_and_gapped_t_q(self, backend):
+    def test_start_at_t_end_inside_t_q_and_gapped_t_q(self):
         rng = np.random.default_rng(40)
         chain = random_chain(7, rng)
         gapped = SpatioTemporalWindow(
@@ -158,20 +148,15 @@ class TestBackwardPassOracle:
         )
         # start == t_end is only a valid start when T_q is one time
         at_end = SpatioTemporalWindow(frozenset({1, 4}), frozenset({6}))
-        self.check(chain, gapped, [0, 1, 2], backend)
-        self.check(chain, at_end, [0, 6], backend)
+        self.check(chain, gapped, [0, 1, 2])
+        self.check(chain, at_end, [0, 6])
         for start in (0, 1, 2):
             initial = random_distribution(7, rng)
-            qb = batch_qb_exists(
-                chain, [initial], gapped, start, backend=backend
-            )
-            ob = ob_exists_probability(
-                chain, initial, gapped, start, backend=backend
-            )
+            qb = batch_qb_exists(chain, [initial], gapped, start)
+            ob = ob_exists_probability(chain, initial, gapped, start)
             assert qb[0] == pytest.approx(ob, abs=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_against_enumeration(self, backend):
+    def test_against_enumeration(self):
         rng = np.random.default_rng(41)
         for _ in range(12):
             n = int(rng.integers(2, 5))
@@ -182,7 +167,7 @@ class TestBackwardPassOracle:
                 chain, initial, window.t_end
             ).exists_probability(window)
             assert qb_exists_probability(
-                chain, initial, window, backend=backend
+                chain, initial, window
             ) == pytest.approx(expected, abs=1e-12)
 
 

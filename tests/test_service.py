@@ -38,7 +38,6 @@ from repro import (
 )
 from repro.core.errors import ValidationError
 from repro.core.state_space import LineStateSpace
-from repro.exec import dispatch
 from repro.service.broker import (
     PendingRequest,
     RequestBroker,
@@ -54,11 +53,6 @@ from repro.workloads.synthetic import (
 N_STATES = 300
 WINDOW = SpatioTemporalWindow.from_ranges(80, 110, 8, 11)
 OTHER_WINDOW = SpatioTemporalWindow.from_ranges(120, 150, 8, 11)
-
-needs_processes = pytest.mark.skipif(
-    not dispatch.process_dispatch_available(),
-    reason="process dispatch unavailable",
-)
 
 
 def build_database(
@@ -377,7 +371,6 @@ class TestFusionParity:
         assert service.evaluations == 3
         assert service.fused_calls == 0
 
-    @needs_processes
     def test_fused_group_survives_worker_faults(self):
         database = build_database(seed=5, n_objects=60)
         engine = QueryEngine(database)

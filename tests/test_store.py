@@ -58,11 +58,6 @@ from repro.workloads.synthetic import (
 N_STATES = 120
 WINDOW = SpatioTemporalWindow.from_ranges(30, 45, 6, 9)
 
-pytestmark = pytest.mark.skipif(
-    not dispatch.process_dispatch_available(),
-    reason="store scatter needs process dispatch (scipy)",
-)
-
 
 def build_database(
     seed: int, n_objects: int = 36, n_chains: int = 2

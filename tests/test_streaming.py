@@ -1119,10 +1119,14 @@ class TestStreamingPlan:
         assert stats.total_constructions == built
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_pure_backend_ticks_match_scipy(self, stride, monkeypatch):
-        """A pure-backend exists ladder steps its own copy of the chain
-        through ``matvec``; every tick equals the scipy engine's."""
+    def test_exists_ticks_match_rowwise_augmented_steps(
+        self, stride, monkeypatch
+    ):
+        """An exists ladder steps the chain's own CSR; every tick
+        equals each object stepped on its own through its chain's
+        built Section V-A matrices."""
         import repro.core.streaming as streaming
+        from repro.core.matrices import build_absorbing_matrices
 
         stepped = []
 
@@ -1133,23 +1137,34 @@ class TestStreamingPlan:
         ladder = streaming.LADDER_EXTEND
         monkeypatch.setattr(streaming, "LADDER_EXTEND", spy)
         database = build_database(seed=15)
-        pure = QueryEngine(database, backend="pure").watch(
-            PSTExistsQuery(WINDOW), stride=stride
-        )
-        reference = QueryEngine(database).watch(
+        standing = QueryEngine(database).watch(
             PSTExistsQuery(WINDOW), stride=stride
         )
         for _ in range(4):
             stepped.clear()
-            result = pure.tick()
-            assert set(stepped) == {"CSRMatrix"}
-            stepped.clear()
-            expected = reference.tick()
+            result = standing.tick()
             assert set(stepped) == {"csr_matrix"}
-            assert set(result.values) == set(expected.values)
-            for object_id, value in expected.values.items():
-                assert result.values[object_id] == pytest.approx(
-                    value, abs=1e-12
+            window = result.query.window
+            matrices = {
+                chain_id: build_absorbing_matrices(
+                    database.chain(chain_id), window.region
+                )
+                for chain_id in ("chain-0", "chain-1")
+            }
+            assert set(result.values) == set(database.object_ids)
+            for obj in database:
+                augmented = matrices[obj.chain_id]
+                start = obj.initial.time
+                x = augmented.extend_initial(
+                    np.asarray(obj.initial.distribution.vector),
+                    start, window.times,
+                )
+                for time in range(start + 1, window.t_end + 1):
+                    x = x @ augmented.matrix_for_target_time(
+                        time, window.times
+                    )
+                assert result.values[obj.object_id] == pytest.approx(
+                    x[augmented.top_index], abs=1e-12
                 )
 
     def test_standalone_streaming_engine(self):

@@ -1,18 +1,16 @@
-"""Cross-backend parity: scipy vs pure at 1e-12.
+"""Parity across execution tiers at 1e-12.
 
-The backend is a property of the engine (``QueryEngine(database,
-backend=...)``): scipy in production, pure where scipy is missing and
-as the independent reference.  Whatever combination of predicate
-(exists / for-all / k-times), dispatch tier (serial / process) and
-backend answers a query, the values must agree with the scipy serial
-reference to 1e-12 -- the same tolerance every other execution tier
-in this repo is held to.  Also covered here:
+Whatever combination of predicate (exists / for-all / k-times) and
+dispatch tier (serial / process) answers a query, the values must agree
+with the serial reference to 1e-12 -- the same tolerance every other
+execution tier in this repo is held to -- and the serial engine must
+agree with each object stepped on its own through the built Section
+V-A (or Section VII blocked) matrices.  Also covered here:
 
-* an unknown backend is rejected when the engine is constructed;
-* a pure engine forced onto the process tier (which runs the scipy
-  kernels only) answers serially and records the fall on the plan;
-* streaming ticks on a pure engine agreeing with scipy batch
-  re-evaluation of every slid window;
+* a process plan whose scatter fails answers serially and records the
+  fall on the plan;
+* streaming ticks over a dense chain agreeing with batch re-evaluation
+  of every slid window;
 * the prewarm regression: building the worker pool must not change a
   single planning decision.
 """
@@ -32,7 +30,9 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
+from repro.core.ktimes import ktimes_distribution_blocked
 from repro.core.markov import MarkovChain
+from repro.core.matrices import build_absorbing_matrices
 from repro.core.planner import PlanOptions
 from repro.exec import dispatch
 
@@ -85,22 +85,38 @@ def assert_values_close(result, reference):
         assert float(np.max(np.abs(got - want))) < TOLERANCE, object_id
 
 
-class TestRegistry:
-    def test_unknown_backend_option_rejected(self):
-        """The engine is the one place a backend is named, so an
-        unknown one fails at construction, not at the first query."""
-        from repro.core.errors import ValidationError
+def rowwise_exists(chain, initial, start, window) -> float:
+    """PST-exists of one object, its extended initial stepped on the
+    built ``M_minus`` / ``M_plus``."""
+    matrices = build_absorbing_matrices(chain, window.region)
+    x = matrices.extend_initial(
+        np.asarray(initial.vector), start, window.times
+    )
+    for time in range(start + 1, window.t_end + 1):
+        x = x @ matrices.matrix_for_target_time(time, window.times)
+    return float(x[matrices.top_index])
 
-        database = build_database(n_objects=1)
-        for name in ("bogus", "native"):
-            with pytest.raises(
-                ValidationError, match=rf"{name}.*\['pure', 'scipy'\]"
-            ):
-                QueryEngine(database, backend=name)
+
+def rowwise(query, chain, initial, start) -> float:
+    """The query's answer for one object, row by row on built matrices:
+    exists directly, for-all as one minus exists over the complement,
+    k-times through the Section VII blocked matrices."""
+    window = query.window
+    if isinstance(query, PSTForAllQuery):
+        complement = frozenset(range(chain.n_states)) - window.region
+        return 1.0 - rowwise_exists(
+            chain, initial, start, window.with_region(complement)
+        )
+    if isinstance(query, PSTKTimesQuery):
+        return float(ktimes_distribution_blocked(
+            chain, initial, window, start
+        )[query.k])
+    return rowwise_exists(chain, initial, start, window)
 
 
 class TestBatchParity:
-    """Every (query, dispatch, backend) cell against scipy serial."""
+    """Every (query, dispatch) cell against serial, and serial against
+    the row-wise reference."""
 
     @pytest.fixture(scope="class")
     def database(self):
@@ -120,11 +136,8 @@ class TestBatchParity:
         "query", QUERIES, ids=lambda q: type(q).__name__
     )
     @pytest.mark.parametrize("mode", DISPATCHES)
-    @pytest.mark.parametrize("backend", ["scipy"])
-    def test_backend_dispatch_parity(
-        self, database, references, query, mode, backend
-    ):
-        engine = QueryEngine(database, backend=backend)
+    def test_dispatch_parity(self, database, references, query, mode):
+        engine = QueryEngine(database)
         result = engine.evaluate(
             query, options=PlanOptions(dispatch=mode, max_workers=2)
         )
@@ -133,54 +146,58 @@ class TestBatchParity:
     @pytest.mark.parametrize(
         "query", QUERIES, ids=lambda q: type(q).__name__
     )
-    @pytest.mark.parametrize("mode", ["serial"])
-    def test_pure_backend_parity(self, database, references, query, mode):
-        # the pool runs only the scipy kernels, so the pure-python
-        # backend has no process tier; serial must still agree with
-        # the scipy reference
-        engine = QueryEngine(database, backend="pure")
-        result = engine.evaluate(
-            query, options=PlanOptions(dispatch=mode, max_workers=2)
-        )
-        assert_values_close(result, references[type(query).__name__])
+    def test_serial_matches_rowwise_reference(
+        self, database, references, query
+    ):
+        result = references[type(query).__name__]
+        chain = database.chain("chain-0")
+        assert len(result.values) == len(database)
+        for obj in database:
+            expected = rowwise(
+                query, chain, obj.initial.distribution, obj.initial.time
+            )
+            assert abs(result.values[obj.object_id] - expected) < TOLERANCE
+        assert max(result.values.values()) > 0.0
 
-    def test_explain_shows_backend_and_prediction(self, database):
-        engine = QueryEngine(database, backend="pure")
-        plan = engine.explain(QUERIES[0])
-        assert [group.backend for group in plan.groups] == ["pure"]
+    def test_explain_shows_prediction(self, database):
+        plan = QueryEngine(database).explain(QUERIES[0])
+        assert [group.backend for group in plan.groups] == ["scipy"]
         description = plan.describe()
-        assert "backend=pure" in description
+        assert "backend=" not in description
         assert "predicted=" in description
 
 
 class TestRuntimeDegradation:
-    def test_unservable_backend_records_the_process_fall(self, tmp_path):
-        """The pool runs only the scipy kernels: a pure-backend
-        engine's forced process plan answers serially and says so, and
-        auto never picks process for such an engine -- not even over a
-        sharded store, the one layout auto scatters."""
-        from repro.core.errors import DegradedExecutionWarning
-        from repro.core.planner import CostModel
+    @pytest.mark.parametrize("layout", ["in-ram", "store"])
+    def test_failed_scatter_records_the_process_fall(
+        self, tmp_path, monkeypatch, layout
+    ):
+        """A process plan whose scatter raises an execution error
+        answers serially with the same kernels and says so."""
+        from repro.core.errors import (
+            DegradedExecutionWarning,
+            WorkerCrashError,
+        )
         from repro.store.sharded import ShardedTrajectoryStore
 
         database = build_database(seed=6)
         reference = QueryEngine(database).evaluate(
             QUERIES[0], options=PlanOptions(dispatch="serial")
         )
-        store = ShardedTrajectoryStore.create(
-            tmp_path / "store", database, shards_per_chain=2
-        )
-        # thresholds under which auto picks the pool for this query
-        eager = CostModel(process_min_cost=0.0, shard_min_objects=4)
-        auto = PlanOptions(method="ob", max_workers=2)
-        assert QueryEngine(store, cost_model=eager).planner.plan(
-            QUERIES[0], auto
-        ).dispatch == "process"
-        engine = QueryEngine(database, backend="pure", cost_model=eager)
+        if layout == "store":
+            database = ShardedTrajectoryStore.create(
+                tmp_path / "store", database, shards_per_chain=2
+            )
+
+        def crash(*args, **kwargs):
+            raise WorkerCrashError("every worker died")
+
+        monkeypatch.setattr(dispatch, "run_groups_in_processes", crash)
+        monkeypatch.setattr(dispatch, "run_store_shards", crash)
         with pytest.warns(
             DegradedExecutionWarning, match="process -> serial"
         ):
-            result = engine.evaluate(
+            result = QueryEngine(database).evaluate(
                 QUERIES[0],
                 method="ob",
                 options=PlanOptions(dispatch="process", max_workers=2),
@@ -188,28 +205,19 @@ class TestRuntimeDegradation:
         assert_values_close(result, reference)
         assert result.plan.dispatch == "process"
         assert result.plan.stages[-1].detail.startswith("serial")
-        assert len(result.plan.degradations) == 1
-        assert result.plan.degradations[0].startswith(
-            "degraded process -> serial after ExecutionError"
-        )
-        assert "'pure'" in result.plan.degradations[0]
-        planned = QueryEngine(
-            store, backend="pure", cost_model=eager
-        ).evaluate(QUERIES[0], options=auto)
-        assert planned.plan.dispatch == "serial"
-        assert planned.plan.degradations == []
-        assert_values_close(planned, reference)
+        assert result.plan.degradations == [
+            "degraded process -> serial after WorkerCrashError: "
+            "every worker died"
+        ]
 
 
 class TestStreamingParity:
-    """Pure-engine chain streams tick within 1e-12 of scipy batch."""
+    """Dense-chain streams tick within 1e-12 of batch re-evaluation."""
 
     def test_ktimes_ticks_match_batch(self):
         database = build_database(seed=6)
         query = PSTKTimesQuery(WINDOW)
-        standing = QueryEngine(database, backend="pure").watch(
-            query, stride=1
-        )
+        standing = QueryEngine(database).watch(query, stride=1)
         reference_engine = QueryEngine(database)
         for _ in range(4):
             result = standing.tick()
@@ -217,17 +225,11 @@ class TestStreamingParity:
                 PSTKTimesQuery(result.query.window)
             )
             assert_values_close(result, reference)
-        assert all(
-            group.backend == "pure"
-            for group in standing.explain().groups
-        )
 
     def test_exists_ticks_match_batch(self):
         database = build_database(seed=7)
         query = PSTExistsQuery(WINDOW)
-        standing = QueryEngine(database, backend="pure").watch(
-            query, stride=1
-        )
+        standing = QueryEngine(database).watch(query, stride=1)
         reference_engine = QueryEngine(database)
         for _ in range(3):
             result = standing.tick()
