@@ -16,9 +16,18 @@ the process pool to beat serial evaluation by >= 1.5x, spill included.
 measures dispatch overhead, not scaling -- smoke's job is parity and
 machinery coverage in CI.
 
+``--case long`` reports, without a gate, where process dispatch pays
+most: a wide region over a long window (2,000 objects, 4,000 states,
+region [0, 1599], times [60, 120]), serial against process, both on
+the in-RAM database and on a 16-shard store of it, where each worker
+sweeps its eight shards as one stack.  No run bumps the version, so
+the timings are of the warm sweep alone.  ``--smoke`` runs both cases
+at a small size and gates parity only.
+
 Everything lands in ``BENCH_dispatch.json``.
 
 Run:  PYTHONPATH=src python benchmarks/benchmark_dispatch.py [--smoke]
+      [--case default|long]
 """
 
 from __future__ import annotations
@@ -26,10 +35,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 from repro import PlanOptions, PSTExistsQuery, QueryEngine, UncertainObject
+from repro.store import ShardedTrajectoryStore
 from repro.workloads.synthetic import (
     SyntheticConfig,
     make_synthetic_database,
@@ -56,10 +68,12 @@ def _time_mode(
     query: PSTExistsQuery,
     options: PlanOptions,
     repeats: int,
+    bump: bool = True,
 ) -> float:
     best = float("inf")
     for _ in range(repeats):
-        _bump_version(engine.database)
+        if bump:
+            _bump_version(engine.database)
         started = time.perf_counter()
         engine.evaluate(query, options=options)
         best = min(best, time.perf_counter() - started)
@@ -72,7 +86,7 @@ def run(
     repeats: int,
     required_speedup: Optional[float],
     smoke: bool,
-) -> int:
+) -> Tuple[int, Dict]:
     cores = os.cpu_count() or 1
     workers = max(2, min(8, cores))
     database = make_synthetic_database(
@@ -135,7 +149,7 @@ def run(
     print(f"process vs serial: {speedup:5.2f}x  {note}")
     print(f"max |delta|      : {worst:.2e}")
 
-    write_result(bench_name(__file__), {
+    payload = {
         "kind": "standalone",
         "smoke": smoke,
         "config": {
@@ -150,7 +164,7 @@ def run(
         "speedup_process_vs_serial": speedup,
         "required_speedup": required_speedup if gated else None,
         "max_abs_delta": worst,
-    })
+    }
 
     if gated and speedup < required_speedup:
         print(
@@ -158,9 +172,83 @@ def run(
             f"{required_speedup:.1f}x",
             file=sys.stderr,
         )
-        return 1
+        return 1, payload
     print("OK")
-    return 0
+    return 0, payload
+
+
+def run_long(
+    n_objects: int,
+    n_states: int,
+    times: Tuple[int, int],
+    shards: int,
+    repeats: int,
+) -> Dict:
+    """Serial vs process on a wide, long object-based sweep, in-RAM and
+    on a ``shards``-shard store; gates parity only."""
+    cores = os.cpu_count() or 1
+    workers = max(2, min(8, cores))
+    database = make_synthetic_database(
+        SyntheticConfig(n_objects=n_objects, n_states=n_states, seed=13)
+    )
+    region_end = n_states * 2 // 5 - 1
+    query = PSTExistsQuery.from_ranges(0, region_end, *times)
+    base = dict(method="ob", prefilter=False, bfs_prune=False)
+    modes: Dict[str, PlanOptions] = {
+        "serial": PlanOptions(**base, dispatch="serial"),
+        "process": PlanOptions(
+            **base, dispatch="process", max_workers=workers
+        ),
+    }
+    print(
+        f"long sweep: {n_objects} objects, 1 chain, {n_states} states, "
+        f"window [0,{region_end}] x [{times[0]},{times[1]}], "
+        f"{cores} cores, {workers} workers, best of {repeats}"
+    )
+    reference = QueryEngine(database).evaluate(
+        query, options=modes["serial"]
+    ).values
+    seconds: Dict[str, Dict[str, float]] = {}
+    worst = 0.0
+    with tempfile.TemporaryDirectory(prefix="bench-dispatch-") as root:
+        targets = {
+            "in-RAM": database,
+            f"store x{shards}": ShardedTrajectoryStore.create(
+                Path(root) / "store", database, shards_per_chain=shards
+            ),
+        }
+        for label, target in targets.items():
+            engine = QueryEngine(target)
+            for options in modes.values():  # warm pool, caches, slabs
+                values = engine.evaluate(query, options=options).values
+                worst = max(worst, max(
+                    abs(values[object_id] - expected)
+                    for object_id, expected in reference.items()
+                ))
+            seconds[label] = {
+                name: _time_mode(engine, query, options, repeats, bump=False)
+                for name, options in modes.items()
+            }
+            serial, process = seconds[label]["serial"], seconds[label]["process"]
+            print(
+                f"{label:>10}: serial {serial * 1e3:9.1f} ms, process "
+                f"{process * 1e3:9.1f} ms ({serial / process:5.2f}x)"
+            )
+    assert worst <= 1e-12, f"long-sweep parity broken: {worst}"
+    print(f"max |delta|      : {worst:.2e}  (report only, no speed gate)")
+    return {
+        "config": {
+            "n_objects": n_objects,
+            "n_states": n_states,
+            "region": [0, region_end],
+            "times": list(times),
+            "shards": shards,
+            "repeats": repeats,
+            "workers": workers,
+        },
+        "seconds": seconds,
+        "max_abs_delta": worst,
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -174,24 +262,47 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="seconds-scale CI configuration (parity gate only; "
              "speedup reported, not gated)",
     )
+    parser.add_argument(
+        "--case",
+        choices=("default", "long"),
+        default=None,
+        help="run one case (default: the default case; both under "
+             "--smoke)",
+    )
     parser.add_argument("--objects", type=int, default=None)
     parser.add_argument("--states", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.smoke:
-        return run(
-            n_objects=args.objects or 400,
-            n_states=args.states or 1_500,
-            repeats=2,
-            required_speedup=None,
-            smoke=True,
-        )
-    return run(
-        n_objects=args.objects or 2_000,
-        n_states=args.states or 4_000,
-        repeats=5,
-        required_speedup=1.5,
-        smoke=False,
+    cases = [args.case] if args.case else (
+        ["default", "long"] if args.smoke else ["default"]
     )
+    code, payload = 0, {"kind": "standalone", "smoke": args.smoke}
+    if "default" in cases:
+        if args.smoke:
+            code, payload = run(
+                n_objects=args.objects or 400,
+                n_states=args.states or 1_500,
+                repeats=2,
+                required_speedup=None,
+                smoke=True,
+            )
+        else:
+            code, payload = run(
+                n_objects=args.objects or 2_000,
+                n_states=args.states or 4_000,
+                repeats=5,
+                required_speedup=1.5,
+                smoke=False,
+            )
+    if "long" in cases:
+        payload["long"] = run_long(
+            n_objects=args.objects or (300 if args.smoke else 2_000),
+            n_states=args.states or (1_500 if args.smoke else 4_000),
+            times=(30, 60) if args.smoke else (60, 120),
+            shards=16,
+            repeats=2 if args.smoke else 3,
+        )
+    write_result(bench_name(__file__), payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -199,6 +199,7 @@ def batch_ob_exists(
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
     levels=None,
+    groups: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Object-based PST-exists for many objects in one forward sweep.
 
@@ -218,6 +219,8 @@ def batch_ob_exists(
         levels: optional ``fetch_levels(depth)`` labelling of the region
             (as ``BFS_PRUNE`` takes): a frontier sweep then skips the mass
             that can no longer reach it, with the same answers.
+        groups: optional per-object group ids: a frontier sweep
+            densifies each group on its own fill.
 
     Returns:
         ``P_exists`` per object, aligned with ``initials``.
@@ -246,6 +249,7 @@ def batch_ob_exists(
         reach=np.append(levels(window.t_end - first), 0)
         if levels is not None and sweeps_frontier(matrices, n_objects)
         else None,
+        groups=groups,
     )
     return FORWARD_SWEEP(
         (matrices, schedule), chain, window.region, context=context
@@ -526,6 +530,7 @@ def evaluate_rows(
     plan_cache=None,
     context: Optional[ExecutionContext] = None,
     levels=None,
+    groups: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The planned kernel over ``rows`` of one chain group's columns.
 
@@ -560,6 +565,8 @@ def evaluate_rows(
         n_samples / seeds: Monte-Carlo parameters; ``seeds`` is
             aligned with ``rows``.
         levels: the ``fetch_levels`` :func:`batch_ob_exists` takes.
+        groups: optional per-row column of group ids (a worker's shard
+            per row), passed on to :func:`batch_ob_exists`.
 
     Returns:
         Answers aligned with ``rows``: ``(len(rows),)`` probabilities
@@ -594,7 +601,10 @@ def evaluate_rows(
             )
             starts = np.concatenate([starts, last[collapsed]])
             riding = np.concatenate([riding, collapsed])
-        ob = partial(batch_ob_exists, levels=levels)
+        ob = partial(
+            batch_ob_exists, levels=levels,
+            groups=None if groups is None else groups[rows[riding]],
+        )
         evaluate = batch_qb_exists if method == "qb" else ob
         answers[riding] = evaluate(
             chain, initials, window, start_times=starts, **shared

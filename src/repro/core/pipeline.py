@@ -320,10 +320,12 @@ class QueryPipeline:
                 )
 
         if mode == "process":
+            tasks = plan.store_stats["pool_tasks"]
             shards = plan.store_stats["shards"]
             scatter = "store-scatter" if self._is_store() else "process"
             detail_mode = (
-                f"{scatter} x{plan.max_workers} ({shards} shard"
+                f"{scatter} x{plan.max_workers} ({tasks} pool task"
+                + ("s" if tasks != 1 else "") + f", {shards} shard"
                 + ("s" if shards != 1 else "") + ")"
             )
         else:

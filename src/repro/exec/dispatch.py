@@ -2,11 +2,12 @@
 
 The batched kernels hold the GIL for every sparse product, so inside
 one interpreter a query is capped at one core.  This module lifts that
-cap with one worker, :func:`_evaluate_store_shard`: a pool process
-memory-maps one shard of a store's columnar slabs (shared through the
-OS page cache, attached once per process and generation) and runs the
-whole prefilter -> BFS-prune -> kernel pipeline shard-local.  Only
-small task descriptions and results cross the process boundary.
+cap with one worker, :func:`_evaluate_store_shards`: a pool process
+memory-maps a worker slot's shards of a store's columnar slabs (shared
+through the OS page cache, attached once per process and generation),
+prefilters and BFS-prunes shard by shard, and runs the kernels once
+over every survivor.  Only small task descriptions and results cross
+the process boundary.
 
 There is one scatter, :func:`run_store_shards`, and two ways into it:
 a :class:`~repro.store.sharded.ShardedTrajectoryStore` scatters over
@@ -16,10 +17,11 @@ its own shards; an in-RAM database goes through
 the same slab format -- in ``/dev/shm`` where that exists, the temp
 dir otherwise.
 
-**Fault tolerance.**  Shards run under :func:`supervise` (cost-priced
+**Fault tolerance.**  Tasks run under :func:`supervise` (cost-priced
 deadlines, pool rebuild and resubmission with backoff, bounded
-retries); a shard that exhausts them is evaluated by the parent from
-the same slabs, so the query still returns the exact answer.  Spills
+retries); a failed task is retried shard by shard, and a shard that
+exhausts its retries is evaluated by the parent from the same slabs,
+so the query still returns the exact answer.  Spills
 are directories named ``repro-<session>-<pid>-<seq>``: the *janitor*
 (:func:`sweep_orphans`, run on every pool build and by ``repro-bench
 doctor``) removes those of dead sessions, :func:`memory_stats`
@@ -429,24 +431,24 @@ def memory_stats() -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# the worker: one store shard over memory-mapped slabs
+# the worker: one chain's shards over memory-mapped slabs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _StoreShardTask:
-    """One slab shard of a store (or of an in-RAM database's spill):
-    the worker memory-maps it from ``store_dir`` / ``generation`` /
-    ``shard_id``.  ``attempt`` counts supervisor resubmissions, so a
+class _StoreTask:
+    """One pool task: a query over shards of one chain of a store (or
+    of an in-RAM database's spill), ``(shard id, excluded object ids)``
+    each, which the worker memory-maps from ``store_dir`` /
+    ``generation``.  ``attempt`` counts supervisor resubmissions, so a
     fault spec can fail an attempt and let the retry succeed."""
 
     store_dir: str
     generation: int
-    shard_id: str
     chain_id: str
     kind: str  # "exists" | "ktimes"
     method: str  # qb | ob | mc (exists), ct | mc (ktimes)
     region: Tuple[int, ...]
     times: Tuple[int, ...]
-    exclude: Tuple[str, ...] = ()
+    shards: Tuple[Tuple[str, Tuple[str, ...]], ...]
     use_prefilter: bool = True
     use_bfs: bool = True
     n_samples: Optional[int] = None
@@ -456,8 +458,13 @@ class _StoreShardTask:
 
     @property
     def label(self) -> str:
-        """How supervisor events name this shard."""
-        return f"store shard {self.shard_id}"
+        """How supervisor events name this task."""
+        ids = [shard_id for shard_id, _exclude in self.shards]
+        return f"store shard{'s' * (len(ids) > 1)} {', '.join(ids)}"
+
+    def parts(self) -> List["_StoreTask"]:
+        """The task as one task per shard: how it is retried."""
+        return [_dc_replace(self, shards=(shard,)) for shard in self.shards]
 
 
 # worker-local caches, populated lazily after the fork: the plan cache
@@ -478,22 +485,23 @@ def _worker_cache():
     return _WORKER_CACHE
 
 
-def _evaluate_store_shard(task: _StoreShardTask):
-    """Prefilter, BFS-prune and evaluate one store shard in place.
+def _evaluate_store_shards(task: _StoreTask):
+    """Prefilter and BFS-prune each shard of ``task`` in place, then
+    evaluate every survivor in one kernel call.
 
-    Returns ``(shard_id, values, timings, elapsed, fresh, stats)``:
+    Returns ``(chain_id, values, timings, elapsed, fresh, stats)``:
     exact answers per object id (filtered objects get the zero
-    element), whether this call had to map the slabs (False on every
-    warm call), and the shard-local filter-stage counts.  Candidates
-    are an index array over the shard's objects: the two filter
-    stages are the parent's own -- :data:`~repro.exec.operators.PREFILTER`
-    over the store's positions, :data:`~repro.exec.operators.BFS_PRUNE`
-    over worker-local labels -- and the kernels gather their initials
-    straight from the slabs.
+    element), how many shards this call had to map (0 on every warm
+    call), and the summed filter-stage counts.  The filter stages are
+    the parent's own (:data:`~repro.exec.operators.PREFILTER` over the
+    store's positions, :data:`~repro.exec.operators.BFS_PRUNE` over
+    worker-local labels); the survivors sweep as one stack grouped by
+    shard, so each shard densifies on its own fill.
     """
-    from functools import partial
+    from functools import partial, reduce
 
     from repro.core.batch import collapse_posteriors, evaluate_rows
+    from repro.core.distribution import SupportBlock
     from repro.core.query import SpatioTemporalWindow
     from repro.database.pruning import (
         GeometricPrefilter,
@@ -506,124 +514,131 @@ def _evaluate_store_shard(task: _StoreShardTask):
         store_positions,
     )
 
-    shard_started = _time.perf_counter()
-    if task.faults is not None:
-        task.faults.fire(
-            "worker:store-shard",
-            shard_id=task.shard_id,
-            attempt=task.attempt,
-            pid=os.getpid(),
-        )
-    view, fresh = attach_shard(
-        task.store_dir, task.generation, task.shard_id
-    )
-    chain = open_store_chain(task.store_dir, task.chain_id)
+    started = _time.perf_counter()
+    chain = open_store_chain(task.store_dir, task.chain_id, task.generation)
     window = SpatioTemporalWindow(
         frozenset(task.region), frozenset(task.times)
     )
     cache = _worker_cache()
     context = ExecutionContext(cache, faults=task.faults)
-
-    object_ids = np.asarray(view.object_ids, dtype=object)
-    candidates = np.arange(view.n_objects(), dtype=np.int64)
-    if task.exclude:
-        candidates = candidates[
-            ~np.isin(object_ids, list(task.exclude))
-        ]
-    stats = {
-        "entering": len(candidates),
-        "prefilter_pruned": 0,
-        "bfs_pruned": 0,
-    }
-    start_time = view.start_time
-    values: Dict[str, object] = {}
-
-    def drop(keep: np.ndarray) -> int:
-        """Answer the candidates a filter rejects with the zero
-        element; returns how many."""
-        nonlocal candidates
-        dropped = candidates[~keep]
-        if task.kind == "ktimes":
-            zeros = np.zeros(
-                (len(dropped), window.duration + 1), dtype=float
-            )
-            zeros[:, 0] = 1.0
-        else:
-            zeros = itertools.repeat(0.0)
-        values.update(zip(object_ids[dropped].tolist(), zeros))
-        candidates = candidates[keep]
-        return len(dropped)
-
-    # stage 1: the forced geometric prefilter, the parent's own stage
-    positions = store_positions(task.store_dir) if task.use_prefilter else None
-    if positions is not None and candidates.size:
-        prefilter = GeometricPrefilter(positions, view.displacement_bound)
-        stats["prefilter_pruned"] = drop(PREFILTER(
-            (
-                partial(prefilter.probe, window.region),
-                view.block(candidates),
-                start_time[candidates],
-                window.t_end,
-            ),
-            region=window.region,
-            context=context,
-        ))
-
-    # stage 2: exact reverse-BFS reachability, resumable per
-    # (chain, region) across queries exactly like the parent pruner
+    # exact reverse-BFS reachability, resumable per (chain, region)
+    # across queries exactly like the parent pruner
     levels = partial(
         reachability_levels, chain, window.region, cache=_STORE_BFS
     )
-    if task.use_bfs and candidates.size:
-        stats["bfs_pruned"] = drop(BFS_PRUNE(
-            (
-                levels,
-                view.block(candidates),
-                start_time[candidates],
-                window.t_end,
-            ),
-            region=window.region,
-            context=context,
-        ))
+    positions = store_positions(task.store_dir) if task.use_prefilter else None
+    stats = {"entering": 0, "prefilter_pruned": 0, "bfs_pruned": 0}
+    values: Dict[str, object] = {}
+    views, survivors, ids, fresh = [], [], [], 0
+    for shard_id, exclude in task.shards:
+        if task.faults is not None:
+            task.faults.fire(
+                "worker:store-shard",
+                shard_id=shard_id,
+                attempt=task.attempt,
+                pid=os.getpid(),
+            )
+        view, attached = attach_shard(
+            task.store_dir, task.generation, shard_id
+        )
+        fresh += bool(attached)
+        object_ids = np.asarray(view.object_ids, dtype=object)
+        candidates = np.arange(view.n_objects(), dtype=np.int64)
+        if exclude:
+            candidates = candidates[~np.isin(object_ids, list(exclude))]
+        stats["entering"] += len(candidates)
+        # the forced geometric prefilter, then the BFS prune: the
+        # parent's own stages; a dropped object gets the zero element
+        stages = []
+        if positions is not None:
+            probe = GeometricPrefilter(positions, view.displacement_bound)
+            stages.append((
+                "prefilter_pruned", PREFILTER,
+                partial(probe.probe, window.region),
+            ))
+        if task.use_bfs:
+            stages.append(("bfs_pruned", BFS_PRUNE, levels))
+        for key, stage, probe in stages:
+            if not candidates.size:
+                break
+            keep = stage(
+                (probe, view.block(candidates), view.start_time[candidates],
+                 window.t_end),
+                region=window.region,
+                context=context,
+            )
+            dropped = candidates[~keep]
+            if task.kind == "ktimes":
+                zeros = np.zeros(
+                    (len(dropped), window.duration + 1), dtype=float
+                )
+                zeros[:, 0] = 1.0
+            else:
+                zeros = itertools.repeat(0.0)
+            values.update(zip(object_ids[dropped].tolist(), zeros))
+            stats[key] += len(dropped)
+            candidates = candidates[keep]
+        views.append(view)
+        survivors.append(candidates)
+        ids.append(object_ids[candidates])
 
-    # stage 3: the exact same kernels the serial pipeline runs
-    if candidates.size:
+    # the exact same kernels the serial pipeline runs, once over every
+    # shard's survivors, end to end and grouped by shard
+    group = np.repeat(np.arange(len(views)), [len(c) for c in survivors])
+    local = np.concatenate(survivors)
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([
+            getattr(view, name)[candidates]
+            for view, candidates in zip(views, survivors)
+        ])
+
+    def observation_sets(rows: np.ndarray) -> list:
+        return [
+            views[group[row]].observation_sets(local[row:row + 1])[0]
+            for row in rows
+        ]
+
+    if local.size:
+        initials = reduce(SupportBlock.concat, (
+            view.block(candidates)
+            for view, candidates in zip(views, survivors)
+        ))
         seeds = None
         if task.method == "mc" and task.seed_base is not None:
-            seeds = (
-                int(task.seed_base) + view.obj_dbindex[candidates]
-            ).tolist()
+            seeds = (int(task.seed_base) + column("obj_dbindex")).tolist()
         answers = evaluate_rows(
             chain,
             window,
             task.kind,
             task.method,
-            candidates,
-            block=view.block,
-            start_time=start_time,
-            last_time=view.last_time,
-            is_multi=view.is_multi,
-            observation_sets=view.observation_sets,
+            np.arange(local.size),
+            block=initials.take,
+            start_time=column("start_time"),
+            last_time=column("last_time"),
+            is_multi=column("is_multi"),
+            observation_sets=observation_sets,
             # slabs are immutable: collapse the few re-sighted rows here
             posteriors=lambda subset, _last: collapse_posteriors(
-                chain, view.observation_sets(subset), context
+                chain, observation_sets(subset), context
             ),
             n_samples=task.n_samples,
             seeds=seeds,
             plan_cache=cache,
             context=context,
             levels=levels,
+            groups=group,
         )
         values.update(zip(
-            object_ids[candidates].tolist(),
+            np.concatenate(ids).tolist(),
             answers if task.kind == "ktimes" else answers.tolist(),
         ))
     return (
-        task.shard_id,
+        task.chain_id,
         values,
         context.serializable_timings(),
-        _time.perf_counter() - shard_started,
-        bool(fresh),
+        _time.perf_counter() - started,
+        fresh,
         stats,
     )
 
@@ -641,6 +656,7 @@ def supervise(
     context=None,
     faults=None,
     exhausted,
+    split=None,
 ) -> list:
     """Run ``worker_fn(task)`` for every task on the worker pool and
     survive what the pool does meanwhile; results in task order.
@@ -657,8 +673,11 @@ def supervise(
     replacements ran out) gets ``exhausted(index, task, error_type,
     reason)``'s result in the worker's place.  ``faults`` fires
     ``dispatch:submit`` (info ``index``, ``attempt``, ``label``) in
-    the parent before each submission.
+    the parent before each submission.  A task whose ``split(task)``
+    has several parts is never retried whole: they replace it, the
+    failed attempt counted, their results appended (its own is None).
     """
+    tasks = list(tasks)
     attempts = [0] * len(tasks)
     results: Dict[int, object] = {}
     # future -> (task index, submission time)
@@ -679,6 +698,26 @@ def supervise(
         for index in indices:
             task = _dc_replace(tasks[index], attempt=attempts[index])
             results[index] = exhausted(index, task, error_type, reason)
+
+    def _fail(indices, error_type, reason: str) -> List[int]:
+        """Count a failed attempt; returns the indices to run again."""
+        again = []
+        for index in indices:
+            attempts[index] += 1
+            parts = split(tasks[index]) if split is not None else ()
+            if len(parts) < 2:
+                again.append(index)
+                continue
+            results[index] = None
+            again.extend(range(len(tasks), len(tasks) + len(parts)))
+            tasks.extend(parts)
+            attempts.extend([attempts[index]] * len(parts))
+        _give_up(
+            [i for i in again if attempts[i] > policy.max_retries],
+            error_type,
+            reason,
+        )
+        return [i for i in again if i not in results]
 
     def _abandon_inflight() -> None:
         for future in inflight:
@@ -740,21 +779,14 @@ def supervise(
         """Replace the poisoned pool; resubmit every unfinished task."""
         # culprits reported through a completed future (worker crash)
         # are already popped from `inflight`; expired ones are still
-        # in it -- the union covers both paths
-        pending = _unfinished() | set(culprits)
+        # in it -- the difference covers both paths
+        pending = _unfinished() - set(culprits)
         _invalidate_executor(executor)
-        for index in culprits:
-            attempts[index] += 1
-        _give_up(
-            [i for i in culprits if attempts[i] > policy.max_retries],
-            error_type,
-            reason,
-        )
-        pending -= set(results)
+        pending |= set(_fail(culprits, error_type, reason))
         _replace_pool()
         _record(
             f"worker pool rebuilt ({reason}); resubmitted "
-            f"{len(pending)} shard(s)"
+            f"{len(pending)} task(s)"
         )
         _backoff(max(attempts[index] for index in culprits))
         _submit(pending)
@@ -771,7 +803,7 @@ def supervise(
                 return_when=FIRST_COMPLETED,
             )
             crashed: List[int] = []
-            retried: List[int] = []
+            retried: List[List[int]] = []
             for future in done:
                 index, _since = inflight.pop(future)
                 try:
@@ -781,24 +813,23 @@ def supervise(
                 except ExecutionError as error:
                     # injected / transient worker-side failure with a
                     # healthy pool: retry just this task
-                    attempts[index] += 1
-                    if attempts[index] > policy.max_retries:
-                        _give_up([index], WorkerCrashError, str(error))
+                    again = _fail([index], WorkerCrashError, str(error))
+                    if not again:
                         continue
                     _record(
                         f"{tasks[index].label} retried after worker "
                         f"fault (attempt {attempts[index]}): {error}"
                     )
-                    retried.append(index)
+                    retried.append(again)
             if crashed:
                 # the pool is poisoned: every unfinished future is
                 # doomed, so rebuild once and resubmit them all; the
                 # crashed tasks are the culprits
                 _rebuild_pool(crashed, WorkerCrashError, "worker crash")
-            for index in retried:
+            for again in retried:
                 # after any rebuild, so the retry lands on a live pool
-                _backoff(attempts[index])
-                _submit([index])
+                _backoff(attempts[again[0]])
+                _submit(again)
             if crashed:
                 continue
             now = _time.monotonic()
@@ -876,10 +907,12 @@ def run_store_shards(
 ) -> Tuple[Dict[str, object], Dict[str, float], Dict[str, int]]:
     """Scatter a query over the slab shards of a store.
 
-    Every shard runs :func:`_evaluate_store_shard` under
-    :func:`supervise`; one that exhausts its retries *degrades shard
-    -> parent*: the parent evaluates it from the same slabs, so the
-    query always completes exactly.
+    Each chain's shards are dealt round-robin into at most
+    ``max_workers`` tasks, which run :func:`_evaluate_store_shards`
+    under :func:`supervise`; a failed task is retried one shard per
+    task, and a shard that exhausts its retries *degrades shard ->
+    parent*: the parent evaluates it from the same slabs, so the query
+    always completes exactly.
 
     Args:
         store: a :class:`~repro.store.sharded.ShardedTrajectoryStore`,
@@ -906,7 +939,8 @@ def run_store_shards(
         ``(values, chain_seconds, stats)``: exact answers for every
         slab object of the queried chains not excluded by the store's
         overlay, summed worker seconds per chain id, and the counts
-        ``shards``, ``fresh_attaches``, ``entering``,
+        ``pool_tasks`` (tasks scattered, retries aside) and, per
+        shard, ``shards``, ``fresh_attaches``, ``entering``,
         ``prefilter_pruned``, ``bfs_pruned``, ``parent_fallbacks``.
     """
     if policy is None:
@@ -916,83 +950,85 @@ def run_store_shards(
     exclusions = store.shard_exclusions()
     region = tuple(sorted(window.region))
     times = tuple(sorted(window.times))
-    shards: List[_StoreShardTask] = []
+    tasks: List[_StoreTask] = []
     for chain_id, method in groups:
+        shards = []
         for entry in store.store_shards(chain_id):
-            if not entry.get("n_objects"):
-                continue
             shard_id = str(entry["shard_id"])
             excluded = tuple(exclusions.get(shard_id, ()))
-            if len(excluded) >= int(entry["n_objects"]):
-                continue  # every object superseded by the overlay
-            shards.append(
-                _StoreShardTask(
-                    store_dir=str(store.path),
-                    generation=int(store.generation),
-                    shard_id=shard_id,
-                    chain_id=str(chain_id),
-                    kind=kind,
-                    method=method,
-                    region=region,
-                    times=times,
-                    exclude=excluded,
-                    use_prefilter=use_prefilter,
-                    use_bfs=use_bfs,
-                    n_samples=n_samples,
-                    seed_base=seed_base,
-                    faults=faults,
-                )
+            # skip a shard with no object the overlay leaves it
+            if len(excluded) < int(entry.get("n_objects") or 0):
+                shards.append((shard_id, excluded))
+        slots = min(max_workers, len(shards))
+        tasks.extend(
+            _StoreTask(
+                store_dir=str(store.path),
+                generation=int(store.generation),
+                chain_id=str(chain_id),
+                kind=kind,
+                method=method,
+                region=region,
+                times=times,
+                shards=tuple(shards[slot::slots]),
+                use_prefilter=use_prefilter,
+                use_bfs=use_bfs,
+                n_samples=n_samples,
+                seed_base=seed_base,
+                faults=faults,
             )
+            for slot in range(slots)
+        )
 
     values: Dict[str, object] = {}
     chain_seconds: Dict[str, float] = {
         chain_id: 0.0 for chain_id, _method in groups
     }
     stats = {
-        "shards": len(shards),
+        "pool_tasks": len(tasks),
+        "shards": sum(len(task.shards) for task in tasks),
         "fresh_attaches": 0,
         "entering": 0,
         "prefilter_pruned": 0,
         "bfs_pruned": 0,
         "parent_fallbacks": 0,
     }
-    if not shards:
+    if not tasks:
         return values, chain_seconds, stats
 
     def _exhausted(index, task, error_type, reason):
-        """Degrade an exhausted shard to in-parent evaluation.
+        """Degrade an exhausted task's shards to in-parent evaluation.
 
         The parent maps the same slabs the worker would have, so the
-        answers are identical -- availability degrades (one shard runs
+        answers are identical -- availability degrades (the shards run
         serially) but exactness never does.
         """
-        result = _evaluate_store_shard(_dc_replace(task, faults=None))
-        stats["parent_fallbacks"] += 1
-        if context is not None:
-            context.record_event(
-                f"{task.label} degraded to parent after {reason}"
-            )
+        result = _evaluate_store_shards(_dc_replace(task, faults=None))
+        for shard in task.parts():
+            stats["parent_fallbacks"] += 1
+            if context is not None:
+                context.record_event(
+                    f"{shard.label} degraded to parent after {reason}"
+                )
         return result
 
     results = supervise(
-        shards,
-        _evaluate_store_shard,
+        tasks,
+        _evaluate_store_shards,
         max_workers=max_workers,
         policy=policy,
         deadline=policy.deadline(predicted_seconds or 0.0),
         context=context,
         faults=faults,
         exhausted=_exhausted,
+        split=_StoreTask.parts,
     )
-    for task, result in zip(shards, results):
-        _shard_id, shard_values, timings, elapsed, fresh, shard_stats = (
-            result
-        )
-        values.update(shard_values)
-        chain_seconds[task.chain_id] += elapsed
-        stats["fresh_attaches"] += 1 if fresh else 0
+    for result in filter(None, results):
+        chain_id, task_values, timings, elapsed, fresh, task_stats = result
+        values.update(task_values)
+        chain_seconds[chain_id] += elapsed
+        stats["fresh_attaches"] += fresh
         for key in ("entering", "prefilter_pruned", "bfs_pruned"):
-            stats[key] += int(shard_stats.get(key, 0))
+            stats[key] += task_stats[key]
         if context is not None:
             context.merge(timings)
     return values, chain_seconds, stats

@@ -15,11 +15,12 @@ deadline -- a configured number of times, deterministically.
 Sites currently wired through the engine:
 
 ``worker:store-shard``
-    entry of :func:`repro.exec.dispatch._evaluate_store_shard` in a
-    pool worker, for every process-dispatched query (a sharded store's
-    shards, or the spill of an in-RAM database); info carries
-    ``shard_id``, ``attempt``, ``pid``.  Exhausted retries degrade the
-    shard to in-parent evaluation instead of raising.
+    per shard of a pool task in
+    :func:`repro.exec.dispatch._evaluate_store_shards`, for every
+    process-dispatched query (a sharded store's shards, or the spill of
+    an in-RAM database); info carries ``shard_id``, the task's
+    ``attempt``, ``pid``.  A failed task is retried one shard per task;
+    exhausted retries degrade the shard to in-parent evaluation.
 ``operator:<name>``
     every :class:`~repro.exec.operators.Operator` call (e.g.
     ``operator:forward_sweep``); fires on the calling side, which is

@@ -11,10 +11,11 @@ live*:
   densifies its sparse slab row on access through the process-wide
   :class:`~repro.store.slabs.SlabPool` -- resident bytes are bounded
   by ``REPRO_STORE_RAM_CAP``, not by the dataset;
-* shard workers (:func:`repro.exec.dispatch.run_store_shards`) attach
-  the same slab files zero-copy through the OS page cache -- no
-  pickling, nothing published per query (an in-RAM database reaches
-  the same workers by being written once per version with
+* shard workers (:func:`repro.exec.dispatch.run_store_shards`, one
+  pool task per worker slot, each sweeping its shards as one stack)
+  attach the same slab files zero-copy through the OS page cache --
+  no pickling, nothing published per query (an in-RAM database
+  reaches the same workers by being written once per version with
   :func:`write_generation`);
 * mutations after a snapshot go to an in-RAM overlay plus the on-disk
   :class:`~repro.store.journal.StoreJournal`, routed to the owning
@@ -372,9 +373,13 @@ def attach_shard(
     return view, True
 
 
-def open_store_chain(store_dir: str, chain_id: str) -> MarkovChain:
-    """The chain's CSR, memory-mapped (cached per process)."""
-    manifest = _load_manifest(Path(store_dir))
+def open_store_chain(
+    store_dir: str, chain_id: str, generation: Optional[int] = None
+) -> MarkovChain:
+    """The chain's CSR, memory-mapped (cached per process); with a
+    ``generation``, through that generation's cached manifest."""
+    manifest = (_load_manifest(Path(store_dir)) if generation is None
+                else _manifest_for(store_dir, generation))
     entry = manifest["chains"][str(chain_id)]
     key = (str(store_dir), str(entry["fingerprint"]))
     with _ATTACH_LOCK:
@@ -441,6 +446,7 @@ class ShardedTrajectoryStore(TrajectoryDatabase):
 
     #: pipeline marker: queries can scatter-gather over this database's
     #: shards through :func:`repro.exec.dispatch.run_store_shards`
+    #: (one task per worker slot)
     supports_shard_scatter = True
 
     def __init__(

@@ -826,6 +826,124 @@ class TestReachTrim:
         assert 0.0 < expected.max() and expected.min() == 0.0
 
 
+class TestRowGroups:
+    """A grouped frontier densifies each group on its own fill: rows
+    of a group that fills move to its own dense block, the others keep
+    the shared CSR product and the trim, and every row answers as it
+    would in a sweep of its group alone."""
+
+    @pytest.fixture
+    def frontiers(self, monkeypatch):
+        """Every frontier built, as it stands after its sweep."""
+        built = []
+
+        class Recording(FRONTIER):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(operators, "_Frontier", Recording)
+        return built
+
+    def test_grouped_sweep_equals_a_sweep_per_group(self, wide, frontiers):
+        chain, _ = wide
+        window = SpatioTemporalWindow(WIDE_WINDOW.region, range(25, 28))
+        rng = np.random.default_rng(71)
+        # group 7's 400-state supports near the region fill it in;
+        # group 3 starts far below, so the trim keeps it sparse
+        block = near(rng, 12, 1800, 1900, width=400).concat(
+            near(rng, 12, 200, 600)
+        )
+        groups = np.repeat([7, 3], 12)
+        starts = rng.integers(0, 3, 24)
+        levels = fetch_levels(chain, window)
+        grouped = batch_ob_exists(
+            chain, block, window, starts, levels=levels, groups=groups
+        )
+        stack = frontiers[0]
+        for label in (7, 3):
+            rows = np.flatnonzero(groups == label)
+            alone = batch_ob_exists(
+                chain, block.take(rows), window, starts[rows],
+                levels=levels,
+            )
+            np.testing.assert_allclose(
+                grouped[rows], alone, rtol=0, atol=1e-15
+            )
+        # groups are numbered in sorted order: 3 -> 0, 7 -> 1
+        assert list(stack.blocks) == [1]
+        assert (stack.column[groups == 3] == -1).all()
+        assert (stack.column[groups == 7] >= 0).all()
+        assert grouped[groups == 7].min() > 0.0
+        assert (grouped[groups == 3] == 0.0).all()
+
+    def test_ungrouped_stack_densifies_as_a_whole(self, wide, taken):
+        chain, _ = wide
+        window = SpatioTemporalWindow(WIDE_WINDOW.region, range(25, 28))
+        rng = np.random.default_rng(71)
+        block = near(rng, 12, 1800, 1900, width=400).concat(
+            near(rng, 12, 200, 600)
+        )
+        batch_ob_exists(chain, block, window, 0)
+        assert taken == ["_Frontier", "_DenseStack"]
+
+    def test_late_rows_join_a_dense_block(self, wide, frontiers):
+        _, matrices = wide
+        rng = np.random.default_rng(73)
+        # group 0's 400-state supports fill it at the first step; two
+        # of its rows and two of group 1's narrow ones join at t=3
+        wide_rows, narrow_rows = np.arange(8), np.arange(8, 16)
+        late = np.array([6, 7, 14, 15])
+        early = np.setdiff1d(np.arange(16), late)
+        block = near(rng, 8, 1700, 1800, width=400).concat(
+            near(rng, 8, 1950, 2000)
+        )
+        schedule = SweepSchedule(
+            n_rows=16, first=0, last=WIDE_WINDOW.t_end,
+            times=WIDE_WINDOW.times,
+            activations={
+                0: (early, block.take(early)), 3: (late, block.take(late)),
+            },
+            harvests={WIDE_WINDOW.t_end: range(16)},
+            read="top", read_offset=matrices[ABSORBING].top_index,
+            groups=np.repeat([0, 1], 8),
+        )
+        answer, _ = against_rowwise(wide, ABSORBING, schedule, [])
+        assert len(frontiers) == 1
+        assert list(frontiers[0].blocks) == [0]
+        assert (frontiers[0].column[narrow_rows] == -1).all()
+        assert answer[wide_rows].min() > 0.0
+
+    def test_fusions_on_a_dense_block_match_rowwise(self, wide, frontiers):
+        _, matrices = wide
+        doubled = matrices[DOUBLED]
+        rng = np.random.default_rng(79)
+        block = near(rng, 3, 1700, 1800, width=800).concat(
+            near(rng, 3, 1950, 2000)
+        )
+
+        def sighting(low, high):
+            return doubled.tile_observation(np.asarray(
+                StateDistribution.uniform(WIDE_STATES, range(low, high)).vector
+            ))
+
+        rows = np.arange(6)
+        answer, built = against_rowwise(wide, DOUBLED, SweepSchedule(
+            n_rows=6, first=0, last=9, times=WIDE_WINDOW.times,
+            activations={0: (rows, block)},
+            fusions={
+                4: [(0, sighting(1700, 2300)), (4, sighting(1900, 2100))],
+                6: [(1, sighting(1800, 2200))],
+            },
+            harvests={WIDE_WINDOW.t_end: rows[1:], 9: [0]},
+            read="tail", read_offset=doubled.n_states,
+            groups=np.array([0, 0, 0, 1, 1, 1]),
+        ), [])
+        assert len(frontiers) == 1
+        assert list(frontiers[0].blocks) == [0]
+        assert 0.0 < answer.min() and answer.max() < 1.0
+
+
 class TestLadderExtend:
     def test_rungs_are_repeated_products(self, chain, matrices):
         base = np.zeros(matrices.size, dtype=float)

@@ -322,15 +322,15 @@ class TestShardWorkers:
 
         def evaluate_every_shard() -> None:
             for entry in store.store_shards():
-                dispatch._evaluate_store_shard(dispatch._StoreShardTask(
+                dispatch._evaluate_store_shards(dispatch._StoreTask(
                     store_dir=str(store.path),
                     generation=store.generation,
-                    shard_id=entry["shard_id"],
                     chain_id=entry["chain_id"],
                     kind="exists",
                     method="qb",
                     region=tuple(sorted(WINDOW.region)),
                     times=tuple(sorted(WINDOW.times)),
+                    shards=((entry["shard_id"], ()),),
                 ))
 
         root = str(store.path)
@@ -614,7 +614,7 @@ class TestOneKernelTable:
             )
         # an in-RAM database's process path is the store worker too,
         # over its spill
-        assert set(callers) == {"_kernel", "_evaluate_store_shard"}
+        assert set(callers) == {"_kernel", "_evaluate_store_shards"}
         # ...and nothing else picks a kernel behind its back
         for module in (pipeline, dispatch):
             source = inspect.getsource(module)
@@ -625,6 +625,235 @@ class TestOneKernelTable:
                 ".ktimes_distribution(",
             ):
                 assert kernel not in source, (module.__name__, kernel)
+
+
+# ----------------------------------------------------------------------
+# one task per worker slot: a worker's shards sweep as one stack
+# ----------------------------------------------------------------------
+def _likely_sighting(database, object_id: str, time: int) -> Observation:
+    """A sighting over the likelier half of where the object can be at
+    ``time``: informative, yet most sampled paths agree with it."""
+    obj = database.get(object_id)
+    vector = np.asarray(obj.initial.distribution.vector, float)
+    for _ in range(time - obj.initial.time):
+        vector = vector @ database.chain(obj.chain_id).matrix
+    likely = np.flatnonzero(vector >= np.median(vector[vector > 0]))
+    return Observation.uniform(time, N_STATES, likely.tolist())
+
+
+def _stacked_store(root, with_multi: bool, overlay: bool = True):
+    """A store of 8 shards per chain over 2 chains -- four shards per
+    task at ``max_workers=2``.  ``with_multi`` re-sights every sixth
+    object in the slabs, before the window or at its start.
+    ``overlay`` then removes every object of one shard, re-adds two of
+    them, and (``with_multi``) re-sights two slab objects through the
+    journal."""
+    database = build_database(31, n_objects=96)
+    if with_multi:
+        for index in range(0, 96, 6):
+            object_id = f"obj-{index}"
+            time = 5 if index % 12 else WINDOW.t_start
+            database.append_observation(
+                object_id, _likely_sighting(database, object_id, time)
+            )
+    store = ShardedTrajectoryStore.create(
+        root, database, shards_per_chain=8
+    )
+    if overlay:
+        shard_id = store.store_shards("chain-0")[0]["shard_id"]
+        view, _ = attach_shard(str(store.path), store.generation, shard_id)
+        assert view.n_objects() >= 2
+        removed = [store.get(object_id) for object_id in view.object_ids]
+        for obj in removed:
+            store.remove(obj.object_id)
+        for obj in removed[:2]:
+            store.add(obj)
+        if with_multi:
+            for object_id in ("obj-1", "obj-2"):
+                store.append_observation(
+                    object_id, _likely_sighting(store, object_id, 7)
+                )
+    return store
+
+
+@pytest.fixture(scope="module")
+def stacked_stores(tmp_path_factory):
+    """``{with_multi: store with an overlay}``."""
+    return {
+        with_multi: _stacked_store(
+            tmp_path_factory.mktemp("stacked") / "store", with_multi
+        )
+        for with_multi in (True, False)
+    }
+
+
+class TestStackedScatter:
+    @pytest.mark.parametrize(
+        "query, method",
+        [
+            (PSTExistsQuery(WINDOW), "qb"),
+            (PSTExistsQuery(WINDOW), "ob"),
+            (PSTExistsQuery(WINDOW), "mc"),
+            (PSTForAllQuery(WINDOW), "qb"),
+            (PSTForAllQuery(WINDOW), "ob"),
+            (PSTKTimesQuery(WINDOW), None),
+            (PSTKTimesQuery(WINDOW, k=2), None),
+            (PSTKTimesQuery(WINDOW), "mc"),
+        ],
+        ids=["exists-qb", "exists-ob", "exists-mc", "forall-qb",
+             "forall-ob", "ktimes-dist", "ktimes-k", "ktimes-mc"],
+    )
+    def test_more_shards_than_workers_agree_with_serial(
+        self, stacked_stores, query, method
+    ):
+        store = stacked_stores[not isinstance(query, PSTKTimesQuery)]
+        kwargs = dict(method=method)
+        if method == "mc":
+            kwargs.update(allow_approximate=True, n_samples=30, seed=5)
+        expect = QueryEngine(store).evaluate(
+            query, options=PlanOptions(dispatch="serial", **kwargs)
+        ).values
+        result = QueryEngine(store).evaluate(
+            query,
+            options=PlanOptions(dispatch="process", max_workers=2, **kwargs),
+        )
+        # seeded MC is draw-for-draw
+        assert_parity(
+            expect, result.values, bound=0.0 if method == "mc" else 1e-12
+        )
+        stats = result.plan.store_stats
+        # the removed shard is skipped; the other 15 deal into 2 + 2
+        assert (stats["pool_tasks"], stats["shards"]) == (4, 15)
+        assert stats["parent_fallbacks"] == 0
+        assert "store-scatter x2 (4 pool tasks, 15 shards)" in (
+            result.plan.stages[-1].detail
+        )
+
+    def test_one_forward_sweep_per_task(self, tmp_path):
+        store = _stacked_store(tmp_path / "store", False, overlay=False)
+        result = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW),
+            method="ob",
+            options=PlanOptions(
+                dispatch="process", max_workers=2, bfs_prune=False
+            ),
+        )
+        stats = result.plan.store_stats
+        assert (stats["pool_tasks"], stats["shards"]) == (4, 16)
+        assert result.plan.operator_seconds["forward_sweep"].calls == 4
+
+    def test_worker_groups_the_stack_by_shard(self, monkeypatch, tmp_path):
+        store = _stacked_store(tmp_path / "store", False, overlay=False)
+        seen = []
+        real = batch.batch_ob_exists
+
+        def spy(*args, groups=None, **kwargs):
+            seen.append(groups)
+            return real(*args, groups=groups, **kwargs)
+
+        monkeypatch.setattr(batch, "batch_ob_exists", spy)
+        entries = store.store_shards("chain-0")[:3]
+        dispatch._evaluate_store_shards(dispatch._StoreTask(
+            store_dir=str(store.path),
+            generation=store.generation,
+            chain_id="chain-0",
+            kind="exists",
+            method="ob",
+            region=tuple(sorted(WINDOW.region)),
+            times=tuple(sorted(WINDOW.times)),
+            shards=tuple((entry["shard_id"], ()) for entry in entries),
+            use_bfs=False,
+        ))
+        (groups,) = seen
+        np.testing.assert_array_equal(groups, np.repeat(
+            [0, 1, 2], [entry["n_objects"] for entry in entries]
+        ))
+
+    def test_poisoned_shard_inside_a_task_falls_alone(self, tmp_path):
+        store = _stacked_store(tmp_path / "store", True, overlay=False)
+        poisoned = store.store_shards("chain-1")[2]["shard_id"]
+        expect = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
+        ).values
+        result = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW),
+            options=PlanOptions(
+                dispatch="process",
+                max_workers=2,
+                supervisor=SupervisorPolicy(
+                    max_retries=2, backoff_seconds=0.0
+                ),
+                faults=FaultInjector(FaultSpec(
+                    site="worker:store-shard",
+                    action="raise",
+                    match={"shard_id": poisoned},
+                    times=None,
+                )),
+            ),
+        )
+        assert_parity(expect, result.values)
+        assert result.plan.store_stats["parent_fallbacks"] == 1
+        falls = [
+            event for event in result.plan.degradations
+            if "degraded" in event
+        ]
+        assert len(falls) == 1
+        assert falls[0].startswith(
+            f"store shard {poisoned} degraded to parent after "
+        )
+        # the task of four failed once, whole; then only the poisoned
+        # shard kept failing on its own
+        retried = [
+            event for event in result.plan.degradations
+            if "retried after worker fault" in event
+        ]
+        assert retried[0].startswith("store shards ")
+        assert all(
+            event.startswith(f"store shard {poisoned} retried")
+            for event in retried[1:]
+        )
+
+    def test_attempt_zero_kill_recovers_through_single_shard_retries(
+        self, monkeypatch, tmp_path
+    ):
+        store = _stacked_store(tmp_path / "store", True, overlay=False)
+        victim = store.store_shards("chain-0")[1]["shard_id"]
+        splits = []
+        real = dispatch._StoreTask.parts
+
+        def counting(task):
+            splits.append([shard_id for shard_id, _ in task.shards])
+            return real(task)
+
+        monkeypatch.setattr(dispatch._StoreTask, "parts", counting)
+        expect = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW), options=PlanOptions(dispatch="serial")
+        ).values
+        result = QueryEngine(store).evaluate(
+            PSTExistsQuery(WINDOW),
+            options=PlanOptions(
+                dispatch="process",
+                max_workers=2,
+                supervisor=SupervisorPolicy(
+                    max_retries=1, backoff_seconds=0.0
+                ),
+                faults=FaultInjector(FaultSpec(
+                    site="worker:store-shard",
+                    action="kill",
+                    match={"shard_id": victim, "attempt": 0},
+                )),
+            ),
+        )
+        assert_parity(expect, result.values)
+        assert result.plan.store_stats["parent_fallbacks"] == 0
+        assert any(
+            "worker pool rebuilt (worker crash)" in event
+            for event in result.plan.degradations
+        )
+        # a kill breaks the pool under every task in flight: each of
+        # them, the victim's included, went back as single shards
+        assert any(victim in split for split in splits)
+        assert all(len(split) == 4 for split in splits)
 
 
 class TestSlabResidency:
