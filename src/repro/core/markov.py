@@ -20,6 +20,7 @@ from typing import FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from repro.core.distribution import StateDistribution
 from repro.core.errors import (
@@ -268,6 +269,32 @@ class MarkovChain:
             offsets = np.append((coo.col - coo.row)[coo.data != 0.0], 0)
             self._band_cache = (-int(offsets.min()), int(offsets.max()))
         return self._band_cache
+
+    def window_product(
+        self, vector: np.ndarray, lo: int, hi: int, transpose: bool = False
+    ) -> np.ndarray:
+        """``M . vector`` (``M^T . vector`` with ``transpose``) on rows
+        ``[lo, hi)`` only; every other entry is exactly 0.0.
+
+        The rows run scipy's CSR mat-vec routine -- the one ``matrix @
+        vector`` calls -- over the view ``indptr[lo:hi + 1]``, so they
+        are bit-identical to the same rows of the whole product and
+        nothing is copied.  The routine is private to scipy; the tests
+        compare it with ``@`` and fail loudly if a release moves it.
+        Callers bound the window by :meth:`band`.
+        """
+        matrix = self.transpose_matrix() if transpose else self._matrix
+        n = matrix.shape[0]
+        if not 0 <= lo <= hi <= n:
+            raise ValidationError(f"row window [{lo}, {hi}) outside [0, {n}]")
+        if not (isinstance(vector, np.ndarray) and vector.shape == (n,)
+                and vector.dtype == np.float64):
+            raise ValidationError(f"need a float64 vector of {n} entries")
+        out = np.zeros(n, dtype=np.float64)
+        # the routine adds into out[lo:hi], which is exactly hi - lo long
+        _csr_matvec(hi - lo, n, matrix.indptr[lo:hi + 1], matrix.indices,
+                    matrix.data, vector, out[lo:hi])
+        return out
 
     def fingerprint(self) -> str:
         """A content hash of the transition matrix (cached).

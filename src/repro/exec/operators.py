@@ -636,6 +636,12 @@ class BackwardSweep(Operator):
     1)`` and ``M_minus . v = M . v``.  A step into a query time
     therefore sets ``real[S_q] = 1`` and then takes ``real <- M .
     real``; the returned ``(n + 1)`` vectors carry ``TOP = 1``.
+
+    Each step multiplies only the rows ``real``'s support can reach
+    (:meth:`~repro.core.markov.MarkovChain.window_product`, bit-identical
+    to ``M @ real``): the hull ``[lo, hi)`` takes in ``S_q``'s at a
+    query time and widens by :meth:`~repro.core.markov.MarkovChain.band`
+    to ``[lo - up, hi + down)`` per step.
     """
 
     name = "backward_sweep"
@@ -654,10 +660,11 @@ class BackwardSweep(Operator):
                 f"query time {window.t_start} precedes start_time "
                 f"{wanted[-1]}"
             )
-        matrix = chain.matrix
         columns = window.region.array
         n = chain.n_states
+        down, up = chain.band()
         real = np.zeros(n, dtype=float)
+        lo, hi = n, 0  # the hull of real's support, empty so far
         keep = set(wanted)
 
         def augmented() -> np.ndarray:
@@ -672,7 +679,10 @@ class BackwardSweep(Operator):
         for time in range(window.t_end - 1, wanted[0] - 1, -1):
             if time + 1 in window.times:
                 real[columns] = 1.0
-            real = matrix @ real
+                lo = min(lo, int(columns[0]))
+                hi = max(hi, int(columns[-1]) + 1)
+            lo, hi = max(0, lo - up), min(n, hi + down)
+            real = chain.window_product(real, lo, hi)
             if time in keep:
                 result[time] = augmented()
         return result
@@ -869,11 +879,15 @@ class PosteriorCollapse(Operator):
     single-observation object.  The result does not depend on a query
     region; ``region`` is ignored.
 
-    Each gap of ``k`` steps runs on ``M^T`` sliced once to the states
-    its support ``[a, b]`` can reach, ``[a - k*down, b + k*up]`` by
-    :meth:`~repro.core.markov.MarkovChain.band`; the skipped terms are
-    exact zeros, so this is bit-identical to stepping all of ``M^T``
-    and pays off under transition locality (Table I).
+    Each step multiplies a row window of ``M^T``
+    (:meth:`~repro.core.markov.MarkovChain.window_product`): the
+    support's hull grows by ``(down, up)`` per step
+    (:meth:`~repro.core.markov.MarkovChain.band`), clipped to the
+    states that reach the next observation's support hull ``[t_lo,
+    t_hi)`` in the ``left`` steps that remain, ``[t_lo - left*up, t_hi
+    + left*down)``.  Mass outside that lens never meets a non-zero of
+    the observation pdf, so the fused, normalised posterior is
+    bit-identical to stepping all of ``M^T``.
     """
 
     name = "posterior_collapse"
@@ -890,25 +904,21 @@ class PosteriorCollapse(Operator):
             vector = np.asarray(
                 observations.first.distribution.vector, dtype=float
             )
-        transpose = chain.transpose_matrix()
+        n = chain.n_states
         down, up = chain.band()
         for observation in observations.after(time):
             steps, time = observation.time - time, observation.time
-            support = np.flatnonzero(vector)
-            lo, hi = 0, len(vector)
+            pdf = np.asarray(observation.distribution.vector, dtype=float)
+            support, target = np.flatnonzero(vector), np.flatnonzero(pdf)
+            lo = hi = 0
             if support.size:
-                lo = max(0, int(support[0]) - steps * down)
-                hi = min(hi, int(support[-1]) + 1 + steps * up)
-            whole = hi - lo == len(vector)
-            block = transpose if whole else transpose[lo:hi, lo:hi]
-            reached = vector[lo:hi]
-            for _ in range(steps):
-                reached = block @ reached
-            vector = np.zeros_like(vector)
-            vector[lo:hi] = reached
-            vector = vector * np.asarray(
-                observation.distribution.vector, dtype=float
-            )
+                lo, hi = int(support[0]), int(support[-1]) + 1
+            t_lo, t_hi = int(target[0]), int(target[-1]) + 1
+            for left in range(steps - 1, -1, -1):
+                lo = max(0, lo - down, t_lo - left * up)
+                hi = max(lo, min(n, hi + up, t_hi + left * down))
+                vector = chain.window_product(vector, lo, hi, True)
+            vector = vector * pdf
             total = float(vector.sum())
             if total <= 0.0:
                 raise InfeasibleEvidenceError(

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import (
     MarkovChain,
     SpatioTemporalWindow,
     StateDistribution,
 )
+
+# A property test without its own example count runs hypothesis's
+# default (100) in tier-1 and 2,000 under REPRO_HYPOTHESIS_PROFILE=ci.
+settings.register_profile("ci", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -944,6 +944,75 @@ class TestRowGroups:
         assert 0.0 < answer.min() and answer.max() < 1.0
 
 
+def dense_backward(chain, window, starts):
+    """The reference Section V-B pass: every step multiplies all of
+    ``M``."""
+    real = np.zeros(chain.n_states)
+    result = {}
+    if window.t_end in starts:
+        result[window.t_end] = np.append(real, 1.0)
+    for time in range(window.t_end - 1, min(starts) - 1, -1):
+        if time + 1 in window.times:
+            real[window.region.array] = 1.0
+        real = chain.matrix @ real
+        if time in starts:
+            result[time] = np.append(real, 1.0)
+    return result
+
+
+class TestBackwardSweep:
+    EVERY_STATE = frozenset(range(N_STATES))
+    WINDOWS = [
+        SpatioTemporalWindow.from_ranges(0, 2, 6, 9),  # lower edge
+        SpatioTemporalWindow.from_ranges(N_STATES - 3, N_STATES - 1, 6, 9),
+        # a non-contiguous region steps its hull; gapped query times
+        SpatioTemporalWindow(frozenset({5, 40}), frozenset({4, 9, 15})),
+        # a complement region (for-all) spans nearly everything
+        SpatioTemporalWindow(EVERY_STATE - set(range(20, 31)),
+                             frozenset({7, 8})),
+        SpatioTemporalWindow(EVERY_STATE, frozenset({3})),
+    ]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_bit_identical_to_dense_steps(self, window):
+        # a one-time window's t_start is its t_end: no step at all
+        starts = [0, 2, window.t_start - 1, window.t_start]
+        for chain in (
+            make_line_chain(N_STATES, max_step=10, seed=3),
+            make_line_chain(N_STATES, max_step=40, seed=6),
+            make_line_chain(N_STATES, state_spread=3, max_step=2, seed=1),
+            MarkovChain.identity(N_STATES),
+            unbanded_chain(),
+            drift_chain(3, 1),
+            drift_chain(1, 3),
+        ):
+            vectors = BACKWARD_SWEEP((window, starts), chain, window.region)
+            expected = dense_backward(chain, window, starts)
+            assert sorted(vectors) == sorted(expected)
+            for time, vector in expected.items():
+                assert np.array_equal(vectors[time], vector)
+
+    def test_start_at_t_end_steps_nothing(self):
+        spy = WindowSpy(make_line_chain(N_STATES, max_step=10, seed=3))
+        window = SpatioTemporalWindow.from_ranges(20, 30, 6, 6)
+        vectors = BACKWARD_SWEEP((window, [6]), spy, window.region)
+        assert spy.windows == []
+        assert not vectors[6][:-1].any() and vectors[6][-1] == 1.0
+
+    def test_hull_takes_in_the_region_and_widens_per_step(self):
+        chain = make_line_chain(N_STATES, state_spread=3, max_step=2,
+                                seed=1)
+        assert chain.band() == (1, 1)
+        spy = WindowSpy(chain)
+        window = SpatioTemporalWindow(frozenset({10, 20}), frozenset({3, 5}))
+        vectors = BACKWARD_SWEEP((window, [0]), spy, window.region)
+        # steps into t = 5, 4, 3 (region again, inside the hull), 2, 1
+        assert spy.windows == [(10 - j, 21 + j) for j in range(1, 6)]
+        assert np.array_equal(
+            vectors[0], dense_backward(chain, window, [0])[0]
+        )
+
+
 class TestLadderExtend:
     def test_rungs_are_repeated_products(self, chain, matrices):
         base = np.zeros(matrices.size, dtype=float)
@@ -1006,60 +1075,116 @@ class TestPosteriorCollapse:
         """Supports anywhere, the edges included, over 1-step to
         whole-space gaps and several Table I spreads."""
         rng = np.random.default_rng(17)
-        for max_step in (2, 6, 10, 40):
-            chain = make_line_chain(N_STATES, max_step=max_step, rng=rng)
+        chains = [make_line_chain(N_STATES, max_step=max_step, rng=rng)
+                  for max_step in (2, 6, 10, 40)]
+        for chain in chains + [drift_chain(3, 1), drift_chain(1, 3)]:
             for start in (0, N_STATES - 1, 7, 30):
                 observations = sighted_path(chain, start, rng)
                 check_against_dense(chain, observations)
 
     def test_gaps_clip_at_both_ends_and_reach_the_whole_space(self):
         chain = make_line_chain(N_STATES, max_step=10, seed=3)
-        spy = SliceSpy(chain)
+        spy = WindowSpy(chain)
         observations = ObservationSet.of(
             Observation.uniform(0, N_STATES, [0, N_STATES - 1]),
             Observation.uniform(1, N_STATES, range(N_STATES)),
             Observation.uniform(40, N_STATES, range(N_STATES)),
         )
         check_against_dense(spy, observations)
-        # both ends already on the support: a whole-space step, as is
-        # the long gap
-        assert spy.slices == []
+        # both ends already on the support: every step is the whole
+        # space, the long gap's too
+        assert spy.windows == [(0, N_STATES)] * 40
         down, up = chain.band()
         for edge, near, clipped in (
             (0, range(6), (0, 1 + up)),
             (N_STATES - 1, range(N_STATES - 6, N_STATES),
              (N_STATES - 1 - down, N_STATES)),
         ):
-            spy.slices.clear()
+            spy.windows.clear()
             check_against_dense(spy, ObservationSet.of(
                 Observation.precise(0, N_STATES, edge),
                 Observation.uniform(1, N_STATES, near),
             ))
-            assert spy.slices == [clipped]
+            assert spy.windows == [clipped]
 
     def test_unbanded_chain_steps_the_whole_transpose(self):
-        matrix = make_line_chain(N_STATES, max_step=6, seed=4).matrix.tolil()
-        matrix[0, N_STATES - 1] = matrix[N_STATES - 1, 0] = 0.5
-        matrix = sp.diags(
-            1.0 / np.asarray(matrix.sum(axis=1)).ravel()
-        ) @ matrix
-        chain = MarkovChain(matrix)
-        assert chain.band() == (N_STATES - 1, N_STATES - 1)
-        spy = SliceSpy(chain)
+        """Every step is the whole space but a gap's last, which the
+        lens clips to the next observation's support hull."""
+        chain = unbanded_chain()
+        spy = WindowSpy(chain)
         rng = np.random.default_rng(8)
         for start in (0, 25, N_STATES - 1):
-            check_against_dense(spy, sighted_path(chain, start, rng))
-        assert spy.slices == []
+            observations = sighted_path(chain, start, rng)
+            spy.windows.clear()
+            check_against_dense(spy, observations)
+            expected = []
+            for before, after in zip(observations.observations,
+                                     observations.observations[1:]):
+                target = after.distribution.support()
+                expected += [(0, N_STATES)] * (after.time - before.time - 1)
+                expected.append((min(target), max(target) + 1))
+            assert spy.windows == expected
 
     def test_identity_chain_steps_only_the_support(self):
+        """No transitions: every step is the support's hull clipped to
+        the next observation's, ``[20, 30) & [25, 40)``."""
         chain = MarkovChain.identity(N_STATES)
-        spy = SliceSpy(chain)
+        spy = WindowSpy(chain)
         observations = ObservationSet.of(
             Observation.uniform(0, N_STATES, range(20, 30)),
             Observation.uniform(5, N_STATES, range(25, 40)),
         )
         check_against_dense(spy, observations)
-        assert spy.slices == [(20, 30)]
+        assert spy.windows == [(25, 30)] * 5
+
+    @pytest.mark.parametrize("start, sighting", [
+        (30, range(0, 3)),  # far below the support, at the edge
+        (30, range(N_STATES - 3, N_STATES)),  # far above, at the edge
+        (1, range(0, 2)),  # next to the support, at the edge
+        (N_STATES - 2, range(N_STATES - 2, N_STATES)),
+    ])
+    def test_lens_clips_to_what_reaches_the_next_sighting(self, start,
+                                                          sighting):
+        """Window ``j`` of a ``k``-step gap is the support hull grown by
+        ``j`` steps, intersected with the states that reach the next
+        sighting's hull in the ``k - j`` steps left."""
+        chain = make_line_chain(N_STATES, state_spread=3, max_step=2,
+                                seed=1)
+        down, up = chain.band()
+        assert (down, up) == (1, 1)
+        spy = WindowSpy(chain)
+        steps = 40
+        check_against_dense(spy, ObservationSet.of(
+            Observation.precise(0, N_STATES, start),
+            Observation.uniform(steps, N_STATES, sighting),
+        ))
+        expected, grown = [], []
+        for j in range(1, steps + 1):
+            left = steps - j
+            lo = max(0, start - j * down, sighting[0] - left * up)
+            hi = min(N_STATES, start + 1 + j * up,
+                     sighting[-1] + 1 + left * down)
+            expected.append((lo, max(lo, hi)))
+            grown.append((max(0, start - j * down),
+                          min(N_STATES, start + 1 + j * up)))
+        assert spy.windows == expected
+        assert expected != grown  # the lens cut some steps short
+
+    def test_lens_keeps_unreachable_evidence_infeasible(self):
+        chain = make_line_chain(N_STATES, state_spread=3, max_step=2,
+                                seed=1)
+        for target in (0, N_STATES - 1):
+            # 30 states away in 10 steps of at most one state
+            contradiction = ObservationSet.of(
+                Observation.precise(0, N_STATES, 30),
+                Observation.precise(10, N_STATES, target),
+            )
+            with pytest.raises(
+                InfeasibleEvidenceError,
+                match="observation at t=10 contradicts the trajectory "
+                      "model: posterior mass is zero",
+            ):
+                POSTERIOR_COLLAPSE((contradiction, None), chain, None)
 
     def test_resumed_entries_bit_identical_to_dense_resume(self):
         rng = np.random.default_rng(21)
@@ -1098,6 +1223,30 @@ class TestPosteriorCollapse:
         empty = (0, np.zeros(0, dtype=np.int64), np.zeros(0))
         with pytest.raises(InfeasibleEvidenceError, match="t=1"):
             POSTERIOR_COLLAPSE((contradiction, empty), chain, None)
+
+
+def unbanded_chain():
+    """A Table I chain plus the two transitions ``0 <-> N_STATES - 1``:
+    its band is the whole space."""
+    matrix = make_line_chain(N_STATES, max_step=6, seed=4).matrix.tolil()
+    matrix[0, N_STATES - 1] = matrix[N_STATES - 1, 0] = 0.5
+    matrix = sp.diags(1.0 / np.asarray(matrix.sum(axis=1)).ravel()) @ matrix
+    chain = MarkovChain(matrix)
+    assert chain.band() == (N_STATES - 1, N_STATES - 1)
+    return chain
+
+
+def drift_chain(down, up):
+    """A chain over ``N_STATES`` whose band is ``(down, up)``: every
+    state moves to each of ``[s - down, s + up]`` (clipped)."""
+    rng = np.random.default_rng(12)
+    matrix = np.zeros((N_STATES, N_STATES))
+    for state in range(N_STATES):
+        lo, hi = max(0, state - down), min(N_STATES, state + up + 1)
+        matrix[state, lo:hi] = rng.random(hi - lo) + 0.05
+    chain = MarkovChain(matrix / matrix.sum(axis=1, keepdims=True))
+    assert chain.band() == (down, up)
+    return chain
 
 
 def sighted_path(chain, start, rng, n_sightings=6):
@@ -1143,31 +1292,26 @@ def check_against_dense(chain, observations, resume=None):
     t_last, support, weights = POSTERIOR_COLLAPSE(
         (observations, resume), chain, None
     )
-    expected = dense_collapse(chain, observations, resume)
+    expected = dense_collapse(
+        getattr(chain, "chain", chain), observations, resume  # unspied
+    )
     assert t_last == expected[0]
     assert np.array_equal(support, expected[1])
     assert np.array_equal(weights, expected[2])
 
 
-class SliceSpy:
-    """A chain whose transpose records the ``(lo, hi)`` of every
-    submatrix the collapse slices off it."""
+class WindowSpy:
+    """A chain that records the ``(lo, hi)`` of every row window the
+    operators multiply through ``window_product``."""
 
     def __init__(self, chain):
         self.chain = chain
         self.n_states = chain.n_states
-        self.slices = []
+        self.windows = []
 
     def band(self):
         return self.chain.band()
 
-    def transpose_matrix(self):
-        spy = self
-
-        class Recording(type(self.chain.transpose_matrix())):
-            def __getitem__(self, key):
-                rows, _cols = key
-                spy.slices.append((rows.start, rows.stop))
-                return spy.chain.transpose_matrix()[key]
-
-        return Recording(self.chain.transpose_matrix())
+    def window_product(self, vector, lo, hi, transpose=False):
+        self.windows.append((lo, hi))
+        return self.chain.window_product(vector, lo, hi, transpose)

@@ -251,6 +251,82 @@ class TestBand:
         assert chain.band() == (1, 1)
 
 
+def with_index_dtype(chain, dtype):
+    """``chain`` with the index arrays of ``M`` and ``M^T`` recast."""
+    for matrix in (chain.matrix, chain.transpose_matrix()):
+        matrix.indices = matrix.indices.astype(dtype)
+        matrix.indptr = matrix.indptr.astype(dtype)
+    assert chain.matrix.indices.dtype == dtype
+    assert chain.transpose_matrix().indptr.dtype == dtype
+    return chain
+
+
+class TestWindowProduct:
+    """``window_product`` is the rows of ``M @ x`` (``M^T @ x``) it
+    covers, bit for bit, and exact zeros everywhere else."""
+
+    @staticmethod
+    def chains():
+        from repro.workloads.synthetic import make_line_chain
+
+        rng = np.random.default_rng(44)
+        yield make_line_chain(50, max_step=6, seed=44), rng  # band (3, 3)
+        yield random_chain(23, rng, density=0.4), rng  # unbanded
+        # stored zeros outside the band still run through the kernel
+        matrix = sp.csr_matrix(
+            ([1.0, 0.0, 0.5, 0.5, 1.0], ([0, 0, 1, 1, 2], [1, 2, 0, 1, 2])),
+            shape=(3, 3),
+        )
+        yield MarkovChain(matrix), rng
+
+    def check(self, chain, rng):
+        n = chain.n_states
+        # a strided view must read the same as a contiguous vector
+        vector = (rng.random(2 * n) * (rng.random(2 * n) < 0.5))[::2]
+        windows = [(0, 0), (0, n), (0, 1), (n - 1, n), (n, n)] + [
+            tuple(sorted(rng.integers(0, n + 1, 2))) for _ in range(20)
+        ]
+        for transpose in (False, True):
+            matrix = chain.transpose_matrix() if transpose else chain.matrix
+            whole = matrix @ vector
+            for lo, hi in windows:
+                out = chain.window_product(vector, lo, hi, transpose)
+                assert out.dtype == np.float64 and out.shape == (n,)
+                assert np.array_equal(out[lo:hi], whole[lo:hi])
+                assert not out[:lo].any() and not out[hi:].any()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_rows_equal_the_whole_product(self, dtype):
+        for chain, rng in self.chains():
+            self.check(with_index_dtype(chain, dtype), rng)
+
+    def test_whole_window_is_the_product_itself(self):
+        for chain, rng in self.chains():
+            vector = rng.random(chain.n_states)
+            out = chain.window_product(vector, 0, chain.n_states)
+            assert np.array_equal(out, chain.matrix @ vector)
+
+    def test_bad_arguments_raise_before_the_native_call(self, monkeypatch):
+        import repro.core.markov as markov
+
+        calls = []
+        monkeypatch.setattr(
+            markov, "_csr_matvec", lambda *args: calls.append(args)
+        )
+        chain = MarkovChain.identity(6)
+        good = np.ones(6)
+        for lo, hi in ((-1, 3), (0, 7), (4, 3), (7, 7)):
+            with pytest.raises(ValueError, match="row window"):
+                chain.window_product(good, lo, hi)
+        for vector in (np.ones(6, dtype=np.float32), np.ones(5),
+                       np.ones((6, 1)), [1.0] * 6):
+            with pytest.raises(ValueError, match="float64 vector"):
+                chain.window_product(vector, 0, 6)
+        assert calls == []
+        chain.window_product(good, 2, 4)
+        assert len(calls) == 1 and len(calls[0][-1]) == 2
+
+
 SEEDS = range(4)
 
 

@@ -9,7 +9,14 @@ generated; the central invariants of the paper are asserted:
    with exists/for-all,
 4. C(t) == blocked-matrix evaluation,
 5. monotonicity: growing the window region or time set can only raise
-   the exists-probability.
+   the exists-probability,
+6. on banded chains, whose backward pass and Lemma 1 filter step row
+   windows narrower than the state space, QB and the collapse agree
+   with brute-force enumeration -- an oracle that shares neither
+   kernel.
+
+``REPRO_HYPOTHESIS_PROFILE=ci`` runs the banded-chain tests with the
+``ci`` profile's larger example count (see ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -21,15 +28,24 @@ from hypothesis import strategies as st
 
 from repro import (
     MarkovChain,
+    Observation,
+    ObservationSet,
     PossibleWorldEnumerator,
+    PSTExistsQuery,
+    PSTForAllQuery,
+    QueryEngine,
     SpatioTemporalWindow,
     StateDistribution,
+    TrajectoryDatabase,
+    UncertainObject,
     ktimes_distribution,
     ktimes_distribution_blocked,
     ob_exists_probability,
     ob_forall_probability,
     qb_exists_probability,
+    qb_forall_probability,
 )
+from repro.core.errors import InfeasibleEvidenceError, ValidationError
 
 
 @st.composite
@@ -270,3 +286,109 @@ class TestExtensionInvariants:
         exact = ob_exists_probability(chain, initial, window)
         assert low == pytest.approx(exact, abs=1e-9)
         assert high == pytest.approx(exact, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# banded chains: the row windows clip
+# ----------------------------------------------------------------------
+WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+@st.composite
+def banded_chain_strategy(draw, max_states: int = 8):
+    """A chain over 3..max_states states whose transitions move at most
+    1..3 states down and, independently, 1..3 up, with zero entries
+    inside the band too, so the backward and Lemma 1 row windows clip."""
+    n = draw(st.integers(3, max_states))
+    down, up = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = np.zeros((n, n))
+    for state in range(n):
+        lo, hi = max(0, state - down), min(n, state + up + 1)
+        weights = draw(st.lists(WEIGHT, min_size=hi - lo, max_size=hi - lo))
+        if not any(weights):
+            weights[state - lo] = 1.0
+        matrix[state, lo:hi] = np.asarray(weights) / sum(weights)
+    return MarkovChain(matrix)
+
+
+@st.composite
+def sparse_pdf(draw, n: int):
+    """A distribution over a random non-empty subset of ``n`` states."""
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                  max_size=max(1, n // 2))))
+    weights = np.zeros(n)
+    weights[support] = draw(st.lists(
+        st.floats(0.05, 1.0), min_size=len(support), max_size=len(support)
+    ))
+    return StateDistribution(weights / weights.sum())
+
+
+@st.composite
+def banded_instance(draw, max_time: int = 4):
+    """A banded chain, a sparse initial pdf and a window."""
+    chain = draw(banded_chain_strategy())
+    n = chain.n_states
+    region = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    times = draw(st.sets(st.integers(1, max_time), min_size=1,
+                         max_size=max_time))
+    window = SpatioTemporalWindow(frozenset(region), frozenset(times))
+    return chain, draw(sparse_pdf(n)), window
+
+
+class TestBandedChainOracle:
+    """Section V-B's backward pass and Lemma 1's filter against
+    possible-world enumeration at 1e-12 on chains with locality."""
+
+    @given(banded_instance())
+    @settings(deadline=None)
+    def test_banded_qb_exists_and_forall_match_enumeration(self, instance):
+        chain, initial, window = instance
+        oracle = PossibleWorldEnumerator(chain, initial, window.t_end)
+        assert qb_exists_probability(
+            chain, initial, window
+        ) == pytest.approx(oracle.exists_probability(window), abs=1e-12)
+        assert qb_forall_probability(
+            chain, initial, window
+        ) == pytest.approx(oracle.forall_probability(window), abs=1e-12)
+
+    @given(banded_instance(max_time=2), st.data())
+    @settings(deadline=None)
+    def test_banded_resighted_object_matches_conditioned_enumeration(
+        self, instance, data
+    ):
+        """An object re-sighted before the window rides its Lemma 1
+        posterior through the planned QB call."""
+        chain, initial, window = instance
+        n = chain.n_states
+        later = [
+            (time, data.draw(sparse_pdf(n)))
+            for time in sorted(data.draw(st.sets(
+                st.integers(1, 2), min_size=1, max_size=2
+            )))
+        ]
+        # shift the window past the last sighting
+        window = SpatioTemporalWindow(
+            window.region, frozenset(t + later[-1][0] for t in window.times)
+        )
+        database = TrajectoryDatabase.with_chain(chain)
+        database.add(UncertainObject("o", ObservationSet.of(
+            Observation(0, initial),
+            *(Observation(time, pdf) for time, pdf in later),
+        )))
+        oracle = PossibleWorldEnumerator(
+            chain, initial, window.t_end
+        ).conditioned_on_observations(later)
+        engine = QueryEngine(database)
+        try:
+            exists = oracle.exists_probability(window)
+        except ValidationError:  # the sightings contradict the chain
+            with pytest.raises(InfeasibleEvidenceError):
+                engine.evaluate(PSTExistsQuery(window), method="qb")
+            return
+        forall = oracle.probability_that(
+            lambda world: world.stays_within(window)
+        )
+        for query, expected in ((PSTExistsQuery(window), exists),
+                                (PSTForAllQuery(window), forall)):
+            result = engine.evaluate(query, method="qb")
+            assert result.values["o"] == pytest.approx(expected, abs=1e-12)
