@@ -81,9 +81,9 @@ def main() -> None:
           f"{result.elapsed_seconds * 1000:.2f} ms)")
 
     # The engine evaluates all objects sharing a chain in one batched
-    # sweep, and its plan cache keeps the augmented matrices and
-    # backward vectors across queries -- so a monitoring loop that
-    # re-issues the same window pays matrix construction only once.
+    # sweep, and its plan cache keeps the backward vectors across
+    # queries -- so a monitoring loop that re-issues the same window
+    # pays the backward pass only once.
     # Pass plan_cache=repro.PlanCache() shared between engines to
     # amortise across sessions.
     repeat = engine.evaluate(repro.PSTExistsQuery(window), method="qb")

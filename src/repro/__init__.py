@@ -76,10 +76,6 @@ from repro.core.ktimes import (
 )
 from repro.core.markov import MarkovChain
 from repro.core.matrices import (
-    AbsorbingMatrices,
-    DoubledMatrices,
-    build_absorbing_matrices,
-    build_doubled_matrices,
     build_ktimes_block_matrices,
 )
 from repro.core.montecarlo import (
@@ -184,10 +180,6 @@ __all__ = [
     "PSTForAllQuery",
     "PSTKTimesQuery",
     # matrices
-    "AbsorbingMatrices",
-    "DoubledMatrices",
-    "build_absorbing_matrices",
-    "build_doubled_matrices",
     "build_ktimes_block_matrices",
     # processors
     "batch_ob_exists",

@@ -11,7 +11,7 @@ Modules:
     observation:   (possibly uncertain) observations of an object.
     trajectory:    certain trajectories; exact possible-world enumeration.
     query:         PST query definitions (exists / for-all / k-times).
-    matrices:      the paper's augmented matrices (absorbing and doubled).
+    matrices:      augmented-state layout; Section VII block matrices.
     object_based:  Section V-A / VI forward processing.
     query_based:   Section V-B backward processing.
     ktimes:        Section VII C(t)-matrix algorithm for PSTkQ.

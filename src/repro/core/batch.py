@@ -32,13 +32,14 @@ evaluators are provided, mirroring the per-object functions of
   over the chain's own matrix (one pass serves every start time via
   :func:`backward_vectors`; no augmented matrix is built), then one
   sparse product ``P @ v`` answers all objects of a start group;
-* :func:`batch_exists_multi` -- the Section VI doubled-space forward
-  pass with per-row Lemma 1 evidence fusion at each object's later
-  observations.
+* :func:`batch_exists_multi` -- the Section VI forward pass, each
+  object a row and its "window hit" shadow row over the chain's own
+  matrix (the doubled state space is not built), with per-object
+  Lemma 1 evidence fusion at its later observations.
 
-All three accept an optional :class:`~repro.core.plan_cache.PlanCache`
-so repeated windows skip matrix construction (and, for QB, the backward
-pass) entirely, and an optional
+No kernel builds an augmented matrix.  :func:`batch_qb_exists` takes an
+optional :class:`~repro.core.plan_cache.PlanCache` so a repeated window
+skips the backward pass entirely, and all three an optional
 :class:`~repro.exec.operators.ExecutionContext` collecting per-operator
 timings for EXPLAIN ANALYZE output.
 
@@ -60,17 +61,11 @@ import numpy as np
 from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
-from repro.core.matrices import (
-    AbsorbingMatrices,
-    DoubledMatrices,
-    extend_block,
-)
+from repro.core.matrices import extend_block
 from repro.core.observation import ObservationSet
 from repro.core.query import SpatioTemporalWindow
 from repro.exec.operators import (
     BACKWARD_SWEEP,
-    BUILD_ABSORBING,
-    BUILD_DOUBLED,
     FORWARD_SWEEP,
     KTIMES_CORE,
     KTIMES_SWEEP,
@@ -195,8 +190,6 @@ def batch_ob_exists(
     initials: Initials,
     window: SpatioTemporalWindow,
     start_times: StartTimes = 0,
-    matrices: Optional[AbsorbingMatrices] = None,
-    plan_cache=None,
     context: Optional[ExecutionContext] = None,
     levels=None,
     groups: Optional[np.ndarray] = None,
@@ -212,9 +205,6 @@ def batch_ob_exists(
             shared one).  Objects observed later join the sweep when it
             reaches their timestamp, so mixed starts cost one pass, not
             one pass per start.
-        matrices: pre-built absorbing matrices (else cache/build).
-        plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
-            supplying the matrices.
         context: optional operator-timing context.
         levels: optional ``fetch_levels(depth)`` labelling of the region
             (as ``BFS_PRUNE`` takes): a frontier sweep then skips the mass
@@ -232,10 +222,6 @@ def batch_ob_exists(
     block = _as_block(chain, initials)
     starts = _normalize_starts(start_times, n_objects)
     _check_starts(window, starts)
-    matrices = BUILD_ABSORBING(
-        matrices, chain, window.region,
-        context=context, plan_cache=plan_cache,
-    )
 
     first = int(starts.min())
     schedule = SweepSchedule(
@@ -247,13 +233,12 @@ def batch_ob_exists(
         harvests={window.t_end: range(n_objects)},
         read="top",
         reach=np.append(levels(window.t_end - first), 0)
-        if levels is not None and sweeps_frontier(matrices, n_objects)
+        if levels is not None
+        and sweeps_frontier(n_objects * (chain.n_states + 1))
         else None,
         groups=groups,
     )
-    return FORWARD_SWEEP(
-        (matrices, schedule), chain, window.region, context=context
-    )
+    return FORWARD_SWEEP(schedule, chain, window.region, context=context)
 
 
 def batch_qb_exists(
@@ -267,10 +252,9 @@ def batch_qb_exists(
     """Query-based PST-exists for many objects: one backward pass over
     the chain's own matrix, one sparse product per start-time group.
 
-    Arguments mirror :func:`batch_ob_exists`; no augmented matrix is
-    built.  With a ``plan_cache`` the backward vectors themselves are
-    reused across queries, so a repeated window costs only the final
-    dot products.
+    Arguments mirror :func:`batch_ob_exists`.  With a ``plan_cache``
+    the backward vectors are reused across queries, so a repeated
+    window costs only the final dot products.
     """
     n_objects = len(initials)
     window.validate_for(chain.n_states)
@@ -302,16 +286,15 @@ def batch_exists_multi(
     chain: MarkovChain,
     observation_sets: Sequence[ObservationSet],
     window: SpatioTemporalWindow,
-    matrices: Optional[DoubledMatrices] = None,
-    plan_cache=None,
     context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Section VI PST-exists for many multi-observation objects at once.
 
-    All objects advance through the doubled state space in one stacked
-    sweep; Lemma 1 evidence fusion (elementwise product with the tiled
-    observation pdf, then renormalisation) is applied per row at each
-    object's later observation timestamps.  Each object's answer is
+    All objects advance in one stacked sweep, each as a row and its
+    "window hit" shadow row over the chain's own matrix; Lemma 1
+    evidence fusion (elementwise product with the observation pdf over
+    both rows, then renormalisation) is applied per object at its later
+    observation timestamps.  Each object's answer is
     read off at its own final timestamp, exactly as the per-object
     :func:`~repro.core.object_based.ob_exists_probability_multi` does.
 
@@ -334,10 +317,6 @@ def batch_exists_multi(
         n_objects,
     )
     _check_starts(window, starts)
-    matrices = BUILD_DOUBLED(
-        matrices, chain, window.region,
-        context=context, plan_cache=plan_cache,
-    )
 
     block = SupportBlock.from_distributions(
         [
@@ -351,11 +330,7 @@ def batch_exists_multi(
         for observation in observations.after(int(starts[row])):
             fusions.setdefault(observation.time, []).append((
                 row,
-                matrices.tile_observation(
-                    np.asarray(
-                        observation.distribution.vector, dtype=float
-                    )
-                ),
+                np.asarray(observation.distribution.vector, dtype=float),
             ))
     harvests: Dict[int, List[int]] = {}
     finals = [
@@ -374,11 +349,8 @@ def batch_exists_multi(
         fusions=fusions,
         harvests=harvests,
         read="tail",
-        read_offset=matrices.n_states,
     )
-    return FORWARD_SWEEP(
-        (matrices, schedule), chain, window.region, context=context
-    )
+    return FORWARD_SWEEP(schedule, chain, window.region, context=context)
 
 
 def batch_ktimes_distribution(
@@ -573,7 +545,6 @@ def evaluate_rows(
         for exists, ``(len(rows), |T_q| + 1)`` count distributions for
         k-times.
     """
-    shared = dict(plan_cache=plan_cache, context=context)
     if method == "mc":
         multi = np.flatnonzero(is_multi[rows])
         evidence = dict(zip(multi.tolist(), observation_sets(rows[multi])))
@@ -584,8 +555,8 @@ def evaluate_rows(
         )
     if kind == "ktimes":
         return batch_ktimes_distribution(
-            chain, block(rows), window,
-            start_times=start_time[rows], **shared,
+            chain, block(rows), window, start_times=start_time[rows],
+            plan_cache=plan_cache, context=context,
         )
     multi = is_multi[rows]
     last = last_time[rows]
@@ -601,16 +572,18 @@ def evaluate_rows(
             )
             starts = np.concatenate([starts, last[collapsed]])
             riding = np.concatenate([riding, collapsed])
-        ob = partial(
-            batch_ob_exists, levels=levels,
-            groups=None if groups is None else groups[rows[riding]],
-        )
-        evaluate = batch_qb_exists if method == "qb" else ob
+        if method == "qb":
+            evaluate = partial(batch_qb_exists, plan_cache=plan_cache)
+        else:
+            evaluate = partial(
+                batch_ob_exists, levels=levels,
+                groups=None if groups is None else groups[rows[riding]],
+            )
         answers[riding] = evaluate(
-            chain, initials, window, start_times=starts, **shared
+            chain, initials, window, start_times=starts, context=context
         )
     if doubled.any():
         answers[doubled] = batch_exists_multi(
-            chain, observation_sets(rows[doubled]), window, **shared
+            chain, observation_sets(rows[doubled]), window, context=context
         )
     return answers

@@ -128,7 +128,7 @@ class QueryEngine:
     """Evaluates PST queries over a trajectory database.
 
     Objects sharing a chain are evaluated *batched* (see
-    :mod:`repro.core.batch`); augmented matrices, backward vectors and
+    :mod:`repro.core.batch`); backward vectors, suffix-count blocks and
     BFS reachability labellings are reused across queries through the
     engine's :class:`~repro.core.plan_cache.PlanCache` and
     :class:`~repro.database.pruning.ReachabilityPruner`, so monitoring
@@ -167,14 +167,6 @@ class QueryEngine:
             pruner=self.pruner,
         )
         self._streaming = None
-        # auto-stream detection (PlanOptions.auto_stream): the last
-        # seen window signature, the stride of the last observed
-        # slide (promotion needs the same stride twice in a row), and
-        # the standing query a confirmed slide was promoted onto
-        self._auto_signature: Optional[tuple] = None
-        self._auto_times: Optional[frozenset] = None
-        self._auto_stride: Optional[int] = None
-        self._auto_standing = None
 
     # ------------------------------------------------------------------
     # public entry points
@@ -213,10 +205,6 @@ class QueryEngine:
             )
         query.window.validate_for(self.database.n_states)
         effective = resolve_options(options, method, n_samples, seed)
-        if effective.auto_stream and effective.method is None:
-            delegated = self._auto_stream_tick(query)
-            if delegated is not None:
-                return delegated
         started = _time.perf_counter()
         plan: Optional[QueryPlan] = None
         if isinstance(query, PSTExistsQuery):
@@ -313,74 +301,6 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    # auto-stream promotion (PlanOptions.auto_stream)
-    # ------------------------------------------------------------------
-    def _auto_stream_tick(self, query: PSTQuery):
-        """Serve a re-issued slid window from a standing query, or None.
-
-        A monitoring loop that calls ``evaluate`` with the same region
-        and a window whose times slide by a constant stride is exactly
-        the workload :meth:`watch` exists for.  With
-        ``PlanOptions(auto_stream=True)`` the engine detects the slide
-        -- same query type, ``k`` and relative time pattern, every
-        timestamp shifted by the same ``s >= 1`` on *two consecutive*
-        re-issues (a single slide is not a pattern; promoting
-        speculatively would rebuild a standing query per call on
-        irregular workloads) -- promotes the query onto a standing
-        query, and serves subsequent evaluations as incremental
-        ticks.  The returned result is the standing query's (values
-        agree with batch evaluation to 1e-12), with
-        ``plan.auto_streamed`` flagged so ``explain()`` shows the
-        delegation.
-        """
-        times = query.window.times
-        signature = (
-            type(query).__name__,
-            query.window.region,
-            getattr(query, "k", None),
-            tuple(sorted(t - min(times) for t in times)),
-        )
-        previous_times = (
-            self._auto_times
-            if self._auto_signature == signature
-            else None
-        )
-        stride = None
-        if previous_times is not None and times != previous_times:
-            candidate = min(times) - min(previous_times)
-            if candidate >= 1 and times == frozenset(
-                t + candidate for t in previous_times
-            ):
-                stride = candidate
-        result = None
-        if stride is None:
-            # new signature, exact repeat (plan cache already serves
-            # those), or an irregular jump: drop any promotion state
-            self._auto_stride = None
-            self._auto_standing = None
-        elif stride == self._auto_stride:
-            # the stride repeated: the window is genuinely sliding
-            standing = self._auto_standing
-            if (
-                standing is None
-                or standing.stride != stride
-                or standing.window != query.window
-            ):
-                standing = self.watch(query, stride=stride)
-                self._auto_standing = standing
-            result = standing.tick()
-            result.query = query
-            if result.plan is not None:
-                result.plan.auto_streamed = True
-        else:
-            # first slide at this stride: remember it, stay batch
-            self._auto_stride = stride
-            self._auto_standing = None
-        self._auto_signature = signature
-        self._auto_times = times
-        return result
-
-    # ------------------------------------------------------------------
     # extension queries (thin, validated pass-throughs)
     # ------------------------------------------------------------------
     def first_passage(self, object_id: str, region, horizon: int):
@@ -398,7 +318,6 @@ class QueryEngine:
             region,
             horizon,
             start_time=obj.initial.time,
-            plan_cache=self.plan_cache,
         )
 
     def nearest_neighbor(self, location, time: int) -> Dict[str, float]:

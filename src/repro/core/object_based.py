@@ -1,10 +1,14 @@
 """Object-based (OB) query processing -- Sections V-A and VI.
 
 The object-based approach evaluates a query *per object*: the object's
-distribution vector is pushed forward through time with the augmented
-matrices ``M_minus`` / ``M_plus``; the probability accumulated in the
-absorbing TOP state after the last query timestamp is exactly the
-PST-exists probability under possible-worlds semantics.
+distribution vector is pushed forward through time with the paper's
+augmented matrices ``M_minus`` / ``M_plus``; the probability
+accumulated in the absorbing TOP state after the last query timestamp
+is exactly the PST-exists probability under possible-worlds semantics.
+The sweep (:class:`~repro.exec.operators.ForwardSweep`) steps the
+chain's own matrix and moves the ``S_q`` mass onto TOP after each step
+into ``T_q``, which is the same product; no augmented matrix is
+built.
 
 Features beyond the basic loop, all from the paper:
 
@@ -15,7 +19,8 @@ Features beyond the basic loop, all from the paper:
   (:class:`~repro.exec.operators.ForwardSweep`), so each step touches
   only the states the objects can have reached;
 * **multiple observations** (Section VI): the doubled-state-space variant
-  with Lemma 1 evidence fusion at each later observation.
+  -- each object a row and its "window hit" shadow row -- with Lemma 1
+  evidence fusion at each later observation.
 """
 
 from __future__ import annotations
@@ -27,14 +32,9 @@ import numpy as np
 from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
-from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
 from repro.core.observation import ObservationSet
 from repro.core.query import SpatioTemporalWindow
-from repro.exec.operators import (
-    BUILD_ABSORBING,
-    FORWARD_SWEEP,
-    SweepSchedule,
-)
+from repro.exec.operators import FORWARD_SWEEP, SweepSchedule
 
 __all__ = [
     "ob_exists_probability",
@@ -62,9 +62,7 @@ def ob_exists_probability(
     initial: StateDistribution,
     window: SpatioTemporalWindow,
     start_time: int = 0,
-    matrices: Optional[AbsorbingMatrices] = None,
     stop_at_probability: Optional[float] = None,
-    plan_cache=None,
 ) -> float:
     """PST-exists probability of one object, object-based (Section V-A).
 
@@ -75,15 +73,9 @@ def ob_exists_probability(
         window: the query window ``S_q x T_q``.
         start_time: the timestamp of the observation (default 0, as in the
             paper's exposition).
-        matrices: pre-built absorbing matrices to reuse across objects
-            sharing a chain; built on the fly when omitted.  Must have been
-            built for exactly ``window.region``.
         stop_at_probability: when set, return as soon as ``P(TOP)`` reaches
             this value -- a lower bound sufficient for threshold queries
             (the paper's early-termination note in Section V-C).
-        plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
-            supplying the absorbing matrices across calls (ignored when
-            ``matrices`` is given).
 
     Returns:
         ``P_exists(o, S_q, T_q)`` -- exact up to float arithmetic (or a
@@ -95,10 +87,6 @@ def ob_exists_probability(
             f"chain over {chain.n_states}"
         )
     _check_window(chain, window, start_time)
-
-    matrices = BUILD_ABSORBING(
-        matrices, chain, window.region, plan_cache=plan_cache
-    )
 
     # a one-row schedule through the shared ForwardSweep operator: the
     # same kernel the batched path runs, with Section V-C early
@@ -120,7 +108,7 @@ def ob_exists_probability(
         read="top",
         stop_threshold=stop_at_probability,
     )
-    result = FORWARD_SWEEP((matrices, schedule), chain, window.region)
+    result = FORWARD_SWEEP(schedule, chain, window.region)
     return float(result[0])
 
 
@@ -151,16 +139,15 @@ def ob_exists_probability_multi(
     chain: MarkovChain,
     observations: ObservationSet,
     window: SpatioTemporalWindow,
-    matrices: Optional[DoubledMatrices] = None,
-    plan_cache=None,
 ) -> float:
     """PST-exists with multiple observations (Section VI).
 
     The first observation anchors a forward pass over the *doubled* state
-    space; every later observation is fused in with Lemma 1 (elementwise
-    product of the tiled observation pdf, then renormalisation).  The
-    result is the posterior probability of the "window hit" block after
-    all observations and all query times have been processed.
+    space (the object's row and its "window hit" shadow row); every later
+    observation is fused in with Lemma 1 (elementwise product of the
+    observation pdf over both rows, then renormalisation).  The result is
+    the posterior probability of the shadow row after all observations
+    and all query times have been processed.
 
     Raises:
         InfeasibleEvidenceError: when the observations are mutually
@@ -179,11 +166,5 @@ def ob_exists_probability_multi(
     # operator, same schedule shape, one row
     from repro.core.batch import batch_exists_multi
 
-    result = batch_exists_multi(
-        chain,
-        [observations],
-        window,
-        matrices=matrices,
-        plan_cache=plan_cache,
-    )
+    result = batch_exists_multi(chain, [observations], window)
     return float(result[0])

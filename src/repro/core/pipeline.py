@@ -145,9 +145,7 @@ class QueryPipeline:
                     plan.kind, group.cohort.is_multi[group.rows]
                 )
 
-        context = ExecutionContext(
-            self.plan_cache, faults=plan.options.faults
-        )
+        context = ExecutionContext(faults=plan.options.faults)
         values: Dict[str, ResultValue] = {}
         survivors: Dict[str, np.ndarray] = {
             group.chain_id: group.rows for group in plan.groups

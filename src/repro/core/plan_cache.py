@@ -1,18 +1,15 @@
-"""Cross-query caching of augmented matrices and backward vectors.
+"""Cross-query caching of backward vectors and suffix-count blocks.
 
-Every query against a ``(chain, region)`` pair pays a construction cost
-before the first vector--matrix product can run: the Section VI doubled
-matrices are assembled from COO triples, and the Section V-B backward
-vectors take one pass over the horizon.  That pass steps the chain's
-own matrix -- with ``v[TOP] = 1``, ``M_plus . v = M . (v with its S_q
-entries set to 1)`` -- so query-based evaluation caches only
-``"backward"`` entries and never an augmented matrix.  The object-based
-sweep steps the chain's own matrix too, so its ``"absorbing"`` entry
-is a descriptor whose Section V-A matrices are built only when read
-(the first-passage analysis).  Monitoring workloads --
-the paper's motivating iceberg/traffic scenarios -- re-issue windows
-over the same chains continuously, so that construction cost dominates
-once the products themselves are batched (see :mod:`repro.core.batch`).
+Every query-based evaluation against a ``(chain, region, T_q)`` triple
+pays one pass over the horizon before its answers are dot products: the
+Section V-B backward vectors, or Section VII's suffix-count blocks for
+k-times.  Both passes step the chain's own matrix -- with ``v[TOP] =
+1``, ``M_plus . v = M . (v with its S_q entries set to 1)`` -- so
+nothing else is worth keeping: no kernel builds an augmented matrix.
+Monitoring workloads -- the paper's motivating iceberg/traffic
+scenarios -- re-issue windows over the same chains continuously, so
+that pass dominates once the products themselves are batched (see
+:mod:`repro.core.batch`).
 
 :class:`PlanCache` is a bounded LRU cache over those artefacts, keyed by
 
@@ -50,7 +47,6 @@ import numpy as np
 
 from repro.core.errors import ValidationError
 from repro.core.markov import MarkovChain
-from repro.core.matrices import AbsorbingMatrices, DoubledMatrices
 from repro.core.query import Region, SpatioTemporalWindow
 
 __all__ = [
@@ -85,11 +81,8 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """A bounded LRU cache of query-evaluation artefacts.
-
-    Query-based evaluation stores only ``"backward"`` vectors (its pass
-    steps the chain's own matrix); the augmented matrices are built for
-    object-based sweeps, Section VI and first-passage analyses.
+    """A bounded LRU cache of query-evaluation artefacts: ``"backward"``
+    vectors and ``"ktimes_core"`` blocks.
 
     One instance per :class:`~repro.core.engine.QueryEngine` by default;
     share an instance across engines to amortise construction across
@@ -171,42 +164,6 @@ class PlanCache:
     # ------------------------------------------------------------------
     # cached constructions
     # ------------------------------------------------------------------
-    def absorbing(
-        self,
-        chain: MarkovChain,
-        region: Iterable[int],
-        context=None,
-    ) -> AbsorbingMatrices:
-        """The Section V-A matrices for ``(chain, region)``, cached; a
-        miss runs :data:`~repro.exec.operators.BUILD_ABSORBING`."""
-        return self._matrices("absorbing", chain, region, context)
-
-    def doubled(
-        self,
-        chain: MarkovChain,
-        region: Iterable[int],
-        context=None,
-    ) -> DoubledMatrices:
-        """The Section VI doubled matrices, cached; a miss runs
-        :data:`~repro.exec.operators.BUILD_DOUBLED`."""
-        return self._matrices("doubled", chain, region, context)
-
-    def _matrices(self, kind, chain, region, context):
-        from repro.exec.operators import BUILD_ABSORBING, BUILD_DOUBLED
-
-        region = Region(region)
-        key = self._key(kind, chain.fingerprint(), region)
-        with self._lock:
-            cached = self._lookup(key)
-            if cached is not None:
-                return cached
-            self.stats.misses += 1
-            self.stats._count(kind)
-        operator = BUILD_ABSORBING if kind == "absorbing" else BUILD_DOUBLED
-        value = operator.build(chain, region, context)
-        with self._lock:
-            return self._store(key, value)
-
     def backward_vectors(
         self,
         chain: MarkovChain,

@@ -1,13 +1,16 @@
 """Cost-based query planning.
 
-The paper's evaluation (Section VIII) shows that query-based and
-object-based processing trade off *data-dependently*: QB amortises one
-backward pass over arbitrarily many objects but pays a per-object dot
-product over the full state vector, OB's stacked forward sweep is
-cheaper for small groups, Monte-Carlo only competes when approximation
-is acceptable, and Section V-C pruning pays off exactly when the window
-is selective.  Up to now the *caller* had to make those choices; this
-module makes the engine plan its own execution:
+The paper's evaluation (Section VIII) compares query-based and
+object-based processing: QB amortises one backward pass over
+arbitrarily many objects but pays a per-object dot product over the
+full state vector, OB drags every object's column through a stacked
+forward sweep, Monte-Carlo only competes when approximation is
+acceptable, and Section V-C pruning pays off exactly when the window
+is selective.  With neither pass building an augmented matrix, QB is
+the faster exact kernel on every group measured (one-object groups
+included), so exact exists and for-all plan QB unless a method is
+forced; OB's price is still reported.  This module makes the engine
+plan its own execution:
 
 * :class:`CostModel` -- a small set of interpretable coefficients that
   turn group features (object counts, chain size and sparsity, query
@@ -23,10 +26,9 @@ module makes the engine plan its own execution:
   counts and timings, returned on every
   :class:`~repro.core.engine.QueryResult`.
 
-Every choice the planner makes is between *exact* strategies (unless
-``allow_approximate`` opts into MC), so planned execution is
-bit-compatible with any forced method -- the property the test suite
-asserts to 1e-12.
+Every plan is exact (unless ``allow_approximate`` opts into MC), so
+planned execution agrees with any forced exact method -- the property
+the test suite asserts to 1e-12.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "QueryPlanner",
 ]
 
-_EXACT_METHODS = ("qb", "ob")
 _ALL_METHODS = ("qb", "ob", "mc")
 _DISPATCH_MODES = ("serial", "process")
 
@@ -177,14 +178,6 @@ class PlanOptions:
             stream derived from this, so estimates do not depend on
             which other objects were pruned.
         cost_model: override the engine's cost model for this query.
-        auto_stream: let :meth:`~repro.core.engine.QueryEngine.evaluate`
-            detect a re-issued window whose times slid by the same
-            constant stride on two consecutive re-issues and
-            transparently delegate to a standing query
-            (:meth:`~repro.core.engine.QueryEngine.watch` /
-            :meth:`~repro.core.streaming.StandingQuery.tick`); the
-            delegated plan is flagged ``auto_streamed`` in
-            ``explain()`` output.
         supervisor: fault-tolerance knobs of the process dispatch
             (per-task deadlines, retries, degradation); ``None`` uses
             :class:`SupervisorPolicy`'s defaults.
@@ -203,7 +196,6 @@ class PlanOptions:
     n_samples: int = 100
     seed: Optional[int] = None
     cost_model: Optional["CostModel"] = None
-    auto_stream: bool = False
     supervisor: Optional[SupervisorPolicy] = None
     faults: Optional[object] = None
 
@@ -250,9 +242,6 @@ class CostModel:
         dense_sweep_unit: cost per non-zero per timestep *per object*
             of the stacked OB forward sweep.
         dot_unit: cost per state per object of the final QB dots.
-        build_unit: cost per non-zero of constructing augmented
-            matrices for OB and Section VI (skipped on a plan-cache
-            hit; QB builds none).
         mc_step_unit: cost per sample per timestep per object of the
             Monte-Carlo sampler.
         ktimes_unit: cost per chain non-zero per timestep per count
@@ -277,7 +266,6 @@ class CostModel:
     sweep_unit: float = 1.0
     dense_sweep_unit: float = 1.0
     dot_unit: float = 1.0
-    build_unit: float = 4.0
     mc_step_unit: float = 8.0
     ktimes_unit: float = 1.0
     object_overhead: float = 200.0
@@ -303,9 +291,7 @@ class CostModel:
         return float(cost) * self.DEFAULT_UNIT_SECONDS
 
     def qb_cost(self, features: "GroupFeatures") -> float:
-        """One shared backward pass (unless cached) + one dot/object.
-
-        No build term: the pass steps the chain's own matrix."""
+        """One shared backward pass (unless cached) + one dot/object."""
         sweep = (
             (1.0 - features.backward_cached_fraction)
             * features.horizon * features.nnz * self.sweep_unit
@@ -317,14 +303,11 @@ class CostModel:
 
     def ob_cost(self, features: "GroupFeatures") -> float:
         """One stacked forward sweep dragging every object column."""
-        build = 0.0 if features.absorbing_cached else (
-            self.build_unit * features.nnz
-        )
         sweep = (
             features.horizon * features.nnz * self.dense_sweep_unit
             * max(1, features.n_single)
         )
-        return build + sweep + features.n_single * self.object_overhead
+        return sweep + features.n_single * self.object_overhead
 
     def mc_cost(self, features: "GroupFeatures", n_samples: int) -> float:
         """Path sampling: every object pays per sample per step."""
@@ -346,11 +329,8 @@ class CostModel:
         return core + answers
 
     def multi_cost(self, features: "GroupFeatures") -> float:
-        """Section VI doubled-space sweep (informational: no choice)."""
-        build = 0.0 if features.doubled_cached else (
-            2.0 * self.build_unit * features.nnz
-        )
-        return build + (
+        """Section VI two-row sweep (informational: no choice)."""
+        return (
             features.horizon * 2.0 * features.nnz
             * self.dense_sweep_unit * max(1, features.n_multi)
         )
@@ -392,9 +372,6 @@ class GroupFeatures:
         nnz: chain transition non-zeros (sparsity).
         horizon: ``t_end`` minus the group's earliest kernel start.
         duration: ``|T_q]`` timestamps in the window.
-        absorbing_cached: Section V-A matrices already in the plan cache
-            (priced by OB only).
-        doubled_cached: Section VI matrices already in the plan cache.
         backward_cached_fraction: fraction of the group's distinct start
             times whose Section V-B backward vector is already cached.
     """
@@ -405,8 +382,6 @@ class GroupFeatures:
     nnz: int
     horizon: int
     duration: int
-    absorbing_cached: bool = False
-    doubled_cached: bool = False
     backward_cached_fraction: float = 0.0
     n_collapsed: int = 0
 
@@ -527,9 +502,6 @@ class QueryPlan:
             override or engine default) -- the pipeline reads its
             execution knobs (e.g. ``shard_min_objects``) from here so
             planning and execution never disagree.
-        auto_streamed: this plan was executed by a standing query a
-            :attr:`PlanOptions.auto_stream` evaluation transparently
-            delegated to.
         degradations: recovery events of this execution -- supervisor
             retries ("pool rebuilt after worker crash ..."), shard
             falls ("store shard ... degraded to parent ...") and tier
@@ -567,7 +539,6 @@ class QueryPlan:
         default=None, repr=False
     )
     semantics: Optional[str] = None
-    auto_streamed: bool = False
     degradations: List[str] = field(default_factory=list)
     fusion: List[str] = field(default_factory=list)
     store_stats: Optional[Dict[str, int]] = None
@@ -630,7 +601,6 @@ class QueryPlan:
                 else ""
             )
             + (", complemented" if self.complemented else "")
-            + (", auto-streamed" if self.auto_streamed else "")
             + f", method={self.requested_method}, "
             f"region |S_q|={len(region)}, "
             f"T_q=[{self.window.t_start},{self.window.t_end}])",
@@ -861,8 +831,6 @@ class QueryPlanner:
             n_states=chain.n_states + 1,
             nnz=chain.nnz,
             duration=window.duration,
-            absorbing_cached=self._cached("absorbing", chain, window),
-            doubled_cached=self._cached("doubled", chain, window),
             backward_cached_fraction=self._backward_fraction(
                 chain, window, starts.tolist()
             ),
@@ -887,15 +855,13 @@ class QueryPlanner:
                 costs["multi"] = model.multi_cost(features)
             if options.method is not None:
                 method = options.method
+            elif options.allow_approximate:
+                method = min(("qb", "mc"), key=costs.__getitem__)
             else:
-                candidates = (
-                    _ALL_METHODS
-                    if options.allow_approximate
-                    else _EXACT_METHODS
-                )
-                method = min(
-                    candidates, key=lambda name: costs.get(name, float("inf"))
-                )
+                # OB is priced, never picked: it undercuts QB only on
+                # one-object groups, where QB still ran 1.5-5.7x faster
+                # (line chains of 300 and 5,000 states, 2-core x86)
+                method = "qb"
         shard_count = None
         store_shards = getattr(self.database, "store_shards", None)
         if callable(store_shards):
@@ -918,11 +884,6 @@ class QueryPlanner:
             ),
             shard_count=shard_count,
         )
-
-    def _cached(self, kind: str, chain, window) -> bool:
-        if self.plan_cache is None:
-            return False
-        return self.plan_cache.contains(kind, chain, window.region)
 
     def _backward_fraction(
         self, chain, window, starts: Sequence[int]

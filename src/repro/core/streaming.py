@@ -525,7 +525,7 @@ class StandingQuery:
         self._error: Optional[str] = None
         # per-tick operator timing sink (reset by every tick; the
         # executed plan carries the tick's per-operator totals)
-        self.context = ExecutionContext(engine.plan_cache, faults=faults)
+        self.context = ExecutionContext(faults=faults)
         self._offset = 0
         self._base = SpatioTemporalWindow(self.region, query.times)
         self._chains: Dict[str, _ChainStream] = {}
@@ -579,9 +579,7 @@ class StandingQuery:
             )
         snapshot = self._snapshot()
         started = _time.perf_counter()
-        self.context = ExecutionContext(
-            self.engine.plan_cache, faults=self.faults
-        )
+        self.context = ExecutionContext(faults=self.faults)
         try:
             self._sync()
             if self.faults is not None:

@@ -1,9 +1,9 @@
 """Temporal analyses derived from the absorbing construction.
 
-The Section V-A absorbing matrices answer more than the window predicate:
-because the TOP state accumulates exactly the worlds that have *entered*
-the region, the increments of ``P(TOP)`` over time are the distribution
-of the **first entry time** into the region.  This module exposes that
+The Section V-A absorbing construction answers more than the window
+predicate: because the TOP state accumulates exactly the worlds that
+have *entered* the region, the increments of ``P(TOP)`` over time are
+the distribution of the **first entry time** into the region.  This module exposes that
 and the quantities built on it:
 
 * :func:`first_passage_distribution` -- ``P(first entry at t)`` for
@@ -30,7 +30,6 @@ from repro.core.errors import QueryError, ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.naive import region_marginals
 from repro.core.query import SpatioTemporalWindow
-from repro.exec.operators import BUILD_ABSORBING
 
 __all__ = [
     "FirstPassageResult",
@@ -101,13 +100,13 @@ def first_passage_distribution(
     region: Iterable[int],
     horizon: int,
     start_time: int = 0,
-    plan_cache=None,
 ) -> FirstPassageResult:
     """Distribution of the first time the object enters ``region``.
 
     Runs the absorbing iteration with *every* timestamp treated as a
-    query time; the per-step increase of the TOP mass is exactly the
-    first-entry probability mass at that step.
+    query time: each step takes the chain's own matrix and moves the
+    mass now inside the region onto TOP, and the mass moved is exactly
+    the first-entry probability at that step.
 
     Args:
         chain: the trajectory model.
@@ -115,9 +114,6 @@ def first_passage_distribution(
         region: the target region.
         horizon: last timestamp to account for (``>= start_time``).
         start_time: the observation timestamp.
-        plan_cache: optional :class:`~repro.core.plan_cache.PlanCache`
-            supplying the absorbing matrices, so repeated analyses over
-            the same ``(chain, region)`` skip construction.
     """
     if initial.n_states != chain.n_states:
         raise ValidationError(
@@ -131,29 +127,25 @@ def first_passage_distribution(
     frozen = frozenset(int(s) for s in region)
     if not frozen:
         raise QueryError("region is empty")
-    if max(frozen) >= chain.n_states:
-        raise QueryError(
-            f"region state {max(frozen)} outside [0, {chain.n_states})"
-        )
-    matrices = BUILD_ABSORBING(None, chain, frozen, plan_cache=plan_cache)
-    steps = horizon - start_time
-    all_times = frozenset(range(start_time, horizon + 1))
-    vector = matrices.extend_initial(
-        np.asarray(initial.vector, dtype=float), start_time, all_times
-    )
-    top = matrices.top_index
-    pmf = np.zeros(steps + 1, dtype=float)
-    pmf[0] = vector[top]  # mass already inside at start_time
-    previous_top = float(vector[top])
-    for offset in range(1, steps + 1):
-        vector = np.asarray(vector @ matrices.m_plus, dtype=float)
-        current_top = float(vector[top])
-        pmf[offset] = max(0.0, current_top - previous_top)
-        previous_top = current_top
+    for state in (min(frozen), max(frozen)):
+        if not 0 <= state < chain.n_states:
+            raise QueryError(
+                f"region state {state} outside [0, {chain.n_states})"
+            )
+    inside = np.zeros(chain.n_states, dtype=bool)
+    inside[list(frozen)] = True
+    vector = np.array(initial.vector, dtype=float)
+    pmf = np.zeros(horizon - start_time + 1, dtype=float)
+    for offset in range(len(pmf)):
+        if offset:
+            vector = np.asarray(vector @ chain.matrix, dtype=float)
+        # offset 0: the mass already inside at start_time
+        pmf[offset] = vector[inside].sum()
+        vector[inside] = 0.0
     return FirstPassageResult(
         start_time=start_time,
         pmf=pmf,
-        never_probability=max(0.0, 1.0 - previous_top),
+        never_probability=max(0.0, 1.0 - float(pmf.sum())),
     )
 
 

@@ -6,8 +6,7 @@ and the filter stages -- used to carry its own copy of the same few
 kernels.  This package is the single home of those kernels:
 
 * :mod:`repro.exec.operators` -- the operator abstraction
-  (:class:`~repro.exec.operators.BuildMatrices`,
-  :class:`~repro.exec.operators.ForwardSweep`,
+  (:class:`~repro.exec.operators.ForwardSweep`,
   :class:`~repro.exec.operators.BackwardSweep`,
   :class:`~repro.exec.operators.PosteriorCollapse`,
   :class:`~repro.exec.operators.MCSample`,
@@ -39,8 +38,6 @@ from repro.exec.faults import FaultInjector, FaultSpec
 from repro.exec.operators import (
     BACKWARD_SWEEP,
     BFS_PRUNE,
-    BUILD_ABSORBING,
-    BUILD_DOUBLED,
     FORWARD_SWEEP,
     LADDER_EXTEND,
     MC_SAMPLE,
@@ -48,7 +45,6 @@ from repro.exec.operators import (
     PREFILTER,
     BackwardSweep,
     BfsPrune,
-    BuildMatrices,
     ExecutionContext,
     ForwardSweep,
     LadderExtend,
@@ -62,8 +58,6 @@ from repro.exec.operators import (
 __all__ = [
     "BACKWARD_SWEEP",
     "BFS_PRUNE",
-    "BUILD_ABSORBING",
-    "BUILD_DOUBLED",
     "FORWARD_SWEEP",
     "LADDER_EXTEND",
     "MC_SAMPLE",
@@ -71,7 +65,6 @@ __all__ = [
     "PREFILTER",
     "BackwardSweep",
     "BfsPrune",
-    "BuildMatrices",
     "ExecutionContext",
     "ForwardSweep",
     "LadderExtend",

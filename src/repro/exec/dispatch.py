@@ -520,7 +520,7 @@ def _evaluate_store_shards(task: _StoreTask):
         frozenset(task.region), frozenset(task.times)
     )
     cache = _worker_cache()
-    context = ExecutionContext(cache, faults=task.faults)
+    context = ExecutionContext(faults=task.faults)
     # exact reverse-BFS reachability, resumable per (chain, region)
     # across queries exactly like the parent pruner
     levels = partial(

@@ -1,9 +1,9 @@
 """The operator layer: one implementation of every execution kernel.
 
 The Emrich et al. reduction turns every query mode into compositions of
-a small number of primitives -- build augmented matrices, sweep a
-stacked state forward, sweep an indicator backward, fuse evidence,
-sample paths, extend a backward ladder, filter candidates.  Before this
+a small number of primitives -- sweep a stacked state forward, sweep
+an indicator backward, fuse evidence, sample paths, extend a backward
+ladder, filter candidates.  Before this
 module those primitives were implemented four separate times (batched
 kernels, per-object fallbacks, Monte Carlo, streaming); now each exists
 exactly once as an :class:`Operator` and every caller -- including the
@@ -14,7 +14,7 @@ Operators share a uniform call shape::
 
     operator(inputs, chain, region, context=ctx, ...) -> arrays
 
-where ``inputs`` carries the operator-specific payload (matrices, a
+where ``inputs`` carries the operator-specific payload (a
 :class:`SweepSchedule`, a ladder base vector, ...), ``chain`` /
 ``region`` identify the artefact space, and ``context``
 is an optional :class:`ExecutionContext` whose timing hooks record one
@@ -42,10 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.errors import InfeasibleEvidenceError, QueryError
-from repro.core.matrices import (
-    build_absorbing_matrices,
-    build_doubled_matrices,
-)
+from repro.core.matrices import extend_block
 
 __all__ = [
     "ExecutionContext",
@@ -53,7 +50,6 @@ __all__ = [
     "OperatorStats",
     "SweepSchedule",
     "KTimesSchedule",
-    "BuildMatrices",
     "ForwardSweep",
     "BackwardSweep",
     "KTimesSweep",
@@ -62,8 +58,6 @@ __all__ = [
     "MCSample",
     "LadderExtend",
     "BfsPrune",
-    "BUILD_ABSORBING",
-    "BUILD_DOUBLED",
     "FORWARD_SWEEP",
     "BACKWARD_SWEEP",
     "KTIMES_SWEEP",
@@ -97,21 +91,18 @@ class OperatorStats:
 class ExecutionContext:
     """Shared state threaded through one query's operator calls.
 
-    Carries the artefact source every operator resolves against (the
-    plan cache) and collects the per-operator timing hooks.  Worker
-    processes build their own context and ship its timings back;
-    :meth:`merge` folds them into the parent's.
+    Collects the per-operator timing hooks.  Worker processes build
+    their own context and ship its timings back; :meth:`merge` folds
+    them into the parent's.
 
     Args:
-        plan_cache: construction cache operators resolve matrices from.
         faults: optional :class:`~repro.exec.faults.FaultInjector`
             whose chaos hooks every operator call reports to (fault
             injection tests only; ``None`` -- one attribute check per
             call -- in production).
     """
 
-    def __init__(self, plan_cache=None, faults=None) -> None:
-        self.plan_cache = plan_cache
+    def __init__(self, faults=None) -> None:
         self.faults = faults
         self.timings: Dict[str, OperatorStats] = {}
         # recovery events (pool rebuilds, retries) the supervisor
@@ -188,63 +179,6 @@ class Operator:
 
 
 # ----------------------------------------------------------------------
-# BuildMatrices
-# ----------------------------------------------------------------------
-class BuildMatrices(Operator):
-    """Resolve the augmented matrices for ``(chain, region)``.
-
-    ``inputs`` may carry pre-built matrices (validated against the
-    region and passed through); otherwise the plan cache (the
-    ``plan_cache`` argument, else the context's) is probed and only a
-    miss constructs.  Only construction is timed -- :meth:`build`, the
-    plan cache's miss path -- so the operator's calls count matrices
-    built: ``build_absorbing`` calls equal the cache's ``"absorbing"``
-    constructions.  Object-based sweeps, Section VI and the
-    first-passage analysis resolve through it; query-based evaluation
-    builds nothing (:class:`BackwardSweep`), and an absorbing
-    resolution is an O(1) descriptor (:class:`ForwardSweep` steps the
-    chain's own matrix).
-    """
-
-    def __init__(self, kind: str) -> None:
-        if kind not in ("absorbing", "doubled"):
-            raise QueryError(f"unknown matrix kind {kind!r}")
-        self.kind = kind
-        self.name = f"build_{kind}"
-        self._builder = (
-            build_absorbing_matrices
-            if kind == "absorbing"
-            else build_doubled_matrices
-        )
-
-    def __call__(
-        self, inputs, chain=None, region=None, context=None,
-        plan_cache=None, **_,
-    ):
-        if inputs is not None:
-            if inputs.region != region:
-                raise QueryError(
-                    "pre-built matrices were constructed for a "
-                    "different region"
-                )
-            return inputs
-        if plan_cache is None and context is not None:
-            plan_cache = context.plan_cache
-        if plan_cache is not None:
-            return getattr(plan_cache, self.kind)(
-                chain, region, context=context
-            )
-        return self.build(chain, region, context)
-
-    def build(self, chain, region, context=None):
-        """Construct the matrices, timed as one operator call."""
-        return super().__call__(None, chain, region, context=context)
-
-    def run(self, inputs, chain, region, context=None, **_):
-        return self._builder(chain, region)
-
-
-# ----------------------------------------------------------------------
 # ForwardSweep
 # ----------------------------------------------------------------------
 @dataclass
@@ -259,15 +193,15 @@ class SweepSchedule:
         n_rows: objects stacked into the sweep.
         first: timestamp of the earliest activation.
         last: timestamp after which every row has been harvested.
-        times: the query timestamps ``T_q`` (selects ``M_plus``).
+        times: the query timestamps ``T_q``.
         activations: per timestamp, the ``(rows, block)`` pair
             entering the sweep when it reaches that timestamp: stack
             row ``rows[i]`` starts from row ``i`` of the
             :class:`~repro.core.distribution.SupportBlock`.  The *raw*
-            sparse supports are stored; ``extend_block`` scatters them
-            into the stack at activation time, so the schedule never
-            materialises a second stack-sized buffer.
-        fusions: per timestamp, ``(row, tiled observation pdf)`` pairs
+            sparse supports are stored and scattered into the stack at
+            activation time, so the schedule never materialises a
+            second stack-sized buffer.
+        fusions: per timestamp, ``(row, observation pdf)`` pairs
             applied as Lemma 1 evidence fusion (elementwise product,
             renormalise; zero mass raises
             :class:`~repro.core.errors.InfeasibleEvidenceError`).
@@ -275,16 +209,16 @@ class SweepSchedule:
             whose result is read there.
         read: ``"top"`` makes the sweep absorbing (Section V-A: the
             ``S_q`` mass moves onto TOP after each step into ``T_q``)
-            and reads TOP; ``"tail"`` sums the shadow block from
-            ``read_offset`` (Section VI, the only sweeps that fuse).
-        read_offset: first index of the shadow block for ``"tail"``.
+            and reads TOP; ``"tail"`` keeps a shadow row per row for
+            the worlds that have hit ``S_q`` and reads its mass
+            (Section VI, the only sweeps that fuse).
         stop_threshold: early termination (Section V-C): stop as soon
             as every *unharvested* row's read value reaches this bound
             (single-row threshold queries); the values read so far are
             returned as lower bounds.
-        reach: per augmented state the Section V-C steps into ``S_q``
-            (TOP 0): a ``read="top"`` frontier stepping into ``t`` drops
-            mass labelled above ``last - (t - 1)``, which no kept entry needs.
+        reach: per state the Section V-C steps into ``S_q`` (TOP 0): a
+            ``read="top"`` frontier stepping into ``t`` drops mass
+            labelled above ``last - (t - 1)``, which no kept entry needs.
         groups: optional per-row group ids (a shard worker's shard per
             row): a frontier densifies each group on its own fill.
     """
@@ -299,7 +233,6 @@ class SweepSchedule:
     )
     harvests: Dict[int, List[int]] = field(default_factory=dict)
     read: str = "top"
-    read_offset: int = 0
     stop_threshold: Optional[float] = None
     reach: Optional[np.ndarray] = None
     groups: Optional[np.ndarray] = None
@@ -310,16 +243,19 @@ class _DenseStack:
 
     Kept for stacks too small to pay the frontier's bookkeeping, and
     for a frontier that has filled in.  The stack is kept *transposed*
-    -- a C-contiguous ``(states, n_rows)`` array -- so each transition
-    is ``M^T @ X^T`` over the sweep pair's cached transposes: one CSR
-    matvecs kernel call per timestep with no copies in the loop.
+    -- a C-contiguous ``(states, rows)`` array -- so each transition
+    is ``M^T @ X^T`` over the chain's cached transpose: one CSR
+    matvecs kernel call per timestep with no copies in the loop.  With
+    ``shadow`` the second half of the columns are the first half's
+    shadow rows (Section VI).
     """
 
-    def __init__(self, matrices, n_rows: int) -> None:
-        self.minus, self.plus = matrices.sweep_pair(transposed=True)
-        self.stack = np.zeros((self.minus.shape[0], n_rows), dtype=float)
+    def __init__(self, chain, n_columns: int, shadow: bool = False) -> None:
+        self.transpose = chain.transpose_matrix()
+        self.stack = np.zeros((chain.n_states, n_columns), dtype=float)
+        self.half = n_columns // 2 if shadow else None
         # per row, the mass on TOP (an absorbing sweep's answer)
-        self.absorbed = np.zeros(n_rows, dtype=float)
+        self.absorbed = np.zeros(n_columns, dtype=float)
 
     def activate(
         self, rows: np.ndarray, states: np.ndarray, values: np.ndarray
@@ -327,42 +263,47 @@ class _DenseStack:
         """Write sparse entries ``(rows[i], states[i]) = values[i]``."""
         self.stack[states, rows] = values
 
-    def fuse(self, row: int, tiled: np.ndarray) -> float:
-        """Lemma 1 on one row: multiply by ``tiled``, renormalise.
+    def fuse(self, row: int, pdf: np.ndarray) -> float:
+        """Lemma 1 on one row and its shadow: multiply by ``pdf``,
+        renormalise over both.
 
         Returns the mass before renormalising; at zero the row is left
         as it was and the caller raises.
         """
-        vector = self.stack[:, row]
-        fused = vector * tiled
+        columns = [row] if self.half is None else [row, row + self.half]
+        fused = self.stack[:, columns] * pdf[:, None]
         total = float(fused.sum())
         if total > 0.0:
-            vector[:] = fused / total
+            self.stack[:, columns] = fused / total
         return total
 
-    def read(self, rows: np.ndarray, offset: int) -> np.ndarray:
-        """Per row, the sum of the entries from ``offset`` on."""
-        return self.stack[offset:, rows].sum(axis=0)
+    def read(self, rows) -> np.ndarray:
+        """Per row, its total mass."""
+        return self.stack[:, rows].sum(axis=0)
 
     def trim(self, reach: np.ndarray, budget: int) -> None:
         """No-op: the dense stack steps every state anyway."""
 
     def absorb(self, inside: np.ndarray) -> None:
         """Move every row's mass on the states ``inside`` marks into
-        :attr:`absorbed` -- a step on ``M`` followed by this is one on
-        ``M_plus``."""
-        self.absorbed += self.stack[inside].sum(axis=0)
-        self.stack[inside] = 0.0
+        :attr:`absorbed`, or into its shadow row -- a step on ``M``
+        followed by this is one on ``M_plus``."""
+        if self.half is None:
+            self.absorbed += self.stack[inside].sum(axis=0)
+            self.stack[inside] = 0.0
+        else:
+            self.stack[inside, self.half:] += self.stack[inside, :self.half]
+            self.stack[inside, :self.half] = 0.0
 
-    def step(self, time: int, times) -> "_DenseStack":
-        self.stack = (self.plus if time in times else self.minus) @ self.stack
+    def step(self) -> "_DenseStack":
+        self.stack = self.transpose @ self.stack
         return self
 
 
 class _Frontier:
-    """The stacked distributions as a ``(n_rows, size)`` CSR frontier.
+    """The stacked distributions as a ``(rows, states)`` CSR frontier.
 
-    Each transition is one CSR x CSR product ``X @ M_t``, so a step
+    Each transition is one CSR x CSR product ``X @ M``, so a step
     costs what the objects' supports have spread to, not ``|S|`` per
     object (the paper's Fig. 9 / 11 argument for the object-based
     pass), and the frontier holds none of the zeros a dense stack
@@ -372,14 +313,20 @@ class _Frontier:
     own, which queues its steps and runs them back to back (in cache)
     when its rows are next read; the other rows keep the shared CSR
     product and the trim.  Without groups the whole stack is one group
-    and :meth:`step` hands the sweep over to its block.
+    and :meth:`step` hands the sweep over to its block.  With
+    ``shadow`` row ``r + rows / 2`` is row ``r``'s shadow (Section
+    VI); ``groups`` then covers both halves, so a row and its shadow
+    densify together and keep that layout in their block.
     """
 
-    def __init__(self, matrices, n_rows: int, groups=None) -> None:
-        self.matrices = matrices
-        self.minus, self.plus = matrices.sweep_pair()
-        width = self.minus.shape[0]
+    def __init__(
+        self, chain, n_rows: int, groups=None, shadow: bool = False
+    ) -> None:
+        self.chain = chain
+        self.matrix = chain.matrix
+        width = chain.n_states
         self.x = sp.csr_matrix((n_rows, width), dtype=float)
+        self.half = n_rows // 2 if shadow else None
         self._absorbed = np.zeros(n_rows, dtype=float)
         self.groups = (
             np.zeros(n_rows, dtype=np.int64) if groups is None
@@ -437,26 +384,31 @@ class _Frontier:
             shape=self.x.shape,
         )
 
-    def fuse(self, row: int, tiled: np.ndarray) -> float:
-        """:meth:`_DenseStack.fuse` on the row's stored entries."""
+    def fuse(self, row: int, pdf: np.ndarray) -> float:
+        """:meth:`_DenseStack.fuse` on the stored entries of the row
+        and its shadow."""
         if self.column[row] >= 0:
-            return self._block(self.groups[row]).fuse(self.column[row], tiled)
-        lo, hi = self.x.indptr[row], self.x.indptr[row + 1]
-        fused = self.x.data[lo:hi] * tiled[self.x.indices[lo:hi]]
+            return self._block(self.groups[row]).fuse(self.column[row], pdf)
+        x = self.x
+        entries = np.r_[x.indptr[row]:x.indptr[row + 1]]
+        if self.half is not None:
+            shadow = row + self.half
+            entries = np.r_[entries, x.indptr[shadow]:x.indptr[shadow + 1]]
+        fused = x.data[entries] * pdf[x.indices[entries]]
         total = float(fused.sum())
         if total > 0.0:
-            self.x.data[lo:hi] = fused / total
+            x.data[entries] = fused / total
         return total
 
-    def read(self, rows: np.ndarray, offset: int) -> np.ndarray:
+    def read(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`_DenseStack.read` as one bincount over the entries."""
         x = self.x
-        hit = x.indices >= offset
+        # float even when no entry is stored (bincount's empty case)
         out = np.bincount(
-            self._owners()[hit], weights=x.data[hit], minlength=x.shape[0]
-        )
+            self._owners(), weights=x.data, minlength=x.shape[0]
+        ).astype(float)
         for group, (block_rows, _block, _queued) in self.blocks.items():
-            out[block_rows] = self._block(group).read(slice(None), offset)
+            out[block_rows] = self._block(group).read(slice(None))
         return out[rows]
 
     def trim(self, reach: np.ndarray, budget: int) -> None:
@@ -464,26 +416,39 @@ class _Frontier:
         self._keep(reach[self.x.indices] <= budget)
 
     def absorb(self, inside: np.ndarray) -> None:
-        """:meth:`_DenseStack.absorb` on the stored entries, in place:
-        the zeros left behind drop out of the next product."""
+        """:meth:`_DenseStack.absorb` on the stored entries: the zeros
+        left behind drop out of the next product."""
         x = self.x
+        owners = self._owners()
         hit = inside[x.indices]
-        self._absorbed += np.bincount(
-            self._owners()[hit], weights=x.data[hit], minlength=x.shape[0]
-        )
-        x.data[hit] = 0.0
+        if self.half is None:
+            self._absorbed += np.bincount(
+                owners[hit], weights=x.data[hit], minlength=x.shape[0]
+            )
+            x.data[hit] = 0.0
+        else:
+            hit &= owners < self.half
+            moved = sp.csr_matrix(
+                (x.data[hit], (owners[hit] + self.half, x.indices[hit])),
+                shape=x.shape,
+            )
+            x.data[hit] = 0.0
+            self.x = x + moved
         for rows, block, queued in self.blocks.values():
             queued.append(partial(self._absorb_block, rows, block, inside))
 
     def _absorb_block(self, rows, block, inside) -> None:
+        if block.half is not None:
+            block.absorb(inside)
+            return
         self._absorbed[rows] += block.stack[inside].sum(axis=0)
         block.stack[inside] = 0.0
 
-    def step(self, time: int, times):
+    def step(self):
         """Advance one timestep; returns the stack to continue with."""
-        self.x = self.x @ (self.plus if time in times else self.minus)
+        self.x = self.x @ self.matrix
         for _rows, block, queued in self.blocks.values():
-            queued.append(partial(block.step, time, times))
+            queued.append(block.step)
         if self.x.nnz < self._dense_at.min():
             return self
         fill = np.bincount(self.groups, weights=np.diff(self.x.indptr))
@@ -495,7 +460,9 @@ class _Frontier:
         for group in full.tolist():
             rows = np.flatnonzero(self.groups == group)
             self.column[rows] = np.arange(len(rows))
-            block = _DenseStack(self.matrices, len(rows))
+            block = _DenseStack(
+                self.chain, len(rows), shadow=self.half is not None
+            )
             self.blocks[group] = rows, block, []
             mine = owner_groups == group
             block.activate(self.column[owners[mine]], self.x.indices[mine],
@@ -508,20 +475,21 @@ class _Frontier:
         return self
 
 
-# Stacks of at least this many cells (n_rows x size) sweep as a CSR
-# frontier, smaller ones stay dense.  Measured on a 2-core x86 box
-# (scipy 1.17), chains of 5 successors per state: from 12-16k cells
-# up, 1-4 rows of a 12,000-16,000-state doubled space sweep 1.4-4x
-# faster as a frontier; 5-40 rows over 1,500 states (7.5-60k cells)
-# sweep 0.4-0.9x as fast, a CSR x CSR step carrying ~60 us of fixed
-# cost a small dense step does not.
+# Stacks of at least this many cells (rows x states, TOP counted for
+# an absorbing sweep) sweep as a CSR frontier, smaller ones stay dense.
+# Measured on a 2-core x86 box (scipy 1.17), chains of 5 successors per
+# state: from 12-16k cells up, 1-4 objects over 6,000-8,000 states
+# (with their shadow rows) sweep 1.4-4x faster as a frontier; 5-40
+# rows over 1,500 states (7.5-60k cells) sweep 0.4-0.9x as fast, a
+# CSR x CSR step carrying ~60 us of fixed cost a small dense step does
+# not.
 _FRONTIER_MIN_CELLS = 1 << 15
 # A frontier holding this share of its cells densifies.  Same box:
 # one CSR step costs one dense step at 5-8 % fill (300 x 5,001 and
 # 500 x 20,001 OB stacks), and densifying costs about one dense step.
-# On 40-127-row doubled sweeps over 12,000 states and 68-125 steps,
-# 1/16 and 1/32 ran 1.0-1.3x as fast as dense, 1/8 0.6-1.0x, and
-# never densifying 0.4-0.8x.  A shard worker's stack densifies per
+# On Section VI sweeps of 40-127 objects over 6,000 states and 68-125
+# steps, 1/16 and 1/32 ran 1.0-1.3x as fast as dense, 1/8 0.6-1.0x,
+# and never densifying 0.4-0.8x.  A shard worker's stack densifies per
 # row group (per shard): on a 16-shard store of 2,000 objects x 4,001
 # states, region [0, 1599], times [60, 120], OB with the filters off,
 # one stack per worker densified on its aggregate fill and took
@@ -531,69 +499,95 @@ _FRONTIER_MIN_CELLS = 1 << 15
 _DENSE_FILL = 1 / 16
 
 
-def sweeps_frontier(matrices, n_rows: int) -> bool:
-    """Whether a sweep of ``n_rows`` starts on a :class:`_Frontier`."""
-    return n_rows * matrices.size >= _FRONTIER_MIN_CELLS
+def sweeps_frontier(n_cells: int) -> bool:
+    """Whether a sweep over ``n_cells`` stack cells starts on a
+    :class:`_Frontier`."""
+    return n_cells >= _FRONTIER_MIN_CELLS
 
 
 class ForwardSweep(Operator):
     """One stacked forward pass executing a :class:`SweepSchedule`.
 
     This is the single implementation behind the Section V-A
-    object-based pass, the Section VI doubled-space pass (via
-    ``fusions`` + ``read="tail"``), and the per-object OB fallback
-    (a one-row schedule).  ``inputs`` is ``(matrices, schedule)``;
-    the result is one value per schedule row.
+    object-based pass, the Section VI pass (via ``fusions`` +
+    ``read="tail"``), and the per-object OB fallback (a one-row
+    schedule).  ``inputs`` is the schedule; the result is one value
+    per schedule row.  Every step multiplies by the chain's own ``M``;
+    no augmented matrix is built.
+
+    An absorbing (Section V-A) sweep keeps TOP's mass per row in the
+    stack's ``absorbed`` vector: ``x . M_minus`` is ``x_real . M`` with
+    TOP kept, and ``x . M_plus`` is that with the ``S_q`` mass then
+    moved onto TOP, which the sweep does after each step into ``T_q``;
+    ``read="top"`` reads ``absorbed``.  A Section VI sweep stacks each
+    object as two rows over the real states: row ``r`` has not hit
+    ``S_q`` yet and its shadow row ``r + n_rows`` has.  Both step on
+    ``M``, and after each step into ``T_q`` (or at a start at a query
+    time) row ``r``'s ``S_q`` entries move into the shadow row -- this
+    is ``diag(M, M)`` followed by the ``M_in`` move, the doubled
+    ``M_plus``.  A fusion multiplies both rows by the pdf and
+    renormalises over the two together; ``read="tail"`` sums the
+    shadow row.
 
     A stack of at least ``_FRONTIER_MIN_CELLS`` cells sweeps as a
     :class:`_Frontier`, a smaller one as a :class:`_DenseStack`.  Both
-    give the same answers to rounding; a frontier trims to
+    give the same answers to rounding; an absorbing frontier trims to
     ``schedule.reach``.
-    An absorbing (Section V-A) sweep steps the chain's own ``M`` over
-    the real states and keeps TOP's mass per row in the stack's
-    ``absorbed`` vector: ``x . M_minus`` is ``x_real . M`` with TOP
-    kept, and ``x . M_plus`` is that with the ``S_q`` mass then moved
-    onto TOP, which the sweep does after each step into ``T_q``.  So
-    no augmented matrix is built for it; ``read="top"`` reads
-    ``absorbed``.
     """
 
     name = "forward_sweep"
 
     def run(self, inputs, chain, region, context=None, **_):
-        matrices, schedule = inputs
-        if sweeps_frontier(matrices, schedule.n_rows):
-            stack = _Frontier(matrices, schedule.n_rows, schedule.groups)
-        else:
-            stack = _DenseStack(matrices, schedule.n_rows)
-        result = np.zeros(schedule.n_rows, dtype=float)
-
-        def read(rows) -> np.ndarray:
-            if schedule.read == "top":
-                return stack.absorbed[rows]
-            return stack.read(rows, schedule.read_offset)
-
-        every_row = np.arange(schedule.n_rows)
-        width = stack.minus.shape[0]
+        schedule = inputs
+        n, n_rows = chain.n_states, schedule.n_rows
         absorbs = schedule.read == "top"
         if absorbs:
-            inside = np.zeros(width, dtype=bool)
-            inside[matrices.region.array] = True
+            height, cells, groups = n_rows, n_rows * (n + 1), schedule.groups
+        else:
+            # Section VI: row r + n_rows is row r's shadow
+            height = 2 * n_rows
+            cells = height * n
+            groups = schedule.groups
+            if groups is not None:
+                groups = np.tile(groups, 2)
+        if sweeps_frontier(cells):
+            stack = _Frontier(chain, height, groups, shadow=not absorbs)
+        else:
+            stack = _DenseStack(chain, height, shadow=not absorbs)
+        result = np.zeros(n_rows, dtype=float)
+
+        def read(rows) -> np.ndarray:
+            if absorbs:
+                return stack.absorbed[rows]
+            return stack.read(rows + n_rows)
+
+        every_row = np.arange(n_rows)
+        inside = np.zeros(n, dtype=bool)
+        inside[region.array] = True
 
         def visit(time: int) -> bool:
             if time in schedule.activations:
                 rows, block = schedule.activations[time]
-                entry_rows, states, values = matrices.extend_block(
-                    block, time, schedule.times
-                )
-                rows = rows[entry_rows]
-                # TOP entries (past the real states an absorbing sweep
-                # steps) start the row's absorbed mass; rows are fresh
-                top = states >= width
-                stack.absorbed[rows[top]] = values[top]
-                stack.activate(rows[~top], states[~top], values[~top])
-            for row, tiled in schedule.fusions.get(time, ()):
-                if stack.fuse(row, tiled) <= 0.0:
+                if absorbs:
+                    entry_rows, states, values = extend_block(
+                        block, region, time, schedule.times
+                    )
+                    rows = rows[entry_rows]
+                    # TOP entries start the row's absorbed mass; rows
+                    # are fresh
+                    top = states == n
+                    stack.absorbed[rows[top]] = values[top]
+                    rows, states, values = rows[~top], states[~top], values[~top]
+                else:
+                    rows, states, values = (
+                        rows[block.entry_rows()], block.states, block.probs
+                    )
+                    if time in schedule.times:
+                        # a start at a query time has hit S_q already
+                        rows = np.where(inside[states], rows + n_rows, rows)
+                stack.activate(rows, states, values)
+            for row, pdf in schedule.fusions.get(time, ()):
+                if stack.fuse(row, pdf) <= 0.0:
                     raise InfeasibleEvidenceError(
                         f"observation at t={time} contradicts the "
                         f"trajectory model: posterior mass is zero"
@@ -614,8 +608,8 @@ class ForwardSweep(Operator):
         for time in range(schedule.first + 1, schedule.last + 1):
             if schedule.reach is not None:
                 stack.trim(schedule.reach, schedule.last - (time - 1))
-            stack = stack.step(time, schedule.times)
-            if absorbs and time in schedule.times:
+            stack = stack.step()
+            if time in schedule.times:
                 stack.absorb(inside)
             if visit(time):
                 return read(every_row)
@@ -1011,8 +1005,6 @@ class BfsPrune(Operator):
 
 # Shared singleton instances -- operators are stateless, so one of each
 # serves every caller (including forked workers).
-BUILD_ABSORBING = BuildMatrices("absorbing")
-BUILD_DOUBLED = BuildMatrices("doubled")
 FORWARD_SWEEP = ForwardSweep()
 BACKWARD_SWEEP = BackwardSweep()
 KTIMES_SWEEP = KTimesSweep()

@@ -29,12 +29,12 @@ from repro import (
     batch_exists_multi,
     batch_ob_exists,
     batch_qb_exists,
-    build_absorbing_matrices,
     ob_exists_probability,
     ob_exists_probability_multi,
 )
 from repro.core.errors import QueryError, ValidationError
 
+from augmented import build_absorbing_matrices
 from conftest import random_chain, random_distribution, random_window
 from test_montecarlo import reference_exists
 
@@ -132,14 +132,15 @@ class TestBatchObExists:
                 start_times=[0, 0],
             )
 
-    def test_foreign_matrices_rejected(self, paper_chain, paper_window):
-        other = build_absorbing_matrices(paper_chain, {2})
-        with pytest.raises(QueryError):
+    def test_matrices_argument_removed(self, paper_chain, paper_window):
+        # the sweep steps the chain's own matrix: there is nothing to
+        # hand it pre-built
+        with pytest.raises(TypeError):
             batch_ob_exists(
                 paper_chain,
                 [StateDistribution.point(3, 0)],
                 paper_window,
-                matrices=other,
+                matrices=None,
             )
 
 

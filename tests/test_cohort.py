@@ -469,13 +469,12 @@ class TestCanonicalRegionKey:
         first = SpatioTemporalWindow([16, 14, 15], {5, 6})
         second = SpatioTemporalWindow((15, 16, 14), [6, 5])
         cache = PlanCache()
-        matrices = cache.absorbing(chain, first.region)
-        assert cache.absorbing(chain, second.region) is matrices
-        assert cache.absorbing(chain, [15, 14, 16]) is matrices
-        assert cache.contains("absorbing", chain, frozenset({14, 15, 16}))
-        assert cache.stats.constructions == {"absorbing": 1}
         vectors = cache.backward_vectors(chain, first, [1])
         assert cache.backward_vectors(chain, second, [1])[1] is vectors[1]
+        assert cache.contains(
+            "backward", chain, [15, 14, 16], (second.times, 1)
+        )
+        assert cache.stats.constructions == {"backward": 1}
         pruner = ReachabilityPruner(database)
         levels = pruner.levels("bus", first.region, 4)
         assert pruner.levels("bus", second.region, 4) is levels

@@ -35,17 +35,11 @@ from repro.core.batch import (
     collapse_posteriors,
 )
 from repro.core.distribution import SupportBlock
-from repro.core.errors import InfeasibleEvidenceError, QueryError
-from repro.core.matrices import (
-    build_absorbing_matrices,
-    build_doubled_matrices,
-)
-from repro.core.plan_cache import PlanCache
+from repro.core.errors import InfeasibleEvidenceError
 from repro.database.pruning import reachability_levels
 from repro.exec import operators
 from repro.exec.operators import (
     BACKWARD_SWEEP,
-    BUILD_ABSORBING,
     FORWARD_SWEEP,
     LADDER_EXTEND,
     POSTERIOR_COLLAPSE,
@@ -55,6 +49,9 @@ from repro.exec.operators import (
 )
 from repro.store.sharded import ShardedTrajectoryStore
 from repro.workloads.synthetic import make_line_chain
+
+from augmented import build_absorbing_matrices, build_doubled_matrices
+from conftest import random_chain, random_distribution
 
 N_STATES = 60
 WINDOW = SpatioTemporalWindow.from_ranges(20, 30, 6, 9)
@@ -100,9 +97,9 @@ def taken(monkeypatch):
     """Class names of the sweep stacks built, in construction order."""
     names = []
     for cls in (operators._DenseStack, operators._Frontier):
-        def spy(*args, _cls=cls):
+        def spy(*args, _cls=cls, **kwargs):
             names.append(_cls.__name__)
-            return _cls(*args)
+            return _cls(*args, **kwargs)
 
         monkeypatch.setattr(operators, cls.__name__, spy)
     return names
@@ -125,8 +122,9 @@ def near(rng, n_rows, low=1950, high=2050, width=5):
 def rowwise(matrices, schedule):
     """``schedule`` with every row stepped on its own through the built
     augmented (absorbing) or doubled pair, ``x @ matrix_for_target_time``:
-    the same activations, Lemma 1 fusions, harvests and early stop as
-    the stacked sweep, none of its code."""
+    the same activations, Lemma 1 fusions (the pdf tiled over both
+    blocks), harvests and early stop as the stacked sweep, none of its
+    code."""
     n_rows, first, last = schedule.n_rows, schedule.first, schedule.last
     # per row, the value the schedule reads at every time first..last
     reads = np.zeros((n_rows, last - first + 1))
@@ -142,15 +140,15 @@ def rowwise(matrices, schedule):
                     x = x @ matrices.matrix_for_target_time(
                         time, schedule.times
                     )
-                for fused_row, tiled in schedule.fusions.get(time, ()):
+                for fused_row, pdf in schedule.fusions.get(time, ()):
                     if fused_row == row:
-                        x = x * tiled
+                        x = x * matrices.tile_observation(pdf)
                         if x.sum() <= 0.0:
                             raise InfeasibleEvidenceError(f"t={time}")
                         x = x / x.sum()
                 reads[row, time - first] = (
                     x[-1] if schedule.read == "top"
-                    else x[schedule.read_offset:].sum()
+                    else matrices.hit_probability(x)
                 )
     if schedule.stop_threshold is not None:
         for column in reads.T:
@@ -167,8 +165,8 @@ def against_rowwise(wide, kind, schedule, taken):
     """Run ``schedule`` as one stacked sweep and row by row on the
     built matrices; they agree to 1e-12.  Returns the sweep's answer
     and the stacks it built."""
-    _, matrices = wide
-    answer = FORWARD_SWEEP((matrices[kind], schedule))
+    chain, matrices = wide
+    answer = FORWARD_SWEEP(schedule, chain, WIDE_WINDOW.region)
     built = list(taken)
     reference = rowwise(matrices[kind], schedule)
     np.testing.assert_allclose(answer, reference, rtol=0, atol=1e-12)
@@ -216,22 +214,27 @@ class TestTimingHooks:
         assert other.timings == context.timings
 
 
-class TestBuildMatrices:
-    def test_resolves_through_plan_cache(self, chain):
-        cache = PlanCache()
-        context = ExecutionContext(plan_cache=cache)
-        first = BUILD_ABSORBING(
-            None, chain, WINDOW.region, context=context
+class TestNothingBuilt:
+    def test_ob_and_section6_construct_nothing(self, chain):
+        """Forced OB over single and re-sighted objects (one seen inside
+        the window, so Section VI runs) leaves the plan cache empty and
+        times no build operator."""
+        database = TrajectoryDatabase.with_chain(chain)
+        database.add(UncertainObject.with_distribution(
+            "single", StateDistribution.uniform(N_STATES, range(22, 27))
+        ))
+        database.add(UncertainObject("inside", ObservationSet.of(
+            Observation.uniform(0, N_STATES, range(18, 24)),
+            Observation.uniform(7, N_STATES, range(20, 34)),
+        )))
+        engine = QueryEngine(database)
+        result = engine.evaluate(PSTExistsQuery(WINDOW), method="ob")
+        assert engine.plan_cache.stats.constructions == {}
+        assert set(result.plan.operator_seconds) >= {"forward_sweep"}
+        assert not any(
+            name.startswith("build") for name in result.plan.operator_seconds
         )
-        second = BUILD_ABSORBING(
-            None, chain, WINDOW.region, context=context
-        )
-        assert first is second
-        assert cache.stats.constructions["absorbing"] == 1
-
-    def test_prebuilt_region_mismatch_raises(self, chain, matrices):
-        with pytest.raises(QueryError):
-            BUILD_ABSORBING(matrices, chain, frozenset({0, 1}))
+        assert min(result.values.values()) > 0.0
 
 
 class TestAbsorbingSweepOnTheChain:
@@ -271,10 +274,8 @@ class TestAbsorbingSweepOnTheChain:
         ("wide", 12, "_Frontier"),
     ])
     def test_matches_the_augmented_pair_and_builds_neither(
-        self, seed, gapped, size, n_rows, stack, taken, monkeypatch,
+        self, seed, gapped, size, n_rows, stack, taken,
     ):
-        import repro.core.matrices as matrices_module
-
         rng = np.random.default_rng(seed)
         if size == "small":
             chain = make_line_chain(N_STATES, rng=rng)
@@ -296,11 +297,6 @@ class TestAbsorbingSweepOnTheChain:
             [(0, 2, t_min, t_min + 1)[row % 4] for row in range(n_rows)]
         )
         expected = self.reference(chain, window, initials, starts)
-
-        def unbuilt(*_):
-            raise AssertionError("an augmented matrix was built")
-
-        monkeypatch.setattr(matrices_module, "_absorbing_matrix", unbuilt)
         activations = {}
         for start in np.unique(starts):
             rows = np.flatnonzero(starts == start)
@@ -310,8 +306,7 @@ class TestAbsorbingSweepOnTheChain:
                     [initials[row] for row in rows], chain.n_states
                 ),
             )
-        answer = FORWARD_SWEEP((
-            build_absorbing_matrices(chain, window.region),
+        answer = FORWARD_SWEEP(
             SweepSchedule(
                 n_rows=n_rows,
                 first=0,
@@ -321,7 +316,8 @@ class TestAbsorbingSweepOnTheChain:
                 harvests={window.t_end: range(n_rows)},
                 read="top",
             ),
-        ))
+            chain, window.region,
+        )
         assert taken == [stack]
         assert expected.max() > 0.0
         np.testing.assert_allclose(answer, expected, rtol=0, atol=1e-12)
@@ -339,11 +335,8 @@ class TestForwardSweep:
             activations={0: one_row(initial)},
             harvests={WINDOW.t_end: [0]},
             read="top",
-            read_offset=matrices.top_index,
         )
-        forward = FORWARD_SWEEP(
-            (matrices, schedule), chain, WINDOW.region
-        )
+        forward = FORWARD_SWEEP(schedule, chain, WINDOW.region)
         backward = BACKWARD_SWEEP((WINDOW, [0]), chain, WINDOW.region)
         extended = matrices.extend_initial(
             np.asarray(initial.vector, dtype=float), 0, WINDOW.times
@@ -362,26 +355,19 @@ class TestForwardSweep:
             activations={0: one_row(initial)},
             harvests={WINDOW.t_end: [0]},
             read="top",
-            read_offset=matrices.top_index,
         )
         exact = FORWARD_SWEEP(
-            (matrices, SweepSchedule(**base_schedule)),
-            chain,
-            WINDOW.region,
+            SweepSchedule(**base_schedule), chain, WINDOW.region
         )[0]
         assert exact > 0.05
         bounded = FORWARD_SWEEP(
-            (
-                matrices,
-                SweepSchedule(**base_schedule, stop_threshold=0.05),
-            ),
+            SweepSchedule(**base_schedule, stop_threshold=0.05),
             chain,
             WINDOW.region,
         )[0]
         assert 0.05 <= bounded <= exact + 1e-12
 
     def test_infeasible_fusion_raises(self, chain):
-        doubled = build_doubled_matrices(chain, WINDOW.region)
         start = StateDistribution.point(N_STATES, 0)
         contradiction = np.zeros(N_STATES, dtype=float)
         contradiction[N_STATES - 1] = 1.0  # unreachable in 1 step
@@ -391,15 +377,12 @@ class TestForwardSweep:
             last=2,
             times=WINDOW.times,
             activations={0: one_row(start)},
-            fusions={1: [(
-                0, doubled.tile_observation(contradiction)
-            )]},
+            fusions={1: [(0, contradiction)]},
             harvests={2: [0]},
             read="tail",
-            read_offset=doubled.n_states,
         )
         with pytest.raises(InfeasibleEvidenceError):
-            FORWARD_SWEEP((doubled, schedule), chain, WINDOW.region)
+            FORWARD_SWEEP(schedule, chain, WINDOW.region)
 
     @pytest.mark.parametrize("n_rows, stack", ABSORBING_SIDES)
     def test_mixed_activations_match_rowwise(self, wide, taken, n_rows, stack):
@@ -412,12 +395,11 @@ class TestForwardSweep:
             2: (groups[1], near(rng, len(groups[1]))),
             5: (groups[2], near(rng, len(groups[2]), 2007, 2009)),
         }
-        top = wide[1][ABSORBING].top_index
         answer, built = against_rowwise(wide, ABSORBING, SweepSchedule(
             n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
             times=WIDE_WINDOW.times, activations=activations,
             harvests={WIDE_WINDOW.t_end: range(n_rows)},
-            read="top", read_offset=top,
+            read="top",
         ), taken)
         assert built == [stack]
         # states 2007-2010 of the five are inside: 0.6 is on TOP at once
@@ -427,7 +409,6 @@ class TestForwardSweep:
     @pytest.mark.parametrize("n_rows, stack", DOUBLED_SIDES)
     def test_doubled_fusions_match_rowwise(self, wide, taken, n_rows, stack):
         rng = np.random.default_rng(n_rows)
-        doubled = wide[1][DOUBLED]
         centers = rng.integers(1950, 2050, n_rows)
         first = SupportBlock.from_distributions(
             [
@@ -438,11 +419,9 @@ class TestForwardSweep:
         )
 
         def sighting(row):
-            return doubled.tile_observation(np.asarray(
-                StateDistribution.uniform(
-                    WIDE_STATES, range(centers[row] - 30, centers[row] + 35)
-                ).vector
-            ))
+            return np.asarray(StateDistribution.uniform(
+                WIDE_STATES, range(centers[row] - 30, centers[row] + 35)
+            ).vector)
 
         rows = np.arange(n_rows)
         # odd rows join at 3; every row is re-sighted before the
@@ -460,7 +439,7 @@ class TestForwardSweep:
             },
             fusions=fusions,
             harvests={WIDE_WINDOW.t_end: rows[1:], 9: [0]},
-            read="tail", read_offset=doubled.n_states,
+            read="tail",
         ), taken)
         assert built == [stack]
         assert 0.0 < answer.min() and answer.max() < 1.0
@@ -468,16 +447,15 @@ class TestForwardSweep:
     @pytest.mark.parametrize("n_rows, stack", ABSORBING_SIDES)
     def test_stop_threshold_matches_rowwise(self, wide, taken, n_rows, stack):
         rng = np.random.default_rng(n_rows)
-        top = wide[1][ABSORBING].top_index
         base = dict(
             n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
             times=WIDE_WINDOW.times,
             activations={0: (np.arange(n_rows), near(rng, n_rows, 1995, 2001))},
             harvests={WIDE_WINDOW.t_end: range(n_rows)},
-            read="top", read_offset=top,
+            read="top",
         )
         exact = FORWARD_SWEEP(
-            (wide[1][ABSORBING], SweepSchedule(**base))
+            SweepSchedule(**base), wide[0], WIDE_WINDOW.region
         )
         taken.clear()
         bounded, built = against_rowwise(
@@ -494,21 +472,18 @@ class TestForwardSweep:
         self, wide, taken, n_rows, stack
     ):
         rng = np.random.default_rng(n_rows)
-        doubled = wide[1][DOUBLED]
         contradiction = np.zeros(WIDE_STATES, dtype=float)
         contradiction[0] = 1.0  # ~2,000 states from any row's start
         schedule = SweepSchedule(
             n_rows=n_rows, first=0, last=WIDE_WINDOW.t_end,
             times=WIDE_WINDOW.times,
             activations={0: (np.arange(n_rows), near(rng, n_rows))},
-            fusions={1: [(
-                n_rows - 1, doubled.tile_observation(contradiction)
-            )]},
+            fusions={1: [(n_rows - 1, contradiction)]},
             harvests={WIDE_WINDOW.t_end: range(n_rows)},
-            read="tail", read_offset=doubled.n_states,
+            read="tail",
         )
         with pytest.raises(InfeasibleEvidenceError, match="t=1"):
-            FORWARD_SWEEP((doubled, schedule))
+            FORWARD_SWEEP(schedule, wide[0], WIDE_WINDOW.region)
         assert taken == [stack]
 
     def test_frontier_densifies_on_long_horizons(self, wide, taken):
@@ -522,7 +497,6 @@ class TestForwardSweep:
             activations={0: (np.arange(n_rows), near(rng, n_rows))},
             harvests={window.t_end: range(n_rows)},
             read="top",
-            read_offset=wide[1][ABSORBING].top_index,
         ), taken)
         assert built == ["_Frontier", "_DenseStack"]
         assert 0.0 < answer.min()
@@ -533,7 +507,6 @@ class TestForwardSweep:
         n_states, n_rows = 8000, 2000
         chain = make_line_chain(n_states, seed=3)
         window = SpatioTemporalWindow.from_ranges(3990, 4010, 3, 5)
-        matrices = build_absorbing_matrices(chain, window.region)
         starts = np.random.default_rng(3).integers(0, n_states - 5, n_rows)
         block = SupportBlock(
             n_states,
@@ -545,11 +518,11 @@ class TestForwardSweep:
             n_rows=n_rows, first=0, last=window.t_end, times=window.times,
             activations={0: (np.arange(n_rows), block)},
             harvests={window.t_end: range(n_rows)},
-            read="top", read_offset=matrices.top_index,
+            read="top",
         )
         tracemalloc.start()
         try:
-            answer = FORWARD_SWEEP((matrices, schedule))
+            answer = FORWARD_SWEEP(schedule, chain, window.region)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -761,8 +734,7 @@ class TestReachTrim:
         )
 
     def test_stop_threshold(self, wide, taken):
-        chain, matrices = wide
-        absorbing = matrices[ABSORBING]
+        chain, _ = wide
         rng = np.random.default_rng(59)
         n_rows = 12
         base = dict(
@@ -772,15 +744,16 @@ class TestReachTrim:
                 0: (np.arange(n_rows), near(rng, n_rows, 1995, 2001))
             },
             harvests={WIDE_WINDOW.t_end: range(n_rows)},
-            read="top", read_offset=absorbing.top_index,
+            read="top",
             stop_threshold=0.05,
         )
         reach = np.append(
             fetch_levels(chain, WIDE_WINDOW)(WIDE_WINDOW.t_end), 0
         )
-        untrimmed = FORWARD_SWEEP((absorbing, SweepSchedule(**base)))
+        region = WIDE_WINDOW.region
+        untrimmed = FORWARD_SWEEP(SweepSchedule(**base), chain, region)
         trimmed = FORWARD_SWEEP(
-            (absorbing, SweepSchedule(**base, reach=reach))
+            SweepSchedule(**base, reach=reach), chain, region
         )
         assert taken == ["_Frontier", "_Frontier"]
         np.testing.assert_array_equal(trimmed, untrimmed)
@@ -838,8 +811,8 @@ class TestRowGroups:
         built = []
 
         class Recording(FRONTIER):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(self)
 
         monkeypatch.setattr(operators, "_Frontier", Recording)
@@ -888,7 +861,6 @@ class TestRowGroups:
         assert taken == ["_Frontier", "_DenseStack"]
 
     def test_late_rows_join_a_dense_block(self, wide, frontiers):
-        _, matrices = wide
         rng = np.random.default_rng(73)
         # group 0's 400-state supports fill it at the first step; two
         # of its rows and two of group 1's narrow ones join at t=3
@@ -905,7 +877,7 @@ class TestRowGroups:
                 0: (early, block.take(early)), 3: (late, block.take(late)),
             },
             harvests={WIDE_WINDOW.t_end: range(16)},
-            read="top", read_offset=matrices[ABSORBING].top_index,
+            read="top",
             groups=np.repeat([0, 1], 8),
         )
         answer, _ = against_rowwise(wide, ABSORBING, schedule, [])
@@ -915,17 +887,15 @@ class TestRowGroups:
         assert answer[wide_rows].min() > 0.0
 
     def test_fusions_on_a_dense_block_match_rowwise(self, wide, frontiers):
-        _, matrices = wide
-        doubled = matrices[DOUBLED]
         rng = np.random.default_rng(79)
         block = near(rng, 3, 1700, 1800, width=800).concat(
             near(rng, 3, 1950, 2000)
         )
 
         def sighting(low, high):
-            return doubled.tile_observation(np.asarray(
+            return np.asarray(
                 StateDistribution.uniform(WIDE_STATES, range(low, high)).vector
-            ))
+            )
 
         rows = np.arange(6)
         answer, built = against_rowwise(wide, DOUBLED, SweepSchedule(
@@ -936,12 +906,140 @@ class TestRowGroups:
                 6: [(1, sighting(1800, 2200))],
             },
             harvests={WIDE_WINDOW.t_end: rows[1:], 9: [0]},
-            read="tail", read_offset=doubled.n_states,
+            read="tail",
             groups=np.array([0, 0, 0, 1, 1, 1]),
         ), [])
         assert len(frontiers) == 1
         assert list(frontiers[0].blocks) == [0]
         assert 0.0 < answer.min() and answer.max() < 1.0
+
+
+TINY_STATES = 7
+TINY_TIMES = frozenset({2, 3, 4})
+
+
+class TestSectionVITwoRows:
+    """A Section VI sweep stacks each object as a row and its "window
+    hit" shadow row over the chain's own ``M``; on tiny chains it
+    answers as the doubled pair stepped row by row does, at 1e-12, on
+    every stack: dense, a frontier that stays sparse, one that hands
+    over to a dense stack, and one densifying per row group."""
+
+    # mode -> (_FRONTIER_MIN_CELLS, _DENSE_FILL, groups, stacks built)
+    MODES = {
+        "dense": (operators._FRONTIER_MIN_CELLS, operators._DENSE_FILL,
+                  None, ["_DenseStack"]),
+        "frontier": (0, 2.0, None, ["_Frontier"]),
+        "densifying": (0, 1 / 16, None, ["_Frontier", "_DenseStack"]),
+        "grouped": (0, 1 / 16, np.array([0, 1, 0, 1, 0, 1]),
+                    ["_Frontier", "_DenseStack", "_DenseStack"]),
+    }
+
+    @pytest.fixture(params=list(MODES))
+    def mode(self, request, monkeypatch, taken):
+        min_cells, fill, groups, stacks = self.MODES[request.param]
+        monkeypatch.setattr(operators, "_FRONTIER_MIN_CELLS", min_cells)
+        monkeypatch.setattr(operators, "_DENSE_FILL", fill)
+        return groups, stacks
+
+    @staticmethod
+    def case(seed, groups=None):
+        """A tiny chain and a six-row schedule: rows start before
+        (t=0, 1), at (t=2) and inside (t=3) the window T_q = {2, 3, 4};
+        Lemma 1 fusions land before (t=1), at (t=2, one on a row that
+        starts then) and inside (t=3) the window, and one after t_end
+        (t=6, that row read there)."""
+        rng = np.random.default_rng(seed)
+        chain = random_chain(TINY_STATES, rng, density=0.5)
+        region = frozenset(
+            int(s) for s in rng.choice(TINY_STATES, 3, replace=False)
+        )
+        window = SpatioTemporalWindow(region, TINY_TIMES)
+        starts = np.array([0, 0, 1, 2, 2, 3])
+        firsts = [
+            random_distribution(TINY_STATES, rng, sparse=True)
+            for _ in starts
+        ]
+        activations = {
+            int(start): (
+                np.flatnonzero(starts == start),
+                SupportBlock.from_distributions(
+                    [firsts[row] for row in np.flatnonzero(starts == start)],
+                    TINY_STATES,
+                ),
+            )
+            for start in np.unique(starts)
+        }
+
+        def pdf():
+            return np.asarray(random_distribution(TINY_STATES, rng).vector)
+
+        schedule = SweepSchedule(
+            n_rows=6, first=0, last=6, times=TINY_TIMES,
+            activations=activations,
+            fusions={
+                1: [(0, pdf())],
+                2: [(1, pdf()), (3, pdf())],
+                3: [(2, pdf()), (5, pdf())],
+                6: [(4, pdf())],
+            },
+            harvests={4: [0, 1, 2, 3, 5], 6: [4]},
+            read="tail",
+            groups=groups,
+        )
+        return chain, window, schedule
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_doubled_pair(self, seed, mode, taken):
+        groups, stacks = mode
+        chain, window, schedule = self.case(seed, groups)
+        answer = FORWARD_SWEEP(schedule, chain, window.region)
+        expected = rowwise(
+            build_doubled_matrices(chain, window.region), schedule
+        )
+        assert taken == stacks
+        np.testing.assert_allclose(answer, expected, rtol=0, atol=1e-12)
+        assert 0.0 < answer.max() and answer.min() < 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stop_threshold_matches_the_doubled_pair(self, seed, mode):
+        groups, _ = mode
+        chain, window, schedule = self.case(seed, groups)
+        schedule.stop_threshold = 0.2
+        np.testing.assert_allclose(
+            FORWARD_SWEEP(schedule, chain, window.region),
+            rowwise(build_doubled_matrices(chain, window.region), schedule),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_infeasible_evidence_keeps_its_message(self, mode):
+        groups, _ = mode
+        # a line: one state per step at most, so state 6 is out of
+        # reach one step after state 0
+        matrix = np.eye(TINY_STATES) * 0.5
+        matrix[np.arange(TINY_STATES - 1), np.arange(1, TINY_STATES)] = 0.5
+        matrix[-1, -1] = 1.0
+        chain = MarkovChain(matrix)
+        far = np.zeros(TINY_STATES)
+        far[-1] = 1.0
+        schedule = SweepSchedule(
+            n_rows=6, first=0, last=4, times=TINY_TIMES,
+            activations={0: (np.arange(6), SupportBlock.from_distributions(
+                [StateDistribution.point(TINY_STATES, 0)] * 6, TINY_STATES,
+            ))},
+            fusions={1: [(5, far)]},
+            harvests={4: range(6)},
+            read="tail",
+            groups=groups,
+        )
+        with pytest.raises(InfeasibleEvidenceError) as raised:
+            FORWARD_SWEEP(
+                schedule, chain, SpatioTemporalWindow({3}, TINY_TIMES).region
+            )
+        assert str(raised.value) == (
+            "observation at t=1 contradicts the trajectory model: "
+            "posterior mass is zero"
+        )
 
 
 def dense_backward(chain, window, starts):

@@ -264,63 +264,6 @@ class TestStreamingParity:
         assert plan.semantics == "ktimes"
 
 
-class TestAutoStream:
-    def test_constant_stride_promotes_to_standing_query(self):
-        database = build_database(seed=9)
-        engine = QueryEngine(database)
-        fresh = QueryEngine(database)
-        options = PlanOptions(auto_stream=True)
-        for step in range(5):
-            window = SpatioTemporalWindow(
-                WINDOW.region,
-                frozenset(t + 2 * step for t in WINDOW.times),
-            )
-            query = PSTKTimesQuery(window)
-            result = engine.evaluate(query, options=options)
-            scratch = fresh.evaluate(query)
-            for object_id in database.object_ids:
-                assert np.asarray(
-                    result.values[object_id]
-                ) == pytest.approx(
-                    np.asarray(scratch.values[object_id]), abs=1e-12
-                )
-            if step >= 2:
-                # promotion needs the stride confirmed twice
-                assert result.plan.auto_streamed
-                assert result.method == "streaming"
-                assert "auto-streamed" in result.plan.describe()
-            else:
-                assert not result.plan.auto_streamed
-
-    def test_irregular_slide_is_not_promoted(self):
-        database = build_database(seed=10)
-        engine = QueryEngine(database)
-        options = PlanOptions(auto_stream=True)
-        # every consecutive stride differs (3, 1, 6), so no slide is
-        # ever confirmed and the batch path serves every call
-        for offset in (0, 3, 4, 10):
-            window = SpatioTemporalWindow(
-                WINDOW.region,
-                frozenset(t + offset for t in WINDOW.times),
-            )
-            result = engine.evaluate(
-                PSTKTimesQuery(window), options=options
-            )
-            assert not result.plan.auto_streamed
-        assert engine._auto_standing is None
-
-    def test_off_by_default(self):
-        database = build_database(seed=11)
-        engine = QueryEngine(database)
-        for step in range(3):
-            window = SpatioTemporalWindow(
-                WINDOW.region,
-                frozenset(t + step for t in WINDOW.times),
-            )
-            result = engine.evaluate(PSTKTimesQuery(window))
-            assert not result.plan.auto_streamed
-
-
 class TestForAllSemantics:
     def test_plan_carries_originating_semantics(self):
         from repro import PSTForAllQuery

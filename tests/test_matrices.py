@@ -1,17 +1,18 @@
-"""Tests for the augmented-matrix constructions (Sections V-A, VI, VII)."""
+"""Tests for the augmented-matrix constructions (Sections V-A, VI, VII).
+
+The Section V-A and VI pairs are oracles kept in ``tests/augmented.py``
+(the engine steps the chain's own matrix); Section VII's blocked
+matrices are the library's reference construction."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import (
-    build_absorbing_matrices,
-    build_doubled_matrices,
-    build_ktimes_block_matrices,
-)
+from repro import build_ktimes_block_matrices
 from repro.core.errors import QueryError, ValidationError
 
+from augmented import build_absorbing_matrices, build_doubled_matrices
 from conftest import random_chain
 
 
@@ -92,14 +93,11 @@ class TestAbsorbingMatrices:
             matrices.m_minus
         )
 
-    def test_transposed_cached(self, paper_chain):
+    def test_transposed(self, paper_chain):
         matrices = build_absorbing_matrices(paper_chain, {0})
-        first = matrices.transposed()
-        second = matrices.transposed()
-        assert first is second
-        assert np.allclose(
-            to_array(first[0]), to_array(matrices.m_minus).T
-        )
+        minus_t, plus_t = matrices.transposed()
+        assert np.allclose(to_array(minus_t), to_array(matrices.m_minus).T)
+        assert np.allclose(to_array(plus_t), to_array(matrices.m_plus).T)
 
     def test_extend_initial_plain(self, paper_chain):
         matrices = build_absorbing_matrices(paper_chain, {0, 1})
@@ -311,19 +309,12 @@ class TestAgainstDenseDefinition:
         rng, chain, m, region = _dense_case(seed)
         n = chain.n_states
         minus, plus = self.absorbing(m, region)
-        matrices = build_absorbing_matrices(chain, region)
-        outside, inside = matrices.sweep_pair()
         x = rng.random(n + 1)
-        stepped = x[:n] @ outside
+        stepped = x[:n] @ chain.matrix
         assert np.allclose(x @ minus, np.append(stepped, x[n]), atol=1e-15)
-        stepped = x[:n] @ inside
         top = x[n] + stepped[region].sum()
         stepped[region] = 0.0
         assert np.allclose(x @ plus, np.append(stepped, top), atol=1e-15)
-        transposed = matrices.sweep_pair(transposed=True)
-        assert all(
-            np.array_equal(to_array(t), m.T) for t in transposed
-        )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backward_step_on_the_chain_matches_the_pair(self, seed):
@@ -354,16 +345,31 @@ class TestAgainstDenseDefinition:
         assert np.array_equal(to_array(matrices.m_plus), plus)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_doubled_sweep_pair(self, seed):
+    def test_doubled_transposed(self, seed):
         _, chain, m, region = _dense_case(seed)
         minus, plus = self.doubled(m, region)
-        matrices = build_doubled_matrices(chain, region)
-        forward = matrices.sweep_pair()
-        assert forward == (matrices.m_minus, matrices.m_plus)
-        minus_t, plus_t = matrices.sweep_pair(transposed=True)
+        minus_t, plus_t = build_doubled_matrices(chain, region).transposed()
         assert np.array_equal(to_array(minus_t), minus.T)
         assert np.array_equal(to_array(plus_t), plus.T)
-        assert matrices.transposed() is matrices.transposed()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_row_step_on_the_chain_matches_the_doubled_pair(self, seed):
+        # (x | shadow) . M_plus is both rows stepped on M, then x's S_q
+        # entries moved into the shadow row
+        rng, chain, m, region = _dense_case(seed)
+        n = chain.n_states
+        minus, plus = self.doubled(m, region)
+        x, shadow = rng.random(n), rng.random(n)
+        assert np.allclose(
+            np.r_[x, shadow] @ minus,
+            np.r_[x @ chain.matrix, shadow @ chain.matrix], atol=1e-15,
+        )
+        stepped, shadowed = x @ chain.matrix, shadow @ chain.matrix
+        shadowed[region] += stepped[region]
+        stepped[region] = 0.0
+        assert np.allclose(
+            np.r_[x, shadow] @ plus, np.r_[stepped, shadowed], atol=1e-15
+        )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_ktimes_blocks(self, seed):

@@ -18,7 +18,6 @@ from repro import (
     StateDistribution,
     TrajectoryDatabase,
     UncertainObject,
-    build_doubled_matrices,
     ob_exists_probability,
     ob_exists_probability_multi,
 )
@@ -33,6 +32,7 @@ from repro.exec.operators import PosteriorCollapse
 from repro.store.sharded import ShardedTrajectoryStore
 from repro.workloads.synthetic import make_line_chain
 
+from augmented import build_doubled_matrices
 from conftest import random_chain, random_distribution
 
 
@@ -230,15 +230,14 @@ class TestValidation:
                 paper_chain, observations, window
             )
 
-    def test_wrong_prebuilt_matrices(self, paper_chain):
+    def test_matrices_argument_removed(self, paper_chain):
         observations = ObservationSet.single(
             Observation.precise(0, 3, 0)
         )
         window = SpatioTemporalWindow(frozenset({0}), frozenset({1}))
-        matrices = build_doubled_matrices(paper_chain, {1})
-        with pytest.raises(QueryError):
+        with pytest.raises(TypeError):
             ob_exists_probability_multi(
-                paper_chain, observations, window, matrices=matrices
+                paper_chain, observations, window, matrices=None
             )
 
 

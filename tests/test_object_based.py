@@ -10,12 +10,12 @@ from repro import (
     PossibleWorldEnumerator,
     SpatioTemporalWindow,
     StateDistribution,
-    build_absorbing_matrices,
     ob_exists_probability,
     ob_forall_probability,
 )
 from repro.core.errors import QueryError, ValidationError
 
+from augmented import build_absorbing_matrices
 from conftest import random_chain, random_distribution, random_window
 
 
@@ -210,12 +210,11 @@ class TestValidation:
         with pytest.raises(QueryError):
             ob_exists_probability(paper_chain, paper_start, window)
 
-    def test_wrong_prebuilt_matrices(self, paper_chain, paper_start,
-                                     paper_window):
-        matrices = build_absorbing_matrices(paper_chain, {2})
-        with pytest.raises(QueryError):
+    def test_matrices_argument_removed(self, paper_chain, paper_start,
+                                       paper_window):
+        with pytest.raises(TypeError):
             ob_exists_probability(
-                paper_chain, paper_start, paper_window, matrices=matrices
+                paper_chain, paper_start, paper_window, matrices=None
             )
 
     def test_negative_start_time(self, paper_chain, paper_start,

@@ -339,8 +339,8 @@ class TestPlanCacheThreadSafety:
                     window = windows[
                         int(local.integers(0, len(windows)))
                     ]
-                    matrices = cache.absorbing(chain, window.region)
-                    assert matrices.region == window.region
+                    blocks = cache.ktimes_blocks(chain, window, [0])
+                    assert blocks[0].shape == (12, window.duration + 1)
                     cache.backward_vectors(chain, window, [0, 1])
             except Exception as error:  # pragma: no cover
                 errors.append(error)

@@ -55,50 +55,57 @@ class TestFingerprint:
         assert paper_chain.fingerprint() is paper_chain.fingerprint()
 
 
+def region_window(region) -> SpatioTemporalWindow:
+    return SpatioTemporalWindow(frozenset(region), WINDOW.times)
+
+
 class TestConstructionCaching:
-    def test_absorbing_hit_returns_same_object(self, paper_chain):
+    def test_hit_returns_same_object(self, paper_chain):
         cache = PlanCache()
-        first = cache.absorbing(paper_chain, {0, 1})
-        second = cache.absorbing(paper_chain, {0, 1})
+        first = cache.backward_vectors(paper_chain, WINDOW, [0])[0]
+        second = cache.backward_vectors(paper_chain, WINDOW, [0])[0]
         assert first is second
         assert cache.stats.hits == 1
-        assert cache.stats.constructions == {"absorbing": 1}
+        assert cache.stats.constructions == {"backward": 1}
 
     def test_equal_value_chain_hits(self, paper_chain):
         cache = PlanCache()
-        first = cache.absorbing(paper_chain, {0, 1})
+        first = cache.backward_vectors(paper_chain, WINDOW, [0])[0]
         clone = MarkovChain(paper_chain.to_dense())
-        assert cache.absorbing(clone, {0, 1}) is first
+        assert cache.backward_vectors(clone, WINDOW, [0])[0] is first
 
     def test_regions_are_distinct_entries(self, paper_chain):
         cache = PlanCache()
-        cache.absorbing(paper_chain, {0})
-        cache.absorbing(paper_chain, {0, 1})
-        assert cache.stats.constructions == {"absorbing": 2}
+        cache.backward_vectors(paper_chain, region_window({0}), [0])
+        cache.backward_vectors(paper_chain, region_window({0, 1}), [0])
+        assert cache.stats.constructions == {"backward": 2}
 
-    def test_doubled_cached_separately(self, paper_chain):
+    def test_kinds_cached_separately(self, paper_chain):
         cache = PlanCache()
-        cache.absorbing(paper_chain, {0, 1})
-        doubled = cache.doubled(paper_chain, {0, 1})
-        assert cache.doubled(paper_chain, {0, 1}) is doubled
+        cache.backward_vectors(paper_chain, WINDOW, [0])
+        blocks = cache.ktimes_blocks(paper_chain, WINDOW, [0])
+        assert cache.ktimes_blocks(paper_chain, WINDOW, [0])[0] is blocks[0]
         assert cache.stats.constructions == {
-            "absorbing": 1,
-            "doubled": 1,
+            "backward": 1,
+            "ktimes_core": 1,
         }
 
     def test_lru_eviction(self, paper_chain):
         cache = PlanCache(maxsize=2)
-        first = cache.absorbing(paper_chain, {0})
-        cache.absorbing(paper_chain, {1})
-        cache.absorbing(paper_chain, {2})  # evicts {0}
+        first = cache.backward_vectors(paper_chain, region_window({0}), [0])
+        cache.backward_vectors(paper_chain, region_window({1}), [0])
+        # evicts {0}
+        cache.backward_vectors(paper_chain, region_window({2}), [0])
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        rebuilt = cache.absorbing(paper_chain, {0})
-        assert rebuilt is not first
+        rebuilt = cache.backward_vectors(
+            paper_chain, region_window({0}), [0]
+        )
+        assert rebuilt[0] is not first[0]
 
     def test_clear_keeps_counters(self, paper_chain):
         cache = PlanCache()
-        cache.absorbing(paper_chain, {0})
+        cache.backward_vectors(paper_chain, WINDOW, [0])
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.total_constructions == 1
@@ -153,46 +160,44 @@ class TestEngineIntegration:
         assert engine.plan_cache.stats.hits > 0
         assert first.values == second.values
 
-    def test_ob_and_qb_share_absorbing_matrices(self):
+    def test_ob_adds_no_construction(self):
+        # the forward sweep steps the chain's own matrix: it caches
+        # nothing beside QB's backward vectors
         database = build_database(seed=1)
         engine = QueryEngine(database)
         query = PSTExistsQuery(WINDOW)
         engine.evaluate(query, method="qb")
         engine.evaluate(query, method="ob")
-        assert engine.plan_cache.stats.constructions["absorbing"] == 1
+        assert engine.plan_cache.stats.constructions == {"backward": 1}
 
     def test_shared_cache_across_engines(self):
         database = build_database(seed=2)
         cache = PlanCache()
         QueryEngine(database, plan_cache=cache).evaluate(
-            PSTExistsQuery(WINDOW), method="ob"
+            PSTExistsQuery(WINDOW), method="qb"
         )
         constructions = cache.stats.total_constructions
+        assert constructions > 0
         QueryEngine(database, plan_cache=cache).evaluate(
-            PSTExistsQuery(WINDOW), method="ob"
+            PSTExistsQuery(WINDOW), method="qb"
         )
         assert cache.stats.total_constructions == constructions
 
-    def test_first_passage_uses_cache(self):
+    def test_first_passage_builds_nothing(self):
         database = build_database(seed=3)
         engine = QueryEngine(database)
         engine.first_passage("o0", {0, 1}, horizon=5)
-        constructions = engine.plan_cache.stats.total_constructions
         engine.first_passage("o1", {0, 1}, horizon=5)
-        assert (
-            engine.plan_cache.stats.total_constructions == constructions
-        )
+        assert engine.plan_cache.stats.total_constructions == 0
 
-    def test_standalone_entry_points_accept_cache(self, paper_chain):
+    def test_standalone_qb_accepts_cache(self, paper_chain):
         from repro import ob_exists_probability, qb_exists_probability
 
         cache = PlanCache()
         start = StateDistribution.point(3, 1)
-        ob = ob_exists_probability(
-            paper_chain, start, WINDOW, plan_cache=cache
-        )
+        ob = ob_exists_probability(paper_chain, start, WINDOW)
         qb = qb_exists_probability(
             paper_chain, start, WINDOW, plan_cache=cache
         )
         assert ob == pytest.approx(qb, abs=1e-12)
-        assert cache.stats.constructions["absorbing"] == 1
+        assert cache.stats.constructions == {"backward": 1}

@@ -392,3 +392,44 @@ class TestBandedChainOracle:
                                 (PSTForAllQuery(window), forall)):
             result = engine.evaluate(query, method="qb")
             assert result.values["o"] == pytest.approx(expected, abs=1e-12)
+
+    @given(banded_instance(max_time=3), st.data())
+    @settings(deadline=None)
+    def test_banded_sighting_in_the_window_matches_conditioned_enumeration(
+        self, instance, data
+    ):
+        """An object sighted at or inside the window (or after it) keeps
+        the Section VI sweep: its row and its "window hit" shadow row
+        step the chain's own matrix, fused with every later sighting."""
+        chain, initial, window = instance
+        n = chain.n_states
+        last = data.draw(st.integers(window.t_start, window.t_end + 1))
+        times = {last} | data.draw(
+            st.sets(st.integers(1, last), max_size=1)
+        )
+        later = [(time, data.draw(sparse_pdf(n))) for time in sorted(times)]
+        database = TrajectoryDatabase.with_chain(chain)
+        database.add(UncertainObject("o", ObservationSet.of(
+            Observation(0, initial),
+            *(Observation(time, pdf) for time, pdf in later),
+        )))
+        oracle = PossibleWorldEnumerator(
+            chain, initial, max(window.t_end, last)
+        ).conditioned_on_observations(later)
+        engine = QueryEngine(database)
+        try:
+            exists = oracle.exists_probability(window)
+        except ValidationError:  # the sightings contradict the chain
+            with pytest.raises(InfeasibleEvidenceError):
+                engine.evaluate(PSTExistsQuery(window), method="ob")
+            return
+        forall = oracle.probability_that(
+            lambda world: world.stays_within(window)
+        )
+        for method in ("qb", "ob"):
+            for query, expected in ((PSTExistsQuery(window), exists),
+                                    (PSTForAllQuery(window), forall)):
+                result = engine.evaluate(query, method=method)
+                assert result.values["o"] == pytest.approx(
+                    expected, abs=1e-12
+                )

@@ -11,7 +11,6 @@ from repro import (
     QueryBasedKTimesEvaluator,
     SpatioTemporalWindow,
     StateDistribution,
-    build_absorbing_matrices,
     ktimes_distribution,
     ob_exists_probability,
     qb_exists_probability,
@@ -21,6 +20,7 @@ from repro.core.batch import batch_qb_exists
 from repro.core.errors import QueryError, ValidationError
 from repro.exec.operators import BACKWARD_SWEEP
 
+from augmented import build_absorbing_matrices
 from conftest import random_chain, random_distribution, random_window
 
 def augmented_backward(chain, window, start):

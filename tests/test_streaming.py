@@ -1126,7 +1126,7 @@ class TestStreamingPlan:
         equals each object stepped on its own through its chain's
         built Section V-A matrices."""
         import repro.core.streaming as streaming
-        from repro.core.matrices import build_absorbing_matrices
+        from augmented import build_absorbing_matrices
 
         stepped = []
 

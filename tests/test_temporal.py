@@ -146,6 +146,10 @@ class TestFirstPassage:
             )
         with pytest.raises(QueryError):
             first_passage_distribution(
+                paper_chain, paper_start, {-1, 0}, 3
+            )
+        with pytest.raises(QueryError):
+            first_passage_distribution(
                 paper_chain, paper_start, {0}, 1, start_time=3
             )
         with pytest.raises(ValidationError):

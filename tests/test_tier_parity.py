@@ -32,9 +32,10 @@ from repro import (
 )
 from repro.core.ktimes import ktimes_distribution_blocked
 from repro.core.markov import MarkovChain
-from repro.core.matrices import build_absorbing_matrices
 from repro.core.planner import PlanOptions
 from repro.exec import dispatch
+
+from augmented import build_absorbing_matrices
 
 TOLERANCE = 1e-12
 N_STATES = 48
