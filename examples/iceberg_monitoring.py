@@ -11,7 +11,8 @@ uncertain and become stale.  The Markov model answers:
    long enough for measurements?
 3. *k-times*: for how many timestamps is an iceberg expected inside the
    shipping lane?
-4. forecasting: which ocean cells will see the densest ice?
+4. forecasting: which route cells will see the densest ice, and when
+   will the most dangerous iceberg first reach the route?
 
 Run:  python examples/iceberg_monitoring.py
 """
@@ -19,7 +20,6 @@ Run:  python examples/iceberg_monitoring.py
 from __future__ import annotations
 
 import repro
-from repro.viz import render_grid
 from repro.workloads.icebergs import (
     OceanCurrentField,
     make_iceberg_database,
@@ -85,54 +85,34 @@ def main() -> None:
                   f"{probability:.3f}")
 
     # ------------------------------------------------------------------
-    # 4. occupancy forecast: where the ice will concentrate at t = 6
+    # 4. occupancy forecast: the route cells expected to hold most ice
     # ------------------------------------------------------------------
-    initials = [obj.initial.distribution for obj in database]
-    occupancy = repro.expected_occupancy(chain, initials, horizon=6)
-    print("\n== expected iceberg density at t = 6 "
-          "([] marks the ship route) ==")
-    print(render_grid(grid, occupancy[6], highlight=route))
-
-    events = repro.congestion_report(
-        chain, initials, horizon=6, threshold=0.25,
-        states_of_interest=route,
+    occupancy = sum(
+        chain.propagate(obj.initial.distribution, 6).vector
+        for obj in database
     )
-    print("\n== route cells expected to hold >= 0.25 icebergs ==")
-    for event in events[:8]:
-        x, y = grid.cell_of_state(event.state)
-        print(f"  cell ({x:2d}, {y:2d}) at t={event.time}: "
-              f"E[count] = {event.expected_count:.2f}")
-    if not events:
-        print("  none -- the lane stays clear")
+    print("\n== route cells expected to hold the most ice at t = 6 ==")
+    for state in sorted(route, key=lambda s: -occupancy[s])[:5]:
+        x, y = grid.cell_of_state(state)
+        print(f"  cell ({x:2d}, {y:2d}): E[count] = {occupancy[state]:.2f}")
 
     # ------------------------------------------------------------------
-    # 5. when will the most dangerous iceberg reach the lane?
+    # 5. when will the most dangerous iceberg first reach the lane?
+    #    P(entered by t) is PST-exists over {1..t} (Section V-B); its
+    #    increments are the first-entry distribution
     # ------------------------------------------------------------------
-    worst = database.get(worst_id)
-    passage = repro.first_passage_distribution(
-        chain, worst.initial.distribution, route, horizon=12
-    )
-    mean_entry = passage.conditional_mean()
-    median_entry = passage.quantile(0.5)
+    start = database.get(worst_id).initial.distribution
+    entered = [0.0] + [
+        repro.qb_exists_probability(chain, start, repro.SpatioTemporalWindow(
+            frozenset(route), frozenset(range(1, t + 1))))
+        for t in range(1, 13)
+    ]
     print(f"\n== first-entry forecast for {worst_id} ==")
-    print(f"  P(reaches the lane within 12 steps) = "
-          f"{1.0 - passage.never_probability:.3f}")
-    if mean_entry is not None:
-        print(f"  expected entry time (given entry): {mean_entry:.1f}")
-        print(f"  median entry time: t = {median_entry}")
-
-    # ------------------------------------------------------------------
-    # 6. which iceberg will be nearest to the ship at mid-crossing?
-    # ------------------------------------------------------------------
-    ship_position = grid.location_of(grid.state_of_cell(8, 5))
-    nn = repro.nearest_neighbor_probabilities(
-        database, ship_position, time=5
-    )
-    print("\n== most probable nearest iceberg to the ship at t=5 ==")
-    for object_id, probability in sorted(
-        nn.items(), key=lambda pair: -pair[1]
-    )[:5]:
-        print(f"  {object_id}: P(nearest) = {probability:.3f}")
+    for t in range(1, 13):
+        if entered[t] - entered[t - 1] > 0.005:
+            print(f"  first in the lane at t = {t}: "
+                  f"{entered[t] - entered[t - 1]:.3f}")
+    print(f"  P(reaches the lane within 12 steps) = {entered[-1]:.3f}")
 
 
 if __name__ == "__main__":

@@ -95,17 +95,16 @@ def main() -> None:
         print(f"  {object_id}: P_forall = {probability:.3f}")
 
     # ------------------------------------------------------------------
-    # congestion forecast (the paper's future-work analysis)
+    # expected occupancy: where the vehicles will concentrate at t = 12
     # ------------------------------------------------------------------
-    initials = [obj.initial.distribution for obj in database]
-    events = repro.congestion_report(
-        database.chain(), initials, horizon=12, threshold=1.0
+    chain = database.chain()
+    occupancy = sum(
+        chain.propagate(obj.initial.distribution, 12).vector
+        for obj in database
     )
-    print(f"\n== nodes expected to hold >= 1 vehicle "
-          f"({len(events)} node-time pairs) ==")
-    for event in events[:8]:
-        print(f"  node {event.state} at t={event.time}: "
-              f"E[count] = {event.expected_count:.2f}")
+    print("\n== nodes expected to hold the most vehicles at t = 12 ==")
+    for node in occupancy.argsort()[::-1][:8]:
+        print(f"  node {node}: E[count] = {occupancy[node]:.2f}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,17 @@ A faithful, laptop-scale reproduction of
 
 Uncertain object trajectories are modelled as discrete Markov chains;
 probabilistic spatio-temporal queries (exists / for-all / k-times) are
-answered *exactly* under possible-worlds semantics through augmented
-transition matrices -- see :mod:`repro.core.matrices` for the construction
-and DESIGN.md for the full system inventory.
+answered *exactly* under possible-worlds semantics.  Every pass steps
+the chain's own sparse transition matrix: query-based evaluation runs
+one backward pass per chain and window (Section V-B), object-based
+evaluation one stacked forward sweep per chain group (Sections V-A and
+VI), and k-times one suffix-count backward pass (Section VII).
+:class:`QueryEngine` plans each query (filters, method, dispatch) and
+runs it through a staged filter--refinement pipeline.  No augmented
+matrix is built at runtime: the plan cache holds only backward vectors
+and k-times suffix-count blocks.
+See docs/ARCHITECTURE.md for the layers and how a query flows through
+them.
 
 Quickstart::
 
@@ -49,25 +57,6 @@ from repro.core.errors import (
     TaskTimeoutError,
     ValidationError,
     WorkerCrashError,
-)
-from repro.core.forecast import (
-    CongestionEvent,
-    congestion_report,
-    expected_occupancy,
-)
-from repro.core.estimation import ChainEstimator, estimate_chain
-from repro.core.intervals import (
-    IntervalMarkovChain,
-    bound_exists_probability,
-)
-from repro.core.nearest_neighbor import nearest_neighbor_probabilities
-from repro.core.sequence import Pattern, sequence_probability
-from repro.core.smoothing import map_trajectory, posterior_marginals
-from repro.core.temporal import (
-    FirstPassageResult,
-    expected_entry_time,
-    expected_visit_count,
-    first_passage_distribution,
 )
 from repro.core.ktimes import (
     ktimes_distribution,
@@ -132,12 +121,6 @@ from repro.core.trajectory import (
     PossibleWorldEnumerator,
     Trajectory,
     sample_trajectory,
-)
-from repro.database.clustering import (
-    ChainCluster,
-    ClusteredThresholdProcessor,
-    ThresholdAnswer,
-    cluster_chains,
 )
 from repro.database.objects import UncertainObject
 from repro.database.pruning import GeometricPrefilter, ReachabilityPruner
@@ -228,31 +211,6 @@ __all__ = [
     "naive_forall_probability",
     "naive_ktimes_distribution",
     "region_marginals",
-    # analysis
-    "expected_occupancy",
-    "congestion_report",
-    "CongestionEvent",
-    # model estimation and smoothing
-    "ChainEstimator",
-    "estimate_chain",
-    "posterior_marginals",
-    "map_trajectory",
-    # sequence (Lahar-style) queries
-    "Pattern",
-    "sequence_probability",
-    # temporal analyses and nearest neighbours
-    "FirstPassageResult",
-    "first_passage_distribution",
-    "expected_entry_time",
-    "expected_visit_count",
-    "nearest_neighbor_probabilities",
-    # interval chains / clustering (Section V-C)
-    "IntervalMarkovChain",
-    "bound_exists_probability",
-    "ChainCluster",
-    "cluster_chains",
-    "ClusteredThresholdProcessor",
-    "ThresholdAnswer",
     # database
     "UncertainObject",
     "TrajectoryDatabase",

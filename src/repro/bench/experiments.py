@@ -1,4 +1,4 @@
-"""One experiment per paper figure (Section VIII) plus four ablations.
+"""One experiment per paper figure (Section VIII) plus three ablations.
 
 Every driver returns an :class:`~repro.bench.harness.ExperimentSeries`
 holding the same axes as the corresponding figure of the paper.  Sizes
@@ -26,7 +26,6 @@ from repro.bench.harness import ExperimentSeries, measure_seconds
 from repro.core.distribution import StateDistribution
 from repro.core.engine import QueryEngine
 from repro.core.errors import ValidationError
-from repro.core.markov import MarkovChain
 from repro.core.planner import PlanOptions
 from repro.core.ktimes import ktimes_distribution
 from repro.core.naive import naive_exists_probability
@@ -41,8 +40,6 @@ from repro.core.query_based import (
     QueryBasedEvaluator,
     QueryBasedKTimesEvaluator,
 )
-from repro.database.clustering import ClusteredThresholdProcessor
-from repro.database.objects import UncertainObject
 from repro.database.uncertain_db import TrajectoryDatabase
 from repro.workloads.road_network import (
     make_road_database,
@@ -537,83 +534,6 @@ def ablation_ktimes_algorithms(scale: float = 1.0) -> ExperimentSeries:
     return result
 
 
-def _jittered(
-    base: MarkovChain, rng: np.random.Generator
-) -> MarkovChain:
-    """A copy of ``base`` with every non-zero entry perturbed by <= 0.02."""
-    dense = base.to_dense()
-    mask = dense > 0
-    dense = np.clip(
-        dense + rng.uniform(-0.02, 0.02, size=dense.shape) * mask,
-        1e-6,
-        None,
-    ) * mask
-    return MarkovChain(dense / dense.sum(axis=1, keepdims=True))
-
-
-def ablation_clustered(scale: float = 1.0) -> ExperimentSeries:
-    """Section V-C cluster pruning vs per-object threshold evaluation.
-
-    Objects follow many *similar* chains -- two families of jittered
-    copies of one base chain each.  The clustered processor decides
-    whole clusters from interval bounds and refines only the rest; the
-    baseline evaluates every object exactly.
-    """
-    result = ExperimentSeries(
-        experiment_id="ablation_clustered",
-        title="Clustered threshold processing vs per-object evaluation",
-        x_label="chains per family",
-        y_label="runtime (s)",
-        notes="two chain families, 5 objects per chain, threshold 0.3, "
-              "cluster radius 0.1; clustering itself is not timed",
-    )
-    n_states = _scaled(400, scale, minimum=200)
-    window = _window(n_states, time_low=10, time_high=15)
-    threshold = 0.3
-    rng = np.random.default_rng(5)
-    bases = [make_line_chain(n_states, seed=seed) for seed in (50, 51)]
-    for per_family in (2, 4, 6):
-        database = TrajectoryDatabase(n_states)
-        for index in range(per_family):
-            for family, base in zip("ab", bases):
-                database.register_chain(
-                    f"{family}{index}", _jittered(base, rng)
-                )
-        for chain_id in database.chain_ids:
-            for _ in range(5):
-                database.add(
-                    UncertainObject.at_state(
-                        f"o{len(database)}",
-                        n_states,
-                        int(rng.integers(0, n_states)),
-                        chain_id=chain_id,
-                    )
-                )
-        processor = ClusteredThresholdProcessor(database, radius=0.1)
-        result.x_values.append(per_family)
-        result.add_point(
-            "per-object",
-            measure_seconds(
-                lambda: [
-                    obj.object_id
-                    for obj in database
-                    if ob_exists_probability(
-                        database.chain(obj.chain_id),
-                        obj.initial.distribution,
-                        window,
-                    )
-                    >= threshold
-                ]
-            ),
-        )
-        result.add_point(
-            "clustered",
-            measure_seconds(lambda: processor.evaluate(window, threshold)),
-        )
-    result.validate()
-    return result
-
-
 def ablation_early_termination(scale: float = 1.0) -> ExperimentSeries:
     """Thresholded OB (Section V-A early termination) vs full OB.
 
@@ -671,7 +591,6 @@ EXPERIMENTS: Dict[str, Callable[[float], ExperimentSeries]] = {
     "fig11b": fig11b,
     "ablation_pruning": ablation_pruning,
     "ablation_ktimes": ablation_ktimes_algorithms,
-    "ablation_clustered": ablation_clustered,
     "ablation_early_termination": ablation_early_termination,
 }
 

@@ -2,7 +2,11 @@
 
 This subpackage implements the paper's primary contribution: exact
 possible-worlds query evaluation over Markov-chain models of uncertain
-trajectories, via augmented transition matrices.
+trajectories.  Every pass steps the chain's own sparse matrix through
+the shared operators of :mod:`repro.exec.operators`; the augmented
+state spaces of Sections V-A, VI and VII are layouts over it, never
+built at runtime.  docs/ARCHITECTURE.md shows how the modules below
+fit between the query service and the operator layer.
 
 Modules:
     state_space:   discrete state spaces (line, grid, graph).
@@ -17,13 +21,11 @@ Modules:
     ktimes:        Section VII C(t)-matrix algorithm for PSTkQ.
     montecarlo:    Section VIII-A sampling baseline.
     naive:         temporal-independence competitor (Fig. 9(d)).
-    engine:        a facade dispatching the above over a database.
-    forecast:      occupancy forecasting (the paper's future-work analysis).
-    intervals:     interval chains for cluster-level bounds (Section V-C).
-    estimation:    learning chains from trajectory logs (Section IV premise).
-    smoothing:     forward-backward posteriors and Viterbi MAP decoding.
-    sequence:      Lahar-style regular-pattern queries (Section II).
-    temporal:      first-passage distributions and expected visit counts.
-    nearest_neighbor: snapshot probabilistic NN queries.
+    batch:         batched multi-object kernels over one chain.
+    plan_cache:    cross-query backward vectors and suffix-count blocks.
+    planner:       cost-based choice of method and dispatch per group.
+    pipeline:      staged filter--refinement execution of a plan.
+    streaming:     standing sliding-window queries, ticked incrementally.
+    engine:        the facade that plans and runs queries over a database.
     errors:        exception hierarchy.
 """

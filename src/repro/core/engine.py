@@ -137,8 +137,9 @@ class QueryEngine:
 
     Args:
         database: the database to query.
-        plan_cache: cache for matrices/backward vectors; a private one
-            is created when omitted.  Pass a shared instance to
+        plan_cache: cache of QB backward vectors (``"backward"``) and
+            k-times suffix-count blocks (``"ktimes_core"``); a private
+            one is created when omitted.  Pass a shared instance to
             amortise construction across several engines (it is
             thread-safe).
         cost_model: planner coefficients; defaults are tuned for the
@@ -299,58 +300,6 @@ class QueryEngine:
             quarantine_after=quarantine_after,
             on_quarantine=on_quarantine,
         )
-
-    # ------------------------------------------------------------------
-    # extension queries (thin, validated pass-throughs)
-    # ------------------------------------------------------------------
-    def first_passage(self, object_id: str, region, horizon: int):
-        """First-entry-time distribution of one object into ``region``.
-
-        See :func:`repro.core.temporal.first_passage_distribution`.
-        """
-        from repro.core.temporal import first_passage_distribution
-
-        obj = self.database.get(object_id)
-        chain = self.database.chain(obj.chain_id)
-        return first_passage_distribution(
-            chain,
-            obj.initial.distribution,
-            region,
-            horizon,
-            start_time=obj.initial.time,
-        )
-
-    def nearest_neighbor(self, location, time: int) -> Dict[str, float]:
-        """Per-object probability of being nearest to ``location``.
-
-        See :func:`repro.core.nearest_neighbor.nearest_neighbor_probabilities`.
-        """
-        from repro.core.nearest_neighbor import (
-            nearest_neighbor_probabilities,
-        )
-
-        return nearest_neighbor_probabilities(
-            self.database, location, time
-        )
-
-    def sequence_probabilities(
-        self, pattern, length: int
-    ) -> Dict[str, float]:
-        """Per-object probability that its trajectory spells ``pattern``.
-
-        Objects observed at different times are each evaluated from
-        their own observation; see
-        :func:`repro.core.sequence.sequence_probability`.
-        """
-        from repro.core.sequence import sequence_probability
-
-        values: Dict[str, float] = {}
-        for obj in self.database:
-            chain = self.database.chain(obj.chain_id)
-            values[obj.object_id] = sequence_probability(
-                chain, obj.initial.distribution, pattern, length
-            )
-        return values
 
     # ------------------------------------------------------------------
     # for-all (complement identity, Section VII)

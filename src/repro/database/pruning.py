@@ -264,14 +264,6 @@ class ReachabilityPruner:
             if self.can_satisfy(obj, window)
         ]
 
-    def pruned_fraction(self, window: SpatioTemporalWindow) -> float:
-        """Fraction of database objects eliminated by the filter."""
-        total = len(self.database)
-        if total == 0:
-            return 0.0
-        kept = len(self.candidates(window))
-        return 1.0 - kept / total
-
 
 class GeometricPrefilter:
     """Geometric lower bound on the transitions into a region.

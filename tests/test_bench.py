@@ -232,9 +232,7 @@ class TestExperimentRegistry:
             low, high = _half_sums(series.curve(label))
             assert high / low <= x_high / x_low
 
-    @pytest.mark.parametrize(
-        "experiment_id", ["ablation_clustered", "ablation_early_termination"]
-    )
+    @pytest.mark.parametrize("experiment_id", ["ablation_early_termination"])
     def test_ported_ablations_run_at_smoke_scale(self, experiment_id):
         series = run_experiment(experiment_id, scale=SMOKE_SCALE)
         assert len(series.series) == 2

@@ -249,48 +249,6 @@ class TestResultContainer:
         assert result.elapsed_seconds >= 0.0
 
 
-class TestExtensionQueries:
-    def test_first_passage_delegates(self):
-        from repro import first_passage_distribution
-
-        database = build_database(seed=20)
-        engine = QueryEngine(database)
-        obj = database.get("o0")
-        chain = database.chain(obj.chain_id)
-        via_engine = engine.first_passage("o0", {0, 1}, horizon=5)
-        direct = first_passage_distribution(
-            chain, obj.initial.distribution, {0, 1}, 5
-        )
-        assert np.allclose(via_engine.pmf, direct.pmf)
-
-    def test_nearest_neighbor_delegates(self):
-        from repro import LineStateSpace
-
-        rng = np.random.default_rng(21)
-        n = 10
-        chain = random_chain(n, rng)
-        database = TrajectoryDatabase.with_chain(
-            chain, state_space=LineStateSpace(n)
-        )
-        database.add(UncertainObject.at_state("a", n, 1))
-        database.add(UncertainObject.at_state("b", n, 8))
-        engine = QueryEngine(database)
-        result = engine.nearest_neighbor((2.0,), time=0)
-        assert result["a"] == pytest.approx(1.0)
-
-    def test_sequence_probabilities(self):
-        from repro.core.sequence import Pattern
-
-        database = build_database(seed=22)
-        engine = QueryEngine(database)
-        pattern = Pattern.any().plus()
-        values = engine.sequence_probabilities(pattern, length=3)
-        assert set(values) == set(database.object_ids)
-        assert all(
-            value == pytest.approx(1.0) for value in values.values()
-        )
-
-
 class TestValidation:
     def test_unknown_method(self):
         database = build_database()

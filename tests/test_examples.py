@@ -1,15 +1,14 @@
-"""Smoke tests for the example scripts.
+"""Every example script runs end to end.
 
-The quickstart runs end to end (it is fast and asserts the paper's
-numbers through its output); the heavier examples are compile-checked
-and their mains imported, keeping the suite quick while still breaking
-if an example drifts from the API.
+Each ``examples/*.py`` runs as a subprocess and must exit 0, so an
+example that drifts from the public API fails here with its stderr;
+the quickstart's output is also checked against the paper's numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
-import py_compile
 import subprocess
 import sys
 
@@ -19,29 +18,34 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
+@functools.lru_cache(maxsize=None)
+def run_example(path: pathlib.Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_examples_exist():
     names = {path.name for path in ALL_EXAMPLES}
     assert "quickstart.py" in names
     assert "iceberg_monitoring.py" in names
     assert "road_traffic.py" in names
     assert "multi_observation_forensics.py" in names
-    assert "learned_model_tracking.py" in names
 
 
 @pytest.mark.parametrize(
     "path", ALL_EXAMPLES, ids=[p.stem for p in ALL_EXAMPLES]
 )
-def test_example_compiles(path):
-    py_compile.compile(str(path), doraise=True)
+def test_example_runs(path):
+    completed = run_example(path)
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_quickstart_output():
-    completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "quickstart.py")],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    completed = run_example(EXAMPLES_DIR / "quickstart.py")
     assert completed.returncode == 0, completed.stderr
     out = completed.stdout
     assert "0.864" in out              # the paper's running example

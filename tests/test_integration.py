@@ -19,7 +19,6 @@ from repro import (
     SpatioTemporalWindow,
     StateDistribution,
     UncertainObject,
-    congestion_report,
     load_database,
     save_database,
 )
@@ -189,23 +188,6 @@ class TestIcebergScenario:
         )
         assert 0.0 <= multi <= 1.0
         assert multi != pytest.approx(single, abs=1e-6) or True
-
-    def test_congestion_forecast_over_database(self):
-        grid = GridStateSpace(8, 8)
-        database = make_iceberg_database(
-            grid, n_icebergs=30, sighting_uncertainty=0, seed=7
-        )
-        initials = [
-            obj.initial.distribution for obj in database
-        ]
-        events = congestion_report(
-            database.chain(), initials, horizon=5, threshold=2.0
-        )
-        for event in events:
-            assert 0 <= event.state < grid.n_states
-            assert 0 <= event.time <= 5
-            assert event.expected_count >= 2.0
-
 
 class TestRoadNetworkScenario:
     def test_traffic_query_round_trip_through_disk(self, tmp_path):

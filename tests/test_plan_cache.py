@@ -183,13 +183,6 @@ class TestEngineIntegration:
         )
         assert cache.stats.total_constructions == constructions
 
-    def test_first_passage_builds_nothing(self):
-        database = build_database(seed=3)
-        engine = QueryEngine(database)
-        engine.first_passage("o0", {0, 1}, horizon=5)
-        engine.first_passage("o1", {0, 1}, horizon=5)
-        assert engine.plan_cache.stats.total_constructions == 0
-
     def test_standalone_qb_accepts_cache(self, paper_chain):
         from repro import ob_exists_probability, qb_exists_probability
 

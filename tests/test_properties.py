@@ -223,71 +223,6 @@ class TestEnumerationAgreement:
         )
 
 
-class TestExtensionInvariants:
-    @given(instance_strategy(max_states=4, max_time=4))
-    @settings(max_examples=30, deadline=None)
-    def test_first_passage_mass_and_cdf(self, instance):
-        from repro import first_passage_distribution
-
-        chain, initial, window = instance
-        result = first_passage_distribution(
-            chain, initial, window.region, window.t_end
-        )
-        assert result.pmf.sum() + result.never_probability == (
-            pytest.approx(1.0, abs=1e-9)
-        )
-        # the CDF at t_end equals the exists query over [0 .. t_end]
-        full_window = SpatioTemporalWindow(
-            window.region, frozenset(range(0, window.t_end + 1))
-        )
-        assert result.entry_by(window.t_end) == pytest.approx(
-            ob_exists_probability(chain, initial, full_window),
-            abs=1e-9,
-        )
-
-    @given(instance_strategy(max_states=4, max_time=4))
-    @settings(max_examples=30, deadline=None)
-    def test_anchored_pattern_equals_exists(self, instance):
-        """An explicit unrolled pattern reproduces any exists window."""
-        from repro.core.sequence import Pattern, sequence_probability
-
-        chain, initial, window = instance
-        dot = Pattern.any()
-        region = Pattern.states(window.region)
-        # build sum-of-positions pattern: at least one query time in S_q
-        alternatives = None
-        for query_time in sorted(window.times):
-            arm = Pattern.epsilon()
-            for position in range(window.t_end + 1):
-                arm = arm.then(
-                    region if position == query_time else dot
-                )
-            alternatives = arm if alternatives is None else (
-                alternatives.alt(arm)
-            )
-        probability = sequence_probability(
-            chain, initial, alternatives, length=window.t_end
-        )
-        assert probability == pytest.approx(
-            ob_exists_probability(chain, initial, window), abs=1e-9
-        )
-
-    @given(instance_strategy(max_states=4, max_time=4))
-    @settings(max_examples=30, deadline=None)
-    def test_interval_bounds_enclose_exact(self, instance):
-        from repro import (
-            IntervalMarkovChain,
-            bound_exists_probability,
-        )
-
-        chain, initial, window = instance
-        interval = IntervalMarkovChain.from_chains([chain])
-        low, high = bound_exists_probability(interval, initial, window)
-        exact = ob_exists_probability(chain, initial, window)
-        assert low == pytest.approx(exact, abs=1e-9)
-        assert high == pytest.approx(exact, abs=1e-9)
-
-
 # ----------------------------------------------------------------------
 # banded chains: the row windows clip
 # ----------------------------------------------------------------------
