@@ -268,14 +268,19 @@ class TrajectoryDatabase:
         return self._journal[int(version) - self._journal_dropped:]
 
     def _record(self, op: str, object_id: str) -> None:
-        self._version += 1
-        self._journal.append(
-            DatabaseChange(self._version, op, object_id)
-        )
+        # the entry lands before the version that announces it, so a
+        # reader that sees version v finds entry v in the journal; an
+        # entry ahead of the version it read is replayed twice, which
+        # is harmless
+        version = self._version + 1
+        self._journal.append(DatabaseChange(version, op, object_id))
+        self._version = version
         if len(self._journal) > _JOURNAL_LIMIT:
             excess = len(self._journal) - _JOURNAL_LIMIT
-            del self._journal[:excess]
+            # count the drop first: a reader slicing in between gets
+            # entries it already has, never a gap
             self._journal_dropped += excess
+            del self._journal[:excess]
 
     # ------------------------------------------------------------------
     # columnar chain cohorts (one-shot queries and standing-query ticks)

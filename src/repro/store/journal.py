@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Union
 
 from repro.core.errors import SerializationError
 
@@ -155,7 +155,7 @@ class StoreJournal:
                     n_states, weights, normalize=True
                 ),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise SerializationError(
                 f"corrupt journal observation record: {error}"
             ) from error

@@ -333,6 +333,58 @@ class TestCohortMaintenance:
         assert len(cohort) == 4
         assert cohort.n_rows - len(cohort) <= 64 + 1
 
+    @pytest.mark.parametrize("reader", ["before", "after"])
+    def test_sync_inside_a_journal_append_loses_no_write(self, reader):
+        """A query thread may sync the cohorts while a writer is between
+        its journal entry and its version bump; the write must still
+        reach the cohorts, exactly once."""
+        database = seed_database()
+        database.cohorts()
+
+        class Interleaved(list):
+            def append(self, change):
+                if reader == "before":
+                    database.cohorts()
+                super().append(change)
+                if reader == "after":
+                    database.cohorts()
+
+        database._journal = Interleaved(database._journal)
+        database.add(make_object(10))
+        database.remove("obj-2")
+        cohort = database.cohorts()["bus"]
+        assert cohort.ids(cohort.rows) == [
+            "obj-0", "obj-4", "obj-6", "obj-10"
+        ]
+
+    @pytest.mark.parametrize("reader", ["before", "after"])
+    def test_sync_inside_a_journal_trim_loses_no_write(
+        self, monkeypatch, reader
+    ):
+        """The same for a reader that runs while the bounded journal
+        drops its oldest entries."""
+        monkeypatch.setattr(uncertain_db, "_JOURNAL_LIMIT", 3)
+        database = seed_database()
+        database.cohorts()
+
+        class Interleaved(list):
+            def __delitem__(self, index):
+                if reader == "before":
+                    database.cohorts()
+                super().__delitem__(index)
+                if reader == "after":
+                    database.cohorts()
+
+        database._journal = Interleaved(database._journal[-3:])
+        database._journal_dropped = database.version - 3
+        for seed in (10, 12, 14, 16):
+            database.add(make_object(seed))
+            database.cohorts()
+        cohort = database.cohorts()["bus"]
+        assert cohort.ids(cohort.rows) == [
+            f"obj-{seed}" for seed in (0, 2, 4, 6, 10, 12, 14, 16)
+        ]
+
     def test_concurrent_queries_share_one_sync(self):
         database = seed_database()
         engine = QueryEngine(database)

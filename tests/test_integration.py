@@ -189,6 +189,32 @@ class TestIcebergScenario:
         assert 0.0 <= multi <= 1.0
         assert multi != pytest.approx(single, abs=1e-6) or True
 
+    def test_congestion_forecast_over_database(self):
+        """Expected icebergs per cell, as the examples sum
+        ``chain.propagate``, equals the engine's per-cell PST-exists
+        answers summed over the database."""
+        grid = GridStateSpace(8, 8)
+        database = make_iceberg_database(
+            grid, n_icebergs=30, sighting_uncertainty=0, seed=7
+        )
+        chain = database.chain()
+        engine = QueryEngine(database)
+        for time in (0, 3, 5):
+            occupancy = sum(
+                chain.propagate(obj.initial.distribution, time).vector
+                for obj in database
+            )
+            assert occupancy.sum() == pytest.approx(len(database))
+            assert ((occupancy >= 0.0) & (occupancy <= len(database))).all()
+            for cell in np.argsort(occupancy)[-3:]:
+                window = SpatioTemporalWindow(
+                    frozenset({int(cell)}), frozenset({time})
+                )
+                answers = engine.evaluate(PSTExistsQuery(window)).values
+                assert sum(answers.values()) == pytest.approx(
+                    occupancy[cell], abs=1e-9
+                )
+
 class TestRoadNetworkScenario:
     def test_traffic_query_round_trip_through_disk(self, tmp_path):
         config = RoadNetworkConfig("city", 300, 400, seed=8)

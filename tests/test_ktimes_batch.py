@@ -20,7 +20,6 @@ from repro import (
     PSTKTimesQuery,
     QueryEngine,
     SpatioTemporalWindow,
-    StateDistribution,
     TrajectoryDatabase,
     UncertainObject,
     batch_ktimes_distribution,

@@ -223,6 +223,62 @@ class TestEnumerationAgreement:
         )
 
 
+class TestDerivedQuantities:
+    """Quantities the examples derive from the three query types."""
+
+    @given(instance_strategy(max_states=4, max_time=4))
+    @settings(max_examples=30, deadline=None)
+    def test_first_passage_mass_and_cdf(self, instance):
+        """First entry into ``S_q`` as increments of PST-exists over the
+        growing window ``{0 .. t}`` (Section V-B), as the iceberg example
+        forecasts it, against the enumerated first-entry times."""
+        chain, initial, window = instance
+        cdf = np.array([
+            qb_exists_probability(
+                chain,
+                initial,
+                SpatioTemporalWindow(window.region, frozenset(range(t + 1))),
+            )
+            for t in range(window.t_end + 1)
+        ])
+        pmf = np.diff(cdf, prepend=0.0)
+        assert (pmf >= -1e-12).all()
+        assert cdf[-1] <= 1.0 + 1e-12
+        worlds = PossibleWorldEnumerator(chain, initial, window.t_end)
+        entered = np.zeros(window.t_end + 1)
+        for trajectory, probability in worlds.worlds():
+            hits = [t for t, s in enumerate(trajectory.states)
+                    if s in window.region]
+            if hits:
+                entered[hits[0]] += probability
+        assert np.allclose(pmf, entered, atol=1e-12)
+        # the CDF at t_end is the exists query over [0 .. t_end]
+        assert cdf[-1] == pytest.approx(
+            ob_exists_probability(
+                chain,
+                initial,
+                SpatioTemporalWindow(
+                    window.region, frozenset(range(window.t_end + 1))
+                ),
+            ),
+            abs=1e-12,
+        )
+
+    @given(instance_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_expected_occupancy_equals_mean_visit_count(self, instance):
+        """``sum_t P(o(t) in S_q)`` over ``T_q`` (the examples' occupancy
+        sum) is the mean of the k-times distribution (Section VII)."""
+        chain, initial, window = instance
+        occupancy = sum(
+            chain.propagate(initial, t).probability_of(window.region)
+            for t in window.times
+        )
+        distribution = ktimes_distribution(chain, initial, window)
+        mean = float(np.arange(len(distribution)) @ distribution)
+        assert occupancy == pytest.approx(mean, abs=1e-10)
+
+
 # ----------------------------------------------------------------------
 # banded chains: the row windows clip
 # ----------------------------------------------------------------------
