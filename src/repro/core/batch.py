@@ -53,6 +53,7 @@ stacked into a block on entry, so there is one staging path.
 
 from __future__ import annotations
 
+import itertools
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -85,6 +86,9 @@ __all__ = [
     "batch_ktimes_distribution",
     "ktimes_sweep",
     "evaluate_rows",
+    "filter_rows",
+    "row_values",
+    "zero_answers",
 ]
 
 StartTimes = Union[int, Sequence[int]]
@@ -482,6 +486,48 @@ def refuse_multi_ktimes(kind: str, is_multi: np.ndarray) -> None:
             "PSTkQ with multiple observations is not part of the "
             "paper's framework; query the first observation only"
         )
+
+
+def zero_answers(kind: str, count: int, duration: int) -> np.ndarray:
+    """The exact answers of ``count`` objects that cannot be in the
+    region at a query time: probability 0 (for-all plans run their
+    complement as exists), or for k-times one point mass at zero visits
+    per row of a fresh ``(count, duration + 1)`` block."""
+    if kind != "ktimes":
+        return np.zeros(count, dtype=float)
+    answers = np.zeros((count, duration + 1), dtype=float)
+    answers[:, 0] = 1.0
+    return answers
+
+
+def row_values(answers: np.ndarray) -> Iterable:
+    """An answer block's rows as result values: count-distribution rows
+    of a k-times block, Python floats of an exists block -- of an
+    all-zero one (a filter stage's :func:`zero_answers`) one shared
+    ``0.0``, so a pruned object costs no float of its own."""
+    if answers.ndim == 2:
+        return answers
+    if not answers.any():
+        return itertools.repeat(0.0, len(answers))
+    return answers.tolist()
+
+
+def filter_rows(stage, labels, columns, rows, window, kind, context=None):
+    """One Section V-C filter stage over ``rows`` of a chain group.
+
+    ``stage`` (:data:`~repro.exec.operators.BFS_PRUNE` or ``PREFILTER``)
+    keeps a row iff, under the ``fetch_levels`` ``labels``, it can be in
+    the region by the deadline, the window's ``t_end``; ``columns`` (a
+    cohort or a shard view) has ``block(rows)`` and ``start_time``.
+    Returns ``(kept rows, dropped rows, their zero answers)``.
+    """
+    keep = stage(
+        (labels, columns.block(rows), columns.start_time[rows], window.t_end),
+        region=window.region,
+        context=context,
+    )
+    dropped = rows[~keep]
+    return rows[keep], dropped, zero_answers(kind, len(dropped), window.duration)
 
 
 def evaluate_rows(

@@ -5,18 +5,12 @@ which can only *narrow* the candidate set (the EXPLAIN stage counts are
 monotonically non-increasing by construction):
 
 1. **prefilter** -- only when ``PlanOptions(prefilter=True)`` forces
-   it: :class:`~repro.database.pruning.GeometricPrefilter` labels
-   every state with a lower bound on its steps into the region (its
-   distance to the region over the chain's exact displacement bound),
-   and the same segmented minimum as the BFS stage drops the objects
-   whose supports cannot reach the region within their horizons.  It
+   it, over :class:`~repro.database.pruning.GeometricPrefilter`'s
+   closed-form lower bound on each state's steps into the region.  It
    never drops an object BFS keeps, so planning leaves it off.
-2. **bfs** -- the exact Section V-C reachability filter
-   (:class:`~repro.database.pruning.ReachabilityPruner`): one reverse
-   BFS labelling per ``(chain, region)``, resumed across queries, then
-   one segmented minimum of the labels over the candidates' supports
-   against their per-object horizons.  Objects no window time can
-   reach are answered with the query's zero element immediately.
+2. **bfs** -- over the exact Section V-C labels of
+   :class:`~repro.database.pruning.ReachabilityPruner`: one resumable
+   reverse-BFS labelling per ``(chain, region)``.
 3. **evaluate** -- the surviving objects of each chain group run
    through the shared operator layer (:mod:`repro.exec.operators`)
    with the group's planned method, dispatched per the plan:
@@ -24,6 +18,13 @@ monotonically non-increasing by construction):
    thread) or ``process`` (slab shards across the worker pool of
    :mod:`repro.exec.dispatch` -- a sharded store's own shards, or the
    spill an in-RAM database is written to once per version).
+
+The two filter stages are one method over two labels sources.  Per
+chain group it runs :func:`~repro.core.batch.filter_rows`, the code
+the store shard worker runs per shard: a row is kept iff its earliest
+time in the region (its start time plus the minimum label over its
+support) is at most ``t_end``, and a dropped row is answered with the
+query's zero element (:func:`~repro.core.batch.zero_answers`).
 
 Candidates travel between the stages as *row-index arrays* over each
 chain group's columnar :class:`~repro.database.cohort.Cohort` (synced
@@ -56,15 +57,19 @@ to serial is also warned as
 
 from __future__ import annotations
 
-import itertools
 import time as _time
 import warnings
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.batch import evaluate_rows, refuse_multi_ktimes
+from repro.core.batch import (
+    evaluate_rows,
+    filter_rows,
+    refuse_multi_ktimes,
+    row_values,
+)
 from repro.core.errors import (
     DegradedExecutionWarning,
     ExecutionError,
@@ -150,12 +155,26 @@ class QueryPipeline:
         survivors: Dict[str, np.ndarray] = {
             group.chain_id: group.rows for group in plan.groups
         }
-        zeros = self._zero_factory(plan, query)
         plan.stages = []
         plan.degradations = []
 
-        self._stage_prefilter(plan, survivors, values, zeros, context)
-        self._stage_bfs(plan, survivors, values, zeros, context)
+        positions = (
+            self.database.state_positions() if plan.use_prefilter else None
+        )
+        self._stage_filter(
+            plan, "prefilter", PREFILTER,
+            partial(self._probe, positions, plan)
+            if positions is not None else None,
+            "off" if not plan.use_prefilter
+            else "no geometry" if positions is None else "",
+            survivors, values, query, context,
+        )
+        self._stage_filter(
+            plan, "bfs", BFS_PRUNE,
+            partial(self._labels, plan) if plan.use_bfs else None,
+            "" if plan.use_bfs else "off",
+            survivors, values, query, context,
+        )
         self._stage_evaluate(plan, survivors, values, query, context)
         plan.operator_seconds = context.timings
         # recovery events (pool rebuilds, retries, tier falls) land on
@@ -163,117 +182,62 @@ class QueryPipeline:
         plan.degradations.extend(context.events)
         return values
 
-    @staticmethod
-    def _narrow(
-        group: GroupPlan,
-        survivors: Dict[str, np.ndarray],
-        keep: np.ndarray,
-        values: Dict[str, ResultValue],
-        zeros: Callable[[int], Iterable[ResultValue]],
-    ) -> None:
-        """Apply one filter's keep-mask to a group's candidate rows;
-        the dropped ones are answered with the zero element."""
-        rows = survivors[group.chain_id]
-        dropped = rows[~keep]
-        values.update(
-            zip(group.cohort.ids(dropped), zeros(len(dropped)))
+    def _labels(self, plan: QueryPlan, group: GroupPlan):
+        """The exact Section V-C labelling of the group's chain and the
+        plan's region, as the ``fetch_levels(depth)`` the BFS stage and
+        the object-based kernel take."""
+        return partial(self.pruner.levels, group.chain_id, plan.window.region)
+
+    def _probe(self, positions: np.ndarray, plan: QueryPlan, group: GroupPlan):
+        """The forced prefilter's labels: the closed-form lower bound on
+        :meth:`_labels` from the state positions."""
+        return partial(
+            GeometricPrefilter(
+                positions,
+                self.database.chain_displacement_bound(group.chain_id),
+            ).probe,
+            plan.window.region,
         )
-        survivors[group.chain_id] = rows[keep]
 
     # ------------------------------------------------------------------
-    # stage 1: geometric prefilter (only when the caller forces it)
+    # stages 1-2: geometric prefilter (only when forced), BFS prune
     # ------------------------------------------------------------------
-    def _stage_prefilter(
+    def _stage_filter(
         self,
         plan: QueryPlan,
+        name: str,
+        operator,
+        labels: Optional[Callable[[GroupPlan], Callable]],
+        detail: str,
         survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
-        zeros: Callable[[int], Iterable[ResultValue]],
+        query,
         context: ExecutionContext,
     ) -> None:
+        """One filter stage over every group: ``labels(group)`` is the
+        group's ``fetch_levels`` (``None`` runs the stage as a
+        pass-through); the dropped rows are answered with the zero
+        element."""
         entering = sum(len(rows) for rows in survivors.values())
         started = _time.perf_counter()
-        positions = self.database.state_positions()
-        if plan.use_prefilter and positions is not None:
-            region = plan.window.region
-            for group in plan.groups:
-                rows = survivors[group.chain_id]
-                if not rows.size:
-                    continue
-                prefilter = GeometricPrefilter(
-                    positions,
-                    self.database.chain_displacement_bound(group.chain_id),
-                )
-                cohort = group.cohort
-                keep = PREFILTER(
-                    (
-                        partial(prefilter.probe, region),
-                        cohort.block(rows),
-                        cohort.start_time[rows],
-                        plan.window.t_end,
-                    ),
-                    region=region,
-                    context=context,
-                )
-                self._narrow(group, survivors, keep, values, zeros)
-        remaining = sum(len(rows) for rows in survivors.values())
-        if not plan.use_prefilter:
-            detail = "off"
-        elif positions is None:
-            detail = "no geometry"
-        else:
-            detail = ""
+        for group in plan.groups if labels is not None else ():
+            rows = survivors[group.chain_id]
+            if not rows.size:
+                continue
+            survivors[group.chain_id], dropped, zeros = filter_rows(
+                operator, labels(group), group.cohort, rows,
+                plan.window, plan.kind, context,
+            )
+            values.update(
+                self._values(group.cohort.ids(dropped), zeros, plan, query)
+            )
         plan.stages.append(
             StageStats(
-                "prefilter",
+                name,
                 entering,
-                remaining,
+                sum(len(rows) for rows in survivors.values()),
                 _time.perf_counter() - started,
                 detail,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # stage 2: exact BFS reachability refinement
-    # ------------------------------------------------------------------
-    def _stage_bfs(
-        self,
-        plan: QueryPlan,
-        survivors: Dict[str, np.ndarray],
-        values: Dict[str, ResultValue],
-        zeros: Callable[[int], Iterable[ResultValue]],
-        context: ExecutionContext,
-    ) -> None:
-        entering = sum(len(rows) for rows in survivors.values())
-        started = _time.perf_counter()
-        if plan.use_bfs:
-            region = plan.window.region
-            for group in plan.groups:
-                rows = survivors[group.chain_id]
-                if not rows.size:
-                    continue
-                cohort = group.cohort
-                keep = BFS_PRUNE(
-                    (
-                        partial(
-                            self.pruner.levels, group.chain_id, region
-                        ),
-                        cohort.block(rows),
-                        cohort.start_time[rows],
-                        plan.window.t_end,
-                    ),
-                    region=region,
-                    context=context,
-                )
-                self._narrow(group, survivors, keep, values, zeros)
-        remaining = sum(len(rows) for rows in survivors.values())
-        plan.stages.append(
-            StageStats(
-                "bfs",
-                entering,
-                remaining,
-                _time.perf_counter() - started,
-                "" if plan.use_bfs else "off",
             )
         )
 
@@ -353,7 +317,7 @@ class QueryPipeline:
         query,
         seed_index: Optional[Dict[str, int]],
         context: ExecutionContext,
-    ) -> Dict[str, ResultValue]:
+    ) -> Iterable[Tuple[str, ResultValue]]:
         """The group's planned kernels over its surviving ``rows``."""
         cohort = group.cohort
         chain = self.database.chain(group.chain_id)
@@ -381,16 +345,20 @@ class QueryPipeline:
             ),
             plan_cache=self.plan_cache,
             context=context,
-            levels=partial(
-                self.pruner.levels, group.chain_id, plan.window.region
-            ),
+            levels=self._labels(plan, group),
         )
-        if plan.kind != "ktimes":
-            return dict(zip(ids, answers.tolist()))
-        if query.k is None:
-            # rows of the kernel's own result block: no copy needed
-            return dict(zip(ids, answers))
-        return dict(zip(ids, answers[:, query.k].tolist()))
+        return self._values(ids, answers, plan, query)
+
+    @staticmethod
+    def _values(
+        ids: List[str], answers: np.ndarray, plan: QueryPlan, query
+    ) -> Iterable[Tuple[str, ResultValue]]:
+        """``(id, result value)`` pairs from the answer block: of a
+        k-times count distribution the query may want only
+        ``P(k visits)``."""
+        if plan.kind == "ktimes" and query.k is not None:
+            answers = answers[:, query.k]
+        return zip(ids, row_values(answers))
 
     def _evaluate_processes(
         self,
@@ -533,31 +501,6 @@ class QueryPipeline:
         warnings.warn(
             DegradedExecutionWarning(message), stacklevel=4
         )
-
-    @staticmethod
-    def _zero_factory(
-        plan: QueryPlan, query
-    ) -> Callable[[int], Iterable[ResultValue]]:
-        """The exact answers of objects no filter stage can keep, as
-        a function ``count -> that many zero elements``.
-
-        A pruned object provably never intersects the window, so its
-        exists probability is 0, its for-all answer follows from the
-        engine's ``1 - p`` complement step, and its visit-count
-        distribution is the point mass at zero visits.
-        """
-        if plan.kind == "ktimes" and query.k is None:
-            def point_masses(count: int) -> np.ndarray:
-                # one row per object: answers must not alias
-                block = np.zeros(
-                    (count, plan.window.duration + 1), dtype=float
-                )
-                block[:, 0] = 1.0
-                return block
-
-            return point_masses
-        hit = 1.0 if plan.kind == "ktimes" and query.k == 0 else 0.0
-        return partial(itertools.repeat, hit)
 
     def _seed_index(
         self, plan: QueryPlan

@@ -100,7 +100,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import evaluate_rows, refuse_multi_ktimes
+from repro.core.batch import (
+    evaluate_rows,
+    refuse_multi_ktimes,
+    row_values,
+    zero_answers,
+)
 from repro.core.distribution import SupportBlock
 from repro.core.errors import (
     QuarantinedQueryError,
@@ -122,13 +127,11 @@ from repro.core.query import (
     PSTQuery,
     SpatioTemporalWindow,
 )
-from repro.database.pruning import ReachabilityPruner
+from repro.database.pruning import ReachabilityPruner, earliest_times
 from repro.database.uncertain_db import TrajectoryDatabase
 from repro.exec.operators import LADDER_EXTEND, ExecutionContext
 
 __all__ = ["StreamingQueryEngine", "StandingQuery"]
-
-_UNREACHABLE = int(np.iinfo(np.int64).max)
 
 
 def _shift_window(
@@ -217,14 +220,16 @@ class _ChainStream:
         fresh = np.arange(len(self.threshold), view.n_rows)
         if not fresh.size:
             return
-        steps = cohort.block(fresh).min_over_support(
-            self.owner.engine.pruner.min_levels(
-                self.chain_id, self.owner.region
-            )
-        )
-        reachable = steps < _UNREACHABLE
-        steps[reachable] += cohort.start_time[fresh][reachable]
-        self.threshold = np.concatenate([self.threshold, steps])
+        self.threshold = np.concatenate([
+            self.threshold,
+            earliest_times(
+                self.owner.engine.pruner.min_levels(
+                    self.chain_id, self.owner.region
+                ),
+                cohort.block(fresh),
+                cohort.start_time[fresh],
+            ),
+        ])
 
     # ------------------------------------------------------------------
     # backward columns
@@ -371,11 +376,7 @@ class _ChainStream:
         start_time = cohort.start_time[rows]
         reach = self.threshold[rows] <= window.t_end
         before = last < window.t_start
-        if owner.kind == "ktimes":
-            out = np.zeros((len(rows), window.duration + 1), dtype=float)
-            out[:, 0] = 1.0  # zero visits
-        else:
-            out = np.zeros(len(rows), dtype=float)
+        out = zero_answers(owner.kind, len(rows), window.duration)
 
         # re-sighted rows whose record a racing write took away
         gone = np.zeros(len(rows), dtype=bool)
@@ -441,12 +442,7 @@ class _ChainStream:
         }
         if gone.any():
             rows, out = rows[~gone], out[~gone]
-        return (
-            dict(zip(
-                cohort.ids(rows), out.tolist() if out.ndim == 1 else out
-            )),
-            counters,
-        )
+        return dict(zip(cohort.ids(rows), row_values(out))), counters
 
 
 class StandingQuery:
@@ -788,6 +784,8 @@ class StandingQuery:
                         nnz=stream.chain.nnz,
                         duration=window.duration,
                     ),
+                    cohort=stream.cohort,
+                    rows=stream.view.rows,
                     survivors=len(stream.view.rows),
                 )
                 for chain_id, stream in sorted(self._chains.items())

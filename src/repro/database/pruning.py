@@ -15,7 +15,9 @@ This module provides the corresponding filter step:
   the chain's per-step displacement bound).  It only ever drops objects
   BFS drops too, so planning runs it only when a caller forces it.
 
-Both labels feed :func:`reachable_rows`, and both filters are *safe*:
+Both labels feed :func:`reachable_rows` through :func:`earliest_times`
+(which standing queries gather their thresholds with too), and both
+filters are *safe*:
 they never discard an object with non-zero result probability
 (verified against brute force in the test suite).
 """
@@ -39,6 +41,7 @@ from repro.database.uncertain_db import TrajectoryDatabase
 __all__ = [
     "ReachabilityPruner",
     "GeometricPrefilter",
+    "earliest_times",
     "reachability_levels",
     "reachable_rows",
 ]
@@ -115,28 +118,41 @@ def reachability_levels(
     return levels
 
 
+def earliest_times(
+    levels: np.ndarray, block: SupportBlock, start_times: np.ndarray
+) -> np.ndarray:
+    """The earliest time each row of ``block`` can be in the region:
+    its start time plus the minimum of ``levels`` (steps into the
+    region, per state) over its support.  A row whose support is all
+    unreachable -- or not yet labelled -- keeps the sentinel
+    ``np.iinfo(np.int64).max``; the start time is never added to it.
+    """
+    earliest = block.min_over_support(levels)
+    return np.add(
+        earliest, start_times, out=earliest, where=earliest < _UNREACHABLE
+    )
+
+
 def reachable_rows(
     fetch_levels,
     block: SupportBlock,
     start_times: np.ndarray,
-    t_end: int,
+    deadline: int,
 ) -> np.ndarray:
     """The Section V-C filter over a whole block of objects at once.
 
-    Row ``i`` (observed at ``start_times[i]`` over the block's ``i``-th
-    support) survives iff some state of its support is labelled
-    ``<= t_end - start_times[i]`` -- the same test
-    :meth:`ReachabilityPruner.can_satisfy` applies to one object.
-    ``fetch_levels(depth)`` supplies the labelling to at least
-    ``depth`` levels; it is asked once, for the largest horizon in the
-    block.  Returns the boolean keep-mask.
+    Row ``i`` survives iff it can be in the region by ``deadline``
+    (:func:`earliest_times` ``<= deadline``) -- the same test
+    :meth:`ReachabilityPruner.can_satisfy` applies to one object with
+    the window's ``t_end``.  ``fetch_levels(depth)`` supplies the
+    labelling to at least ``depth`` levels; it is asked once, for the
+    largest horizon in the block.  Returns the boolean keep-mask.
     """
-    horizons = int(t_end) - np.asarray(start_times, dtype=np.int64)
-    if horizons.size == 0:
+    start_times = np.asarray(start_times, dtype=np.int64)
+    if start_times.size == 0:
         return np.zeros(0, dtype=bool)
-    levels = fetch_levels(max(0, int(horizons.max())))
-    # a negative horizon never admits (labels are >= 0)
-    return block.min_over_support(levels) <= horizons
+    levels = fetch_levels(max(0, int(deadline) - int(start_times.min())))
+    return earliest_times(levels, block, start_times) <= deadline
 
 
 class ReachabilityPruner:
@@ -224,7 +240,7 @@ class ReachabilityPruner:
         ``obj`` first intersects a window over ``region`` no earlier
         than ``obj.initial.time + min_steps``.  The per-object form of
         the threshold standing queries gather for whole cohorts
-        (``block.min_over_support(min_levels(...))``).
+        (:func:`earliest_times` over ``min_levels(...)``).
         """
         levels = self.min_levels(obj.chain_id, region)
         states, _probs = obj.initial.distribution.sparse()

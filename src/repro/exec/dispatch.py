@@ -5,7 +5,8 @@ one interpreter a query is capped at one core.  This module lifts that
 cap with one worker, :func:`_evaluate_store_shards`: a pool process
 memory-maps a worker slot's shards of a store's columnar slabs (shared
 through the OS page cache, attached once per process and generation),
-prefilters and BFS-prunes shard by shard, and runs the kernels once
+runs the pipeline's filter stages shard by shard
+(:func:`~repro.core.batch.filter_rows`), and runs the kernels once
 over every survivor.  Only small task descriptions and results cross
 the process boundary.
 
@@ -493,14 +494,20 @@ def _evaluate_store_shards(task: _StoreTask):
     exact answers per object id (filtered objects get the zero
     element), how many shards this call had to map (0 on every warm
     call), and the summed filter-stage counts.  The filter stages are
-    the parent's own (:data:`~repro.exec.operators.PREFILTER` over the
-    store's positions, :data:`~repro.exec.operators.BFS_PRUNE` over
+    the pipeline's :func:`~repro.core.batch.filter_rows` per shard
+    (:data:`~repro.exec.operators.PREFILTER` over the store's
+    positions, :data:`~repro.exec.operators.BFS_PRUNE` over
     worker-local labels); the survivors sweep as one stack grouped by
     shard, so each shard densifies on its own fill.
     """
     from functools import partial, reduce
 
-    from repro.core.batch import collapse_posteriors, evaluate_rows
+    from repro.core.batch import (
+        collapse_posteriors,
+        evaluate_rows,
+        filter_rows,
+        row_values,
+    )
     from repro.core.distribution import SupportBlock
     from repro.core.query import SpatioTemporalWindow
     from repro.database.pruning import (
@@ -558,26 +565,14 @@ def _evaluate_store_shards(task: _StoreTask):
             ))
         if task.use_bfs:
             stages.append(("bfs_pruned", BFS_PRUNE, levels))
-        for key, stage, probe in stages:
+        for key, stage, labels in stages:
             if not candidates.size:
                 break
-            keep = stage(
-                (probe, view.block(candidates), view.start_time[candidates],
-                 window.t_end),
-                region=window.region,
-                context=context,
+            candidates, dropped, zeros = filter_rows(
+                stage, labels, view, candidates, window, task.kind, context
             )
-            dropped = candidates[~keep]
-            if task.kind == "ktimes":
-                zeros = np.zeros(
-                    (len(dropped), window.duration + 1), dtype=float
-                )
-                zeros[:, 0] = 1.0
-            else:
-                zeros = itertools.repeat(0.0)
-            values.update(zip(object_ids[dropped].tolist(), zeros))
+            values.update(zip(object_ids[dropped].tolist(), row_values(zeros)))
             stats[key] += len(dropped)
-            candidates = candidates[keep]
         views.append(view)
         survivors.append(candidates)
         ids.append(object_ids[candidates])
@@ -629,10 +624,7 @@ def _evaluate_store_shards(task: _StoreTask):
             levels=levels,
             groups=group,
         )
-        values.update(zip(
-            np.concatenate(ids).tolist(),
-            answers if task.kind == "ktimes" else answers.tolist(),
-        ))
+        values.update(zip(np.concatenate(ids).tolist(), row_values(answers)))
     return (
         task.chain_id,
         values,

@@ -982,11 +982,12 @@ class LadderExtend(Operator):
 class BfsPrune(Operator):
     """Section V-C reachability filter over a block of objects.
 
-    ``inputs`` is ``(fetch_levels, block, start_times, t_end)`` -- see
-    :func:`repro.database.pruning.reachable_rows`, which this times;
-    returns the boolean keep-mask over the block's rows.  The pipeline
-    feeds it a cohort's candidate rows, store shard workers their slab
-    rows.  Two instances: :data:`BFS_PRUNE` over the exact reverse-BFS
+    ``inputs`` is ``(fetch_levels, block, start_times, deadline)`` --
+    see :func:`repro.database.pruning.reachable_rows`, which this times;
+    returns the boolean keep-mask over the block's rows.
+    :func:`repro.core.batch.filter_rows` runs it for the pipeline (a
+    cohort's candidate rows) and for store shard workers (their slab
+    rows).  Two instances: :data:`BFS_PRUNE` over the exact reverse-BFS
     labels (the pruner's, or the worker-local ones), and
     :data:`PREFILTER` over the geometric lower bound of
     :meth:`~repro.database.pruning.GeometricPrefilter.probe`.  Safe by

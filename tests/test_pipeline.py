@@ -13,10 +13,13 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     LineStateSpace,
@@ -34,6 +37,8 @@ from repro import (
     UncertainObject,
 )
 from repro.core.errors import QueryError
+from repro.exec import dispatch
+from repro.store.sharded import forget_generations
 from repro.workloads.synthetic import make_line_chain
 
 from conftest import random_chain
@@ -206,40 +211,83 @@ class TestAutoParity:
 
 
 class TestFilterSafety:
-    def test_filters_never_drop_nonzero_objects_randomized(self):
-        # the ISSUE-2 safety property: across random databases and
-        # windows, any object a filter stage zeroed must have an
-        # exactly-zero unfiltered probability
-        rng = np.random.default_rng(42)
-        for round_index in range(8):
-            n_states = int(rng.integers(40, 160))
-            database = mixed_line_database(
-                n_objects=int(rng.integers(6, 18)),
-                n_states=n_states,
-                max_step=int(rng.integers(2, 12)) * 2,
-                seed=int(rng.integers(0, 10_000)),
-                multi_every=int(rng.integers(0, 5)),
-            )
-            low = int(rng.integers(0, n_states - 5))
-            high = min(n_states - 1, low + int(rng.integers(1, 8)))
-            t_low = int(rng.integers(1, 6))
-            window = SpatioTemporalWindow.from_ranges(
-                low, high, t_low, t_low + int(rng.integers(0, 4))
-            )
-            engine = QueryEngine(database)
-            filtered = engine.evaluate(
-                PSTExistsQuery(window),
-                options=PlanOptions(prefilter=True, bfs_prune=True),
-            )
-            plain = engine.evaluate(
-                PSTExistsQuery(window), method="qb", options=NO_FILTERS
-            )
-            for object_id in database.object_ids:
-                assert filtered.values[object_id] == pytest.approx(
-                    plain.values[object_id], abs=1e-12
-                )
-                if plain.values[object_id] > 0.0:
-                    assert filtered.values[object_id] > 0.0
+    # 30 examples in tier-1; the ci hypothesis profile (2,000) runs 600
+    @given(
+        n_states=st.integers(40, 159),
+        n_objects=st.integers(6, 17),
+        half_step=st.integers(2, 11),
+        seed=st.integers(0, 9_999),
+        multi_every=st.integers(0, 4),
+        chains=st.sampled_from([("default",), ("cars", "trucks")]),
+        data=st.data(),
+    )
+    @settings(
+        max_examples=settings.default.max_examples * 3 // 10,
+        deadline=None,
+    )
+    def test_filters_never_drop_nonzero_objects_randomized(
+        self, n_states, n_objects, half_step, seed, multi_every, chains,
+        data,
+    ):
+        """Every path that runs the Section V-C filter -- the serial
+        pipeline with both stages forced on, a store shard worker over
+        the same objects, a standing-query tick -- zeroes only objects
+        whose unfiltered QB answer is exactly 0, and agrees with the
+        serial answers at 1e-12."""
+        database = mixed_line_database(
+            n_objects=n_objects,
+            n_states=n_states,
+            max_step=2 * half_step,
+            seed=seed,
+            chain_ids=chains,
+            multi_every=multi_every,
+        )
+        low = data.draw(st.integers(0, n_states - 6), label="low")
+        high = min(n_states - 1, low + data.draw(st.integers(1, 7)))
+        t_low = data.draw(st.integers(1, 5), label="t_low")
+        window = SpatioTemporalWindow.from_ranges(
+            low, high, t_low, t_low + data.draw(st.integers(0, 3))
+        )
+        engine = QueryEngine(database)
+        plain = engine.evaluate(
+            PSTExistsQuery(window), method="qb", options=NO_FILTERS
+        ).values
+        serial = engine.evaluate(
+            PSTExistsQuery(window),
+            options=PlanOptions(
+                prefilter=True, bfs_prune=True, dispatch="serial"
+            ),
+        ).values
+        with tempfile.TemporaryDirectory() as root:
+            manifest = dispatch.publish_csr(database, root, 1, 2)
+            shards = {}
+            try:
+                for chain_id in chains:
+                    shards.update(dispatch._evaluate_store_shards(
+                        dispatch._StoreTask(
+                            store_dir=root,
+                            generation=1,
+                            chain_id=chain_id,
+                            kind="exists",
+                            method="qb",
+                            region=tuple(sorted(window.region)),
+                            times=tuple(sorted(window.times)),
+                            shards=tuple(
+                                (entry["shard_id"], ())
+                                for entry in manifest["shards"]
+                                if entry["chain_id"] == chain_id
+                            ),
+                        )
+                    )[1])
+            finally:
+                forget_generations(root)
+        tick = engine.watch(PSTExistsQuery(window)).tick().values
+        for values in (serial, shards, tick):
+            assert set(values) == set(database.object_ids)
+            for object_id, value in values.items():
+                assert value == pytest.approx(serial[object_id], abs=1e-12)
+                if value == 0.0:
+                    assert plain[object_id] == 0.0
 
 
 class TestExplain:

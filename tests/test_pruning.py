@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from repro import (
     TrajectoryDatabase,
     UncertainObject,
 )
+from repro.core.distribution import StateDistribution, SupportBlock
 from repro.core.errors import ValidationError
 from repro.core.markov import MarkovChain
 from repro.core.query import Region
 from repro.database import pruning
+from repro.database.objects import DEFAULT_CHAIN
 from repro.database.pruning import reachability_levels
 from repro.workloads.synthetic import (
     SyntheticConfig,
@@ -193,6 +196,110 @@ class TestGeometricPrefilter:
         )
         window = SpatioTemporalWindow(frozenset({0}), frozenset({1}))
         assert geometric_ids(geometric, database, window, 5) == []
+
+
+class TestEarliestTimes:
+    """The one label gather every filter runs (pipeline stages, shard
+    workers, standing-query thresholds), against the per-object
+    :meth:`ReachabilityPruner.can_satisfy` under both labels sources."""
+
+    @staticmethod
+    def island_database():
+        """Two line halves with no transition between them, objects on
+        both, observed at mixed times: the far half's supports can never
+        reach a region in the near half."""
+        rng = np.random.default_rng(5)
+        chain = two_islands(80, rng)
+        database = TrajectoryDatabase.with_chain(
+            chain, state_space=LineStateSpace(80)
+        )
+        for index in range(30):
+            start = int(rng.integers(0, 80))
+            states = list(range(start, min(80, start + int(rng.integers(1, 4)))))
+            database.add(UncertainObject.with_distribution(
+                f"o{index}",
+                StateDistribution.uniform(80, states),
+                time=int(rng.integers(0, 5)),
+            ))
+        # a support wholly on the far half, observed late: its label is
+        # the sentinel, which adding the start time would overflow
+        database.add(UncertainObject.at_state("far", 80, 70, time=4))
+        return database
+
+    @staticmethod
+    def columns(database):
+        objects = list(database)
+        block = SupportBlock.from_distributions(
+            [obj.initial.distribution for obj in objects], database.n_states
+        )
+        starts = np.array([obj.initial.time for obj in objects])
+        return objects, block, starts
+
+    @pytest.mark.parametrize("t_end", [3, 4, 6, 12, 60])
+    def test_bfs_labels_match_can_satisfy(self, t_end):
+        database = self.island_database()
+        pruner = ReachabilityPruner(database)
+        window = SpatioTemporalWindow(
+            frozenset(range(10, 14)), frozenset({min(t_end, 5), t_end})
+        )
+        objects, block, starts = self.columns(database)
+        keep = pruning.reachable_rows(
+            partial(pruner.levels, DEFAULT_CHAIN, window.region),
+            block, starts, window.t_end,
+        )
+        expect = [pruner.can_satisfy(obj, window) for obj in objects]
+        assert keep.tolist() == expect
+        assert not keep[-1] and any(expect) and not all(expect)
+
+    def test_earliest_time_is_start_plus_min_steps(self):
+        database = self.island_database()
+        pruner = ReachabilityPruner(database)
+        region = range(10, 14)
+        objects, block, starts = self.columns(database)
+        earliest = pruning.earliest_times(
+            pruner.min_levels(DEFAULT_CHAIN, region), block, starts
+        )
+        for obj, time in zip(objects, earliest.tolist()):
+            steps = pruner.min_steps(obj, region)
+            assert time == (
+                UNREACHABLE if steps == UNREACHABLE
+                else obj.initial.time + steps
+            )
+        assert earliest[-1] == UNREACHABLE  # "far": no overflow
+
+    @pytest.mark.parametrize("t_end", [3, 6, 12])
+    def test_geometric_labels_keep_what_can_satisfy_keeps(self, t_end):
+        database = self.island_database()
+        pruner = ReachabilityPruner(database)
+        window = SpatioTemporalWindow(
+            frozenset(range(10, 14)), frozenset({t_end})
+        )
+        geometric = GeometricPrefilter(
+            database.state_positions(),
+            database.chain_displacement_bound(DEFAULT_CHAIN),
+        )
+        objects, block, starts = self.columns(database)
+        keep = pruning.reachable_rows(
+            partial(geometric.probe, window.region),
+            block, starts, window.t_end,
+        )
+        kept = [obj.object_id for obj, k in zip(objects, keep) if k]
+        assert kept == geometric_ids(geometric, database, window)
+        assert {
+            obj.object_id for obj in objects
+            if pruner.can_satisfy(obj, window)
+        } <= set(kept)
+
+    def test_empty_block(self):
+        empty = SupportBlock.from_distributions([], 4)
+        earliest = pruning.earliest_times(
+            np.zeros(4, dtype=np.int64), empty, np.zeros(0, dtype=np.int64)
+        )
+        assert earliest.dtype == np.int64 and earliest.size == 0
+        keep = pruning.reachable_rows(
+            lambda depth: np.zeros(4, dtype=np.int64), empty, [], 5
+        )
+        assert keep.dtype == bool and keep.size == 0
 
 
 # ----------------------------------------------------------------------

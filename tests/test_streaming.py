@@ -1020,6 +1020,30 @@ class TestStreamingPlan:
         assert plan.requested_method == "streaming"
         assert "streaming" in plan.describe()
 
+    def test_plan_groups_carry_the_tick_rows(self):
+        """The plan sizes and lists a tick's objects as its stages
+        count them: ``n_objects`` and ``object_ids`` come from each
+        chain's rows of the tick's view."""
+        database = TrajectoryDatabase.with_chain(
+            make_line_chain(N_STATES, max_step=4, seed=1),
+            state_space=LineStateSpace(N_STATES),
+        )
+        for index, state in enumerate((110, 150, 390)):
+            database.add(UncertainObject.at_state(
+                f"obj-{index}", N_STATES, state
+            ))
+        standing = StreamingQueryEngine(database).watch(
+            PSTExistsQuery(WINDOW)
+        )
+        standing.tick()
+        plan = standing.explain()
+        assert plan.n_objects == plan.stage_counts()[0] == 3
+        assert sorted(
+            object_id
+            for group in plan.groups
+            for object_id in group.object_ids
+        ) == ["obj-0", "obj-1", "obj-2"]
+
     def test_candidates_grow_with_horizon(self):
         database = build_database(seed=8)
         standing = QueryEngine(database).watch(PSTExistsQuery(WINDOW))
