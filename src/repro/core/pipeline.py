@@ -158,21 +158,14 @@ class QueryPipeline:
         plan.stages = []
         plan.degradations = []
 
-        positions = (
-            self.database.state_positions() if plan.use_prefilter else None
-        )
         self._stage_filter(
             plan, "prefilter", PREFILTER,
-            partial(self._probe, positions, plan)
-            if positions is not None else None,
-            "off" if not plan.use_prefilter
-            else "no geometry" if positions is None else "",
+            self._probe if plan.use_prefilter else None,
             survivors, values, query, context,
         )
         self._stage_filter(
             plan, "bfs", BFS_PRUNE,
-            partial(self._labels, plan) if plan.use_bfs else None,
-            "" if plan.use_bfs else "off",
+            self._labels if plan.use_bfs else None,
             survivors, values, query, context,
         )
         self._stage_evaluate(plan, survivors, values, query, context)
@@ -188,9 +181,13 @@ class QueryPipeline:
         the object-based kernel take."""
         return partial(self.pruner.levels, group.chain_id, plan.window.region)
 
-    def _probe(self, positions: np.ndarray, plan: QueryPlan, group: GroupPlan):
+    def _probe(self, plan: QueryPlan, group: GroupPlan):
         """The forced prefilter's labels: the closed-form lower bound on
-        :meth:`_labels` from the state positions."""
+        :meth:`_labels` from the state positions (``None`` when the
+        database cannot place its states)."""
+        positions = self.database.state_positions()
+        if positions is None:
+            return None
         return partial(
             GeometricPrefilter(
                 positions,
@@ -207,25 +204,30 @@ class QueryPipeline:
         plan: QueryPlan,
         name: str,
         operator,
-        labels: Optional[Callable[[GroupPlan], Callable]],
-        detail: str,
+        labels: Optional[Callable],
         survivors: Dict[str, np.ndarray],
         values: Dict[str, ResultValue],
         query,
         context: ExecutionContext,
     ) -> None:
-        """One filter stage over every group: ``labels(group)`` is the
-        group's ``fetch_levels`` (``None`` runs the stage as a
-        pass-through); the dropped rows are answered with the zero
-        element."""
+        """One filter stage over every group: ``labels(plan, group)`` is
+        the group's ``fetch_levels``.  The stage passes every row
+        through when it is off (``labels`` is ``None``) or has no
+        labels (``no geometry``); the dropped rows are answered with
+        the zero element."""
         entering = sum(len(rows) for rows in survivors.values())
         started = _time.perf_counter()
+        detail = "off" if labels is None else ""
         for group in plan.groups if labels is not None else ():
+            fetch_levels = labels(plan, group)
+            if fetch_levels is None:
+                detail = "no geometry"
+                break
             rows = survivors[group.chain_id]
             if not rows.size:
                 continue
             survivors[group.chain_id], dropped, zeros = filter_rows(
-                operator, labels(group), group.cohort, rows,
+                operator, fetch_levels, group.cohort, rows,
                 plan.window, plan.kind, context,
             )
             values.update(

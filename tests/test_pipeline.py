@@ -232,8 +232,8 @@ class TestFilterSafety:
         """Every path that runs the Section V-C filter -- the serial
         pipeline with both stages forced on, a store shard worker over
         the same objects, a standing-query tick -- zeroes only objects
-        whose unfiltered QB answer is exactly 0, and agrees with the
-        serial answers at 1e-12."""
+        whose unfiltered QB answer is exactly 0, and agrees with that
+        answer and with the serial pipeline's at 1e-12."""
         database = mixed_line_database(
             n_objects=n_objects,
             n_states=n_states,
@@ -285,6 +285,7 @@ class TestFilterSafety:
         for values in (serial, shards, tick):
             assert set(values) == set(database.object_ids)
             for object_id, value in values.items():
+                assert value == pytest.approx(plain[object_id], abs=1e-12)
                 assert value == pytest.approx(serial[object_id], abs=1e-12)
                 if value == 0.0:
                     assert plain[object_id] == 0.0
