@@ -1,11 +1,15 @@
 """Probability distributions over discrete states.
 
 A :class:`StateDistribution` is the paper's ``P(o, t)`` -- a row vector with
-one probability per state (Section IV).  The class wraps a dense numpy
-vector (distributions become dense after a few Markov transitions anyway)
-and provides the operations the query processors need:
+one probability per state (Section IV).  An observation's pdf covers a
+small uncertainty region of a large state space, and stored observations
+never transition, so the class keeps only the support: the ascending
+states with non-zero probability, their probabilities and the state
+count.  That is the format of a row of a :class:`SupportBlock`, of the
+cohort CSR and of the sharded store's slabs.  It provides the operations
+the query processors need:
 
-* construction from points, dicts, or arrays;
+* construction from points, dicts, support arrays or dense vectors;
 * one-step transition (Corollary 1) lives in :class:`repro.core.markov.MarkovChain`;
 * Bayesian fusion of independent observations (Lemma 1):
   elementwise product followed by normalisation.
@@ -30,11 +34,14 @@ _TOLERANCE = 1e-9
 
 
 class StateDistribution:
-    """A probability distribution over ``n`` states.
+    """A probability distribution over ``n`` states, kept as its support.
 
-    Instances are immutable by convention: all operations return new
-    distributions.  The underlying vector is available as the read-only
-    :attr:`vector` numpy array.
+    Instances are immutable: all operations return new distributions.
+    :meth:`sparse` returns the stored read-only ``(states,
+    probabilities)`` arrays; :attr:`vector` densifies them into a fresh
+    read-only ``n``-vector on every access, for the dense kernels.  Every
+    other method works on the support, so a subclass changes where the
+    support comes from by overriding :meth:`sparse` alone.
 
     Args:
         vector: non-negative weights, one per state.
@@ -42,7 +49,7 @@ class StateDistribution:
             already sum to one within tolerance.
     """
 
-    __slots__ = ("_vector",)
+    __slots__ = ("_states", "_probs", "_n")
 
     def __init__(
         self, vector: Sequence[float], normalize: bool = False
@@ -72,8 +79,11 @@ class StateDistribution:
                 f"distribution mass is {total}, expected 1 "
                 f"(pass normalize=True to rescale)"
             )
-        array.setflags(write=False)
-        self._vector = array
+        states = np.flatnonzero(array > 0.0)
+        probs = array[states]
+        states.setflags(write=False)
+        probs.setflags(write=False)
+        self._states, self._probs, self._n = states, probs, int(array.size)
 
     # ------------------------------------------------------------------
     # constructors
@@ -156,57 +166,72 @@ class StateDistribution:
     # ------------------------------------------------------------------
     @property
     def vector(self) -> np.ndarray:
-        """The underlying (read-only) probability vector."""
-        return self._vector
+        """A fresh read-only dense probability vector."""
+        states, probs = self.sparse()
+        vector = np.zeros(self.n_states, dtype=float)
+        vector[states] = probs
+        vector.setflags(write=False)
+        return vector
 
     @property
     def n_states(self) -> int:
         """Number of states the distribution ranges over."""
-        return int(self._vector.size)
+        return self._n
 
-    def probability(self, state: int) -> float:
-        """Probability of a single state."""
+    def _check(self, state: int) -> None:
         if not (0 <= state < self.n_states):
             raise ValidationError(
                 f"state {state} out of range [0, {self.n_states})"
             )
-        return float(self._vector[state])
+
+    def _region(self, region: Iterable[int]) -> np.ndarray:
+        """``region`` as ascending distinct states, range-checked."""
+        states = np.unique(np.fromiter(region, dtype=np.int64))
+        if states.size:
+            self._check(int(states[0]))
+            self._check(int(states[-1]))
+        return states
+
+    def probability(self, state: int) -> float:
+        """Probability of a single state."""
+        self._check(state)
+        states, probs = self.sparse()
+        at = int(np.searchsorted(states, state))
+        hit = at < states.size and states[at] == state
+        return float(probs[at]) if hit else 0.0
 
     def probability_of(self, region: Iterable[int]) -> float:
-        """Total probability of a set of states."""
-        states = list(region)
-        if not states:
-            return 0.0
-        return float(self._vector[np.asarray(states, dtype=int)].sum())
+        """Total probability of a set of states (duplicates count once)."""
+        states, probs = self.sparse()
+        return float(probs[np.isin(states, self._region(region))].sum())
 
     def support(self) -> Tuple[int, ...]:
         """States with non-zero probability, ascending."""
-        return tuple(int(i) for i in np.nonzero(self._vector > 0.0)[0])
+        return tuple(self.sparse()[0].tolist())
 
     def support_size(self) -> int:
         """Number of states with non-zero probability."""
-        return int(np.count_nonzero(self._vector > 0.0))
+        return int(self.sparse()[0].size)
 
     def sparse(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(states, probabilities)`` of the support as arrays -- one
-        row of a :class:`SupportBlock`."""
-        vector = self.vector
-        states = np.flatnonzero(vector > 0.0)
-        return states, vector[states]
+        """``(states, probabilities)`` of the support as read-only
+        arrays, states ascending -- one row of a :class:`SupportBlock`."""
+        return self._states, self._probs
 
     def mode(self) -> int:
         """The most probable state (lowest index on ties)."""
-        return int(np.argmax(self._vector))
+        states, probs = self.sparse()
+        return int(states[np.argmax(probs)])
 
     def entropy(self) -> float:
         """Shannon entropy in bits (0 for a point distribution)."""
-        positive = self._vector[self._vector > 0.0]
-        return float(-(positive * np.log2(positive)).sum())
+        probs = self.sparse()[1]
+        return float(-(probs * np.log2(probs)).sum())
 
     def items(self) -> Iterator[Tuple[int, float]]:
         """Yield ``(state, probability)`` for the support."""
-        for state in self.support():
-            yield state, float(self._vector[state])
+        states, probs = self.sparse()
+        return zip(states.tolist(), probs.tolist())
 
     def to_dict(self) -> Dict[int, float]:
         """Sparse ``{state: probability}`` view of the support."""
@@ -219,77 +244,95 @@ class StateDistribution:
         """Combine with independent observations per Lemma 1 of the paper.
 
         The joint distribution of independent observations of the same
-        object at the same time is the normalised elementwise product.
+        object at the same time is the normalised elementwise product,
+        supported on the intersection of the supports.
 
         Raises:
             InfeasibleEvidenceError: when the product has zero mass, i.e.
                 the observations are contradictory under the model.
             DimensionMismatchError: when state counts differ.
         """
-        product = self._vector.copy()
+        states, probs = self.sparse()
         for other in others:
             if other.n_states != self.n_states:
                 raise DimensionMismatchError(
                     f"cannot fuse distributions over {self.n_states} "
                     f"and {other.n_states} states"
                 )
-            product *= other._vector
-        total = float(product.sum())
+            theirs, weights = other.sparse()
+            states, mine, at = np.intersect1d(
+                states, theirs, assume_unique=True, return_indices=True
+            )
+            probs = probs[mine] * weights[at]
+        total = float(probs.sum())
         if total <= 0.0:
             raise InfeasibleEvidenceError(
                 "observations are contradictory: fused mass is zero"
             )
-        return StateDistribution(product / total)
+        return StateDistribution.from_support(
+            self.n_states, states, probs / total
+        )
 
     def restrict(self, region: Iterable[int]) -> "StateDistribution":
         """Condition on the object being inside ``region``.
 
         Zeroes mass outside the region and renormalises.
         """
-        mask = np.zeros(self.n_states, dtype=float)
-        for state in region:
-            if not (0 <= state < self.n_states):
-                raise ValidationError(
-                    f"state {state} out of range [0, {self.n_states})"
-                )
-            mask[state] = 1.0
-        product = self._vector * mask
-        total = float(product.sum())
+        states, probs = self.sparse()
+        keep = np.isin(states, self._region(region))
+        total = float(probs[keep].sum())
         if total <= 0.0:
             raise InfeasibleEvidenceError(
                 "restriction removed all probability mass"
             )
-        return StateDistribution(product / total)
+        return StateDistribution.from_support(
+            self.n_states, states[keep], probs[keep] / total
+        )
 
-    def total_variation_distance(self, other: "StateDistribution") -> float:
-        """Total-variation distance ``0.5 * sum |p - q|``."""
+    def _aligned(self, other: "StateDistribution") -> np.ndarray:
+        """Both probability rows over the union of the two supports."""
         if other.n_states != self.n_states:
             raise DimensionMismatchError(
                 f"cannot compare distributions over {self.n_states} "
                 f"and {other.n_states} states"
             )
-        return float(0.5 * np.abs(self._vector - other._vector).sum())
+        (mine, p), (theirs, q) = self.sparse(), other.sparse()
+        union = np.union1d(mine, theirs)
+        rows = np.zeros((2, union.size))
+        rows[0, np.searchsorted(union, mine)] = p
+        rows[1, np.searchsorted(union, theirs)] = q
+        return rows
+
+    def total_variation_distance(self, other: "StateDistribution") -> float:
+        """Total-variation distance ``0.5 * sum |p - q|``."""
+        p, q = self._aligned(other)
+        return float(0.5 * np.abs(p - q).sum())
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one state from the distribution."""
-        return int(rng.choice(self.n_states, p=self._vector))
+        """Draw one state from the distribution (the same draw as
+        ``rng.choice(n_states, p=vector)``)."""
+        states, probs = self.sparse()
+        return int(states[rng.choice(states.size, p=probs)])
 
     def allclose(self, other: "StateDistribution", tol: float = 1e-9) -> bool:
         """Entrywise comparison within ``tol``."""
-        return (
-            self.n_states == other.n_states
-            and bool(np.allclose(self._vector, other._vector, atol=tol))
+        return self.n_states == other.n_states and bool(
+            np.allclose(*self._aligned(other), atol=tol)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateDistribution):
             return NotImplemented
-        return self.n_states == other.n_states and bool(
-            np.array_equal(self._vector, other._vector)
+        (mine, p), (theirs, q) = self.sparse(), other.sparse()
+        return (
+            self.n_states == other.n_states
+            and bool(np.array_equal(mine, theirs))
+            and bool(np.array_equal(p, q))
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_states, self._vector.tobytes()))
+        states, probs = self.sparse()
+        return hash((self.n_states, states.tobytes(), probs.tobytes()))
 
     def __repr__(self) -> str:
         entries = ", ".join(

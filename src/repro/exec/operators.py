@@ -891,19 +891,17 @@ class PosteriorCollapse(Operator):
         t_last = observations.last.time
         if resume is not None:
             time, support, weights = resume
-            vector = np.zeros(chain.n_states, dtype=float)
-            vector[support] = weights
         else:
             time = observations.first.time
-            vector = np.asarray(
-                observations.first.distribution.vector, dtype=float
-            )
+            support, weights = observations.first.distribution.sparse()
         n = chain.n_states
+        vector = np.zeros(n, dtype=float)
+        vector[support] = weights
         down, up = chain.band()
         for observation in observations.after(time):
             steps, time = observation.time - time, observation.time
-            pdf = np.asarray(observation.distribution.vector, dtype=float)
-            support, target = np.flatnonzero(vector), np.flatnonzero(pdf)
+            target, pdf = observation.distribution.sparse()
+            support = np.flatnonzero(vector)
             lo = hi = 0
             if support.size:
                 lo, hi = int(support[0]), int(support[-1]) + 1
@@ -912,7 +910,11 @@ class PosteriorCollapse(Operator):
                 lo = max(0, lo - down, t_lo - left * up)
                 hi = max(lo, min(n, hi + up, t_hi + left * down))
                 vector = chain.window_product(vector, lo, hi, True)
-            vector = vector * pdf
+            # fused in the dense layout, so the sum below is bit-identical
+            # to that of the dense product
+            fused = np.zeros(n, dtype=float)
+            fused[target] = vector[target] * pdf
+            vector = fused
             total = float(vector.sum())
             if total <= 0.0:
                 raise InfeasibleEvidenceError(

@@ -42,12 +42,10 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
 from repro.core.engine import QueryEngine, QueryResult
 from repro.core.errors import AdmissionRejected, ValidationError
 from repro.core.planner import PlanOptions, resolve_options
-from repro.core.query import PSTQuery
+from repro.core.query import PSTKTimesQuery, PSTQuery
 from repro.service.broker import (
     FusedGroup,
     PendingRequest,
@@ -532,13 +530,15 @@ class QueryService:
         if plan is not None:
             plan = copy.copy(plan)
             plan.fusion = list(result.plan.fusion) + events
-        ids = request.object_ids
-        wanted = None if ids is None else set(ids)
-        values: Dict[str, Any] = {
-            oid: value.copy() if isinstance(value, np.ndarray) else value
-            for oid, value in result.values.items()
-            if wanted is None or oid in wanted
-        }
+        values: Dict[str, Any] = dict(result.values)
+        if request.object_ids is not None:
+            wanted = set(request.object_ids)
+            values = {oid: v for oid, v in values.items() if oid in wanted}
+        query = request.query
+        if isinstance(query, PSTKTimesQuery) and query.k is None:
+            # distributions over k are arrays a caller could write into;
+            # every other answer is an immutable float
+            values = {oid: value.copy() for oid, value in values.items()}
         return QueryResult(
             query=request.query,
             method=result.method,

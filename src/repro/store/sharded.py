@@ -121,15 +121,16 @@ def _load_manifest(root: Path) -> Dict:
 # lazy slab-backed distributions
 # ----------------------------------------------------------------------
 class SlabDistribution(StateDistribution):
-    """A distribution whose weights live in a memory-mapped slab.
+    """A distribution whose support lives in a memory-mapped slab.
 
     Holds only *paths and offsets* -- cheap, picklable, and never pins
-    slab pages: :attr:`_vector` densifies the sparse row on every
-    access through the process-wide pool, so evicting the mapping is
+    slab pages: :meth:`sparse` copies the row out through the
+    process-wide pool on every access, so evicting the mapping is
     always safe and resident bytes stay under ``REPRO_STORE_RAM_CAP``.
+    Every other method is the base class's, derived from :meth:`sparse`.
     """
 
-    __slots__ = ("_states_path", "_weights_path", "_lo", "_hi", "_n")
+    __slots__ = ("_states_path", "_weights_path", "_lo", "_hi")
 
     def __init__(
         self,
@@ -145,24 +146,6 @@ class SlabDistribution(StateDistribution):
         self._hi = int(hi)
         self._n = int(n_states)
 
-    @property
-    def _vector(self) -> np.ndarray:  # shadows the base-class slot
-        pool = global_pool()
-        states = pool.map(self._states_path)[self._lo:self._hi]
-        weights = pool.map(self._weights_path)[self._lo:self._hi]
-        vector = np.zeros(self._n, dtype=float)
-        vector[states] = weights
-        vector.setflags(write=False)
-        return vector
-
-    @property
-    def n_states(self) -> int:
-        return self._n
-
-    def support(self) -> Tuple[int, ...]:
-        states = global_pool().map(self._states_path)[self._lo:self._hi]
-        return tuple(int(s) for s in states)
-
     def sparse(self) -> Tuple[np.ndarray, np.ndarray]:
         pool = global_pool()
         return (
@@ -172,9 +155,6 @@ class SlabDistribution(StateDistribution):
             ),
             np.array(pool.map(self._weights_path)[self._lo:self._hi]),
         )
-
-    def support_size(self) -> int:
-        return self._hi - self._lo
 
     def __repr__(self) -> str:
         return (

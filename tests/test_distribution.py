@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import StateDistribution
+from dense_reference import DenseDistribution
+from repro import Observation, StateDistribution
 from repro.core.errors import (
     DimensionMismatchError,
     InfeasibleEvidenceError,
     ValidationError,
 )
+from repro.store.sharded import SlabDistribution
 
 
 class TestConstruction:
@@ -84,6 +89,17 @@ class TestInspection:
     def test_probability_out_of_range(self):
         with pytest.raises(ValidationError):
             StateDistribution.point(2, 0).probability(9)
+
+    def test_probability_of_counts_each_state_once(self):
+        dist = StateDistribution.from_dict(4, {1: 0.5, 2: 0.5})
+        assert dist.probability_of([1, 1]) == 0.5
+        assert dist.probability_of(iter([2, 1, 2])) == 1.0
+
+    @pytest.mark.parametrize("state", [-1, 4, 7])
+    def test_probability_of_out_of_range(self, state):
+        dist = StateDistribution.from_dict(4, {1: 0.5, 3: 0.5})
+        with pytest.raises(ValidationError, match="out of range"):
+            dist.probability_of([1, state])
 
     def test_support_and_size(self):
         dist = StateDistribution([0.0, 0.4, 0.0, 0.6])
@@ -211,3 +227,200 @@ class TestOperations:
         assert a == b
         assert hash(a) == hash(b)
         assert a != "something else"
+
+
+# ----------------------------------------------------------------------
+# the support format against the dense oracle
+# ----------------------------------------------------------------------
+_SLAB_NAMES = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def slab_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("slabs")
+
+
+@st.composite
+def supports(draw, n_states=None):
+    """``(n, states, weights)``: a support over ``1..200`` states."""
+    n = draw(st.integers(1, 200)) if n_states is None else n_states
+    states = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    weights = draw(
+        st.lists(
+            st.floats(1e-6, 1.0),
+            min_size=len(states),
+            max_size=len(states),
+        )
+    )
+    return n, states, weights
+
+
+def build(kind, n, states, weights):
+    """The same input through one constructor of each class."""
+    if kind == "point":
+        return (
+            StateDistribution.point(n, states[0]),
+            DenseDistribution.from_support(n, states[:1], [1.0]),
+        )
+    if kind == "uniform":
+        return (
+            StateDistribution.uniform(n, states),
+            DenseDistribution.uniform(n, states),
+        )
+    if kind == "dict":
+        table = dict(zip(states, weights))
+        return (
+            StateDistribution.from_dict(n, table, normalize=True),
+            DenseDistribution.from_dict(n, table, normalize=True),
+        )
+    if kind == "dense":
+        vector = np.zeros(n)
+        vector[states] = weights
+        return (
+            StateDistribution(vector, normalize=True),
+            DenseDistribution(vector, normalize=True),
+        )
+    return (
+        StateDistribution.from_support(n, states, weights, normalize=True),
+        DenseDistribution.from_support(n, states, weights, normalize=True),
+    )
+
+
+def as_slab(directory, distribution):
+    """``distribution`` as a row of a slab pair laid out like the
+    store's, behind a few rows of another object."""
+    states, probs = distribution.sparse()
+    name = next(_SLAB_NAMES)
+    pad = name % 3
+    paths = (
+        str(directory / f"{name}-obs_states.npy"),
+        str(directory / f"{name}-obs_weights.npy"),
+    )
+    np.save(paths[0], np.concatenate([np.arange(pad), states]).astype(np.int32))
+    np.save(paths[1], np.concatenate([np.full(pad, 0.5), probs]))
+    return SlabDistribution(*paths, pad, pad + states.size, distribution.n_states)
+
+
+def same_outcome(got, want):
+    """Two thunks either raise the same error or return distributions
+    within 1e-12 of each other."""
+    try:
+        expected = want()
+    except InfeasibleEvidenceError:
+        with pytest.raises(InfeasibleEvidenceError):
+            got()
+        return
+    result = got()
+    assert isinstance(result, StateDistribution)
+    assert np.allclose(result.vector, expected.vector, rtol=0, atol=1e-12)
+
+
+def assert_matches(got, want, other, other_want, region, seed):
+    """Every public method of ``got`` answers like the oracle ``want``."""
+    states, probs = got.sparse()
+    want_states, want_probs = want.sparse()
+    assert states.dtype == np.int64
+    assert np.array_equal(states, want_states)
+    assert probs.tobytes() == want_probs.tobytes()
+    assert got.vector.tobytes() == want.vector.tobytes()
+    assert not got.vector.flags.writeable
+    assert got.n_states == want.n_states
+    assert got.support() == want.support()
+    assert got.support_size() == want.support_size()
+    assert got.mode() == want.mode()
+    assert got.to_dict() == want.to_dict()
+    assert list(got.items()) == list(want.to_dict().items())
+    assert [got.probability(s) for s in range(got.n_states)] == [
+        want.probability(s) for s in range(want.n_states)
+    ]
+    for bad in (-1, got.n_states):
+        with pytest.raises(ValidationError):
+            got.probability(bad)
+        with pytest.raises(ValidationError):
+            got.probability_of(region + [bad])
+    assert got.probability_of(region) == pytest.approx(
+        want.probability_of(region), abs=1e-12
+    )
+    assert got.entropy() == pytest.approx(want.entropy(), abs=1e-12)
+    assert got.total_variation_distance(other) == pytest.approx(
+        want.total_variation_distance(other_want), abs=1e-12
+    )
+    assert got.allclose(other) == want.allclose(other_want)
+    assert got.allclose(got)
+    same_outcome(lambda: got.fuse(other), lambda: want.fuse(other_want))
+    same_outcome(
+        lambda: got.restrict(region), lambda: want.restrict(region)
+    )
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [got.sample(mine) for _ in range(4)] == [
+        want.sample(theirs) for _ in range(4)
+    ]
+    twin = StateDistribution(want.vector)
+    assert got == twin and hash(got) == hash(twin)
+
+
+class TestSupportFormat:
+    """The kept support answers every question as the dense vector
+    did: ``sparse()`` and ``vector`` bit for bit, the rest to 1e-12."""
+
+    @given(
+        kind=st.sampled_from(["support", "dict", "uniform", "point", "dense"]),
+        drawn=supports(),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_support_format_matches_dense_reference(
+        self, slab_dir, kind, drawn, data
+    ):
+        n = drawn[0]
+        got, want = build(kind, *drawn)
+        other, other_want = build("support", *data.draw(supports(n)))
+        region = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        assert repr(got) == repr(want)
+        assert_matches(got, want, other, other_want, region, seed)
+        slab = as_slab(slab_dir, got)
+        assert_matches(slab, want, other, other_want, region, seed)
+        assert slab == got and hash(slab) == hash(got)
+        assert f"support={got.support_size()}" in repr(slab)
+
+    def test_a_stored_object_answers_like_its_source(self, tmp_path):
+        from repro.store.sharded import ShardedTrajectoryStore
+        from repro.workloads import SyntheticConfig, make_synthetic_database
+
+        database = make_synthetic_database(
+            SyntheticConfig(n_objects=40, n_states=300, seed=7)
+        )
+        store = ShardedTrajectoryStore.create(
+            tmp_path / "store", database, shards_per_chain=3
+        )
+        other = StateDistribution.uniform(300, range(100, 140))
+        other_want = DenseDistribution.uniform(300, range(100, 140))
+        for index, object_id in enumerate(database.object_ids):
+            source = database.get(object_id).initial.distribution
+            stored = store.get(object_id).initial.distribution
+            assert isinstance(stored, SlabDistribution)
+            want = DenseDistribution(source.vector)
+            region = [(index * 7 + j) % 300 for j in range(30)]
+            assert_matches(stored, want, other, other_want, region, index)
+            assert stored == source and hash(stored) == hash(source)
+
+    def test_a_sighting_keeps_only_its_support(self):
+        """1,000 five-state sightings over 6,000 states: a dense
+        vector each would hold 48 MB."""
+        rng = np.random.default_rng(3)
+        regions = [rng.choice(6000, 5, replace=False) for _ in range(1000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sightings = [
+                Observation.uniform(time, 6000, region)
+                for time, region in enumerate(regions)
+            ]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sightings) == 1000
+        assert held < 2 * 2**20, f"{held / 2**20:.1f} MB held"

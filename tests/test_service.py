@@ -13,6 +13,7 @@ the owning tenant, drain-on-stop.
 from __future__ import annotations
 
 import asyncio
+import copy
 import threading
 import time
 import warnings
@@ -881,17 +882,24 @@ class TestAnswerReuse:
         assert rider.charged_seconds == 0.0
         assert rider.measured_seconds == 0.0
 
-    def test_a_caller_cannot_change_a_kept_answer(self):
+    @pytest.mark.parametrize("kind", ["ktimes", "exists"])
+    def test_a_caller_cannot_change_a_kept_answer(self, kind):
         database = build_database(seed=29, n_objects=8)
         engine = QueryEngine(database)
-        query = PSTKTimesQuery(WINDOW)  # values are whole distributions
+        if kind == "ktimes":
+            query = PSTKTimesQuery(WINDOW)  # values are whole distributions
+        else:
+            query = PSTExistsQuery(WINDOW)  # values are floats
 
         async def main():
             async with QueryService(engine) as service:
                 first = await service.submit(query)
-                kept = {o: v.copy() for o, v in first.values.items()}
-                for value in first.values.values():
-                    value[:] = -1.0
+                kept = copy.deepcopy(first.values)
+                for object_id, value in first.values.items():
+                    if kind == "ktimes":
+                        value[:] = -1.0
+                    else:
+                        first.values[object_id] = -1.0
                 return service, kept, await service.submit(query)
 
         service, kept, second = run(main())
